@@ -13,15 +13,18 @@ use pcmac_campaign::{
     ScenarioSpec, TrafficPattern, TrafficSpec,
 };
 
-/// One grid cell whose *simulated* duration is far beyond what the
-/// wall-clock budget allows, so the watchdog must step in.
+/// One grid cell that is slow by construction: 10^5 simulated seconds
+/// is minutes of wall clock at any plausible simulator speed, so the
+/// 250 ms watchdog must step in no matter how fast the event loop gets
+/// (at 600 s the run used to *finish* inside the budget once the loop
+/// sped up, and the test failed for lack of a timeout).
 fn slow_campaign() -> CampaignSpec {
     CampaignSpec {
         name: "hygiene".into(),
         base: ScenarioSpec {
             name: "hygiene".into(),
             variant: Variant::Basic,
-            duration_s: 600.0,
+            duration_s: 1e5,
             field: (500.0, 500.0),
             nodes: NodesSpec {
                 count: Some(8),

@@ -1,0 +1,1050 @@
+//! The wireless channel: who hears a transmission, how strongly, and when.
+//!
+//! The channel is not a node-like object — it is a *pattern*: when a
+//! node transmits, the simulator computes the received power at every
+//! candidate receiver from the propagation model and current positions,
+//! and each receiver's radio sees an `ArrivalStart` and an `ArrivalEnd`
+//! after the speed-of-light delay, deciding locally what it heard.
+//! Arrivals weaker than the configured interference floor are culled
+//! (they cannot affect carrier sense or any plausible SINR).
+//!
+//! # Candidate receivers
+//!
+//! Candidates come from a [`UniformGrid`] spatial index sized to the
+//! maximum reception range (max transmit power against the
+//! interference floor), so a transmission visits only the cells its
+//! signal can reach instead of scanning all N nodes
+//! ([`ChannelIndexMode::BruteForce`] keeps the O(N) reference scan for
+//! equivalence tests and benchmarks — both paths produce the identical
+//! arrival sequence). Candidate lists are sorted by node id, so the
+//! event schedule is independent of the index's internal bucket order.
+//!
+//! # Mobility refresh: lazy by default
+//!
+//! Under [`MobilityRefreshMode::Lazy`] the index tolerates a per-node
+//! drift *pad* (a fraction of a grid cell): each node carries a refresh
+//! deadline — the instant its position could first drift past the pad,
+//! from `Mobility::stale_after` — kept in a min-heap, and advancing
+//! the clock re-samples only nodes whose deadlines have passed, O(moved)
+//! instead of O(N). Queries inflate their radius by the pad, so the
+//! ≤ pad-stale index still yields a superset of every true receiver;
+//! the transmitter and each candidate are then re-sampled *exactly* at
+//! the current instant before any gain or delay is computed. Physics
+//! therefore always runs on exact positions and a lazy run is
+//! bit-identical to an eager one — only the number of waypoint
+//! evaluations changes.
+//!
+//! Propagation is dispatched statically through [`PropagationModel`].
+//! Pairwise gains replay from a cache per [`GainCacheMode`]: a dense
+//! precomputed [`GainCache`] for small fully-static scenarios, or the
+//! block-sparse movement-invalidated [`SparseGainCache`] everywhere
+//! else (mobile scenarios and networks past the dense guard).
+//!
+//! # One queue entry per cursor, not per arrival
+//!
+//! A transmission heard by K owned receivers is 2·K *logical* events but
+//! only two *physical* queue entries. [`Channel::fan_out`] sorts the
+//! receivers by `(delay, node)` — which is the `(time, rank)` pop order
+//! of both their starts and their ends, because every receiver's start
+//! sits at `tx start + delay`, its end at `tx end + delay`, and arrival
+//! ranks order by receiver at equal instants — parks the list in a slab
+//! beside the frame, and pushes a start cursor and an end cursor keyed
+//! with the head receiver ([`QueueEntry::Cursor`]). Popping a cursor
+//! ([`Channel::pop_next`]) materialises exactly the `SimEvent` a
+//! per-receiver entry would have held and re-keys the cursor in place to
+//! the next receiver. Successive arrivals of one transmission are
+//! ≤ 1 µs apart while everything else is a 20 µs slot away, so the
+//! cursor usually stays on top and the heap's depth follows the number
+//! of transmissions in flight, not the number of receivers.
+//!
+//! Two facts make this exact rather than approximately right: arrival
+//! ranks embed `(class, receiver, transmission key)` and are unique, so
+//! the queue's insertion sequence never arbitrates an arrival; and a
+//! pending arrival is never cancelled. Plain `ArrivalStart`/`ArrivalEnd`
+//! entries remain legal queue content — snapshot restore and
+//! cross-shard shipments schedule them per receiver — and pop through
+//! the same path.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Arc;
+
+use pcmac_engine::{
+    Duration, EventQueue, Milliwatts, NodeId, Point, ScheduledEvent, SimTime, UniformGrid,
+};
+use pcmac_mac::{CtrlFrame, Frame};
+use pcmac_phy::{
+    GainCache, PropagationModel, Shadowed, SparseCacheStats, SparseGainCache, TwoRayGround,
+};
+
+use crate::config::{ChannelIndexMode, GainCacheMode, MobilityRefreshMode, ScenarioConfig};
+use crate::event::{arrival_rank, SimEvent};
+use crate::metrics::HotPathProfile;
+use crate::sim::{BufPool, ShardCtx};
+use crate::soa::HotState;
+
+/// Speed of light (m/s) for propagation delays.
+const C: f64 = 299_792_458.0;
+
+/// Relative slack on the culling radius, absorbing the floating-point
+/// error of inverting the path-loss formula so the spatial index can
+/// never drop a receiver the exact power test would keep.
+const RADIUS_SLACK: f64 = 1.0 + 1e-9;
+
+/// *Dense* gain caches are quadratic in node count; beyond this many
+/// nodes the table would dominate memory for little win and dense
+/// requests fall back to live evaluation (the block-sparse cache has no
+/// such guard — its memory follows the touched local pairs).
+const GAIN_CACHE_MAX_NODES: usize = 2048;
+
+/// Lazy-refresh drift pad, as a fraction of a grid cell: a node's
+/// indexed position may go stale by up to this much before its refresh
+/// deadline fires. Larger pads mean rarer deadline refreshes but
+/// slightly fatter candidate rings (queries inflate by the pad).
+const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
+
+/// Query-side inflation over the drift pad, absorbing floating-point
+/// error at the drift boundary so a node sampled exactly at its
+/// deadline can never be missed.
+const REFRESH_PAD_SLACK: f64 = 1.01;
+
+/// How the channel replays pairwise gains (resolved from
+/// [`GainCacheMode`] against the scenario's actual shape).
+#[derive(Debug)]
+enum GainCacheState {
+    /// Evaluate the propagation model per lookup.
+    Live,
+    /// Precomputed N×N table (fully static scenarios).
+    Dense(GainCache),
+    /// Block-sparse movement-invalidated cache.
+    Sparse(SparseGainCache),
+}
+
+/// What a transmission carries: a data-channel frame (shared by every
+/// receiver) or a power-control broadcast.
+#[derive(Debug, Clone)]
+pub(crate) enum Payload {
+    Data(Arc<Frame>),
+    Ctrl(CtrlFrame),
+}
+
+impl Payload {
+    fn is_ctrl(&self) -> bool {
+        matches!(self, Payload::Ctrl(_))
+    }
+
+    /// The arrival-start event of this payload at `node`.
+    pub(crate) fn arrival_start(
+        &self,
+        node: NodeId,
+        key: u64,
+        power: Milliwatts,
+        end: SimTime,
+    ) -> SimEvent {
+        match self {
+            Payload::Data(frame) => SimEvent::ArrivalStart {
+                node,
+                key,
+                power,
+                end,
+                frame: frame.clone(),
+            },
+            Payload::Ctrl(frame) => SimEvent::CtrlArrivalStart {
+                node,
+                key,
+                power,
+                end,
+                frame: frame.clone(),
+            },
+        }
+    }
+
+    /// The matching arrival-end event.
+    pub(crate) fn arrival_end(&self, node: NodeId, key: u64) -> SimEvent {
+        match self {
+            Payload::Data(_) => SimEvent::ArrivalEnd { node, key },
+            Payload::Ctrl(_) => SimEvent::CtrlArrivalEnd { node, key },
+        }
+    }
+}
+
+/// One transmission, as the sender's dispatch hands it to the channel.
+pub(crate) struct Transmission {
+    /// Transmitting node.
+    pub(crate) src: usize,
+    /// Transmission key (`Simulator::tx_key`).
+    pub(crate) key: u64,
+    pub(crate) power: Milliwatts,
+    /// Linear gain attenuation of the active impairment bursts (1.0
+    /// without any).
+    pub(crate) impair: f64,
+    /// First and last instant on the air at the transmitter.
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
+    pub(crate) payload: Payload,
+    /// Global `(time, rank)` of the transmitting event, for the
+    /// receiver-side down-state cull of shipped arrivals.
+    pub(crate) cause: (SimTime, u128),
+}
+
+/// One ready-made cross-region arrival pair: everything the receiving
+/// shard needs to schedule the start/end events its own sender loop
+/// would have produced.
+#[derive(Debug, Clone)]
+pub(crate) struct Shipment {
+    pub(crate) at: SimTime,
+    pub(crate) node: NodeId,
+    pub(crate) key: u64,
+    pub(crate) power: Milliwatts,
+    pub(crate) end: SimTime,
+    pub(crate) payload: Payload,
+    /// [`Transmission::cause`].
+    pub(crate) tx: (SimTime, u128),
+}
+
+/// What the simulator's event queue holds: an event, or a cursor over
+/// the sorted receivers of one fan-out (see the module docs). Cursors
+/// never leave this module — the dispatcher, observers and snapshots
+/// only ever see the [`SimEvent`]s they stand for.
+#[derive(Debug)]
+pub(crate) enum QueueEntry {
+    Event(SimEvent),
+    Cursor {
+        /// Slab slot of the fan-out.
+        fan: u32,
+        /// `false` walks the arrival starts, `true` the ends.
+        end: bool,
+    },
+}
+
+/// One owned receiver of a fan-out.
+#[derive(Debug, Clone, Copy)]
+struct Receiver {
+    delay: Duration,
+    node: u32,
+    power: Milliwatts,
+}
+
+/// The in-flight arrivals of one transmission on this simulator.
+#[derive(Debug)]
+struct FanOut {
+    payload: Payload,
+    key: u64,
+    start: SimTime,
+    end: SimTime,
+    /// Strictly increasing in `(delay, node)`.
+    rx: Vec<Receiver>,
+    /// Next un-fired receiver of the start cursor and of the end cursor.
+    next: [u32; 2],
+}
+
+impl FanOut {
+    /// `(time, rank)` of receiver `i`'s arrival start or end.
+    #[inline]
+    fn key_of(&self, i: usize, end: bool) -> (SimTime, u128) {
+        let r = &self.rx[i];
+        let base = if end { self.end } else { self.start };
+        (
+            base + r.delay,
+            arrival_rank(self.payload.is_ctrl(), end, r.node, self.key),
+        )
+    }
+
+    /// The event receiver `i`'s arrival start or end stands for.
+    fn event_of(&self, i: usize, end: bool) -> SimEvent {
+        let r = &self.rx[i];
+        let node = NodeId(r.node);
+        if end {
+            self.payload.arrival_end(node, self.key)
+        } else {
+            self.payload
+                .arrival_start(node, self.key, r.power, self.end + r.delay)
+        }
+    }
+}
+
+/// Channel state: propagation, the spatial index, gain replay, lazy
+/// position refresh, and the fan-outs in flight.
+#[derive(Debug)]
+pub(crate) struct Channel {
+    propagation: PropagationModel,
+    /// Spatial index over `HotState::positions` (kept in sync by
+    /// [`Channel::refresh_positions`]; under lazy refresh its entries
+    /// may trail true positions by up to `pad_m`).
+    grid: UniformGrid,
+    /// Pairwise gain replay strategy.
+    gain_cache: GainCacheState,
+    use_grid: bool,
+    any_mobile: bool,
+    /// `true` when positions refresh lazily (mobile scenarios only).
+    lazy_refresh: bool,
+    /// Metres of drift the index tolerates before a deadline refresh.
+    pad_m: f64,
+    /// Min-heap of `(deadline, node)` refresh entries; an entry earlier
+    /// than its node's recorded deadline is superseded and re-arms.
+    refresh_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Instant of the last eager rescan.
+    positions_at: Option<SimTime>,
+    /// Propagation-delay floor in nanoseconds (0 = exact delays).
+    delay_floor_ns: u64,
+    interference_floor: Milliwatts,
+    /// The farthest any transmission can matter (metres).
+    max_reach: f64,
+    /// Candidate-receiver scratch (used only between a position refresh
+    /// and the fan-out, which never re-enters).
+    candidates: Vec<u32>,
+    /// Batched gain scratch, parallel to `candidates` once filled.
+    gains: Vec<f64>,
+    /// Fan-out slab: `None` slots are listed in `free_slots`.
+    fanouts: Vec<Option<FanOut>>,
+    free_slots: Vec<u32>,
+    rx_pool: BufPool<Receiver>,
+}
+
+impl Channel {
+    /// Build the channel of `cfg` over the start positions in `hot`,
+    /// seeding `hot`'s lazy-refresh stamps.
+    pub(crate) fn new(cfg: &ScenarioConfig, hot: &mut HotState, any_mobile: bool) -> Self {
+        let n = hot.positions.len();
+        let propagation = match cfg.shadowing {
+            Some(s) => PropagationModel::Shadowed(Shadowed::new(
+                TwoRayGround::ns2_default(),
+                s.sigma_db,
+                s.symmetric,
+                cfg.seed,
+            )),
+            None => PropagationModel::TwoRay(TwoRayGround::ns2_default()),
+        };
+
+        // Cell size: the farthest any transmission can matter — maximum
+        // transmit power against the interference floor (inflated for the
+        // worst-case shadowing boost). The grid may shrink cells slightly
+        // to tile the field evenly (and caps the cell count on huge
+        // fields), so a max-reach query touches a small O(1) block of
+        // cells around the transmitter — typically 3×3, sometimes 4×4.
+        let max_reach = cull_radius(&propagation, cfg.mac.max_power(), cfg.interference_floor);
+        let cell = if max_reach.is_finite() {
+            max_reach.max(1.0)
+        } else {
+            cfg.field.0.max(cfg.field.1)
+        };
+        let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &hot.positions);
+
+        // Gain caches belong to the indexed channel: the brute-force
+        // mode is the O(N)-scan-with-live-propagation reference the
+        // indexed channel is benchmarked against (cache-vs-live equality
+        // is covered by the phy gain-cache tests, so equivalence between
+        // the modes is unaffected).
+        let use_grid = cfg.channel_index == ChannelIndexMode::Grid;
+        let dense_ok = use_grid && !any_mobile && n <= GAIN_CACHE_MAX_NODES;
+        let build_sparse = || {
+            let mut c = SparseGainCache::new(n);
+            for i in 0..n as u32 {
+                c.set_cell(i, grid.node_cell(i));
+            }
+            GainCacheState::Sparse(c)
+        };
+        let gain_cache = match cfg.gain_cache_mode() {
+            GainCacheMode::Auto if dense_ok => {
+                GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
+            }
+            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => build_sparse(),
+            GainCacheMode::Dense if dense_ok => {
+                GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
+            }
+            _ => GainCacheState::Live,
+        };
+
+        // Lazy refresh: seed every mobile node's first deadline from its
+        // start position (positions are exact at t = 0). Without the
+        // grid there is nothing to keep fresh lazily — the brute-force
+        // scan visits all N nodes per transmission regardless — so that
+        // combination falls back to the eager rescan.
+        let lazy_refresh =
+            any_mobile && use_grid && cfg.mobility_refresh_mode() == MobilityRefreshMode::Lazy;
+        let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
+        let mut refresh_heap = BinaryHeap::new();
+        if lazy_refresh {
+            hot.sampled_at = vec![SimTime::ZERO; n];
+            hot.deadline = vec![SimTime::MAX; n];
+            for (i, m) in hot.mobility.iter().enumerate() {
+                let d = m.stale_after(SimTime::ZERO, pad_m);
+                hot.deadline[i] = d;
+                if d != SimTime::MAX {
+                    refresh_heap.push(Reverse((d, i as u32)));
+                }
+            }
+        }
+
+        Channel {
+            propagation,
+            grid,
+            gain_cache,
+            use_grid,
+            any_mobile,
+            lazy_refresh,
+            pad_m,
+            refresh_heap,
+            positions_at: None,
+            delay_floor_ns: cfg.delay_floor().as_nanos(),
+            interference_floor: cfg.interference_floor,
+            max_reach,
+            candidates: Vec::new(),
+            gains: Vec::new(),
+            fanouts: Vec::new(),
+            free_slots: Vec::new(),
+            rx_pool: BufPool::default(),
+        }
+    }
+
+    /// The spatial index's cell size — region boundaries snap to grid
+    /// columns so a cell (and the candidate rings around it) never
+    /// straddles more than two regions.
+    pub(crate) fn cell_size(&self) -> f64 {
+        self.grid.cell_size()
+    }
+
+    /// Sparse gain-cache effectiveness counters, when that cache runs.
+    pub(crate) fn cache_stats(&self) -> Option<SparseCacheStats> {
+        match &self.gain_cache {
+            GainCacheState::Sparse(c) => Some(c.stats()),
+            _ => None,
+        }
+    }
+
+    /// Which nodes shard `id` keeps hot state (and grid membership) for:
+    /// owned nodes plus every node within maximum reach (in x) of the
+    /// owned span — the farthest any owned transmission can matter, so
+    /// grid queries from owned transmitters return exactly the full-grid
+    /// candidate set. Mobile scenarios and unbounded reach track
+    /// everything (no static halo is sound when positions drift across
+    /// bands); the cold `Node` state stays owner-only either way, which
+    /// is the dominant memory term. The index is pruned to the result.
+    pub(crate) fn track_shard(&mut self, owner: &[u32], id: u32, positions: &[Point]) -> Vec<bool> {
+        let halo_reach = self.max_reach;
+        if self.any_mobile || !halo_reach.is_finite() {
+            return vec![true; positions.len()];
+        }
+        let mut min_x = f64::INFINITY;
+        let mut max_x = f64::NEG_INFINITY;
+        for (i, p) in positions.iter().enumerate() {
+            if owner[i] == id {
+                min_x = min_x.min(p.x);
+                max_x = max_x.max(p.x);
+            }
+        }
+        let tracked: Vec<bool> = owner
+            .iter()
+            .zip(positions)
+            .map(|(&o, p)| o == id || (p.x >= min_x - halo_reach && p.x <= max_x + halo_reach))
+            .collect();
+        self.grid.retain_nodes(|i| tracked[i as usize]);
+        tracked
+    }
+
+    /// The conservative lookahead (ns) a region run may use: at least
+    /// the configured delay floor, and — for static scenarios — one less
+    /// than the propagation time across the narrowest gap between
+    /// adjacent ownership bands, since the earliest cross-shard effect
+    /// of any event is an arrival that must cross that gap. Mobile
+    /// scenarios fall back to the floor (bands do not confine moving
+    /// positions); a single populated band has no cross-shard traffic at
+    /// all, so the whole run (`duration`) is one window.
+    pub(crate) fn lookahead_ns(
+        &self,
+        positions: &[Point],
+        owner: &[u32],
+        shards: usize,
+        duration: Duration,
+    ) -> u64 {
+        let floor = self.delay_floor_ns;
+        if self.any_mobile {
+            return floor;
+        }
+        let mut min_x = vec![f64::INFINITY; shards];
+        let mut max_x = vec![f64::NEG_INFINITY; shards];
+        for (i, p) in positions.iter().enumerate() {
+            let s = owner[i] as usize;
+            min_x[s] = min_x[s].min(p.x);
+            max_x[s] = max_x[s].max(p.x);
+        }
+        let mut gap = f64::INFINITY;
+        let mut prev: Option<usize> = None;
+        for (k, (&lo, &hi)) in min_x.iter().zip(&max_x).enumerate() {
+            if lo > hi {
+                continue; // empty band
+            }
+            if let Some(p) = prev {
+                gap = gap.min(lo - max_x[p]);
+            }
+            prev = Some(k);
+        }
+        if gap == f64::INFINITY {
+            // One populated band: nothing ever crosses a boundary.
+            return duration.as_nanos().max(floor);
+        }
+        if gap <= 0.0 {
+            return floor;
+        }
+        // An arrival crossing `gap` metres is delayed at least
+        // `floor(gap_ns)` ns (the scheduler rounds), so any lookahead at
+        // or under `gap_ns - 1` can never miss a cross-shard effect.
+        let gap_ns = (gap / C * 1e9).floor() as u64;
+        gap_ns.saturating_sub(1).max(floor)
+    }
+
+    /// Re-derive positions, the index and the refresh chains from
+    /// mobility models restored *exactly* at `cut` (positions are exact
+    /// there, like at t = 0 for a fresh build).
+    pub(crate) fn resync(&mut self, hot: &mut HotState, cut: SimTime) {
+        let n = hot.positions.len();
+        if self.any_mobile {
+            for i in 0..n {
+                let p = hot.mobility[i].position(cut);
+                hot.positions[i] = p;
+                if self.use_grid {
+                    self.note_move(i, p);
+                }
+            }
+            self.positions_at = Some(cut);
+        }
+        if self.lazy_refresh {
+            // One live deadline chain per node, re-seeded from the cut.
+            self.refresh_heap.clear();
+            for i in 0..n {
+                hot.sampled_at[i] = cut;
+                let d = hot.mobility[i].stale_after(cut, self.pad_m);
+                hot.deadline[i] = d;
+                if d != SimTime::MAX {
+                    self.refresh_heap.push(Reverse((d, i as u32)));
+                }
+            }
+        }
+    }
+
+    /// Node `i` moved to `p`: update the index and invalidate its cached
+    /// gains.
+    fn note_move(&mut self, i: usize, p: Point) {
+        self.grid.update(i as u32, p);
+        if let GainCacheState::Sparse(c) = &mut self.gain_cache {
+            c.note_move(i as u32, self.grid.node_cell(i as u32));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Positions
+    // ------------------------------------------------------------------
+
+    /// Bring `hot.positions` (and the spatial index) up to `now`.
+    ///
+    /// Eager mode rescans every node on each new timestamp (recording
+    /// the timestamp so repeated transmissions at the same instant —
+    /// common when several nodes react to the same timer tick — skip the
+    /// rescan). Lazy mode instead pops due refresh deadlines, touching
+    /// only nodes whose indexed position could have drifted past the
+    /// pad; exact sampling of the nodes that actually matter happens
+    /// per-candidate in [`Channel::collect_receivers`]. Static
+    /// scenarios never pay anything.
+    fn refresh_positions(
+        &mut self,
+        hot: &mut HotState,
+        prof: Option<&mut HotPathProfile>,
+        now: SimTime,
+    ) {
+        if !self.any_mobile {
+            return;
+        }
+        if self.lazy_refresh {
+            self.process_refresh_deadlines(hot, prof, now);
+            return;
+        }
+        if self.positions_at == Some(now) {
+            return;
+        }
+        for i in 0..hot.positions.len() {
+            let p = hot.mobility[i].position(now);
+            if p != hot.positions[i] {
+                hot.positions[i] = p;
+                if self.use_grid {
+                    self.note_move(i, p);
+                }
+            }
+        }
+        self.positions_at = Some(now);
+    }
+
+    /// Pop every refresh deadline at or before `now`, re-sampling those
+    /// nodes so no indexed position is stale by more than `pad_m`. Each
+    /// pop either re-arms a superseded entry (an on-demand exact sample
+    /// pushed the node's deadline later) or refreshes the node and
+    /// schedules its next deadline, so the heap holds one live chain per
+    /// mobile node — O(moved · log N) per timestamp, not O(N).
+    fn process_refresh_deadlines(
+        &mut self,
+        hot: &mut HotState,
+        mut prof: Option<&mut HotPathProfile>,
+        now: SimTime,
+    ) {
+        while let Some(&Reverse((t, node))) = self.refresh_heap.peek() {
+            if t > now {
+                break;
+            }
+            self.refresh_heap.pop();
+            let i = node as usize;
+            if t < hot.deadline[i] {
+                if let Some(p) = prof.as_deref_mut() {
+                    p.refresh_rearms += 1;
+                }
+                self.refresh_heap.push(Reverse((hot.deadline[i], node)));
+                continue;
+            }
+            if let Some(p) = prof.as_deref_mut() {
+                p.refresh_pops += 1;
+            }
+            self.sample_exact(hot, prof.as_deref_mut(), i, now);
+            // `sample_exact` advanced the deadline past `now` whenever the
+            // waypoint model allows; the +1 ns floor keeps degenerate
+            // horizons (pad/speed rounding to zero) from re-firing at the
+            // same instant forever.
+            let d = hot.deadline[i].max(now + Duration::from_nanos(1));
+            hot.deadline[i] = d;
+            self.refresh_heap.push(Reverse((d, node)));
+        }
+    }
+
+    /// Sample node `i`'s exact position at `now` (at most once per
+    /// instant), propagating any movement into the spatial index and the
+    /// sparse gain cache, and extending the node's refresh deadline —
+    /// freshly sampled nodes cannot drift past the pad for another
+    /// `pad_m / speed`.
+    fn sample_exact(
+        &mut self,
+        hot: &mut HotState,
+        prof: Option<&mut HotPathProfile>,
+        i: usize,
+        now: SimTime,
+    ) {
+        if hot.sampled_at[i] == now {
+            return;
+        }
+        hot.sampled_at[i] = now;
+        if let Some(p) = prof {
+            p.exact_samples += 1;
+        }
+        let p = hot.mobility[i].position(now);
+        if p != hot.positions[i] {
+            hot.positions[i] = p;
+            self.note_move(i, p);
+        }
+        let d = hot.mobility[i].stale_after(now, self.pad_m);
+        if d > hot.deadline[i] {
+            hot.deadline[i] = d;
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Receivers and gains
+    // ------------------------------------------------------------------
+
+    /// Fill the candidate scratch with every node (other than `i`,
+    /// sorted by id) that could receive a transmission from `i` at
+    /// `power` above the interference floor. Under lazy refresh the
+    /// index query is padded by the staleness allowance and the
+    /// transmitter plus every returned candidate are re-sampled exactly
+    /// at `now`, so the subsequent gain/delay computations see true
+    /// positions and the arrivals match the eager path bit for bit.
+    pub(crate) fn collect_receivers(
+        &mut self,
+        hot: &mut HotState,
+        mut prof: Option<&mut HotPathProfile>,
+        i: usize,
+        power: Milliwatts,
+        now: SimTime,
+    ) {
+        self.refresh_positions(hot, prof.as_deref_mut(), now);
+        if self.lazy_refresh {
+            self.sample_exact(hot, prof.as_deref_mut(), i, now);
+        }
+        self.candidates.clear();
+        if self.use_grid {
+            let mut radius = cull_radius(&self.propagation, power, self.interference_floor);
+            if self.lazy_refresh {
+                radius += self.pad_m * REFRESH_PAD_SLACK;
+            }
+            self.grid.query_circle(
+                hot.positions[i],
+                radius,
+                Some(i as u32),
+                &mut self.candidates,
+            );
+            if self.lazy_refresh {
+                for c in 0..self.candidates.len() {
+                    let j = self.candidates[c] as usize;
+                    self.sample_exact(hot, prof.as_deref_mut(), j, now);
+                }
+            }
+            if let Some(p) = prof {
+                p.grid_queries += 1;
+                p.grid_candidates += self.candidates.len() as u64;
+            }
+        } else {
+            self.candidates
+                .extend((0..hot.positions.len() as u32).filter(|&j| j as usize != i));
+        }
+    }
+
+    /// Drop owned receivers that are currently crashed (`down`) from the
+    /// candidate list. Runs *before* the batched gain fill, exactly where
+    /// the scalar reference applied its inline `down` skip — so the
+    /// sparse cache sees the same lookup sequence (and mints the same
+    /// hit/miss/flush counters) as the per-pair path did.
+    pub(crate) fn cull_down_receivers(&mut self, down: &[bool], shard: Option<&ShardCtx>) {
+        self.candidates.retain(|&j| {
+            let owned = shard.is_none_or(|c| c.owner[j as usize] == c.id);
+            !(owned && down[j as usize])
+        });
+    }
+
+    /// Batch-evaluate the gains from node `i` to every candidate into
+    /// the gain scratch (parallel to the candidates): replayed from the
+    /// dense table (static), streamed through the block-sparse cache
+    /// (generation-checked), or evaluated live in one contiguous pass.
+    /// All three paths produce bit-identical values to per-pair calls.
+    fn fill_gains(&mut self, i: usize, positions: &[Point]) {
+        match &mut self.gain_cache {
+            GainCacheState::Dense(cache) => {
+                self.gains.clear();
+                self.gains.reserve(self.candidates.len());
+                self.gains
+                    .extend(self.candidates.iter().map(|&j| cache.gain(i, j as usize)));
+            }
+            GainCacheState::Sparse(cache) => {
+                let prop = &self.propagation;
+                cache.gains_with_into(i as u32, &self.candidates, &mut self.gains, |j| {
+                    prop.gain(positions[i], positions[j as usize])
+                });
+            }
+            GainCacheState::Live => self.propagation.gains_into_indexed(
+                positions[i],
+                positions,
+                &self.candidates,
+                &mut self.gains,
+            ),
+        }
+    }
+
+    /// Propagation delay over `dist` metres, floored at the configured
+    /// minimum (the floor is the conservative lookahead of a sharded run;
+    /// zero in plain single mode).
+    #[inline]
+    fn prop_delay(&self, dist: f64) -> Duration {
+        Duration::from_nanos(((dist / C * 1e9).round() as u64).max(self.delay_floor_ns))
+    }
+
+    // ------------------------------------------------------------------
+    // Fan-out
+    // ------------------------------------------------------------------
+
+    /// Turn the collected candidates into arrivals: gains are evaluated
+    /// in one batch, and every receiver above the interference floor
+    /// hears `tx` after its propagation delay. Receivers this simulator dispatches join one
+    /// fan-out walked by two queue cursors (`2·K` logical events, two
+    /// entries); receivers another region owns are shipped to it as
+    /// ready-made arrival pairs, which the owner culls against its
+    /// authoritative down-state at our send instant when it drains.
+    pub(crate) fn fan_out(
+        &mut self,
+        tx: Transmission,
+        positions: &[Point],
+        mut shard: Option<&mut ShardCtx>,
+        queue: &mut EventQueue<QueueEntry>,
+    ) {
+        self.fill_gains(tx.src, positions);
+        let src_pos = positions[tx.src];
+        let mut rx = self.rx_pool.take();
+        for (c, &j) in self.candidates.iter().enumerate() {
+            let j = j as usize;
+            let power = tx.power * (self.gains[c] * tx.impair);
+            if power.value() < self.interference_floor.value() {
+                continue;
+            }
+            let delay = self.prop_delay(src_pos.distance(positions[j]));
+            match shard.as_deref_mut().filter(|ctx| ctx.owner[j] != ctx.id) {
+                Some(ctx) => ctx.outbox[ctx.owner[j] as usize].push(Shipment {
+                    at: tx.start + delay,
+                    node: NodeId(j as u32),
+                    key: tx.key,
+                    power,
+                    end: tx.end + delay,
+                    payload: tx.payload.clone(),
+                    tx: tx.cause,
+                }),
+                None => rx.push(Receiver {
+                    delay,
+                    node: j as u32,
+                    power,
+                }),
+            }
+        }
+        if rx.is_empty() {
+            self.rx_pool.put(rx);
+            return;
+        }
+        // `(delay, node)` order is `(time, rank)` order for the starts and
+        // for the ends alike: equal delays are equal instants, where the
+        // arrival rank orders by receiver. (Candidates come in id order,
+        // so this equals the stable sort by delay.)
+        rx.sort_unstable_by_key(|r| (r.delay, r.node));
+        debug_assert!(
+            rx.windows(2)
+                .all(|w| (w[0].delay, w[0].node) < (w[1].delay, w[1].node)),
+            "fan-out receivers must be strictly increasing in (delay, node): \
+             a node hears a transmission once, or its arrival ranks collide"
+        );
+        queue.count_scheduled(2 * rx.len() as u64);
+        let fan = FanOut {
+            payload: tx.payload,
+            key: tx.key,
+            start: tx.start,
+            end: tx.end,
+            rx,
+            next: [0, 0],
+        };
+        let heads = [fan.key_of(0, false), fan.key_of(0, true)];
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.fanouts[slot as usize] = Some(fan);
+                slot
+            }
+            None => {
+                self.fanouts.push(Some(fan));
+                (self.fanouts.len() - 1) as u32
+            }
+        };
+        for (end, (at, rank)) in [false, true].into_iter().zip(heads) {
+            queue.push_cursor(at, rank, QueueEntry::Cursor { fan: slot, end });
+        }
+    }
+
+    /// Pop the next logical event: a plain entry pops as itself; a cursor
+    /// yields its head receiver's event and moves on to the next one in
+    /// place (or leaves the queue, spent).
+    pub(crate) fn pop_next(
+        &mut self,
+        queue: &mut EventQueue<QueueEntry>,
+    ) -> Option<(SimTime, u128, SimEvent)> {
+        let top = queue.peek()?;
+        let (at, rank) = (top.at, top.rank);
+        let event = match top.event {
+            QueueEntry::Event(_) => match queue.pop().expect("peeked").event {
+                QueueEntry::Event(event) => event,
+                QueueEntry::Cursor { .. } => unreachable!("peeked an event"),
+            },
+            QueueEntry::Cursor { fan, end } => {
+                let slot = &mut self.fanouts[fan as usize];
+                let f = slot.as_mut().expect("cursor into a vacant slot");
+                let i = f.next[end as usize] as usize;
+                f.next[end as usize] += 1;
+                let event = f.event_of(i, end);
+                if i + 1 < f.rx.len() {
+                    let (at, rank) = f.key_of(i + 1, end);
+                    queue.rekey_top(at, rank);
+                } else {
+                    queue.pop();
+                    if end {
+                        // Every start precedes its own end, so the end
+                        // cursor is the last one out.
+                        debug_assert_eq!(f.next[0] as usize, f.rx.len());
+                        let spent = slot.take().expect("checked above");
+                        self.rx_pool.put(spent.rx);
+                        self.free_slots.push(fan);
+                    }
+                }
+                event
+            }
+        };
+        debug_assert_eq!(event.rank(), rank, "queue key drifted from {event:?}");
+        Some((at, rank, event))
+    }
+
+    /// Every pending logical event of `queue` in canonical `(time, rank,
+    /// insertion)` order: plain entries as they are, cursors expanded
+    /// back into the arrivals they have not fired yet.
+    pub(crate) fn pending_events(
+        &self,
+        queue: &EventQueue<QueueEntry>,
+    ) -> Vec<(SimTime, u128, SimEvent)> {
+        queue.pending_logical(|e: &ScheduledEvent<QueueEntry>, out| match &e.event {
+            QueueEntry::Event(event) => out.push((e.at, e.rank, event.clone())),
+            QueueEntry::Cursor { fan, end } => {
+                let f = self.fanouts[*fan as usize]
+                    .as_ref()
+                    .expect("cursor into a vacant slot");
+                for i in f.next[*end as usize] as usize..f.rx.len() {
+                    let (at, rank) = f.key_of(i, *end);
+                    out.push((at, rank, f.event_of(i, *end)));
+                }
+            }
+        })
+    }
+}
+
+/// The radius beyond which a transmission at `power` cannot reach
+/// `floor` under any realisation of `model` (slightly inflated for
+/// float-inversion safety). Infinite when the floor is disabled.
+fn cull_radius(model: &PropagationModel, power: Milliwatts, floor: Milliwatts) -> f64 {
+    if floor.value() <= 0.0 || power.value() <= 0.0 {
+        return f64::INFINITY;
+    }
+    model.max_range_for(power, floor) * RADIUS_SLACK
+}
+
+#[cfg(test)]
+mod tests {
+    //! A checkpoint cut in the middle of a fan-out walk — some arrival
+    //! starts fired, no end yet — must list exactly the arrivals still to
+    //! come, and resume to the uninterrupted result.
+
+    use std::collections::HashSet;
+
+    use pcmac_engine::{Duration, FlowId, NodeId, Point, SimTime};
+    use pcmac_mac::Variant;
+
+    use crate::config::{ExecutionMode, FlowSpec, NodeSetup, ScenarioConfig};
+    use crate::fault::{CrashWindow, FaultConfig, ImpairmentBurst};
+    use crate::report::RunReport;
+    use crate::{SimEvent, SimSnapshot, Simulator};
+
+    /// Eight static stations at unequal spacings (so one transmission's
+    /// arrivals land at distinct instants), two PCMAC flows — data and
+    /// control-channel fan-outs both occur — and a 50 ns delay floor so
+    /// the scenario also runs sharded.
+    fn scenario(faulted: bool) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::two_nodes(Variant::Pcmac, 100.0, 300_000.0, 9)
+            .with_duration(Duration::from_secs(2));
+        cfg.field = (1200.0, 400.0);
+        let xs = [40.0, 130.0, 290.0, 470.0, 640.0, 830.0, 990.0, 1160.0];
+        cfg.nodes = NodeSetup::Static(xs.iter().map(|&x| Point::new(x, 200.0)).collect());
+        let flow = cfg.flows[0].clone();
+        cfg.flows = vec![
+            flow.clone(),
+            FlowSpec {
+                flow: FlowId(1),
+                src: NodeId(6),
+                dst: NodeId(5),
+                start: flow.start + Duration::from_millis(7),
+                ..flow
+            },
+        ];
+        cfg.delay_floor_us = Some(0.05);
+        if faulted {
+            cfg.faults = Some(FaultConfig {
+                crashes: Some(vec![CrashWindow {
+                    node: 2,
+                    at_s: 1.1,
+                    recover_s: Some(1.6),
+                }]),
+                churn: None,
+                expire_routes: None,
+                impairments: Some(vec![ImpairmentBurst {
+                    start_s: 1.2,
+                    stop_s: 1.5,
+                    extra_loss_db: 3.0,
+                    noise_mult: Some(2.0),
+                }]),
+                energy_budget_mj: None,
+            });
+        }
+        cfg
+    }
+
+    fn arrival_key(ev: &SimEvent) -> Option<u64> {
+        match ev {
+            SimEvent::ArrivalStart { key, .. }
+            | SimEvent::ArrivalEnd { key, .. }
+            | SimEvent::CtrlArrivalStart { key, .. }
+            | SimEvent::CtrlArrivalEnd { key, .. } => Some(*key),
+            _ => None,
+        }
+    }
+
+    fn fingerprint(mut report: RunReport) -> String {
+        report.wall_s = 0.0;
+        serde_json::to_string(&report).expect("reports serialize")
+    }
+
+    #[test]
+    fn mid_airtime_cut_lists_the_unfired_arrivals_and_resumes_bit_identically() {
+        for faulted in [false, true] {
+            let cfg = scenario(faulted);
+            let reference = fingerprint(Simulator::new(cfg.clone()).run());
+
+            // Stop right after the first arrival start of the first data
+            // transmission past 1.25 s (mid-fault in the faulted run).
+            let mut sim = Simulator::new(cfg.clone());
+            let mut seen = HashSet::new();
+            let cut_key = loop {
+                let (at, _, ev) = sim.step().expect("the run outlives the cut");
+                if let SimEvent::ArrivalStart { key, .. } = ev {
+                    if seen.insert(key) && at >= SimTime::ZERO + Duration::from_millis(1250) {
+                        break key;
+                    }
+                }
+            };
+            let snap = sim.snapshot();
+
+            // Canonical order, and genuinely mid-walk: the cut transmission
+            // still owes some starts and every one of its ends.
+            let keys: Vec<(SimTime, u128)> = snap.pending.iter().map(|p| (p.0, p.1)).collect();
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "pending is sorted");
+            let of_cut = |end: bool| {
+                snap.pending
+                    .iter()
+                    .filter(|(_, _, ev)| {
+                        arrival_key(ev) == Some(cut_key)
+                            && matches!(ev, SimEvent::ArrivalEnd { .. }) == end
+                    })
+                    .count()
+            };
+            assert!(of_cut(false) >= 1, "some starts still pending");
+            assert_eq!(of_cut(true), of_cut(false) + 1, "one start fired, no end");
+
+            // Ground truth for every transmission on the air at the cut:
+            // what the uninterrupted run goes on to dispatch for it.
+            let in_flight: HashSet<u64> = snap
+                .pending
+                .iter()
+                .filter_map(|(_, _, ev)| arrival_key(ev))
+                .collect();
+            let describe =
+                |at: SimTime, rank: u128, ev: &SimEvent| format!("{at:?} {rank:#x} {ev:?}");
+            let listed: Vec<String> = snap
+                .pending
+                .iter()
+                .filter(|(_, _, ev)| arrival_key(ev).is_some())
+                .map(|(at, rank, ev)| describe(*at, *rank, ev))
+                .collect();
+            let mut fired = Vec::new();
+            while fired.len() < listed.len() {
+                let (at, rank, ev) = sim.step().expect("listed arrivals all fire");
+                if arrival_key(&ev).is_some_and(|k| in_flight.contains(&k)) {
+                    fired.push(describe(at, rank, &ev));
+                }
+            }
+            assert_eq!(listed, fired, "faulted = {faulted}");
+
+            // Through the wire format and back, under both executions.
+            let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("round trip");
+            for shards in [None, Some(2)] {
+                let mut cfg = cfg.clone();
+                cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
+                let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
+                assert_eq!(
+                    fingerprint(resumed),
+                    reference,
+                    "faulted = {faulted}, shards = {shards:?}"
+                );
+            }
+        }
+    }
+}

@@ -157,24 +157,104 @@ impl SimEvent {
     /// `End` classes sort before `Start` classes: an arrival that ends the
     /// instant another begins must release the radio first, matching the
     /// order the single-threaded scheduler produced them in.
+    ///
+    /// The four arrival events are *totally* ordered by `(at, rank)`: their
+    /// discriminator is the transmission key, which is unique per
+    /// transmission, and a transmission reaches a node at most once, so
+    /// no two arrival events — and no arrival and any other event — ever
+    /// share a full key. The queue's insertion sequence is therefore never
+    /// consulted for an arrival, which is what lets the channel keep a
+    /// transmission's arrivals in a sorted list behind two queue cursors
+    /// instead of one queue entry each (see `channel`).
     pub fn rank(&self) -> u128 {
-        let (class, node, disc): (u128, u64, u64) = match self {
-            SimEvent::ArrivalEnd { node, key } => (0, node.0 as u64, *key),
-            SimEvent::CtrlArrivalEnd { node, key } => (1, node.0 as u64, *key),
-            SimEvent::TxEnd { node } => (2, node.0 as u64, 0),
-            SimEvent::CtrlTxEnd { node } => (3, node.0 as u64, 0),
-            SimEvent::ArrivalStart { node, key, .. } => (4, node.0 as u64, *key),
-            SimEvent::CtrlArrivalStart { node, key, .. } => (5, node.0 as u64, *key),
-            SimEvent::MacTimer { node, token, .. } => (6, node.0 as u64, token.value()),
-            SimEvent::AodvTimer { node, token, .. } => (7, node.0 as u64, token.value()),
-            SimEvent::TrafficEmit { node, source } => (8, node.0 as u64, *source as u64),
-            SimEvent::NodeDown { node } => (9, node.0 as u64, 0),
-            SimEvent::NodeUp { node } => (10, node.0 as u64, 0),
+        let (class, node, disc): (u128, u32, u64) = match self {
+            SimEvent::ArrivalEnd { node, key } => (0, node.0, *key),
+            SimEvent::CtrlArrivalEnd { node, key } => (1, node.0, *key),
+            SimEvent::TxEnd { node } => (2, node.0, 0),
+            SimEvent::CtrlTxEnd { node } => (3, node.0, 0),
+            SimEvent::ArrivalStart { node, key, .. } => (4, node.0, *key),
+            SimEvent::CtrlArrivalStart { node, key, .. } => (5, node.0, *key),
+            SimEvent::MacTimer { node, token, .. } => (6, node.0, token.value()),
+            SimEvent::AodvTimer { node, token, .. } => (7, node.0, token.value()),
+            SimEvent::TrafficEmit { node, source } => (8, node.0, *source as u64),
+            SimEvent::NodeDown { node } => (9, node.0, 0),
+            SimEvent::NodeUp { node } => (10, node.0, 0),
             SimEvent::ImpairmentStart { index } => (11, 0, *index as u64),
             SimEvent::ImpairmentEnd { index } => (12, 0, *index as u64),
             SimEvent::MetricsProbe => (13, 0, 0),
         };
-        (class << 96) | ((node as u128) << 64) | disc as u128
+        compose_rank(class, node, disc)
+    }
+}
+
+#[inline]
+fn compose_rank(class: u128, node: u32, disc: u64) -> u128 {
+    (class << 96) | ((node as u128) << 64) | disc as u128
+}
+
+/// [`SimEvent::rank`] of an arrival event — start or `end`, data or
+/// `ctrl` channel — at `node` for transmission `key`, without building
+/// the event (the channel keys its fan-out cursors with it, and checks
+/// every event it materialises against `rank()` in debug builds).
+#[inline]
+pub(crate) fn arrival_rank(ctrl: bool, end: bool, node: u32, key: u64) -> u128 {
+    let class = if end { 0 } else { 4 } + ctrl as u128;
+    compose_rank(class, node, key)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcmac_engine::Duration;
+    use pcmac_mac::{FrameBody, FrameKind};
+
+    #[test]
+    fn arrival_rank_is_the_rank_of_the_event_it_names() {
+        let (node, key) = (NodeId(7), (3 << 32) | 41);
+        let (power, end) = (Milliwatts(1.0), SimTime::ZERO);
+        let frame = Arc::new(Frame {
+            kind: FrameKind::Ack,
+            tx: NodeId(3),
+            rx: node,
+            duration: Duration::ZERO,
+            tx_power: power,
+            body: FrameBody::Ack,
+        });
+        let ctrl = CtrlFrame {
+            receiver: NodeId(3),
+            noise_tolerance: power,
+            remaining: Duration::ZERO,
+            tx_power: power,
+        };
+        let events = [
+            (false, true, SimEvent::ArrivalEnd { node, key }),
+            (true, true, SimEvent::CtrlArrivalEnd { node, key }),
+            (
+                false,
+                false,
+                SimEvent::ArrivalStart {
+                    node,
+                    key,
+                    power,
+                    end,
+                    frame,
+                },
+            ),
+            (
+                true,
+                false,
+                SimEvent::CtrlArrivalStart {
+                    node,
+                    key,
+                    power,
+                    end,
+                    frame: ctrl,
+                },
+            ),
+        ];
+        for (ctrl, end, ev) in events {
+            assert_eq!(arrival_rank(ctrl, end, node.0, key), ev.rank(), "{ev:?}");
+        }
     }
 }
 

@@ -50,6 +50,7 @@
 //! events to the owning node and applies the returned actions, which is
 //! where cross-node effects (the wireless channel) happen.
 
+pub(crate) mod channel;
 pub mod config;
 pub mod event;
 pub mod fault;

@@ -17,9 +17,14 @@
 //! an owned node transmits, the sender loop runs exactly as in single
 //! mode — the halo guarantees the pruned index returns the full
 //! candidate set, and gains are pure functions of positions, so the
-//! shard computes every receiver's power and delay bit-identically — and
-//! arrivals destined for foreign nodes are shipped to their owner as
-//! ready-made events instead of being scheduled locally.
+//! shard computes every receiver's power and delay bit-identically.
+//! Owned receivers join the transmission's local fan-out (one sorted
+//! list behind two queue cursors, see the `channel` module); arrivals
+//! destined for foreign nodes are shipped to their owner as ready-made
+//! arrival pairs, which the owner schedules as plain per-receiver
+//! entries. Both shapes are the same logical events under the same
+//! `(time, rank)` keys, so which one carries an arrival is invisible to
+//! the pop order, to checkpoints and to the merged report.
 //!
 //! # The synchronization protocol
 //!
@@ -39,8 +44,9 @@
 //! 4. outboxes are flushed into per-pair mailboxes; barrier;
 //! 5. each shard drains its mailboxes in fixed sender order, culling
 //!    each shipment against its authoritative down-state at the sender's
-//!    transmit instant, and scheduling the survivors under their
-//!    content-derived ranks.
+//!    transmit instant, and scheduling the survivors — one plain queue
+//!    entry per arrival start and end — under their content-derived
+//!    ranks.
 //!
 //! Shipments land at `ws + δ` or later, so nothing a neighbour did
 //! inside a window can affect events already dispatched — and since
@@ -59,11 +65,12 @@ use pcmac_shard::{partition_columns, SpinBarrier};
 
 use pcmac_engine::SimTime;
 
+use crate::channel::Shipment;
 use crate::event::SimEvent;
 use crate::metrics::MetricsState;
 use crate::node::Node;
 use crate::report::RunReport;
-use crate::sim::{FaultState, ShardParts, Shipment, Simulator, SnapContribution};
+use crate::sim::{FaultState, ShardParts, Simulator, SnapContribution};
 use crate::snapshot::{next_grid_point, RunHooks, RunOutcome, SimSnapshot};
 
 /// A shard's buffered dispatch stream: `(time, rank, event)` per event.

@@ -1,63 +1,24 @@
-//! The simulator: event dispatch and the wireless channel.
+//! The simulator: event dispatch, fault injection, checkpointing.
 //!
-//! The channel is not an object — it is a *pattern*: when a node
-//! transmits, the simulator computes the received power at every
-//! candidate receiver from the propagation model and current positions,
-//! and schedules `ArrivalStart`/`ArrivalEnd` events after the
-//! speed-of-light delay. Each receiver's radio then decides locally what
-//! it heard. Arrivals weaker than the configured interference floor are
-//! culled (they cannot affect carrier sense or any plausible SINR).
-//!
-//! # The hot path
-//!
-//! Candidate receivers come from a [`UniformGrid`] spatial index sized
-//! to the maximum reception range (max transmit power against the
-//! interference floor), so a transmission visits only the cells its
-//! signal can reach instead of scanning all N nodes
-//! ([`ChannelIndexMode::BruteForce`] keeps the O(N) reference scan for
-//! equivalence tests and benchmarks — both paths schedule the identical
-//! arrival sequence). Candidate lists are sorted by node id, so the
-//! event schedule is independent of the index's internal bucket order.
-//!
-//! # Mobility refresh: lazy by default
-//!
-//! Under [`MobilityRefreshMode::Lazy`] the index tolerates a per-node
-//! drift *pad* (a fraction of a grid cell): each node carries a refresh
-//! deadline — the instant its position could first drift past the pad,
-//! from [`Mobility::stale_after`] — kept in a min-heap, and advancing
-//! the clock re-samples only nodes whose deadlines have passed, O(moved)
-//! instead of O(N). Queries inflate their radius by the pad, so the
-//! ≤ pad-stale index still yields a superset of every true receiver;
-//! the transmitter and each candidate are then re-sampled *exactly* at
-//! the current instant before any gain or delay is computed. Physics
-//! therefore always runs on exact positions and a lazy run is
-//! bit-identical to an eager one — only the number of waypoint
-//! evaluations changes.
-//!
-//! Propagation is dispatched statically through [`PropagationModel`].
-//! Pairwise gains replay from a cache per [`GainCacheMode`]: a dense
-//! precomputed [`GainCache`] for small fully-static scenarios, or the
-//! block-sparse movement-invalidated [`SparseGainCache`] everywhere
-//! else (mobile scenarios and networks past the dense guard). Event
-//! dispatch draws its scratch buffers from per-type pools on the
-//! simulator, so the steady state allocates nothing.
+//! Every component of a node is a pure state machine; the [`Simulator`]
+//! pops events in `(time, rank)` order, routes each to the node it
+//! addresses, and applies the actions the node returns. Cross-node
+//! effects only ever travel as events: a transmission is handed to the
+//! wireless channel (see the `channel` module), which works out who
+//! hears it, how strongly and when, and feeds the arrivals back through
+//! the queue. Event dispatch draws its scratch buffers from per-type
+//! pools on the simulator, so the steady state allocates nothing.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use pcmac_engine::{
-    Duration, EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime, UniformGrid,
-};
+use pcmac_engine::{Duration, EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
 use pcmac_mac::{CtrlFrame, Frame, MacAction};
 use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::energy::RadioMode;
 use pcmac_phy::radio::RadioEvent;
-use pcmac_phy::{GainCache, PropagationModel, Shadowed, SparseGainCache, TwoRayGround};
 
-use crate::config::{
-    ChannelIndexMode, ExecutionMode, GainCacheMode, MobilityRefreshMode, NodeSetup, ScenarioConfig,
-};
+use crate::channel::{Channel, Payload, QueueEntry, Shipment, Transmission};
+use crate::config::{ExecutionMode, NodeSetup, ScenarioConfig};
 use crate::event::SimEvent;
 use crate::fault::FaultConfig;
 use crate::metrics::{Drop as PacketDrop, MetricsState};
@@ -67,43 +28,6 @@ use crate::snapshot::SimSnapshot;
 use crate::soa::HotState;
 use pcmac_snap::{SnapError, SnapReader, SnapWriter};
 
-/// Speed of light (m/s) for propagation delays.
-const C: f64 = 299_792_458.0;
-
-/// Relative slack on the culling radius, absorbing the floating-point
-/// error of inverting the path-loss formula so the spatial index can
-/// never drop a receiver the exact power test would keep.
-const RADIUS_SLACK: f64 = 1.0 + 1e-9;
-
-/// *Dense* gain caches are quadratic in node count; beyond this many
-/// nodes the table would dominate memory for little win and dense
-/// requests fall back to live evaluation (the block-sparse cache has no
-/// such guard — its memory follows the touched local pairs).
-const GAIN_CACHE_MAX_NODES: usize = 2048;
-
-/// Lazy-refresh drift pad, as a fraction of a grid cell: a node's
-/// indexed position may go stale by up to this much before its refresh
-/// deadline fires. Larger pads mean rarer deadline refreshes but
-/// slightly fatter candidate rings (queries inflate by the pad).
-const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
-
-/// Query-side inflation over the drift pad, absorbing floating-point
-/// error at the drift boundary so a node sampled exactly at its
-/// deadline can never be missed.
-const REFRESH_PAD_SLACK: f64 = 1.01;
-
-/// How the channel replays pairwise gains (resolved from
-/// [`GainCacheMode`] against the scenario's actual shape).
-#[derive(Debug)]
-enum GainCacheState {
-    /// Evaluate the propagation model per lookup.
-    Live,
-    /// Precomputed N×N table (fully static scenarios).
-    Dense(GainCache),
-    /// Block-sparse movement-invalidated cache.
-    Sparse(SparseGainCache),
-}
-
 /// A free list of scratch buffers: `take` hands out an empty vector
 /// (reusing a previously returned allocation when one exists), `put`
 /// clears and shelves it. Action application is reentrant — MAC actions
@@ -111,7 +35,7 @@ enum GainCacheState {
 /// nesting level simply takes its own buffer, so pooling is safe at any
 /// recursion depth while the steady state allocates nothing.
 #[derive(Debug)]
-struct BufPool<T> {
+pub(crate) struct BufPool<T> {
     free: Vec<Vec<T>>,
 }
 
@@ -122,11 +46,11 @@ impl<T> Default for BufPool<T> {
 }
 
 impl<T> BufPool<T> {
-    fn take(&mut self) -> Vec<T> {
+    pub(crate) fn take(&mut self) -> Vec<T> {
         self.free.pop().unwrap_or_default()
     }
 
-    fn put(&mut self, mut buf: Vec<T>) {
+    pub(crate) fn put(&mut self, mut buf: Vec<T>) {
         buf.clear();
         self.free.push(buf);
     }
@@ -484,35 +408,6 @@ pub(crate) struct ShardCtx {
     pub(crate) transitions: Vec<Vec<(SimTime, u128, bool)>>,
 }
 
-/// One ready-made cross-region arrival pair: everything the receiving
-/// shard needs to schedule the `ArrivalStart`/`ArrivalEnd` (or ctrl)
-/// events its own sender loop would have produced.
-#[derive(Debug, Clone)]
-pub(crate) enum Shipment {
-    /// Data-channel arrival.
-    Data {
-        at: SimTime,
-        node: NodeId,
-        key: u64,
-        power: Milliwatts,
-        end: SimTime,
-        frame: Arc<Frame>,
-        /// Global `(time, rank)` of the transmitting event, for the
-        /// receiver-side down-state cull.
-        tx: (SimTime, u128),
-    },
-    /// Control-channel arrival.
-    Ctrl {
-        at: SimTime,
-        node: NodeId,
-        key: u64,
-        power: Milliwatts,
-        end: SimTime,
-        frame: CtrlFrame,
-        tx: (SimTime, u128),
-    },
-}
-
 /// What one shard contributes to the merged report, extracted after its
 /// queue drains (see `parallel::run_sharded`).
 pub(crate) struct ShardParts {
@@ -530,7 +425,9 @@ pub(crate) struct ShardParts {
 /// A configured, runnable simulation.
 pub struct Simulator {
     cfg: ScenarioConfig,
-    queue: EventQueue<SimEvent>,
+    /// Pending events; a transmission's arrivals ride two cursor entries
+    /// (see the `channel` module), so pop through [`Simulator::pop_event`].
+    queue: EventQueue<QueueEntry>,
     /// Cold per-node state, present only for owned nodes (`None` for
     /// nodes another region shard owns; always all-present in single
     /// mode). Boxed so a shard's vector of absentees stays thin.
@@ -538,25 +435,9 @@ pub struct Simulator {
     /// Struct-of-arrays hot per-node state: positions, movement,
     /// tracked/alive flags, carrier/queue mirrors, tx-key counters.
     hot: HotState,
-    positions_at: Option<SimTime>,
-    any_mobile: bool,
-    propagation: PropagationModel,
-    /// Spatial index over `positions` (kept in sync by
-    /// [`Simulator::refresh_positions`]; under lazy refresh its entries
-    /// may trail true positions by up to `pad_m`).
-    grid: UniformGrid,
-    /// Pairwise gain replay strategy.
-    gain_cache: GainCacheState,
-    use_grid: bool,
-    /// `true` when positions refresh lazily (mobile scenarios only).
-    lazy_refresh: bool,
-    /// Metres of drift the index tolerates before a deadline refresh.
-    pad_m: f64,
-    /// Min-heap of `(deadline, node)` refresh entries; an entry earlier
-    /// than its node's recorded deadline is superseded and re-arms.
-    refresh_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Propagation-delay floor in nanoseconds (0 = exact delays).
-    delay_floor_ns: u64,
+    /// Propagation, the spatial index, gain replay, position refresh
+    /// and the arrivals in flight.
+    channel: Channel,
     /// `(time, rank)` of the event currently being dispatched — the
     /// global position in the event order, used to key fault records and
     /// packet-drop facts so they merge deterministically across shards.
@@ -582,12 +463,6 @@ pub struct Simulator {
     ctrl_pool: BufPool<RadioEvent<CtrlFrame>>,
     mac_pool: BufPool<MacAction>,
     aodv_pool: BufPool<pcmac_aodv::AodvAction>,
-    /// Candidate-receiver scratch (used only between a position refresh
-    /// and the arrival-scheduling loop, which never re-enters).
-    candidates: Vec<u32>,
-    /// Batched gain scratch, parallel to `candidates` after
-    /// [`Simulator::fill_gains`].
-    gains: Vec<f64>,
 }
 
 impl Simulator {
@@ -863,130 +738,40 @@ impl Simulator {
             }
         }
 
-        let propagation = match cfg.shadowing {
-            Some(s) => PropagationModel::Shadowed(Shadowed::new(
-                TwoRayGround::ns2_default(),
-                s.sigma_db,
-                s.symmetric,
-                cfg.seed,
-            )),
-            None => PropagationModel::TwoRay(TwoRayGround::ns2_default()),
+        let mut hot = HotState {
+            positions,
+            mobility,
+            tracked: vec![true; n],
+            alive: vec![true; n],
+            busy: vec![false; n],
+            queue_len: vec![0; n],
+            tx_power_mw: vec![0.0; n],
+            sampled_at: Vec::new(),
+            deadline: Vec::new(),
+            tx_key_ctr: vec![0; n],
         };
-
-        // Cell size: the farthest any transmission can matter — maximum
-        // transmit power against the interference floor (inflated for the
-        // worst-case shadowing boost). The grid may shrink cells slightly
-        // to tile the field evenly (and caps the cell count on huge
-        // fields), so a max-reach query touches a small O(1) block of
-        // cells around the transmitter — typically 3×3, sometimes 4×4.
-        let max_reach = cull_radius(&propagation, cfg.mac.max_power(), cfg.interference_floor);
-        let cell = if max_reach.is_finite() {
-            max_reach.max(1.0)
-        } else {
-            cfg.field.0.max(cfg.field.1)
-        };
-        let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &positions);
-
-        // Gain caches belong to the indexed channel: the brute-force
-        // mode is the O(N)-scan-with-live-propagation reference the
-        // indexed channel is benchmarked against (cache-vs-live equality
-        // is covered by the phy gain-cache tests, so equivalence between
-        // the modes is unaffected).
-        let use_grid = cfg.channel_index == ChannelIndexMode::Grid;
-        let dense_ok = use_grid && !any_mobile && n <= GAIN_CACHE_MAX_NODES;
-        let build_sparse = || {
-            let mut c = SparseGainCache::new(n);
-            for i in 0..n as u32 {
-                c.set_cell(i, grid.node_cell(i));
-            }
-            GainCacheState::Sparse(c)
-        };
-        let gain_cache = match cfg.gain_cache_mode() {
-            GainCacheMode::Auto if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &positions))
-            }
-            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => build_sparse(),
-            GainCacheMode::Dense if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &positions))
-            }
-            _ => GainCacheState::Live,
-        };
-
-        // Lazy refresh: seed every mobile node's first deadline from its
-        // start position (positions are exact at t = 0). Without the
-        // grid there is nothing to keep fresh lazily — the brute-force
-        // scan visits all N nodes per transmission regardless — so that
-        // combination falls back to the eager rescan.
-        let lazy_refresh =
-            any_mobile && use_grid && cfg.mobility_refresh_mode() == MobilityRefreshMode::Lazy;
-        let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
-        let mut sampled_at = Vec::new();
-        let mut deadline = Vec::new();
-        let mut refresh_heap = BinaryHeap::new();
-        if lazy_refresh {
-            sampled_at = vec![SimTime::ZERO; n];
-            deadline = vec![SimTime::MAX; n];
-            for (i, m) in mobility.iter().enumerate() {
-                let d = m.stale_after(SimTime::ZERO, pad_m);
-                deadline[i] = d;
-                if d != SimTime::MAX {
-                    refresh_heap.push(Reverse((d, i as u32)));
-                }
-            }
-        }
-
-        let delay_floor_ns = cfg.delay_floor().as_nanos();
+        let mut channel = Channel::new(&cfg, &mut hot, any_mobile);
 
         // Region shards keep hot state only for owned nodes plus the
         // boundary halo; the spatial index is pruned to match, so grid
         // queries (always issued from owned transmitters) stay exact
         // while bucket memory shrinks to O(N/S + halo).
-        let (tracked, shard) = match shard_plan {
-            None => (vec![true; n], None),
-            Some((id, shards, owner)) => {
-                let tracked = compute_tracked(&owner, id, &positions, any_mobile, max_reach);
-                (
-                    tracked,
-                    Some(ShardCtx {
-                        id,
-                        owner,
-                        outbox: vec![Vec::new(); shards],
-                        transitions: vec![Vec::new(); n],
-                    }),
-                )
+        let shard = shard_plan.map(|(id, shards, owner)| {
+            hot.tracked = channel.track_shard(&owner, id, &hot.positions);
+            ShardCtx {
+                id,
+                owner,
+                outbox: vec![Vec::new(); shards],
+                transitions: vec![Vec::new(); n],
             }
-        };
-        let mut grid = grid;
-        if shard.is_some() {
-            grid.retain_nodes(|i| tracked[i as usize]);
-        }
+        });
 
         Simulator {
-            use_grid,
-            lazy_refresh,
-            pad_m,
             cfg,
             queue,
             nodes,
-            hot: HotState {
-                positions,
-                mobility,
-                tracked,
-                alive: vec![true; n],
-                busy: vec![false; n],
-                queue_len: vec![0; n],
-                tx_power_mw: vec![0.0; n],
-                sampled_at,
-                deadline,
-                tx_key_ctr: vec![0; n],
-            },
-            positions_at: None,
-            any_mobile,
-            propagation,
-            grid,
-            gain_cache,
-            refresh_heap,
-            delay_floor_ns,
+            hot,
+            channel,
             cur: (SimTime::ZERO, 0),
             shard,
             resume: None,
@@ -997,8 +782,6 @@ impl Simulator {
             ctrl_pool: BufPool::default(),
             mac_pool: BufPool::default(),
             aodv_pool: BufPool::default(),
-            candidates: Vec::new(),
-            gains: Vec::new(),
         }
     }
 
@@ -1052,7 +835,16 @@ impl Simulator {
     /// Schedule `ev` at `at` with its content-derived rank.
     #[inline]
     fn sched(&mut self, at: SimTime, ev: SimEvent) {
-        self.queue.schedule_ranked(at, ev.rank(), ev);
+        sched_into(&mut self.queue, at, ev);
+    }
+
+    /// Pop the next event (callers have peeked: the queue is not empty)
+    /// and make it the current one.
+    #[inline]
+    fn pop_event(&mut self) -> (SimEvent, SimTime) {
+        let (at, rank, ev) = self.channel.pop_next(&mut self.queue).expect("peeked");
+        self.cur = (at, rank);
+        (ev, at)
     }
 
     /// The cold state of node `i`.
@@ -1099,10 +891,9 @@ impl Simulator {
             if t > end {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
-            self.cur = (ev.at, ev.rank);
-            observer(&ev.event, ev.at);
-            self.dispatch(ev.event, ev.at);
+            let (ev, at) = self.pop_event();
+            observer(&ev, at);
+            self.dispatch(ev, at);
         }
         self.finalize_single(wall_start, end)
     }
@@ -1152,9 +943,8 @@ impl Simulator {
                 return RunOutcome::Cancelled(Some(self.snapshot_at(t)));
             }
             ticks += 1;
-            let ev = self.queue.pop().expect("peeked");
-            self.cur = (ev.at, ev.rank);
-            self.dispatch(ev.event, ev.at);
+            let (ev, at) = self.pop_event();
+            self.dispatch(ev, at);
         }
         RunOutcome::Completed(self.finalize_single(wall_start, end))
     }
@@ -1170,10 +960,7 @@ impl Simulator {
             node.energy.finish(end);
         }
         let resilience = self.faults.take().map(FaultState::into_report);
-        let cache_stats = match &self.gain_cache {
-            GainCacheState::Sparse(c) => Some(c.stats()),
-            _ => None,
-        };
+        let cache_stats = self.channel.cache_stats();
         // Probe events are subtracted from the scheduled total so the
         // reported event count matches a metrics-off run exactly.
         let mut probes_scheduled = 0;
@@ -1424,8 +1211,7 @@ impl Simulator {
         m.record_probe(now, live, busy, queue_sum);
         let next = now + m.interval();
         if next <= end {
-            let ev = SimEvent::MetricsProbe;
-            self.queue.schedule_ranked(next, ev.rank(), ev);
+            sched_into(&mut self.queue, next, SimEvent::MetricsProbe);
             m.probes_scheduled += 1;
         }
     }
@@ -1547,10 +1333,12 @@ impl Simulator {
             }
         };
         if died {
-            let ev = SimEvent::NodeDown {
-                node: NodeId(i as u32),
-            };
-            self.queue.schedule_ranked(end, ev.rank(), ev);
+            self.sched(
+                end,
+                SimEvent::NodeDown {
+                    node: NodeId(i as u32),
+                },
+            );
         }
     }
 
@@ -1771,193 +1559,8 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // The wireless channel
+    // Transmission
     // ------------------------------------------------------------------
-
-    /// Bring `positions` (and the spatial index) up to `now`.
-    ///
-    /// Eager mode rescans every node on each new timestamp (recording
-    /// the timestamp so repeated transmissions at the same instant —
-    /// common when several nodes react to the same timer tick — skip the
-    /// rescan). Lazy mode instead pops due refresh deadlines, touching
-    /// only nodes whose indexed position could have drifted past the
-    /// pad; exact sampling of the nodes that actually matter happens
-    /// per-candidate in [`Simulator::collect_receivers`]. Static
-    /// scenarios never pay anything.
-    fn refresh_positions(&mut self, now: SimTime) {
-        if !self.any_mobile {
-            return;
-        }
-        if self.lazy_refresh {
-            self.process_refresh_deadlines(now);
-            return;
-        }
-        if self.positions_at == Some(now) {
-            return;
-        }
-        for i in 0..self.hot.positions.len() {
-            let p = self.hot.mobility[i].position(now);
-            if p != self.hot.positions[i] {
-                self.hot.positions[i] = p;
-                if self.use_grid {
-                    self.grid.update(i as u32, p);
-                    if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                        c.note_move(i as u32, self.grid.node_cell(i as u32));
-                    }
-                }
-            }
-        }
-        self.positions_at = Some(now);
-    }
-
-    /// Pop every refresh deadline at or before `now`, re-sampling those
-    /// nodes so no indexed position is stale by more than `pad_m`. Each
-    /// pop either re-arms a superseded entry (an on-demand exact sample
-    /// pushed the node's deadline later) or refreshes the node and
-    /// schedules its next deadline, so the heap holds one live chain per
-    /// mobile node — O(moved · log N) per timestamp, not O(N).
-    fn process_refresh_deadlines(&mut self, now: SimTime) {
-        while let Some(&Reverse((t, node))) = self.refresh_heap.peek() {
-            if t > now {
-                break;
-            }
-            self.refresh_heap.pop();
-            let i = node as usize;
-            if t < self.hot.deadline[i] {
-                if let Some(m) = &mut self.metrics {
-                    m.hot.refresh_rearms += 1;
-                }
-                self.refresh_heap
-                    .push(Reverse((self.hot.deadline[i], node)));
-                continue;
-            }
-            if let Some(m) = &mut self.metrics {
-                m.hot.refresh_pops += 1;
-            }
-            self.sample_exact(i, now);
-            // `sample_exact` advanced the deadline past `now` whenever the
-            // waypoint model allows; the +1 ns floor keeps degenerate
-            // horizons (pad/speed rounding to zero) from re-firing at the
-            // same instant forever.
-            let d = self.hot.deadline[i].max(now + Duration::from_nanos(1));
-            self.hot.deadline[i] = d;
-            self.refresh_heap.push(Reverse((d, node)));
-        }
-    }
-
-    /// Sample node `i`'s exact position at `now` (at most once per
-    /// instant), propagating any movement into the spatial index and the
-    /// sparse gain cache, and extending the node's refresh deadline —
-    /// freshly sampled nodes cannot drift past the pad for another
-    /// `pad_m / speed`.
-    fn sample_exact(&mut self, i: usize, now: SimTime) {
-        if self.hot.sampled_at[i] == now {
-            return;
-        }
-        self.hot.sampled_at[i] = now;
-        if let Some(m) = &mut self.metrics {
-            m.hot.exact_samples += 1;
-        }
-        let p = self.hot.mobility[i].position(now);
-        if p != self.hot.positions[i] {
-            self.hot.positions[i] = p;
-            self.grid.update(i as u32, p);
-            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                c.note_move(i as u32, self.grid.node_cell(i as u32));
-            }
-        }
-        let d = self.hot.mobility[i].stale_after(now, self.pad_m);
-        if d > self.hot.deadline[i] {
-            self.hot.deadline[i] = d;
-        }
-    }
-
-    /// Fill `self.candidates` with every node (other than `i`, sorted by
-    /// id) that could receive a transmission from `i` at `power` above
-    /// the interference floor. Under lazy refresh the index query is
-    /// padded by the staleness allowance and the transmitter plus every
-    /// returned candidate are re-sampled exactly at `now`, so the
-    /// subsequent gain/delay computations see true positions and the
-    /// scheduled arrivals match the eager path bit for bit.
-    fn collect_receivers(&mut self, i: usize, power: Milliwatts, now: SimTime) {
-        self.refresh_positions(now);
-        if self.lazy_refresh {
-            self.sample_exact(i, now);
-        }
-        self.candidates.clear();
-        if self.use_grid {
-            let mut radius = cull_radius(&self.propagation, power, self.cfg.interference_floor);
-            if self.lazy_refresh {
-                radius += self.pad_m * REFRESH_PAD_SLACK;
-            }
-            self.grid.query_circle(
-                self.hot.positions[i],
-                radius,
-                Some(i as u32),
-                &mut self.candidates,
-            );
-            if self.lazy_refresh {
-                for c in 0..self.candidates.len() {
-                    let j = self.candidates[c] as usize;
-                    self.sample_exact(j, now);
-                }
-            }
-            if let Some(m) = &mut self.metrics {
-                m.hot.grid_queries += 1;
-                m.hot.grid_candidates += self.candidates.len() as u64;
-            }
-        } else {
-            self.candidates
-                .extend((0..self.hot.positions.len() as u32).filter(|&j| j as usize != i));
-        }
-    }
-
-    /// Drop owned receivers that are currently crashed from the
-    /// candidate list. Runs *before* the batched gain fill, exactly where
-    /// the scalar reference applied its inline `down` skip — so the
-    /// sparse cache sees the same lookup sequence (and mints the same
-    /// hit/miss/flush counters) as the per-pair path did.
-    fn cull_down_receivers(&mut self) {
-        let Some(fs) = &self.faults else { return };
-        let shard = self.shard.as_ref();
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.retain(|&j| {
-            let owned = shard.is_none_or(|c| c.owner[j as usize] == c.id);
-            !(owned && fs.down[j as usize])
-        });
-        self.candidates = candidates;
-    }
-
-    /// Batch-evaluate the gains from node `i` to every candidate into
-    /// `self.gains` (parallel to `self.candidates`): replayed from the
-    /// dense table (static), streamed through the block-sparse cache
-    /// (generation-checked), or evaluated live in one contiguous pass.
-    /// All three paths produce bit-identical values to per-pair calls.
-    fn fill_gains(&mut self, i: usize) {
-        match &mut self.gain_cache {
-            GainCacheState::Dense(cache) => {
-                self.gains.clear();
-                self.gains.reserve(self.candidates.len());
-                self.gains
-                    .extend(self.candidates.iter().map(|&j| cache.gain(i, j as usize)));
-            }
-            GainCacheState::Sparse(cache) => {
-                let prop = &self.propagation;
-                let pos = &self.hot.positions;
-                let mut gains = std::mem::take(&mut self.gains);
-                cache.gains_with_into(i as u32, &self.candidates, &mut gains, |j| {
-                    prop.gain(pos[i], pos[j as usize])
-                });
-                self.gains = gains;
-            }
-            GainCacheState::Live => self.propagation.gains_into_indexed(
-                self.hot.positions[i],
-                &self.hot.positions,
-                &self.candidates,
-                &mut self.gains,
-            ),
-        }
-    }
 
     /// Mint the transmission key for node `i`'s next transmission:
     /// `(node << 32) | per-node counter`. A shard executes exactly the
@@ -1969,21 +1572,6 @@ impl Simulator {
         let k = ((i as u64) << 32) | self.hot.tx_key_ctr[i] as u64;
         self.hot.tx_key_ctr[i] += 1;
         k
-    }
-
-    /// Propagation delay over `dist` metres, floored at the configured
-    /// minimum (the floor is the conservative lookahead of a sharded run;
-    /// zero in plain single mode).
-    #[inline]
-    fn prop_delay(&self, dist: f64) -> Duration {
-        Duration::from_nanos(((dist / C * 1e9).round() as u64).max(self.delay_floor_ns))
-    }
-
-    /// `true` if node `j` is dispatched on this simulator: always, except
-    /// for other regions' nodes in a sharded run.
-    #[inline]
-    fn owns(&self, j: usize) -> bool {
-        self.shard.as_ref().is_none_or(|c| c.owner[j] == c.id)
     }
 
     fn transmit_frame(&mut self, i: usize, frame: Frame, power: Milliwatts, now: SimTime) {
@@ -2017,57 +1605,7 @@ impl Simulator {
             m.note_data_tx(self.hot.tx_power_mw[i]);
         }
 
-        self.collect_receivers(i, power, now);
-        self.cull_down_receivers();
-        let impair = self.faults.as_ref().map_or(1.0, |f| f.impair_gain);
-        let frame = Arc::new(frame);
-        let key = self.tx_key(i);
-        let src_pos = self.hot.positions[i];
-        self.fill_gains(i);
-        for c in 0..self.candidates.len() {
-            let j = self.candidates[c] as usize;
-            let owned = self.owns(j);
-            let dst_pos = self.hot.positions[j];
-            let pr = power * (self.gains[c] * impair);
-            if pr.value() < self.cfg.interference_floor.value() {
-                continue;
-            }
-            let delay = self.prop_delay(src_pos.distance(dst_pos));
-            if owned {
-                self.sched(
-                    now + delay,
-                    SimEvent::ArrivalStart {
-                        node: NodeId(j as u32),
-                        key,
-                        power: pr,
-                        end: end + delay,
-                        frame: frame.clone(),
-                    },
-                );
-                self.sched(
-                    end + delay,
-                    SimEvent::ArrivalEnd {
-                        node: NodeId(j as u32),
-                        key,
-                    },
-                );
-            } else {
-                // Another region owns the receiver: ship the ready-made
-                // arrival pair; the owner culls against its authoritative
-                // down-state at our send instant (`tx`) when it drains.
-                let tx = self.cur;
-                let ctx = self.shard.as_mut().expect("non-owned implies sharded");
-                ctx.outbox[ctx.owner[j] as usize].push(Shipment::Data {
-                    at: now + delay,
-                    node: NodeId(j as u32),
-                    key,
-                    power: pr,
-                    end: end + delay,
-                    frame: frame.clone(),
-                    tx,
-                });
-            }
-        }
+        self.radiate(i, Payload::Data(Arc::new(frame)), power, now, end);
     }
 
     fn transmit_ctrl(&mut self, i: usize, frame: CtrlFrame, power: Milliwatts, now: SimTime) {
@@ -2092,53 +1630,43 @@ impl Simulator {
             m.note_ctrl_tx();
         }
 
-        self.collect_receivers(i, power, now);
-        self.cull_down_receivers();
-        let impair = self.faults.as_ref().map_or(1.0, |f| f.impair_gain);
-        let key = self.tx_key(i);
-        let src_pos = self.hot.positions[i];
-        self.fill_gains(i);
-        for c in 0..self.candidates.len() {
-            let j = self.candidates[c] as usize;
-            let owned = self.owns(j);
-            let dst_pos = self.hot.positions[j];
-            let pr = power * (self.gains[c] * impair);
-            if pr.value() < self.cfg.interference_floor.value() {
-                continue;
-            }
-            let delay = self.prop_delay(src_pos.distance(dst_pos));
-            if owned {
-                self.sched(
-                    now + delay,
-                    SimEvent::CtrlArrivalStart {
-                        node: NodeId(j as u32),
-                        key,
-                        power: pr,
-                        end: end + delay,
-                        frame: frame.clone(),
-                    },
-                );
-                self.sched(
-                    end + delay,
-                    SimEvent::CtrlArrivalEnd {
-                        node: NodeId(j as u32),
-                        key,
-                    },
-                );
-            } else {
-                let tx = self.cur;
-                let ctx = self.shard.as_mut().expect("non-owned implies sharded");
-                ctx.outbox[ctx.owner[j] as usize].push(Shipment::Ctrl {
-                    at: now + delay,
-                    node: NodeId(j as u32),
-                    key,
-                    power: pr,
-                    end: end + delay,
-                    frame: frame.clone(),
-                    tx,
-                });
-            }
+        self.radiate(i, Payload::Ctrl(frame), power, now, end);
+    }
+
+    /// Put `payload` on the air from live node `i` over `[now, end]`:
+    /// find who could hear it, then let the channel's fan-out price and
+    /// time the arrivals.
+    fn radiate(
+        &mut self,
+        i: usize,
+        payload: Payload,
+        power: Milliwatts,
+        now: SimTime,
+        end: SimTime,
+    ) {
+        let prof = self.metrics.as_mut().map(|m| &mut m.hot);
+        self.channel
+            .collect_receivers(&mut self.hot, prof, i, power, now);
+        if let Some(fs) = &self.faults {
+            self.channel
+                .cull_down_receivers(&fs.down, self.shard.as_ref());
         }
+        let tx = Transmission {
+            src: i,
+            key: self.tx_key(i),
+            power,
+            impair: self.faults.as_ref().map_or(1.0, |f| f.impair_gain),
+            start: now,
+            end,
+            payload,
+            cause: self.cur,
+        };
+        self.channel.fan_out(
+            tx,
+            &self.hot.positions,
+            self.shard.as_mut(),
+            &mut self.queue,
+        );
     }
 }
 
@@ -2151,8 +1679,8 @@ impl Simulator {
 /// are owned clones — merging them needs no further synchronization with
 /// the lanes that produced them.
 pub(crate) struct SnapContribution {
-    /// This lane's full pending population in `(time, rank, insertion)`
-    /// order.
+    /// This lane's full pending population — logical events, cursor
+    /// tails expanded — in `(time, rank, insertion)` order.
     pending: Vec<(SimTime, u128, SimEvent)>,
     /// Raw events ever scheduled on this lane's queue.
     scheduled_total: u64,
@@ -2200,12 +1728,7 @@ impl Simulator {
 
     /// This lane's share of a snapshot at `cut`.
     pub(crate) fn snap_contribution(&self, cut: SimTime) -> SnapContribution {
-        let pending: Vec<(SimTime, u128, SimEvent)> = self
-            .queue
-            .pending_in_order()
-            .into_iter()
-            .map(|(t, r, e)| (t, r, e.clone()))
-            .collect();
+        let pending = self.channel.pending_events(&self.queue);
         // One scratch writer for every node: per-node `SnapWriter`s pay
         // allocator growth 64k times over at scale.
         let mut scratch = SnapWriter::new();
@@ -2434,7 +1957,8 @@ impl Simulator {
                 None => true, // replicated events live on every lane
             };
             if mine {
-                self.queue.schedule_ranked(*at, *rank, ev.clone());
+                self.queue
+                    .schedule_ranked(*at, *rank, QueueEntry::Event(ev.clone()));
             }
         }
 
@@ -2453,33 +1977,7 @@ impl Simulator {
         // so sampling them at the cut is exact and free of history.
         self.hot.mobility = snap.mobility.clone();
         self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
-        if self.any_mobile {
-            for i in 0..n {
-                let p = self.hot.mobility[i].position(cut);
-                self.hot.positions[i] = p;
-                if self.use_grid {
-                    self.grid.update(i as u32, p);
-                    if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                        c.note_move(i as u32, self.grid.node_cell(i as u32));
-                    }
-                }
-            }
-            self.positions_at = Some(cut);
-        }
-        if self.lazy_refresh {
-            // One live deadline chain per node, re-seeded from the cut
-            // (positions are exact there, like at t = 0 for a fresh
-            // build).
-            self.refresh_heap.clear();
-            for i in 0..n {
-                self.hot.sampled_at[i] = cut;
-                let d = self.hot.mobility[i].stale_after(cut, self.pad_m);
-                self.hot.deadline[i] = d;
-                if d != SimTime::MAX {
-                    self.refresh_heap.push(Reverse((d, i as u32)));
-                }
-            }
-        }
+        self.channel.resync(&mut self.hot, cut);
         self.sent_packets = if primary { snap.sent_packets } else { 0 };
         self.cur = (cut, 0);
 
@@ -2546,7 +2044,7 @@ impl Simulator {
     /// columns so a cell (and the candidate rings around it) never
     /// straddles more than two regions.
     pub(crate) fn shard_cell_size(&self) -> f64 {
-        self.grid.cell_size()
+        self.channel.cell_size()
     }
 
     /// Initial x-coordinates (positions are exact at t = 0), the input
@@ -2564,49 +2062,11 @@ impl Simulator {
         }
     }
 
-    /// The conservative lookahead (ns) a region run may use: at least
-    /// the configured delay floor, and — for static scenarios — one less
-    /// than the propagation time across the narrowest gap between
-    /// adjacent ownership bands, since the earliest cross-shard effect
-    /// of any event is an arrival that must cross that gap. Mobile
-    /// scenarios fall back to the floor (bands do not confine moving
-    /// positions); a single populated band has no cross-shard traffic at
-    /// all, so the whole run is one window.
+    /// The conservative lookahead (ns) a region run may use (see
+    /// [`Channel::lookahead_ns`]).
     pub(crate) fn derived_lookahead_ns(&self, owner: &[u32], shards: usize) -> u64 {
-        let floor = self.delay_floor_ns;
-        if self.any_mobile {
-            return floor;
-        }
-        let mut min_x = vec![f64::INFINITY; shards];
-        let mut max_x = vec![f64::NEG_INFINITY; shards];
-        for (i, p) in self.hot.positions.iter().enumerate() {
-            let s = owner[i] as usize;
-            min_x[s] = min_x[s].min(p.x);
-            max_x[s] = max_x[s].max(p.x);
-        }
-        let mut gap = f64::INFINITY;
-        let mut prev: Option<usize> = None;
-        for (k, (&lo, &hi)) in min_x.iter().zip(&max_x).enumerate() {
-            if lo > hi {
-                continue; // empty band
-            }
-            if let Some(p) = prev {
-                gap = gap.min(lo - max_x[p]);
-            }
-            prev = Some(k);
-        }
-        if gap == f64::INFINITY {
-            // One populated band: nothing ever crosses a boundary.
-            return self.cfg.duration.as_nanos().max(floor);
-        }
-        if gap <= 0.0 {
-            return floor;
-        }
-        // An arrival crossing `gap` metres is delayed at least
-        // `floor(gap_ns)` ns (the scheduler rounds), so any lookahead at
-        // or under `gap_ns - 1` can never miss a cross-shard effect.
-        let gap_ns = (gap / C * 1e9).floor() as u64;
-        gap_ns.saturating_sub(1).max(floor)
+        self.channel
+            .lookahead_ns(&self.hot.positions, owner, shards, self.cfg.duration)
     }
 
     /// Dispatch every local event strictly before `horizon_ns` (and not
@@ -2624,20 +2084,19 @@ impl Simulator {
             if t > end || t.as_nanos() >= horizon_ns {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
-            self.cur = (ev.at, ev.rank);
+            let (ev, at) = self.pop_event();
             if let Some(buf) = trace.as_deref_mut() {
                 let replicated = matches!(
-                    ev.event,
+                    ev,
                     SimEvent::ImpairmentStart { .. }
                         | SimEvent::ImpairmentEnd { .. }
                         | SimEvent::MetricsProbe
                 );
                 if !replicated || self.shard.as_ref().is_some_and(|c| c.id == 0) {
-                    buf.push((ev.at, ev.rank, ev.event.clone()));
+                    buf.push((at, self.cur.1, ev.clone()));
                 }
             }
-            self.dispatch(ev.event, ev.at);
+            self.dispatch(ev, at);
         }
     }
 
@@ -2670,59 +2129,13 @@ impl Simulator {
     /// sender loop applies inline — then scheduled under its content
     /// rank, landing in the identical queue position.
     pub(crate) fn accept_shipments(&mut self, batches: Vec<Vec<Shipment>>) {
-        for batch in batches {
-            for s in batch {
-                match s {
-                    Shipment::Data {
-                        at,
-                        node,
-                        key,
-                        power,
-                        end,
-                        frame,
-                        tx,
-                    } => {
-                        if self.down_at(node.index(), tx) {
-                            continue;
-                        }
-                        self.sched(
-                            at,
-                            SimEvent::ArrivalStart {
-                                node,
-                                key,
-                                power,
-                                end,
-                                frame,
-                            },
-                        );
-                        self.sched(end, SimEvent::ArrivalEnd { node, key });
-                    }
-                    Shipment::Ctrl {
-                        at,
-                        node,
-                        key,
-                        power,
-                        end,
-                        frame,
-                        tx,
-                    } => {
-                        if self.down_at(node.index(), tx) {
-                            continue;
-                        }
-                        self.sched(
-                            at,
-                            SimEvent::CtrlArrivalStart {
-                                node,
-                                key,
-                                power,
-                                end,
-                                frame,
-                            },
-                        );
-                        self.sched(end, SimEvent::CtrlArrivalEnd { node, key });
-                    }
-                }
+        for s in batches.into_iter().flatten() {
+            if self.down_at(s.node.index(), s.tx) {
+                continue;
             }
+            let start = s.payload.arrival_start(s.node, s.key, s.power, s.end);
+            self.sched(s.at, start);
+            self.sched(s.end, s.payload.arrival_end(s.node, s.key));
         }
     }
 
@@ -2732,10 +2145,7 @@ impl Simulator {
         for node in self.nodes.iter_mut().flatten() {
             node.energy.finish(end);
         }
-        let cache_stats = match &self.gain_cache {
-            GainCacheState::Sparse(c) => Some(c.stats()),
-            _ => None,
-        };
+        let cache_stats = self.channel.cache_stats();
         let probes = self.metrics.as_ref().map_or(0, |m| m.probes_scheduled);
         ShardParts {
             nodes: self.nodes,
@@ -2748,51 +2158,20 @@ impl Simulator {
     }
 }
 
-/// Schedule `ev` with its content-derived rank (build-time sites; the
-/// running simulator uses [`Simulator::sched`]).
-fn sched_into(queue: &mut EventQueue<SimEvent>, at: SimTime, ev: SimEvent) {
-    queue.schedule_ranked(at, ev.rank(), ev);
+#[cfg(test)]
+impl Simulator {
+    /// Pop and dispatch one event, returning it under its `(time, rank)`
+    /// — lets a test stop a run between any two events.
+    pub(crate) fn step(&mut self) -> Option<(SimTime, u128, SimEvent)> {
+        self.queue.peek_time()?;
+        let (ev, at) = self.pop_event();
+        self.dispatch(ev.clone(), at);
+        Some((at, self.cur.1, ev))
+    }
 }
 
-/// The radius beyond which a transmission at `power` cannot reach
-/// `floor` under any realisation of `model` (slightly inflated for
-/// float-inversion safety). Infinite when the floor is disabled.
-fn cull_radius(model: &PropagationModel, power: Milliwatts, floor: Milliwatts) -> f64 {
-    if floor.value() <= 0.0 || power.value() <= 0.0 {
-        return f64::INFINITY;
-    }
-    model.max_range_for(power, floor) * RADIUS_SLACK
-}
-
-/// Which nodes shard `id` keeps hot state (and grid membership) for:
-/// owned nodes plus every node within `halo_reach` metres (in x) of the
-/// owned span — the farthest any owned transmission can matter, so grid
-/// queries from owned transmitters return exactly the full-grid
-/// candidate set. Mobile scenarios and unbounded reach track everything
-/// (no static halo is sound when positions drift across bands); the
-/// cold `Node` state stays owner-only either way, which is the dominant
-/// memory term.
-fn compute_tracked(
-    owner: &[u32],
-    id: u32,
-    positions: &[Point],
-    any_mobile: bool,
-    halo_reach: f64,
-) -> Vec<bool> {
-    if any_mobile || !halo_reach.is_finite() {
-        return vec![true; positions.len()];
-    }
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    for (i, p) in positions.iter().enumerate() {
-        if owner[i] == id {
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-        }
-    }
-    owner
-        .iter()
-        .zip(positions)
-        .map(|(&o, p)| o == id || (p.x >= min_x - halo_reach && p.x <= max_x + halo_reach))
-        .collect()
+/// Schedule `ev` as a plain queue entry under its content-derived rank.
+#[inline]
+fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
+    queue.schedule_ranked(at, ev.rank(), QueueEntry::Event(ev));
 }

@@ -2,8 +2,8 @@
 //! and cooperative cancellation.
 //!
 //! A [`SimSnapshot`] captures the *complete* deterministic state of a
-//! run at a cut instant: the pending event population (with its
-//! `(time, rank)` order), every per-node protocol machine (radios, MAC,
+//! run at a cut instant: the pending *logical* event population (with
+//! its `(time, rank)` order), every per-node protocol machine (radios, MAC,
 //! AODV, traffic sources, sink, energy meter), the mobility models with
 //! their RNG streams, and the fault/metrics layers. The hard guarantee
 //! — proven by the `channel_equivalence` matrix — is that restoring a
@@ -24,6 +24,19 @@
 //! run in the exact state a single-threaded replay would have at `g`,
 //! which is why a snapshot taken under one shard count restores under
 //! any other.
+//!
+//! # Pending events are logical
+//!
+//! At run time a transmission's arrivals are not queue entries of their
+//! own: they sit in a sorted receiver list walked by two queue cursors
+//! (see the `channel` module). That is a *physical* layout and never
+//! reaches a snapshot. Capture expands every cursor's un-walked tail
+//! back into the `ArrivalStart`/`ArrivalEnd` events it stands for and
+//! merges them with the plain entries in canonical `(time, rank,
+//! insertion)` order, so the pending list — and the bytes — are those of
+//! a queue holding one entry per event; restore schedules every listed
+//! event as a plain entry. A cut may therefore fall anywhere, including
+//! between two arrivals of one transmission.
 //!
 //! # Wire format
 //!
@@ -141,8 +154,8 @@ pub struct SimSnapshot {
     /// off) — every restored lane carries this so post-cut probe
     /// accounting continues identically.
     pub(crate) probes_scheduled: u64,
-    /// The pending event population in canonical `(time, rank,
-    /// insertion)` order.
+    /// The pending logical event population (cursor tails expanded) in
+    /// canonical `(time, rank, insertion)` order.
     pub(crate) pending: Vec<(SimTime, u128, SimEvent)>,
     /// Per-node mobility models, advanced exactly to the cut.
     pub(crate) mobility: Vec<Mobility>,

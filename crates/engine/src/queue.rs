@@ -10,6 +10,26 @@
 //! is the property that makes whole simulation runs reproducible: with
 //! `(time)` alone, heap internals would decide tie order and results would
 //! vary across std versions.
+//!
+//! # Logical events and physical entries
+//!
+//! Usually one heap entry *is* one event. A caller that schedules a whole
+//! batch of events whose pop order it already knows — a sorted list — can
+//! instead park the list on its own side and push one **cursor** entry
+//! keyed with the list head's `(time, rank)` ([`EventQueue::push_cursor`]),
+//! counting the batch with [`EventQueue::count_scheduled`]. When the cursor
+//! surfaces ([`EventQueue::peek`]) the caller takes the head event off its
+//! list and either re-keys the entry in place to the next one
+//! ([`EventQueue::rekey_top`]: no pop, no push, one sift) or pops it once
+//! the list is spent. The queue pops the same `(time, rank)` sequence
+//! either way, provided no cursor-carried event shares its `(time, rank)`
+//! with any other event — cursors have no per-event sequence number to
+//! break such a tie with.
+//!
+//! [`EventQueue::scheduled_total`] counts *logical* events,
+//! [`EventQueue::len`] *physical* entries, and
+//! [`EventQueue::pending_logical`] lists the logical population by asking
+//! the caller to expand each cursor's remaining tail.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,8 +112,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue with pre-reserved capacity (the hot loop of a 50-node
-    /// run keeps tens of thousands of in-flight events).
+    /// An empty queue with pre-reserved capacity for `cap` physical
+    /// entries.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
@@ -109,7 +129,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events waiting.
+    /// Number of physical entries waiting (a cursor counts once, however
+    /// long its remaining tail).
     #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -121,7 +142,10 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (diagnostics).
+    /// Total number of *logical* events ever scheduled: one per
+    /// `schedule_*` call plus everything announced through
+    /// [`EventQueue::count_scheduled`]; cursor entries themselves are not
+    /// counted.
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
@@ -144,6 +168,27 @@ impl<E> EventQueue<E> {
     /// of scheduling history, which is what allows independently constructed
     /// queues (one per spatial shard, say) to agree on tie order.
     pub fn schedule_ranked(&mut self, at: SimTime, rank: u128, event: E) {
+        self.scheduled_total += 1;
+        self.push(at, rank, event);
+    }
+
+    /// Push a cursor entry keyed `(at, rank)` — the head of a sorted event
+    /// list the caller keeps (see the module docs). The entry itself is
+    /// not a logical event and leaves [`EventQueue::scheduled_total`]
+    /// alone; announce the list's events with
+    /// [`EventQueue::count_scheduled`].
+    pub fn push_cursor(&mut self, at: SimTime, rank: u128, cursor: E) {
+        self.push(at, rank, cursor);
+    }
+
+    /// Count `n` logical events as scheduled without pushing an entry for
+    /// each — they ride a cursor.
+    #[inline]
+    pub fn count_scheduled(&mut self, n: u64) {
+        self.scheduled_total += n;
+    }
+
+    fn push(&mut self, at: SimTime, rank: u128, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {:?} < {:?}",
@@ -153,7 +198,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(ScheduledEvent {
             at,
             rank,
@@ -162,23 +206,31 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Keep only the events for which `keep` returns `true`, discarding the
-    /// rest as if they had never been scheduled (their contribution to
-    /// [`EventQueue::scheduled_total`] is removed too). Surviving events keep
-    /// their original due times, ranks, and sequence numbers, so relative
-    /// ordering is untouched. Used to carve a shard's queue out of a full
-    /// replica at build time.
-    pub fn retain(&mut self, mut keep: impl FnMut(&E) -> bool) {
-        let events = std::mem::take(&mut self.heap).into_vec();
-        let mut kept = BinaryHeap::with_capacity(events.len());
-        for ev in events {
-            if keep(&ev.event) {
-                kept.push(ev);
-            } else {
-                self.scheduled_total -= 1;
-            }
-        }
-        self.heap = kept;
+    /// Fire the top entry's current key and move the entry to
+    /// `(at, rank)` in place: the clock advances to the old due time
+    /// exactly as [`EventQueue::pop`] would advance it, and the entry
+    /// sifts down to its new position — one heap operation where pop +
+    /// push would be two. The entry keeps its payload and its sequence
+    /// number.
+    ///
+    /// # Panics
+    /// If the queue is empty, or if `(at, rank)` is below the key being
+    /// fired — in release builds too. A cursor walks a sorted list, so a
+    /// backwards step means the list was not sorted; clamping it the way
+    /// `schedule_ranked` clamps a late event would silently reorder the
+    /// list's events instead of failing.
+    pub fn rekey_top(&mut self, at: SimTime, rank: u128) {
+        let mut top = self.heap.peek_mut().expect("rekey_top on an empty queue");
+        assert!(
+            (at, rank) >= (top.at, top.rank),
+            "cursor re-keyed backwards: {:?}/{rank:#x} < {:?}/{:#x}",
+            at,
+            top.at,
+            top.rank
+        );
+        self.now = top.at;
+        top.at = at;
+        top.rank = rank;
     }
 
     /// Schedule `event` after `delay` from the current time.
@@ -200,20 +252,41 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Every pending event in canonical pop order — `(at, rank, seq)`
-    /// ascending. The sequence numbers themselves are not returned: they
-    /// are queue-local scheduling history, and two queues holding the
-    /// same events in the same *relative* order behave identically. Used
-    /// by checkpointing to capture the queue content-deterministically.
-    pub fn pending_in_order(&self) -> Vec<(SimTime, u128, &E)> {
-        let mut refs: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
-        refs.sort_by_key(|e| (e.at, e.rank, e.seq));
-        refs.into_iter().map(|e| (e.at, e.rank, &e.event)).collect()
+    /// The next entry without popping it.
+    #[inline]
+    pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
+        self.heap.peek()
+    }
+
+    /// Every pending *logical* event in canonical pop order — `(at,
+    /// rank, seq)` ascending. `expand` is called once per physical entry,
+    /// in that order, and appends the logical events the entry stands
+    /// for: a plain entry appends itself under its own key, a cursor
+    /// appends its un-walked tail (whose events, by the cursor contract,
+    /// share a `(time, rank)` with nothing else). The sequence numbers
+    /// themselves are not returned: they are queue-local scheduling
+    /// history, and two queues holding the same events in the same
+    /// *relative* order behave identically. Used by checkpointing to
+    /// capture the queue content-deterministically.
+    pub fn pending_logical<L>(
+        &self,
+        mut expand: impl FnMut(&ScheduledEvent<E>, &mut Vec<(SimTime, u128, L)>),
+    ) -> Vec<(SimTime, u128, L)> {
+        let mut entries: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
+        entries.sort_by_key(|e| (e.at, e.rank, e.seq));
+        let mut out = Vec::with_capacity(entries.len());
+        for e in entries {
+            expand(e, &mut out);
+        }
+        // Stable: plain events sharing a full `(at, rank)` were appended
+        // in `seq` order above and stay in it.
+        out.sort_by_key(|&(at, rank, _)| (at, rank));
+        out
     }
 
     /// An empty queue whose clock starts at `now` and whose
     /// [`EventQueue::scheduled_total`] starts at `base_total` — the
-    /// restore-side counterpart of [`EventQueue::pending_in_order`].
+    /// restore-side counterpart of [`EventQueue::pending_logical`].
     /// Re-scheduling the captured events in their canonical order hands
     /// them fresh ascending sequence numbers, preserving tie order, and
     /// brings the schedule count back to its pre-capture value.
@@ -315,16 +388,54 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_events_and_their_schedule_count() {
+    fn rekeyed_cursor_pops_like_separately_scheduled_events() {
+        // One cursor standing for events at 10, 20 and 40; a plain event
+        // at 30 must interleave exactly where it would among four plain
+        // entries.
         let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.schedule_at(SimTime::from_nanos(i), i);
+        q.count_scheduled(3);
+        q.push_cursor(SimTime::from_nanos(10), 0, "cursor");
+        q.schedule_at(SimTime::from_nanos(30), "plain");
+        assert_eq!(q.scheduled_total(), 4);
+        assert_eq!(q.len(), 2);
+        let mut tail = [20, 40].into_iter();
+        let mut fired = Vec::new();
+        while let Some(top) = q.peek() {
+            fired.push(top.at.as_nanos());
+            let next = (top.event == "cursor").then(|| tail.next()).flatten();
+            match next {
+                Some(next) => q.rekey_top(SimTime::from_nanos(next), 0),
+                None => drop(q.pop()),
+            }
+            assert_eq!(q.now().as_nanos(), *fired.last().unwrap());
         }
-        q.retain(|e| e % 2 == 0);
-        assert_eq!(q.scheduled_total(), 5);
-        assert_eq!(q.len(), 5);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
+        assert_eq!(fired, vec![10, 20, 30, 40]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "re-keyed backwards")]
+    fn rekey_below_the_fired_key_panics() {
+        let mut q = EventQueue::new();
+        q.push_cursor(SimTime::from_nanos(10), 5, ());
+        q.rekey_top(SimTime::from_nanos(10), 4);
+    }
+
+    #[test]
+    fn pending_logical_expands_cursor_tails_in_canonical_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos;
+        // Cursor at head (5, 1) standing for (5, 1), (7, 0), (9, 3).
+        q.push_cursor(t(5), 1, None);
+        q.schedule_ranked(t(7), 2, Some("b"));
+        q.schedule_ranked(t(7), 2, Some("c"));
+        q.schedule_ranked(t(3), 0, Some("a"));
+        let pending = q.pending_logical(|e, out| match e.event {
+            Some(name) => out.push((e.at, e.rank, name)),
+            None => out.extend([(t(5), 1, "x"), (t(7), 0, "y"), (t(9), 3, "z")]),
+        });
+        let names: Vec<&str> = pending.iter().map(|p| p.2).collect();
+        assert_eq!(names, vec!["a", "x", "y", "b", "c", "z"]);
     }
 
     #[test]

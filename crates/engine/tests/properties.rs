@@ -199,3 +199,182 @@ mod grid_properties {
         }
     }
 }
+
+mod cursor_properties {
+    //! A queue walked through cursors pops exactly what the same logical
+    //! events pop when each gets its own entry.
+
+    use pcmac_engine::{EventQueue, SimTime};
+    use proptest::prelude::*;
+
+    /// A logical event of the model: a transmission launching its
+    /// fan-out, a timer, or one receiver's arrival start / end.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ev {
+        Tx(usize),
+        Timer(usize),
+        Arrival { fan: usize, node: u32, end: bool },
+    }
+
+    /// What sits in the cursor-driven queue.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Plain(Ev),
+        Cursor { fan: usize, end: bool },
+    }
+
+    /// One transmission: launch instant, airtime, and the receivers as
+    /// `(delay, node)` sorted by `(delay, node)`.
+    struct Fan {
+        at: u64,
+        airtime: u64,
+        rx: Vec<(u64, u32)>,
+    }
+
+    impl Fan {
+        /// `(at, rank)` of receiver `i`'s arrival start or end — the
+        /// simulator's shape: ends rank below starts, then the node.
+        fn key(&self, fan: usize, i: usize, end: bool) -> (SimTime, u128) {
+            let (delay, node) = self.rx[i];
+            let at = self.at + delay + if end { self.airtime } else { 0 };
+            let class: u128 = if end { 0 } else { 4 };
+            let rank = (class << 96) | ((node as u128) << 64) | fan as u128;
+            (SimTime::from_nanos(at), rank)
+        }
+    }
+
+    type Popped = Vec<(SimTime, u128, Ev)>;
+
+    fn timer_rank(node: u32, token: usize) -> u128 {
+        (6u128 << 96) | ((node as u128) << 64) | token as u128
+    }
+
+    fn seed<E>(q: &mut EventQueue<E>, fans: &[Fan], timers: &[(u64, u32)], wrap: fn(Ev) -> E) {
+        for (f, fan) in fans.iter().enumerate() {
+            let rank = (2u128 << 96) | f as u128;
+            q.schedule_ranked(SimTime::from_nanos(fan.at), rank, wrap(Ev::Tx(f)));
+        }
+        for (i, &(at, node)) in timers.iter().enumerate() {
+            // Pairs of timers share a full `(at, rank)` whenever their
+            // instants agree, so the sequence number arbitrates too.
+            let rank = timer_rank(node, i / 2);
+            q.schedule_ranked(SimTime::from_nanos(at), rank, wrap(Ev::Timer(i)));
+        }
+    }
+
+    /// Reference: every arrival is its own entry. Returns the pop
+    /// sequence, the pending population after `probe` pops, and the
+    /// schedule count.
+    fn one_by_one(fans: &[Fan], timers: &[(u64, u32)], probe: usize) -> (Popped, Popped, u64) {
+        let mut q = EventQueue::new();
+        seed(&mut q, fans, timers, |ev| ev);
+        let (mut popped, mut pending) = (Vec::new(), Vec::new());
+        loop {
+            if popped.len() == probe {
+                pending = q.pending_logical(|e, out| out.push((e.at, e.rank, e.event)));
+            }
+            let Some(e) = q.pop() else { break };
+            popped.push((e.at, e.rank, e.event));
+            if let Ev::Tx(f) = e.event {
+                for (i, &(_, node)) in fans[f].rx.iter().enumerate() {
+                    for end in [false, true] {
+                        let (at, rank) = fans[f].key(f, i, end);
+                        q.schedule_ranked(at, rank, Ev::Arrival { fan: f, node, end });
+                    }
+                }
+            }
+        }
+        (popped, pending, q.scheduled_total())
+    }
+
+    /// The same model with two cursors per transmission.
+    fn through_cursors(fans: &[Fan], timers: &[(u64, u32)], probe: usize) -> (Popped, Popped, u64) {
+        let mut q = EventQueue::new();
+        seed(&mut q, fans, timers, Entry::Plain);
+        // Next un-fired receiver per fan-out: [start cursor, end cursor].
+        let mut walked = vec![[0usize; 2]; fans.len()];
+        let arrival = |f: usize, i: usize, end: bool| Ev::Arrival {
+            fan: f,
+            node: fans[f].rx[i].1,
+            end,
+        };
+        let (mut popped, mut pending) = (Vec::new(), Vec::new());
+        loop {
+            if popped.len() == probe {
+                pending = q.pending_logical(|e, out| match e.event {
+                    Entry::Plain(ev) => out.push((e.at, e.rank, ev)),
+                    Entry::Cursor { fan, end } => {
+                        for i in walked[fan][end as usize]..fans[fan].rx.len() {
+                            let (at, rank) = fans[fan].key(fan, i, end);
+                            out.push((at, rank, arrival(fan, i, end)));
+                        }
+                    }
+                });
+            }
+            let Some(top) = q.peek() else { break };
+            let (at, rank) = (top.at, top.rank);
+            match top.event {
+                Entry::Plain(ev) => {
+                    q.pop();
+                    popped.push((at, rank, ev));
+                    if let Ev::Tx(f) = ev {
+                        if !fans[f].rx.is_empty() {
+                            q.count_scheduled(2 * fans[f].rx.len() as u64);
+                            for end in [false, true] {
+                                let (at, rank) = fans[f].key(f, 0, end);
+                                q.push_cursor(at, rank, Entry::Cursor { fan: f, end });
+                            }
+                        }
+                    }
+                }
+                Entry::Cursor { fan, end } => {
+                    let i = walked[fan][end as usize];
+                    walked[fan][end as usize] = i + 1;
+                    popped.push((at, rank, arrival(fan, i, end)));
+                    if i + 1 < fans[fan].rx.len() {
+                        let (at, rank) = fans[fan].key(fan, i + 1, end);
+                        q.rekey_top(at, rank);
+                    } else {
+                        q.pop();
+                    }
+                }
+            }
+            assert_eq!(q.now(), at, "the clock follows every fired key");
+        }
+        (popped, pending, q.scheduled_total())
+    }
+
+    proptest! {
+        /// Small time ranges force every interesting collision: equal
+        /// delays inside one fan-out, overlapping fan-outs, timers at
+        /// arrival instants, and airtimes shorter than the delay spread
+        /// (the start cursor runs dry while the end cursor is mid-walk).
+        #[test]
+        fn cursors_pop_the_one_by_one_sequence(
+            raw in proptest::collection::vec(
+                (0u64..40, 1u64..12, proptest::collection::vec((0u64..6, 0u32..8), 0..10)),
+                1..6,
+            ),
+            timers in proptest::collection::vec((0u64..60, 0u32..8), 0..30),
+            probe in 0usize..150,
+        ) {
+            let fans: Vec<Fan> = raw
+                .into_iter()
+                .map(|(at, airtime, mut rx)| {
+                    // One arrival per node per transmission.
+                    rx.sort_by_key(|&(_, node)| node);
+                    rx.dedup_by_key(|r| r.1);
+                    rx.sort();
+                    Fan { at, airtime, rx }
+                })
+                .collect();
+            let (want, want_pending, want_total) = one_by_one(&fans, &timers, probe);
+            let (got, got_pending, got_total) = through_cursors(&fans, &timers, probe);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got_pending, want_pending);
+            prop_assert_eq!(got_total, want_total);
+            let arrivals: usize = fans.iter().map(|f| 2 * f.rx.len()).sum();
+            prop_assert_eq!(got.len(), fans.len() + timers.len() + arrivals);
+        }
+    }
+}
