@@ -5,6 +5,7 @@
 //! to the MAC queue, the local traffic sink and the event queue.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use pcmac_engine::{NodeId, PacketId, SimTime, TimerSlot, TimerToken};
 use pcmac_net::{Packet, Payload, Rerr, Rrep, Rreq};
@@ -108,7 +109,8 @@ struct Discovery {
 #[derive(Debug, Clone)]
 pub struct AodvAgent {
     id: NodeId,
-    cfg: AodvConfig,
+    /// Shared by every agent built from the same scenario.
+    cfg: Arc<AodvConfig>,
     table: RouteTable,
     own_seq: u32,
     next_rreq_id: u32,
@@ -130,11 +132,12 @@ pub struct AodvAgent {
 }
 
 impl AodvAgent {
-    /// A fresh agent for node `id`.
-    pub fn new(id: NodeId, cfg: AodvConfig) -> Self {
+    /// A fresh agent for node `id`. Pass an `Arc<AodvConfig>` to share
+    /// one configuration between agents.
+    pub fn new(id: NodeId, cfg: impl Into<Arc<AodvConfig>>) -> Self {
         AodvAgent {
             id,
-            cfg,
+            cfg: cfg.into(),
             table: RouteTable::new(),
             own_seq: 0,
             next_rreq_id: 0,
@@ -146,6 +149,11 @@ impl AodvAgent {
             discoveries_started: 0,
             discovery_latency: StreamingQuantile::new(),
         }
+    }
+
+    /// The configuration, for building another agent that shares it.
+    pub fn shared_config(&self) -> Arc<AodvConfig> {
+        Arc::clone(&self.cfg)
     }
 
     /// Read access to the route table (tests, diagnostics).

@@ -771,7 +771,7 @@ impl MetricsState {
     }
 
     /// Fold the collected state into the serializable report section.
-    pub(crate) fn finish(self, nodes: &[Node], cache: Option<SparseCacheStats>) -> SimMetrics {
+    pub(crate) fn finish(self, nodes: &[&Node], cache: Option<SparseCacheStats>) -> SimMetrics {
         let mut drops = DropTaxonomy {
             sent: self.sent,
             duplicate_deliveries: self.duplicate_deliveries,

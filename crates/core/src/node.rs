@@ -127,12 +127,15 @@ pub struct Node {
 }
 
 impl Node {
-    /// Assemble a node.
+    /// Assemble a node. The MAC and routing configurations are shared
+    /// with every other node of the scenario, and no component allocates
+    /// until it is used: a node that never sends, receives or hears
+    /// anything owns nothing on the heap.
     pub fn new(
         id: NodeId,
         radio_cfg: RadioConfig,
-        mac_cfg: MacConfig,
-        aodv_cfg: AodvConfig,
+        mac_cfg: Arc<MacConfig>,
+        aodv_cfg: Arc<AodvConfig>,
         seed: u64,
     ) -> Self {
         Node {

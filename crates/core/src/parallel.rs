@@ -313,12 +313,13 @@ fn run_sharded_core(
 
     // Per-node state: each node's owner holds the authoritative replica.
     let n = owner.len();
-    let mut pools: Vec<Vec<Option<Box<Node>>>> = parts
+    // Read where it lies; nothing is moved or copied.
+    let pools: Vec<Vec<Option<Box<Node>>>> = parts
         .iter_mut()
         .map(|p| std::mem::take(&mut p.nodes))
         .collect();
-    let nodes: Vec<Node> = (0..n)
-        .map(|i| *pools[owner[i] as usize][i].take().expect("owned node"))
+    let nodes: Vec<&Node> = (0..n)
+        .map(|i| pools[owner[i] as usize][i].as_deref().expect("owned node"))
         .collect();
 
     let fault_parts: Vec<FaultState> = parts.iter_mut().filter_map(|p| p.faults.take()).collect();

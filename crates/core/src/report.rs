@@ -256,7 +256,7 @@ impl RunReport {
 
     pub(crate) fn build(
         cfg: &ScenarioConfig,
-        nodes: &[Node],
+        nodes: &[&Node],
         sent_packets: u64,
         events: u64,
         wall_s: f64,

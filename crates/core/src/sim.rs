@@ -189,6 +189,10 @@ impl FaultState {
                         ws = Some(death_at);
                     }
                     we = Some(self.run_end);
+                    // The window now reaches the end of the run: a
+                    // delivery after the *old* window end no longer
+                    // follows the window (and would lie before its end).
+                    reconverged_at = None;
                 }
             }
         }
@@ -523,6 +527,10 @@ impl Simulator {
                 .is_none_or(|(id, _, owner)| owner[i] == *id)
         };
         let mut nodes: Vec<Option<Box<Node>>> = Vec::with_capacity(n);
+        // One copy of the immutable per-scenario configuration, shared
+        // by every node.
+        let mac_cfg = Arc::new(cfg.mac.clone());
+        let aodv_cfg = Arc::new(cfg.aodv.clone());
         let mut mobility = Vec::with_capacity(n);
         let mut positions = Vec::with_capacity(n);
         let mut any_mobile = false;
@@ -568,8 +576,8 @@ impl Simulator {
                     None => Box::new(Node::new(
                         NodeId(i as u32),
                         cfg.radio.clone(),
-                        cfg.mac.clone(),
-                        cfg.aodv.clone(),
+                        Arc::clone(&mac_cfg),
+                        Arc::clone(&aodv_cfg),
                         cfg.seed,
                     )),
                 })
@@ -582,7 +590,9 @@ impl Simulator {
 
         // Attach traffic sources to their homes and schedule first
         // emissions.
-        let mut queue = EventQueue::with_capacity(1 << 16);
+        // Depth follows the transmissions and timers in flight, i.e. the
+        // active flows, not the node count; the heap grows past this.
+        let mut queue = EventQueue::with_capacity(2 * cfg.flows.len());
         for spec in &cfg.flows {
             let home = spec.src.index();
             assert!(home < nodes.len(), "flow source out of range");
@@ -743,8 +753,6 @@ impl Simulator {
             mobility,
             tracked: vec![true; n],
             alive: vec![true; n],
-            busy: vec![false; n],
-            queue_len: vec![0; n],
             tx_power_mw: vec![0.0; n],
             sampled_at: Vec::new(),
             deadline: Vec::new(),
@@ -867,16 +875,6 @@ impl Simulator {
             .expect("event dispatched for a node this shard does not own")
     }
 
-    /// Refresh node `i`'s hot mirrors from the authoritative cold
-    /// state; a no-op for nodes whose cold state lives elsewhere.
-    #[inline]
-    fn sync_hot(&mut self, i: usize) {
-        if let Some(node) = self.nodes[i].as_deref() {
-            self.hot.busy[i] = node.radio.carrier_busy();
-            self.hot.queue_len[i] = node.mac.queue_len() as u32;
-        }
-    }
-
     /// How many nodes this simulator keeps hot state fresh for (owned +
     /// halo in a region shard; all N otherwise) — the shard-memory
     /// observable the bench memory budget is written against.
@@ -952,13 +950,16 @@ impl Simulator {
     /// Close the ledgers and build the report after the single-threaded
     /// event loop drains (shared by the plain and hooked run paths).
     fn finalize_single(mut self, wall_start: std::time::Instant, end: SimTime) -> RunReport {
-        let mut nodes: Vec<Node> = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .map(|b| *b.expect("single mode owns every node"))
-            .collect();
-        for node in &mut nodes {
+        for node in self.nodes.iter_mut().flatten() {
             node.energy.finish(end);
         }
+        // Read in place: moving every node out of its box would copy the
+        // whole network once more at the very end of the run.
+        let nodes: Vec<&Node> = self
+            .nodes
+            .iter()
+            .map(|b| b.as_deref().expect("single mode owns every node"))
+            .collect();
         let resilience = self.faults.take().map(FaultState::into_report);
         let cache_stats = self.channel.cache_stats();
         // Probe events are subtracted from the scheduled total so the
@@ -984,20 +985,6 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn dispatch(&mut self, ev: SimEvent, now: SimTime) {
-        let target = ev.node_index();
-        self.dispatch_inner(ev, now);
-        // Every mutation of a node's radio/MAC state happens while an
-        // event addressed to that node dispatches (cross-node effects
-        // only travel as scheduled events), so syncing here keeps the
-        // hot mirrors exact whenever the queue is observed. The one
-        // global mutation — an impairment edge shifting every noise
-        // floor — resyncs inline in `set_impairment`.
-        if let Some(i) = target {
-            self.sync_hot(i);
-        }
-    }
-
-    fn dispatch_inner(&mut self, ev: SimEvent, now: SimTime) {
         match ev {
             SimEvent::ArrivalStart {
                 node,
@@ -1181,31 +1168,25 @@ impl Simulator {
                     continue;
                 }
             }
-            // The probe is the natural audit point for the hot mirrors:
-            // debug builds cross-check them against the cold state.
+            // The probe is the natural audit point for the liveness
+            // mirror: debug builds cross-check it against the fault state.
             debug_assert_eq!(
                 self.hot.alive[i],
                 !self.faults.as_ref().is_some_and(|f| f.down[i]),
                 "alive mirror diverged for node {i}"
             );
-            debug_assert_eq!(
-                self.hot.busy[i],
-                self.node(i).radio.carrier_busy(),
-                "carrier mirror diverged for node {i}"
-            );
-            debug_assert_eq!(
-                self.hot.queue_len[i] as usize,
-                self.node(i).mac.queue_len(),
-                "queue mirror diverged for node {i}"
-            );
             if !self.hot.alive[i] {
                 continue;
             }
+            // Carrier state and queue depth are read where they live: a
+            // probe walks the nodes once a sampling interval, whereas a
+            // mirror would have to be refreshed after every event.
+            let node = self.node(i);
             live += 1;
-            if self.hot.busy[i] {
+            if node.radio.carrier_busy() {
                 busy += 1;
             }
-            queue_sum += self.hot.queue_len[i] as u64;
+            queue_sum += node.mac.queue_len() as u64;
         }
         let Some(m) = &mut self.metrics else { return };
         m.record_probe(now, live, busy, queue_sum);
@@ -1264,10 +1245,10 @@ impl Simulator {
         if expire {
             // Reboot semantics: routing state is volatile and is lost
             // with the node; the experimenter's counters survive.
-            let counters = self.node(i).aodv.counters;
-            self.node_mut(i).aodv =
-                pcmac_aodv::AodvAgent::new(NodeId(i as u32), self.cfg.aodv.clone());
-            self.node_mut(i).aodv.counters = counters;
+            let aodv = &mut self.node_mut(i).aodv;
+            let counters = aodv.counters;
+            *aodv = pcmac_aodv::AodvAgent::new(NodeId(i as u32), aodv.shared_config());
+            aodv.counters = counters;
         }
     }
 
@@ -1294,12 +1275,6 @@ impl Simulator {
             for node in self.nodes.iter_mut().flatten() {
                 node.radio.set_noise_floor(floor);
                 node.ctrl_radio.set_noise_floor(floor);
-            }
-            // A noise-floor shift can flip carrier sense on any radio
-            // without an event addressed to it — the one mutation the
-            // per-event sync in `dispatch` cannot see. Resync everyone.
-            for i in 0..self.nodes.len() {
-                self.sync_hot(i);
             }
         }
     }
@@ -2020,11 +1995,6 @@ impl Simulator {
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("metrics section presence")),
-        }
-
-        // Re-derive the hot mirrors from the restored cold state.
-        for i in 0..n {
-            self.sync_hot(i);
         }
         Ok(())
     }

@@ -186,7 +186,10 @@ impl SimSnapshot {
 
     /// Serialize into the checksummed, versioned `pcmac-snap` envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        // The node blobs are nearly all of it; sizing for them up front
+        // spares the buffer its doubling copies on the way to tens of MB.
+        let blobs: usize = self.nodes.iter().map(|b| b.len() + 8).sum();
+        let mut w = SnapWriter::with_capacity(blobs + blobs / 8);
         self.save_core(&mut w);
         self.metrics.save(&mut w);
         w.finish()

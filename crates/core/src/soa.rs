@@ -1,21 +1,21 @@
 //! Struct-of-arrays hot node state.
 //!
-//! The dispatch loop's per-node reads — position, liveness, carrier
-//! state, queue depth — used to be scattered across the big [`Node`]
+//! The dispatch loop's per-node reads — position, liveness, last
+//! transmit power — used to be scattered across the big [`Node`]
 //! assemblies (radios, MAC queues, AODV tables), so the grid-query →
-//! candidate-filter → gain-lookup path and the metrics probe walked
-//! pointer-rich structs for a handful of scalars each. [`HotState`]
-//! splits exactly those fields into parallel arrays indexed by node id:
+//! candidate-filter → gain-lookup path walked pointer-rich structs for
+//! a handful of scalars each. [`HotState`] splits exactly those fields
+//! into parallel arrays indexed by node id:
 //! the hot path reads contiguous memory, and a region shard can keep
 //! the arrays while dropping the cold `Node` boxes of every node it
 //! does not own.
 //!
-//! The `busy`/`queue_len`/`alive` entries are *mirrors* of the
-//! authoritative cold state, synced by the dispatcher after every
-//! event (all mutations of a node's radio/MAC state happen while an
-//! event addressed to that node is dispatched — `Simulator::sync_hot`
-//! documents the one global exception). `positions`/`mobility` are
-//! authoritative: the cold [`Node`] no longer carries movement state.
+//! `alive` is a *mirror* of the fault layer's down-state, written where
+//! a node goes down or comes up. Carrier state and queue depth are not
+//! mirrored: only the metrics probe wants them, once a sampling
+//! interval, and it reads them off the cold nodes it owns rather than
+//! have every dispatched event refresh a copy. `positions`/`mobility`
+//! are authoritative: the cold [`Node`] no longer carries movement state.
 //!
 //! [`Node`]: crate::node::Node
 
@@ -37,10 +37,6 @@ pub(crate) struct HotState {
     pub(crate) tracked: Vec<bool>,
     /// Mirror of `!faults.down[i]` (all-true without a fault plan).
     pub(crate) alive: Vec<bool>,
-    /// Mirror of `radio.carrier_busy()`.
-    pub(crate) busy: Vec<bool>,
-    /// Mirror of `mac.queue_len()`.
-    pub(crate) queue_len: Vec<u32>,
     /// Last data-channel transmit power (mW); 0 before the first tx.
     pub(crate) tx_power_mw: Vec<f64>,
     /// Last instant the node was sampled *exactly* (lazy refresh).

@@ -259,6 +259,44 @@ fn energy_budget_exhaustion_is_permanent() {
 }
 
 #[test]
+fn energy_death_after_reconvergence_extends_the_window() {
+    // A short receiver crash early on, then a budget that the source
+    // exhausts seconds after traffic has resumed: the death reopens the
+    // fault window and stretches it to the end of the run.
+    let mut cfg = pair(1);
+    cfg.faults = Some(FaultConfig {
+        crashes: Some(vec![CrashWindow {
+            node: 1,
+            at_s: 1.0,
+            recover_s: Some(1.5),
+        }]),
+        energy_budget_mj: Some(1.5),
+        ..FaultConfig::default()
+    });
+    let report = Simulator::new(cfg).run();
+    let res = report.resilience.expect("section present");
+    assert_eq!(res.window_start_s, Some(1.0), "the crash opens the window");
+    assert_eq!(
+        res.window_end_s,
+        Some(6.0),
+        "an exhausted budget extends the window to the end of the run"
+    );
+    assert_eq!((res.crashes, res.recoveries), (2, 1));
+    assert!(res.energy_deaths >= 1, "the budget must kill the source");
+    assert!(res.dead_nodes_end >= 1, "energy death is permanent");
+    // Reconvergence came before the death: packets emitted after the
+    // crash window closed (classified before the death reopened it) were
+    // delivered.
+    assert!(res.sent_after > 0 && res.delivered_after > 0);
+    assert_eq!(
+        res.reconverged_after_s, None,
+        "nothing can follow a window that reaches the end of the run"
+    );
+    let residual = res.residual_energy_mj.expect("budget => residual vector");
+    assert!(residual.contains(&0.0), "the source is spent");
+}
+
+#[test]
 fn churn_crashes_and_recovers_repeatedly() {
     let mut cfg = chain(17);
     cfg.faults = Some(FaultConfig {

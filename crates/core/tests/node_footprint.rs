@@ -1,0 +1,208 @@
+//! What a node costs, counted at the allocator.
+//!
+//! A node pays for what it uses: the delay histogram, the interface
+//! queue, the radios' arrival lists and the routing agent's latency
+//! buckets are allocated by their first use, the MAC and routing
+//! configurations are shared, and the report reads the nodes where they
+//! lie. This binary installs its own counting `#[global_allocator]` and
+//! holds exactly one test, so nothing else allocates while it counts:
+//! the figures are requested bytes and live allocations, not RSS, and
+//! repeat exactly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use pcmac::node::Node;
+use pcmac::{FlowSpec, NodeSetup, ScenarioConfig, Simulator, Variant};
+use pcmac_aodv::AodvConfig;
+use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime};
+use pcmac_mac::MacConfig;
+use pcmac_net::Packet;
+use pcmac_phy::RadioConfig;
+
+struct Counting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters are side effects only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: `p` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(p, layout) };
+        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's contract for `realloc` is passed through.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(live bytes, live allocations)` right now.
+fn live() -> (usize, usize) {
+    (
+        LIVE_BYTES.load(Ordering::Relaxed),
+        LIVE_ALLOCS.load(Ordering::Relaxed),
+    )
+}
+
+const NODES: usize = 4_000;
+const NODES_PER_FLOW: usize = 50;
+const PITCH_M: f64 = 250.0;
+
+/// A static field at the benchmark's density (one node per 250 m × 250 m)
+/// with one single-hop CBR flow per 50 nodes to the source's nearest
+/// neighbour, carrier-sense interference floor, 10 µs delay floor.
+fn field(seed: u64) -> ScenarioConfig {
+    let side = (NODES as f64).sqrt() * PITCH_M;
+    let mut rng = RngStream::derive(seed, "footprint.placement");
+    let pts: Vec<Point> = (0..NODES)
+        .map(|_| Point::new(rng.uniform(0.0, side), rng.uniform(0.0, side)))
+        .collect();
+    let duration = Duration::from_secs(2);
+    let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 40_000.0, seed);
+    cfg.field = (side, side);
+    cfg.duration = duration;
+    cfg.interference_floor = Milliwatts(1.559e-8);
+    cfg.delay_floor_us = Some(10.0);
+    let template: FlowSpec = cfg.flows[0].clone();
+    let mut rng = RngStream::derive(seed, "footprint.flows");
+    cfg.flows = (0..(NODES / NODES_PER_FLOW) as u32)
+        .map(|i| {
+            let src = rng.below(NODES as u64) as usize;
+            let dst = (0..NODES)
+                .filter(|&j| j != src)
+                .min_by(|&a, &b| {
+                    pts[src]
+                        .distance_sq(pts[a])
+                        .total_cmp(&pts[src].distance_sq(pts[b]))
+                })
+                .expect("at least two nodes");
+            let mut f = template.clone();
+            f.flow = FlowId(i);
+            f.src = NodeId(src as u32);
+            f.dst = NodeId(dst as u32);
+            f.start = SimTime::ZERO + Duration::from_millis(20 + 3 * u64::from(i));
+            f.stop = SimTime::ZERO + duration;
+            f
+        })
+        .collect();
+    cfg.nodes = NodeSetup::Static(pts);
+    cfg
+}
+
+#[test]
+fn a_node_costs_what_it_uses() {
+    // --- one node, before and after its first use of each buffer -------
+    let mac = Arc::new(MacConfig::paper_default(Variant::Pcmac));
+    let aodv = Arc::new(AodvConfig::default());
+    let before = live();
+    let mut node = Node::new(
+        NodeId(7),
+        RadioConfig::ns2_default(),
+        Arc::clone(&mac),
+        Arc::clone(&aodv),
+        1,
+    );
+    assert_eq!(
+        live(),
+        before,
+        "a node that never queued, sank or heard anything owns no histogram, \
+         queue, arrival list, latency bank or private configuration"
+    );
+    let inline = std::mem::size_of::<Node>();
+    println!("one pristine node: {inline} B inline, 0 B in 0 allocations behind it");
+    assert!(inline <= 1536, "Node grew to {inline} B inline");
+
+    let at = |ms| SimTime::ZERO + Duration::from_millis(ms);
+    let packet = |id| Packet::data(PacketId(id), FlowId(0), NodeId(3), NodeId(7), 512, at(0));
+
+    // Hearing a transmission allocates that radio's arrival list only.
+    let mut heard = Vec::with_capacity(4);
+    let (_, allocs) = live();
+    node.ctrl_radio.on_arrival_start(
+        1,
+        Milliwatts(1e-9),
+        at(1),
+        &pcmac_mac::CtrlFrame {
+            receiver: NodeId(3),
+            noise_tolerance: Milliwatts(1e-6),
+            remaining: Duration::from_millis(1),
+            tx_power: Milliwatts(281.83815),
+        },
+        &mut heard,
+    );
+    assert_eq!(live().1, allocs + 1, "one arrival list");
+
+    // Sinking a packet allocates the flow table and the delay buckets.
+    let (bytes, allocs) = live();
+    node.sink.deliver(&packet(1), at(40));
+    let (bytes_after, allocs_after) = live();
+    assert_eq!(allocs_after, allocs + 2, "flow table and delay histogram");
+    assert!(bytes_after - bytes >= 8_000, "1000 delay buckets of 8 B");
+
+    // The first packet becomes the MAC's current job; only the second
+    // has to wait, and allocates the interface queue.
+    let mut actions = Vec::with_capacity(16);
+    node.mac.enqueue(packet(2), NodeId(3), at(50), &mut actions);
+    let (_, allocs) = live();
+    node.mac.enqueue(packet(3), NodeId(3), at(50), &mut actions);
+    assert_eq!(live().1, allocs + 1, "the interface queue");
+    drop((node, heard, actions));
+
+    // --- a 4 000-node field: build, run, report -------------------------
+    // The scenario (16 B of position per node, the flow list) belongs to
+    // the simulator and is counted with it.
+    let (base_bytes, base_allocs) = live();
+    PEAK_BYTES.store(base_bytes, Ordering::Relaxed);
+    let sim = Simulator::new(field(11));
+    let (built_bytes, built_allocs) = live();
+    let per_node = (built_bytes - base_bytes) as f64 / NODES as f64;
+    let allocs_per_node = (built_allocs - base_allocs) as f64 / NODES as f64;
+    println!("after build: {per_node:.0} B/node in {allocs_per_node:.3} allocations/node");
+    assert!(
+        per_node <= 2048.0,
+        "live heap after Simulator::new: {per_node:.0} B/node"
+    );
+    assert!(
+        allocs_per_node <= 1.5,
+        "{allocs_per_node:.3} live allocations per node after Simulator::new"
+    );
+
+    let report = sim.run();
+    let peak = (PEAK_BYTES.load(Ordering::Relaxed) - base_bytes) as f64 / NODES as f64;
+    println!("peak over build + run + report: {peak:.0} B/node");
+    assert!(report.delivered_packets > 0, "the field carried traffic");
+    assert!(
+        peak <= 3072.0,
+        "peak live heap over build + run + report: {peak:.0} B/node"
+    );
+}

@@ -1,19 +1,21 @@
 //! Struct-of-arrays mirror audits and owner+halo shard correctness.
 //!
-//! The dispatch hot path reads node liveness, carrier state, and queue
-//! depth from parallel arrays that *mirror* the authoritative cold
-//! state, and a region shard keeps hot state (and grid membership) only
-//! for the nodes it owns plus a boundary halo. Two failure modes follow:
-//! a mirror drifting out of sync with the `Node` it shadows, and a halo
-//! too narrow to hear a transmission from just inside a neighbouring
-//! band. These tests target both.
+//! The dispatch hot path reads node liveness from a parallel array
+//! that *mirrors* the fault layer's down-state, the metrics probe reads
+//! carrier state and queue depth off the cold nodes each shard owns,
+//! and a region shard keeps hot state (and grid membership) only for
+//! the nodes it owns plus a boundary halo. Two failure modes follow: a
+//! mirror or a per-shard sample drifting from the single-threaded
+//! answer, and a halo too narrow to hear a transmission from just
+//! inside a neighbouring band. These tests target both.
 //!
-//! The mirror audit leans on the `debug_assert_eq!` cross-checks wired
+//! The mirror audit leans on the `debug_assert_eq!` cross-check wired
 //! into the metrics probe handler: every probe re-derives each sampled
-//! node's alive/busy/queue observables from the cold structs and panics
-//! (in debug builds, which is how the test profile compiles) on any
-//! disagreement — so simply running probe-dense fuzzed scenarios *is*
-//! the reconstruction check.
+//! node's liveness from the fault state and panics (in debug builds,
+//! which is how the test profile compiles) on any disagreement — so
+//! simply running probe-dense fuzzed scenarios *is* the reconstruction
+//! check, and the sharded-vs-single fingerprint pins the busy / queue
+//! samples.
 
 use pcmac::{
     ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig,
@@ -66,8 +68,9 @@ fn mode_invariant_fingerprint(r: &RunReport) -> serde_json::Value {
 }
 
 /// A fuzzable faulted scenario with a dense probe schedule: crashes,
-/// churn, an impairment burst (noise-floor flips exercise the global
-/// resync path), and probes every 50 ms auditing the mirrors all run.
+/// churn, an impairment burst (noise-floor flips move carrier sense
+/// with no event addressed to the node), and probes every 50 ms
+/// auditing the mirrors all run.
 fn audited_scenario(seed: u64, n: usize, mobile: bool) -> ScenarioConfig {
     let duration = Duration::from_secs(2);
     let side = 1500.0;
@@ -160,7 +163,7 @@ proptest! {
     /// Fuzzed faulted event sequences with the probe auditing every
     /// 50 ms: the struct-of-arrays mirrors and the cold structs must
     /// never disagree, in single mode or on any shard — and the probed
-    /// observables (which now *come from* the mirrors) must leave the
+    /// observables (summed per shard over owned nodes) must leave the
     /// sharded report bit-identical to the single-threaded one.
     #[test]
     fn soa_mirrors_never_disagree_with_cold_state(
@@ -180,7 +183,7 @@ proptest! {
             prop_assert_eq!(
                 mode_invariant_fingerprint(&sharded),
                 mode_invariant_fingerprint(&single),
-                "mirror-fed observables diverged (seed {} shards {})",
+                "probed observables diverged (seed {} shards {})",
                 seed,
                 shards
             );

@@ -14,6 +14,8 @@
 //! inside — everything observable happens through the action stream, which
 //! is what makes the unit tests below possible without a full simulator.
 
+use std::sync::Arc;
+
 use pcmac_engine::{
     Duration, Milliwatts, NodeId, RngStream, SessionId, SimTime, TimerSlot, TimerToken,
 };
@@ -127,11 +129,49 @@ pub(crate) struct TxJob {
     seq: Option<u32>,
 }
 
+/// What only a station that has taken part in a data exchange carries:
+/// the frame waiting out its SIFS, PCMAC's replay copy, the per-neighbour
+/// sequence and echo tables, and the receptions advertised on the control
+/// channel. Allocated by the first use and kept from then on, so a
+/// station that only ever senses the medium pays one pointer for it.
+#[derive(Debug, Clone)]
+struct Exchange {
+    /// Packet that must be retransmitted in the current exchange instead
+    /// of `current` (PCMAC implicit-ack recovery).
+    retransmit_override: Option<(Packet, u32)>,
+    pending_response: Option<(Frame, Milliwatts)>,
+    sent: SentTable,
+    recv: ReceivedTable,
+    active_rx: ActiveReceivers,
+}
+
+impl Exchange {
+    fn new(max_retx: u8) -> Self {
+        Exchange {
+            retransmit_override: None,
+            pending_response: None,
+            sent: SentTable::new(max_retx),
+            recv: ReceivedTable::new(),
+            active_rx: ActiveReceivers::new(),
+        }
+    }
+
+    /// `true` when nothing here differs from [`Exchange::new`].
+    fn is_blank(&self) -> bool {
+        self.retransmit_override.is_none()
+            && self.pending_response.is_none()
+            && self.sent.is_empty()
+            && self.recv.is_empty()
+            && self.active_rx.is_empty()
+    }
+}
+
 /// The 802.11 DCF MAC (all four protocol variants).
 #[derive(Debug, Clone)]
 pub struct DcfMac {
     id: NodeId,
-    cfg: MacConfig,
+    /// Shared by every MAC built from the same scenario.
+    cfg: Arc<MacConfig>,
     rng: RngStream,
 
     // Medium view.
@@ -154,11 +194,8 @@ pub struct DcfMac {
     // Work.
     queue: DropTailQueue,
     current: Option<TxJob>,
-    /// Packet that must be retransmitted in the current exchange instead
-    /// of `current` (PCMAC implicit-ack recovery).
-    retransmit_override: Option<(Packet, u32)>,
     phase: Phase,
-    pending_response: Option<(Frame, Milliwatts)>,
+    exchange: Option<Box<Exchange>>,
     ssrc: u8,
     slrc: u8,
     /// RTS power for the current job (PCMAC steps this up on timeouts).
@@ -166,9 +203,6 @@ pub struct DcfMac {
 
     // Power control state.
     history: PowerHistory,
-    sent: SentTable,
-    recv: ReceivedTable,
-    active_rx: ActiveReceivers,
     /// Latest noise measurement from our radio (PCMAC advertises it in
     /// RTS headers so responders can size their CTS power).
     last_noise: Milliwatts,
@@ -182,15 +216,16 @@ pub struct DcfMac {
 }
 
 impl DcfMac {
-    /// Build the MAC for node `id`. `seed` drives the backoff RNG.
-    pub fn new(id: NodeId, cfg: MacConfig, seed: u64) -> Self {
+    /// Build the MAC for node `id`. `seed` drives the backoff RNG. Pass
+    /// an `Arc<MacConfig>` to share one configuration between stations.
+    pub fn new(id: NodeId, cfg: impl Into<Arc<MacConfig>>, seed: u64) -> Self {
+        let cfg: Arc<MacConfig> = cfg.into();
         let rng = RngStream::derive_sub(seed, "mac.backoff", id.0 as u64);
         let backoff = Backoff::new(cfg.timing.cw_min, cfg.timing.cw_max);
         let history = PowerHistory::new(cfg.levels.clone(), cfg.rx_thresh)
             .with_expiry(cfg.pcmac.history_expiry);
         let queue = DropTailQueue::new(cfg.queue_capacity);
         let max_power = cfg.max_power();
-        let max_retx = cfg.pcmac.max_retx;
         DcfMac {
             id,
             cfg,
@@ -208,16 +243,12 @@ impl DcfMac {
             t_ctrl: TimerSlot::new(),
             queue,
             current: None,
-            retransmit_override: None,
             phase: Phase::Idle,
-            pending_response: None,
+            exchange: None,
             ssrc: 0,
             slrc: 0,
             rts_power: max_power,
             history,
-            sent: SentTable::new(max_retx),
-            recv: ReceivedTable::new(),
-            active_rx: ActiveReceivers::new(),
             last_noise: Milliwatts::ZERO,
             counters: MacCounters::default(),
             retx_hist: [0; 8],
@@ -239,6 +270,42 @@ impl DcfMac {
     /// The configuration in force.
     pub fn config(&self) -> &MacConfig {
         &self.cfg
+    }
+
+    /// The exchange state, allocated on first use.
+    fn exchange_mut(&mut self) -> &mut Exchange {
+        self.exchange
+            .get_or_insert_with(|| Box::new(Exchange::new(self.cfg.pcmac.max_retx)))
+    }
+
+    /// `true` while a SIFS-spaced response is waiting to go out.
+    fn response_pending(&self) -> bool {
+        self.exchange
+            .as_ref()
+            .is_some_and(|e| e.pending_response.is_some())
+    }
+
+    fn clear_retransmit_override(&mut self) {
+        if let Some(e) = &mut self.exchange {
+            e.retransmit_override = None;
+        }
+    }
+
+    /// PCMAC's collision computation (paper §III step 2) for a
+    /// transmission at `power`: `Err(until)` names the instant the last
+    /// protected reception it would violate ends.
+    fn check_protected(
+        &self,
+        power: Milliwatts,
+        exempt: Option<NodeId>,
+        now: SimTime,
+    ) -> Result<(), SimTime> {
+        match &self.exchange {
+            Some(e) => e
+                .active_rx
+                .check(power, self.cfg.pcmac.safety_factor, exempt, now),
+            None => Ok(()),
+        }
     }
 
     /// Current interface-queue occupancy.
@@ -405,7 +472,11 @@ impl DcfMac {
                 // PCMAC three-way handshake: the DATA is provisionally
                 // delivered; confirmation rides the next CTS echo.
                 self.phase = Phase::Idle;
-                if self.retransmit_override.take().is_none() {
+                let replayed = self
+                    .exchange
+                    .as_mut()
+                    .and_then(|e| e.retransmit_override.take());
+                if replayed.is_none() {
                     // A fresh packet completed its exchange.
                     self.finish_current(true, now, out);
                 } else {
@@ -434,14 +505,15 @@ impl DcfMac {
         if !self.cfg.variant.is_pcmac() || cf.receiver == self.id {
             return;
         }
-        self.active_rx.record(
+        let active_rx = &mut self.exchange_mut().active_rx;
+        active_rx.record(
             cf.receiver,
             cf.noise_tolerance,
             heard_at,
             cf.tx_power,
             now + cf.remaining,
         );
-        self.active_rx.purge(now);
+        active_rx.purge(now);
     }
 
     /// A timer fired. Stale tokens (cancelled or superseded) are ignored.
@@ -486,8 +558,10 @@ impl DcfMac {
     /// Routing state toward `peer` changed (RREP sent / RERR received):
     /// reset the PCMAC sent/received tables for that peer (paper §III).
     pub fn reset_peer_state(&mut self, peer: NodeId) {
-        self.sent.reset_peer(peer);
-        self.recv.reset_peer(peer);
+        if let Some(e) = &mut self.exchange {
+            e.sent.reset_peer(peer);
+            e.recv.reset_peer(peer);
+        }
     }
 
     /// Remove queued packets headed for `hop` (routing learned the link is
@@ -510,7 +584,7 @@ impl DcfMac {
     ) {
         // Only respond when free: not mid-exchange, no queued response, NAV
         // idle (802.11: a station with a set NAV ignores RTS).
-        if self.phase != Phase::Idle || self.pending_response.is_some() || self.nav.is_busy(now) {
+        if self.phase != Phase::Idle || self.response_pending() || self.nav.is_busy(now) {
             return;
         }
         let FrameBody::Rts { sender_noise } = &frame.body else {
@@ -557,17 +631,16 @@ impl DcfMac {
         // before its CTS; if it would violate a protected reception it
         // stays silent and the requester retries later.
         if self.cfg.variant.is_pcmac() {
-            if let Err(_until) =
-                self.active_rx
-                    .check(cts_power, self.cfg.pcmac.safety_factor, Some(frame.tx), now)
-            {
+            if let Err(_until) = self.check_protected(cts_power, Some(frame.tx), now) {
                 self.counters.ctrl_deferrals += 1;
                 return;
             }
         }
 
         let echo = if self.cfg.variant.is_pcmac() {
-            self.recv.echo_for(frame.tx)
+            self.exchange
+                .as_ref()
+                .and_then(|e| e.recv.echo_for(frame.tx))
         } else {
             None
         };
@@ -619,18 +692,19 @@ impl DcfMac {
 
         // Decide what data to send and whether it needs an ACK.
         let (packet, seq, needs_ack) = if three_way {
-            match self.sent.judge_echo(next_hop, last_received) {
+            match self.exchange_mut().sent.judge_echo(next_hop, last_received) {
                 EchoVerdict::Proceed => {
                     let seq = self.allocate_seq_for_current();
                     (self.current.as_ref().unwrap().packet.clone(), seq, false)
                 }
                 EchoVerdict::Retransmit(stored) => {
                     self.counters.implicit_retx += 1;
-                    let (_, seq) = self
+                    let ex = self.exchange_mut();
+                    let (_, seq) = ex
                         .sent
                         .stored_identity(next_hop)
                         .expect("retransmit implies stored identity");
-                    self.retransmit_override = Some(((*stored).clone(), seq));
+                    ex.retransmit_override = Some(((*stored).clone(), seq));
                     ((*stored).clone(), seq, false)
                 }
                 EchoVerdict::GiveUp => {
@@ -657,14 +731,9 @@ impl DcfMac {
         // power; abort (and retry after the blocking reception) if it
         // would violate a protected reception.
         if self.cfg.variant.is_pcmac() {
-            if let Err(until) = self.active_rx.check(
-                data_power,
-                self.cfg.pcmac.safety_factor,
-                Some(next_hop),
-                now,
-            ) {
+            if let Err(until) = self.check_protected(data_power, Some(next_hop), now) {
                 self.counters.ctrl_deferrals += 1;
-                self.retransmit_override = None;
+                self.clear_retransmit_override();
                 self.phase = Phase::Idle;
                 let token = self.t_ctrl.arm();
                 out.push(MacAction::Arm {
@@ -680,7 +749,8 @@ impl DcfMac {
         if three_way {
             // Keep the retransmission copy (paper: "every time a data
             // packet is transmitted, it has a copy at the sender").
-            self.sent
+            self.exchange_mut()
+                .sent
                 .record_sent(next_hop, session, seq, packet.clone());
         }
 
@@ -727,8 +797,8 @@ impl DcfMac {
         }
 
         // Duplicate suppression (lost ACK / lost CTS echo replays).
-        let fresh = self.recv.accept(frame.tx, session, seq);
-        if needs_ack && self.phase == Phase::Idle && self.pending_response.is_none() {
+        let fresh = self.exchange_mut().recv.accept(frame.tx, session, seq);
+        if needs_ack && self.phase == Phase::Idle && !self.response_pending() {
             let max = self.cfg.max_power();
             let needed = self.history.level_for(frame.tx, now);
             let ack_power = self.cfg.variant.power_policy().ack_power(needed, max);
@@ -826,7 +896,7 @@ impl DcfMac {
                 });
             }
         }
-        self.retransmit_override = None;
+        self.clear_retransmit_override();
         self.finish_current(false, now, out);
     }
 
@@ -875,7 +945,7 @@ impl DcfMac {
         if let Some(seq) = self.current.as_ref().and_then(|j| j.seq) {
             return seq; // retry of the same packet keeps its seq
         }
-        let seq = self.sent.allocate_seq(next_hop);
+        let seq = self.exchange_mut().sent.allocate_seq(next_hop);
         if let Some(job) = &mut self.current {
             job.seq = Some(seq);
         }
@@ -920,7 +990,7 @@ impl DcfMac {
         let _ = now;
         if self.current.is_none()
             || self.phase != Phase::Idle
-            || self.pending_response.is_some()
+            || self.response_pending()
             || self.t_ctrl.is_armed()
         {
             return;
@@ -940,7 +1010,7 @@ impl DcfMac {
     /// post-deferral). No-op while the medium is busy — the idle edge will
     /// restart us.
     fn start_access(&mut self, now: SimTime, out: &mut Vec<MacAction>) {
-        if self.current.is_none() || self.phase != Phase::Idle || self.pending_response.is_some() {
+        if self.current.is_none() || self.phase != Phase::Idle || self.response_pending() {
             return;
         }
         if !self.medium_idle(now) {
@@ -973,7 +1043,7 @@ impl DcfMac {
 
     /// The medium is ours: put the first frame of the exchange on the air.
     fn attempt_tx(&mut self, now: SimTime, out: &mut Vec<MacAction>) {
-        if self.phase != Phase::Idle || self.pending_response.is_some() {
+        if self.phase != Phase::Idle || self.response_pending() {
             return;
         }
         let Some(job) = &self.current else { return };
@@ -986,10 +1056,7 @@ impl DcfMac {
             // Broadcasts skip RTS/CTS and go at the normal (max) power in
             // every protocol (paper §IV).
             if self.cfg.variant.is_pcmac() {
-                if let Err(until) =
-                    self.active_rx
-                        .check(max, self.cfg.pcmac.safety_factor, None, now)
-                {
+                if let Err(until) = self.check_protected(max, None, now) {
                     self.defer_for_ctrl(until, now, out);
                     return;
                 }
@@ -1022,12 +1089,7 @@ impl DcfMac {
             let needed = self.history.level_for(job.next_hop, now);
             let data_power = self.cfg.variant.power_policy().data_power(needed, max);
             if self.cfg.variant.is_pcmac() {
-                if let Err(until) = self.active_rx.check(
-                    data_power,
-                    self.cfg.pcmac.safety_factor,
-                    Some(job.next_hop),
-                    now,
-                ) {
+                if let Err(until) = self.check_protected(data_power, Some(job.next_hop), now) {
                     self.defer_for_ctrl(until, now, out);
                     return;
                 }
@@ -1069,10 +1131,7 @@ impl DcfMac {
             // reception nearby? (The intended receiver is *not* exempt
             // here — if it is busy receiving from someone else, our RTS
             // would be the collision.)
-            if let Err(until) =
-                self.active_rx
-                    .check(rts_power, self.cfg.pcmac.safety_factor, None, now)
-            {
+            if let Err(until) = self.check_protected(rts_power, None, now) {
                 self.defer_for_ctrl(until, now, out);
                 return;
             }
@@ -1121,8 +1180,8 @@ impl DcfMac {
     }
 
     fn schedule_response(&mut self, frame: Frame, power: Milliwatts, out: &mut Vec<MacAction>) {
-        debug_assert!(self.pending_response.is_none());
-        self.pending_response = Some((frame, power));
+        debug_assert!(!self.response_pending());
+        self.exchange_mut().pending_response = Some((frame, power));
         let token = self.t_resp.arm();
         out.push(MacAction::Arm {
             kind: MacTimerKind::Response,
@@ -1132,7 +1191,11 @@ impl DcfMac {
     }
 
     fn fire_response(&mut self, _now: SimTime, out: &mut Vec<MacAction>) {
-        let Some((frame, power)) = self.pending_response.take() else {
+        let Some((frame, power)) = self
+            .exchange
+            .as_mut()
+            .and_then(|e| e.pending_response.take())
+        else {
             return;
         };
         let kind = match frame.kind {
@@ -1172,7 +1235,8 @@ mod snap {
     //! events, never inside a `MacAction` burst, so this is the complete
     //! reachable state.
 
-    use super::{DcfMac, MacTimerKind, Phase, TxJob, TxKind};
+    use super::{DcfMac, Exchange, MacTimerKind, Phase, TxJob, TxKind};
+    use crate::power::PowerHistory;
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for MacTimerKind {
@@ -1260,6 +1324,16 @@ mod snap {
     impl DcfMac {
         /// Serialize every mutable field (everything except `id`/`cfg`).
         pub fn save_state(&self, w: &mut SnapWriter) {
+            // A station that never allocated its exchange state writes
+            // the bytes of a blank one.
+            let blank;
+            let ex = match &self.exchange {
+                Some(ex) => &**ex,
+                None => {
+                    blank = Exchange::new(self.cfg.pcmac.max_retx);
+                    &blank
+                }
+            };
             self.rng.save(w);
             self.phys_busy.save(w);
             self.nav.save(w);
@@ -1274,16 +1348,16 @@ mod snap {
             self.t_ctrl.save(w);
             self.queue.save(w);
             self.current.save(w);
-            self.retransmit_override.save(w);
+            ex.retransmit_override.save(w);
             self.phase.save(w);
-            self.pending_response.save(w);
+            ex.pending_response.save(w);
             self.ssrc.save(w);
             self.slrc.save(w);
             self.rts_power.save(w);
             self.history.save(w);
-            self.sent.save(w);
-            self.recv.save(w);
-            self.active_rx.save(w);
+            ex.sent.save(w);
+            ex.recv.save(w);
+            ex.active_rx.save(w);
             self.last_noise.save(w);
             self.counters.save(w);
             self.retx_hist.save(w);
@@ -1306,16 +1380,21 @@ mod snap {
             self.t_ctrl = Snap::load(r)?;
             self.queue = Snap::load(r)?;
             self.current = Snap::load(r)?;
-            self.retransmit_override = Snap::load(r)?;
+            let retransmit_override = Snap::load(r)?;
             self.phase = Snap::load(r)?;
-            self.pending_response = Snap::load(r)?;
+            let pending_response = Snap::load(r)?;
             self.ssrc = Snap::load(r)?;
             self.slrc = Snap::load(r)?;
             self.rts_power = Snap::load(r)?;
-            self.history = Snap::load(r)?;
-            self.sent = Snap::load(r)?;
-            self.recv = Snap::load(r)?;
-            self.active_rx = Snap::load(r)?;
+            self.history = PowerHistory::load(r)?.sharing_levels(&self.cfg.levels);
+            let ex = Exchange {
+                retransmit_override,
+                pending_response,
+                sent: Snap::load(r)?,
+                recv: Snap::load(r)?,
+                active_rx: Snap::load(r)?,
+            };
+            self.exchange = (!ex.is_blank()).then(|| Box::new(ex));
             self.last_noise = Snap::load(r)?;
             self.counters = Snap::load(r)?;
             self.retx_hist = Snap::load(r)?;

@@ -235,6 +235,12 @@ impl SentTable {
             .map(|e| (e.session, e.seq))
     }
 
+    /// `true` while no sequence number has been allocated and no copy is
+    /// held.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty() && self.next_seq.is_empty()
+    }
+
     /// Reset state toward `peer` (paper: on RREP sent / RERR received, the
     /// tables for the affected up/downstream terminal are cleared and the
     /// stored copy deleted).
@@ -274,6 +280,11 @@ impl ReceivedTable {
         }
         self.map.insert(from, (session, seq));
         true
+    }
+
+    /// `true` while no data frame has been accepted.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 
     /// Reset state toward `peer` (route change, see [`SentTable::reset_peer`]).

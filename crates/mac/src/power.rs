@@ -108,6 +108,16 @@ impl PowerHistory {
         self
     }
 
+    /// Adopt `shared` as the level set when it holds the same levels: a
+    /// table read back from a snapshot owns a private copy of the list,
+    /// and this returns it to the one its MAC's configuration holds.
+    pub fn sharing_levels(mut self, shared: &PowerLevels) -> Self {
+        if self.levels == *shared {
+            self.levels = shared.clone();
+        }
+        self
+    }
+
     /// The level set in use.
     pub fn levels(&self) -> &PowerLevels {
         &self.levels

@@ -21,6 +21,10 @@ pub struct QueuedPacket {
 }
 
 /// Fixed-capacity DropTail queue with a priority lane for routing packets.
+///
+/// `capacity` is a limit, not a reservation: the backing buffer is
+/// allocated by the first packet that has to wait and grows with the
+/// backlog, so the queue of a station that never queues costs nothing.
 #[derive(Debug, Clone)]
 pub struct DropTailQueue {
     items: VecDeque<QueuedPacket>,
@@ -37,7 +41,7 @@ impl DropTailQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DropTailQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             dropped: 0,
             enqueued: 0,
@@ -115,15 +119,36 @@ impl DropTailQueue {
 
 mod snap {
     use super::{DropTailQueue, QueuedPacket};
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
+    use std::collections::VecDeque;
 
     pcmac_snap::snap_struct!(QueuedPacket { packet, next_hop });
 
-    pcmac_snap::snap_struct!(DropTailQueue {
-        items,
-        capacity,
-        dropped,
-        enqueued,
-    });
+    impl Snap for DropTailQueue {
+        fn save(&self, w: &mut SnapWriter) {
+            self.items.save(w);
+            self.capacity.save(w);
+            self.dropped.save(w);
+            self.enqueued.save(w);
+        }
+
+        /// A queue restored with no room (`capacity == 0`) or already
+        /// over its limit would drop every packet from then on without a
+        /// word, so both are rejected as corrupt.
+        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let items: VecDeque<QueuedPacket> = Snap::load(r)?;
+            let capacity: usize = Snap::load(r)?;
+            if capacity == 0 || items.len() > capacity {
+                return Err(SnapError::Corrupt("interface queue capacity"));
+            }
+            Ok(DropTailQueue {
+                items,
+                capacity,
+                dropped: Snap::load(r)?,
+                enqueued: Snap::load(r)?,
+            })
+        }
+    }
 }
 
 impl Default for DropTailQueue {
@@ -238,6 +263,50 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].packet.id, PacketId(2));
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn buffer_is_allocated_by_the_first_waiting_packet() {
+        let mut q = DropTailQueue::default();
+        assert_eq!(q.items.capacity(), 0);
+        q.push(data(1));
+        assert!(q.items.capacity() >= 1);
+        for n in 2..=60 {
+            q.push(data(n));
+        }
+        assert_eq!(q.len(), DropTailQueue::DEFAULT_CAPACITY);
+        assert_eq!(q.dropped(), 10);
+    }
+
+    #[test]
+    fn snapshot_rejects_a_queue_with_no_room_or_over_its_limit() {
+        use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
+        let mut q = DropTailQueue::new(2);
+        q.push(data(1));
+        q.push(data(2));
+        let mut w = SnapWriter::new();
+        q.save(&mut w);
+        let payload = w.payload().to_vec();
+        // `capacity` follows `items` on the wire: overwrite it in place.
+        let mut items = SnapWriter::new();
+        q.items.save(&mut items);
+        let at = items.len();
+        let encode = |capacity: u64| {
+            let mut mutated = payload.clone();
+            mutated[at..at + 8].copy_from_slice(&capacity.to_le_bytes());
+            let mut w = SnapWriter::new();
+            w.bytes(&mutated);
+            w.finish()
+        };
+        let load = |bytes: &[u8]| DropTailQueue::load(&mut SnapReader::open(bytes).unwrap());
+        let back = load(&encode(2)).expect("the untouched encoding loads");
+        assert_eq!((back.len(), back.capacity), (2, 2));
+        for bad in [0, 1] {
+            assert!(
+                matches!(load(&encode(bad)), Err(SnapError::Corrupt(_))),
+                "capacity {bad} with 2 queued packets must be rejected"
+            );
+        }
     }
 
     #[test]

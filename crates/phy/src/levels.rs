@@ -7,14 +7,20 @@
 //! the needed power; a failed RTS raises the level one class at a time up
 //! to the maximum (paper §III step 2).
 
+use std::sync::Arc;
+
 use pcmac_engine::Milliwatts;
 use serde::{Deserialize, Serialize};
 
 /// An ordered set of discrete transmit power levels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Immutable once built, and held behind an [`Arc`]: every MAC and every
+/// power-history table of a scenario keeps its own `PowerLevels`, and
+/// cloning one shares the list instead of copying it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerLevels {
     /// Strictly increasing power values.
-    levels: Vec<Milliwatts>,
+    levels: Arc<[Milliwatts]>,
 }
 
 impl PowerLevels {
@@ -55,7 +61,9 @@ impl PowerLevels {
             );
         }
         assert!(levels[0].value() > 0.0, "levels must be positive");
-        PowerLevels { levels }
+        PowerLevels {
+            levels: levels.into(),
+        }
     }
 
     /// Number of classes.

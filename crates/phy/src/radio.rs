@@ -136,6 +136,10 @@ enum Lock<F> {
 }
 
 /// The per-node, per-channel radio.
+///
+/// The arrival list is allocated by the first transmission that reaches
+/// the node, so the radio of a station nothing ever reaches — and the
+/// control-channel radio outside PCMAC — owns no heap memory.
 #[derive(Debug, Clone)]
 pub struct Radio<F> {
     cfg: RadioConfig,
@@ -153,7 +157,7 @@ impl<F: Clone> Radio<F> {
         Radio {
             cfg,
             lock: Lock::Idle,
-            arrivals: Vec::with_capacity(8),
+            arrivals: Vec::new(),
             total_in_air: Milliwatts::ZERO,
             reported_busy: false,
         }
@@ -460,6 +464,14 @@ mod tests {
     const MID: Milliwatts = Milliwatts(1e-5); // decodable
     const SENSE_ONLY: Milliwatts = Milliwatts(1e-7); // below rx, above cs
     const FAINT: Milliwatts = Milliwatts(1e-9); // below cs
+
+    #[test]
+    fn arrival_list_is_allocated_by_the_first_arrival() {
+        let mut r = radio();
+        assert_eq!(r.arrivals.capacity(), 0);
+        r.on_arrival_start(1, FAINT, t(100), &"x", &mut Vec::new());
+        assert!(r.arrivals.capacity() >= 1);
+    }
 
     #[test]
     fn clean_reception_delivers_ok() {

@@ -117,23 +117,46 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h.wrapping_mul(PRIME)
 }
 
+/// Bytes of envelope ahead of the payload: magic, version, length.
+const HEADER_LEN: usize = 16;
+
 /// Append-only byte sink for snapshot payloads.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SnapWriter {
+    /// The envelope header (length still unset) followed by the payload,
+    /// so sealing a payload of tens of megabytes appends a checksum
+    /// instead of copying everything into a second buffer.
     buf: Vec<u8>,
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        SnapWriter { buf: Vec::new() }
+        Self::with_capacity(48)
+    }
+
+    /// An empty writer with room for `payload` bytes and the envelope, for
+    /// callers that know roughly how much they are about to write.
+    pub fn with_capacity(payload: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload + 8);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        debug_assert_eq!(buf.len(), HEADER_LEN);
+        SnapWriter { buf }
     }
 
     /// Reset to empty, keeping the allocation — for callers serializing
     /// many small payloads (per-node state blobs) through one scratch
     /// writer instead of paying allocator growth per payload.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.buf.truncate(HEADER_LEN);
     }
 
     /// Raw little-endian primitive writes.
@@ -172,30 +195,27 @@ impl SnapWriter {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
     /// `true` when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// The raw payload written so far (no envelope).
     pub fn payload(&self) -> &[u8] {
-        &self.buf
+        &self.buf[HEADER_LEN..]
     }
 
     /// Seal the payload into the versioned, checksummed envelope:
     /// `MAGIC ‖ version:u32 ‖ len:u64 ‖ payload ‖ checksum64(payload)`.
-    pub fn finish(self) -> Vec<u8> {
-        let sum = checksum64(&self.buf);
-        let mut out = Vec::with_capacity(self.buf.len() + 24);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+    pub fn finish(mut self) -> Vec<u8> {
+        let len = self.len() as u64;
+        self.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let sum = checksum64(self.payload());
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf
     }
 }
 
@@ -458,6 +478,19 @@ impl<T: Snap> Snap for Arc<T> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Arc::new(T::load(r)?))
+    }
+}
+
+/// A shared slice travels exactly like the `Vec` it was built from.
+impl<T: Snap> Snap for Arc<[T]> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.len() as u64);
+        for item in self.iter() {
+            item.save(w);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Vec::<T>::load(r).map(Arc::from)
     }
 }
 

@@ -1,11 +1,17 @@
 //! Fixed-width bucket histograms with percentile queries.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[0, width × buckets)` with an overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The bucket array is allocated by the first sample that lands inside
+/// the range, not by [`Histogram::new`]: most histograms in a large run
+/// (one per traffic sink, i.e. one per node) never see a sample, and an
+/// empty one costs only its geometry. A histogram without an array
+/// behaves exactly like one whose buckets are all zero.
+#[derive(Debug, Clone)]
 pub struct Histogram {
     width: f64,
+    buckets: usize,
+    /// Empty until the first in-range sample, then `buckets` long.
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -17,7 +23,8 @@ impl Histogram {
         assert!(width > 0.0 && buckets > 0);
         Histogram {
             width,
-            counts: vec![0; buckets],
+            buckets,
+            counts: Vec::new(),
             overflow: 0,
             total: 0,
         }
@@ -27,7 +34,10 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         self.total += 1;
         let idx = (x.max(0.0) / self.width) as usize;
-        if idx < self.counts.len() {
+        if idx < self.buckets {
+            if self.counts.is_empty() {
+                self.counts = vec![0; self.buckets];
+            }
             self.counts[idx] += 1;
         } else {
             self.overflow += 1;
@@ -62,19 +72,20 @@ impl Histogram {
     }
 
     /// Merge another histogram with identical geometry (bucket width and
-    /// count) into this one.
+    /// count) into this one. A side without a bucket array contributes,
+    /// or receives, no per-bucket work.
     ///
     /// # Panics
     /// If the geometries differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.width, other.width, "bucket width mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        assert_eq!(self.buckets, other.buckets, "bucket count mismatch");
+        if self.counts.is_empty() {
+            self.counts.clone_from(&other.counts);
+        } else {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.overflow += other.overflow;
         self.total += other.total;
@@ -97,7 +108,7 @@ mod snap {
     impl Snap for Histogram {
         fn save(&self, w: &mut SnapWriter) {
             w.f64(self.width);
-            w.u64(self.counts.len() as u64);
+            w.u64(self.buckets as u64);
             w.u64(self.overflow);
             w.u64(self.total);
             let nz = self.counts.iter().filter(|&&c| c != 0).count() as u64;
@@ -121,7 +132,9 @@ mod snap {
             let overflow = r.u64()?;
             let total = r.u64()?;
             let nz = r.len_prefix()?;
-            let mut counts = vec![0u64; buckets as usize];
+            let buckets = buckets as usize;
+            // Allocated by the first non-zero bucket, like `record`.
+            let mut counts = Vec::new();
             let mut in_buckets: u64 = 0;
             let mut prev: Option<u32> = None;
             for _ in 0..nz {
@@ -130,8 +143,11 @@ mod snap {
                 if prev.is_some_and(|p| p >= i) {
                     return Err(SnapError::Corrupt("histogram buckets not ascending"));
                 }
-                if u64::from(i) >= buckets || c == 0 {
+                if i as usize >= buckets || c == 0 {
                     return Err(SnapError::Corrupt("histogram bucket"));
+                }
+                if counts.is_empty() {
+                    counts = vec![0u64; buckets];
                 }
                 counts[i as usize] = c;
                 in_buckets = in_buckets
@@ -144,6 +160,7 @@ mod snap {
             }
             Ok(Histogram {
                 width,
+                buckets,
                 counts,
                 overflow,
                 total,
@@ -155,6 +172,7 @@ mod snap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn quantiles_of_uniform_ramp() {
@@ -269,6 +287,193 @@ mod tests {
         w.u32(3);
         w.u64(2); // only 2 samples present
         let bytes = w.finish();
+        assert!(Histogram::load(&mut SnapReader::open(&bytes).unwrap()).is_err());
+    }
+
+    /// The dense histogram of the parent commit: the reference model the
+    /// allocate-on-first-use one must be indistinguishable from.
+    #[derive(Clone)]
+    struct Dense {
+        width: f64,
+        counts: Vec<u64>,
+        overflow: u64,
+        total: u64,
+    }
+
+    impl Dense {
+        fn new(width: f64, buckets: usize) -> Self {
+            Dense {
+                width,
+                counts: vec![0; buckets],
+                overflow: 0,
+                total: 0,
+            }
+        }
+
+        fn record(&mut self, x: f64) {
+            self.total += 1;
+            let idx = (x.max(0.0) / self.width) as usize;
+            if idx < self.counts.len() {
+                self.counts[idx] += 1;
+            } else {
+                self.overflow += 1;
+            }
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.overflow += other.overflow;
+            self.total += other.total;
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            if self.total == 0 {
+                return None;
+            }
+            let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (i, c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return Some((i + 1) as f64 * self.width);
+                }
+            }
+            Some(f64::INFINITY)
+        }
+
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut w = pcmac_snap::SnapWriter::new();
+            w.f64(self.width);
+            w.u64(self.counts.len() as u64);
+            w.u64(self.overflow);
+            w.u64(self.total);
+            w.u64(self.counts.iter().filter(|&&c| c != 0).count() as u64);
+            for (i, &c) in self.counts.iter().enumerate() {
+                if c != 0 {
+                    w.u32(i as u32);
+                    w.u64(c);
+                }
+            }
+            w.finish()
+        }
+    }
+
+    fn snap_bytes(h: &Histogram) -> Vec<u8> {
+        use pcmac_snap::Snap;
+        let mut w = pcmac_snap::SnapWriter::new();
+        h.save(&mut w);
+        w.finish()
+    }
+
+    fn assert_same(lazy: &Histogram, dense: &Dense, q: f64) {
+        assert_eq!(lazy.total(), dense.total);
+        assert_eq!(lazy.overflow(), dense.overflow);
+        for q in [0.0, q, 0.5, 0.95, 1.0] {
+            assert_eq!(lazy.quantile(q), dense.quantile(q), "q = {q}");
+        }
+        assert_eq!(snap_bytes(lazy), dense.snap_bytes());
+    }
+
+    proptest! {
+        /// Random `record` / `merge` (both directions, either side still
+        /// without a bucket array, samples past the range) on a pair of
+        /// lazy histograms and a pair of dense ones: equal answers, equal
+        /// snapshot bytes, and the bytes load back to the same histogram.
+        #[test]
+        fn lazy_matches_dense_reference(
+            ops in proptest::collection::vec((0u8..6, -5.0f64..250.0, 0.0f64..1.0), 0..60),
+        ) {
+            use pcmac_snap::{Snap, SnapReader};
+            // Range [0, 100): a third of the samples overflow, and ops 4/5
+            // record overflow-only samples, which must not allocate.
+            let (mut a, mut b) = (Histogram::new(2.0, 50), Histogram::new(2.0, 50));
+            let (mut da, mut db) = (Dense::new(2.0, 50), Dense::new(2.0, 50));
+            for &(op, x, q) in &ops {
+                match op {
+                    0 => { a.record(x); da.record(x); }
+                    1 => { b.record(x); db.record(x); }
+                    2 => { a.merge(&b); da.merge(&db); }
+                    3 => { b.merge(&a); db.merge(&da); }
+                    4 => { a.record(100.0 + x.abs()); da.record(100.0 + x.abs()); }
+                    _ => { b.record(100.0 + x.abs()); db.record(100.0 + x.abs()); }
+                }
+                assert_same(&a, &da, q);
+                assert_same(&b, &db, q);
+                prop_assert_eq!(a.counts.is_empty(), da.counts.iter().all(|&c| c == 0));
+            }
+            let bytes = snap_bytes(&a);
+            let back = Histogram::load(&mut SnapReader::open(&bytes).unwrap()).unwrap();
+            prop_assert_eq!(snap_bytes(&back), bytes);
+            prop_assert_eq!(back.counts.is_empty(), a.counts.is_empty());
+        }
+    }
+
+    #[test]
+    fn never_recorded_histogram_encodes_to_the_dense_bytes() {
+        // What the eager `vec![0; 1000]` histogram wrote: geometry, zero
+        // totals, zero sparse pairs.
+        let mut w = pcmac_snap::SnapWriter::new();
+        w.f64(10.0);
+        w.u64(1000);
+        w.u64(0);
+        w.u64(0);
+        w.u64(0);
+        let h = Histogram::new(10.0, 1000);
+        assert!(h.counts.is_empty() && h.counts.capacity() == 0);
+        assert_eq!(snap_bytes(&h), w.finish());
+    }
+
+    #[test]
+    fn overflow_only_samples_never_allocate() {
+        let mut h = Histogram::new(1.0, 10);
+        h.record(10.0);
+        h.record(1e9);
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!((h.total(), h.overflow()), (2, 2));
+        assert_eq!(h.quantile(0.5), Some(f64::INFINITY));
+        let mut other = Histogram::new(1.0, 10);
+        other.merge(&h);
+        assert_eq!(other.counts.capacity(), 0, "merging two bare sides");
+        assert_eq!(other.total(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket count mismatch")]
+    fn merge_rejects_a_different_bucket_count_while_unallocated() {
+        // Neither side has a bucket array whose length could be compared.
+        let mut a = Histogram::new(1.0, 10);
+        let b = Histogram::new(1.0, 20);
+        a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket count mismatch")]
+    fn merge_rejects_a_different_bucket_count_into_a_bare_side() {
+        let mut a = Histogram::new(1.0, 10);
+        let mut b = Histogram::new(1.0, 20);
+        b.record(15.0);
+        a.merge(&b);
+    }
+
+    #[test]
+    fn load_bounds_the_geometry_and_allocates_only_for_buckets_in_use() {
+        use pcmac_snap::{Snap, SnapReader, SnapWriter};
+        let stream = |buckets: u64| {
+            let mut w = SnapWriter::new();
+            w.f64(1.0);
+            w.u64(buckets);
+            w.u64(3); // overflow
+            w.u64(3); // total
+            w.u64(0); // no bucket in use
+            w.finish()
+        };
+        let bytes = stream(1 << 24);
+        let h = Histogram::load(&mut SnapReader::open(&bytes).unwrap()).unwrap();
+        assert_eq!(h.counts.capacity(), 0, "16 Mi buckets, none materialised");
+        assert_eq!((h.total(), h.overflow()), (3, 3));
+        let bytes = stream((1 << 24) + 1);
         assert!(Histogram::load(&mut SnapReader::open(&bytes).unwrap()).is_err());
     }
 }

@@ -57,7 +57,9 @@ pub struct StreamingQuantile {
     sum_ns: u64,
     /// Largest sample.
     max_s: f64,
-    /// Power-of-two latency histogram (always populated).
+    /// Power-of-two latency histogram: empty until the first sample (an
+    /// estimator per node is the common case and most never record),
+    /// then [`BUCKETS`] long.
     buckets: Vec<u64>,
 }
 
@@ -75,7 +77,7 @@ impl StreamingQuantile {
             count: 0,
             sum_ns: 0,
             max_s: 0.0,
-            buckets: vec![0; BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -88,6 +90,7 @@ impl StreamingQuantile {
         if v > self.max_s {
             self.max_s = v;
         }
+        self.buckets.resize(BUCKETS, 0);
         self.buckets[bucket_of(v)] += 1;
         if self.exact.len() < EXACT_CAP {
             self.exact.push(v);
@@ -103,6 +106,8 @@ impl StreamingQuantile {
         if other.max_s > self.max_s {
             self.max_s = other.max_s;
         }
+        self.buckets
+            .resize(other.buckets.len().max(self.buckets.len()), 0);
         for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -163,15 +168,45 @@ impl StreamingQuantile {
 }
 
 mod snap {
-    use super::StreamingQuantile;
+    use super::{StreamingQuantile, BUCKETS};
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    pcmac_snap::snap_struct!(StreamingQuantile {
-        exact,
-        count,
-        sum_ns,
-        max_s,
-        buckets,
-    });
+    /// The bucket bank always travels at full length, so an estimator
+    /// that has not allocated it yet writes the bytes an all-zero bank
+    /// would, and reading an all-zero bank back allocates nothing.
+    impl Snap for StreamingQuantile {
+        fn save(&self, w: &mut SnapWriter) {
+            self.exact.save(w);
+            self.count.save(w);
+            self.sum_ns.save(w);
+            self.max_s.save(w);
+            w.u64(BUCKETS as u64);
+            for b in 0..BUCKETS {
+                w.u64(self.buckets.get(b).copied().unwrap_or(0));
+            }
+        }
+
+        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let exact = Snap::load(r)?;
+            let count = Snap::load(r)?;
+            let sum_ns = Snap::load(r)?;
+            let max_s = Snap::load(r)?;
+            let mut buckets: Vec<u64> = Snap::load(r)?;
+            if buckets.len() != BUCKETS {
+                return Err(SnapError::Corrupt("latency bucket bank length"));
+            }
+            if buckets.iter().all(|&c| c == 0) {
+                buckets = Vec::new();
+            }
+            Ok(StreamingQuantile {
+                exact,
+                count,
+                sum_ns,
+                max_s,
+                buckets,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +288,45 @@ mod tests {
                 whole.quantile_s(0.95).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn bucket_bank_is_allocated_by_the_first_sample_and_snapshots_dense() {
+        use pcmac_snap::{Snap, SnapReader, SnapWriter};
+        let bytes = |q: &StreamingQuantile| {
+            let mut w = SnapWriter::new();
+            q.save(&mut w);
+            w.finish()
+        };
+        let mut q = StreamingQuantile::new();
+        assert_eq!(q.buckets.capacity(), 0);
+        // What the eagerly allocated bank wrote for an empty estimator.
+        let mut w = SnapWriter::new();
+        Vec::<f64>::new().save(&mut w);
+        (0u64, 0u64, 0.0f64).save(&mut w);
+        vec![0u64; BUCKETS].save(&mut w);
+        let pristine = w.finish();
+        assert_eq!(bytes(&q), pristine);
+        let back = StreamingQuantile::load(&mut SnapReader::open(&pristine).unwrap()).unwrap();
+        assert_eq!(
+            back.buckets.capacity(),
+            0,
+            "an all-zero bank stays unallocated"
+        );
+
+        let mut merged = StreamingQuantile::new();
+        merged.merge(&q);
+        assert_eq!(merged.buckets.capacity(), 0, "merging two bare estimators");
+
+        q.record(0.25);
+        assert_eq!(q.buckets.len(), BUCKETS);
+        let back = StreamingQuantile::load(&mut SnapReader::open(&bytes(&q)).unwrap()).unwrap();
+        assert_eq!(bytes(&back), bytes(&q));
+        merged.merge(&q);
+        assert_eq!(
+            merged.quantile_s(0.5).to_bits(),
+            q.quantile_s(0.5).to_bits()
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The self-describing data model every [`Serialize`] impl produces and
 /// every [`Deserialize`] impl consumes.
@@ -293,6 +294,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .iter()
             .map(T::from_value)
             .collect()
+    }
+}
+
+// Shared slices, as real serde provides them under its `rc` feature:
+// the contents travel as a sequence and sharing is not preserved.
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn to_value(&self) -> Value {
+        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::<T>::from_value(v).map(Arc::from)
     }
 }
 
