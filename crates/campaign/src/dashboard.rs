@@ -325,39 +325,62 @@ pub fn render(snap: &Snapshot) -> String {
     md
 }
 
-/// Render a sequence of JSON maps as one markdown table, using the
-/// first row's keys (insertion order) as columns.
+/// Render a sequence of JSON maps as markdown tables: rows sharing a
+/// key set share a table whose columns are their keys (insertion order),
+/// tables in first-seen order. A table whose rows carry a `bench_section`
+/// name is labelled with it instead of repeating it in every row — that
+/// is how an artifact's odd-shaped rows (e.g. `BENCH_parallel.json`'s
+/// `checkpoint_overhead`) appear under their own columns rather than as
+/// a line of dashes under the first row's.
 fn render_generic_table(md: &mut String, rows: &[Value]) {
-    let Some(first) = rows.first().and_then(Value::as_map) else {
-        return;
-    };
-    let cols: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
-    let headers: Vec<&str> = cols
-        .iter()
-        .map(|&c| {
-            if c == "peak_rss_bytes" {
-                "peak RSS (MiB)"
-            } else {
-                c
-            }
-        })
-        .collect();
-    md.push('\n');
-    let _ = writeln!(md, "| {} |", headers.join(" | "));
-    let _ = writeln!(md, "|{}", "---|".repeat(cols.len()));
+    let mut shapes: Vec<(Vec<&str>, Vec<&Value>)> = Vec::new();
     for row in rows {
-        let cells: Vec<String> = cols
+        let Some(map) = row.as_map() else { continue };
+        let mut keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        match shapes.iter_mut().find(|(k, _)| *k == keys) {
+            Some((_, same)) => same.push(row),
+            None => shapes.push((keys, vec![row])),
+        }
+    }
+    for (_, rows) in &shapes {
+        let first = rows[0].as_map().expect("only maps were grouped");
+        let section = rows[0].get("bench_section").map(scalar_str);
+        let cols: Vec<&str> = first
             .iter()
-            .map(|&c| match row.get(c) {
-                Some(v) if c == "peak_rss_bytes" => v
-                    .as_u64()
-                    .map(|b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
-                    .unwrap_or_else(|| scalar_str(v)),
-                Some(v) => scalar_str(v),
-                None => "-".into(),
+            .map(|(k, _)| k.as_str())
+            .filter(|&c| !(c == "bench_section" && section.is_some()))
+            .collect();
+        let headers: Vec<&str> = cols
+            .iter()
+            .map(|&c| {
+                if c == "peak_rss_bytes" {
+                    "peak RSS (MiB)"
+                } else {
+                    c
+                }
             })
             .collect();
-        let _ = writeln!(md, "| {} |", cells.join(" | "));
+        md.push('\n');
+        if let Some(section) = &section {
+            let _ = writeln!(md, "`{section}`\n");
+        }
+        let _ = writeln!(md, "| {} |", headers.join(" | "));
+        let _ = writeln!(md, "|{}", "---|".repeat(cols.len()));
+        for row in rows {
+            let cells: Vec<String> = cols
+                .iter()
+                .map(|&c| match row.get(c) {
+                    Some(v) if c == "peak_rss_bytes" => v
+                        .as_u64()
+                        .map(|b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
+                        .unwrap_or_else(|| scalar_str(v)),
+                    Some(v) => scalar_str(v),
+                    None => "-".into(),
+                })
+                .collect();
+            let _ = writeln!(md, "| {} |", cells.join(" | "));
+        }
     }
 }
 
@@ -483,6 +506,29 @@ mod tests {
         assert_eq!(out.len(), 2, "rows without the field are skipped");
         assert_eq!(out[0].1, "n=4000 shards=0");
         assert_eq!(out[1].2, 2_097_152);
+    }
+
+    #[test]
+    fn odd_shaped_bench_rows_get_their_own_labelled_table() {
+        let v: Value = serde_json::from_str(
+            r#"[{"n":4000,"shards":0,"wall_ns":5.0},
+                {"n":4000,"shards":2,"wall_ns":7.0},
+                {"bench_section":"checkpoint_overhead","n":64000,"checkpoints":3},
+                {"n":16000,"shards":0,"wall_ns":9.0}]"#,
+        )
+        .unwrap();
+        let mut md = String::new();
+        render_generic_table(&mut md, v.as_seq().unwrap());
+        assert_eq!(
+            md,
+            "\n| n | shards | wall_ns |\n|---|---|---|\n\
+             | 4000 | 0 | 5 |\n| 4000 | 2 | 7 |\n| 16000 | 0 | 9 |\n\
+             \n`checkpoint_overhead`\n\n| n | checkpoints |\n|---|---|\n| 64000 | 3 |\n"
+        );
+        assert!(
+            !md.contains("| - |"),
+            "no row is squeezed under foreign columns"
+        );
     }
 
     #[test]

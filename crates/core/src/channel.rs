@@ -19,51 +19,97 @@
 //! arrival sequence). Candidate lists are sorted by node id, so the
 //! event schedule is independent of the index's internal bucket order.
 //!
-//! # Mobility refresh: lazy by default
+//! # Mobility refresh: who moves the index and who only samples
 //!
 //! Under [`MobilityRefreshMode::Lazy`] the index tolerates a per-node
 //! drift *pad* (a fraction of a grid cell): each node carries a refresh
 //! deadline — the instant its position could first drift past the pad,
 //! from `Mobility::stale_after` — kept in a min-heap, and advancing
 //! the clock re-samples only nodes whose deadlines have passed, O(moved)
-//! instead of O(N). Queries inflate their radius by the pad, so the
-//! ≤ pad-stale index still yields a superset of every true receiver;
-//! the transmitter and each candidate are then re-sampled *exactly* at
-//! the current instant before any gain or delay is computed. Physics
-//! therefore always runs on exact positions and a lazy run is
+//! instead of O(N). That deadline chain is the **only** writer of the
+//! index: it moves the node between buckets and schedules the node's
+//! next deadline, which is what guarantees every indexed position is at
+//! most one pad stale. Queries inflate their radius by the pad (and the
+//! index's distance pre-cull tests its own, equally aged copy of the
+//! positions), so the stale index still yields a superset of every true
+//! receiver.
+//!
+//! A transmission then samples the transmitter and each candidate
+//! *exactly* at the current instant **for the physics only**
+//! (`sample_exact`): the struct-of-arrays position is overwritten,
+//! nothing is written to the index and no deadline is touched. Gains
+//! and delays therefore always see exact positions and a lazy run is
 //! bit-identical to an eager one — only the number of waypoint
-//! evaluations changes.
+//! evaluations changes. (Feeding every sample back into the index, as
+//! an earlier version did, bought nothing the padded query needs and
+//! cost ≈ 21 ns per candidate against ≈ 4.5 ns for the waypoint
+//! evaluation itself.) Debug builds audit the staleness bound every
+//! `AUDIT_EVERY` queries against clones of the mobility models.
+//!
+//! # Gains
 //!
 //! Propagation is dispatched statically through [`PropagationModel`].
-//! Pairwise gains replay from a cache per [`GainCacheMode`]: a dense
-//! precomputed [`GainCache`] for small fully-static scenarios, or the
-//! block-sparse movement-invalidated [`SparseGainCache`] everywhere
-//! else (mobile scenarios and networks past the dense guard).
+//! [`GainCacheMode::Auto`] resolves to what the repo benchmark measured:
 //!
-//! # One queue entry per cursor, not per arrival
+//! * a dense precomputed [`GainCache`] for small fully-static scenarios
+//!   (up to `GAIN_CACHE_MAX_NODES` nodes);
+//! * **live evaluation** for two-ray-ground gains everywhere else —
+//!   mobile scenarios and static ones past the dense guard. Under
+//!   mobility the block-sparse cache never hits (every endpoint moves
+//!   between two of a transmitter's transmissions: hit ratio 0 on
+//!   `paper_mobile`, `mobile_field` and `churn_observed`, each lookup a
+//!   miss plus an insert), and on the static 32 000-node field it hits
+//!   91 % of the time and still costs ≈ 42 ns per candidate in the run
+//!   against ≈ 4 ns for evaluating two-ray ground in one batched pass;
+//! * the block-sparse, movement-invalidated [`SparseGainCache`] only for
+//!   *shadowed* static scenarios past the dense guard, where a gain
+//!   costs a hash-derived log-normal draw and no workload has judged the
+//!   cache yet.
+//!
+//! Explicit `Dense` / `Sparse` / `Off` requests are honoured as before.
+//!
+//! # One queue entry per cursor, and a held walk
 //!
 //! A transmission heard by K owned receivers is 2·K *logical* events but
 //! only two *physical* queue entries. [`Channel::fan_out`] sorts the
-//! receivers by `(delay, node)` — which is the `(time, rank)` pop order
-//! of both their starts and their ends, because every receiver's start
-//! sits at `tx start + delay`, its end at `tx end + delay`, and arrival
-//! ranks order by receiver at equal instants — parks the list in a slab
-//! beside the frame, and pushes a start cursor and an end cursor keyed
-//! with the head receiver ([`QueueEntry::Cursor`]). Popping a cursor
-//! ([`Channel::pop_next`]) materialises exactly the `SimEvent` a
-//! per-receiver entry would have held and re-keys the cursor in place to
-//! the next receiver. Successive arrivals of one transmission are
-//! ≤ 1 µs apart while everything else is a 20 µs slot away, so the
-//! cursor usually stays on top and the heap's depth follows the number
-//! of transmissions in flight, not the number of receivers.
+//! receivers by `(delay, node)` (one packed integer per receiver) —
+//! which is the `(time, rank)` pop order of both their starts and their
+//! ends, because every receiver's start sits at `tx start + delay`, its
+//! end at `tx end + delay`, and arrival ranks order by receiver at equal
+//! instants — parks the list in a slab beside the frame, and pushes a
+//! start cursor and an end cursor keyed with the head receiver
+//! ([`QueueEntry::Cursor`]).
 //!
-//! Two facts make this exact rather than approximately right: arrival
-//! ranks embed `(class, receiver, transmission key)` and are unique, so
-//! the queue's insertion sequence never arbitrates an arrival; and a
-//! pending arrival is never cancelled. Plain `ArrivalStart`/`ArrivalEnd`
-//! entries remain legal queue content — snapshot restore and
-//! cross-shard shipments schedule them per receiver — and pop through
-//! the same path.
+//! When a cursor surfaces, the event loop (`Simulator::advance`) pops it
+//! and *holds* it: it takes the fan-out out of the slab
+//! ([`Channel::hold`]), dispatches the head arrival straight from the
+//! list — node, key, power, end and the payload **by reference**; no
+//! `SimEvent` exists unless an observer asks to see one — and keeps
+//! going while the list's next `(time, rank)` is still below the heap's
+//! top and inside the caller's bound, firing each key on the queue's
+//! clock without touching the heap. Successive arrivals of one
+//! transmission are ≤ 1 µs apart while everything else is a 20 µs slot
+//! away, so a walk usually runs the whole list. The comparison against
+//! the heap's top is repeated after **every** dispatch: a PCMAC receiver
+//! locking onto a frame schedules a zero-delay control broadcast whose
+//! first arrival can precede the data frame's next one. When something
+//! else comes first the cursor goes back under its next key and the
+//! fan-out back into its slot ([`Channel::release`]).
+//!
+//! **No cursor is held across a point where anything else looks at the
+//! queue.** `advance` returns with every pending event in the queue, so
+//! checkpoint cuts, `snapshot()`, a shard window's horizon, a cancel
+//! check and the test-only `step()` all see the complete population
+//! ([`Channel::pending_events`] expands cursors back into the arrivals
+//! they still owe; it would panic on a held slot rather than miss one).
+//!
+//! Two facts make the cursors exact rather than approximately right:
+//! arrival ranks embed `(class, receiver, transmission key)` and are
+//! unique, so the queue's insertion sequence never arbitrates an
+//! arrival; and a pending arrival is never cancelled. Plain
+//! `ArrivalStart`/`ArrivalEnd` entries remain legal queue content —
+//! snapshot restore and cross-shard shipments schedule them per
+//! receiver — and dispatch through the same by-reference handlers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -102,6 +148,11 @@ const GAIN_CACHE_MAX_NODES: usize = 2048;
 /// deadline fires. Larger pads mean rarer deadline refreshes but
 /// slightly fatter candidate rings (queries inflate by the pad).
 const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
+
+/// Debug builds audit the index's staleness bound on every this-many-th
+/// receiver query under lazy refresh (an audit is O(N)).
+#[cfg(debug_assertions)]
+const AUDIT_EVERY: u32 = 128;
 
 /// Query-side inflation over the drift pad, absorbing floating-point
 /// error at the drift boundary so a node sampled exactly at its
@@ -220,45 +271,105 @@ pub(crate) enum QueueEntry {
 /// One owned receiver of a fan-out.
 #[derive(Debug, Clone, Copy)]
 struct Receiver {
-    delay: Duration,
-    node: u32,
+    /// `(propagation delay in ns << 32) | node`: one integer that sorts
+    /// like `(delay, node)`.
+    at: u64,
     power: Milliwatts,
+}
+
+impl Receiver {
+    /// # Panics
+    /// If `delay` does not fit 32 bits of nanoseconds (4.29 s: no radio
+    /// link on Earth, so a misconfigured delay floor).
+    #[inline]
+    fn new(delay: Duration, node: u32, power: Milliwatts) -> Self {
+        let ns = delay.as_nanos();
+        assert!(
+            ns <= u32::MAX as u64,
+            "propagation delay of {ns} ns to node {node} overflows the receiver sort key"
+        );
+        Receiver {
+            at: ns << 32 | node as u64,
+            power,
+        }
+    }
+
+    #[inline]
+    fn delay(&self) -> Duration {
+        Duration::from_nanos(self.at >> 32)
+    }
+
+    #[inline]
+    fn node(&self) -> u32 {
+        self.at as u32
+    }
 }
 
 /// The in-flight arrivals of one transmission on this simulator.
 #[derive(Debug)]
-struct FanOut {
+pub(crate) struct FanOut {
     payload: Payload,
     key: u64,
     start: SimTime,
     end: SimTime,
-    /// Strictly increasing in `(delay, node)`.
+    /// Strictly increasing in `at`, i.e. in `(delay, node)`.
     rx: Vec<Receiver>,
     /// Next un-fired receiver of the start cursor and of the end cursor.
     next: [u32; 2],
 }
 
+/// One receiver's share of a fan-out, as the arrival handlers take it.
+pub(crate) struct Arrival<'a> {
+    pub(crate) node: usize,
+    /// Transmission key.
+    pub(crate) key: u64,
+    pub(crate) power: Milliwatts,
+    /// When the arrival completes at this receiver.
+    pub(crate) end: SimTime,
+    pub(crate) payload: &'a Payload,
+}
+
 impl FanOut {
+    /// Number of receivers.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.rx.len()
+    }
+
     /// `(time, rank)` of receiver `i`'s arrival start or end.
     #[inline]
-    fn key_of(&self, i: usize, end: bool) -> (SimTime, u128) {
+    pub(crate) fn key_of(&self, i: usize, end: bool) -> (SimTime, u128) {
         let r = &self.rx[i];
         let base = if end { self.end } else { self.start };
         (
-            base + r.delay,
-            arrival_rank(self.payload.is_ctrl(), end, r.node, self.key),
+            base + r.delay(),
+            arrival_rank(self.payload.is_ctrl(), end, r.node(), self.key),
         )
     }
 
-    /// The event receiver `i`'s arrival start or end stands for.
-    fn event_of(&self, i: usize, end: bool) -> SimEvent {
+    /// Receiver `i`'s arrival, payload by reference.
+    #[inline]
+    pub(crate) fn arrival(&self, i: usize) -> Arrival<'_> {
         let r = &self.rx[i];
-        let node = NodeId(r.node);
+        Arrival {
+            node: r.node() as usize,
+            key: self.key,
+            power: r.power,
+            end: self.end + r.delay(),
+            payload: &self.payload,
+        }
+    }
+
+    /// The event receiver `i`'s arrival start or end stands for — built
+    /// for observers and snapshots only; dispatch goes through
+    /// [`FanOut::arrival`].
+    pub(crate) fn event_of(&self, i: usize, end: bool) -> SimEvent {
+        let a = self.arrival(i);
+        let node = NodeId(a.node as u32);
         if end {
-            self.payload.arrival_end(node, self.key)
+            a.payload.arrival_end(node, a.key)
         } else {
-            self.payload
-                .arrival_start(node, self.key, r.power, self.end + r.delay)
+            a.payload.arrival_start(node, a.key, a.power, a.end)
         }
     }
 }
@@ -280,9 +391,13 @@ pub(crate) struct Channel {
     lazy_refresh: bool,
     /// Metres of drift the index tolerates before a deadline refresh.
     pad_m: f64,
-    /// Min-heap of `(deadline, node)` refresh entries; an entry earlier
-    /// than its node's recorded deadline is superseded and re-arms.
+    /// Min-heap of `(deadline, node)` refresh entries, one live chain
+    /// per mobile node: the instant its indexed position could first be
+    /// `pad_m` stale.
     refresh_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Queries since the last index-staleness audit.
+    #[cfg(debug_assertions)]
+    audit_tick: u32,
     /// Instant of the last eager rescan.
     positions_at: Option<SimTime>,
     /// Propagation-delay floor in nanoseconds (0 = exact delays).
@@ -337,20 +452,21 @@ impl Channel {
         // the modes is unaffected).
         let use_grid = cfg.channel_index == ChannelIndexMode::Grid;
         let dense_ok = use_grid && !any_mobile && n <= GAIN_CACHE_MAX_NODES;
-        let build_sparse = || {
-            let mut c = SparseGainCache::new(n);
-            for i in 0..n as u32 {
-                c.set_cell(i, grid.node_cell(i));
-            }
-            GainCacheState::Sparse(c)
-        };
+        // `Auto` caches only where replay beats evaluation (see the
+        // module docs): two-ray gains past the dense guard or under
+        // mobility are cheaper live than through the sparse cache.
+        let shadowed_static = cfg.shadowing.is_some() && !any_mobile;
         let gain_cache = match cfg.gain_cache_mode() {
-            GainCacheMode::Auto if dense_ok => {
+            GainCacheMode::Auto | GainCacheMode::Dense if dense_ok => {
                 GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
             }
-            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => build_sparse(),
-            GainCacheMode::Dense if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
+            GainCacheMode::Auto if !shadowed_static => GainCacheState::Live,
+            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => {
+                let mut c = SparseGainCache::new(n);
+                for i in 0..n as u32 {
+                    c.set_cell(i, grid.node_cell(i));
+                }
+                GainCacheState::Sparse(c)
             }
             _ => GainCacheState::Live,
         };
@@ -366,10 +482,8 @@ impl Channel {
         let mut refresh_heap = BinaryHeap::new();
         if lazy_refresh {
             hot.sampled_at = vec![SimTime::ZERO; n];
-            hot.deadline = vec![SimTime::MAX; n];
             for (i, m) in hot.mobility.iter().enumerate() {
                 let d = m.stale_after(SimTime::ZERO, pad_m);
-                hot.deadline[i] = d;
                 if d != SimTime::MAX {
                     refresh_heap.push(Reverse((d, i as u32)));
                 }
@@ -385,6 +499,8 @@ impl Channel {
             lazy_refresh,
             pad_m,
             refresh_heap,
+            #[cfg(debug_assertions)]
+            audit_tick: 0,
             positions_at: None,
             delay_floor_ns: cfg.delay_floor().as_nanos(),
             interference_floor: cfg.interference_floor,
@@ -514,7 +630,6 @@ impl Channel {
             for i in 0..n {
                 hot.sampled_at[i] = cut;
                 let d = hot.mobility[i].stale_after(cut, self.pad_m);
-                hot.deadline[i] = d;
                 if d != SimTime::MAX {
                     self.refresh_heap.push(Reverse((d, i as u32)));
                 }
@@ -535,7 +650,8 @@ impl Channel {
     // Positions
     // ------------------------------------------------------------------
 
-    /// Bring `hot.positions` (and the spatial index) up to `now`.
+    /// Bring the spatial index (and, in eager mode, `hot.positions`) up
+    /// to `now`.
     ///
     /// Eager mode rescans every node on each new timestamp (recording
     /// the timestamp so repeated transmissions at the same instant —
@@ -573,12 +689,12 @@ impl Channel {
         self.positions_at = Some(now);
     }
 
-    /// Pop every refresh deadline at or before `now`, re-sampling those
-    /// nodes so no indexed position is stale by more than `pad_m`. Each
-    /// pop either re-arms a superseded entry (an on-demand exact sample
-    /// pushed the node's deadline later) or refreshes the node and
-    /// schedules its next deadline, so the heap holds one live chain per
-    /// mobile node — O(moved · log N) per timestamp, not O(N).
+    /// Pop every refresh deadline at or before `now`: re-sample the
+    /// node, move it in the index and schedule its next deadline, so no
+    /// indexed position is ever stale by more than `pad_m`. This chain
+    /// is the only writer of the index under lazy refresh; the heap
+    /// holds one entry per mobile node — O(moved · log N) per timestamp,
+    /// not O(N).
     fn process_refresh_deadlines(
         &mut self,
         hot: &mut HotState,
@@ -590,33 +706,32 @@ impl Channel {
                 break;
             }
             self.refresh_heap.pop();
-            let i = node as usize;
-            if t < hot.deadline[i] {
-                if let Some(p) = prof.as_deref_mut() {
-                    p.refresh_rearms += 1;
-                }
-                self.refresh_heap.push(Reverse((hot.deadline[i], node)));
-                continue;
-            }
             if let Some(p) = prof.as_deref_mut() {
                 p.refresh_pops += 1;
             }
+            let i = node as usize;
             self.sample_exact(hot, prof.as_deref_mut(), i, now);
-            // `sample_exact` advanced the deadline past `now` whenever the
-            // waypoint model allows; the +1 ns floor keeps degenerate
-            // horizons (pad/speed rounding to zero) from re-firing at the
-            // same instant forever.
-            let d = hot.deadline[i].max(now + Duration::from_nanos(1));
-            hot.deadline[i] = d;
+            self.grid.update(node, hot.positions[i]);
+            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
+                // `sample_exact` already invalidated the node's entries
+                // if it moved; only its block key can still be behind.
+                c.set_cell(node, self.grid.node_cell(node));
+            }
+            // The +1 ns floor keeps degenerate horizons (pad/speed
+            // rounding to zero) from re-firing at the same instant
+            // forever.
+            let d = hot.mobility[i]
+                .stale_after(now, self.pad_m)
+                .max(now + Duration::from_nanos(1));
             self.refresh_heap.push(Reverse((d, node)));
         }
     }
 
     /// Sample node `i`'s exact position at `now` (at most once per
-    /// instant), propagating any movement into the spatial index and the
-    /// sparse gain cache, and extending the node's refresh deadline —
-    /// freshly sampled nodes cannot drift past the pad for another
-    /// `pad_m / speed`.
+    /// instant) for the physics: `hot.positions` and the sparse gain
+    /// cache follow, the spatial index and the node's refresh deadline
+    /// do not — the index's own copy stays within `pad_m` of the truth
+    /// by the deadline chain alone, which is all a padded query needs.
     fn sample_exact(
         &mut self,
         hot: &mut HotState,
@@ -634,11 +749,30 @@ impl Channel {
         let p = hot.mobility[i].position(now);
         if p != hot.positions[i] {
             hot.positions[i] = p;
-            self.note_move(i, p);
+            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
+                c.note_move(i as u32, self.grid.node_cell(i as u32));
+            }
         }
-        let d = hot.mobility[i].stale_after(now, self.pad_m);
-        if d > hot.deadline[i] {
-            hot.deadline[i] = d;
+    }
+
+    /// Debug builds check the invariant physics-only sampling leans on:
+    /// every indexed position is within the drift pad of the node's
+    /// exact position. Exact positions come from *clones* of the
+    /// mobility models, so the audit cannot advance a leg the run has
+    /// not reached.
+    #[cfg(debug_assertions)]
+    fn audit_index_staleness(&self, hot: &HotState, now: SimTime) {
+        for (j, m) in hot.mobility.iter().enumerate() {
+            if !self.grid.is_tracked(j as u32) {
+                continue;
+            }
+            let exact = m.clone().position(now);
+            let drift = self.grid.position(j as u32).distance(exact);
+            assert!(
+                drift <= self.pad_m * REFRESH_PAD_SLACK,
+                "node {j} is indexed {drift} m from its position at {now:?} (pad {} m)",
+                self.pad_m
+            );
         }
     }
 
@@ -651,8 +785,9 @@ impl Channel {
     /// `power` above the interference floor. Under lazy refresh the
     /// index query is padded by the staleness allowance and the
     /// transmitter plus every returned candidate are re-sampled exactly
-    /// at `now`, so the subsequent gain/delay computations see true
-    /// positions and the arrivals match the eager path bit for bit.
+    /// at `now` into `hot.positions`, so the subsequent gain/delay
+    /// computations see true positions and the arrivals match the eager
+    /// path bit for bit.
     pub(crate) fn collect_receivers(
         &mut self,
         hot: &mut HotState,
@@ -663,6 +798,13 @@ impl Channel {
     ) {
         self.refresh_positions(hot, prof.as_deref_mut(), now);
         if self.lazy_refresh {
+            #[cfg(debug_assertions)]
+            {
+                self.audit_tick += 1;
+                if self.audit_tick.is_multiple_of(AUDIT_EVERY) {
+                    self.audit_index_staleness(hot, now);
+                }
+            }
             self.sample_exact(hot, prof.as_deref_mut(), i, now);
         }
         self.candidates.clear();
@@ -779,11 +921,7 @@ impl Channel {
                     payload: tx.payload.clone(),
                     tx: tx.cause,
                 }),
-                None => rx.push(Receiver {
-                    delay,
-                    node: j as u32,
-                    power,
-                }),
+                None => rx.push(Receiver::new(delay, j as u32, power)),
             }
         }
         if rx.is_empty() {
@@ -794,10 +932,9 @@ impl Channel {
         // for the ends alike: equal delays are equal instants, where the
         // arrival rank orders by receiver. (Candidates come in id order,
         // so this equals the stable sort by delay.)
-        rx.sort_unstable_by_key(|r| (r.delay, r.node));
+        rx.sort_unstable_by_key(|r| r.at);
         debug_assert!(
-            rx.windows(2)
-                .all(|w| (w[0].delay, w[0].node) < (w[1].delay, w[1].node)),
+            rx.windows(2).all(|w| w[0].at < w[1].at),
             "fan-out receivers must be strictly increasing in (delay, node): \
              a node hears a transmission once, or its arrival ranks collide"
         );
@@ -826,45 +963,31 @@ impl Channel {
         }
     }
 
-    /// Pop the next logical event: a plain entry pops as itself; a cursor
-    /// yields its head receiver's event and moves on to the next one in
-    /// place (or leaves the queue, spent).
-    pub(crate) fn pop_next(
-        &mut self,
-        queue: &mut EventQueue<QueueEntry>,
-    ) -> Option<(SimTime, u128, SimEvent)> {
-        let top = queue.peek()?;
-        let (at, rank) = (top.at, top.rank);
-        let event = match top.event {
-            QueueEntry::Event(_) => match queue.pop().expect("peeked").event {
-                QueueEntry::Event(event) => event,
-                QueueEntry::Cursor { .. } => unreachable!("peeked an event"),
-            },
-            QueueEntry::Cursor { fan, end } => {
-                let slot = &mut self.fanouts[fan as usize];
-                let f = slot.as_mut().expect("cursor into a vacant slot");
-                let i = f.next[end as usize] as usize;
-                f.next[end as usize] += 1;
-                let event = f.event_of(i, end);
-                if i + 1 < f.rx.len() {
-                    let (at, rank) = f.key_of(i + 1, end);
-                    queue.rekey_top(at, rank);
-                } else {
-                    queue.pop();
-                    if end {
-                        // Every start precedes its own end, so the end
-                        // cursor is the last one out.
-                        debug_assert_eq!(f.next[0] as usize, f.rx.len());
-                        let spent = slot.take().expect("checked above");
-                        self.rx_pool.put(spent.rx);
-                        self.free_slots.push(fan);
-                    }
-                }
-                event
-            }
-        };
-        debug_assert_eq!(event.rank(), rank, "queue key drifted from {event:?}");
-        Some((at, rank, event))
+    /// Take fan-out `fan` out of the slab for the walk of its start or
+    /// `end` cursor, which the caller has just popped: returns the
+    /// fan-out and the cursor's head receiver. Until
+    /// [`Channel::release`] the slot is vacant, so nothing that expands
+    /// cursors ([`Channel::pending_events`]) may run in between.
+    pub(crate) fn hold(&mut self, fan: u32, end: bool) -> (FanOut, usize) {
+        let f = self.fanouts[fan as usize]
+            .take()
+            .expect("cursor into a vacant slot");
+        let head = f.next[end as usize] as usize;
+        (f, head)
+    }
+
+    /// Put a held fan-out back with its start or `end` cursor now at
+    /// receiver `next`. A spent end cursor retires the fan-out: every
+    /// start precedes its own end, so the end cursor is the last one out.
+    pub(crate) fn release(&mut self, fan: u32, end: bool, mut f: FanOut, next: usize) {
+        f.next[end as usize] = next as u32;
+        if end && next == f.rx.len() {
+            debug_assert_eq!(f.next[0] as usize, f.rx.len());
+            self.rx_pool.put(f.rx);
+            self.free_slots.push(fan);
+        } else {
+            self.fanouts[fan as usize] = Some(f);
+        }
     }
 
     /// Every pending logical event of `queue` in canonical `(time, rank,
@@ -1044,6 +1167,121 @@ mod tests {
                     reference,
                     "faulted = {faulted}, shards = {shards:?}"
                 );
+            }
+        }
+    }
+
+    /// `step`, `run_with_observer`, `run` and `run_with_hooks` are four
+    /// bounds on one loop: they dispatch the same `(at, rank, event)`
+    /// stream to the same report, and a checkpoint grid fine enough to
+    /// fall between two arrivals of one fan-out cuts the held walk
+    /// exactly where stepping to the same instant does.
+    #[test]
+    fn the_four_drivers_agree_event_for_event_and_cut_for_cut() {
+        use std::sync::Mutex;
+
+        use crate::snapshot::RunHooks;
+
+        for faulted in [false, true] {
+            let cfg = scenario(faulted);
+            let reference = fingerprint(Simulator::new(cfg.clone()).run());
+
+            // One event per call, to the end of the run.
+            let describe =
+                |at: SimTime, rank: u128, ev: &SimEvent| format!("{at:?} {rank:#x} {ev:?}");
+            let mut sim = Simulator::new(cfg.clone());
+            let mut stepped = Vec::new();
+            while let Some((at, rank, ev)) = sim.step() {
+                stepped.push(describe(at, rank, &ev));
+            }
+            assert_eq!(fingerprint(sim.run()), reference, "faulted = {faulted}");
+
+            // The observer sees that stream, and changes nothing.
+            let mut observed = Vec::new();
+            let report = Simulator::new(cfg.clone())
+                .run_with_observer(|ev, at| observed.push(describe(at, ev.rank(), ev)));
+            assert_eq!(fingerprint(report), reference, "faulted = {faulted}");
+            assert!(observed == stepped, "observer and step streams differ");
+
+            // A checkpoint grid off every protocol period, so its instants
+            // sweep across the microseconds a fan-out's arrivals span.
+            let every = Duration::from_nanos(399_989);
+            let taken = Mutex::new(Vec::new());
+            let sink = |snap: SimSnapshot| taken.lock().expect("sink").push(snap);
+            let outcome = Simulator::new(cfg.clone()).run_with_hooks(RunHooks {
+                cancel: None,
+                checkpoint_every: Some(every),
+                checkpoint_sink: Some(&sink),
+            });
+            let hooked = outcome.report().expect("no cancel token: completes");
+            assert_eq!(fingerprint(hooked), reference, "faulted = {faulted}");
+            let taken = taken.into_inner().expect("sink");
+            assert!(taken.len() > 2500, "{} checkpoints", taken.len());
+
+            // Stepping to each grid instant captures the same bytes.
+            let mut sim = Simulator::new(cfg.clone());
+            let mut mid_walk = Vec::new();
+            for snap in &taken {
+                while sim.step_before(snap.time()).is_some() {}
+                let bytes = snap.to_bytes();
+                assert!(
+                    sim.snapshot_at(snap.time()).to_bytes() == bytes,
+                    "cut at {:?} differs (faulted = {faulted})",
+                    snap.time()
+                );
+                // Genuinely inside a start walk: some transmission has
+                // fired some of its arrival starts and still owes others.
+                let owed = |key: u64, start: bool| {
+                    snap.pending
+                        .iter()
+                        .filter(|(_, _, ev)| {
+                            let is_start = matches!(
+                                ev,
+                                SimEvent::ArrivalStart { .. } | SimEvent::CtrlArrivalStart { .. }
+                            );
+                            arrival_key(ev) == Some(key) && is_start == start
+                        })
+                        .count()
+                };
+                let in_flight: HashSet<u64> = snap
+                    .pending
+                    .iter()
+                    .filter_map(|(_, _, ev)| arrival_key(ev))
+                    .collect();
+                if in_flight
+                    .iter()
+                    .any(|&k| (1..owed(k, false)).contains(&owed(k, true)))
+                {
+                    mid_walk.push(bytes);
+                }
+            }
+            assert!(
+                mid_walk.len() >= 3,
+                "only {} grid instants fell between two arrivals of one fan-out",
+                mid_walk.len()
+            );
+
+            // Each of those cuts resumes to the uninterrupted report; the
+            // last two also sharded (cheapest to finish), whose 50 ns
+            // windows end mid-fan-out as well.
+            for (k, bytes) in mid_walk.iter().enumerate() {
+                let snap = SimSnapshot::from_bytes(bytes).expect("round trip");
+                let modes: &[Option<usize>] = if k + 2 >= mid_walk.len() {
+                    &[None, Some(2)]
+                } else {
+                    &[None]
+                };
+                for &shards in modes {
+                    let mut cfg = cfg.clone();
+                    cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
+                    let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
+                    assert_eq!(
+                        fingerprint(resumed),
+                        reference,
+                        "faulted = {faulted}, shards = {shards:?}, cut = {:?}",
+                        snap.time()
+                    );
+                }
             }
         }
     }

@@ -101,8 +101,9 @@ pub enum ChannelIndexMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MobilityRefreshMode {
     /// Deadline-driven: the spatial index tolerates a per-node drift pad,
-    /// so a node is re-sampled only when its [`stale_after`] deadline
-    /// fires or it turns up as a transmission candidate — O(local) per
+    /// so a node moves in the index only when its [`stale_after`]
+    /// deadline fires, and is otherwise sampled (for the physics alone)
+    /// when it turns up as a transmission candidate — O(local) per
     /// event instead of O(N) per new timestamp. Produces bit-identical
     /// runs to [`MobilityRefreshMode::Eager`]. The default.
     ///
@@ -120,8 +121,12 @@ pub enum MobilityRefreshMode {
 /// evaluates the propagation model live).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GainCacheMode {
-    /// Dense precomputed table for small fully-static scenarios,
-    /// block-sparse cache everywhere else. The default.
+    /// Whatever replays faster than it evaluates: the dense table for
+    /// small fully-static scenarios, the block-sparse cache for larger
+    /// static *shadowed* ones, and no cache — live evaluation — for
+    /// two-ray-ground gains everywhere else (mobile, or static past the
+    /// dense guard), where the sparse cache measured slower than the
+    /// model it caches. The default.
     #[default]
     Auto,
     /// The O(N²)-memory precomputed table (static scenarios up to the

@@ -236,14 +236,19 @@ pub struct HotPathProfile {
     pub grid_candidates: u64,
     /// Lazy-refresh deadline pops processed.
     pub refresh_pops: u64,
-    /// Lazy-refresh deadlines re-armed.
+    /// Lazy-refresh deadlines re-armed. Always 0 since candidate
+    /// sampling stopped extending deadlines (only the deadline chain
+    /// schedules them); kept so reports and snapshots keep their shape.
     pub refresh_rearms: u64,
-    /// Exact position samples forced outside the deadline schedule.
+    /// Exact position samples taken for the physics (transmitters,
+    /// candidates and deadline refreshes; at most one per node per
+    /// instant).
     pub exact_samples: u64,
     /// Metrics probe events processed.
     pub probes: u64,
     /// Block-sparse gain-cache effectiveness (`None` unless the run
-    /// used `GainCacheMode::Sparse`).
+    /// used the sparse cache: `GainCacheMode::Sparse`, or `Auto` on a
+    /// large static shadowed scenario).
     pub sparse_cache: Option<SparseCacheStats>,
 }
 

@@ -70,14 +70,11 @@ use crate::event::SimEvent;
 use crate::metrics::MetricsState;
 use crate::node::Node;
 use crate::report::RunReport;
-use crate::sim::{FaultState, ShardParts, Simulator, SnapContribution};
+use crate::sim::{EventObserver, FaultState, ShardParts, Simulator, SnapContribution};
 use crate::snapshot::{next_grid_point, RunHooks, RunOutcome, SimSnapshot};
 
 /// A shard's buffered dispatch stream: `(time, rank, event)` per event.
 type TracedEvents = Vec<(SimTime, u128, SimEvent)>;
-
-/// Optional sink receiving the merged event stream after the run.
-type EventObserver<'a> = Option<&'a mut dyn FnMut(&SimEvent, SimTime)>;
 
 /// Execute `sim` as `shards` region shards and merge the report.
 ///

@@ -17,7 +17,7 @@ use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::energy::RadioMode;
 use pcmac_phy::radio::RadioEvent;
 
-use crate::channel::{Channel, Payload, QueueEntry, Shipment, Transmission};
+use crate::channel::{Arrival, Channel, Payload, QueueEntry, Shipment, Transmission};
 use crate::config::{ExecutionMode, NodeSetup, ScenarioConfig};
 use crate::event::SimEvent;
 use crate::fault::FaultConfig;
@@ -426,11 +426,21 @@ pub(crate) struct ShardParts {
     pub(crate) cache_stats: Option<pcmac_phy::SparseCacheStats>,
 }
 
+/// Optional pre-dispatch callback: sees every event, in dispatch order.
+pub(crate) type EventObserver<'a> = Option<&'a mut dyn FnMut(&SimEvent, SimTime)>;
+
+/// The first instant past `end` — an inclusive run end as the exclusive
+/// bound [`Simulator::advance`] takes.
+#[inline]
+fn past(end: SimTime) -> SimTime {
+    end + Duration::from_nanos(1)
+}
+
 /// A configured, runnable simulation.
 pub struct Simulator {
     cfg: ScenarioConfig,
     /// Pending events; a transmission's arrivals ride two cursor entries
-    /// (see the `channel` module), so pop through [`Simulator::pop_event`].
+    /// (see the `channel` module), so only [`Simulator::advance`] pops.
     queue: EventQueue<QueueEntry>,
     /// Cold per-node state, present only for owned nodes (`None` for
     /// nodes another region shard owns; always all-present in single
@@ -755,7 +765,6 @@ impl Simulator {
             alive: vec![true; n],
             tx_power_mw: vec![0.0; n],
             sampled_at: Vec::new(),
-            deadline: Vec::new(),
             tx_key_ctr: vec![0; n],
         };
         let mut channel = Channel::new(&cfg, &mut hot, any_mobile);
@@ -802,7 +811,7 @@ impl Simulator {
     /// strategy itself).
     pub fn run(self) -> RunReport {
         match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(&mut |_, _| {}),
+            ExecutionMode::Single => self.run_single(None),
             ExecutionMode::Sharded { shards } => crate::parallel::run_sharded(self, shards, None),
         }
     }
@@ -814,7 +823,7 @@ impl Simulator {
     /// replay the deterministic merge to the observer after the run).
     pub fn run_with_observer(self, mut observer: impl FnMut(&SimEvent, SimTime)) -> RunReport {
         match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(&mut observer),
+            ExecutionMode::Single => self.run_single(Some(&mut observer)),
             ExecutionMode::Sharded { shards } => {
                 crate::parallel::run_sharded(self, shards, Some(&mut observer))
             }
@@ -846,13 +855,91 @@ impl Simulator {
         sched_into(&mut self.queue, at, ev);
     }
 
-    /// Pop the next event (callers have peeked: the queue is not empty)
-    /// and make it the current one.
-    #[inline]
-    fn pop_event(&mut self) -> (SimEvent, SimTime) {
-        let (at, rank, ev) = self.channel.pop_next(&mut self.queue).expect("peeked");
-        self.cur = (at, rank);
-        (ev, at)
+    /// The one event loop: dispatch pending events in `(time, rank)`
+    /// order — every one due strictly before `until`, at most `budget` of
+    /// them — and return how many were dispatched. `run`, the hooked run,
+    /// a shard's window and the test-only `step` are four choices of
+    /// bound and budget.
+    ///
+    /// A popped cursor is *held* for as long as its list keeps coming
+    /// first (see [`Simulator::walk`]) and is back in the queue before
+    /// this returns: whatever runs between two calls — a checkpoint cut,
+    /// a cancel check, the window negotiation — sees every pending event
+    /// in the queue, none on the side.
+    ///
+    /// `observer` sees each event just before it is dispatched. An
+    /// arrival riding a cursor is materialised as a `SimEvent` for that
+    /// call only; its dispatch reads the fan-out in place.
+    fn advance(&mut self, until: SimTime, budget: u64, mut observer: EventObserver<'_>) -> u64 {
+        let mut fired = 0;
+        while fired < budget {
+            if self.queue.peek().is_none_or(|top| top.at >= until) {
+                break;
+            }
+            let top = self.queue.pop().expect("peeked");
+            match top.event {
+                QueueEntry::Event(ev) => {
+                    debug_assert_eq!(ev.rank(), top.rank, "queue key drifted from {ev:?}");
+                    self.cur = (top.at, top.rank);
+                    if let Some(obs) = &mut observer {
+                        obs(&ev, top.at);
+                    }
+                    self.dispatch(ev, top.at);
+                    fired += 1;
+                }
+                QueueEntry::Cursor { fan, end } => {
+                    let room = budget - fired;
+                    fired += self.walk(fan, end, until, room, &mut observer);
+                }
+            }
+        }
+        fired
+    }
+
+    /// Walk the start or `end` cursor of fan-out `fan`, just popped (its
+    /// head's key is fired): dispatch the head arrival, then keep firing
+    /// the list's next key and dispatching *in place* while that key
+    /// precedes the queue's top and stays inside `until` and `budget`;
+    /// otherwise push the cursor back under it. The comparison is made
+    /// after every dispatch — a PCMAC receiver locking onto a frame
+    /// schedules a zero-delay control broadcast whose first arrival can
+    /// precede the data frame's next one. Returns the number dispatched
+    /// (at least one).
+    fn walk(
+        &mut self,
+        fan: u32,
+        end: bool,
+        until: SimTime,
+        budget: u64,
+        observer: &mut EventObserver<'_>,
+    ) -> u64 {
+        let (f, mut i) = self.channel.hold(fan, end);
+        let mut key = f.key_of(i, end);
+        debug_assert_eq!(key.0, self.queue.now(), "cursor keyed with its head");
+        let mut fired = 0;
+        loop {
+            self.cur = key;
+            if let Some(obs) = observer {
+                obs(&f.event_of(i, end), key.0);
+            }
+            self.on_arrival(f.arrival(i), end, key.0);
+            fired += 1;
+            i += 1;
+            if i == f.len() {
+                break;
+            }
+            key = f.key_of(i, end);
+            let top = self.queue.peek();
+            let overtaken = top.is_some_and(|top| (top.at, top.rank) < key);
+            if overtaken || fired == budget || key.0 >= until {
+                self.queue
+                    .push_cursor(key.0, key.1, QueueEntry::Cursor { fan, end });
+                break;
+            }
+            self.queue.fire(key.0);
+        }
+        self.channel.release(fan, end, f, i);
+        fired
     }
 
     /// The cold state of node `i`.
@@ -882,17 +969,10 @@ impl Simulator {
         self.hot.tracked.iter().filter(|t| **t).count()
     }
 
-    fn run_single(mut self, observer: &mut dyn FnMut(&SimEvent, SimTime)) -> RunReport {
+    fn run_single(mut self, observer: EventObserver<'_>) -> RunReport {
         let wall_start = std::time::Instant::now();
         let end = SimTime::ZERO + self.cfg.duration;
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            let (ev, at) = self.pop_event();
-            observer(&ev, at);
-            self.dispatch(ev, at);
-        }
+        self.advance(past(end), u64::MAX, observer);
         self.finalize_single(wall_start, end)
     }
 
@@ -940,9 +1020,10 @@ impl Simulator {
             {
                 return RunOutcome::Cancelled(Some(self.snapshot_at(t)));
             }
-            ticks += 1;
-            let (ev, at) = self.pop_event();
-            self.dispatch(ev, at);
+            // On to the next grid instant or the next look at the token,
+            // whichever comes first (`t` precedes both, so this moves).
+            let until = next_cp_ns.map_or(past(end), |cp| past(end).min(SimTime::from_nanos(cp)));
+            ticks += self.advance(until, 0x100 - (ticks & 0xFF), None);
         }
         RunOutcome::Completed(self.finalize_single(wall_start, end))
     }
@@ -992,74 +1073,8 @@ impl Simulator {
                 power,
                 end,
                 frame,
-            } => {
-                let i = node.index();
-                // Radio state *before* the arrival, for the PHY drop
-                // taxonomy (reads only; skipped entirely when off).
-                let pre = self.metrics.as_ref().map(|_| {
-                    let r = &self.node(i).radio;
-                    (r.is_transmitting(), r.is_receiving())
-                });
-                let mut rad = self.rad_pool.take();
-                self.node_mut(i)
-                    .radio
-                    .on_arrival_start(key, power, end, &frame, &mut rad);
-                if let (Some((was_tx, was_rx)), Some(m)) = (pre, &mut self.metrics) {
-                    m.phy.arrivals += 1;
-                    let addressed = frame.rx == NodeId(i as u32) || frame.rx.is_broadcast();
-                    let locked = rad
-                        .iter()
-                        .any(|ev| matches!(ev, RadioEvent::RxStart { .. }));
-                    if locked {
-                        // Fresh lock: no overlap observed yet.
-                        m.rx_overlap[i] = false;
-                    } else if was_rx {
-                        // Overlaps the arrival the radio is locked to.
-                        m.rx_overlap[i] = true;
-                        if addressed {
-                            m.phy.captured_away += 1;
-                        }
-                    } else if was_tx {
-                        if addressed {
-                            m.phy.missed_while_tx += 1;
-                        }
-                    } else if addressed {
-                        // Idle and still not locked: below the decode
-                        // threshold (heard as noise at most).
-                        m.phy.below_rx_thresh += 1;
-                    }
-                    if addressed
-                        && self
-                            .faults
-                            .as_ref()
-                            .is_some_and(|f| f.burst_active.iter().any(|b| *b))
-                    {
-                        m.phy.impaired_arrivals += 1;
-                    }
-                }
-                self.forward_radio_events(i, rad, now);
-            }
-            SimEvent::ArrivalEnd { node, key } => {
-                let i = node.index();
-                let mut rad = self.rad_pool.take();
-                self.node_mut(i).radio.on_arrival_end(key, &mut rad);
-                if let Some(m) = &mut self.metrics {
-                    for ev in &rad {
-                        if let RadioEvent::RxEnd { ok, .. } = ev {
-                            if *ok {
-                                m.phy.decoded_ok += 1;
-                                if m.rx_overlap[i] {
-                                    m.phy.capture_wins += 1;
-                                }
-                            } else {
-                                m.phy.collided += 1;
-                            }
-                            m.rx_overlap[i] = false;
-                        }
-                    }
-                }
-                self.forward_radio_events(i, rad, now);
-            }
+            } => self.on_arrival_start(node.index(), key, power, end, &frame, now),
+            SimEvent::ArrivalEnd { node, key } => self.on_arrival_end(node.index(), key, now),
             SimEvent::TxEnd { node } => {
                 let i = node.index();
                 let mut rad = self.rad_pool.take();
@@ -1077,19 +1092,9 @@ impl Simulator {
                 power,
                 end,
                 frame,
-            } => {
-                let mut rad = self.ctrl_pool.take();
-                self.node_mut(node.index())
-                    .ctrl_radio
-                    .on_arrival_start(key, power, end, &frame, &mut rad);
-                self.forward_ctrl_events(node.index(), rad, now);
-            }
+            } => self.on_ctrl_arrival_start(node.index(), key, power, end, &frame, now),
             SimEvent::CtrlArrivalEnd { node, key } => {
-                let mut rad = self.ctrl_pool.take();
-                self.node_mut(node.index())
-                    .ctrl_radio
-                    .on_arrival_end(key, &mut rad);
-                self.forward_ctrl_events(node.index(), rad, now);
+                self.on_ctrl_arrival_end(node.index(), key, now)
             }
             SimEvent::CtrlTxEnd { node } => {
                 let i = node.index();
@@ -1150,6 +1155,123 @@ impl Simulator {
             SimEvent::ImpairmentEnd { index } => self.set_impairment(index, false),
             SimEvent::MetricsProbe => self.on_metrics_probe(now),
         }
+    }
+
+    /// One receiver's arrival start or `end`, straight from its fan-out.
+    #[inline]
+    fn on_arrival(&mut self, a: Arrival<'_>, end: bool, now: SimTime) {
+        match (a.payload, end) {
+            (Payload::Data(frame), false) => {
+                self.on_arrival_start(a.node, a.key, a.power, a.end, frame, now)
+            }
+            (Payload::Data(_), true) => self.on_arrival_end(a.node, a.key, now),
+            (Payload::Ctrl(frame), false) => {
+                self.on_ctrl_arrival_start(a.node, a.key, a.power, a.end, frame, now)
+            }
+            (Payload::Ctrl(_), true) => self.on_ctrl_arrival_end(a.node, a.key, now),
+        }
+    }
+
+    /// A frame starts arriving at node `i` on the data channel.
+    fn on_arrival_start(
+        &mut self,
+        i: usize,
+        key: u64,
+        power: Milliwatts,
+        end: SimTime,
+        frame: &Arc<Frame>,
+        now: SimTime,
+    ) {
+        // Radio state *before* the arrival, for the PHY drop taxonomy
+        // (reads only; skipped entirely when off).
+        let pre = self.metrics.as_ref().map(|_| {
+            let r = &self.node(i).radio;
+            (r.is_transmitting(), r.is_receiving())
+        });
+        let mut rad = self.rad_pool.take();
+        self.node_mut(i)
+            .radio
+            .on_arrival_start(key, power, end, frame, &mut rad);
+        if let (Some((was_tx, was_rx)), Some(m)) = (pre, &mut self.metrics) {
+            m.phy.arrivals += 1;
+            let addressed = frame.rx == NodeId(i as u32) || frame.rx.is_broadcast();
+            let locked = rad
+                .iter()
+                .any(|ev| matches!(ev, RadioEvent::RxStart { .. }));
+            if locked {
+                // Fresh lock: no overlap observed yet.
+                m.rx_overlap[i] = false;
+            } else if was_rx {
+                // Overlaps the arrival the radio is locked to.
+                m.rx_overlap[i] = true;
+                if addressed {
+                    m.phy.captured_away += 1;
+                }
+            } else if was_tx {
+                if addressed {
+                    m.phy.missed_while_tx += 1;
+                }
+            } else if addressed {
+                // Idle and still not locked: below the decode threshold
+                // (heard as noise at most).
+                m.phy.below_rx_thresh += 1;
+            }
+            if addressed
+                && self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.burst_active.iter().any(|b| *b))
+            {
+                m.phy.impaired_arrivals += 1;
+            }
+        }
+        self.forward_radio_events(i, rad, now);
+    }
+
+    /// The data-channel arrival keyed `key` finished at node `i`.
+    fn on_arrival_end(&mut self, i: usize, key: u64, now: SimTime) {
+        let mut rad = self.rad_pool.take();
+        self.node_mut(i).radio.on_arrival_end(key, &mut rad);
+        if let Some(m) = &mut self.metrics {
+            for ev in &rad {
+                if let RadioEvent::RxEnd { ok, .. } = ev {
+                    if *ok {
+                        m.phy.decoded_ok += 1;
+                        if m.rx_overlap[i] {
+                            m.phy.capture_wins += 1;
+                        }
+                    } else {
+                        m.phy.collided += 1;
+                    }
+                    m.rx_overlap[i] = false;
+                }
+            }
+        }
+        self.forward_radio_events(i, rad, now);
+    }
+
+    /// A power-control broadcast starts arriving at node `i`.
+    fn on_ctrl_arrival_start(
+        &mut self,
+        i: usize,
+        key: u64,
+        power: Milliwatts,
+        end: SimTime,
+        frame: &CtrlFrame,
+        now: SimTime,
+    ) {
+        let mut rad = self.ctrl_pool.take();
+        self.node_mut(i)
+            .ctrl_radio
+            .on_arrival_start(key, power, end, frame, &mut rad);
+        self.forward_ctrl_events(i, rad, now);
+    }
+
+    /// The control-channel arrival keyed `key` finished at node `i`.
+    fn on_ctrl_arrival_end(&mut self, i: usize, key: u64, now: SimTime) {
+        let mut rad = self.ctrl_pool.take();
+        self.node_mut(i).ctrl_radio.on_arrival_end(key, &mut rad);
+        self.forward_ctrl_events(i, rad, now);
     }
 
     /// Handle the periodic metrics probe: sample the instantaneous
@@ -2048,26 +2170,21 @@ impl Simulator {
         &mut self,
         horizon_ns: u64,
         end: SimTime,
-        mut trace: Option<&mut Vec<(SimTime, u128, SimEvent)>>,
+        trace: Option<&mut Vec<(SimTime, u128, SimEvent)>>,
     ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > end || t.as_nanos() >= horizon_ns {
-                break;
+        let until = past(end).min(SimTime::from_nanos(horizon_ns));
+        let Some(buf) = trace else {
+            self.advance(until, u64::MAX, None);
+            return;
+        };
+        let primary = self.shard.as_ref().is_some_and(|c| c.id == 0);
+        let mut record = |ev: &SimEvent, at: SimTime| {
+            // Events addressing no node are the replicated ones.
+            if ev.node_index().is_some() || primary {
+                buf.push((at, ev.rank(), ev.clone()));
             }
-            let (ev, at) = self.pop_event();
-            if let Some(buf) = trace.as_deref_mut() {
-                let replicated = matches!(
-                    ev,
-                    SimEvent::ImpairmentStart { .. }
-                        | SimEvent::ImpairmentEnd { .. }
-                        | SimEvent::MetricsProbe
-                );
-                if !replicated || self.shard.as_ref().is_some_and(|c| c.id == 0) {
-                    buf.push((at, self.cur.1, ev.clone()));
-                }
-            }
-            self.dispatch(ev, at);
-        }
+        };
+        self.advance(until, u64::MAX, Some(&mut record));
     }
 
     /// Take the window's outgoing shipments (one bucket per shard).
@@ -2130,13 +2247,21 @@ impl Simulator {
 
 #[cfg(test)]
 impl Simulator {
-    /// Pop and dispatch one event, returning it under its `(time, rank)`
-    /// — lets a test stop a run between any two events.
+    /// Dispatch the next event of the run, returning it under its
+    /// `(time, rank)` — lets a test stop between any two events,
+    /// mid-fan-out included. `None` once the run is over.
     pub(crate) fn step(&mut self) -> Option<(SimTime, u128, SimEvent)> {
-        self.queue.peek_time()?;
-        let (ev, at) = self.pop_event();
-        self.dispatch(ev.clone(), at);
-        Some((at, self.cur.1, ev))
+        self.step_before(SimTime::MAX)
+    }
+
+    /// [`Simulator::step`], unless the next event is due at or after
+    /// `until` — stepping to a cut the way the hooked run reaches one.
+    pub(crate) fn step_before(&mut self, until: SimTime) -> Option<(SimTime, u128, SimEvent)> {
+        let end = SimTime::ZERO + self.cfg.duration;
+        let mut stepped = None;
+        let mut record = |ev: &SimEvent, at: SimTime| stepped = Some((at, ev.rank(), ev.clone()));
+        self.advance(until.min(past(end)), 1, Some(&mut record));
+        stepped
     }
 }
 

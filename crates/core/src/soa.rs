@@ -28,7 +28,9 @@ use pcmac_mobility::Mobility;
 /// `Simulator::prepare_shard`.
 #[derive(Debug)]
 pub(crate) struct HotState {
-    /// Current (possibly index-stale, see lazy refresh) position.
+    /// Position as of `sampled_at` under lazy refresh (exact for every
+    /// node a transmission's physics is about to read), current
+    /// otherwise. The spatial index keeps its own, separately aged copy.
     pub(crate) positions: Vec<Point>,
     /// Movement model per node (authoritative; moved out of `Node`).
     pub(crate) mobility: Vec<Mobility>,
@@ -41,8 +43,6 @@ pub(crate) struct HotState {
     pub(crate) tx_power_mw: Vec<f64>,
     /// Last instant the node was sampled *exactly* (lazy refresh).
     pub(crate) sampled_at: Vec<SimTime>,
-    /// Active refresh deadline per node (lazy + grid mode).
-    pub(crate) deadline: Vec<SimTime>,
     /// Per-node transmission-key counters: key = `(node << 32) | ctr`.
     pub(crate) tx_key_ctr: Vec<u32>,
 }

@@ -1,0 +1,92 @@
+//! Lazy position refresh when the deadline chain actually turns.
+//!
+//! Under lazy refresh a transmission samples its candidates for the
+//! physics only; the spatial index moves on the refresh-deadline chain
+//! alone. Scenarios whose reach spans the field (the paper's, the
+//! benchmark's `paper_mobile` and `churn_observed`) have cells so large
+//! that no deadline falls inside the run, so this one is sized the other
+//! way round: cells small and nodes fast enough that every node goes
+//! through several deadline generations, with receiver queries landing
+//! at every age of the index in between. Lazy must still equal
+//! eager report for report — and, in debug builds, the staleness audit in
+//! `Channel::collect_receivers` checks the invariant the padded query
+//! leans on while it runs.
+
+use pcmac::{
+    FlowShape, FlowSpec, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport, ScenarioConfig,
+    Simulator, Variant,
+};
+use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, RngStream, SimTime};
+
+const NODES: usize = 40;
+
+/// 40 nodes at 60 m/s with 100 ms pauses on 1500 m × 1500 m. The
+/// carrier-sense threshold as interference floor makes a grid cell
+/// ≈ 500 m and the drift pad ≈ 60 m, i.e. about one deadline generation
+/// per second of movement over the 6 s run.
+fn scenario(variant: Variant, seed: u64, refresh: MobilityRefreshMode) -> ScenarioConfig {
+    let duration = Duration::from_secs(6);
+    let mut cfg = ScenarioConfig::two_nodes(variant, 100.0, 1000.0, seed);
+    cfg.name = format!("lazy-refresh-{seed}");
+    cfg.field = (1500.0, 1500.0);
+    cfg.duration = duration;
+    cfg.interference_floor = Milliwatts(1.559e-8);
+    cfg.nodes = NodeSetup::UniformWaypoint {
+        count: NODES,
+        speed: 60.0,
+        pause: Duration::from_millis(100),
+    };
+    let mut rng = RngStream::derive(seed, "lazy_refresh.flows");
+    cfg.flows = (0..6)
+        .map(|i| {
+            let src = rng.below(NODES as u64) as u32;
+            let dst = (src + 1 + rng.below(NODES as u64 - 1) as u32) % NODES as u32;
+            FlowSpec {
+                flow: FlowId(i),
+                src: NodeId(src),
+                dst: NodeId(dst),
+                bytes: 512,
+                rate_bps: 60_000.0,
+                start: SimTime::ZERO + Duration::from_millis(100 + 37 * i as u64),
+                stop: SimTime::ZERO + duration,
+                shape: FlowShape::Cbr,
+            }
+        })
+        .collect();
+    cfg.metrics = Some(MetricsConfig::default());
+    cfg.mobility_refresh = Some(refresh);
+    cfg
+}
+
+/// The report as JSON without `wall_s`, and with `metrics.hot_path` —
+/// which counts what each refresh mode's machinery did — set aside.
+fn fingerprint(report: &RunReport) -> String {
+    let mut report = report.clone();
+    report.wall_s = 0.0;
+    if let Some(m) = &mut report.metrics {
+        m.hot_path = Default::default();
+    }
+    serde_json::to_string(&report).expect("reports serialize")
+}
+
+#[test]
+fn lazy_equals_eager_through_several_deadline_generations() {
+    for (variant, seed) in [(Variant::Basic, 3), (Variant::Pcmac, 4)] {
+        let lazy = Simulator::new(scenario(variant, seed, MobilityRefreshMode::Lazy)).run();
+        let eager = Simulator::new(scenario(variant, seed, MobilityRefreshMode::Eager)).run();
+        assert!(lazy.delivered_packets > 0, "seed {seed}: nothing delivered");
+        assert_eq!(fingerprint(&lazy), fingerprint(&eager), "seed {seed}");
+
+        let hot = lazy.metrics.expect("metrics were on").hot_path;
+        assert!(
+            hot.refresh_pops >= 3 * NODES as u64,
+            "seed {seed}: {} deadline pops are fewer than 3 generations of {NODES} nodes",
+            hot.refresh_pops
+        );
+        assert_eq!(
+            hot.refresh_rearms, 0,
+            "seed {seed}: only the deadline chain schedules deadlines"
+        );
+        assert!(hot.grid_queries > 1000 && hot.exact_samples > hot.grid_queries);
+    }
+}

@@ -102,6 +102,14 @@ impl UniformGrid {
         self.node_cell[node as usize]
     }
 
+    /// The position the index holds for `node` — what
+    /// [`UniformGrid::query_circle`]'s distance pre-cull tests, as of the
+    /// node's last [`UniformGrid::update`].
+    #[inline]
+    pub fn position(&self, node: u32) -> Point {
+        self.positions[node as usize]
+    }
+
     /// Drop all state and re-bucket `positions` (reuses allocations).
     pub fn rebuild(&mut self, positions: &[Point]) {
         for b in &mut self.buckets {

@@ -18,18 +18,26 @@
 //! instead park the list on its own side and push one **cursor** entry
 //! keyed with the list head's `(time, rank)` ([`EventQueue::push_cursor`]),
 //! counting the batch with [`EventQueue::count_scheduled`]. When the cursor
-//! surfaces ([`EventQueue::peek`]) the caller takes the head event off its
-//! list and either re-keys the entry in place to the next one
-//! ([`EventQueue::rekey_top`]: no pop, no push, one sift) or pops it once
-//! the list is spent. The queue pops the same `(time, rank)` sequence
-//! either way, provided no cursor-carried event shares its `(time, rank)`
-//! with any other event — cursors have no per-event sequence number to
-//! break such a tie with.
+//! surfaces, the caller pops it ([`EventQueue::pop`], which fires the
+//! head's key) and *holds* it: it handles the head event, and while the
+//! list's next key is still below the heap's top ([`EventQueue::peek`])
+//! it fires that key itself ([`EventQueue::fire`] — the clock moves, the
+//! heap is not touched) and handles the next event too. The comparison
+//! must be repeated after every handled event, because handling one may
+//! schedule something that lands before the list's next element. When
+//! the heap's top comes first — or the caller wants to stop for any
+//! other reason — the cursor goes back under its next key
+//! ([`EventQueue::push_cursor`]); a spent list pushes nothing. The
+//! logical events fire in the same `(time, rank)` sequence as one entry
+//! per event would pop, provided no cursor-carried event shares its
+//! `(time, rank)` with any other event — cursors have no per-event
+//! sequence number to break such a tie with.
 //!
 //! [`EventQueue::scheduled_total`] counts *logical* events,
 //! [`EventQueue::len`] *physical* entries, and
 //! [`EventQueue::pending_logical`] lists the logical population by asking
-//! the caller to expand each cursor's remaining tail.
+//! the caller to expand each cursor's remaining tail. A held cursor is in
+//! neither: callers push it back before anything else looks at the queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -123,7 +131,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulation time: the due time of the last popped event.
+    /// Current simulation time: the due time of the last popped event
+    /// or fired key.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -153,9 +162,11 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at the absolute instant `at`.
     ///
-    /// Scheduling in the past is a logic error and panics in debug builds;
-    /// in release it clamps to `now` (the event fires immediately but in
-    /// deterministic order).
+    /// # Panics
+    /// If `at` is before [`EventQueue::now`] — in release builds too.
+    /// Scheduling into the past is a logic error, and clamping the event
+    /// to `now` would fire it at an instant its content-derived rank was
+    /// not computed for, silently reordering it.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.schedule_ranked(at, 0, event);
     }
@@ -189,13 +200,12 @@ impl<E> EventQueue<E> {
     }
 
     fn push(&mut self, at: SimTime, rank: u128, event: E) {
-        debug_assert!(
+        assert!(
             at >= self.now,
             "scheduling into the past: {:?} < {:?}",
             at,
             self.now
         );
-        let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(ScheduledEvent {
@@ -206,31 +216,25 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Fire the top entry's current key and move the entry to
-    /// `(at, rank)` in place: the clock advances to the old due time
-    /// exactly as [`EventQueue::pop`] would advance it, and the entry
-    /// sifts down to its new position — one heap operation where pop +
-    /// push would be two. The entry keeps its payload and its sequence
-    /// number.
+    /// Fire a key the caller holds outside the heap — the next event of
+    /// a popped cursor's list (see the module docs): the clock advances to
+    /// `at` exactly as [`EventQueue::pop`] would advance it, and the heap
+    /// is left alone. The caller has checked that nothing pending comes
+    /// before the key.
     ///
     /// # Panics
-    /// If the queue is empty, or if `(at, rank)` is below the key being
-    /// fired — in release builds too. A cursor walks a sorted list, so a
-    /// backwards step means the list was not sorted; clamping it the way
-    /// `schedule_ranked` clamps a late event would silently reorder the
-    /// list's events instead of failing.
-    pub fn rekey_top(&mut self, at: SimTime, rank: u128) {
-        let mut top = self.heap.peek_mut().expect("rekey_top on an empty queue");
+    /// If `at` is before [`EventQueue::now`] — in release builds too: a
+    /// cursor walks a sorted list, so a backwards step means the list was
+    /// not sorted.
+    #[inline]
+    pub fn fire(&mut self, at: SimTime) {
         assert!(
-            (at, rank) >= (top.at, top.rank),
-            "cursor re-keyed backwards: {:?}/{rank:#x} < {:?}/{:#x}",
+            at >= self.now,
+            "held key fired backwards: {:?} < {:?}",
             at,
-            top.at,
-            top.rank
+            self.now
         );
-        self.now = top.at;
-        top.at = at;
-        top.rank = rank;
+        self.now = at;
     }
 
     /// Schedule `event` after `delay` from the current time.
@@ -388,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn rekeyed_cursor_pops_like_separately_scheduled_events() {
+    fn held_cursor_fires_like_separately_scheduled_events() {
         // One cursor standing for events at 10, 20 and 40; a plain event
         // at 30 must interleave exactly where it would among four plain
         // entries.
@@ -400,25 +404,44 @@ mod tests {
         assert_eq!(q.len(), 2);
         let mut tail = [20, 40].into_iter();
         let mut fired = Vec::new();
-        while let Some(top) = q.peek() {
-            fired.push(top.at.as_nanos());
-            let next = (top.event == "cursor").then(|| tail.next()).flatten();
-            match next {
-                Some(next) => q.rekey_top(SimTime::from_nanos(next), 0),
-                None => drop(q.pop()),
+        while let Some(e) = q.pop() {
+            fired.push(e.at.as_nanos());
+            if e.event != "cursor" {
+                continue;
             }
-            assert_eq!(q.now().as_nanos(), *fired.last().unwrap());
+            // Hold the cursor while its next key precedes the heap's top.
+            for next in tail.by_ref() {
+                let next = SimTime::from_nanos(next);
+                if q.peek().is_some_and(|top| top.at < next) {
+                    // Popping the pushed-back entry fires `next`.
+                    q.push_cursor(next, 0, "cursor");
+                    break;
+                }
+                q.fire(next);
+                assert_eq!(q.now(), next);
+                fired.push(next.as_nanos());
+            }
         }
         assert_eq!(fired, vec![10, 20, 30, 40]);
-        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "re-keyed backwards")]
-    fn rekey_below_the_fired_key_panics() {
+    #[should_panic(expected = "fired backwards")]
+    fn firing_a_held_key_before_now_panics() {
         let mut q = EventQueue::new();
         q.push_cursor(SimTime::from_nanos(10), 5, ());
-        q.rekey_top(SimTime::from_nanos(10), 4);
+        q.pop();
+        q.fire(SimTime::from_nanos(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn scheduling_before_now_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), ());
+        q.pop();
+        q.schedule_at(SimTime::from_nanos(9), ());
     }
 
     #[test]

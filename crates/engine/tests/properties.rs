@@ -201,19 +201,23 @@ mod grid_properties {
 }
 
 mod cursor_properties {
-    //! A queue walked through cursors pops exactly what the same logical
-    //! events pop when each gets its own entry.
+    //! A queue whose fan-outs are walked through held cursors fires
+    //! exactly what the same logical events pop when each gets its own
+    //! entry — whatever bound or budget interrupts a walk, and whatever
+    //! the handled events schedule in the middle of one.
 
     use pcmac_engine::{EventQueue, SimTime};
     use proptest::prelude::*;
 
     /// A logical event of the model: a transmission launching its
-    /// fan-out, a timer, or one receiver's arrival start / end.
+    /// fan-out, a timer, one receiver's arrival start / end, or what a
+    /// receiver schedules in reaction to an arrival start.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Ev {
         Tx(usize),
         Timer(usize),
         Arrival { fan: usize, node: u32, end: bool },
+        React { fan: usize, node: u32 },
     }
 
     /// What sits in the cursor-driven queue.
@@ -243,112 +247,226 @@ mod cursor_properties {
         }
     }
 
+    /// The scenario: fan-outs, timers, and the reactions — `(delay,
+    /// rank class)` of the plain event an arrival start schedules while
+    /// it is being handled, i.e. in the middle of a walk. Classes 1, 5
+    /// and 7 sit below, between and above the arrival classes 0 and 4, so
+    /// a zero-delay reaction lands at the instant of the list's next
+    /// element with a lower or a higher rank, and a short one strictly
+    /// before it.
+    struct Model {
+        fans: Vec<Fan>,
+        timers: Vec<(u64, u32)>,
+        reacts: Vec<(u64, u8)>,
+    }
+
     type Popped = Vec<(SimTime, u128, Ev)>;
 
-    fn timer_rank(node: u32, token: usize) -> u128 {
-        (6u128 << 96) | ((node as u128) << 64) | token as u128
-    }
-
-    fn seed<E>(q: &mut EventQueue<E>, fans: &[Fan], timers: &[(u64, u32)], wrap: fn(Ev) -> E) {
-        for (f, fan) in fans.iter().enumerate() {
-            let rank = (2u128 << 96) | f as u128;
-            q.schedule_ranked(SimTime::from_nanos(fan.at), rank, wrap(Ev::Tx(f)));
-        }
-        for (i, &(at, node)) in timers.iter().enumerate() {
-            // Pairs of timers share a full `(at, rank)` whenever their
-            // instants agree, so the sequence number arbitrates too.
-            let rank = timer_rank(node, i / 2);
-            q.schedule_ranked(SimTime::from_nanos(at), rank, wrap(Ev::Timer(i)));
-        }
-    }
-
-    /// Reference: every arrival is its own entry. Returns the pop
-    /// sequence, the pending population after `probe` pops, and the
-    /// schedule count.
-    fn one_by_one(fans: &[Fan], timers: &[(u64, u32)], probe: usize) -> (Popped, Popped, u64) {
-        let mut q = EventQueue::new();
-        seed(&mut q, fans, timers, |ev| ev);
-        let (mut popped, mut pending) = (Vec::new(), Vec::new());
-        loop {
-            if popped.len() == probe {
-                pending = q.pending_logical(|e, out| out.push((e.at, e.rank, e.event)));
+    impl Model {
+        fn seed<E>(&self, q: &mut EventQueue<E>, wrap: fn(Ev) -> E) {
+            for (f, fan) in self.fans.iter().enumerate() {
+                let rank = (2u128 << 96) | f as u128;
+                q.schedule_ranked(SimTime::from_nanos(fan.at), rank, wrap(Ev::Tx(f)));
             }
-            let Some(e) = q.pop() else { break };
-            popped.push((e.at, e.rank, e.event));
-            if let Ev::Tx(f) = e.event {
-                for (i, &(_, node)) in fans[f].rx.iter().enumerate() {
+            for (i, &(at, node)) in self.timers.iter().enumerate() {
+                // Pairs of timers share a full `(at, rank)` whenever their
+                // instants agree, so the sequence number arbitrates too.
+                let rank = (6u128 << 96) | ((node as u128) << 64) | (i / 2) as u128;
+                q.schedule_ranked(SimTime::from_nanos(at), rank, wrap(Ev::Timer(i)));
+            }
+        }
+
+        /// The plain event handling `ev` at `at` schedules, if any.
+        fn reaction(&self, at: SimTime, ev: Ev) -> Option<(SimTime, u128, Ev)> {
+            let Ev::Arrival {
+                fan,
+                node,
+                end: false,
+            } = ev
+            else {
+                return None;
+            };
+            if self.reacts.is_empty() {
+                return None;
+            }
+            let (delay, class) = self.reacts[(fan * 8 + node as usize) % self.reacts.len()];
+            // `(fan, node)` names one arrival start, so the rank is unique.
+            let rank = ((class as u128) << 96) | ((node as u128) << 64) | fan as u128;
+            let at = SimTime::from_nanos(at.as_nanos() + delay);
+            Some((at, rank, Ev::React { fan, node }))
+        }
+
+        /// Reference: every arrival is its own entry. Returns the pop
+        /// sequence, the pending population before each pop (and after
+        /// the last), and the schedule count.
+        fn one_by_one(&self) -> (Popped, Vec<Popped>, u64) {
+            let mut q = EventQueue::new();
+            self.seed(&mut q, |ev| ev);
+            let (mut popped, mut pending) = (Vec::new(), Vec::new());
+            loop {
+                pending.push(q.pending_logical(|e, out| out.push((e.at, e.rank, e.event))));
+                let Some(e) = q.pop() else { break };
+                popped.push((e.at, e.rank, e.event));
+                if let Ev::Tx(f) = e.event {
+                    for (i, &(_, node)) in self.fans[f].rx.iter().enumerate() {
+                        for end in [false, true] {
+                            let (at, rank) = self.fans[f].key(f, i, end);
+                            q.schedule_ranked(at, rank, Ev::Arrival { fan: f, node, end });
+                        }
+                    }
+                }
+                if let Some((at, rank, ev)) = self.reaction(e.at, e.event) {
+                    q.schedule_ranked(at, rank, ev);
+                }
+            }
+            (popped, pending, q.scheduled_total())
+        }
+    }
+
+    /// The same model with two cursors per transmission, driven the way
+    /// the simulator drives its queue.
+    struct Walker<'a> {
+        model: &'a Model,
+        q: EventQueue<Entry>,
+        /// Next un-fired receiver per fan-out: [start cursor, end cursor].
+        walked: Vec<[usize; 2]>,
+        popped: Popped,
+    }
+
+    impl<'a> Walker<'a> {
+        fn new(model: &'a Model) -> Self {
+            let mut q = EventQueue::new();
+            model.seed(&mut q, Entry::Plain);
+            Walker {
+                model,
+                q,
+                walked: vec![[0; 2]; model.fans.len()],
+                popped: Vec::new(),
+            }
+        }
+
+        /// Handle one logical event, its key already fired.
+        fn handle(&mut self, at: SimTime, rank: u128, ev: Ev) {
+            assert_eq!(self.q.now(), at, "the clock follows every fired key");
+            self.popped.push((at, rank, ev));
+            if let Ev::Tx(f) = ev {
+                let fan = &self.model.fans[f];
+                if !fan.rx.is_empty() {
+                    self.q.count_scheduled(2 * fan.rx.len() as u64);
                     for end in [false, true] {
-                        let (at, rank) = fans[f].key(f, i, end);
-                        q.schedule_ranked(at, rank, Ev::Arrival { fan: f, node, end });
+                        let (at, rank) = fan.key(f, 0, end);
+                        self.q.push_cursor(at, rank, Entry::Cursor { fan: f, end });
                     }
                 }
             }
+            if let Some((at, rank, ev)) = self.model.reaction(at, ev) {
+                self.q.schedule_ranked(at, rank, Entry::Plain(ev));
+            }
         }
-        (popped, pending, q.scheduled_total())
+
+        /// Fire at most `budget` logical events, all strictly before
+        /// `until`; returns how many fired. No cursor is held on return.
+        fn advance(&mut self, until: SimTime, budget: usize) -> usize {
+            let mut fired = 0;
+            while fired < budget {
+                if self.q.peek().is_none_or(|top| top.at >= until) {
+                    break;
+                }
+                let e = self.q.pop().expect("peeked");
+                let (fan, end) = match e.event {
+                    Entry::Plain(ev) => {
+                        self.handle(e.at, e.rank, ev);
+                        fired += 1;
+                        continue;
+                    }
+                    Entry::Cursor { fan, end } => (fan, end),
+                };
+                // Hold the cursor: walk its list while the next element
+                // precedes everything in the heap, inside bound and budget.
+                let list = &self.model.fans[fan];
+                let mut i = self.walked[fan][end as usize];
+                let mut key = (e.at, e.rank);
+                assert_eq!(key, list.key(fan, i, end), "cursor keyed with its head");
+                loop {
+                    let node = list.rx[i].1;
+                    self.handle(key.0, key.1, Ev::Arrival { fan, node, end });
+                    fired += 1;
+                    i += 1;
+                    if i == list.rx.len() {
+                        break;
+                    }
+                    key = list.key(fan, i, end);
+                    let overtaken = self.q.peek().is_some_and(|top| (top.at, top.rank) < key);
+                    if fired == budget || key.0 >= until || overtaken {
+                        self.q.push_cursor(key.0, key.1, Entry::Cursor { fan, end });
+                        break;
+                    }
+                    self.q.fire(key.0);
+                }
+                self.walked[fan][end as usize] = i;
+            }
+            fired
+        }
+
+        fn pending(&self) -> Popped {
+            self.q.pending_logical(|e, out| match e.event {
+                Entry::Plain(ev) => out.push((e.at, e.rank, ev)),
+                Entry::Cursor { fan, end } => {
+                    let list = &self.model.fans[fan];
+                    for i in self.walked[fan][end as usize]..list.rx.len() {
+                        let (at, rank) = list.key(fan, i, end);
+                        let node = list.rx[i].1;
+                        out.push((at, rank, Ev::Arrival { fan, node, end }));
+                    }
+                }
+            })
+        }
     }
 
-    /// The same model with two cursors per transmission.
-    fn through_cursors(fans: &[Fan], timers: &[(u64, u32)], probe: usize) -> (Popped, Popped, u64) {
-        let mut q = EventQueue::new();
-        seed(&mut q, fans, timers, Entry::Plain);
-        // Next un-fired receiver per fan-out: [start cursor, end cursor].
-        let mut walked = vec![[0usize; 2]; fans.len()];
-        let arrival = |f: usize, i: usize, end: bool| Ev::Arrival {
-            fan: f,
-            node: fans[f].rx[i].1,
-            end,
-        };
-        let (mut popped, mut pending) = (Vec::new(), Vec::new());
-        loop {
-            if popped.len() == probe {
-                pending = q.pending_logical(|e, out| match e.event {
-                    Entry::Plain(ev) => out.push((e.at, e.rank, ev)),
-                    Entry::Cursor { fan, end } => {
-                        for i in walked[fan][end as usize]..fans[fan].rx.len() {
-                            let (at, rank) = fans[fan].key(fan, i, end);
-                            out.push((at, rank, arrival(fan, i, end)));
-                        }
-                    }
-                });
-            }
-            let Some(top) = q.peek() else { break };
-            let (at, rank) = (top.at, top.rank);
-            match top.event {
-                Entry::Plain(ev) => {
-                    q.pop();
-                    popped.push((at, rank, ev));
-                    if let Ev::Tx(f) = ev {
-                        if !fans[f].rx.is_empty() {
-                            q.count_scheduled(2 * fans[f].rx.len() as u64);
-                            for end in [false, true] {
-                                let (at, rank) = fans[f].key(f, 0, end);
-                                q.push_cursor(at, rank, Entry::Cursor { fan: f, end });
-                            }
-                        }
-                    }
-                }
-                Entry::Cursor { fan, end } => {
-                    let i = walked[fan][end as usize];
-                    walked[fan][end as usize] = i + 1;
-                    popped.push((at, rank, arrival(fan, i, end)));
-                    if i + 1 < fans[fan].rx.len() {
-                        let (at, rank) = fans[fan].key(fan, i + 1, end);
-                        q.rekey_top(at, rank);
-                    } else {
-                        q.pop();
-                    }
-                }
-            }
-            assert_eq!(q.now(), at, "the clock follows every fired key");
+    /// The two overtakes, spelled out: a plain event scheduled while an
+    /// arrival is handled fires before
+    /// the list's next element when it shares that element's instant
+    /// under a lower rank, and when it is strictly earlier.
+    #[test]
+    fn an_event_scheduled_mid_walk_overtakes_the_rest_of_the_list() {
+        for (reaction, rx) in [
+            // Nodes 1 and 2 hear the frame at the same instant; node 1's
+            // zero-delay class-1 reaction ranks below node 2's start.
+            ((0, 1), vec![(2, 1), (2, 2)]),
+            // Node 1's reaction at +1 precedes node 2's start at +3.
+            ((1, 7), vec![(2, 1), (5, 2)]),
+        ] {
+            let model = Model {
+                fans: vec![Fan {
+                    at: 10,
+                    airtime: 100,
+                    rx,
+                }],
+                timers: Vec::new(),
+                reacts: vec![reaction],
+            };
+            let (want, _, want_total) = model.one_by_one();
+            let order: Vec<Ev> = want.iter().map(|p| p.2).collect();
+            let start = |node| Ev::Arrival {
+                fan: 0,
+                node,
+                end: false,
+            };
+            let first_react = Ev::React { fan: 0, node: 1 };
+            assert_eq!(order[..4], [Ev::Tx(0), start(1), first_react, start(2)]);
+            let mut walker = Walker::new(&model);
+            walker.advance(SimTime::MAX, usize::MAX);
+            assert_eq!(walker.popped, want);
+            assert_eq!(walker.q.scheduled_total(), want_total);
         }
-        (popped, pending, q.scheduled_total())
     }
 
     proptest! {
         /// Small time ranges force every interesting collision: equal
-        /// delays inside one fan-out, overlapping fan-outs, timers at
-        /// arrival instants, and airtimes shorter than the delay spread
-        /// (the start cursor runs dry while the end cursor is mid-walk).
+        /// delays inside one fan-out, overlapping fan-outs, timers and
+        /// reactions at arrival instants, and airtimes shorter than the
+        /// delay spread (the start cursor runs dry while the end cursor
+        /// is mid-walk).
         #[test]
         fn cursors_pop_the_one_by_one_sequence(
             raw in proptest::collection::vec(
@@ -356,7 +474,8 @@ mod cursor_properties {
                 1..6,
             ),
             timers in proptest::collection::vec((0u64..60, 0u32..8), 0..30),
-            probe in 0usize..150,
+            reacts in proptest::collection::vec((0u64..3, 0usize..3), 0..5),
+            window in 1u64..9,
         ) {
             let fans: Vec<Fan> = raw
                 .into_iter()
@@ -368,13 +487,48 @@ mod cursor_properties {
                     Fan { at, airtime, rx }
                 })
                 .collect();
-            let (want, want_pending, want_total) = one_by_one(&fans, &timers, probe);
-            let (got, got_pending, got_total) = through_cursors(&fans, &timers, probe);
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(got_pending, want_pending);
-            prop_assert_eq!(got_total, want_total);
-            let arrivals: usize = fans.iter().map(|f| 2 * f.rx.len()).sum();
-            prop_assert_eq!(got.len(), fans.len() + timers.len() + arrivals);
+            let reacts = reacts.into_iter().map(|(d, c)| (d, [1u8, 5, 7][c])).collect();
+            let model = Model { fans, timers, reacts };
+            let (want, want_pending, want_total) = model.one_by_one();
+            let arrivals: usize = model.fans.iter().map(|f| 2 * f.rx.len()).sum();
+            prop_assert!(want.len() >= model.fans.len() + model.timers.len() + arrivals);
+
+            // One unbounded advance: walks end only where the heap's top
+            // overtakes them.
+            let mut all = Walker::new(&model);
+            all.advance(SimTime::MAX, usize::MAX);
+            prop_assert_eq!(&all.popped, &want);
+            prop_assert_eq!(all.q.scheduled_total(), want_total);
+            prop_assert!(all.q.is_empty());
+
+            // One event per call: every walk is cut after its head, and
+            // the pending population between any two events is the
+            // reference's.
+            let mut single = Walker::new(&model);
+            loop {
+                prop_assert_eq!(&single.pending(), &want_pending[single.popped.len()]);
+                if single.advance(SimTime::MAX, 1) == 0 {
+                    break;
+                }
+            }
+            prop_assert_eq!(&single.popped, &want);
+            prop_assert_eq!(single.q.scheduled_total(), want_total);
+
+            // Windows: a time bound cuts walks mid-list, nothing at or
+            // past the bound fires early, and the pending population at
+            // each boundary is the reference's.
+            let mut windowed = Walker::new(&model);
+            let mut bound = 0;
+            while !windowed.q.is_empty() {
+                bound += window;
+                let until = SimTime::from_nanos(bound);
+                windowed.advance(until, usize::MAX);
+                prop_assert!(windowed.popped.last().is_none_or(|p| p.0 < until));
+                prop_assert!(windowed.q.peek().is_none_or(|top| top.at >= until));
+                prop_assert_eq!(&windowed.pending(), &want_pending[windowed.popped.len()]);
+            }
+            prop_assert_eq!(&windowed.popped, &want);
+            prop_assert_eq!(windowed.q.scheduled_total(), want_total);
         }
     }
 }
