@@ -22,8 +22,6 @@
 //! expansion, validation, and per-point mean ± CI aggregation with every
 //! spec-file campaign.
 
-pub mod support;
-
 use pcmac::{RunReport, Variant};
 use pcmac_campaign::{run_campaign, AxesSpec, CampaignReport, CampaignSpec, ScenarioSpec};
 use pcmac_stats::{Series, Table};

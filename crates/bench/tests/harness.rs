@@ -169,3 +169,49 @@ fn tiny_sweep_runs_end_to_end() {
         assert!(v.get("throughput_kbps").is_some());
     }
 }
+
+/// The three artifact pipelines, driven once at reduced scale so they
+/// keep running under `cargo test`: the Figure 8 / Figure 9 sweep (two
+/// loads, 12 s, one seed) through the same series builders and shape
+/// checks the `fig8_throughput` / `fig9_delay` binaries use, and the
+/// §IV power-level table against the ranges the paper quotes, as
+/// `table_power_levels` computes it.
+#[test]
+fn reduced_figure_and_table_pipelines_keep_their_shape() {
+    let result = Sweep {
+        loads: vec![300.0, 1000.0],
+        secs: 12,
+        seeds: vec![1],
+        threads: 0,
+    }
+    .run();
+    let throughput = result.throughput_series();
+    if let Err(e) = check_figure8_shape(&throughput) {
+        panic!(
+            "figure 8 shape violated: {e}\n{}",
+            result.render_table("thpt", &throughput)
+        );
+    }
+    let delay = result.delay_series();
+    if let Err(e) = check_figure9_shape(&delay) {
+        panic!(
+            "figure 9 shape violated: {e}\n{}",
+            result.render_table("delay", &delay)
+        );
+    }
+
+    use pcmac_phy::{PowerLevels, Propagation, TwoRayGround};
+    let model = TwoRayGround::ns2_default();
+    let paper = [
+        40.0, 60.0, 80.0, 90.0, 100.0, 110.0, 120.0, 150.0, 180.0, 250.0,
+    ];
+    let levels = PowerLevels::paper_defaults();
+    assert_eq!(levels.all().len(), paper.len());
+    for (&p, want) in levels.all().iter().zip(paper) {
+        let decode = model.range_for(p, pcmac_engine::Milliwatts(3.652e-7));
+        assert!(
+            (decode - want).abs() <= 4.0,
+            "{p:?} decodes to {decode:.1} m, paper quotes {want} m"
+        );
+    }
+}

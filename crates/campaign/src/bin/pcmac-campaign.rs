@@ -64,12 +64,17 @@ commands:
         time, class, node, and rank. Exit 0 when the runs are
         bit-identical, 1 with the triage report when they diverge
   dashboard [DIR] [--baseline DIR] [--band PCT] [--out FILE]
-        render the BENCH_*.json / CAMPAIGN_*.json / METRICS_*.json
-        artifacts in DIR (default .) into markdown (default
-        DIR/DASHBOARD.md; `-` prints to stdout). With --baseline, gate:
-        compare bench speedups and METRICS events/sec against the
-        baseline directory's artifacts and exit 1 if any fell more than
-        --band percent (default 20) below it
+        render the repo benchmark's end-to-end table (medians with
+        min / max / n from DIR/benchmark/out/result.json, which the
+        harness writes in all-workloads mode) and the CAMPAIGN_*.json /
+        METRICS_*.json artifacts in DIR (default .) into markdown
+        (default DIR/DASHBOARD.md; `-` prints to stdout). With
+        --baseline, gate against that directory's result.json and
+        METRICS_*.json and exit 1 on a regression: peak_rss_mib worse
+        than its BENCHMARK.json bound; a timing metric worse than its
+        bound with every run outside the baseline's [min, max] (inside
+        it the metric is printed as unresolved); METRICS events/sec more
+        than --band percent (default 20) below the baseline
   example
         print a starter campaign spec (pipe into a .json file to begin)";
 
@@ -356,17 +361,21 @@ fn cmd_dashboard(args: &[String]) -> Result<(), String> {
         let baseline = std::path::Path::new(baseline);
         let base = dashboard::scan(baseline)
             .map_err(|e| format!("scan baseline {}: {e}", baseline.display()))?;
-        let regressions = dashboard::compare(&snap, &base, band);
-        if !regressions.is_empty() {
+        let gate = dashboard::compare(&snap, &base, band);
+        for line in &gate.unresolved {
+            eprintln!("perf gate: unresolved (runs overlap the baseline's): {line}");
+        }
+        if !gate.regressions.is_empty() {
             return Err(format!(
-                "perf gate: {} regression(s) beyond the {band:.0}% band:\n  - {}",
-                regressions.len(),
-                regressions.join("\n  - ")
+                "perf gate: {} regression(s):\n  - {}",
+                gate.regressions.len(),
+                gate.regressions.join("\n  - ")
             ));
         }
         eprintln!(
-            "perf gate: {} bench speedup(s) and {} events/sec mean(s) within the {band:.0}% band",
-            base.bench_speedups.len(),
+            "perf gate: end-to-end metrics within their BENCHMARK.json bounds ({} unresolved), \
+             {} events/sec mean(s) within the {band:.0}% band",
+            gate.unresolved.len(),
             base.events_per_sec.len()
         );
     }

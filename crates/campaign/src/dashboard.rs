@@ -1,18 +1,24 @@
-//! Cross-commit performance dashboard over committed artifacts.
+//! Cross-commit performance dashboard over run artifacts.
 //!
-//! Every run of the bench and campaign drivers leaves machine-readable
-//! JSON at the repo root (`BENCH_*.json`, `CAMPAIGN_*.json`,
-//! `METRICS_*.json`). This module renders one markdown page over all of
-//! them ([`render`]) and — given a second directory holding the
-//! previous commit's artifacts — compares the perf-bearing numbers
-//! within a tolerance band ([`compare`]), turning the CI perf smoke
-//! into a regression *gate* instead of a trend log nobody reads.
+//! The repo benchmark (`benchmark/`, declared by `BENCHMARK.json`) is the
+//! one place a performance number is read: run in all-workloads mode it
+//! writes `benchmark/out/result.json` — per workload and metric a median
+//! with min, max and n. The campaign driver leaves `CAMPAIGN_*.json` and
+//! `METRICS_*.json` at the repo root. This module renders one markdown
+//! page over all of them ([`render`]) and — given a second directory
+//! holding the previous commit's artifacts — gates on them
+//! ([`compare`]): each end-to-end benchmark metric against the bound
+//! `BENCHMARK.json` fixes for it, and events per wall-second of the
+//! `METRICS_*.json` runs within a tolerance band.
 //!
-//! The comparison deliberately sticks to ratio-style metrics (bench
-//! speedups, events per wall-second) because those are what the repo's
-//! optimisation claims are phrased in; the simulation-quality metrics
-//! in `CAMPAIGN_*.json` are deterministic in the seed and guarded by
-//! tests, so the dashboard renders but never gates on them.
+//! A timing read on a shared runner is noisy, so a timing metric fails
+//! the gate only when the medians differ by more than the bound *and*
+//! the two `[min, max]` ranges do not overlap; a median past the bound
+//! inside overlapping ranges is reported as unresolved, not as a
+//! regression. Memory does not depend on the host's speed and fails on
+//! the bound alone. The simulation-quality metrics in `CAMPAIGN_*.json`
+//! are deterministic in the seed and guarded by tests, so the dashboard
+//! renders but never gates on them.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -91,29 +97,94 @@ impl MetricsArtifact {
     }
 }
 
+/// One end-to-end metric as `BENCHMARK.json` declares it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bound {
+    /// Metric name (`ns_per_event`, `setup_s`, `peak_rss_mib`).
+    pub metric: String,
+    /// `true` when a lower value is the better one.
+    pub lower_is_better: bool,
+    /// Largest tolerated relative worsening of the median.
+    pub bound: f64,
+}
+
+/// One `(workload, metric)` cell of the harness's `result.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchStat {
+    /// Workload name.
+    pub workload: String,
+    /// Metric name.
+    pub metric: String,
+    /// Unit as the harness printed it (`ns`, `s`, `MiB`, …).
+    pub unit: String,
+    /// Median over the repetitions.
+    pub median: f64,
+    /// Fastest / smallest repetition.
+    pub min: f64,
+    /// Slowest / largest repetition.
+    pub max: f64,
+    /// Repetitions behind the median.
+    pub n: u64,
+}
+
+impl BenchStat {
+    /// Wall-clock metrics follow the host; everything else repeats.
+    fn is_timing(&self) -> bool {
+        matches!(self.unit.as_str(), "ns" | "s")
+    }
+}
+
 /// One artifact directory scanned into the numbers the dashboard
 /// renders and the gate compares.
 #[derive(Debug, Default)]
 pub struct Snapshot {
-    /// `(file stem, row label, speedup)` per `BENCH_*.json` result row.
-    pub bench_speedups: Vec<(String, String, f64)>,
-    /// `(file stem, row label, peak RSS bytes)` per bench result row
-    /// carrying a `peak_rss_bytes` field (the parallel bench's per-row
-    /// child-process `VmHWM` probes).
-    pub bench_memory: Vec<(String, String, u64)>,
+    /// The end-to-end metrics and bounds of `BENCHMARK.json` (empty when
+    /// the directory has none — a baseline directory never does).
+    pub bounds: Vec<Bound>,
+    /// Every cell of the repo benchmark's `result.json` (empty when the
+    /// harness has not been run in all-workloads mode).
+    pub bench: Vec<BenchStat>,
     /// `(file stem, mean events/sec across runs)` per `METRICS_*.json`.
     pub events_per_sec: Vec<(String, f64)>,
+    /// The `result.json` header line: seed, seconds, operations, failed.
+    bench_header: String,
     /// Raw parsed artifacts for rendering: `(file name, value)`.
-    benches: Vec<(String, Value)>,
     campaigns: Vec<(String, Value)>,
     metrics: Vec<(String, MetricsArtifact)>,
 }
 
-/// Scan `dir` for the three artifact families. Unparseable files are
-/// skipped with a stderr note rather than failing the whole dashboard —
-/// a half-written artifact should not hide the rest.
+/// Scan `dir` for the artifact families: `BENCHMARK.json`, the repo
+/// benchmark's result (`benchmark/out/result.json` where the harness
+/// wrote it, or a bare `result.json` in a stashed baseline directory),
+/// and the campaign driver's `CAMPAIGN_*.json` / `METRICS_*.json`.
+/// Unparseable files are skipped with a stderr note rather than failing
+/// the whole dashboard — a half-written artifact should not hide the
+/// rest.
 pub fn scan(dir: &Path) -> std::io::Result<Snapshot> {
     let mut snap = Snapshot::default();
+    let parsed = |path: &Path| -> Option<Value> {
+        let text = std::fs::read_to_string(path).ok()?;
+        serde_json::from_str::<Value>(&text)
+            .map_err(|e| eprintln!("skipping {}: {e}", path.display()))
+            .ok()
+    };
+    if let Some(v) = parsed(&dir.join("BENCHMARK.json")) {
+        snap.bounds = parse_bounds(&v);
+    }
+    let result = ["benchmark/out/result.json", "result.json"]
+        .iter()
+        .find_map(|rel| parsed(&dir.join(rel)));
+    if let Some(v) = result {
+        snap.bench = parse_result(&v);
+        let field = |key: &str| v.get(key).map_or_else(|| "?".into(), scalar_str);
+        snap.bench_header = format!(
+            "seed {}, {} s per run, {} operations, {} failed",
+            field("seed"),
+            field("seconds"),
+            field("attempted"),
+            field("failed")
+        );
+    }
     let mut names: Vec<String> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().into_string().ok())
@@ -122,24 +193,14 @@ pub fn scan(dir: &Path) -> std::io::Result<Snapshot> {
     names.sort();
     for name in names {
         let path = dir.join(&name);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        if name.starts_with("BENCH_") {
-            match serde_json::from_str::<Value>(&text) {
-                Ok(v) => {
-                    collect_bench_speedups(&name, &v, &mut snap.bench_speedups);
-                    collect_bench_memory(&name, &v, &mut snap.bench_memory);
-                    snap.benches.push((name, v));
-                }
-                Err(e) => eprintln!("skipping {name}: {e}"),
-            }
-        } else if name.starts_with("CAMPAIGN_") {
-            match serde_json::from_str::<Value>(&text) {
-                Ok(v) => snap.campaigns.push((name, v)),
-                Err(e) => eprintln!("skipping {name}: {e}"),
+        if name.starts_with("CAMPAIGN_") {
+            if let Some(v) = parsed(&path) {
+                snap.campaigns.push((name, v));
             }
         } else if name.starts_with("METRICS_") {
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
+            };
             match MetricsArtifact::from_json(&text) {
                 Ok(a) => {
                     let n = a.runs.len() as f64;
@@ -154,55 +215,43 @@ pub fn scan(dir: &Path) -> std::io::Result<Snapshot> {
     Ok(snap)
 }
 
-/// Pull every `speedup*` field out of a bench artifact's result rows,
-/// labelling each row by its non-timing coordinates (`n`, `mobility`).
-fn collect_bench_speedups(file: &str, v: &Value, out: &mut Vec<(String, String, f64)>) {
-    let Some(rows) = v.get("results").and_then(Value::as_seq) else {
-        return;
-    };
-    for row in rows {
-        let Some(fields) = row.as_map() else { continue };
-        let mut label = String::new();
-        for key in ["n", "mobility", "shards"] {
-            if let Some(val) = row.get(key) {
-                if !label.is_empty() {
-                    label.push(' ');
-                }
-                let _ = write!(label, "{key}={}", scalar_str(val));
-            }
-        }
-        for (k, val) in fields {
-            if k.starts_with("speedup") {
-                if let Some(s) = val.as_f64() {
-                    out.push((file.to_string(), format!("{label} {k}"), s));
-                }
-            }
-        }
-    }
+/// The `end_to_end` entries of a parsed `BENCHMARK.json`.
+fn parse_bounds(v: &Value) -> Vec<Bound> {
+    let entries = v.get("end_to_end").and_then(Value::as_seq).unwrap_or(&[]);
+    entries
+        .iter()
+        .filter_map(|e| {
+            Some(Bound {
+                metric: e.get("name")?.as_str()?.to_string(),
+                lower_is_better: e.get("better")?.as_str()? == "lower",
+                bound: e.get("bound")?.as_f64()?,
+            })
+        })
+        .collect()
 }
 
-/// Pull every `peak_rss_bytes` field out of a bench artifact's result
-/// rows, labelled like [`collect_bench_speedups`] so current and
-/// baseline rows pair up in the gate.
-fn collect_bench_memory(file: &str, v: &Value, out: &mut Vec<(String, String, u64)>) {
-    let Some(rows) = v.get("results").and_then(Value::as_seq) else {
-        return;
-    };
-    for row in rows {
-        let Some(bytes) = row.get("peak_rss_bytes").and_then(Value::as_u64) else {
-            continue;
-        };
-        let mut label = String::new();
-        for key in ["n", "mobility", "shards"] {
-            if let Some(val) = row.get(key) {
-                if !label.is_empty() {
-                    label.push(' ');
-                }
-                let _ = write!(label, "{key}={}", scalar_str(val));
-            }
+/// Every `(workload, metric)` cell of a parsed `result.json`; cells
+/// missing a field are skipped.
+fn parse_result(v: &Value) -> Vec<BenchStat> {
+    let mut out = Vec::new();
+    let workloads = v.get("workloads").and_then(Value::as_map).unwrap_or(&[]);
+    for (workload, metrics) in workloads {
+        for (metric, cell) in metrics.as_map().unwrap_or(&[]) {
+            let stat = || {
+                Some(BenchStat {
+                    workload: workload.clone(),
+                    metric: metric.clone(),
+                    unit: cell.get("unit")?.as_str()?.to_string(),
+                    median: cell.get("median")?.as_f64()?,
+                    min: cell.get("min")?.as_f64()?,
+                    max: cell.get("max")?.as_f64()?,
+                    n: cell.get("n")?.as_u64()?,
+                })
+            };
+            out.extend(stat());
         }
-        out.push((file.to_string(), label, bytes));
     }
+    out
 }
 
 fn scalar_str(v: &Value) -> String {
@@ -226,6 +275,9 @@ fn format_num(f: f64) -> String {
         format!("{f:.0}")
     } else if f.abs() >= 1000.0 {
         format!("{f:.1}")
+    } else if f.abs() < 0.01 {
+        // Sub-millisecond set-up times would all read "0.000".
+        format!("{f:.2e}")
     } else {
         format!("{f:.3}")
     }
@@ -236,22 +288,45 @@ pub fn render(snap: &Snapshot) -> String {
     let mut md = String::new();
     md.push_str("# Performance dashboard\n\n");
     md.push_str(
-        "Rendered by `pcmac-campaign dashboard` from the committed \
-         `BENCH_*.json`, `CAMPAIGN_*.json`, and `METRICS_*.json` \
-         artifacts. Regenerate after refreshing any of them.\n",
+        "Rendered by `pcmac-campaign dashboard` from the repo benchmark's \
+         `benchmark/out/result.json` and the committed `CAMPAIGN_*.json` \
+         and `METRICS_*.json` artifacts. Regenerate after refreshing any \
+         of them.\n",
     );
 
-    md.push_str("\n## Benches\n");
-    if snap.benches.is_empty() {
-        md.push_str("\n_No `BENCH_*.json` artifacts found._\n");
-    }
-    for (file, v) in &snap.benches {
-        let _ = writeln!(md, "\n### {file}");
-        if let Some(desc) = v.get("description").and_then(Value::as_str) {
-            let _ = writeln!(md, "\n{desc}");
-        }
-        if let Some(rows) = v.get("results").and_then(Value::as_seq) {
-            render_generic_table(&mut md, rows);
+    md.push_str("\n## Repo benchmark\n");
+    let rows: Vec<(&BenchStat, &Bound)> = snap
+        .bench
+        .iter()
+        .filter_map(|s| Some((s, snap.bounds.iter().find(|b| b.metric == s.metric)?)))
+        .collect();
+    if rows.is_empty() {
+        md.push_str(
+            "\n_No repo-benchmark result: run the harness in all-workloads mode \
+             (`benchmark/README.md`) to write `benchmark/out/result.json`._\n",
+        );
+    } else {
+        let _ = writeln!(
+            md,
+            "\nEnd-to-end metrics of `benchmark/out/result.json` ({}); the bound is the \
+             relative worsening of the median `BENCHMARK.json` tolerates.\n",
+            snap.bench_header
+        );
+        md.push_str("| workload | metric | median | min | max | n | bound |\n");
+        md.push_str("|---|---|---|---|---|---|---|\n");
+        for (s, b) in rows {
+            let _ = writeln!(
+                md,
+                "| {} | {} ({}) | {} | {} | {} | {} | {:.0}% |",
+                s.workload,
+                s.metric,
+                s.unit,
+                format_num(s.median),
+                format_num(s.min),
+                format_num(s.max),
+                s.n,
+                b.bound * 100.0
+            );
         }
     }
 
@@ -325,120 +400,88 @@ pub fn render(snap: &Snapshot) -> String {
     md
 }
 
-/// Render a sequence of JSON maps as markdown tables: rows sharing a
-/// key set share a table whose columns are their keys (insertion order),
-/// tables in first-seen order. A table whose rows carry a `bench_section`
-/// name is labelled with it instead of repeating it in every row — that
-/// is how an artifact's odd-shaped rows (e.g. `BENCH_parallel.json`'s
-/// `checkpoint_overhead`) appear under their own columns rather than as
-/// a line of dashes under the first row's.
-fn render_generic_table(md: &mut String, rows: &[Value]) {
-    let mut shapes: Vec<(Vec<&str>, Vec<&Value>)> = Vec::new();
-    for row in rows {
-        let Some(map) = row.as_map() else { continue };
-        let mut keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
-        keys.sort_unstable();
-        match shapes.iter_mut().find(|(k, _)| *k == keys) {
-            Some((_, same)) => same.push(row),
-            None => shapes.push((keys, vec![row])),
-        }
+/// What the gate found against a baseline.
+#[derive(Debug, Default, PartialEq)]
+pub struct GateReport {
+    /// One message per regression (empty = the gate passes).
+    pub regressions: Vec<String>,
+    /// Timing medians past their bound whose `[min, max]` ranges still
+    /// overlap the baseline's: too noisy to call either way.
+    pub unresolved: Vec<String>,
+}
+
+/// How one benchmark cell compares with its baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Pass,
+    Fail,
+    Unresolved,
+}
+
+fn judge(bound: &Bound, cur: &BenchStat, base: &BenchStat) -> Verdict {
+    let worsening = if bound.lower_is_better {
+        cur.median / base.median - 1.0
+    } else {
+        1.0 - cur.median / base.median
+    };
+    // NaN (a zero or missing baseline) compares false: nothing to gate.
+    if worsening.is_nan() || worsening <= bound.bound {
+        return Verdict::Pass;
     }
-    for (_, rows) in &shapes {
-        let first = rows[0].as_map().expect("only maps were grouped");
-        let section = rows[0].get("bench_section").map(scalar_str);
-        let cols: Vec<&str> = first
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .filter(|&c| !(c == "bench_section" && section.is_some()))
-            .collect();
-        let headers: Vec<&str> = cols
-            .iter()
-            .map(|&c| {
-                if c == "peak_rss_bytes" {
-                    "peak RSS (MiB)"
-                } else {
-                    c
-                }
-            })
-            .collect();
-        md.push('\n');
-        if let Some(section) = &section {
-            let _ = writeln!(md, "`{section}`\n");
-        }
-        let _ = writeln!(md, "| {} |", headers.join(" | "));
-        let _ = writeln!(md, "|{}", "---|".repeat(cols.len()));
-        for row in rows {
-            let cells: Vec<String> = cols
-                .iter()
-                .map(|&c| match row.get(c) {
-                    Some(v) if c == "peak_rss_bytes" => v
-                        .as_u64()
-                        .map(|b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
-                        .unwrap_or_else(|| scalar_str(v)),
-                    Some(v) => scalar_str(v),
-                    None => "-".into(),
-                })
-                .collect();
-            let _ = writeln!(md, "| {} |", cells.join(" | "));
-        }
+    let overlapping = cur.min <= base.max && base.min <= cur.max;
+    if cur.is_timing() && overlapping {
+        Verdict::Unresolved
+    } else {
+        Verdict::Fail
     }
 }
 
-/// Ceiling for per-row peak-RSS growth against the baseline artifact:
-/// a bench row using over 20% more memory than the committed baseline
-/// fails the gate regardless of the (speed-oriented) `band_pct` — the
-/// owner-only shard memory model is a headline claim, and a silent
-/// creep back toward full replicas would not show up in speedups.
-const MEMORY_BAND_PCT: f64 = 20.0;
-
-/// Compare the perf-bearing numbers of `current` against `baseline`:
-/// every bench speedup and every METRICS events/sec mean must stay
-/// within `band_pct` percent of the baseline value, and every bench
-/// row's peak RSS must stay under [`MEMORY_BAND_PCT`] percent *above*
-/// its baseline. Returns one message per regression (empty = gate
-/// passes). Rows present on only one side are ignored — adding a bench
-/// size or a campaign must not fail CI.
-pub fn compare(current: &Snapshot, baseline: &Snapshot, band_pct: f64) -> Vec<String> {
+/// Compare `current` against `baseline`: every end-to-end repo-benchmark
+/// metric against its `BENCHMARK.json` bound (see the module docs for
+/// the timing rule), and every METRICS events/sec mean within
+/// `band_pct` percent of the baseline value. Cells present on only one
+/// side are ignored — adding a workload or a campaign must not fail CI.
+pub fn compare(current: &Snapshot, baseline: &Snapshot, band_pct: f64) -> GateReport {
+    let mut report = GateReport::default();
+    for base in &baseline.bench {
+        let Some(bound) = current.bounds.iter().find(|b| b.metric == base.metric) else {
+            continue;
+        };
+        let Some(cur) = current
+            .bench
+            .iter()
+            .find(|c| c.workload == base.workload && c.metric == base.metric)
+        else {
+            continue;
+        };
+        let line = || {
+            format!(
+                "{} {}: median {} {} [{} .. {}] against the baseline's {} [{} .. {}], bound {:.0}%",
+                cur.workload,
+                cur.metric,
+                format_num(cur.median),
+                cur.unit,
+                format_num(cur.min),
+                format_num(cur.max),
+                format_num(base.median),
+                format_num(base.min),
+                format_num(base.max),
+                bound.bound * 100.0
+            )
+        };
+        match judge(bound, cur, base) {
+            Verdict::Pass => {}
+            Verdict::Fail => report.regressions.push(line()),
+            Verdict::Unresolved => report.unresolved.push(line()),
+        }
+    }
     let floor = 1.0 - band_pct / 100.0;
-    let mut regressions = Vec::new();
-    for (file, label, base) in &baseline.bench_memory {
-        let Some((_, _, cur)) = current
-            .bench_memory
-            .iter()
-            .find(|(f, l, _)| f == file && l == label)
-        else {
-            continue;
-        };
-        let ceiling = (*base as f64 * (1.0 + MEMORY_BAND_PCT / 100.0)) as u64;
-        if *base > 0 && *cur > ceiling {
-            regressions.push(format!(
-                "{file} {label}: peak RSS {} MiB grew more than {MEMORY_BAND_PCT:.0}% above                  the baseline {} MiB",
-                *cur / (1024 * 1024),
-                *base / (1024 * 1024),
-            ));
-        }
-    }
-    for (file, label, base) in &baseline.bench_speedups {
-        let Some((_, _, cur)) = current
-            .bench_speedups
-            .iter()
-            .find(|(f, l, _)| f == file && l == label)
-        else {
-            continue;
-        };
-        if *base > 0.0 && *cur < base * floor {
-            regressions.push(format!(
-                "{file} {label}: speedup {cur:.3} fell more than {band_pct:.0}% below \
-                 the baseline {base:.3}"
-            ));
-        }
-    }
     for (file, base) in &baseline.events_per_sec {
         let Some((_, cur)) = current.events_per_sec.iter().find(|(f, _)| f == file) else {
             continue;
         };
         if *base > 0.0 && *cur < base * floor {
-            regressions.push(format!(
+            report.regressions.push(format!(
                 "{file}: mean events/sec {} fell more than {band_pct:.0}% below the \
                  baseline {}",
                 format_num(*cur),
@@ -446,127 +489,154 @@ pub fn compare(current: &Snapshot, baseline: &Snapshot, band_pct: f64) -> Vec<St
             ));
         }
     }
-    regressions
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap_with(speedup: f64, eps: f64) -> Snapshot {
+    const BENCHMARK: &str = r#"{"end_to_end":[
+        {"name":"ns_per_event","unit":"ns","better":"lower","bound":0.25},
+        {"name":"peak_rss_mib","unit":"MiB","better":"lower","bound":0.15}],
+        "per_layer":[{"name":"core.sim.run_s","unit":"s","better":"lower"}]}"#;
+
+    fn stat(metric: &str, unit: &str, median: f64, min: f64, max: f64) -> BenchStat {
+        BenchStat {
+            workload: "static_field".into(),
+            metric: metric.into(),
+            unit: unit.into(),
+            median,
+            min,
+            max,
+            n: 5,
+        }
+    }
+
+    fn snap_with(bench: Vec<BenchStat>, eps: f64) -> Snapshot {
         Snapshot {
-            bench_speedups: vec![(
-                "BENCH_mobility.json".into(),
-                "n=200 mobility=waypoint speedup".into(),
-                speedup,
-            )],
+            bounds: parse_bounds(&serde_json::from_str(BENCHMARK).unwrap()),
+            bench,
             events_per_sec: vec![("METRICS_churn.json".into(), eps)],
             ..Snapshot::default()
         }
     }
 
-    fn snap_with_memory(bytes: u64) -> Snapshot {
-        Snapshot {
-            bench_memory: vec![(
-                "BENCH_parallel.json".into(),
-                "n=64000 shards=8".into(),
-                bytes,
-            )],
-            ..Snapshot::default()
-        }
-    }
-
     #[test]
-    fn memory_gate_fails_only_past_twenty_percent_growth() {
-        let base = snap_with_memory(100 * 1024 * 1024);
-        let ok = snap_with_memory(115 * 1024 * 1024);
-        assert!(compare(&ok, &base, 10.0).is_empty());
-        let shrink = snap_with_memory(40 * 1024 * 1024);
-        assert!(
-            compare(&shrink, &base, 10.0).is_empty(),
-            "shrinking never gates"
-        );
-        let bad = snap_with_memory(130 * 1024 * 1024);
-        let regressions = compare(&bad, &base, 10.0);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("peak RSS"));
-    }
+    fn benchmark_declaration_and_result_parse() {
+        let bounds = parse_bounds(&serde_json::from_str(BENCHMARK).unwrap());
+        assert_eq!(bounds.len(), 2, "per-layer metrics carry no bound");
+        assert_eq!(bounds[1].metric, "peak_rss_mib");
+        assert!(bounds[1].lower_is_better);
+        assert_eq!(bounds[1].bound, 0.15);
 
-    #[test]
-    fn bench_memory_rows_are_collected_and_labelled() {
-        let v: Value = serde_json::from_str(
-            r#"{"bench":"parallel","results":[
-                {"n":4000,"shards":0,"peak_rss_bytes":1048576},
-                {"n":4000,"shards":8,"peak_rss_bytes":2097152},
-                {"n":16000,"shards":4}]}"#,
+        let result: Value = serde_json::from_str(
+            r#"{"seed":13,"seconds":2.0,"attempted":204,"failed":0,"workloads":{
+                "static_field":{
+                  "ns_per_event":{"median":170.5,"min":160.0,"max":190.25,"n":5,"unit":"ns"},
+                  "core.sim.run_s":{"median":2.0,"min":2.0,"max":2.0,"n":1,"unit":"s"},
+                  "half_written":{"median":1.0}},
+                "paper_mobile":{
+                  "peak_rss_mib":{"median":15.5,"min":15.0,"max":16.0,"n":5,"unit":"MiB"}}}}"#,
         )
         .unwrap();
-        let mut out = Vec::new();
-        collect_bench_memory("BENCH_parallel.json", &v, &mut out);
-        assert_eq!(out.len(), 2, "rows without the field are skipped");
-        assert_eq!(out[0].1, "n=4000 shards=0");
-        assert_eq!(out[1].2, 2_097_152);
+        let cells = parse_result(&result);
+        assert_eq!(cells.len(), 3, "the cell without min/max/n/unit is skipped");
+        assert_eq!(cells[0], stat("ns_per_event", "ns", 170.5, 160.0, 190.25));
+        assert_eq!(cells[2].workload, "paper_mobile");
+        assert!(cells[0].is_timing() && !cells[2].is_timing());
     }
 
     #[test]
-    fn odd_shaped_bench_rows_get_their_own_labelled_table() {
-        let v: Value = serde_json::from_str(
-            r#"[{"n":4000,"shards":0,"wall_ns":5.0},
-                {"n":4000,"shards":2,"wall_ns":7.0},
-                {"bench_section":"checkpoint_overhead","n":64000,"checkpoints":3},
-                {"n":16000,"shards":0,"wall_ns":9.0}]"#,
-        )
-        .unwrap();
-        let mut md = String::new();
-        render_generic_table(&mut md, v.as_seq().unwrap());
-        assert_eq!(
-            md,
-            "\n| n | shards | wall_ns |\n|---|---|---|\n\
-             | 4000 | 0 | 5 |\n| 4000 | 2 | 7 |\n| 16000 | 0 | 9 |\n\
-             \n`checkpoint_overhead`\n\n| n | checkpoints |\n|---|---|\n| 64000 | 3 |\n"
-        );
+    fn scan_reads_the_harness_result_and_tolerates_its_absence() {
+        let dir = std::env::temp_dir().join(format!("pcmac-dashboard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("benchmark/out")).unwrap();
+        std::fs::write(dir.join("BENCHMARK.json"), BENCHMARK).unwrap();
+
+        let empty = scan(&dir).expect("scans");
+        assert!(empty.bench.is_empty());
+        assert!(render(&empty).contains("_No repo-benchmark result"));
+
+        let result = r#"{"seed":1,"seconds":5.0,"attempted":8,"failed":0,"workloads":{
+            "static_field":{"peak_rss_mib":{"median":68.0,"min":67.5,"max":68.5,"n":5,"unit":"MiB"},
+            "core.sim.run_s":{"median":2.0,"min":2.0,"max":2.0,"n":1,"unit":"s"}}}}"#;
+        std::fs::write(dir.join("benchmark/out/result.json"), result).unwrap();
+        let snap = scan(&dir).expect("scans");
+        let md = render(&snap);
         assert!(
-            !md.contains("| - |"),
-            "no row is squeezed under foreign columns"
+            md.contains("| static_field | peak_rss_mib (MiB) | 68 | 67.500 | 68.500 | 5 | 15% |"),
+            "{md}"
         );
+        assert!(!md.contains("core.sim.run_s"), "end-to-end metrics only");
+
+        // A stashed baseline is the bare file, without BENCHMARK.json.
+        let base = dir.join("baseline");
+        std::fs::create_dir_all(&base).unwrap();
+        std::fs::write(base.join("result.json"), result).unwrap();
+        let baseline = scan(&base).expect("scans");
+        assert_eq!(baseline.bench, snap.bench);
+        assert_eq!(compare(&snap, &baseline, 20.0), GateReport::default());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_fails_on_the_bound_alone() {
+        let base = snap_with(vec![stat("peak_rss_mib", "MiB", 68.0, 60.0, 90.0)], 1.0);
+        let ok = snap_with(vec![stat("peak_rss_mib", "MiB", 78.0, 60.0, 90.0)], 1.0);
+        assert_eq!(compare(&ok, &base, 20.0), GateReport::default());
+        let shrink = snap_with(vec![stat("peak_rss_mib", "MiB", 30.0, 29.0, 31.0)], 1.0);
+        assert_eq!(compare(&shrink, &base, 20.0), GateReport::default());
+        // Overlapping ranges do not excuse a deterministic metric.
+        let bad = snap_with(vec![stat("peak_rss_mib", "MiB", 79.0, 60.0, 90.0)], 1.0);
+        let gate = compare(&bad, &base, 20.0);
+        assert_eq!(gate.regressions.len(), 1, "{gate:?}");
+        assert!(gate.regressions[0].contains("static_field peak_rss_mib"));
+        assert!(gate.unresolved.is_empty());
+    }
+
+    #[test]
+    fn timing_passes_fails_or_stays_unresolved() {
+        let base = snap_with(vec![stat("ns_per_event", "ns", 100.0, 95.0, 120.0)], 1.0);
+        let within = snap_with(vec![stat("ns_per_event", "ns", 124.0, 121.0, 140.0)], 1.0);
+        assert_eq!(compare(&within, &base, 20.0), GateReport::default());
+        // Past the bound, every run slower than every baseline run.
+        let slower = snap_with(vec![stat("ns_per_event", "ns", 130.0, 121.0, 140.0)], 1.0);
+        let gate = compare(&slower, &base, 20.0);
+        assert_eq!((gate.regressions.len(), gate.unresolved.len()), (1, 0));
+        // Past the bound, but its fastest run beats the baseline's slowest.
+        let noisy = snap_with(vec![stat("ns_per_event", "ns", 130.0, 110.0, 140.0)], 1.0);
+        let gate = compare(&noisy, &base, 20.0);
+        assert_eq!((gate.regressions.len(), gate.unresolved.len()), (0, 1));
+        assert!(gate.unresolved[0].contains("ns_per_event"));
     }
 
     #[test]
     fn gate_passes_within_band() {
-        let base = snap_with(1.5, 100_000.0);
-        let cur = snap_with(1.45, 95_000.0);
-        assert!(compare(&cur, &base, 10.0).is_empty());
+        let base = snap_with(Vec::new(), 100_000.0);
+        let cur = snap_with(Vec::new(), 95_000.0);
+        assert_eq!(compare(&cur, &base, 10.0), GateReport::default());
     }
 
     #[test]
     fn gate_fails_beyond_band() {
-        let base = snap_with(1.5, 100_000.0);
-        let cur = snap_with(1.2, 80_000.0);
-        let regressions = compare(&cur, &base, 10.0);
-        assert_eq!(regressions.len(), 2, "{regressions:?}");
+        let base = snap_with(Vec::new(), 100_000.0);
+        let cur = snap_with(Vec::new(), 80_000.0);
+        let gate = compare(&cur, &base, 10.0);
+        assert_eq!(gate.regressions.len(), 1, "{gate:?}");
     }
 
     #[test]
     fn missing_rows_do_not_gate() {
-        let base = snap_with(1.5, 100_000.0);
+        let base = snap_with(vec![stat("ns_per_event", "ns", 1.0, 1.0, 1.0)], 100_000.0);
         let cur = Snapshot::default();
-        assert!(compare(&cur, &base, 10.0).is_empty());
-    }
-
-    #[test]
-    fn bench_speedups_are_collected_per_row() {
-        let v: Value = serde_json::from_str(
-            r#"{"bench":"mobility","results":[
-                {"n":200,"mobility":"waypoint","speedup_x":1.5},
-                {"n":400,"speedup_x":2.0},
-                {"n":16000,"shards":4,"speedup_x":3.0}]}"#,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        collect_bench_speedups("BENCH_mobility.json", &v, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].1, "n=200 mobility=waypoint speedup_x");
-        assert_eq!(out[1].2, 2.0);
-        assert_eq!(out[2].1, "n=16000 shards=4 speedup_x");
+        assert_eq!(compare(&cur, &base, 10.0), GateReport::default());
+        // A metric BENCHMARK.json does not bound is not gated either.
+        let unbounded = vec![stat("core.sim.run_s", "s", 9.0, 9.0, 9.0)];
+        let base = snap_with(vec![stat("core.sim.run_s", "s", 1.0, 1.0, 1.0)], 1.0);
+        assert_eq!(
+            compare(&snap_with(unbounded, 1.0), &base, 10.0),
+            GateReport::default()
+        );
     }
 }

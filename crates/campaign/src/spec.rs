@@ -1179,8 +1179,6 @@ impl ScenarioSpec {
             aodv,
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: self.shadowing,
-            channel_index: Default::default(),
-            mobility_refresh: None,
             gain_cache: None,
             faults: self.faults.clone(),
             metrics: self.metrics,

@@ -6,7 +6,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pcmac::{FlowShape, RunHooks, RunOutcome, SimSnapshot, Simulator, Variant};
+use pcmac::{
+    FlowShape, RunHooks, RunOutcome, ScenarioConfig, SimSnapshot, Simulator, SnapError, Variant,
+};
 use pcmac_campaign::{
     run_campaign_with, CampaignReport, CampaignSpec, FailureKind, NodesSpec, PlacementSpec,
     RunOptions, ScenarioSpec, TrafficPattern, TrafficSpec,
@@ -63,15 +65,12 @@ fn normalized(path: &std::path::Path) -> String {
     serde_json::to_string(&report).expect("report serializes")
 }
 
-#[test]
-fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
-    let spec = campaign();
-
-    // Uninterrupted reference.
-    let ref_out = scratch("reference");
+/// Run `spec` uninterrupted into a fresh artifact and return its path.
+fn reference_run(spec: &CampaignSpec, tag: &str) -> std::path::PathBuf {
+    let ref_out = scratch(tag);
     let _ = std::fs::remove_file(&ref_out);
     run_campaign_with(
-        &spec,
+        spec,
         RunOptions {
             threads: 0,
             out: Some(ref_out.clone()),
@@ -80,22 +79,29 @@ fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
         |cfg, ctl| ctl.run(cfg),
     )
     .expect("reference campaign runs");
+    ref_out
+}
 
-    // Interrupted pass: checkpoint every 300 ms of simulated time,
-    // cancel deterministically at the 4th checkpoint (t = 1.2 s of a
-    // 3 s run), persisting the freshest snapshot exactly the way
-    // `JobCtl::run` does.
-    let out = scratch("resume");
-    let _ = std::fs::remove_file(&out);
+/// Interrupted pass into `out`: checkpoint every 300 ms of simulated
+/// time, cancel deterministically at the 4th checkpoint (t = 1.2 s of a
+/// 3 s run), persisting the freshest snapshot exactly the way
+/// `JobCtl::run` does — after `rewrite` has had its way with the final
+/// checkpoint's bytes. Returns the retained checkpoint file.
+fn interrupted_run(
+    spec: &CampaignSpec,
+    out: &std::path::Path,
+    rewrite: impl Fn(&ScenarioConfig, Vec<u8>) -> Vec<u8> + Send + Sync + 'static,
+) -> std::path::PathBuf {
+    let _ = std::fs::remove_file(out);
     let ckpt_dir = out.with_extension("ckpt");
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     let opts = RunOptions {
         threads: 0,
         checkpoint_every: Some(SimDuration::from_millis(300)),
-        out: Some(out.clone()),
+        out: Some(out.to_path_buf()),
         ..RunOptions::default()
     };
-    let outcome = run_campaign_with(&spec, opts, |cfg, ctl| {
+    let outcome = run_campaign_with(spec, opts, move |cfg, ctl| {
         let path = ctl
             .checkpoint_file
             .clone()
@@ -108,14 +114,14 @@ fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
                 cancel.cancel();
             }
         };
-        let outcome = Simulator::new(cfg).run_with_hooks(RunHooks {
+        let outcome = Simulator::new(cfg.clone()).run_with_hooks(RunHooks {
             cancel: Some(&ctl.cancel),
             checkpoint_every: ctl.checkpoint_every,
             checkpoint_sink: Some(&sink),
         });
         if let RunOutcome::Cancelled(Some(snap)) = &outcome {
             let path = ctl.checkpoint_file.as_ref().unwrap();
-            std::fs::write(path, snap.to_bytes()).expect("final checkpoint write");
+            std::fs::write(path, rewrite(&cfg, snap.to_bytes())).expect("final checkpoint write");
         }
         outcome
     })
@@ -130,6 +136,16 @@ fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
     assert!(failures[0].error.contains("stopped cleanly"));
     let ckpt_file = ckpt_dir.join("cell000_seed1.snap");
     assert!(ckpt_file.exists(), "checkpoint retained for resume");
+    ckpt_file
+}
+
+#[test]
+fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
+    let spec = campaign();
+    let ref_out = reference_run(&spec, "reference");
+    let out = scratch("resume");
+    let ckpt_file = interrupted_run(&spec, &out, |_, bytes| bytes);
+    let ckpt_dir = out.with_extension("ckpt");
 
     // Resume pass: the standard `JobCtl::run` path must pick the
     // checkpoint up, finish the run from t = 1.2 s, and produce a
@@ -157,6 +173,74 @@ fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
     assert!(!ckpt_dir.exists(), "empty sidecar directory removed");
 
     // Final artifact == uninterrupted artifact, modulo wall time.
+    assert_eq!(normalized(&out), normalized(&ref_out));
+
+    let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_file(&ref_out);
+}
+
+/// The 8-byte config digest a snapshot opens with, as [`Simulator`]
+/// computes it: FNV-1a over the canonical JSON of the scenario with the
+/// display name, gain-cache mode and execution strategy blanked.
+/// `extra_keys` is spliced in ahead of `"gain_cache"`, where the
+/// previous release serialized two more fields.
+fn config_digest(cfg: &ScenarioConfig, extra_keys: &str) -> u64 {
+    let mut c = cfg.clone();
+    c.name = String::new();
+    c.gain_cache = None;
+    c.execution = None;
+    let json = serde_json::to_string(&c).expect("configs serialize");
+    assert_eq!(json.matches(r#""gain_cache""#).count(), 1);
+    let json = json.replace(r#""gain_cache""#, &format!(r#"{extra_keys}"gain_cache""#));
+    pcmac_snap::fnv1a64(json.as_bytes())
+}
+
+/// The commit that took the channel-index and refresh-mode options out
+/// of `ScenarioConfig` changed every scenario's config digest once (two
+/// keys left the canonical JSON). A checkpoint written before it must be
+/// refused with `CfgMismatch` — and `JobCtl::run` must then recompute
+/// the cell from scratch, to the uninterrupted result.
+#[test]
+fn checkpoint_from_before_the_channel_knobs_left_resumes_as_a_fresh_run() {
+    let spec = campaign();
+    let ref_out = reference_run(&spec, "old-digest-reference");
+    let out = scratch("old-digest");
+    let ckpt_file = interrupted_run(&spec, &out, |cfg, mut bytes| {
+        // Envelope: magic, version, payload length (16 bytes), payload
+        // (the digest first), checksum of the payload.
+        let end = bytes.len() - 8;
+        let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        assert_eq!(
+            stored,
+            config_digest(cfg, ""),
+            "this test reconstructs the digest's input exactly"
+        );
+        let old = config_digest(cfg, r#""channel_index":"Grid","mobility_refresh":null,"#);
+        assert_ne!(old, stored, "the digest changed with the config's shape");
+        bytes[16..24].copy_from_slice(&old.to_le_bytes());
+        let sum = pcmac_snap::checksum64(&bytes[16..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+
+        let snap = SimSnapshot::from_bytes(&bytes).expect("still a well-formed snapshot");
+        assert!(!snap.matches(cfg));
+        assert!(matches!(
+            Simulator::restore(cfg.clone(), &snap),
+            Err(SnapError::CfgMismatch)
+        ));
+        bytes
+    });
+
+    let opts = RunOptions {
+        threads: 0,
+        checkpoint_every: Some(SimDuration::from_millis(300)),
+        out: Some(out.clone()),
+        resume: true,
+        ..RunOptions::default()
+    };
+    let resumed =
+        run_campaign_with(&spec, opts, |cfg, ctl| ctl.run(cfg)).expect("resume pass runs");
+    assert_eq!(resumed.report.complete, Some(true));
+    assert!(!ckpt_file.exists(), "finished run deletes its checkpoint");
     assert_eq!(normalized(&out), normalized(&ref_out));
 
     let _ = std::fs::remove_file(&out);

@@ -1,9 +1,9 @@
 //! The checked-in `examples/churn_campaign.json` is the PR's acceptance
 //! artifact: it must validate, expand to a PCM-vs-DCF churn grid, and
 //! reproduce bit-identical reports for a fixed seed across reruns and
-//! across the Lazy/Eager mobility-refresh modes.
+//! against the reference channel's eager position refresh.
 
-use pcmac::{GainCacheMode, MobilityRefreshMode, RunReport, ScenarioConfig, Simulator, Variant};
+use pcmac::{RunReport, ScenarioConfig, Simulator, Variant};
 use pcmac_campaign::CampaignSpec;
 
 fn example_spec() -> CampaignSpec {
@@ -82,23 +82,16 @@ fn churn_example_is_bit_identical_across_reruns_and_refresh_modes() {
             "rerun diverged ({})",
             cfg.name
         );
-        let modal = |refresh| {
-            let mut c = cfg.clone();
-            c.mobility_refresh = Some(refresh);
-            c.gain_cache = Some(GainCacheMode::Auto);
-            Simulator::new(c).run()
-        };
-        let lazy = modal(MobilityRefreshMode::Lazy);
-        let eager = modal(MobilityRefreshMode::Eager);
-        assert!(lazy.events > 0, "degenerate churn run");
+        let eager = Simulator::new_reference(cfg.clone()).run();
+        assert!(first.events > 0, "degenerate churn run");
         assert!(
-            lazy.resilience.is_some(),
+            first.resilience.is_some(),
             "churn plan must produce a resilience section"
         );
         assert_eq!(
-            fingerprint(&lazy),
+            fingerprint(&first),
             fingerprint(&eager),
-            "Lazy and Eager refresh diverged ({})",
+            "production and reference channels diverged ({})",
             cfg.name
         );
     }

@@ -13,15 +13,21 @@
 //! Candidates come from a [`UniformGrid`] spatial index sized to the
 //! maximum reception range (max transmit power against the
 //! interference floor), so a transmission visits only the cells its
-//! signal can reach instead of scanning all N nodes
-//! ([`ChannelIndexMode::BruteForce`] keeps the O(N) reference scan for
-//! equivalence tests and benchmarks — both paths produce the identical
-//! arrival sequence). Candidate lists are sorted by node id, so the
-//! event schedule is independent of the index's internal bucket order.
+//! signal can reach instead of scanning all N nodes. Candidate lists are
+//! sorted by node id, so the event schedule is independent of the
+//! index's internal bucket order.
+//!
+//! The scan over all N nodes survives as the test oracle:
+//! `Simulator::new_reference` swaps in [`ReferenceScan`] (every node but
+//! the transmitter, every position re-sampled per timestamp, gains pair
+//! by pair), which [`Channel::collect_receivers`] and the gain fill
+//! dispatch to before touching any of the machinery below. Both paths
+//! produce the identical arrival sequence; the equivalence suite holds
+//! them to it.
 //!
 //! # Mobility refresh: who moves the index and who only samples
 //!
-//! Under [`MobilityRefreshMode::Lazy`] the index tolerates a per-node
+//! Under mobility the index tolerates a per-node
 //! drift *pad* (a fraction of a grid cell): each node carries a refresh
 //! deadline — the instant its position could first drift past the pad,
 //! from `Mobility::stale_after` — kept in a min-heap, and advancing
@@ -38,9 +44,9 @@
 //! *exactly* at the current instant **for the physics only**
 //! (`sample_exact`): the struct-of-arrays position is overwritten,
 //! nothing is written to the index and no deadline is touched. Gains
-//! and delays therefore always see exact positions and a lazy run is
-//! bit-identical to an eager one — only the number of waypoint
-//! evaluations changes. (Feeding every sample back into the index, as
+//! and delays therefore always see exact positions and the run is
+//! bit-identical to the reference's rescan of every node — only the
+//! number of waypoint evaluations changes. (Feeding every sample back into the index, as
 //! an earlier version did, bought nothing the padded query needs and
 //! cost ≈ 21 ns per candidate against ≈ 4.5 ns for the waypoint
 //! evaluation itself.) Debug builds audit the staleness bound every
@@ -123,9 +129,10 @@ use pcmac_phy::{
     GainCache, PropagationModel, Shadowed, SparseCacheStats, SparseGainCache, TwoRayGround,
 };
 
-use crate::config::{ChannelIndexMode, GainCacheMode, MobilityRefreshMode, ScenarioConfig};
+use crate::config::{GainCacheMode, ScenarioConfig};
 use crate::event::{arrival_rank, SimEvent};
 use crate::metrics::HotPathProfile;
+use crate::reference::ReferenceScan;
 use crate::sim::{BufPool, ShardCtx};
 use crate::soa::HotState;
 
@@ -143,14 +150,14 @@ const RADIUS_SLACK: f64 = 1.0 + 1e-9;
 /// such guard — its memory follows the touched local pairs).
 const GAIN_CACHE_MAX_NODES: usize = 2048;
 
-/// Lazy-refresh drift pad, as a fraction of a grid cell: a node's
+/// Refresh drift pad, as a fraction of a grid cell: a node's
 /// indexed position may go stale by up to this much before its refresh
 /// deadline fires. Larger pads mean rarer deadline refreshes but
 /// slightly fatter candidate rings (queries inflate by the pad).
 const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
 
 /// Debug builds audit the index's staleness bound on every this-many-th
-/// receiver query under lazy refresh (an audit is O(N)).
+/// receiver query of a mobile run (an audit is O(N)).
 #[cfg(debug_assertions)]
 const AUDIT_EVERY: u32 = 128;
 
@@ -374,21 +381,21 @@ impl FanOut {
     }
 }
 
-/// Channel state: propagation, the spatial index, gain replay, lazy
-/// position refresh, and the fan-outs in flight.
+/// Channel state: propagation, the spatial index, gain replay,
+/// deadline-driven position refresh, and the fan-outs in flight.
 #[derive(Debug)]
 pub(crate) struct Channel {
     propagation: PropagationModel,
     /// Spatial index over `HotState::positions` (kept in sync by
-    /// [`Channel::refresh_positions`]; under lazy refresh its entries
-    /// may trail true positions by up to `pad_m`).
+    /// [`Channel::refresh_positions`]; under mobility its entries may
+    /// trail true positions by up to `pad_m`).
     grid: UniformGrid,
     /// Pairwise gain replay strategy.
     gain_cache: GainCacheState,
-    use_grid: bool,
+    /// `Some` on the test oracle only (`Simulator::new_reference`):
+    /// receivers and gains come from the O(N) scan instead.
+    reference: Option<ReferenceScan>,
     any_mobile: bool,
-    /// `true` when positions refresh lazily (mobile scenarios only).
-    lazy_refresh: bool,
     /// Metres of drift the index tolerates before a deadline refresh.
     pad_m: f64,
     /// Min-heap of `(deadline, node)` refresh entries, one live chain
@@ -398,8 +405,6 @@ pub(crate) struct Channel {
     /// Queries since the last index-staleness audit.
     #[cfg(debug_assertions)]
     audit_tick: u32,
-    /// Instant of the last eager rescan.
-    positions_at: Option<SimTime>,
     /// Propagation-delay floor in nanoseconds (0 = exact delays).
     delay_floor_ns: u64,
     interference_floor: Milliwatts,
@@ -418,7 +423,7 @@ pub(crate) struct Channel {
 
 impl Channel {
     /// Build the channel of `cfg` over the start positions in `hot`,
-    /// seeding `hot`'s lazy-refresh stamps.
+    /// seeding `hot`'s exact-sample stamps.
     pub(crate) fn new(cfg: &ScenarioConfig, hot: &mut HotState, any_mobile: bool) -> Self {
         let n = hot.positions.len();
         let propagation = match cfg.shadowing {
@@ -445,13 +450,7 @@ impl Channel {
         };
         let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &hot.positions);
 
-        // Gain caches belong to the indexed channel: the brute-force
-        // mode is the O(N)-scan-with-live-propagation reference the
-        // indexed channel is benchmarked against (cache-vs-live equality
-        // is covered by the phy gain-cache tests, so equivalence between
-        // the modes is unaffected).
-        let use_grid = cfg.channel_index == ChannelIndexMode::Grid;
-        let dense_ok = use_grid && !any_mobile && n <= GAIN_CACHE_MAX_NODES;
+        let dense_ok = !any_mobile && n <= GAIN_CACHE_MAX_NODES;
         // `Auto` caches only where replay beats evaluation (see the
         // module docs): two-ray gains past the dense guard or under
         // mobility are cheaper live than through the sparse cache.
@@ -461,26 +460,21 @@ impl Channel {
                 GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
             }
             GainCacheMode::Auto if !shadowed_static => GainCacheState::Live,
-            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => {
+            GainCacheMode::Auto | GainCacheMode::Sparse => {
                 let mut c = SparseGainCache::new(n);
                 for i in 0..n as u32 {
                     c.set_cell(i, grid.node_cell(i));
                 }
                 GainCacheState::Sparse(c)
             }
-            _ => GainCacheState::Live,
+            GainCacheMode::Dense | GainCacheMode::Off => GainCacheState::Live,
         };
 
-        // Lazy refresh: seed every mobile node's first deadline from its
-        // start position (positions are exact at t = 0). Without the
-        // grid there is nothing to keep fresh lazily — the brute-force
-        // scan visits all N nodes per transmission regardless — so that
-        // combination falls back to the eager rescan.
-        let lazy_refresh =
-            any_mobile && use_grid && cfg.mobility_refresh_mode() == MobilityRefreshMode::Lazy;
+        // Seed every mobile node's first refresh deadline from its start
+        // position (positions are exact at t = 0).
         let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
         let mut refresh_heap = BinaryHeap::new();
-        if lazy_refresh {
+        if any_mobile {
             hot.sampled_at = vec![SimTime::ZERO; n];
             for (i, m) in hot.mobility.iter().enumerate() {
                 let d = m.stale_after(SimTime::ZERO, pad_m);
@@ -494,14 +488,12 @@ impl Channel {
             propagation,
             grid,
             gain_cache,
-            use_grid,
+            reference: None,
             any_mobile,
-            lazy_refresh,
             pad_m,
             refresh_heap,
             #[cfg(debug_assertions)]
             audit_tick: 0,
-            positions_at: None,
             delay_floor_ns: cfg.delay_floor().as_nanos(),
             interference_floor: cfg.interference_floor,
             max_reach,
@@ -511,6 +503,15 @@ impl Channel {
             free_slots: Vec::new(),
             rx_pool: BufPool::default(),
         }
+    }
+
+    /// Turn this channel into the test oracle (see [`ReferenceScan`]):
+    /// from here on receivers come from the scan over every node and
+    /// gains from per-pair evaluation; the index, the refresh deadlines
+    /// and any gain cache are never consulted again.
+    pub(crate) fn use_reference_scan(&mut self) {
+        self.reference = Some(ReferenceScan::default());
+        self.gain_cache = GainCacheState::Live;
     }
 
     /// The spatial index's cell size — region boundaries snap to grid
@@ -613,26 +614,19 @@ impl Channel {
     /// mobility models restored *exactly* at `cut` (positions are exact
     /// there, like at t = 0 for a fresh build).
     pub(crate) fn resync(&mut self, hot: &mut HotState, cut: SimTime) {
-        let n = hot.positions.len();
-        if self.any_mobile {
-            for i in 0..n {
-                let p = hot.mobility[i].position(cut);
-                hot.positions[i] = p;
-                if self.use_grid {
-                    self.note_move(i, p);
-                }
-            }
-            self.positions_at = Some(cut);
+        if !self.any_mobile {
+            return;
         }
-        if self.lazy_refresh {
-            // One live deadline chain per node, re-seeded from the cut.
-            self.refresh_heap.clear();
-            for i in 0..n {
-                hot.sampled_at[i] = cut;
-                let d = hot.mobility[i].stale_after(cut, self.pad_m);
-                if d != SimTime::MAX {
-                    self.refresh_heap.push(Reverse((d, i as u32)));
-                }
+        // One live deadline chain per node, re-seeded from the cut.
+        self.refresh_heap.clear();
+        for i in 0..hot.positions.len() {
+            let p = hot.mobility[i].position(cut);
+            hot.positions[i] = p;
+            self.note_move(i, p);
+            hot.sampled_at[i] = cut;
+            let d = hot.mobility[i].stale_after(cut, self.pad_m);
+            if d != SimTime::MAX {
+                self.refresh_heap.push(Reverse((d, i as u32)));
             }
         }
     }
@@ -650,52 +644,15 @@ impl Channel {
     // Positions
     // ------------------------------------------------------------------
 
-    /// Bring the spatial index (and, in eager mode, `hot.positions`) up
-    /// to `now`.
-    ///
-    /// Eager mode rescans every node on each new timestamp (recording
-    /// the timestamp so repeated transmissions at the same instant —
-    /// common when several nodes react to the same timer tick — skip the
-    /// rescan). Lazy mode instead pops due refresh deadlines, touching
-    /// only nodes whose indexed position could have drifted past the
-    /// pad; exact sampling of the nodes that actually matter happens
-    /// per-candidate in [`Channel::collect_receivers`]. Static
-    /// scenarios never pay anything.
+    /// Bring the spatial index up to `now`: pop every refresh deadline
+    /// at or before it, re-sample the node, move it in the index and
+    /// schedule its next deadline, so no indexed position is ever stale
+    /// by more than `pad_m`. This chain is the only writer of the index;
+    /// the heap holds one entry per mobile node — O(moved · log N) per
+    /// timestamp, not O(N) — and is empty for static scenarios, which
+    /// never pay anything. Exact sampling of the nodes that actually
+    /// matter happens per candidate in [`Channel::collect_receivers`].
     fn refresh_positions(
-        &mut self,
-        hot: &mut HotState,
-        prof: Option<&mut HotPathProfile>,
-        now: SimTime,
-    ) {
-        if !self.any_mobile {
-            return;
-        }
-        if self.lazy_refresh {
-            self.process_refresh_deadlines(hot, prof, now);
-            return;
-        }
-        if self.positions_at == Some(now) {
-            return;
-        }
-        for i in 0..hot.positions.len() {
-            let p = hot.mobility[i].position(now);
-            if p != hot.positions[i] {
-                hot.positions[i] = p;
-                if self.use_grid {
-                    self.note_move(i, p);
-                }
-            }
-        }
-        self.positions_at = Some(now);
-    }
-
-    /// Pop every refresh deadline at or before `now`: re-sample the
-    /// node, move it in the index and schedule its next deadline, so no
-    /// indexed position is ever stale by more than `pad_m`. This chain
-    /// is the only writer of the index under lazy refresh; the heap
-    /// holds one entry per mobile node — O(moved · log N) per timestamp,
-    /// not O(N).
-    fn process_refresh_deadlines(
         &mut self,
         hot: &mut HotState,
         mut prof: Option<&mut HotPathProfile>,
@@ -782,12 +739,12 @@ impl Channel {
 
     /// Fill the candidate scratch with every node (other than `i`,
     /// sorted by id) that could receive a transmission from `i` at
-    /// `power` above the interference floor. Under lazy refresh the
-    /// index query is padded by the staleness allowance and the
-    /// transmitter plus every returned candidate are re-sampled exactly
-    /// at `now` into `hot.positions`, so the subsequent gain/delay
-    /// computations see true positions and the arrivals match the eager
-    /// path bit for bit.
+    /// `power` above the interference floor. Under mobility the index
+    /// query is padded by the staleness allowance and the transmitter
+    /// plus every returned candidate are re-sampled exactly at `now`
+    /// into `hot.positions`, so the subsequent gain/delay computations
+    /// see true positions and the arrivals match the reference scan bit
+    /// for bit.
     pub(crate) fn collect_receivers(
         &mut self,
         hot: &mut HotState,
@@ -796,8 +753,11 @@ impl Channel {
         power: Milliwatts,
         now: SimTime,
     ) {
-        self.refresh_positions(hot, prof.as_deref_mut(), now);
-        if self.lazy_refresh {
+        if let Some(reference) = &mut self.reference {
+            return reference.collect(hot, i, now, &mut self.candidates);
+        }
+        if self.any_mobile {
+            self.refresh_positions(hot, prof.as_deref_mut(), now);
             #[cfg(debug_assertions)]
             {
                 self.audit_tick += 1;
@@ -808,36 +768,31 @@ impl Channel {
             self.sample_exact(hot, prof.as_deref_mut(), i, now);
         }
         self.candidates.clear();
-        if self.use_grid {
-            let mut radius = cull_radius(&self.propagation, power, self.interference_floor);
-            if self.lazy_refresh {
-                radius += self.pad_m * REFRESH_PAD_SLACK;
+        let mut radius = cull_radius(&self.propagation, power, self.interference_floor);
+        if self.any_mobile {
+            radius += self.pad_m * REFRESH_PAD_SLACK;
+        }
+        self.grid.query_circle(
+            hot.positions[i],
+            radius,
+            Some(i as u32),
+            &mut self.candidates,
+        );
+        if self.any_mobile {
+            for c in 0..self.candidates.len() {
+                let j = self.candidates[c] as usize;
+                self.sample_exact(hot, prof.as_deref_mut(), j, now);
             }
-            self.grid.query_circle(
-                hot.positions[i],
-                radius,
-                Some(i as u32),
-                &mut self.candidates,
-            );
-            if self.lazy_refresh {
-                for c in 0..self.candidates.len() {
-                    let j = self.candidates[c] as usize;
-                    self.sample_exact(hot, prof.as_deref_mut(), j, now);
-                }
-            }
-            if let Some(p) = prof {
-                p.grid_queries += 1;
-                p.grid_candidates += self.candidates.len() as u64;
-            }
-        } else {
-            self.candidates
-                .extend((0..hot.positions.len() as u32).filter(|&j| j as usize != i));
+        }
+        if let Some(p) = prof {
+            p.grid_queries += 1;
+            p.grid_candidates += self.candidates.len() as u64;
         }
     }
 
     /// Drop owned receivers that are currently crashed (`down`) from the
     /// candidate list. Runs *before* the batched gain fill, exactly where
-    /// the scalar reference applied its inline `down` skip — so the
+    /// the per-pair loop applied its inline `down` skip — so the
     /// sparse cache sees the same lookup sequence (and mints the same
     /// hit/miss/flush counters) as the per-pair path did.
     pub(crate) fn cull_down_receivers(&mut self, down: &[bool], shard: Option<&ShardCtx>) {
@@ -853,6 +808,15 @@ impl Channel {
     /// (generation-checked), or evaluated live in one contiguous pass.
     /// All three paths produce bit-identical values to per-pair calls.
     fn fill_gains(&mut self, i: usize, positions: &[Point]) {
+        if self.reference.is_some() {
+            return ReferenceScan::gains(
+                &self.propagation,
+                positions,
+                i,
+                &self.candidates,
+                &mut self.gains,
+            );
+        }
         match &mut self.gain_cache {
             GainCacheState::Dense(cache) => {
                 self.gains.clear();

@@ -84,41 +84,7 @@ impl NodeSetup {
     }
 }
 
-/// How the channel finds candidate receivers for each transmission.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChannelIndexMode {
-    /// Query the uniform-grid spatial index: only cells within the
-    /// transmission's maximum reception range are visited. The default.
-    #[default]
-    Grid,
-    /// Scan every node per transmission. The O(N) reference
-    /// implementation, kept for equivalence tests and benchmarks.
-    BruteForce,
-}
-
-/// When cached node positions (and the spatial index) are brought up to
-/// the current instant under mobility.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MobilityRefreshMode {
-    /// Deadline-driven: the spatial index tolerates a per-node drift pad,
-    /// so a node moves in the index only when its [`stale_after`]
-    /// deadline fires, and is otherwise sampled (for the physics alone)
-    /// when it turns up as a transmission candidate — O(local) per
-    /// event instead of O(N) per new timestamp. Produces bit-identical
-    /// runs to [`MobilityRefreshMode::Eager`]. The default.
-    ///
-    /// [`stale_after`]: pcmac_mobility::RandomWaypoint::stale_after
-    #[default]
-    Lazy,
-    /// Re-sample every node whenever the clock advances — the O(N)
-    /// reference implementation, kept for equivalence tests and
-    /// benchmarks.
-    Eager,
-}
-
-/// Which pairwise gain cache the channel uses (effective only with
-/// [`ChannelIndexMode::Grid`]; the brute-force reference always
-/// evaluates the propagation model live).
+/// Which pairwise gain cache the channel uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GainCacheMode {
     /// Whatever replays faster than it evaluates: the dense table for
@@ -199,11 +165,6 @@ pub struct ScenarioConfig {
     pub interference_floor: Milliwatts,
     /// Optional log-normal shadowing (robustness ablations).
     pub shadowing: Option<ShadowingConfig>,
-    /// Candidate-receiver lookup strategy (spatial index vs full scan).
-    pub channel_index: ChannelIndexMode,
-    /// Mobility refresh strategy (`None` = the default, lazy). Kept
-    /// optional so scenario JSON predating the knob parses unchanged.
-    pub mobility_refresh: Option<MobilityRefreshMode>,
     /// Gain cache selection (`None` = the default, auto). Kept optional
     /// so scenario JSON predating the knob parses unchanged.
     pub gain_cache: Option<GainCacheMode>,
@@ -346,8 +307,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
             gain_cache: None,
             faults: None,
             metrics: None,
@@ -385,8 +344,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
             gain_cache: None,
             faults: None,
             metrics: None,
@@ -434,8 +391,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
             gain_cache: None,
             faults: None,
             metrics: None,
@@ -463,11 +418,6 @@ impl ScenarioConfig {
     /// Aggregate offered application load in kbit/s.
     pub fn offered_load_kbps(&self) -> f64 {
         self.flows.iter().map(|f| f.rate_bps).sum::<f64>() / 1000.0
-    }
-
-    /// Effective mobility refresh strategy (the default when unset).
-    pub fn mobility_refresh_mode(&self) -> MobilityRefreshMode {
-        self.mobility_refresh.unwrap_or_default()
     }
 
     /// Effective gain cache selection (the default when unset).
@@ -763,17 +713,16 @@ mod tests {
 
     #[test]
     fn pre_knob_json_still_parses() {
-        // Scenario JSON written before the refresh/cache knobs and the
-        // fault layer existed has none of the keys; all must come back
-        // as `None` (the defaults).
+        // Scenario JSON written before the cache knob and the fault
+        // layer existed has none of the keys; all must come back as
+        // `None` (the defaults).
         let a = ScenarioConfig::paper(Variant::Pcmac, 500.0, 3);
         let v: serde_json::Value = serde_json::from_str(&a.to_json()).unwrap();
         let stripped = match v {
             serde_json::Value::Map(m) => serde_json::Value::Map(
                 m.into_iter()
                     .filter(|(k, _)| {
-                        k != "mobility_refresh"
-                            && k != "gain_cache"
+                        k != "gain_cache"
                             && k != "faults"
                             && k != "metrics"
                             && k != "execution"
@@ -785,17 +734,38 @@ mod tests {
         };
         let b = ScenarioConfig::from_json(&serde_json::to_string(&stripped).unwrap())
             .expect("pre-knob JSON parses");
-        assert_eq!(b.mobility_refresh, None);
         assert_eq!(b.gain_cache, None);
         assert_eq!(b.faults, None);
         assert_eq!(b.metrics, None);
         assert_eq!(b.execution, None);
         assert_eq!(b.delay_floor_us, None);
-        assert_eq!(b.mobility_refresh_mode(), MobilityRefreshMode::Lazy);
         assert_eq!(b.gain_cache_mode(), GainCacheMode::Auto);
         assert_eq!(b.execution_mode(), ExecutionMode::Single);
         assert_eq!(b.shards(), 1);
         assert!(b.delay_floor().is_zero());
+    }
+
+    #[test]
+    fn json_naming_the_removed_channel_knobs_still_parses_and_runs() {
+        // A config written before the brute-force scan and the eager
+        // rescan left the option surface names both. Results never
+        // depended on either, so the keys are skipped like any unknown
+        // key and the run is the production run.
+        let a =
+            ScenarioConfig::paper(Variant::Pcmac, 500.0, 3).with_duration(Duration::from_secs(3));
+        let old = a.to_json().replacen(
+            '{',
+            r#"{ "channel_index": "BruteForce", "mobility_refresh": "Eager","#,
+            1,
+        );
+        let b = ScenarioConfig::from_json(&old).expect("old JSON parses");
+        assert_eq!(b.to_json(), a.to_json(), "nothing but the two keys differs");
+        let fingerprint = |cfg: ScenarioConfig| {
+            let mut r = crate::Simulator::new(cfg).run();
+            r.wall_s = 0.0;
+            serde_json::to_string(&r).expect("reports serialize")
+        };
+        assert_eq!(fingerprint(a), fingerprint(b));
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod fault;
 pub mod metrics;
 pub mod node;
 pub mod parallel;
+pub(crate) mod reference;
 pub mod report;
 pub mod runner;
 pub mod sim;
@@ -65,9 +66,8 @@ pub(crate) mod soa;
 pub mod trace;
 
 pub use config::{
-    flow_start, random_flow_pairs, ChannelIndexMode, ExecutionMode, FlowShape, FlowSpec,
-    GainCacheMode, InvalidScenario, MobilityRefreshMode, NodeSetup, ScenarioConfig,
-    ShadowingConfig,
+    flow_start, random_flow_pairs, ExecutionMode, FlowShape, FlowSpec, GainCacheMode,
+    InvalidScenario, NodeSetup, ScenarioConfig, ShadowingConfig,
 };
 pub use event::SimEvent;
 pub use fault::{ChurnConfig, CrashWindow, FaultConfig, ImpairmentBurst};

@@ -234,9 +234,9 @@ pub struct HotPathProfile {
     pub grid_queries: u64,
     /// Candidate receivers returned across all queries.
     pub grid_candidates: u64,
-    /// Lazy-refresh deadline pops processed.
+    /// Position-refresh deadline pops processed.
     pub refresh_pops: u64,
-    /// Lazy-refresh deadlines re-armed. Always 0 since candidate
+    /// Position-refresh deadlines re-armed. Always 0 since candidate
     /// sampling stopped extending deadlines (only the deadline chain
     /// schedules them); kept so reports and snapshots keep their shape.
     pub refresh_rearms: u64,

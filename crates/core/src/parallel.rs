@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pcmac_phy::SparseCacheStats;
-use pcmac_shard::{partition_columns, SpinBarrier};
+use pcmac_shard::{partition_columns, Poisoned, SpinBarrier};
 
 use pcmac_engine::SimTime;
 
@@ -76,11 +76,21 @@ use crate::snapshot::{next_grid_point, RunHooks, RunOutcome, SimSnapshot};
 /// A shard's buffered dispatch stream: `(time, rank, event)` per event.
 type TracedEvents = Vec<(SimTime, u128, SimEvent)>;
 
+/// How one shard worker ended: its parts, `None` when the crew agreed to
+/// cancel, or [`Poisoned`] when another worker panicked.
+type LaneResult = Result<Option<(ShardParts, TracedEvents)>, Poisoned>;
+
 /// Execute `sim` as `shards` region shards and merge the report.
 ///
 /// `observer`, when given, receives the merged event stream after the
 /// run (per-shard streams are buffered and replayed in global
 /// `(time, rank)` order — the exact single-threaded dispatch order).
+///
+/// # Panics
+/// With the payload of the first (lowest-numbered) shard worker that
+/// panicked — a panicking checkpoint sink, a broken invariant inside a
+/// window — exactly as the single-threaded run would have, once the
+/// rest of the crew has been released from the barrier.
 pub(crate) fn run_sharded(sim: Simulator, shards: usize, observer: EventObserver<'_>) -> RunReport {
     match run_sharded_core(sim, shards, observer, &RunHooks::default()) {
         RunOutcome::Completed(report) => report,
@@ -173,14 +183,17 @@ fn run_sharded_core(
             .collect()
     };
 
-    let results: Vec<Option<(ShardParts, TracedEvents)>> = std::thread::scope(|scope| {
+    let results: Vec<std::thread::Result<LaneResult>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shards);
         for (k, mut s) in shard_sims.into_iter().enumerate() {
             let (barrier, peeks, mail) = (&barrier, &peeks, &mail);
             let (contribs, cancel_snap, cancel_epoch) = (&contribs, &cancel_snap, &cancel_epoch);
             let (cfg, owner) = (&cfg, &owner);
             let resume = resume.clone();
-            handles.push(scope.spawn(move || {
+            handles.push(scope.spawn(move || -> LaneResult {
+                // A panic anywhere below must not strand the crew in
+                // the barrier.
+                let _poison = barrier.poison_on_unwind();
                 // Overlay a parked restore *after* the owner-only build
                 // (the build re-initialises the donated cold state, so a
                 // pre-split overlay would be lost).
@@ -190,22 +203,23 @@ fn run_sharded_core(
                 }
                 // One collective snapshot at `cut_ns`: park this lane's
                 // contribution, wait for everyone, shard 0 merges.
-                let snap_at = |s: &Simulator, cut_ns: u64| -> Option<SimSnapshot> {
-                    let cut = SimTime::from_nanos(cut_ns);
-                    contribs.lock().expect("contribs")[k] = Some(s.snap_contribution(cut));
-                    barrier.wait();
-                    if k == 0 {
-                        let parts: Vec<SnapContribution> = contribs
-                            .lock()
-                            .expect("contribs")
-                            .iter_mut()
-                            .map(|c| c.take().expect("every shard contributed"))
-                            .collect();
-                        Some(Simulator::merge_contributions(cfg, cut, owner, parts))
-                    } else {
-                        None
-                    }
-                };
+                let snap_at =
+                    |s: &Simulator, cut_ns: u64| -> Result<Option<SimSnapshot>, Poisoned> {
+                        let cut = SimTime::from_nanos(cut_ns);
+                        contribs.lock().expect("contribs")[k] = Some(s.snap_contribution(cut));
+                        barrier.wait()?;
+                        Ok(if k == 0 {
+                            let parts: Vec<SnapContribution> = contribs
+                                .lock()
+                                .expect("contribs")
+                                .iter_mut()
+                                .map(|c| c.take().expect("every shard contributed"))
+                                .collect();
+                            Some(Simulator::merge_contributions(cfg, cut, owner, parts))
+                        } else {
+                            None
+                        })
+                    };
                 let mut trace = collect_trace.then(Vec::new);
                 let mut next_cp_ns = cp0_ns;
                 loop {
@@ -216,7 +230,7 @@ fn run_sharded_core(
                         );
                     }
                     peeks[k].store(s.shard_peek_ns(end), Ordering::SeqCst);
-                    barrier.wait();
+                    barrier.wait()?;
                     let ws = peeks
                         .iter()
                         .map(|p| p.load(Ordering::SeqCst))
@@ -232,7 +246,7 @@ fn run_sharded_core(
                         if ws < cp {
                             break;
                         }
-                        if let Some(snap) = snap_at(&s, cp) {
+                        if let Some(snap) = snap_at(&s, cp)? {
                             if let Some(sink) = hooks.checkpoint_sink {
                                 sink(snap);
                             }
@@ -244,11 +258,11 @@ fn run_sharded_core(
                         // Stop at the agreed epoch top — the same cut a
                         // single-threaded run takes: the next
                         // undispatched instant.
-                        let snap = snap_at(&s, ws);
+                        let snap = snap_at(&s, ws)?;
                         if k == 0 {
                             *cancel_snap.lock().expect("cancel snapshot") = snap;
                         }
-                        return None;
+                        return Ok(None);
                     }
                     let mut horizon = ws.saturating_add(lookahead_ns);
                     if let Some(cp) = next_cp_ns {
@@ -264,21 +278,29 @@ fn run_sharded_core(
                             *mail[to][k].lock().expect("mailbox") = batch;
                         }
                     }
-                    barrier.wait();
+                    barrier.wait()?;
                     let incoming: Vec<Vec<Shipment>> = mail[k]
                         .iter()
                         .map(|m| std::mem::take(&mut *m.lock().expect("mailbox")))
                         .collect();
                     s.accept_shipments(incoming);
                 }
-                Some((s.into_shard_parts(end), trace.unwrap_or_default()))
+                Ok(Some((s.into_shard_parts(end), trace.unwrap_or_default())))
             }));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
+
+    // A worker that panicked poisoned the barrier and the others bailed
+    // out with `Poisoned`; hand its panic on to whoever called `run`.
+    let lanes: Vec<LaneResult> = results
+        .into_iter()
+        .map(|joined| joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect();
+    let results: Vec<Option<(ShardParts, TracedEvents)>> = lanes
+        .into_iter()
+        .map(|lane| lane.expect("the barrier is poisoned only by a panicking worker"))
+        .collect();
 
     if results.iter().any(Option::is_none) {
         // Cancellation is an epoch-wide agreement: every lane bailed at

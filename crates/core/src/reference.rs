@@ -1,0 +1,62 @@
+//! The channel's test oracle: the plainest correct way to decide who
+//! hears a transmission, kept as independent code so the equivalence
+//! suite (`tests/channel_equivalence.rs`, `tests/lazy_refresh.rs`) has
+//! something to hold the production path to.
+//!
+//! It shares nothing with the machinery it checks: no spatial index (the
+//! candidates are every node but the transmitter), no refresh deadlines
+//! or drift pad (every node's position is re-sampled whenever a
+//! transmission finds the clock has moved), no gain cache and no batched
+//! evaluation (one propagation call per pair). Reachable only through
+//! `Simulator::new_reference`.
+
+use pcmac_engine::{Point, SimTime};
+use pcmac_phy::PropagationModel;
+
+use crate::soa::HotState;
+
+/// O(N) receiver scan over eagerly re-sampled positions.
+#[derive(Debug, Default)]
+pub(crate) struct ReferenceScan {
+    /// Instant of the last rescan: transmissions at one instant — several
+    /// nodes reacting to the same timer tick — share it.
+    positions_at: Option<SimTime>,
+}
+
+impl ReferenceScan {
+    /// Bring every position in `hot` up to `now` and list all nodes
+    /// other than `i`, in id order, into `out`.
+    pub(crate) fn collect(
+        &mut self,
+        hot: &mut HotState,
+        i: usize,
+        now: SimTime,
+        out: &mut Vec<u32>,
+    ) {
+        if self.positions_at != Some(now) {
+            for (p, m) in hot.positions.iter_mut().zip(&mut hot.mobility) {
+                *p = m.position(now);
+            }
+            self.positions_at = Some(now);
+        }
+        out.clear();
+        out.extend((0..hot.positions.len() as u32).filter(|&j| j as usize != i));
+    }
+
+    /// The gain from node `i` to each of `candidates`, one model
+    /// evaluation per pair, into `out`.
+    pub(crate) fn gains(
+        model: &PropagationModel,
+        positions: &[Point],
+        i: usize,
+        candidates: &[u32],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.extend(
+            candidates
+                .iter()
+                .map(|&j| model.gain(positions[i], positions[j as usize])),
+        );
+    }
+}

@@ -491,6 +491,29 @@ impl Simulator {
         Self::build(cfg, None, &mut [])
     }
 
+    /// The test oracle: [`Simulator::new`], except that every
+    /// transmission finds its receivers by scanning all N nodes at
+    /// positions re-sampled per timestamp and prices them with one
+    /// propagation call per pair — no spatial index, no refresh
+    /// deadlines, no gain cache (see the `reference` module). The
+    /// equivalence suite holds the production channel to this run's
+    /// report, bit for bit; nothing else should call it.
+    ///
+    /// # Panics
+    /// As [`Simulator::new`], and if `cfg` asks for sharded execution:
+    /// the oracle is single-threaded.
+    #[doc(hidden)]
+    pub fn new_reference(cfg: ScenarioConfig) -> Self {
+        assert_eq!(
+            cfg.execution_mode(),
+            ExecutionMode::Single,
+            "the reference channel runs single-threaded"
+        );
+        let mut sim = Self::new(cfg);
+        sim.channel.use_reference_scan();
+        sim
+    }
+
     /// Build shard `id` of a `shards`-way region run directly in
     /// owner-only form: cold [`Node`] state, traffic sources, and
     /// build-time events (first emissions, crashes, churn) materialise
@@ -628,8 +651,8 @@ impl Simulator {
 
         // Fault plan: precompute the entire crash/recover/impairment
         // schedule up front, from the master seed and the static plan
-        // alone, so the injected events are identical whatever
-        // channel-index, refresh, or cache mode executes the run.
+        // alone, so the injected events are identical whatever cache or
+        // execution mode runs them.
         let faults = cfg.faults.as_ref().map(|plan| {
             let dur_s = cfg.duration.as_secs_f64();
             let at = |s: f64| SimTime::ZERO + Duration::from_secs_f64(s);
@@ -807,7 +830,7 @@ impl Simulator {
     /// Under [`ExecutionMode::Sharded`] the run executes on that many
     /// region threads and produces a report bit-identical to the
     /// single-threaded one (hot-path instrumentation counters aside,
-    /// which — as across refresh/cache modes — reflect the execution
+    /// which — as across cache modes — reflect the execution
     /// strategy itself).
     pub fn run(self) -> RunReport {
         match self.cfg.execution_mode() {

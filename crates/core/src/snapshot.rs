@@ -265,16 +265,13 @@ impl SimSnapshot {
 /// Digest of the behavior-relevant scenario configuration: the master
 /// seed, duration, field, nodes, flows, radio/MAC/AODV parameters,
 /// variant, interference floor, shadowing, fault plan, metrics config
-/// and delay floor. Execution strategy, channel index, mobility-refresh
-/// and gain-cache modes and the display name are normalized away —
-/// proven behavior-invariant by the equivalence matrix — so a snapshot
-/// restores across any of them. The digest hashes the canonical JSON
+/// and delay floor. Execution strategy, gain-cache mode and the display
+/// name are normalized away — proven behavior-invariant by the
+/// equivalence matrix — so a snapshot restores across any of them. The digest hashes the canonical JSON
 /// encoding, which is identical on every host.
 pub(crate) fn config_digest(cfg: &ScenarioConfig) -> u64 {
     let mut c = cfg.clone();
     c.name = String::new();
-    c.channel_index = Default::default();
-    c.mobility_refresh = None;
     c.gain_cache = None;
     c.execution = None;
     let json = serde_json::to_string(&c).expect("scenario config serializes");

@@ -28,9 +28,9 @@ use pcmac_mobility::Mobility;
 /// `Simulator::prepare_shard`.
 #[derive(Debug)]
 pub(crate) struct HotState {
-    /// Position as of `sampled_at` under lazy refresh (exact for every
-    /// node a transmission's physics is about to read), current
-    /// otherwise. The spatial index keeps its own, separately aged copy.
+    /// Position as of `sampled_at` under mobility (exact for every node
+    /// a transmission's physics is about to read), fixed otherwise. The
+    /// spatial index keeps its own, separately aged copy.
     pub(crate) positions: Vec<Point>,
     /// Movement model per node (authoritative; moved out of `Node`).
     pub(crate) mobility: Vec<Mobility>,
@@ -41,7 +41,8 @@ pub(crate) struct HotState {
     pub(crate) alive: Vec<bool>,
     /// Last data-channel transmit power (mW); 0 before the first tx.
     pub(crate) tx_power_mw: Vec<f64>,
-    /// Last instant the node was sampled *exactly* (lazy refresh).
+    /// Last instant the node was sampled *exactly* (mobile scenarios
+    /// only; empty otherwise).
     pub(crate) sampled_at: Vec<SimTime>,
     /// Per-node transmission-key counters: key = `(node << 32) | ctr`.
     pub(crate) tx_key_ctr: Vec<u32>,

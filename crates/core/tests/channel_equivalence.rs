@@ -1,11 +1,12 @@
-//! Grid-indexed channel ≡ brute-force channel.
+//! Production channel ≡ reference channel.
 //!
-//! The uniform-grid spatial index is a pure optimization: for any
-//! scenario, the set (and order) of arrivals it schedules must be
-//! *identical* to the O(N) scan over all nodes, so a run under
-//! `ChannelIndexMode::Grid` must equal a run under
-//! `ChannelIndexMode::BruteForce` in every observable — event counts,
-//! deliveries, MAC/routing counters, energy, per-flow breakdowns.
+//! The uniform-grid spatial index, the deadline-driven position refresh
+//! and the gain caches are pure optimizations: for any scenario, the set
+//! (and order) of arrivals they schedule must be *identical* to the
+//! oracle's — the O(N) scan over all nodes at positions re-sampled per
+//! timestamp, gains evaluated pair by pair — so `Simulator::new(cfg)`
+//! must equal `Simulator::new_reference(cfg)` in every observable: event
+//! counts, deliveries, MAC/routing counters, energy, per-flow breakdowns.
 //!
 //! These tests compare entire serialized [`RunReport`]s (minus wall-clock
 //! time) across random seeds, field sizes, node counts, interference
@@ -13,9 +14,9 @@
 //! shadowing.
 
 use pcmac::{
-    ChannelIndexMode, ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec,
-    GainCacheMode, ImpairmentBurst, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport,
-    ScenarioConfig, ShadowingConfig, Simulator, Variant,
+    ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec, GainCacheMode,
+    ImpairmentBurst, MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig,
+    Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use proptest::prelude::*;
@@ -47,9 +48,9 @@ fn behaviour_fingerprint(r: &RunReport) -> serde_json::Value {
 }
 
 /// [`fingerprint`] with `metrics.hot_path` removed: the hot-path
-/// profile legitimately differs across refresh/cache/index modes (it
-/// counts what each mode's machinery *did*), while every other metrics
-/// field must be mode-invariant.
+/// profile legitimately differs across cache and execution modes and
+/// the reference (it counts what each one's machinery *did*), while
+/// every other metrics field must be mode-invariant.
 fn mode_invariant_fingerprint(r: &RunReport) -> serde_json::Value {
     let strip = |v: serde_json::Value| match v {
         serde_json::Value::Map(entries) => serde_json::Value::Map(
@@ -135,12 +136,8 @@ fn random_scenario(
 }
 
 fn assert_equivalent(cfg: ScenarioConfig) {
-    let mut grid_cfg = cfg.clone();
-    grid_cfg.channel_index = ChannelIndexMode::Grid;
-    let mut brute_cfg = cfg;
-    brute_cfg.channel_index = ChannelIndexMode::BruteForce;
-    let grid = Simulator::new(grid_cfg).run();
-    let brute = Simulator::new(brute_cfg).run();
+    let grid = Simulator::new(cfg.clone()).run();
+    let brute = Simulator::new_reference(cfg).run();
     assert!(
         grid.events > 0,
         "degenerate run: no events means the comparison is vacuous"
@@ -153,7 +150,7 @@ fn assert_equivalent(cfg: ScenarioConfig) {
     );
 }
 
-/// The acceptance-criterion sweep: ≥16 distinct random seeds, static
+/// The acceptance sweep: ≥16 distinct random seeds, static
 /// fields of varying size and density, exact report equality.
 #[test]
 fn grid_matches_brute_force_across_16_seeds() {
@@ -235,24 +232,26 @@ fn grid_matches_brute_force_with_disabled_floor() {
     assert_equivalent(cfg);
 }
 
-/// Pin the indexed channel's refresh and cache strategies.
-fn with_modes(
-    mut cfg: ScenarioConfig,
-    refresh: MobilityRefreshMode,
-    cache: GainCacheMode,
-) -> ScenarioConfig {
-    cfg.channel_index = ChannelIndexMode::Grid;
-    cfg.mobility_refresh = Some(refresh);
+/// Every gain-cache request the production channel honours.
+const CACHES: [GainCacheMode; 4] = [
+    GainCacheMode::Auto,
+    GainCacheMode::Dense,
+    GainCacheMode::Sparse,
+    GainCacheMode::Off,
+];
+
+/// Pin the production channel's cache strategy.
+fn with_cache(mut cfg: ScenarioConfig, cache: GainCacheMode) -> ScenarioConfig {
     cfg.gain_cache = Some(cache);
     cfg
 }
 
-/// The PR 4 acceptance bar: lazy refresh + block-sparse cache versus
-/// eager refresh + dense cache (which falls back to live evaluation
-/// under mobility, exactly the pre-lazy hot path) — bit-identical
-/// reports on mobile scenarios across seeds.
+/// The PR 4 acceptance bar, against the oracle: deadline-driven refresh
+/// under every gain cache (the block-sparse one included, invalidated by
+/// movement) versus the rescan of every node with per-pair gains —
+/// bit-identical reports on mobile scenarios across seeds.
 #[test]
-fn lazy_sparse_matches_eager_dense_under_mobility() {
+fn every_gain_cache_matches_the_reference_under_mobility() {
     for seed in [2u64, 19, 31, 47] {
         let cfg = random_scenario(
             Variant::ALL[seed as usize % 4],
@@ -263,31 +262,26 @@ fn lazy_sparse_matches_eager_dense_under_mobility() {
             true,
             None,
         );
-        let lazy = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let eager = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
-        assert!(lazy.events > 0, "degenerate run is a vacuous comparison");
-        assert_eq!(
-            fingerprint(&lazy),
-            fingerprint(&eager),
-            "lazy/sparse and eager/dense diverged (seed {seed})"
+        let reference = Simulator::new_reference(cfg.clone()).run();
+        assert!(
+            reference.events > 0,
+            "degenerate run is a vacuous comparison"
         );
+        for cache in CACHES {
+            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
+            assert_eq!(
+                fingerprint(&run),
+                fingerprint(&reference),
+                "production diverged from the reference (seed {seed} cache {cache:?})"
+            );
+        }
     }
 }
 
 /// Same bar under shadowing, where gains are direction-dependent and
 /// the sparse cache must key ordered pairs.
 #[test]
-fn lazy_sparse_matches_eager_dense_under_mobility_with_shadowing() {
+fn every_gain_cache_matches_the_reference_under_mobility_with_shadowing() {
     for (seed, symmetric) in [(13u64, true), (29, false)] {
         let cfg = random_scenario(
             Variant::Pcmac,
@@ -301,24 +295,21 @@ fn lazy_sparse_matches_eager_dense_under_mobility_with_shadowing() {
                 symmetric,
             }),
         );
-        let lazy = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let eager = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
-        assert_eq!(fingerprint(&lazy), fingerprint(&eager), "seed {seed}");
+        let reference = Simulator::new_reference(cfg.clone()).run();
+        for cache in CACHES {
+            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
+            assert_eq!(
+                fingerprint(&run),
+                fingerprint(&reference),
+                "seed {seed} cache {cache:?}"
+            );
+        }
     }
 }
 
 /// Static scenarios: the block-sparse cache (lazy fill) must replay the
-/// dense precomputed table bit for bit.
+/// dense precomputed table bit for bit, and both the per-pair gains of
+/// the reference.
 #[test]
 fn sparse_cache_matches_dense_cache_when_static() {
     for seed in [4u64, 21] {
@@ -331,19 +322,11 @@ fn sparse_cache_matches_dense_cache_when_static() {
             false,
             None,
         );
-        let sparse = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let dense = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
+        let sparse = Simulator::new(with_cache(cfg.clone(), GainCacheMode::Sparse)).run();
+        let dense = Simulator::new(with_cache(cfg.clone(), GainCacheMode::Dense)).run();
+        let reference = Simulator::new_reference(cfg).run();
         assert_eq!(fingerprint(&sparse), fingerprint(&dense), "seed {seed}");
+        assert_eq!(fingerprint(&dense), fingerprint(&reference), "seed {seed}");
     }
 }
 
@@ -384,9 +367,9 @@ fn fault_plan(n: usize) -> FaultConfig {
 }
 
 /// The fault schedule is derived from the master seed and the plan
-/// alone, so injected runs must stay bit-identical across the whole
-/// refresh × cache matrix and across grid vs brute-force channels —
-/// the ISSUE 6 determinism proof obligation.
+/// alone, so injected runs must stay bit-identical across every gain
+/// cache and against the reference channel — the ISSUE 6 determinism
+/// proof obligation.
 #[test]
 fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
     for seed in [3u64, 23, 41] {
@@ -402,13 +385,7 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
         );
         cfg.faults = Some(fault_plan(n));
 
-        let reference = {
-            let mut c = cfg.clone();
-            c.channel_index = ChannelIndexMode::BruteForce;
-            c.mobility_refresh = Some(MobilityRefreshMode::Eager);
-            c.gain_cache = Some(GainCacheMode::Off);
-            Simulator::new(c).run()
-        };
+        let reference = Simulator::new_reference(cfg.clone()).run();
         assert!(reference.events > 0, "degenerate faulted run");
         let res = reference
             .resilience
@@ -420,20 +397,13 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
             "phase accounting must cover every packet"
         );
 
-        for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-            for cache in [
-                GainCacheMode::Auto,
-                GainCacheMode::Dense,
-                GainCacheMode::Sparse,
-                GainCacheMode::Off,
-            ] {
-                let run = Simulator::new(with_modes(cfg.clone(), refresh, cache)).run();
-                assert_eq!(
-                    fingerprint(&run),
-                    fingerprint(&reference),
-                    "faulted run diverged (seed {seed} refresh {refresh:?} cache {cache:?})"
-                );
-            }
+        for cache in CACHES {
+            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
+            assert_eq!(
+                fingerprint(&run),
+                fingerprint(&reference),
+                "faulted run diverged (seed {seed} cache {cache:?})"
+            );
         }
     }
 }
@@ -503,7 +473,7 @@ fn metrics_layer_is_behaviour_identical() {
 /// The metrics section's own determinism contract: bit-identical across
 /// same-mode reruns (including the hot-path profile), and — hot-path
 /// profile aside, which by design counts mode-specific work —
-/// bit-identical across the whole refresh × cache matrix.
+/// bit-identical across every gain cache and the reference channel.
 #[test]
 fn metrics_are_deterministic_across_reruns_and_modes() {
     let base = || {
@@ -534,27 +504,14 @@ fn metrics_are_deterministic_across_reruns_and_modes() {
     assert!(!m.samples.is_empty(), "0.25 s probes inside a 2 s run");
     assert!(m.drops.conserved(), "taxonomy leak");
 
-    let reference = {
-        let mut c = base();
-        c.channel_index = ChannelIndexMode::BruteForce;
-        c.mobility_refresh = Some(MobilityRefreshMode::Eager);
-        c.gain_cache = Some(GainCacheMode::Off);
-        Simulator::new(c).run()
-    };
-    for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-        for cache in [
-            GainCacheMode::Auto,
-            GainCacheMode::Dense,
-            GainCacheMode::Sparse,
-            GainCacheMode::Off,
-        ] {
-            let run = Simulator::new(with_modes(base(), refresh, cache)).run();
-            assert_eq!(
-                mode_invariant_fingerprint(&run),
-                mode_invariant_fingerprint(&reference),
-                "metrics diverged across modes (refresh {refresh:?} cache {cache:?})"
-            );
-        }
+    let reference = Simulator::new_reference(base()).run();
+    for cache in CACHES {
+        let run = Simulator::new(with_cache(base(), cache)).run();
+        assert_eq!(
+            mode_invariant_fingerprint(&run),
+            mode_invariant_fingerprint(&reference),
+            "metrics diverged from the reference (cache {cache:?})"
+        );
     }
 }
 
@@ -610,9 +567,10 @@ fn sharded_matches_single_across_shard_counts() {
 }
 
 /// Sharding composed with the whole rest of the execution-strategy
-/// space: refresh × cache under a dense fault plan (crashes, churn,
+/// space: every gain cache under a dense fault plan (crashes, churn,
 /// impairments, energy deaths). Every combination must reproduce the
-/// single-threaded run with the same modes.
+/// single-threaded run with the same cache, and that run the
+/// (single-threaded) reference channel under the same delay floor.
 #[test]
 fn sharded_matches_single_with_faults_across_refresh_and_cache() {
     for seed in [3u64, 23] {
@@ -627,24 +585,27 @@ fn sharded_matches_single_with_faults_across_refresh_and_cache() {
             None,
         );
         cfg.faults = Some(fault_plan(n));
-        for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-            for cache in [GainCacheMode::Sparse, GainCacheMode::Off] {
-                let moded = with_modes(cfg.clone(), refresh, cache);
-                let single = Simulator::new(with_execution(moded.clone(), None)).run();
-                let res = single
-                    .resilience
-                    .as_ref()
-                    .expect("fault plan => resilience");
-                assert!(res.crashes >= 2, "the plan must actually crash nodes");
-                for shards in [2usize, 8] {
-                    let sharded = Simulator::new(with_execution(moded.clone(), Some(shards))).run();
-                    assert_eq!(
-                        fingerprint(&sharded),
-                        fingerprint(&single),
-                        "faulted sharded run diverged (seed {seed} refresh {refresh:?} \
-                         cache {cache:?} shards {shards})"
-                    );
-                }
+        let reference = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
+        for cache in CACHES {
+            let moded = with_cache(cfg.clone(), cache);
+            let single = Simulator::new(with_execution(moded.clone(), None)).run();
+            let res = single
+                .resilience
+                .as_ref()
+                .expect("fault plan => resilience");
+            assert!(res.crashes >= 2, "the plan must actually crash nodes");
+            assert_eq!(
+                fingerprint(&single),
+                fingerprint(&reference),
+                "faulted run diverged from the reference (seed {seed} cache {cache:?})"
+            );
+            for shards in [2usize, 8] {
+                let sharded = Simulator::new(with_execution(moded.clone(), Some(shards))).run();
+                assert_eq!(
+                    fingerprint(&sharded),
+                    fingerprint(&single),
+                    "faulted sharded run diverged (seed {seed} cache {cache:?} shards {shards})"
+                );
             }
         }
     }
@@ -723,10 +684,10 @@ fn oversubscribed_sharded_reruns_are_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fuzzed refresh × cache matrix: any combination of mobility
-    /// refresh strategy and gain cache must reproduce the brute-force
-    /// eager live-evaluation reference bit for bit — mobile or static,
-    /// any variant, any floor.
+    /// Fuzzed cache matrix: the production channel under any gain cache
+    /// must reproduce the reference (full scan, rescan per timestamp,
+    /// per-pair gains) bit for bit — mobile or static, any variant, any
+    /// floor.
     #[test]
     fn refresh_and_cache_modes_never_change_results(
         seed in 0u64..10_000,
@@ -735,7 +696,6 @@ proptest! {
         floor_exp in 0u32..4,
         variant_idx in 0usize..4,
         mobile in any::<bool>(),
-        refresh_lazy in any::<bool>(),
         cache_idx in 0usize..4,
     ) {
         let floor = Milliwatts(1.559e-10 * 10f64.powi(floor_exp as i32));
@@ -748,24 +708,14 @@ proptest! {
             mobile,
             None,
         );
-        let refresh = if refresh_lazy { MobilityRefreshMode::Lazy } else { MobilityRefreshMode::Eager };
-        let cache = [
-            GainCacheMode::Auto,
-            GainCacheMode::Dense,
-            GainCacheMode::Sparse,
-            GainCacheMode::Off,
-        ][cache_idx];
-        let indexed = Simulator::new(with_modes(cfg.clone(), refresh, cache)).run();
-        let mut reference = cfg;
-        reference.channel_index = ChannelIndexMode::BruteForce;
-        reference.mobility_refresh = Some(MobilityRefreshMode::Eager);
-        reference.gain_cache = Some(GainCacheMode::Off);
-        let reference = Simulator::new(reference).run();
+        let cache = CACHES[cache_idx];
+        let indexed = Simulator::new(with_cache(cfg.clone(), cache)).run();
+        let reference = Simulator::new_reference(cfg).run();
         prop_assert_eq!(
             fingerprint(&indexed),
             fingerprint(&reference),
-            "diverged: seed {} n {} side {} mobile {} refresh {:?} cache {:?}",
-            seed, n, side, mobile, refresh, cache
+            "diverged: seed {} n {} side {} mobile {} cache {:?}",
+            seed, n, side, mobile, cache
         );
     }
 
@@ -793,12 +743,8 @@ proptest! {
             mobile,
             None,
         );
-        let mut grid_cfg = cfg.clone();
-        grid_cfg.channel_index = ChannelIndexMode::Grid;
-        let mut brute_cfg = cfg;
-        brute_cfg.channel_index = ChannelIndexMode::BruteForce;
-        let grid = Simulator::new(grid_cfg).run();
-        let brute = Simulator::new(brute_cfg).run();
+        let grid = Simulator::new(cfg.clone()).run();
+        let brute = Simulator::new_reference(cfg).run();
         prop_assert_eq!(
             fingerprint(&grid),
             fingerprint(&brute),
@@ -853,17 +799,17 @@ fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
 }
 
 /// The PR 10 acceptance bar: snapshot at a fuzzed mid-run grid time
-/// under every refresh × cache × shard-count combination (faulted,
-/// metrics-on, mobile), restore in-process, run to the end — the result
-/// must be bit-identical (mode-invariant observables) to the
-/// uninterrupted reference. The capture run itself must also be
+/// under every cache × shard-count combination (faulted, metrics-on,
+/// mobile), restore in-process, run to the end — the result must be
+/// bit-identical (mode-invariant observables) to the uninterrupted run
+/// of the reference channel. The capture run itself must also be
 /// unperturbed by checkpointing, and every checkpoint must survive a
 /// serialization round trip unchanged.
 #[test]
 fn checkpoint_restore_is_bit_identical_across_matrix() {
     for seed in [5u64, 29] {
         let cfg = snapshot_scenario(seed, 16);
-        let reference = Simulator::new(with_execution(cfg.clone(), None)).run();
+        let reference = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
         assert!(
             reference.events > 0,
             "degenerate run is a vacuous comparison"
@@ -872,12 +818,9 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
         // Fuzz the checkpoint grid per seed so cuts land at arbitrary
         // mid-run instants, not a hand-picked friendly time.
         let every = Duration::from_millis(110 + (seed * 37) % 140);
-        for (refresh, cache) in [
-            (MobilityRefreshMode::Lazy, GainCacheMode::Sparse),
-            (MobilityRefreshMode::Eager, GainCacheMode::Off),
-        ] {
+        for cache in [GainCacheMode::Sparse, GainCacheMode::Off] {
             for shards in [None, Some(1), Some(2), Some(4)] {
-                let moded = with_execution(with_modes(cfg.clone(), refresh, cache), shards);
+                let moded = with_execution(with_cache(cfg.clone(), cache), shards);
                 let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
                 assert_eq!(
                     mode_invariant_fingerprint(&hooked),
@@ -909,8 +852,8 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
                 assert_eq!(
                     mode_invariant_fingerprint(&resumed),
                     ref_fp,
-                    "restore-then-run diverged (seed {seed} refresh {refresh:?} \
-                     cache {cache:?} shards {shards:?} cut {:?})",
+                    "restore-then-run diverged (seed {seed} cache {cache:?} \
+                     shards {shards:?} cut {:?})",
                     snap.time()
                 );
             }
@@ -947,7 +890,7 @@ fn snapshots_move_across_execution_modes() {
     }
 
     // 1-shard capture → 4-shard resume, and 4-shard capture → single
-    // resume: the cross-mode acceptance criterion.
+    // resume: the cross-mode acceptance bar.
     let (_, one_shard_snaps) = run_with_checkpoints(with_execution(cfg.clone(), Some(1)), every);
     let mid = &one_shard_snaps[one_shard_snaps.len() / 2];
     let resumed_4 = Simulator::restore(with_execution(cfg.clone(), Some(4)), mid)
@@ -1015,6 +958,34 @@ fn cancelled_runs_leave_resumable_snapshots() {
             "resume after cancellation diverged (shards {shards:?})"
         );
     }
+}
+
+/// A panic on one shard worker — here the checkpoint sink, which runs on
+/// shard 0 — must come back out of `run_with_hooks` as that panic, the
+/// way a single-threaded run's would (the campaign runner's
+/// `catch_unwind` turns either into a `PointFailure`). The worker that
+/// panicked never reaches the epoch barrier; unless it poisons it the
+/// rest of the crew spins there forever, hence the watchdog.
+#[test]
+fn a_panicking_shard_worker_surfaces_its_panic_instead_of_hanging_the_crew() {
+    let cfg = with_execution(snapshot_scenario(5, 16), Some(2));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let sink = |_: SimSnapshot| panic!("sink down");
+        let caught = std::panic::catch_unwind(move || {
+            Simulator::new(cfg).run_with_hooks(RunHooks {
+                cancel: None,
+                checkpoint_every: Some(Duration::from_millis(300)),
+                checkpoint_sink: Some(&sink),
+            })
+        });
+        let _ = tx.send(caught.map(|_| ()));
+    });
+    let caught = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the run must end, not hang, when a shard worker panics");
+    let payload = caught.expect_err("the worker's panic is re-raised by the run");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"sink down"));
 }
 
 /// Corrupt or foreign checkpoint artifacts surface structured errors —

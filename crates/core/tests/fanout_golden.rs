@@ -7,6 +7,11 @@
 //! dispatch order — and a digest over the `pcmac-snap` bytes of its
 //! periodic checkpoints. How arrivals sit in the queue is an
 //! implementation detail; none of these numbers may move with it.
+//!
+//! The checkpoint digests were re-recorded once since: when two option
+//! fields left `ScenarioConfig`, the 8-byte config digest every snapshot
+//! opens with changed, and the envelope checksum with it. A digest that
+//! skips those 16 bytes read the same on both sides of that commit.
 
 use std::cell::RefCell;
 
@@ -79,25 +84,25 @@ const GOLDEN: [(Variant, u64, u64, u64); 4] = [
         Variant::Basic,
         52239,
         0xd47e9241f37c8823,
-        0x722f4dc51cbec388,
+        0x381a5182c16526a8,
     ),
     (
         Variant::Scheme1,
         56659,
         0xe21ecb660677e39f,
-        0x098e19ee592b74d8,
+        0xbe8878060778d1da,
     ),
     (
         Variant::Scheme2,
         62880,
         0x483a987d5411a980,
-        0x63876a61f1d42c40,
+        0xf9a8b330c6b95afe,
     ),
     (
         Variant::Pcmac,
         55724,
         0xa855dbfaaee13418,
-        0x27584fd05b1caa16,
+        0xe7bb33e34248d225,
     ),
 ];
 

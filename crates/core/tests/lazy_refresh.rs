@@ -1,19 +1,22 @@
 //! Lazy position refresh when the deadline chain actually turns.
 //!
-//! Under lazy refresh a transmission samples its candidates for the
+//! Under mobility a transmission samples its candidates for the
 //! physics only; the spatial index moves on the refresh-deadline chain
 //! alone. Scenarios whose reach spans the field (the paper's, the
 //! benchmark's `paper_mobile` and `churn_observed`) have cells so large
 //! that no deadline falls inside the run, so this one is sized the other
 //! way round: cells small and nodes fast enough that every node goes
 //! through several deadline generations, with receiver queries landing
-//! at every age of the index in between. Lazy must still equal
-//! eager report for report — and, in debug builds, the staleness audit in
+//! at every age of the index in between. The lazily refreshed
+//! production channel must still equal the reference channel — which
+//! eagerly re-samples every node per timestamp
+//! (`Simulator::new_reference`) — report for report, under each gain
+//! cache; and, in debug builds, the staleness audit in
 //! `Channel::collect_receivers` checks the invariant the padded query
 //! leans on while it runs.
 
 use pcmac::{
-    FlowShape, FlowSpec, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport, ScenarioConfig,
+    FlowShape, FlowSpec, GainCacheMode, MetricsConfig, NodeSetup, RunReport, ScenarioConfig,
     Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, RngStream, SimTime};
@@ -24,7 +27,7 @@ const NODES: usize = 40;
 /// carrier-sense threshold as interference floor makes a grid cell
 /// ≈ 500 m and the drift pad ≈ 60 m, i.e. about one deadline generation
 /// per second of movement over the 6 s run.
-fn scenario(variant: Variant, seed: u64, refresh: MobilityRefreshMode) -> ScenarioConfig {
+fn scenario(variant: Variant, seed: u64) -> ScenarioConfig {
     let duration = Duration::from_secs(6);
     let mut cfg = ScenarioConfig::two_nodes(variant, 100.0, 1000.0, seed);
     cfg.name = format!("lazy-refresh-{seed}");
@@ -54,12 +57,11 @@ fn scenario(variant: Variant, seed: u64, refresh: MobilityRefreshMode) -> Scenar
         })
         .collect();
     cfg.metrics = Some(MetricsConfig::default());
-    cfg.mobility_refresh = Some(refresh);
     cfg
 }
 
 /// The report as JSON without `wall_s`, and with `metrics.hot_path` —
-/// which counts what each refresh mode's machinery did — set aside.
+/// which counts what each channel's machinery did — set aside.
 fn fingerprint(report: &RunReport) -> String {
     let mut report = report.clone();
     report.wall_s = 0.0;
@@ -72,10 +74,23 @@ fn fingerprint(report: &RunReport) -> String {
 #[test]
 fn lazy_equals_eager_through_several_deadline_generations() {
     for (variant, seed) in [(Variant::Basic, 3), (Variant::Pcmac, 4)] {
-        let lazy = Simulator::new(scenario(variant, seed, MobilityRefreshMode::Lazy)).run();
-        let eager = Simulator::new(scenario(variant, seed, MobilityRefreshMode::Eager)).run();
+        let lazy = Simulator::new(scenario(variant, seed)).run();
+        let eager = Simulator::new_reference(scenario(variant, seed)).run();
         assert!(lazy.delivered_packets > 0, "seed {seed}: nothing delivered");
         assert_eq!(fingerprint(&lazy), fingerprint(&eager), "seed {seed}");
+        for cache in [
+            GainCacheMode::Dense,
+            GainCacheMode::Sparse,
+            GainCacheMode::Off,
+        ] {
+            let mut cfg = scenario(variant, seed);
+            cfg.gain_cache = Some(cache);
+            assert_eq!(
+                fingerprint(&Simulator::new(cfg).run()),
+                fingerprint(&eager),
+                "seed {seed} cache {cache:?}"
+            );
+        }
 
         let hot = lazy.metrics.expect("metrics were on").hot_path;
         assert!(

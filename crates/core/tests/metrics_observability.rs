@@ -198,7 +198,7 @@ fn counters_reconcile_across_layers() {
     assert_eq!(nodes, 14);
 }
 
-/// The acceptance-criterion run: a faulted scenario's time series shows
+/// The acceptance run: a faulted scenario's time series shows
 /// liveness and delivery dipping inside the fault window and recovering
 /// after it — and the whole metrics section is bit-identical across two
 /// reruns.

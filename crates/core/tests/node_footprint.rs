@@ -7,14 +7,16 @@
 //! lie. This binary installs its own counting `#[global_allocator]` and
 //! holds exactly one test, so nothing else allocates while it counts:
 //! the figures are requested bytes and live allocations, not RSS, and
-//! repeat exactly.
+//! repeat exactly. It also holds the bar the sharded engine's memory
+//! model stands on: four owner-only shards peak within 1.3× of the
+//! single-threaded run plus their hot-row mirrors.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pcmac::node::Node;
-use pcmac::{FlowSpec, NodeSetup, ScenarioConfig, Simulator, Variant};
+use pcmac::{ExecutionMode, FlowSpec, NodeSetup, ScenarioConfig, Simulator, Variant};
 use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime};
 use pcmac_mac::MacConfig;
@@ -204,5 +206,35 @@ fn a_node_costs_what_it_uses() {
     assert!(
         peak <= 3072.0,
         "peak live heap over build + run + report: {peak:.0} B/node"
+    );
+
+    // --- the same field on four region shards ---------------------------
+    // Shards are owner-only: splitting the built simulator moves each
+    // node's cold state to its owner instead of copying it, so four
+    // shards cost their own hot rows, grids, queues and mailboxes, not
+    // a second network. The budget is the one `benches/parallel.rs`
+    // enforced on child-process RSS before it was retired — 1.3 × (the
+    // single-threaded peak + 32 B of hot-row mirrors per node per
+    // shard) — without the 16 MiB of per-thread stack and allocator
+    // slack that RSS needed and requested bytes do not.
+    const SHARDS: usize = 4;
+    let events = report.events;
+    drop(report);
+    let (base_bytes, _) = live();
+    PEAK_BYTES.store(base_bytes, Ordering::Relaxed);
+    let mut cfg = field(11);
+    cfg.execution = Some(ExecutionMode::Sharded { shards: SHARDS });
+    let report = Simulator::new(cfg).run();
+    let sharded = (PEAK_BYTES.load(Ordering::Relaxed) - base_bytes) as f64 / NODES as f64;
+    println!(
+        "peak on {SHARDS} shards: {sharded:.0} B/node ({:.2}x single)",
+        sharded / peak
+    );
+    assert_eq!(report.events, events, "the sharded run is the same run");
+    let budget = 1.3 * (peak + 32.0 * SHARDS as f64);
+    assert!(
+        sharded <= budget,
+        "{SHARDS} shards peak at {sharded:.0} B/node, over the {budget:.0} B/node budget \
+         (single-threaded: {peak:.0})"
     );
 }

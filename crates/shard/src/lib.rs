@@ -12,7 +12,7 @@
 //! generation barrier. Everything that knows about radios and queues
 //! lives in the core crate's `parallel` module.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Node-count-balanced partition of grid columns into contiguous bands.
 ///
@@ -62,11 +62,34 @@ pub fn partition_columns(xs: &[f64], width: f64, cell: f64, shards: usize) -> Ve
 /// `yield_now`) instead of parking keeps the per-window cost at a few
 /// hundred nanoseconds — a sharded simulation crosses the barrier
 /// millions of times, so futex round-trips would dominate the run.
+///
+/// A crew member that panics never arrives, which would leave the rest
+/// spinning forever. Each member therefore holds a
+/// [`SpinBarrier::poison_on_unwind`] guard: unwinding through it poisons
+/// the barrier, and every current and future [`SpinBarrier::wait`]
+/// returns [`Poisoned`] instead of blocking.
 #[derive(Debug)]
 pub struct SpinBarrier {
     crew: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+/// A crew member panicked: the crossing will never complete.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Poisoned;
+
+/// Poisons its barrier when dropped by a panic's unwind.
+#[derive(Debug)]
+pub struct PoisonOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 impl SpinBarrier {
@@ -77,13 +100,26 @@ impl SpinBarrier {
             crew,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
+    /// A guard for one crew member's stack frame: if the member panics,
+    /// the unwind drops the guard and releases the rest of the crew with
+    /// [`Poisoned`].
+    pub fn poison_on_unwind(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(self)
+    }
+
     /// Block (spinning) until every crew member has arrived. Returns
-    /// `true` on exactly one thread per crossing (the "leader", the last
-    /// to arrive), mirroring `std::sync::Barrier`.
-    pub fn wait(&self) -> bool {
+    /// `Ok(true)` on exactly one thread per crossing (the "leader", the
+    /// last to arrive), mirroring `std::sync::Barrier`, and
+    /// `Err(Poisoned)` — at once, or out of the spin — when a member has
+    /// panicked.
+    pub fn wait(&self) -> Result<bool, Poisoned> {
+        if self.poisoned.load(Ordering::SeqCst) {
+            return Err(Poisoned);
+        }
         let gen = self.generation.load(Ordering::SeqCst);
         if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == self.crew {
             // Last arrival: reset the count for the next crossing, then
@@ -91,13 +127,16 @@ impl SpinBarrier {
             // before any spinner can race into the next crossing.
             self.arrived.store(0, Ordering::SeqCst);
             self.generation.fetch_add(1, Ordering::SeqCst);
-            true
+            Ok(true)
         } else {
             while self.generation.load(Ordering::SeqCst) == gen {
+                if self.poisoned.load(Ordering::SeqCst) {
+                    return Err(Poisoned);
+                }
                 std::hint::spin_loop();
                 std::thread::yield_now();
             }
-            false
+            Ok(false)
         }
     }
 }
@@ -165,7 +204,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..rounds {
                         counter.fetch_add(1, Ordering::SeqCst);
-                        if barrier.wait() {
+                        if barrier.wait().expect("nobody panics") {
                             leaders.fetch_add(1, Ordering::SeqCst);
                         }
                         // Everyone must observe the full crew's work for
@@ -183,5 +222,35 @@ mod tests {
         }
         assert_eq!(leaders.load(Ordering::SeqCst), rounds as u64);
         assert_eq!(counter.load(Ordering::SeqCst), (rounds * crew) as u64);
+    }
+
+    /// A member that panics on its way to the barrier must not strand
+    /// the ones already spinning in it, nor any that arrive later.
+    #[test]
+    fn a_panicking_member_releases_the_crew() {
+        let barrier = SpinBarrier::new(3);
+        // The panicking member waits for this, so the spinner is inside
+        // `wait` (or about to enter it — both paths must bail).
+        let spinning = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let spinner = scope.spawn(|| {
+                let _guard = barrier.poison_on_unwind();
+                spinning.store(1, Ordering::SeqCst);
+                barrier.wait()
+            });
+            let panicker = scope.spawn(|| {
+                let _guard = barrier.poison_on_unwind();
+                while spinning.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                panic!("member down");
+            });
+            assert!(panicker.join().is_err());
+            assert_eq!(
+                spinner.join().expect("bails, does not panic"),
+                Err(Poisoned)
+            );
+        });
+        assert_eq!(barrier.wait(), Err(Poisoned), "late arrivals bail too");
     }
 }
