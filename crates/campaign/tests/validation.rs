@@ -511,6 +511,16 @@ fn scenario_config_validate_catches_raw_defects() {
     cfg.flows[0].rate_bps = f64::NAN;
     assert!(cfg.validate().is_err(), "NaN rate");
 
+    // The report's label and what the stations run are two fields; a
+    // config where they disagree would file a Basic run under "PCMAC".
+    let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+    cfg.variant = Variant::Pcmac;
+    let err = cfg.validate().expect_err("label / MAC variant mismatch");
+    assert!(
+        err.problems[0].contains("Pcmac") && err.problems[0].contains("Basic"),
+        "{err}"
+    );
+
     let cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
     cfg.validate().expect("stock scenario is valid");
 }

@@ -529,18 +529,18 @@ impl Channel {
         }
     }
 
-    /// Which nodes shard `id` keeps hot state (and grid membership) for:
-    /// owned nodes plus every node within maximum reach (in x) of the
-    /// owned span — the farthest any owned transmission can matter, so
-    /// grid queries from owned transmitters return exactly the full-grid
-    /// candidate set. Mobile scenarios and unbounded reach track
-    /// everything (no static halo is sound when positions drift across
-    /// bands); the cold `Node` state stays owner-only either way, which
-    /// is the dominant memory term. The index is pruned to the result.
-    pub(crate) fn track_shard(&mut self, owner: &[u32], id: u32, positions: &[Point]) -> Vec<bool> {
+    /// Prune the spatial index to the nodes shard `id` keeps hot state
+    /// (and grid membership) for: owned nodes plus every node within
+    /// maximum reach (in x) of the owned span — the farthest any owned
+    /// transmission can matter, so grid queries from owned transmitters
+    /// return exactly the full-grid candidate set. Mobile scenarios and
+    /// unbounded reach track everything (no static halo is sound when
+    /// positions drift across bands); the cold `Node` state stays
+    /// owner-only either way, which is the dominant memory term.
+    pub(crate) fn track_shard(&mut self, owner: &[u32], id: u32, positions: &[Point]) {
         let halo_reach = self.max_reach;
         if self.any_mobile || !halo_reach.is_finite() {
-            return vec![true; positions.len()];
+            return;
         }
         let mut min_x = f64::INFINITY;
         let mut max_x = f64::NEG_INFINITY;
@@ -556,7 +556,6 @@ impl Channel {
             .map(|(&o, p)| o == id || (p.x >= min_x - halo_reach && p.x <= max_x + halo_reach))
             .collect();
         self.grid.retain_nodes(|i| tracked[i as usize]);
-        tracked
     }
 
     /// The conservative lookahead (ns) a region run may use: at least

@@ -409,12 +409,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Replace the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Aggregate offered application load in kbit/s.
     pub fn offered_load_kbps(&self) -> f64 {
         self.flows.iter().map(|f| f.rate_bps).sum::<f64>() / 1000.0
@@ -518,6 +512,18 @@ impl ScenarioConfig {
             }
         }
         // --- protocol / radio parameter surface (spec-overlay knobs) ---
+        if self.variant != self.mac.variant {
+            // One labels the report, the other is what every station
+            // runs: a mismatch is a run filed under the wrong protocol.
+            problems.push(format!(
+                "variant {:?} disagrees with mac.variant {:?}: the report would be labelled \
+                 \"{}\" while every station runs {}",
+                self.variant,
+                self.mac.variant,
+                self.variant.name(),
+                self.mac.variant.name()
+            ));
+        }
         let pc = &self.mac.pcmac;
         if !pc.safety_factor.is_finite() || pc.safety_factor <= 0.0 {
             problems.push(format!(
@@ -709,6 +715,32 @@ mod tests {
         let rb = Simulator::new(b.with_duration(short)).run();
         assert_eq!(ra.delivered_packets, rb.delivered_packets);
         assert_eq!(ra.events, rb.events);
+    }
+
+    #[test]
+    fn variant_label_and_mac_variant_must_agree() {
+        let good = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+        good.validate().expect("constructors keep the two equal");
+
+        // Edited in the struct...
+        let mut relabelled = good.clone();
+        relabelled.variant = Variant::Pcmac;
+        // ...or in hand-edited JSON (the top-level key, not `mac.variant`).
+        let json = good
+            .to_json()
+            .replacen("\"variant\": \"Basic\"", "\"variant\": \"Pcmac\"", 1);
+        let from_json = ScenarioConfig::from_json(&json).expect("still well-formed");
+        assert_eq!(from_json.variant, Variant::Pcmac);
+        assert_eq!(from_json.mac.variant, Variant::Basic);
+
+        for cfg in [relabelled, from_json] {
+            let err = cfg.validate().expect_err("mismatch must not validate");
+            assert_eq!(err.problems.len(), 1, "{err}");
+            let msg = &err.problems[0];
+            for named in ["Pcmac", "Basic", "\"PCMAC\"", "Basic 802.11"] {
+                assert!(msg.contains(named), "{named} missing from: {msg}");
+            }
+        }
     }
 
     #[test]

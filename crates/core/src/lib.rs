@@ -76,7 +76,7 @@ pub use metrics::{
     RoutingMetrics, SimMetrics, TxPowerMetrics,
 };
 pub use report::{LatencySummary, ResilienceReport, RunReport};
-pub use runner::{run_parallel, run_parallel_iter};
+pub use runner::run_parallel;
 pub use sim::Simulator;
 pub use snapshot::{CancelToken, RunHooks, RunOutcome, SimSnapshot};
 pub use trace::{TraceFilter, TraceWriter};

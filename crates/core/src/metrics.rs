@@ -10,10 +10,11 @@
 //!
 //! * **Zero behavioral cost.** Collection only *reads* the deterministic
 //!   event stream. A metrics-on run is bit-identical in behavior to a
-//!   metrics-off run: the periodic [`SimEvent::MetricsProbe`]
-//!   (crate::SimEvent::MetricsProbe) events never mutate protocol state,
-//!   and their queue insertions shift sequence numbers monotonically
-//!   without reordering any other pair of events.
+//!   metrics-off run: the periodic
+//!   [`SimEvent::MetricsProbe`](crate::SimEvent::MetricsProbe) events
+//!   never mutate protocol state, and their queue insertions shift
+//!   sequence numbers monotonically without reordering any other pair
+//!   of events.
 //! * **Bit-identical metrics.** [`SimMetrics`] carries no wall-clock
 //!   values and every field is derived from the event stream, so the
 //!   metrics section itself is identical across reruns and across the
@@ -252,11 +253,11 @@ pub struct HotPathProfile {
     pub sparse_cache: Option<SparseCacheStats>,
 }
 
-/// The serialized observability section of a [`RunReport`]
-/// (crate::RunReport): per-layer counters, the probe time series, the
-/// drop taxonomy, and the hot-path profile. Contains no wall-clock
-/// values — events/sec lives beside it in campaign artifacts, computed
-/// from `RunReport::{events, wall_s}`.
+/// The serialized observability section of a
+/// [`RunReport`](crate::RunReport): per-layer counters, the probe time
+/// series, the drop taxonomy, and the hot-path profile. Contains no
+/// wall-clock values — events/sec lives beside it in campaign artifacts,
+/// computed from `RunReport::{events, wall_s}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimMetrics {
     /// The probe interval the time series was sampled at (seconds).

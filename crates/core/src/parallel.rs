@@ -30,11 +30,11 @@
 //!
 //! Conservative barrier-epoch windows. The per-run lookahead δ is
 //! derived by `Simulator::derived_lookahead_ns`: at least the configured
-//! [`ScenarioConfig::delay_floor`], widened for static scenarios to the
-//! propagation time across the narrowest inter-band gap (arrivals are
-//! the only cross-region channel, and every cross-band arrival must
-//! cross that gap), so an event at `t` can only influence foreign events
-//! at `t ≥ t + δ`:
+//! [`ScenarioConfig::delay_floor`](crate::ScenarioConfig::delay_floor),
+//! widened for static scenarios to the propagation time across the
+//! narrowest inter-band gap (arrivals are the only cross-region channel,
+//! and every cross-band arrival must cross that gap), so an event at `t`
+//! can only influence foreign events at `t ≥ t + δ`:
 //!
 //! 1. each shard publishes the due time of its next event;
 //! 2. barrier; the window start `ws` is the global minimum — when every

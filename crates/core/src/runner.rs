@@ -8,7 +8,7 @@
 //!
 //! Scenarios running under [`ExecutionMode::Sharded`] spawn their own
 //! worker threads *inside* the run, so the driver meters total
-//! concurrency in thread units, not scenario units: a [`ThreadBudget`]
+//! concurrency in thread units, not scenario units: a thread budget
 //! sized at the driver's thread count is debited by each scenario's
 //! effective shard count before it starts, keeping `scenarios × shards`
 //! at the configured width instead of oversubscribing every core by the
@@ -75,30 +75,9 @@ impl ThreadBudget {
 /// Run every scenario, `threads`-wide, preserving input order in the
 /// output. `threads == 0` means "one per available core".
 pub fn run_parallel(scenarios: Vec<ScenarioConfig>, threads: usize) -> Vec<RunReport> {
-    let threads = worker_count(threads).min(scenarios.len().max(1));
-    run_with_workers(scenarios, threads)
-}
-
-/// [`run_parallel`] over a lazily-produced scenario stream: the producer
-/// feeds a bounded work channel directly, so at most ~2× the worker
-/// count of scenarios exist at any moment. This is how huge campaign
-/// expansions run without materializing every `(point × seed)` config up
-/// front — runs start while the expansion is still being generated.
-/// `threads == 0` means "one per available core".
-pub fn run_parallel_iter(
-    scenarios: impl IntoIterator<Item = ScenarioConfig>,
-    threads: usize,
-) -> Vec<RunReport> {
-    run_with_workers(scenarios, worker_count(threads))
-}
-
-fn run_with_workers(
-    scenarios: impl IntoIterator<Item = ScenarioConfig>,
-    threads: usize,
-) -> Vec<RunReport> {
-    let threads = threads.max(1);
-    // Bounded: the producer (possibly a lazy expansion) blocks instead of
-    // running arbitrarily far ahead of the workers.
+    let threads = worker_count(threads).clamp(1, scenarios.len().max(1));
+    // Bounded: the producer blocks instead of running arbitrarily far
+    // ahead of the workers.
     let (tx, rx) = channel::bounded::<(usize, ScenarioConfig)>(2 * threads);
     let (result_tx, result_rx) = channel::unbounded::<(usize, RunReport)>();
     // Sharded scenarios spawn `shards` threads internally; debiting that
@@ -158,23 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_iterator_matches_eager_vec() {
-        let mk = |seed| {
-            ScenarioConfig::two_nodes(Variant::Basic, 100.0, 80_000.0, seed)
-                .with_duration(Duration::from_secs(2))
-        };
-        let eager = run_parallel((0..4).map(mk).collect(), 2);
-        // The iterator path generates each config on demand.
-        let lazy = run_parallel_iter((0..4).map(mk), 2);
-        assert_eq!(eager.len(), lazy.len());
-        for (a, b) in eager.iter().zip(&lazy) {
-            assert_eq!(a.seed, b.seed, "order preserved");
-            assert_eq!(a.delivered_packets, b.delivered_packets);
-            assert_eq!(a.events, b.events);
-        }
-    }
-
-    #[test]
     fn budget_clamps_and_blocks_in_thread_units() {
         let b = ThreadBudget::new(4);
         // A run wider than the budget is clamped, not deadlocked.
@@ -216,7 +178,7 @@ mod tests {
         // 2 workers × up to 2 shards each, metered by the budget; the
         // sharded runs must match their single-threaded twins exactly.
         let single = run_parallel((0..3).map(|s| mk(s, false)).collect(), 2);
-        let sharded = run_parallel_iter((0..3).map(|s| mk(s, true)), 2);
+        let sharded = run_parallel((0..3).map(|s| mk(s, true)).collect(), 2);
         for (a, b) in single.iter().zip(&sharded) {
             assert_eq!(a.seed, b.seed, "order preserved");
             assert_eq!(a.events, b.events);

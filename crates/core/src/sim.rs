@@ -447,7 +447,7 @@ pub struct Simulator {
     /// mode). Boxed so a shard's vector of absentees stays thin.
     nodes: Vec<Option<Box<Node>>>,
     /// Struct-of-arrays hot per-node state: positions, movement,
-    /// tracked/alive flags, carrier/queue mirrors, tx-key counters.
+    /// alive flags, last transmit powers, tx-key counters.
     hot: HotState,
     /// Propagation, the spatial index, gain replay, position refresh
     /// and the arrivals in flight.
@@ -784,7 +784,6 @@ impl Simulator {
         let mut hot = HotState {
             positions,
             mobility,
-            tracked: vec![true; n],
             alive: vec![true; n],
             tx_power_mw: vec![0.0; n],
             sampled_at: Vec::new(),
@@ -797,7 +796,7 @@ impl Simulator {
         // queries (always issued from owned transmitters) stay exact
         // while bucket memory shrinks to O(N/S + halo).
         let shard = shard_plan.map(|(id, shards, owner)| {
-            hot.tracked = channel.track_shard(&owner, id, &hot.positions);
+            channel.track_shard(&owner, id, &hot.positions);
             ShardCtx {
                 id,
                 owner,
@@ -985,13 +984,6 @@ impl Simulator {
             .expect("event dispatched for a node this shard does not own")
     }
 
-    /// How many nodes this simulator keeps hot state fresh for (owned +
-    /// halo in a region shard; all N otherwise) — the shard-memory
-    /// observable the bench memory budget is written against.
-    pub fn tracked_nodes(&self) -> usize {
-        self.hot.tracked.iter().filter(|t| **t).count()
-    }
-
     fn run_single(mut self, observer: EventObserver<'_>) -> RunReport {
         let wall_start = std::time::Instant::now();
         let end = SimTime::ZERO + self.cfg.duration;
@@ -1126,7 +1118,6 @@ impl Simulator {
                 // The tolerance broadcast happens while the data radio is
                 // mid-reception; energy for it was accounted at start.
                 self.ctrl_pool.put(rad);
-                self.node_mut(i).mac.on_ctrl_tx_end(now);
             }
             SimEvent::MacTimer { node, kind, token } => {
                 let i = node.index();

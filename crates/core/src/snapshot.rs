@@ -86,9 +86,9 @@ impl CancelToken {
     }
 }
 
-/// Optional run-control hooks for [`Simulator::run_with_hooks`]
-/// (crate::Simulator::run_with_hooks). The default (all `None`) is
-/// exactly [`Simulator::run`](crate::Simulator::run).
+/// Optional run-control hooks for
+/// [`Simulator::run_with_hooks`](crate::Simulator::run_with_hooks). The
+/// default (all `None`) is exactly [`Simulator::run`](crate::Simulator::run).
 #[derive(Default)]
 pub struct RunHooks<'a> {
     /// Observed at cut boundaries; when cancelled the run stops cleanly

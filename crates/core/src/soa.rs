@@ -34,9 +34,6 @@ pub(crate) struct HotState {
     pub(crate) positions: Vec<Point>,
     /// Movement model per node (authoritative; moved out of `Node`).
     pub(crate) mobility: Vec<Mobility>,
-    /// `true` when this shard keeps the node's hot state fresh: owned
-    /// nodes plus the boundary halo. Always all-true in single mode.
-    pub(crate) tracked: Vec<bool>,
     /// Mirror of `!faults.down[i]` (all-true without a fault plan).
     pub(crate) alive: Vec<bool>,
     /// Last data-channel transmit power (mW); 0 before the first tx.

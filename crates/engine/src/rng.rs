@@ -99,12 +99,6 @@ impl RngStream {
         self.rng.random_range(0.0..1.0)
     }
 
-    /// Bernoulli draw.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.random_bool(p.clamp(0.0, 1.0))
-    }
-
     /// Exponentially distributed value with the given mean (inverse
     /// transform sampling; used by Poisson traffic).
     #[inline]

@@ -139,29 +139,6 @@ impl MacConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::PowerPolicy;
-
-    #[test]
-    fn variant_policies() {
-        assert_eq!(Variant::Basic.power_policy(), PowerPolicy::AllMax);
-        assert_eq!(Variant::Scheme1.power_policy(), PowerPolicy::RtsCtsMax);
-        assert_eq!(Variant::Scheme2.power_policy(), PowerPolicy::AllNeeded);
-        assert_eq!(Variant::Pcmac.power_policy(), PowerPolicy::AllNeeded);
-    }
-
-    #[test]
-    fn only_pcmac_gets_the_control_channel() {
-        assert!(Variant::Pcmac.is_pcmac());
-        assert!(!Variant::Basic.is_pcmac());
-        assert!(!Variant::Scheme1.is_pcmac());
-        assert!(!Variant::Scheme2.is_pcmac());
-    }
-
-    #[test]
-    fn basic_does_not_learn_power() {
-        assert!(!Variant::Basic.uses_power_history());
-        assert!(Variant::Scheme1.uses_power_history());
-    }
 
     #[test]
     fn paper_defaults_match_section_iv() {

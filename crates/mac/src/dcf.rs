@@ -1,11 +1,15 @@
 //! The 802.11 DCF engine with power control.
 //!
 //! One state machine implements all four protocols of the evaluation —
-//! Basic 802.11, Scheme 1, Scheme 2 and PCMAC — differing only at marked
-//! branch points (power selection, handshake arity, control-channel
-//! checks). This keeps the heavily-tested CSMA/CA core identical across
-//! variants, so protocol comparisons measure the *power control design*,
-//! not incidental implementation drift.
+//! Basic 802.11, Scheme 1, Scheme 2 and PCMAC. The configured variant is
+//! consulted in exactly three places: `tx_power` (which level a frame
+//! rides at — the §IV table in [`crate::power`]), `pcmac` (is the §III
+//! machinery live: control channel, CTS echo, RTS ladder, advertised
+//! noise; `three_way` derives the handshake arity from it) and
+//! `learn_level` (does this station keep the needed-power table). This
+//! keeps the heavily-tested CSMA/CA core identical across variants, so
+//! protocol comparisons measure the *power control design*, not
+//! incidental implementation drift.
 //!
 //! The MAC is a pure state machine: inputs are radio indications, timer
 //! fires and enqueued packets; outputs are [`MacAction`]s that the
@@ -22,12 +26,12 @@ use pcmac_engine::{
 use pcmac_net::{DropTailQueue, Packet, QueuedPacket};
 
 use crate::backoff::Backoff;
-use crate::config::{MacConfig, Variant};
+use crate::config::MacConfig;
 use crate::counters::MacCounters;
 use crate::frame::{CtrlFrame, Frame, FrameBody, FrameKind};
 use crate::nav::Nav;
 use crate::pcmac::{noise_tolerance, ActiveReceivers, EchoVerdict, ReceivedTable, SentTable};
-use crate::power::PowerHistory;
+use crate::power::{noise_sized_level, PowerHistory};
 
 /// Logical timers of the MAC. Each has its own [`TimerSlot`]; fired events
 /// carry the token so stale (cancelled/re-armed) timers are ignored.
@@ -291,9 +295,40 @@ impl DcfMac {
         }
     }
 
+    /// The level a unicast `kind` frame toward `peer` rides at: the §IV
+    /// table over the level learned for `peer`.
+    fn tx_power(&self, kind: FrameKind, peer: NodeId, now: SimTime) -> Milliwatts {
+        let needed = self.history.level_for(peer, now);
+        let policy = self.cfg.variant.power_policy();
+        policy.frame_power(kind, needed, self.cfg.max_power())
+    }
+
+    /// `true` when PCMAC's §III machinery is live: the control channel,
+    /// the CTS echo, the RTS power ladder and the advertised noise.
+    fn pcmac(&self) -> bool {
+        self.cfg.variant.is_pcmac()
+    }
+
+    /// `true` when `packet` rides PCMAC's three-way handshake (no ACK;
+    /// the next CTS echo confirms it). Routing packets keep the ACK.
+    fn three_way(&self, packet: &Packet) -> bool {
+        self.pcmac() && !packet.is_routing() && !self.cfg.pcmac.four_way_handshake
+    }
+
+    /// Every decoded frame teaches the needed power toward its sender
+    /// (frames carry their transmit power in the header) — except under
+    /// Basic 802.11, which keeps no table.
+    fn learn_level(&mut self, frame: &Frame, power: Milliwatts, now: SimTime) {
+        if self.cfg.variant.uses_power_history() {
+            self.history.observe(frame.tx, power, frame.tx_power, now);
+        }
+    }
+
     /// PCMAC's collision computation (paper §III step 2) for a
     /// transmission at `power`: `Err(until)` names the instant the last
-    /// protected reception it would violate ends.
+    /// protected reception it would violate ends. Only a PCMAC station
+    /// ever records an advertisement, so under every other variant the
+    /// registry is empty and this is `Ok`.
     fn check_protected(
         &self,
         power: Milliwatts,
@@ -379,7 +414,7 @@ impl DcfMac {
         out: &mut Vec<MacAction>,
     ) {
         let _ = now;
-        if !self.cfg.variant.is_pcmac() {
+        if !self.pcmac() {
             return;
         }
         if frame.kind == FrameKind::Data && frame.rx == self.id && !frame.is_broadcast() {
@@ -415,11 +450,7 @@ impl DcfMac {
             return;
         }
 
-        // Every decoded frame teaches us the needed power toward its
-        // sender (frames carry their transmit power in the header).
-        if self.cfg.variant.uses_power_history() {
-            self.history.observe(frame.tx, power, frame.tx_power, now);
-        }
+        self.learn_level(&frame, power, now);
 
         if !frame.is_for(self.id) {
             // Virtual carrier sense from the duration field.
@@ -495,14 +526,9 @@ impl DcfMac {
         }
     }
 
-    /// Our control-channel broadcast completed (PCMAC). Nothing to do —
-    /// the control radio needs no turnaround bookkeeping — but the hook is
-    /// kept for symmetry and future use.
-    pub fn on_ctrl_tx_end(&mut self, _now: SimTime) {}
-
     /// A tolerance broadcast arrived on the control channel (PCMAC).
     pub fn on_ctrl_rx(&mut self, cf: CtrlFrame, heard_at: Milliwatts, now: SimTime) {
-        if !self.cfg.variant.is_pcmac() || cf.receiver == self.id {
+        if !self.pcmac() || cf.receiver == self.id {
             return;
         }
         let active_rx = &mut self.exchange_mut().active_rx;
@@ -591,59 +617,36 @@ impl DcfMac {
             return;
         };
 
-        let max = self.cfg.max_power();
-        let policy = self.cfg.variant.power_policy();
-        let (cts_power, required_data_power) = if self.cfg.variant.is_pcmac() {
+        let (cts_power, required_data_power, echo) = if self.pcmac() {
             // Paper §III step 3: size the CTS so it clears decoding *and*
             // the noise floor at the requester, using the gain measured
             // off this RTS; tell the requester what power its DATA needs
-            // to clear our own noise.
+            // — "B required DATA be sent at the power level
+            // P = η_cp · N_B · P_t / S" — to clear *our* currently-measured
+            // noise N_B, not just the decode threshold.
             let gain = (power.value() / frame.tx_power.value()).max(1e-30);
             let noise_at_sender = sender_noise.unwrap_or(Milliwatts::ZERO);
-            let need_rx_at_sender = self
-                .cfg
-                .rx_thresh
-                .value()
-                .max(self.cfg.pcmac.capture_ratio * noise_at_sender.value());
-            let cts_power = self
-                .cfg
-                .levels
-                .quantize_up_or_max(Milliwatts(need_rx_at_sender / gain));
-            // Paper §III step 3: "B required DATA be sent at the power
-            // level P = η_cp · N_B · P_t / S" — the DATA must clear *our*
-            // currently-measured noise N_B, not just the decode threshold.
-            let need_rx_here = self
-                .cfg
-                .rx_thresh
-                .value()
-                .max(self.cfg.pcmac.capture_ratio * self.last_noise.value());
-            let data_power = self
-                .cfg
-                .levels
-                .quantize_up_or_max(Milliwatts(need_rx_here / gain));
-            (cts_power, Some(data_power))
+            let echo = self
+                .exchange
+                .as_ref()
+                .and_then(|e| e.recv.echo_for(frame.tx));
+            (
+                noise_sized_level(&self.cfg, noise_at_sender, gain),
+                Some(noise_sized_level(&self.cfg, self.last_noise, gain)),
+                echo,
+            )
         } else {
-            let needed = self.history.level_for(frame.tx, now);
-            (policy.cts_power(needed, max), None)
+            (self.tx_power(FrameKind::Cts, frame.tx, now), None, None)
         };
 
         // PCMAC step 3: the responder also runs the collision computation
         // before its CTS; if it would violate a protected reception it
         // stays silent and the requester retries later.
-        if self.cfg.variant.is_pcmac() {
-            if let Err(_until) = self.check_protected(cts_power, Some(frame.tx), now) {
-                self.counters.ctrl_deferrals += 1;
-                return;
-            }
+        if let Err(_until) = self.check_protected(cts_power, Some(frame.tx), now) {
+            self.counters.ctrl_deferrals += 1;
+            return;
         }
 
-        let echo = if self.cfg.variant.is_pcmac() {
-            self.exchange
-                .as_ref()
-                .and_then(|e| e.recv.echo_for(frame.tx))
-        } else {
-            None
-        };
         // CTS duration: whatever the RTS reserved, minus SIFS + CTS time.
         let duration = frame
             .duration
@@ -686,9 +689,7 @@ impl DcfMac {
         self.ssrc = 0;
 
         let next_hop = job.next_hop;
-        let is_routing = job.packet.is_routing();
-        let three_way =
-            self.cfg.variant.is_pcmac() && !is_routing && !self.cfg.pcmac.four_way_handshake;
+        let three_way = self.three_way(&job.packet);
 
         // Decide what data to send and whether it needs an ACK.
         let (packet, seq, needs_ack) = if three_way {
@@ -718,31 +719,19 @@ impl DcfMac {
             (self.current.as_ref().unwrap().packet.clone(), seq, true)
         };
 
-        // Power for the DATA frame.
-        let max = self.cfg.max_power();
-        let data_power = if self.cfg.variant.is_pcmac() {
-            required_data_power.unwrap_or_else(|| self.history.level_for(next_hop, now))
-        } else {
-            let needed = self.history.level_for(next_hop, now);
-            self.cfg.variant.power_policy().data_power(needed, max)
-        };
+        // Power for the DATA frame: what the CTS dictates (PCMAC), else
+        // the table's.
+        let data_power =
+            required_data_power.unwrap_or_else(|| self.tx_power(FrameKind::Data, next_hop, now));
 
         // PCMAC step 4: re-run the collision computation for the DATA
         // power; abort (and retry after the blocking reception) if it
         // would violate a protected reception.
-        if self.cfg.variant.is_pcmac() {
-            if let Err(until) = self.check_protected(data_power, Some(next_hop), now) {
-                self.counters.ctrl_deferrals += 1;
-                self.clear_retransmit_override();
-                self.phase = Phase::Idle;
-                let token = self.t_ctrl.arm();
-                out.push(MacAction::Arm {
-                    kind: MacTimerKind::CtrlRetry,
-                    delay: until.saturating_since(now) + Duration::from_micros(1),
-                    token,
-                });
-                return;
-            }
+        if let Err(until) = self.check_protected(data_power, Some(next_hop), now) {
+            self.clear_retransmit_override();
+            self.phase = Phase::Idle;
+            self.defer_for_ctrl(until, now, out);
+            return;
         }
 
         let session = SessionId::for_pair(self.id, next_hop);
@@ -799,9 +788,7 @@ impl DcfMac {
         // Duplicate suppression (lost ACK / lost CTS echo replays).
         let fresh = self.exchange_mut().recv.accept(frame.tx, session, seq);
         if needs_ack && self.phase == Phase::Idle && !self.response_pending() {
-            let max = self.cfg.max_power();
-            let needed = self.history.level_for(frame.tx, now);
-            let ack_power = self.cfg.variant.power_policy().ack_power(needed, max);
+            let ack_power = self.tx_power(FrameKind::Ack, frame.tx, now);
             let ack = Frame {
                 kind: FrameKind::Ack,
                 tx: self.id,
@@ -848,7 +835,7 @@ impl DcfMac {
         self.counters.cts_timeouts += 1;
         self.ssrc += 1;
 
-        if self.cfg.variant.is_pcmac() {
+        if self.pcmac() {
             // Paper §III step 2: "A increases its power level (by one
             // class until it gets to the maximal level)".
             let stepped = self.cfg.levels.step_up(self.rts_power);
@@ -925,17 +912,10 @@ impl DcfMac {
     /// Initialise per-job state (RTS power ladder).
     fn begin_job(&mut self, now: SimTime) {
         let Some(job) = &self.current else { return };
-        let max = self.cfg.max_power();
-        self.rts_power = match self.cfg.variant {
-            Variant::Basic | Variant::Scheme1 => max,
-            Variant::Scheme2 | Variant::Pcmac => {
-                if job.next_hop.is_broadcast() {
-                    max
-                } else {
-                    self.history.level_for(job.next_hop, now)
-                }
-            }
-        };
+        // A broadcast job reads the maximum here too: nothing is ever
+        // recorded under the broadcast address (`observe` keys by a
+        // frame's transmitter, `record_level` by a unicast next hop).
+        self.rts_power = self.tx_power(FrameKind::Rts, job.next_hop, now);
         self.ssrc = 0;
         self.slrc = 0;
     }
@@ -1055,11 +1035,9 @@ impl DcfMac {
         if job.next_hop.is_broadcast() {
             // Broadcasts skip RTS/CTS and go at the normal (max) power in
             // every protocol (paper §IV).
-            if self.cfg.variant.is_pcmac() {
-                if let Err(until) = self.check_protected(max, None, now) {
-                    self.defer_for_ctrl(until, now, out);
-                    return;
-                }
+            if let Err(until) = self.check_protected(max, None, now) {
+                self.defer_for_ctrl(until, now, out);
+                return;
             }
             let frame = Frame {
                 kind: FrameKind::Data,
@@ -1084,15 +1062,12 @@ impl DcfMac {
         // (dot11RTSThreshold). PCMAC data is exempt: its reliability
         // rides on the CTS echo.
         let on_air_bytes = crate::frame::DATA_HEADER_BYTES + job.packet.size_bytes();
-        let pcmac_data = self.cfg.variant.is_pcmac() && !job.packet.is_routing();
+        let pcmac_data = self.pcmac() && !job.packet.is_routing();
         if self.cfg.rts_threshold > 0 && on_air_bytes <= self.cfg.rts_threshold && !pcmac_data {
-            let needed = self.history.level_for(job.next_hop, now);
-            let data_power = self.cfg.variant.power_policy().data_power(needed, max);
-            if self.cfg.variant.is_pcmac() {
-                if let Err(until) = self.check_protected(data_power, Some(job.next_hop), now) {
-                    self.defer_for_ctrl(until, now, out);
-                    return;
-                }
+            let data_power = self.tx_power(FrameKind::Data, job.next_hop, now);
+            if let Err(until) = self.check_protected(data_power, Some(job.next_hop), now) {
+                self.defer_for_ctrl(until, now, out);
+                return;
             }
             let next_hop = job.next_hop;
             let packet = job.packet.clone();
@@ -1120,39 +1095,32 @@ impl DcfMac {
             return;
         }
 
-        // Unicast: RTS first.
-        let rts_power = match self.cfg.variant {
-            Variant::Basic | Variant::Scheme1 => max,
-            Variant::Scheme2 => self.history.level_for(job.next_hop, now),
-            Variant::Pcmac => self.rts_power,
+        // Unicast: RTS first. PCMAC's ladder (the job-start level, stepped
+        // up on CTS timeouts) is the one level that is not a fresh read
+        // of the table.
+        let rts_power = if self.pcmac() {
+            self.rts_power
+        } else {
+            self.tx_power(FrameKind::Rts, job.next_hop, now)
         };
-        if self.cfg.variant.is_pcmac() {
-            // Paper §III step 2: would this power corrupt a protected
-            // reception nearby? (The intended receiver is *not* exempt
-            // here — if it is busy receiving from someone else, our RTS
-            // would be the collision.)
-            if let Err(until) = self.check_protected(rts_power, None, now) {
-                self.defer_for_ctrl(until, now, out);
-                return;
-            }
+        // Paper §III step 2: would this power corrupt a protected
+        // reception nearby? (The intended receiver is *not* exempt here —
+        // if it is busy receiving from someone else, our RTS would be the
+        // collision.)
+        if let Err(until) = self.check_protected(rts_power, None, now) {
+            self.defer_for_ctrl(until, now, out);
+            return;
         }
 
-        let needs_ack = !self.cfg.variant.is_pcmac()
-            || job.packet.is_routing()
-            || self.cfg.pcmac.four_way_handshake;
-        let data_bytes = crate::frame::DATA_HEADER_BYTES + job.packet.size_bytes();
-        let data_time = self.cfg.timing.airtime_data(data_bytes);
+        let needs_ack = !self.three_way(&job.packet);
+        let data_time = self.cfg.timing.airtime_data(on_air_bytes);
         let t = &self.cfg.timing;
         let duration = if needs_ack {
             t.sifs * 3 + t.cts_time() + data_time + t.ack_time()
         } else {
             t.sifs * 2 + t.cts_time() + data_time
         };
-        let sender_noise = if self.cfg.variant.is_pcmac() {
-            Some(self.last_noise)
-        } else {
-            None
-        };
+        let sender_noise = self.pcmac().then_some(self.last_noise);
         let rts = Frame {
             kind: FrameKind::Rts,
             tx: self.id,

@@ -4,12 +4,16 @@
 //! ([`DcfMac`]) implements all four protocols compared in the paper's
 //! evaluation:
 //!
-//! | Variant | RTS/CTS | DATA/ACK | Extras |
-//! |---|---|---|---|
-//! | [`Variant::Basic`]   | max power | max power | — |
-//! | [`Variant::Scheme1`] | max power | needed power | power history table |
-//! | [`Variant::Scheme2`] | needed | needed | power history table |
-//! | [`Variant::Pcmac`]   | needed | needed, **no ACK** | control channel, 3-way handshake, tolerance checks |
+//! | Variant | [`PowerPolicy`] | RTS/CTS | DATA/ACK | Extras |
+//! |---|---|---|---|---|
+//! | [`Variant::Basic`]   | `AllMax`    | max power | max power | — |
+//! | [`Variant::Scheme1`] | `RtsCtsMax` | max power | needed power | power history table |
+//! | [`Variant::Scheme2`] | `AllNeeded` | needed | needed | power history table |
+//! | [`Variant::Pcmac`]   | `AllNeeded` | needed | needed, **no ACK** | control channel, 3-way handshake, tolerance checks, noise-sized CTS / DATA |
+//!
+//! The table is one function, [`PowerPolicy::frame_power`]; the engine
+//! asks it through a single private `tx_power(kind, peer, now)` and
+//! never matches on the variant itself.
 //!
 //! Modules:
 //!
@@ -18,10 +22,13 @@
 //!   frame (48 bits).
 //! * [`nav`] — virtual carrier sense.
 //! * [`backoff`] — binary exponential backoff with freeze/resume.
-//! * [`power`] — the needed-power history table and per-variant policies.
+//! * [`power`] — where every unicast frame's level is chosen: the
+//!   needed-power history table, the §IV table over it and PCMAC's
+//!   noise-sized class (§III step 3).
 //! * [`pcmac`] — noise tolerances, protected-receiver registry, and the
 //!   sent/received tables of the three-way handshake.
-//! * [`dcf`] — the full state machine.
+//! * [`dcf`] — the full state machine; it asks `power` for levels and
+//!   one predicate for whether the PCMAC machinery is live.
 //! * [`config`], [`counters`] — knobs and statistics.
 
 pub mod backoff;

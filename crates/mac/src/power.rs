@@ -1,4 +1,5 @@
-//! Transmit power selection.
+//! Transmit power selection: the one place a unicast frame's level is
+//! chosen.
 //!
 //! [`PowerHistory`] is the paper's per-neighbour table of needed power
 //! levels: every decoded frame carries its transmit power in the header,
@@ -8,14 +9,22 @@
 //! Entries expire after 3 s; unknown neighbours get the maximum ("normal")
 //! power.
 //!
-//! [`PowerPolicy`] maps the four protocols of the evaluation to per-frame
-//! power choices (paper §IV): which frames ride at the needed level and
-//! which stay at maximum.
+//! [`PowerPolicy::frame_power`] is the table of paper §IV: given a frame
+//! kind, the needed level toward its receiver and the maximum, the level
+//! the frame rides at under each of the evaluation's protocols.
+//! `noise_sized_level` is PCMAC's refinement of §III step 3, a class
+//! sized to clear the noise measured at the far end as well. The DCF
+//! engine asks these two and nothing else (broadcasts always go at the
+//! maximum; PCMAC's RTS ladder starts from the table and steps up on
+//! CTS timeouts).
 
 use std::collections::HashMap;
 
 use pcmac_engine::{Duration, Milliwatts, NodeId, SimTime};
 use pcmac_phy::PowerLevels;
+
+use crate::config::MacConfig;
+use crate::frame::FrameKind;
 
 /// Which frames use the learned "needed" power level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,37 +38,27 @@ pub enum PowerPolicy {
 }
 
 impl PowerPolicy {
-    /// Power for an RTS toward `needed`-power neighbour.
-    pub fn rts_power(self, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
-        match self {
-            PowerPolicy::AllMax | PowerPolicy::RtsCtsMax => max,
-            PowerPolicy::AllNeeded => needed,
+    /// Power for a unicast `kind` frame toward a neighbour whose learned
+    /// level is `needed` (paper §IV).
+    pub fn frame_power(self, kind: FrameKind, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
+        use FrameKind::{Ack, Cts, Data, Rts};
+        match (self, kind) {
+            (PowerPolicy::AllMax, _) | (PowerPolicy::RtsCtsMax, Rts | Cts) => max,
+            (PowerPolicy::RtsCtsMax, Data | Ack) | (PowerPolicy::AllNeeded, _) => needed,
         }
     }
+}
 
-    /// Power for a CTS reply.
-    pub fn cts_power(self, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
-        match self {
-            PowerPolicy::AllMax | PowerPolicy::RtsCtsMax => max,
-            PowerPolicy::AllNeeded => needed,
-        }
-    }
-
-    /// Power for a unicast DATA frame.
-    pub fn data_power(self, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
-        match self {
-            PowerPolicy::AllMax => max,
-            PowerPolicy::RtsCtsMax | PowerPolicy::AllNeeded => needed,
-        }
-    }
-
-    /// Power for an ACK.
-    pub fn ack_power(self, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
-        match self {
-            PowerPolicy::AllMax => max,
-            PowerPolicy::RtsCtsMax | PowerPolicy::AllNeeded => needed,
-        }
-    }
+/// PCMAC §III step 3: the smallest class that, through `gain`, arrives
+/// above both the decode threshold and `η_cp` times the `noise` measured
+/// at the far end — `P = η_cp · N · P_t / S` in the paper's terms, with
+/// `gain = S / P_t` taken off the RTS just heard.
+pub(crate) fn noise_sized_level(cfg: &MacConfig, noise: Milliwatts, gain: f64) -> Milliwatts {
+    let need_rx = cfg
+        .rx_thresh
+        .value()
+        .max(cfg.pcmac.capture_ratio * noise.value());
+    cfg.levels.quantize_up_or_max(Milliwatts(need_rx / gain))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -175,14 +174,6 @@ impl PowerHistory {
             },
         );
     }
-
-    /// Drop expired entries (paper: "if the record has not been updated
-    /// within the expiration time, it is deleted"). Called opportunistically.
-    pub fn purge(&mut self, now: SimTime) {
-        let expiry = self.expiry;
-        self.entries
-            .retain(|_, e| now.saturating_since(e.updated_at) < expiry);
-    }
 }
 
 mod snap {
@@ -257,17 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_removes_stale_entries() {
-        let mut h = table();
-        let p_max = h.levels().max();
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(0));
-        h.observe(NodeId(3), p_max * 1e-3, p_max, t(4));
-        h.purge(t(5));
-        assert!(!h.knows(NodeId(2), t(5)));
-        assert!(h.knows(NodeId(3), t(5)));
-    }
-
-    #[test]
     fn weak_signal_requires_more_power_than_strong() {
         let mut h = table();
         let p_max = h.levels().max();
@@ -291,20 +271,38 @@ mod tests {
     }
 
     #[test]
-    fn policy_matrix_matches_paper_table() {
+    fn power_table_matches_paper_section_iv() {
+        use crate::config::Variant;
+        use FrameKind::{Ack, Cts, Data, Rts};
+
         let max = Milliwatts(281.83815);
         let need = Milliwatts(2.0);
-        // Basic 802.11
-        assert_eq!(PowerPolicy::AllMax.rts_power(need, max), max);
-        assert_eq!(PowerPolicy::AllMax.data_power(need, max), max);
-        // Scheme 1
-        assert_eq!(PowerPolicy::RtsCtsMax.rts_power(need, max), max);
-        assert_eq!(PowerPolicy::RtsCtsMax.cts_power(need, max), max);
-        assert_eq!(PowerPolicy::RtsCtsMax.data_power(need, max), need);
-        assert_eq!(PowerPolicy::RtsCtsMax.ack_power(need, max), need);
-        // Scheme 2 / PCMAC
-        assert_eq!(PowerPolicy::AllNeeded.rts_power(need, max), need);
-        assert_eq!(PowerPolicy::AllNeeded.cts_power(need, max), need);
-        assert_eq!(PowerPolicy::AllNeeded.data_power(need, max), need);
+        // Every (policy, frame kind) cell: RTS, CTS, DATA, ACK.
+        for (policy, row) in [
+            (PowerPolicy::AllMax, [max, max, max, max]),
+            (PowerPolicy::RtsCtsMax, [max, max, need, need]),
+            (PowerPolicy::AllNeeded, [need, need, need, need]),
+        ] {
+            for (kind, want) in [Rts, Cts, Data, Ack].into_iter().zip(row) {
+                assert_eq!(
+                    policy.frame_power(kind, need, max),
+                    want,
+                    "{policy:?} {kind:?}"
+                );
+            }
+        }
+        // Every variant: its policy, whether it learns levels, whether the
+        // PCMAC machinery (control channel, three-way handshake) is live.
+        for variant in Variant::ALL {
+            let (policy, learns, pcmac) = match variant {
+                Variant::Basic => (PowerPolicy::AllMax, false, false),
+                Variant::Scheme1 => (PowerPolicy::RtsCtsMax, true, false),
+                Variant::Scheme2 => (PowerPolicy::AllNeeded, true, false),
+                Variant::Pcmac => (PowerPolicy::AllNeeded, true, true),
+            };
+            assert_eq!(variant.power_policy(), policy, "{variant:?}");
+            assert_eq!(variant.uses_power_history(), learns, "{variant:?}");
+            assert_eq!(variant.is_pcmac(), pcmac, "{variant:?}");
+        }
     }
 }

@@ -68,18 +68,6 @@ impl CbrSource {
         }
     }
 
-    /// The paper's packet size (512 B) at the given per-flow rate.
-    pub fn paper_flow(
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        rate_bps: f64,
-        start: SimTime,
-        stop: SimTime,
-    ) -> Self {
-        CbrSource::new(flow, src, dst, 512, rate_bps, start, stop)
-    }
-
     /// The emission interval.
     pub fn interval(&self) -> Duration {
         self.interval

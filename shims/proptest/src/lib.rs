@@ -203,7 +203,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     pub struct SizeRange {
         lo: usize,
         hi: usize,
