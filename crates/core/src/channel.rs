@@ -3,8 +3,12 @@
 //! The channel is not a node-like object — it is a *pattern*: when a
 //! node transmits, the simulator computes the received power at every
 //! candidate receiver from the propagation model and current positions,
-//! and each receiver's radio sees an `ArrivalStart` and an `ArrivalEnd`
-//! after the speed-of-light delay, deciding locally what it heard.
+//! and each receiver's receive row (`soa::HotState::rx`) sees an
+//! `ArrivalStart` and an `ArrivalEnd` after the speed-of-light delay,
+//! deciding locally what it heard. The row keeps a sum and a count, not a
+//! list, so the end hands back the power the start added: a fan-out's
+//! receiver entry holds it, and the plain `ArrivalEnd` events made for
+//! shipments and snapshots carry it.
 //! Arrivals weaker than the configured interference floor are culled
 //! (they cannot affect carrier sense or any plausible SINR).
 //!
@@ -89,7 +93,7 @@
 //! When a cursor surfaces, the event loop (`Simulator::advance`) pops it
 //! and *holds* it: it takes the fan-out out of the slab
 //! ([`Channel::hold`]), dispatches the head arrival straight from the
-//! list — node, key, power, end and the payload **by reference**; no
+//! list — node, key, power and the payload **by reference**; no
 //! `SimEvent` exists unless an observer asks to see one — and keeps
 //! going while the list's next `(time, rank)` is still below the heap's
 //! top and inside the caller's bound, firing each key on the queue's
@@ -218,10 +222,10 @@ impl Payload {
     }
 
     /// The matching arrival-end event.
-    pub(crate) fn arrival_end(&self, node: NodeId, key: u64) -> SimEvent {
+    pub(crate) fn arrival_end(&self, node: NodeId, key: u64, power: Milliwatts) -> SimEvent {
         match self {
-            Payload::Data(_) => SimEvent::ArrivalEnd { node, key },
-            Payload::Ctrl(_) => SimEvent::CtrlArrivalEnd { node, key },
+            Payload::Data(_) => SimEvent::ArrivalEnd { node, key, power },
+            Payload::Ctrl(_) => SimEvent::CtrlArrivalEnd { node, key, power },
         }
     }
 }
@@ -330,9 +334,9 @@ pub(crate) struct Arrival<'a> {
     pub(crate) node: usize,
     /// Transmission key.
     pub(crate) key: u64,
+    /// Received power — what the start adds to the receiver's
+    /// interference sum and the end takes out again.
     pub(crate) power: Milliwatts,
-    /// When the arrival completes at this receiver.
-    pub(crate) end: SimTime,
     pub(crate) payload: &'a Payload,
 }
 
@@ -362,7 +366,6 @@ impl FanOut {
             node: r.node() as usize,
             key: self.key,
             power: r.power,
-            end: self.end + r.delay(),
             payload: &self.payload,
         }
     }
@@ -374,9 +377,10 @@ impl FanOut {
         let a = self.arrival(i);
         let node = NodeId(a.node as u32);
         if end {
-            a.payload.arrival_end(node, a.key)
+            a.payload.arrival_end(node, a.key, a.power)
         } else {
-            a.payload.arrival_start(node, a.key, a.power, a.end)
+            let done = self.end + self.rx[i].delay();
+            a.payload.arrival_start(node, a.key, a.power, done)
         }
     }
 }
@@ -1247,5 +1251,191 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Thirty-six static stations on a skewed lattice (so one
+    /// transmission's arrivals land at distinct instants) and three
+    /// saturating one-hop flows that start at different times in three
+    /// corners: most stations only ever overhear, and the flows are far
+    /// enough apart to talk over each other.
+    fn bystanders(variant: Variant, faulted: bool) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::two_nodes(variant, 100.0, 900_000.0, 5)
+            .with_duration(Duration::from_millis(200));
+        let pts = (0..36).map(|k| {
+            let (row, col) = ((k / 6) as f64, (k % 6) as f64);
+            Point::new(
+                60.0 + 160.0 * col + 7.0 * row,
+                70.0 + 150.0 * row + 11.0 * col,
+            )
+        });
+        cfg.nodes = NodeSetup::Static(pts.collect());
+        let flow = cfg.flows[0].clone();
+        cfg.flows = [(0, 1, 20), (30, 31, 47), (35, 29, 83)]
+            .into_iter()
+            .enumerate()
+            .map(|(k, (src, dst, start_ms))| FlowSpec {
+                flow: FlowId(k as u32),
+                src: NodeId(src),
+                dst: NodeId(dst),
+                start: SimTime::ZERO + Duration::from_millis(start_ms),
+                ..flow.clone()
+            })
+            .collect();
+        cfg.delay_floor_us = Some(0.05);
+        if faulted {
+            cfg.faults = Some(FaultConfig {
+                crashes: None,
+                churn: None,
+                expire_routes: None,
+                impairments: Some(vec![ImpairmentBurst {
+                    start_s: 0.09,
+                    stop_s: 0.15,
+                    extra_loss_db: 1.0,
+                    noise_mult: Some(4.0),
+                }]),
+                energy_budget_mj: None,
+            });
+        }
+        cfg
+    }
+
+    /// A cut carries what the hot rows know and no list backs up: the
+    /// carrier edge a bystander's MAC is still owed (written by telling a
+    /// copy of that MAC) and a locked row's interference sum with other
+    /// arrivals in it. Every grid cut of the hooked run equals stepping
+    /// there and capturing; telling every owed edge for real changes no
+    /// byte of the capture; and cuts that held either kind of state
+    /// resume, single-threaded and sharded, to the uninterrupted report.
+    #[test]
+    fn cuts_carry_held_carrier_edges_and_locked_rows_in_company() {
+        use std::sync::Mutex;
+
+        use crate::snapshot::RunHooks;
+
+        for (variant, faulted) in [
+            (Variant::Basic, false),
+            (Variant::Basic, true),
+            (Variant::Pcmac, false),
+            (Variant::Pcmac, true),
+        ] {
+            let what = format!("{variant:?}, faulted = {faulted}");
+            let cfg = bystanders(variant, faulted);
+            let reference = fingerprint(Simulator::new(cfg.clone()).run());
+
+            let taken = Mutex::new(Vec::new());
+            let sink = |snap: SimSnapshot| taken.lock().expect("sink").push(snap);
+            let outcome = Simulator::new(cfg.clone()).run_with_hooks(RunHooks {
+                cancel: None,
+                checkpoint_every: Some(Duration::from_nanos(1_499_989)),
+                checkpoint_sink: Some(&sink),
+            });
+            let hooked = outcome.report().expect("no cancel token: completes");
+            assert_eq!(fingerprint(hooked), reference, "{what}");
+            let taken = taken.into_inner().expect("sink");
+
+            let mut sim = Simulator::new(cfg.clone());
+            let (mut with_held, mut with_company) = (Vec::new(), Vec::new());
+            for snap in &taken {
+                let cut = snap.time();
+                while sim.step_before(cut).is_some() {}
+                let bytes = snap.to_bytes();
+                assert!(
+                    sim.snapshot_at(cut).to_bytes() == bytes,
+                    "{what}: cut at {cut:?} differs"
+                );
+                let (held, in_company) = sim.receive_census();
+                // The capture wrote every MAC as told: once each owed edge
+                // has really been told, the same capture reads the same.
+                sim.tell_held_edges(cut);
+                assert_eq!(sim.receive_census().0, 0);
+                assert!(
+                    sim.snapshot_at(cut).to_bytes() == bytes,
+                    "{what}: the cut at {cut:?} did not carry its {held} held edges"
+                );
+                if held > 0 {
+                    with_held.push(bytes.clone());
+                }
+                if in_company > 0 {
+                    with_company.push(bytes);
+                }
+            }
+            assert!(!with_held.is_empty(), "{what}: no cut found a held edge");
+            assert!(
+                !with_company.is_empty(),
+                "{what}: no cut found a station locked with two arrivals on the air"
+            );
+
+            // Held edges are at nearly every cut: resume from a spread of
+            // those, and from every cut that caught a row in company.
+            let stride = with_held.len().div_ceil(4);
+            let spread = with_held.iter().step_by(stride);
+            for bytes in spread.chain(with_company.iter().take(4)) {
+                let snap = SimSnapshot::from_bytes(bytes).expect("round trip");
+                for shards in [None, Some(2)] {
+                    let mut cfg = cfg.clone();
+                    cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
+                    let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
+                    assert_eq!(
+                        fingerprint(resumed),
+                        reference,
+                        "{what}, shards = {shards:?}, cut = {:?}",
+                        snap.time()
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a field shaped like the benchmark's — stations at one per
+    /// 250 m × 250 m, a one-hop flow per fifty of them, interference
+    /// culled at the carrier-sense threshold so nearly every arrival
+    /// flips carrier sense — at least 70 % of the arrival starts and ends
+    /// that indicate anything are a carrier edge at a station whose MAC
+    /// is not listening: handled on the hot row, the cold node untouched.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn most_audible_arrivals_on_a_field_never_touch_a_cold_node() {
+        use pcmac_engine::{Milliwatts, RngStream};
+
+        const NODES: usize = 800;
+        let side = (NODES as f64).sqrt() * 250.0;
+        let mut rng = RngStream::derive(3, "field.placement");
+        let pts: Vec<Point> = (0..NODES)
+            .map(|_| Point::new(rng.uniform(0.0, side), rng.uniform(0.0, side)))
+            .collect();
+        let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 40_000.0, 3)
+            .with_duration(Duration::from_secs(1));
+        cfg.field = (side, side);
+        cfg.interference_floor = Milliwatts(1.559e-8);
+        let flow = cfg.flows[0].clone();
+        cfg.flows = (0..NODES / 50)
+            .map(|k| {
+                let src = rng.below(NODES as u64) as usize;
+                let dst = (0..NODES)
+                    .filter(|&j| j != src)
+                    .min_by(|&a, &b| {
+                        let d = |j: usize| pts[src].distance_sq(pts[j]);
+                        d(a).total_cmp(&d(b))
+                    })
+                    .expect("more than one node");
+                FlowSpec {
+                    flow: FlowId(k as u32),
+                    src: NodeId(src as u32),
+                    dst: NodeId(dst as u32),
+                    start: SimTime::ZERO + Duration::from_millis(20 + 3 * k as u64),
+                    ..flow.clone()
+                }
+            })
+            .collect();
+        cfg.nodes = NodeSetup::Static(pts);
+
+        let mut sim = Simulator::new(cfg);
+        while sim.step().is_some() {}
+        let (audible, held) = sim.arrival_audit();
+        assert!(audible > 20_000, "only {audible} audible arrival events");
+        assert!(
+            held as f64 >= 0.7 * audible as f64,
+            "{held} of {audible} audible arrival events were held carrier edges"
+        );
     }
 }

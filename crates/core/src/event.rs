@@ -29,6 +29,9 @@ pub enum SimEvent {
         node: NodeId,
         /// Transmission key.
         key: u64,
+        /// The received power the arrival started with: the receiver
+        /// keeps a sum, not a list, and subtracts what the end hands back.
+        power: Milliwatts,
     },
     /// `node`'s own data-channel transmission finished.
     TxEnd {
@@ -54,6 +57,8 @@ pub enum SimEvent {
         node: NodeId,
         /// Transmission key.
         key: u64,
+        /// The received power the arrival started with.
+        power: Milliwatts,
     },
     /// `node`'s control-channel broadcast finished.
     CtrlTxEnd {
@@ -168,8 +173,8 @@ impl SimEvent {
     /// instead of one queue entry each (see `channel`).
     pub fn rank(&self) -> u128 {
         let (class, node, disc): (u128, u32, u64) = match self {
-            SimEvent::ArrivalEnd { node, key } => (0, node.0, *key),
-            SimEvent::CtrlArrivalEnd { node, key } => (1, node.0, *key),
+            SimEvent::ArrivalEnd { node, key, .. } => (0, node.0, *key),
+            SimEvent::CtrlArrivalEnd { node, key, .. } => (1, node.0, *key),
             SimEvent::TxEnd { node } => (2, node.0, 0),
             SimEvent::CtrlTxEnd { node } => (3, node.0, 0),
             SimEvent::ArrivalStart { node, key, .. } => (4, node.0, *key),
@@ -227,8 +232,8 @@ mod tests {
             tx_power: power,
         };
         let events = [
-            (false, true, SimEvent::ArrivalEnd { node, key }),
-            (true, true, SimEvent::CtrlArrivalEnd { node, key }),
+            (false, true, SimEvent::ArrivalEnd { node, key, power }),
+            (true, true, SimEvent::CtrlArrivalEnd { node, key, power }),
             (
                 false,
                 false,
@@ -268,15 +273,17 @@ mod snap {
     impl Snap for SimEvent {
         fn save(&self, w: &mut SnapWriter) {
             match self {
-                SimEvent::ArrivalEnd { node, key } => {
+                SimEvent::ArrivalEnd { node, key, power } => {
                     w.u8(0);
                     node.save(w);
                     w.u64(*key);
+                    power.save(w);
                 }
-                SimEvent::CtrlArrivalEnd { node, key } => {
+                SimEvent::CtrlArrivalEnd { node, key, power } => {
                     w.u8(1);
                     node.save(w);
                     w.u64(*key);
+                    power.save(w);
                 }
                 SimEvent::TxEnd { node } => {
                     w.u8(2);
@@ -356,10 +363,12 @@ mod snap {
                 0 => SimEvent::ArrivalEnd {
                     node: Snap::load(r)?,
                     key: r.u64()?,
+                    power: Snap::load(r)?,
                 },
                 1 => SimEvent::CtrlArrivalEnd {
                     node: Snap::load(r)?,
                     key: r.u64()?,
+                    power: Snap::load(r)?,
                 },
                 2 => SimEvent::TxEnd {
                     node: Snap::load(r)?,

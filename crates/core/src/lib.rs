@@ -37,18 +37,21 @@
 //!        ┌───────────────┼────────────────────┐
 //!        ▼               ▼                    ▼
 //!    EventQueue      Vec<Node>           TwoRayGround
-//!   (pcmac-engine)   ├ Radio (data)      (pcmac-phy)
-//!                    ├ Radio (ctrl)
-//!                    ├ DcfMac   (pcmac-mac)
+//!   (pcmac-engine)   ├ DcfMac   (pcmac-mac)  (pcmac-phy)
 //!                    ├ AodvAgent (pcmac-aodv)
-//!                    ├ Mobility  (pcmac-mobility)
 //!                    ├ sources/Sink (pcmac-traffic)
 //!                    └ EnergyMeter (pcmac-phy)
+//!                    hot arrays, one entry per node
+//!                    ├ RxRow (data), RxRow (ctrl, PCMAC)  (pcmac-phy)
+//!                    └ Mobility  (pcmac-mobility)
 //! ```
 //!
 //! Every component is a pure state machine; the [`Simulator`] routes
 //! events to the owning node and applies the returned actions, which is
-//! where cross-node effects (the wireless channel) happen.
+//! where cross-node effects (the wireless channel) happen. What an
+//! arriving transmission does to a receiver happens on that receiver's
+//! row in the hot arrays; the cold `Node` is reached only when its MAC
+//! has something to hear (see the `soa` module).
 
 pub(crate) mod channel;
 pub mod config;

@@ -6,8 +6,7 @@ use pcmac_aodv::{AodvAgent, AodvConfig};
 use pcmac_engine::{NodeId, RngStream, SimTime};
 use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacConfig};
 use pcmac_phy::energy::EnergyModel;
-use pcmac_phy::radio::RadioConfig;
-use pcmac_phy::{EnergyMeter, Radio};
+use pcmac_phy::EnergyMeter;
 use pcmac_traffic::{CbrSource, OnOffSource, PoissonSource, Sink, Source};
 
 use crate::config::{FlowShape, FlowSpec};
@@ -101,19 +100,21 @@ impl TrafficSource {
     }
 }
 
-/// One station: radios, MAC, routing, traffic endpoints, meter.
-/// Movement and the other dispatch-hot per-node scalars live in the
-/// simulator's struct-of-arrays state, not here — `Node` is the *cold*
-/// half (protocol machines, tables, counters) that a region shard only
-/// materialises for nodes it owns.
+/// One station: MAC, routing, traffic endpoints, meter. Movement, the
+/// receive side of both radios and the other dispatch-hot per-node
+/// scalars live in the simulator's struct-of-arrays state, not here —
+/// `Node` is the *cold* half (protocol machines, tables, counters) that a
+/// region shard only materialises for nodes it owns. Of a reception in
+/// progress it holds the frame being decoded and nothing else.
 #[derive(Debug)]
 pub struct Node {
     /// Station address.
     pub id: NodeId,
-    /// Data-channel radio.
-    pub radio: Radio<Arc<Frame>>,
-    /// Power-control-channel radio (only exercised under PCMAC).
-    pub ctrl_radio: Radio<CtrlFrame>,
+    /// The frame the data-channel receive row is locked onto.
+    pub locked: Option<Arc<Frame>>,
+    /// The broadcast the control-channel receive row is locked onto
+    /// (PCMAC only).
+    pub ctrl_locked: Option<CtrlFrame>,
     /// The MAC.
     pub mac: DcfMac,
     /// The routing agent.
@@ -131,17 +132,11 @@ impl Node {
     /// with every other node of the scenario, and no component allocates
     /// until it is used: a node that never sends, receives or hears
     /// anything owns nothing on the heap.
-    pub fn new(
-        id: NodeId,
-        radio_cfg: RadioConfig,
-        mac_cfg: Arc<MacConfig>,
-        aodv_cfg: Arc<AodvConfig>,
-        seed: u64,
-    ) -> Self {
+    pub fn new(id: NodeId, mac_cfg: Arc<MacConfig>, aodv_cfg: Arc<AodvConfig>, seed: u64) -> Self {
         Node {
             id,
-            radio: Radio::new(radio_cfg.clone()),
-            ctrl_radio: Radio::new(radio_cfg),
+            locked: None,
+            ctrl_locked: None,
             mac: DcfMac::new(id, mac_cfg, seed),
             aodv: AodvAgent::new(id, aodv_cfg),
             sources: Vec::new(),
@@ -150,14 +145,16 @@ impl Node {
         }
     }
 
-    /// Serialize the complete per-node state (radios, MAC, routing,
-    /// sources, sink, meter) into `w`. The node id is implied by the
-    /// node's index in the scenario and is not written.
-    pub(crate) fn save_state(&self, w: &mut pcmac_snap::SnapWriter) {
+    /// Serialize the cold per-node state (locked frames, MAC, routing,
+    /// sources, sink, meter) into `w`, the MAC from `mac`: this node's
+    /// own, or a copy of it that has heard a carrier edge the live one is
+    /// still owed. The node id is implied by the node's index in the
+    /// scenario and is not written.
+    pub(crate) fn save_state(&self, mac: &DcfMac, w: &mut pcmac_snap::SnapWriter) {
         use pcmac_snap::Snap;
-        self.radio.save(w);
-        self.ctrl_radio.save(w);
-        self.mac.save_state(w);
+        self.locked.save(w);
+        self.ctrl_locked.save(w);
+        mac.save_state(w);
         self.aodv.save_state(w);
         self.sources.save(w);
         self.sink.save(w);
@@ -172,8 +169,8 @@ impl Node {
         r: &mut pcmac_snap::SnapReader<'_>,
     ) -> Result<(), pcmac_snap::SnapError> {
         use pcmac_snap::Snap;
-        self.radio = Snap::load(r)?;
-        self.ctrl_radio = Snap::load(r)?;
+        self.locked = Snap::load(r)?;
+        self.ctrl_locked = Snap::load(r)?;
         self.mac.load_state(r)?;
         self.aodv.load_state(r)?;
         self.sources = Snap::load(r)?;

@@ -7,8 +7,9 @@
 //! thread, boundaries snapped to spatial-index columns, balanced by node
 //! count ([`pcmac_shard::partition_columns`]). Every worker builds an
 //! *owner-only* shard directly (`Simulator::new_shard`): cold per-node
-//! state — radios, MAC queues, routing tables — is materialised only for
-//! owned nodes, and the struct-of-arrays hot state plus the spatial
+//! state — MAC queues, routing tables, traffic endpoints — is
+//! materialised only for owned nodes (whose receive rows are the only
+//! ones a shard ever writes), and the struct-of-arrays hot state plus the spatial
 //! index are pruned to the owned band and a boundary halo sized by the
 //! maximum transmission reach. Shard memory is O(N/S + halo), not O(N).
 //! Construction is deterministic, so the shards agree exactly on the

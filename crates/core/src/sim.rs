@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
-use pcmac_mac::{CtrlFrame, Frame, MacAction};
+use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacAction};
 use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::energy::RadioMode;
-use pcmac_phy::radio::RadioEvent;
+use pcmac_phy::{RadioConfig, RxRow};
 
 use crate::channel::{Arrival, Channel, Payload, QueueEntry, Shipment, Transmission};
 use crate::config::{ExecutionMode, NodeSetup, ScenarioConfig};
@@ -26,7 +26,7 @@ use crate::node::{Node, TrafficSource};
 use crate::report::{LatencySummary, ResilienceReport, RunReport};
 use crate::snapshot::SimSnapshot;
 use crate::soa::HotState;
-use pcmac_snap::{SnapError, SnapReader, SnapWriter};
+use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A free list of scratch buffers: `take` hands out an empty vector
 /// (reusing a previously returned allocation when one exists), `put`
@@ -447,8 +447,13 @@ pub struct Simulator {
     /// mode). Boxed so a shard's vector of absentees stays thin.
     nodes: Vec<Option<Box<Node>>>,
     /// Struct-of-arrays hot per-node state: positions, movement,
-    /// alive flags, last transmit powers, tx-key counters.
+    /// alive flags, last transmit powers, tx-key counters, and the
+    /// receive side of every station.
     hot: HotState,
+    /// The one radio configuration every receive row is read against:
+    /// `cfg.radio` with the noise floor scaled by the active impairment
+    /// bursts.
+    radio: RadioConfig,
     /// Propagation, the spatial index, gain replay, position refresh
     /// and the arrivals in flight.
     channel: Channel,
@@ -473,11 +478,39 @@ pub struct Simulator {
     /// cannot change a run's behavior.
     metrics: Option<MetricsState>,
     // Scratch-buffer pools for allocation-free dispatch.
-    rad_pool: BufPool<RadioEvent<Arc<Frame>>>,
-    ctrl_pool: BufPool<RadioEvent<CtrlFrame>>,
     mac_pool: BufPool<MacAction>,
     aodv_pool: BufPool<pcmac_aodv::AodvAction>,
+    #[cfg(debug_assertions)]
+    audit: ArrivalAudit,
 }
+
+/// Debug builds count how audible data arrivals are handled and pace the
+/// reconciliation of the rows' arrival counts against the queue.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct ArrivalAudit {
+    /// Data-channel arrival starts and ends that indicated something.
+    audible: u64,
+    /// Those that were a carrier edge held back from a MAC that was not
+    /// listening: handled without touching the cold node.
+    held: u64,
+    /// Carrier edges held back so far, whatever indicated them.
+    holds: u32,
+    /// Fan-out walks so far.
+    walks: u32,
+}
+
+/// Debug builds reconcile the rows' arrival counts with the pending
+/// events on every this-many-th fan-out walk (a reconciliation is
+/// O(pending + N)).
+#[cfg(debug_assertions)]
+const ON_AIR_AUDIT_EVERY: u32 = 4096;
+
+/// Debug builds audit every this-many-th held carrier edge against copies
+/// of the MAC it is held from (two clones and two serializations: at
+/// every edge that is a tenfold slowdown of a debug run).
+#[cfg(debug_assertions)]
+const HELD_EDGE_AUDIT_EVERY: u32 = 64;
 
 impl Simulator {
     /// Build the network described by `cfg`.
@@ -608,7 +641,6 @@ impl Simulator {
                     }
                     None => Box::new(Node::new(
                         NodeId(i as u32),
-                        cfg.radio.clone(),
                         Arc::clone(&mac_cfg),
                         Arc::clone(&aodv_cfg),
                         cfg.seed,
@@ -788,6 +820,11 @@ impl Simulator {
             tx_power_mw: vec![0.0; n],
             sampled_at: Vec::new(),
             tx_key_ctr: vec![0; n],
+            rx: vec![RxRow::default(); n],
+            // Only a PCMAC station ever radiates a control frame.
+            ctrl_rx: vec![RxRow::default(); if cfg.mac.variant.is_pcmac() { n } else { 0 }],
+            carrier: vec![0; n],
+            held_noise: vec![Milliwatts::ZERO; n],
         };
         let mut channel = Channel::new(&cfg, &mut hot, any_mobile);
 
@@ -806,6 +843,7 @@ impl Simulator {
         });
 
         Simulator {
+            radio: cfg.radio.clone(),
             cfg,
             queue,
             nodes,
@@ -817,10 +855,10 @@ impl Simulator {
             sent_packets: 0,
             faults,
             metrics,
-            rad_pool: BufPool::default(),
-            ctrl_pool: BufPool::default(),
             mac_pool: BufPool::default(),
             aodv_pool: BufPool::default(),
+            #[cfg(debug_assertions)]
+            audit: ArrivalAudit::default(),
         }
     }
 
@@ -912,6 +950,13 @@ impl Simulator {
                 QueueEntry::Cursor { fan, end } => {
                     let room = budget - fired;
                     fired += self.walk(fan, end, until, room, &mut observer);
+                    #[cfg(debug_assertions)]
+                    {
+                        self.audit.walks += 1;
+                        if self.audit.walks.is_multiple_of(ON_AIR_AUDIT_EVERY) {
+                            self.audit_on_air();
+                        }
+                    }
                 }
             }
         }
@@ -1086,44 +1131,46 @@ impl Simulator {
                 node,
                 key,
                 power,
-                end,
                 frame,
-            } => self.on_arrival_start(node.index(), key, power, end, &frame, now),
-            SimEvent::ArrivalEnd { node, key } => self.on_arrival_end(node.index(), key, now),
+                ..
+            } => self.on_arrival_start(node.index(), key, power, &frame, now),
+            SimEvent::ArrivalEnd { node, key, power } => {
+                self.on_arrival_end(node.index(), key, power, now)
+            }
             SimEvent::TxEnd { node } => {
                 let i = node.index();
-                let mut rad = self.rad_pool.take();
-                let node = self.node_mut(i);
-                node.radio.end_tx(&mut rad);
-                node.energy.set_mode(now, RadioMode::Idle, Milliwatts::ZERO);
-                self.forward_radio_events(i, rad, now);
-                let mut acts = self.mac_pool.take();
-                self.node_mut(i).mac.on_tx_end(now, &mut acts);
-                self.apply_mac_actions(i, acts, now);
+                let heard = self.hot.rx[i].end_tx(&self.radio);
+                self.node_mut(i)
+                    .energy
+                    .set_mode(now, RadioMode::Idle, Milliwatts::ZERO);
+                if heard.edge_after() {
+                    self.carrier_edge(i, self.hot.rx[i].reported_busy(), now);
+                }
+                // A responder with no job of its own was not listening
+                // while its CTS or ACK was on the air: both edges of that
+                // transmission reach it here, just ahead of `on_tx_end`.
+                self.mac_input(i, now, |mac, acts| mac.on_tx_end(now, acts));
             }
             SimEvent::CtrlArrivalStart {
                 node,
                 key,
                 power,
-                end,
                 frame,
-            } => self.on_ctrl_arrival_start(node.index(), key, power, end, &frame, now),
-            SimEvent::CtrlArrivalEnd { node, key } => {
-                self.on_ctrl_arrival_end(node.index(), key, now)
+                ..
+            } => self.on_ctrl_arrival_start(node.index(), key, power, &frame),
+            SimEvent::CtrlArrivalEnd { node, key, power } => {
+                self.on_ctrl_arrival_end(node.index(), key, power, now)
             }
             SimEvent::CtrlTxEnd { node } => {
-                let i = node.index();
-                let mut rad = self.ctrl_pool.take();
-                self.node_mut(i).ctrl_radio.end_tx(&mut rad);
                 // The tolerance broadcast happens while the data radio is
-                // mid-reception; energy for it was accounted at start.
-                self.ctrl_pool.put(rad);
+                // mid-reception; energy for it was accounted at start,
+                // and the control channel indicates no carrier edges.
+                self.hot.ctrl_rx[node.index()].end_tx(&self.radio);
             }
             SimEvent::MacTimer { node, kind, token } => {
-                let i = node.index();
-                let mut acts = self.mac_pool.take();
-                self.node_mut(i).mac.on_timer(kind, token, now, &mut acts);
-                self.apply_mac_actions(i, acts, now);
+                self.mac_input(node.index(), now, |mac, acts| {
+                    mac.on_timer(kind, token, now, acts)
+                });
             }
             SimEvent::AodvTimer { node, dst, token } => {
                 let i = node.index();
@@ -1176,47 +1223,41 @@ impl Simulator {
     fn on_arrival(&mut self, a: Arrival<'_>, end: bool, now: SimTime) {
         match (a.payload, end) {
             (Payload::Data(frame), false) => {
-                self.on_arrival_start(a.node, a.key, a.power, a.end, frame, now)
+                self.on_arrival_start(a.node, a.key, a.power, frame, now)
             }
-            (Payload::Data(_), true) => self.on_arrival_end(a.node, a.key, now),
+            (Payload::Data(_), true) => self.on_arrival_end(a.node, a.key, a.power, now),
             (Payload::Ctrl(frame), false) => {
-                self.on_ctrl_arrival_start(a.node, a.key, a.power, a.end, frame, now)
+                self.on_ctrl_arrival_start(a.node, a.key, a.power, frame)
             }
-            (Payload::Ctrl(_), true) => self.on_ctrl_arrival_end(a.node, a.key, now),
+            (Payload::Ctrl(_), true) => self.on_ctrl_arrival_end(a.node, a.key, a.power, now),
         }
     }
 
-    /// A frame starts arriving at node `i` on the data channel.
+    /// A frame starts arriving at node `i` on the data channel. Whatever
+    /// it does to the interference sum happens on the node's hot row; the
+    /// cold node is reached only for a lock-on, or for a carrier edge its
+    /// MAC is listening for.
     fn on_arrival_start(
         &mut self,
         i: usize,
         key: u64,
         power: Milliwatts,
-        end: SimTime,
         frame: &Arc<Frame>,
         now: SimTime,
     ) {
-        // Radio state *before* the arrival, for the PHY drop taxonomy
-        // (reads only; skipped entirely when off).
-        let pre = self.metrics.as_ref().map(|_| {
-            let r = &self.node(i).radio;
-            (r.is_transmitting(), r.is_receiving())
-        });
-        let mut rad = self.rad_pool.take();
-        self.node_mut(i)
-            .radio
-            .on_arrival_start(key, power, end, frame, &mut rad);
-        if let (Some((was_tx, was_rx)), Some(m)) = (pre, &mut self.metrics) {
+        let row = &mut self.hot.rx[i];
+        // Row state *before* the arrival, for the PHY drop taxonomy.
+        let (was_tx, was_rx) = (row.is_transmitting(), row.is_receiving());
+        let heard = row.arrival_start(&self.radio, key, power);
+        let busy = row.reported_busy();
+        if let Some(m) = &mut self.metrics {
             m.phy.arrivals += 1;
             let addressed = frame.rx == NodeId(i as u32) || frame.rx.is_broadcast();
-            let locked = rad
-                .iter()
-                .any(|ev| matches!(ev, RadioEvent::RxStart { .. }));
-            if locked {
+            if heard.rx_start() {
                 // Fresh lock: no overlap observed yet.
                 m.rx_overlap[i] = false;
             } else if was_rx {
-                // Overlaps the arrival the radio is locked to.
+                // Overlaps the arrival the row is locked to.
                 m.rx_overlap[i] = true;
                 if addressed {
                     m.phy.captured_away += 1;
@@ -1239,53 +1280,219 @@ impl Simulator {
                 m.phy.impaired_arrivals += 1;
             }
         }
-        self.forward_radio_events(i, rad, now);
+        if heard.is_silent() {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        self.count_audible(i, heard);
+        if heard.edge_before() {
+            self.carrier_edge(i, busy, now);
+        }
+        if heard.rx_start() {
+            self.node_mut(i).locked = Some(Arc::clone(frame));
+            let remaining = self.cfg.mac.timing.frame_airtime(frame);
+            self.indicate(i, now, |mac, noise, acts| {
+                mac.on_rx_start(frame, power, noise, remaining, now, acts)
+            });
+        }
+        if heard.edge_after() {
+            self.carrier_edge(i, busy, now);
+        }
     }
 
-    /// The data-channel arrival keyed `key` finished at node `i`.
-    fn on_arrival_end(&mut self, i: usize, key: u64, now: SimTime) {
-        let mut rad = self.rad_pool.take();
-        self.node_mut(i).radio.on_arrival_end(key, &mut rad);
-        if let Some(m) = &mut self.metrics {
-            for ev in &rad {
-                if let RadioEvent::RxEnd { ok, .. } = ev {
-                    if *ok {
-                        m.phy.decoded_ok += 1;
-                        if m.rx_overlap[i] {
-                            m.phy.capture_wins += 1;
-                        }
-                    } else {
-                        m.phy.collided += 1;
+    /// The data-channel arrival keyed `key`, which started at `power`,
+    /// finished at node `i`.
+    fn on_arrival_end(&mut self, i: usize, key: u64, power: Milliwatts, now: SimTime) {
+        let row = &mut self.hot.rx[i];
+        let heard = row.arrival_end(&self.radio, key, power);
+        let busy = row.reported_busy();
+        if heard.is_silent() {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        self.count_audible(i, heard);
+        if let Some(ok) = heard.rx_end() {
+            if let Some(m) = &mut self.metrics {
+                if ok {
+                    m.phy.decoded_ok += 1;
+                    if m.rx_overlap[i] {
+                        m.phy.capture_wins += 1;
                     }
-                    m.rx_overlap[i] = false;
+                } else {
+                    m.phy.collided += 1;
                 }
+                m.rx_overlap[i] = false;
+            }
+            let frame = self
+                .node_mut(i)
+                .locked
+                .take()
+                .expect("a locked row's frame is held by its node");
+            self.indicate(i, now, |mac, _, acts| {
+                mac.on_rx_end((*frame).clone(), power, ok, now, acts)
+            });
+        }
+        if heard.edge_after() {
+            self.carrier_edge(i, busy, now);
+        }
+    }
+
+    /// A power-control broadcast starts arriving at node `i`. The control
+    /// channel is pure broadcast signalling — no carrier sense, no NAV —
+    /// so unless the row locks on this is row arithmetic and nothing else.
+    fn on_ctrl_arrival_start(&mut self, i: usize, key: u64, power: Milliwatts, frame: &CtrlFrame) {
+        let heard = self.hot.ctrl_rx[i].arrival_start(&self.radio, key, power);
+        if heard.rx_start() {
+            self.node_mut(i).ctrl_locked = Some(frame.clone());
+        }
+    }
+
+    /// The control-channel arrival keyed `key`, which started at `power`,
+    /// finished at node `i`: only a successfully decoded broadcast
+    /// matters to the MAC.
+    fn on_ctrl_arrival_end(&mut self, i: usize, key: u64, power: Milliwatts, now: SimTime) {
+        let heard = self.hot.ctrl_rx[i].arrival_end(&self.radio, key, power);
+        if let Some(ok) = heard.rx_end() {
+            let frame = self
+                .node_mut(i)
+                .ctrl_locked
+                .take()
+                .expect("a locked row's frame is held by its node");
+            if ok {
+                self.with_mac(i, now, |mac| mac.on_ctrl_rx(frame, power, now));
             }
         }
-        self.forward_radio_events(i, rad, now);
     }
 
-    /// A power-control broadcast starts arriving at node `i`.
-    fn on_ctrl_arrival_start(
+    // ------------------------------------------------------------------
+    // Reaching a MAC, and the carrier edges it is owed
+    // ------------------------------------------------------------------
+
+    /// Run `f` on node `i`'s MAC — the one place this module takes a MAC
+    /// mutably. A carrier edge held back while the MAC was not listening
+    /// (see [`Simulator::carrier_edge`]) is told first, so `f` finds the
+    /// MAC exactly as eager delivery would have left it; afterwards the
+    /// listening bit is read again, since any input can hand the MAC a
+    /// job or arm a timer.
+    #[inline]
+    fn with_mac<R>(&mut self, i: usize, now: SimTime, f: impl FnOnce(&mut DcfMac) -> R) -> R {
+        let node = self.nodes[i]
+            .as_deref_mut()
+            .expect("event dispatched for a node this shard does not own");
+        if let Some((busy, noise)) = self.hot.held_edge(i) {
+            tell_held_edge(&mut node.mac, busy, noise, now);
+        }
+        let out = f(&mut node.mac);
+        self.hot.mac_heard(i, node.mac.listening());
+        out
+    }
+
+    /// Give node `i`'s MAC an input and apply the actions it answers with.
+    fn mac_input(
         &mut self,
         i: usize,
-        key: u64,
-        power: Milliwatts,
-        end: SimTime,
-        frame: &CtrlFrame,
         now: SimTime,
+        f: impl FnOnce(&mut DcfMac, &mut Vec<MacAction>),
     ) {
-        let mut rad = self.ctrl_pool.take();
-        self.node_mut(i)
-            .ctrl_radio
-            .on_arrival_start(key, power, end, frame, &mut rad);
-        self.forward_ctrl_events(i, rad, now);
+        let mut acts = self.mac_pool.take();
+        self.with_mac(i, now, |mac| f(mac, &mut acts));
+        self.apply_mac_actions(i, acts, now);
     }
 
-    /// The control-channel arrival keyed `key` finished at node `i`.
-    fn on_ctrl_arrival_end(&mut self, i: usize, key: u64, now: SimTime) {
-        let mut rad = self.ctrl_pool.take();
-        self.node_mut(i).ctrl_radio.on_arrival_end(key, &mut rad);
-        self.forward_ctrl_events(i, rad, now);
+    /// Give node `i`'s MAC an indication from its data row, behind a
+    /// fresh reading of the noise there (which `f` is handed too).
+    fn indicate(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        f: impl FnOnce(&mut DcfMac, Milliwatts, &mut Vec<MacAction>),
+    ) {
+        let noise = self.hot.rx[i].noise_power(&self.radio);
+        self.mac_input(i, now, |mac, acts| {
+            mac.set_noise(noise);
+            f(mac, noise, acts)
+        });
+    }
+
+    /// Node `i`'s data row has indicated a carrier edge towards `busy`.
+    /// A MAC that is listening hears it now. For any other MAC the edge
+    /// is a carrier bit and a noise figure to store (see
+    /// [`DcfMac::listening`]), so it is held on the hot side — its
+    /// direction and the noise measured at it — without touching the
+    /// cold node, and [`Simulator::with_mac`] tells the latest held edge
+    /// ahead of that MAC's next input.
+    fn carrier_edge(&mut self, i: usize, busy: bool, now: SimTime) {
+        if self.hot.mac_listening(i) {
+            return self.indicate(i, now, |mac, _, acts| mac.on_carrier(busy, now, acts));
+        }
+        let noise = self.hot.rx[i].noise_power(&self.radio);
+        #[cfg(debug_assertions)]
+        {
+            self.audit.holds += 1;
+            if self.audit.holds.is_multiple_of(HELD_EDGE_AUDIT_EVERY) {
+                self.audit_held_edge(i, busy, noise, now);
+            }
+        }
+        self.hot.hold_edge(i, busy, noise);
+    }
+
+    /// Debug builds count the data-channel arrival starts and ends that
+    /// indicate anything, and those among them handled without touching
+    /// the cold node: a carrier edge and nothing else, held back.
+    #[cfg(debug_assertions)]
+    fn count_audible(&mut self, i: usize, heard: pcmac_phy::Heard) {
+        self.audit.audible += 1;
+        self.audit.held += u64::from(heard.edge_only() && !self.hot.mac_listening(i));
+    }
+
+    /// Debug builds check a sample of the held edges
+    /// ([`HELD_EDGE_AUDIT_EVERY`]) against the proof they rest on: told
+    /// to a copy of the MAC the edge produces no action and leaves the
+    /// copy not listening, and — when an earlier edge is still held — the
+    /// copy told only this edge is byte for byte the copy told both: the
+    /// induction step that makes a lazily told MAC the eagerly told one.
+    #[cfg(debug_assertions)]
+    fn audit_held_edge(&self, i: usize, busy: bool, noise: Milliwatts, now: SimTime) {
+        let bytes = |mac: &DcfMac| {
+            let mut w = SnapWriter::new();
+            mac.save_state(&mut w);
+            w.payload().to_vec()
+        };
+        let mac = &self.node(i).mac;
+        let mut latest = mac.clone();
+        tell_held_edge(&mut latest, busy, noise, now);
+        assert!(!latest.listening(), "a carrier edge made node {i} listen");
+        if let Some((earlier, noise_then)) = self.hot.held_edge(i) {
+            let mut both = mac.clone();
+            tell_held_edge(&mut both, earlier, noise_then, now);
+            tell_held_edge(&mut both, busy, noise, now);
+            assert!(
+                bytes(&latest) == bytes(&both),
+                "node {i}: skipping a held carrier edge changed its MAC"
+            );
+        }
+    }
+
+    /// The first node held here whose rows count other arrivals on the
+    /// air than `pending` shows started and not ended.
+    fn on_air_mismatch(&self, pending: &[(SimTime, u128, SimEvent)]) -> Option<usize> {
+        let on_air = arrivals_on_air(pending, self.nodes.len());
+        (0..self.nodes.len()).find(|&i| {
+            let ctrl = self.hot.ctrl_rx.get(i).map_or(0, RxRow::on_air);
+            self.nodes[i].is_some()
+                && on_air[i] != [i64::from(self.hot.rx[i].on_air()), i64::from(ctrl)]
+        })
+    }
+
+    /// Debug builds reconcile the rows with the queue as a run goes.
+    #[cfg(debug_assertions)]
+    fn audit_on_air(&self) {
+        let pending = self.channel.pending_events(&self.queue);
+        assert_eq!(
+            self.on_air_mismatch(&pending),
+            None,
+            "a node's receive rows disagree with its pending arrivals"
+        );
     }
 
     /// Handle the periodic metrics probe: sample the instantaneous
@@ -1314,15 +1521,15 @@ impl Simulator {
             if !self.hot.alive[i] {
                 continue;
             }
-            // Carrier state and queue depth are read where they live: a
-            // probe walks the nodes once a sampling interval, whereas a
-            // mirror would have to be refreshed after every event.
-            let node = self.node(i);
+            // Carrier state is the hot row's; queue depth is read where
+            // it lives: a probe walks the nodes once a sampling interval,
+            // whereas a mirror would have to be refreshed after every
+            // event.
             live += 1;
-            if node.radio.carrier_busy() {
+            if self.hot.rx[i].carrier_busy(&self.radio) {
                 busy += 1;
             }
-            queue_sum += node.mac.queue_len() as u64;
+            queue_sum += self.node(i).mac.queue_len() as u64;
         }
         let Some(m) = &mut self.metrics else { return };
         m.record_probe(now, live, busy, queue_sum);
@@ -1391,7 +1598,7 @@ impl Simulator {
     /// (De)activate impairment burst `index`: recompute the composite
     /// attenuation and noise multiplier from the plan (products over
     /// the active set, so there is no incremental float drift), and
-    /// push the scaled noise floor into every radio.
+    /// scale the noise floor every receive row is read against.
     fn set_impairment(&mut self, index: usize, active: bool) {
         let Some(fs) = &mut self.faults else { return };
         fs.burst_active[index] = active;
@@ -1405,14 +1612,11 @@ impl Simulator {
             }
         }
         fs.impair_gain = gain;
-        if noise != fs.noise_mult {
-            fs.noise_mult = noise;
-            let floor = self.cfg.radio.noise_floor * noise;
-            for node in self.nodes.iter_mut().flatten() {
-                node.radio.set_noise_floor(floor);
-                node.ctrl_radio.set_noise_floor(floor);
-            }
-        }
+        fs.noise_mult = noise;
+        // The floor stays below any sane carrier-sense threshold, so no
+        // busy/idle edge can result; already-locked frames keep the
+        // corruption verdicts reached so far.
+        self.radio.noise_floor = self.cfg.radio.noise_floor * noise;
     }
 
     /// Account the radiated energy a data transmission commits (tx
@@ -1481,65 +1685,6 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Radio event forwarding
-    // ------------------------------------------------------------------
-
-    fn forward_radio_events(
-        &mut self,
-        i: usize,
-        mut events: Vec<RadioEvent<Arc<Frame>>>,
-        now: SimTime,
-    ) {
-        for ev in events.drain(..) {
-            let mut acts = self.mac_pool.take();
-            {
-                let node = self.node_mut(i);
-                let noise = node.radio.noise_power();
-                node.mac.set_noise(noise);
-                match ev {
-                    RadioEvent::CarrierBusy => node.mac.on_carrier(true, now, &mut acts),
-                    RadioEvent::CarrierIdle => node.mac.on_carrier(false, now, &mut acts),
-                    RadioEvent::RxStart { power, frame, .. } => {
-                        let remaining = node.mac.config().timing.frame_airtime(&frame);
-                        node.mac
-                            .on_rx_start(&frame, power, noise, remaining, now, &mut acts);
-                    }
-                    RadioEvent::RxEnd {
-                        power, frame, ok, ..
-                    } => {
-                        node.mac
-                            .on_rx_end((*frame).clone(), power, ok, now, &mut acts);
-                    }
-                }
-            }
-            self.apply_mac_actions(i, acts, now);
-        }
-        self.rad_pool.put(events);
-    }
-
-    fn forward_ctrl_events(
-        &mut self,
-        i: usize,
-        mut events: Vec<RadioEvent<CtrlFrame>>,
-        now: SimTime,
-    ) {
-        for ev in events.drain(..) {
-            // The control channel is pure broadcast signalling: no carrier
-            // sense, no NAV; only successfully-decoded frames matter.
-            if let RadioEvent::RxEnd {
-                power,
-                frame,
-                ok: true,
-                ..
-            } = ev
-            {
-                self.node_mut(i).mac.on_ctrl_rx(frame, power, now);
-            }
-        }
-        self.ctrl_pool.put(events);
-    }
-
-    // ------------------------------------------------------------------
     // Action application
     // ------------------------------------------------------------------
 
@@ -1571,7 +1716,7 @@ impl Simulator {
                     }
                     // Purge other frames queued for the dead hop first, so
                     // the routing agent can salvage or drop them too.
-                    let drained = self.node_mut(i).mac.drain_next_hop(next_hop);
+                    let drained = self.with_mac(i, now, |mac| mac.drain_next_hop(next_hop));
                     let mut acts = self.aodv_pool.take();
                     self.node_mut(i)
                         .aodv
@@ -1617,11 +1762,7 @@ impl Simulator {
                         // A data packet has a usable next hop again.
                         self.note_repair_complete(i, packet.dst, now);
                     }
-                    let mut acts = self.mac_pool.take();
-                    self.node_mut(i)
-                        .mac
-                        .enqueue(packet, next_hop, now, &mut acts);
-                    self.apply_mac_actions(i, acts, now);
+                    self.mac_input(i, now, |mac, acts| mac.enqueue(packet, next_hop, now, acts));
                 }
                 AodvAction::DeliverLocal { packet } => {
                     let cur_rank = self.cur.1;
@@ -1652,7 +1793,7 @@ impl Simulator {
                     );
                 }
                 AodvAction::PeerReset { peer } => {
-                    self.node_mut(i).mac.reset_peer_state(peer);
+                    self.with_mac(i, now, |mac| mac.reset_peer_state(peer));
                 }
                 AodvAction::Drop { packet, reason } => {
                     // Counted inside the agent; only the fate map cares
@@ -1686,18 +1827,20 @@ impl Simulator {
     }
 
     fn transmit_frame(&mut self, i: usize, frame: Frame, power: Milliwatts, now: SimTime) {
-        let airtime = self.node(i).mac.config().timing.frame_airtime(&frame);
+        let airtime = self.cfg.mac.timing.frame_airtime(&frame);
         let end = now + airtime;
         let down = self.node_is_down(i);
 
-        let mut rad = self.rad_pool.take();
-        self.node_mut(i).radio.start_tx(end, &mut rad);
+        let heard = self.hot.rx[i].start_tx(&self.radio);
+        let node = self.node_mut(i);
+        // Our own transmission aborts a reception in progress.
+        node.locked = None;
         if !down {
-            self.node_mut(i)
-                .energy
-                .set_mode(now, RadioMode::Transmit, power);
+            node.energy.set_mode(now, RadioMode::Transmit, power);
         }
-        self.forward_radio_events(i, rad, now);
+        if heard.edge_after() {
+            self.carrier_edge(i, self.hot.rx[i].reported_busy(), now);
+        }
         self.sched(
             end,
             SimEvent::TxEnd {
@@ -1720,12 +1863,11 @@ impl Simulator {
     }
 
     fn transmit_ctrl(&mut self, i: usize, frame: CtrlFrame, power: Milliwatts, now: SimTime) {
-        let airtime = CtrlFrame::airtime(self.node(i).mac.config().pcmac.ctrl_rate_bps);
+        let airtime = CtrlFrame::airtime(self.cfg.mac.pcmac.ctrl_rate_bps);
         let end = now + airtime;
 
-        let mut rad = self.ctrl_pool.take();
-        self.node_mut(i).ctrl_radio.start_tx(end, &mut rad);
-        self.ctrl_pool.put(rad);
+        self.hot.ctrl_rx[i].start_tx(&self.radio);
+        self.node_mut(i).ctrl_locked = None;
         // The ctrl broadcast radiates too (the data radio may be mid-rx;
         // energy is attributed per-channel, transmit wins for the overlap).
         self.sched(
@@ -1846,10 +1988,11 @@ impl Simulator {
         let node_blobs: Vec<Option<Vec<u8>>> = self
             .nodes
             .iter()
-            .map(|b| {
+            .enumerate()
+            .map(|(i, b)| {
                 b.as_deref().map(|node| {
                     scratch.clear();
-                    node.save_state(&mut scratch);
+                    self.save_node(i, node, cut, &mut scratch);
                     scratch.payload().to_vec()
                 })
             })
@@ -1877,6 +2020,50 @@ impl Simulator {
             metrics: self.metrics.clone(),
             mobility,
         }
+    }
+
+    /// Node `i`'s blob: its receive rows, then the cold state. The MAC
+    /// is written **as told**: a held carrier edge lives only in this
+    /// simulator's hot arrays, which no snapshot carries, so a MAC that
+    /// is owed one is written from a copy that has heard it — the state
+    /// eager delivery would have captured, whatever was deferred here.
+    fn save_node(&self, i: usize, node: &Node, cut: SimTime, w: &mut SnapWriter) {
+        self.hot.rx[i].save(w);
+        if let Some(row) = self.hot.ctrl_rx.get(i) {
+            row.save(w);
+        }
+        let Some((busy, noise)) = self.hot.held_edge(i) else {
+            return node.save_state(&node.mac, w);
+        };
+        let mut told = node.mac.clone();
+        tell_held_edge(&mut told, busy, noise, cut);
+        node.save_state(&told, w);
+    }
+
+    /// Overlay a blob written by [`Simulator::save_node`] on node `i`, if
+    /// this simulator holds its cold state. The MAC arrives as told, so
+    /// nothing is held back and only its listening bit needs deriving.
+    fn load_node(&mut self, i: usize, blob: &[u8]) -> Result<(), SnapError> {
+        let Some(node) = self.nodes[i].as_deref_mut() else {
+            return Ok(());
+        };
+        let mut r = SnapReader::over(blob);
+        self.hot.rx[i] = Snap::load(&mut r)?;
+        if let Some(row) = self.hot.ctrl_rx.get_mut(i) {
+            *row = Snap::load(&mut r)?;
+        }
+        node.load_state(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(SnapError::Corrupt("node blob trailing bytes"));
+        }
+        let ctrl_locked = self.hot.ctrl_rx.get(i).is_some_and(RxRow::is_receiving);
+        if self.hot.rx[i].is_receiving() != node.locked.is_some()
+            || ctrl_locked != node.ctrl_locked.is_some()
+        {
+            return Err(SnapError::Corrupt("locked frame does not match its row"));
+        }
+        self.hot.mac_heard(i, node.mac.listening());
+        Ok(())
     }
 
     /// Fold per-lane contributions into the canonical (single-equivalent)
@@ -1979,14 +2166,11 @@ impl Simulator {
             // park the snapshot for `parallel::run_sharded` to apply.
             // Validate the blobs now so worker threads cannot hit a
             // corrupt one mid-run.
-            for (blob, node) in snap.nodes.iter().zip(sim.nodes.iter_mut()) {
-                let mut r = SnapReader::over(blob);
-                node.as_deref_mut()
-                    .expect("full build owns every node")
-                    .load_state(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(SnapError::Corrupt("node blob trailing bytes"));
-                }
+            for (i, blob) in snap.nodes.iter().enumerate() {
+                sim.load_node(i, blob)?;
+            }
+            if sim.on_air_mismatch(&snap.pending).is_some() {
+                return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
             }
             sim.resume = Some(Arc::new(snap.clone()));
         } else {
@@ -2073,15 +2257,14 @@ impl Simulator {
             }
         }
 
-        // Cold per-node state, owned nodes only.
-        for (blob, node) in snap.nodes.iter().zip(self.nodes.iter_mut()) {
-            if let Some(node) = node.as_deref_mut() {
-                let mut r = SnapReader::over(blob);
-                node.load_state(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(SnapError::Corrupt("node blob trailing bytes"));
-                }
-            }
+        // Receive rows and cold per-node state, owned nodes only. An
+        // arrival's end panics on a row with nothing on the air, so a
+        // snapshot whose rows and pending arrivals disagree stops here.
+        for (i, blob) in snap.nodes.iter().enumerate() {
+            self.load_node(i, blob)?;
+        }
+        if self.on_air_mismatch(&snap.pending).is_some() {
+            return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
         }
 
         // Hot state: mobility models arrive advanced exactly to the cut,
@@ -2101,6 +2284,8 @@ impl Simulator {
                     .map(|ctx| (ctx.owner.as_slice(), ctx.id));
                 fs.restore_from(fsnap, primary, shard)
                     .map_err(SnapError::Corrupt)?;
+                // The same product `set_impairment` forms.
+                self.radio.noise_floor = self.cfg.radio.noise_floor * fs.noise_mult;
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("fault section presence")),
@@ -2236,7 +2421,7 @@ impl Simulator {
             }
             let start = s.payload.arrival_start(s.node, s.key, s.power, s.end);
             self.sched(s.at, start);
-            self.sched(s.end, s.payload.arrival_end(s.node, s.key));
+            self.sched(s.end, s.payload.arrival_end(s.node, s.key, s.power));
         }
     }
 
@@ -2268,6 +2453,35 @@ impl Simulator {
         self.step_before(SimTime::MAX)
     }
 
+    /// What a cut at this instant has to carry without a per-node list of
+    /// arrivals: how many stations are owed a carrier edge, and how many
+    /// are locked onto a frame with another arrival on the air beside it.
+    pub(crate) fn receive_census(&self) -> (usize, usize) {
+        let held = (0..self.nodes.len())
+            .filter(|&i| self.hot.held_edge(i).is_some())
+            .count();
+        let rows = self.hot.rx.iter().chain(&self.hot.ctrl_rx);
+        let in_company = rows.filter(|r| r.is_receiving() && r.on_air() >= 2).count();
+        (held, in_company)
+    }
+
+    /// Tell every MAC the carrier edge it is owed, as of `now`.
+    pub(crate) fn tell_held_edges(&mut self, now: SimTime) {
+        for i in 0..self.nodes.len() {
+            if self.nodes[i].is_some() {
+                self.with_mac(i, now, |_| ());
+            }
+        }
+    }
+
+    /// `(audible, held)`: data-channel arrival starts and ends that
+    /// indicated anything, and those among them that were a carrier edge
+    /// held back — handled without touching the cold node.
+    #[cfg(debug_assertions)]
+    pub(crate) fn arrival_audit(&self) -> (u64, u64) {
+        (self.audit.audible, self.audit.held)
+    }
+
     /// [`Simulator::step`], unless the next event is due at or after
     /// `until` — stepping to a cut the way the hooked run reaches one.
     pub(crate) fn step_before(&mut self, until: SimTime) -> Option<(SimTime, u128, SimEvent)> {
@@ -2277,6 +2491,43 @@ impl Simulator {
         self.advance(until.min(past(end)), 1, Some(&mut record));
         stepped
     }
+}
+
+/// Tell `mac` a carrier edge that was held back while it was not
+/// listening (see [`DcfMac::listening`]): a carrier bit and a noise
+/// figure to store.
+///
+/// # Panics
+/// If the MAC acts on it — the edge should never have been held.
+fn tell_held_edge(mac: &mut DcfMac, busy: bool, noise: Milliwatts, now: SimTime) {
+    let mut acts = Vec::new();
+    mac.set_noise(noise);
+    mac.on_carrier(busy, now, &mut acts);
+    assert!(
+        acts.is_empty(),
+        "a carrier edge held back from node {}'s MAC made it act: {acts:?}",
+        mac.id()
+    );
+}
+
+/// Per node, how many `[data, control]` arrivals `pending` shows on the
+/// air: an arrival that has started and not ended is an end event with no
+/// start event before it.
+fn arrivals_on_air(pending: &[(SimTime, u128, SimEvent)], nodes: usize) -> Vec<[i64; 2]> {
+    let mut on_air = vec![[0i64; 2]; nodes];
+    for (_, _, ev) in pending {
+        let (node, channel, delta) = match ev {
+            SimEvent::ArrivalStart { node, .. } => (node, 0, -1),
+            SimEvent::ArrivalEnd { node, .. } => (node, 0, 1),
+            SimEvent::CtrlArrivalStart { node, .. } => (node, 1, -1),
+            SimEvent::CtrlArrivalEnd { node, .. } => (node, 1, 1),
+            _ => continue,
+        };
+        if let Some(counts) = on_air.get_mut(node.index()) {
+            counts[channel] += delta;
+        }
+    }
+    on_air
 }
 
 /// Schedule `ev` as a plain queue entry under its content-derived rank.

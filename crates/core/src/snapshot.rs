@@ -3,9 +3,10 @@
 //!
 //! A [`SimSnapshot`] captures the *complete* deterministic state of a
 //! run at a cut instant: the pending *logical* event population (with
-//! its `(time, rank)` order), every per-node protocol machine (radios, MAC,
-//! AODV, traffic sources, sink, energy meter), the mobility models with
-//! their RNG streams, and the fault/metrics layers. The hard guarantee
+//! its `(time, rank)` order), every station's receive rows and per-node
+//! protocol machines (MAC, AODV, traffic sources, sink, energy meter),
+//! the mobility models with their RNG streams, and the fault/metrics
+//! layers. The hard guarantee
 //! — proven by the `channel_equivalence` matrix — is that restoring a
 //! snapshot and running to the end produces a report **bit-identical**
 //! to the uninterrupted run, in both single-threaded and region-sharded
@@ -46,6 +47,33 @@
 //! floats travel as IEEE-754 bit patterns, and hash maps serialize in
 //! sorted key order, so a file written on one machine restores with
 //! bit-identical results on any other.
+//!
+//! The envelope is at **version 2**. A node's blob opens with its radio
+//! section — the data-channel receive row (`pcmac_phy::RxRow`: in-air
+//! sum, locked power and key, arrivals on the air, mode, corruption
+//! verdict, last carrier state indicated), the control-channel row when
+//! the scenario runs PCMAC, then the locked data frame and the locked
+//! control frame as options — followed by the MAC, the routing agent,
+//! the sources, the sink and the meter. Version 1 wrote a whole radio
+//! there: its configuration, a lock that serialized a diagnostic
+//! `until`, and the list of arrivals on the air in the order a per-node
+//! `Vec`'s `push` / `swap_remove` history had left it in. A design that
+//! keeps a sum and a count cannot reproduce that order, so the list left
+//! the format and a pending `ArrivalEnd` / `CtrlArrivalEnd` carries the
+//! received power it has to hand back. Version-1 files fail
+//! `SnapReader::open` with `BadVersion`; the campaign runner recomputes
+//! the cell.
+//!
+//! Two things a snapshot does **not** carry, by construction. The MAC is
+//! written *as told*: a carrier edge the simulator is holding back from
+//! a MAC that is not listening (see the `soa` module) is told to a copy
+//! of that MAC at capture and the copy is what is written, so the held
+//! edge itself never reaches the wire and restore only re-derives each
+//! MAC's listening bit. And the noise floor every row is read against
+//! is rebuilt as `cfg.radio.noise_floor × fault noise multiplier`, the
+//! product `set_impairment` forms. Restore cross-checks each row's
+//! arrival count against the pending arrival events and each lock
+//! against its frame, and refuses a snapshot where they disagree.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -92,7 +92,7 @@ impl TraceWriter {
                 );
                 self.count += 1;
             }
-            SimEvent::ArrivalEnd { node, key } if f.channel => {
+            SimEvent::ArrivalEnd { node, key, .. } if f.channel => {
                 let _ = writeln!(self.lines, "{t:.9} e _{node}_ key {key}");
                 self.count += 1;
             }

@@ -17,6 +17,10 @@
 //! packet upward, report a broken link). No clocks or queues are hidden
 //! inside — everything observable happens through the action stream, which
 //! is what makes the unit tests below possible without a full simulator.
+//!
+//! One input is special: a carrier edge at a MAC with no job and neither
+//! access timer armed changes a bit and nothing else, so its driver may
+//! deliver it late — [`DcfMac::listening`] states the condition and why.
 
 use std::sync::Arc;
 
@@ -341,6 +345,20 @@ impl DcfMac {
                 .check(power, self.cfg.pcmac.safety_factor, exempt, now),
             None => Ok(()),
         }
+    }
+
+    /// `true` while a carrier edge can make this MAC do something: it has
+    /// a job, or a defer or backoff timer is armed.
+    ///
+    /// For any other MAC [`DcfMac::on_carrier`] reduces to storing the
+    /// carrier bit: a busy edge only ever cancels those two timers
+    /// (`medium_became_busy`), and an idle edge returns at the first test
+    /// of `medium_became_idle`, "no current job". So whoever drives a MAC
+    /// may hold a carrier edge back while this reads `false`, provided it
+    /// tells the latest one (with the noise measured at that edge) before
+    /// any other input — no action and no other state can differ.
+    pub fn listening(&self) -> bool {
+        self.current.is_some() || self.t_defer.is_armed() || self.t_backoff.is_armed()
     }
 
     /// Current interface-queue occupancy.

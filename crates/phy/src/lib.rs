@@ -40,5 +40,5 @@ pub use gain::{SparseCacheStats, SparseGainCache};
 pub use levels::PowerLevels;
 pub use model::{GainCache, PropagationModel};
 pub use propagation::{Propagation, TwoRayGround};
-pub use radio::{CapturePolicy, Radio, RadioConfig, RadioEvent};
+pub use radio::{CapturePolicy, Heard, Radio, RadioConfig, RadioEvent, RxRow};
 pub use shadowing::Shadowed;

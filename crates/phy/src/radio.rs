@@ -1,16 +1,17 @@
-//! Per-node radio reception state machine.
+//! Per-node, per-channel reception state.
 //!
-//! Each node owns one `Radio` per channel (PCMAC adds a second, the power
-//! control channel). The radio tracks **every** transmission arriving at
-//! the node — not just decodable ones — because interference is cumulative:
-//! several individually-harmless interferers can jointly corrupt a locked
-//! frame. This is precisely the failure mode PCMAC's noise-tolerance
-//! broadcasts guard against (hence the paper's 0.7 safety factor for
-//! "other terminals also wanting to transmit at the same time").
+//! Every station keeps one [`RxRow`] per channel (PCMAC adds a second, the
+//! power control channel). The row accounts for **every** transmission
+//! arriving at the node — not just decodable ones — because interference
+//! is cumulative: several individually-harmless interferers can jointly
+//! corrupt a locked frame. This is precisely the failure mode PCMAC's
+//! noise-tolerance broadcasts guard against (hence the paper's 0.7 safety
+//! factor for "other terminals also wanting to transmit at the same
+//! time").
 //!
 //! ## Reception rules
 //!
-//! * The radio locks onto an arrival iff it is currently idle (not
+//! * A station locks onto an arrival iff it is currently idle (not
 //!   transmitting, not already locked) and the arrival's power is at least
 //!   the decode threshold `rx_thresh`. There is no re-locking onto a
 //!   stronger later frame (matches ns-2).
@@ -18,15 +19,35 @@
 //!   floor plus the sum of all other in-air power — drops below the capture
 //!   ratio (ns-2's `CPThresh`, 10). Under [`CapturePolicy::Continuous`]
 //!   (default) this is evaluated at lock time and whenever a new arrival
-//!   starts; under [`CapturePolicy::StartOnly`] the radio reproduces ns-2's
+//!   starts; under [`CapturePolicy::StartOnly`] the row reproduces ns-2's
 //!   weaker pairwise check (locked/new ≥ ratio) — kept as an ablation.
 //! * Transmitting is half-duplex: starting a transmission aborts any
 //!   reception in progress, and arrivals during transmission are
 //!   interference only.
 //! * The channel is *busy* (physical carrier sense) while transmitting,
 //!   receiving, or whenever total in-air power reaches the carrier-sense
-//!   threshold `cs_thresh`. Busy/idle **edges** are reported as events so
-//!   the MAC can freeze and resume backoff.
+//!   threshold `cs_thresh`. Busy/idle **edges** are indicated so the MAC
+//!   can freeze and resume backoff.
+//!
+//! ## The row, and why an arrival's end carries its power
+//!
+//! The rules live once, on [`RxRow`]: 32 bytes of plain data — the in-air
+//! power sum, how many arrivals make it up, the locked frame's key and
+//! power, the mode, the corruption verdict, the last carrier state
+//! indicated — with the thresholds passed in by reference, so a simulator
+//! holds one [`RadioConfig`] and one row per station in a flat array, and
+//! an arrival that decodes nothing is arithmetic on one cache line. The
+//! row keeps **no list** of what is on the air: whoever ends an arrival
+//! hands back the power it started with (a transmission's receiver list
+//! already holds it), the row subtracts it, and the count says when the
+//! sum must read exactly zero again. What a row operation means for the
+//! MAC comes back as a [`Heard`] flag set; the frame a locked row is
+//! decoding is the caller's to hold.
+//!
+//! [`Radio`] is a self-contained adapter over one row for callers that
+//! end an arrival by key alone and want [`RadioEvent`]s: it owns the
+//! configuration, the row, the `(key, power)` pairs on the air and the
+//! locked frame, and contains no reception arithmetic of its own.
 
 use pcmac_engine::{Milliwatts, SimTime};
 use serde::{Deserialize, Serialize};
@@ -75,7 +96,264 @@ impl Default for RadioConfig {
     }
 }
 
-/// Indications from the radio to the MAC.
+/// What a station is doing on one channel (half-duplex).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Mode {
+    #[default]
+    Idle,
+    /// Locked onto an arriving frame.
+    Rx,
+    /// A transmission of ours is on the air.
+    Tx,
+}
+
+/// What one [`RxRow`] operation indicates to the MAC, in delivery order:
+/// a carrier edge *before* the reception indication, the reception
+/// indication itself (a lock-on, or a locked frame's end), a carrier edge
+/// *after* it. An operation flips carrier sense at most once, so the
+/// direction of either edge is [`RxRow::reported_busy`] right after the
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Heard(u8);
+
+impl Heard {
+    const EDGE_BEFORE: u8 = 1;
+    const RX_START: u8 = 1 << 1;
+    const RX_END: u8 = 1 << 2;
+    const RX_OK: u8 = 1 << 3;
+    const EDGE_AFTER: u8 = 1 << 4;
+    const EDGES: u8 = Heard::EDGE_BEFORE | Heard::EDGE_AFTER;
+
+    /// Nothing to indicate: the operation only moved the interference sum.
+    #[inline]
+    pub fn is_silent(self) -> bool {
+        self.0 == 0
+    }
+
+    /// A carrier edge and nothing else.
+    #[inline]
+    pub fn edge_only(self) -> bool {
+        self.0 != 0 && self.0 & !Heard::EDGES == 0
+    }
+
+    /// Carrier sense flipped before the reception indication — the busy
+    /// edge the MAC must see before it learns a frame is arriving.
+    #[inline]
+    pub fn edge_before(self) -> bool {
+        self.0 & Heard::EDGE_BEFORE != 0
+    }
+
+    /// The row locked onto the arrival that just started.
+    #[inline]
+    pub fn rx_start(self) -> bool {
+        self.0 & Heard::RX_START != 0
+    }
+
+    /// The locked frame finished arriving: `Some(true)` if it never fell
+    /// below the capture SINR, `Some(false)` if the MAC heard garbage.
+    #[inline]
+    pub fn rx_end(self) -> Option<bool> {
+        (self.0 & Heard::RX_END != 0).then_some(self.0 & Heard::RX_OK != 0)
+    }
+
+    /// Carrier sense flipped after the reception indication.
+    #[inline]
+    pub fn edge_after(self) -> bool {
+        self.0 & Heard::EDGE_AFTER != 0
+    }
+}
+
+/// The receive side of one station on one channel: the reception rules of
+/// the module docs over 32 bytes of plain data. Thresholds and the noise
+/// floor come in with every call, so any number of rows share one
+/// [`RadioConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RxRow {
+    /// Sum of the power of all arrivals on the air (a locked frame's
+    /// included).
+    in_air: Milliwatts,
+    /// Power and key of the locked frame (zero unless locked).
+    locked_power: Milliwatts,
+    locked_key: u64,
+    /// How many arrivals `in_air` sums.
+    on_air: u32,
+    mode: Mode,
+    /// The locked frame's SINR has been below the capture ratio.
+    corrupted: bool,
+    /// Last carrier state indicated.
+    reported_busy: bool,
+}
+
+impl RxRow {
+    /// `true` while a transmission of ours is on the air.
+    #[inline]
+    pub fn is_transmitting(&self) -> bool {
+        self.mode == Mode::Tx
+    }
+
+    /// `true` while locked onto an arriving frame.
+    #[inline]
+    pub fn is_receiving(&self) -> bool {
+        self.mode == Mode::Rx
+    }
+
+    /// Physical carrier sense: busy while transmitting, receiving, or when
+    /// total in-air power reaches the carrier-sense threshold.
+    #[inline]
+    pub fn carrier_busy(&self, cfg: &RadioConfig) -> bool {
+        self.mode != Mode::Idle || self.in_air.value() >= cfg.cs_thresh.value()
+    }
+
+    /// The carrier state last indicated — after an operation that
+    /// indicated an edge, that edge's direction.
+    #[inline]
+    pub fn reported_busy(&self) -> bool {
+        self.reported_busy
+    }
+
+    /// Noise-plus-interference observed by this station, excluding the
+    /// locked frame's own power. This is the `N_r` of the paper's
+    /// tolerance computation.
+    #[inline]
+    pub fn noise_power(&self, cfg: &RadioConfig) -> Milliwatts {
+        (cfg.noise_floor + self.in_air - self.locked_power).clamp_non_negative()
+    }
+
+    /// Total in-air power (diagnostics).
+    #[inline]
+    pub fn in_air_power(&self) -> Milliwatts {
+        self.in_air
+    }
+
+    /// Arrivals on the air: started here and not yet ended.
+    #[inline]
+    pub fn on_air(&self) -> u32 {
+        self.on_air
+    }
+
+    /// A transmission begins arriving at `power` (received, post
+    /// path-loss). `key` must be unique per transmission; the matching
+    /// [`RxRow::arrival_end`] must hand the same `power` back.
+    #[inline]
+    pub fn arrival_start(&mut self, cfg: &RadioConfig, key: u64, power: Milliwatts) -> Heard {
+        debug_assert!(power.is_valid());
+        self.on_air += 1;
+        self.in_air += power;
+        // Indicate the busy edge before any lock-on so the MAC already
+        // sees the channel as busy when it learns a frame is arriving.
+        let mut heard = self.carrier_edge(cfg, Heard::EDGE_BEFORE);
+        match self.mode {
+            Mode::Idle => {
+                if power.value() >= cfg.rx_thresh.value() {
+                    // Lock on. Initial SINR check against everything else
+                    // already in the air (both policies check at lock).
+                    let interference = (cfg.noise_floor + self.in_air - power).clamp_non_negative();
+                    self.mode = Mode::Rx;
+                    self.locked_key = key;
+                    self.locked_power = power;
+                    self.corrupted = power.ratio(interference) < cfg.capture_ratio;
+                    heard |= Heard::RX_START;
+                }
+                // Below rx_thresh: interference / carrier sense only.
+            }
+            Mode::Rx => {
+                // Existing reception: the newcomer can corrupt it.
+                let survives = match cfg.capture_policy {
+                    // ns-2: pairwise capture check against the newcomer.
+                    CapturePolicy::StartOnly => self.locked_power.ratio(power) >= cfg.capture_ratio,
+                    CapturePolicy::Continuous => {
+                        self.locked_power.ratio(self.noise_power(cfg)) >= cfg.capture_ratio
+                    }
+                };
+                if !survives {
+                    self.corrupted = true;
+                }
+            }
+            // Half-duplex: we cannot hear anything while transmitting.
+            Mode::Tx => {}
+        }
+        // A decodable arrival is above cs_thresh in every sane
+        // configuration, so locking cannot flip carrier sense — but with
+        // rx_thresh below cs_thresh it does, and this is that edge.
+        Heard(heard | self.carrier_edge(cfg, Heard::EDGE_AFTER))
+    }
+
+    /// The arrival keyed `key`, which started at `power`, finished.
+    ///
+    /// # Panics
+    /// If nothing is on the air: an end without its start would leave a
+    /// stale power in the interference sum of every later reception.
+    #[inline]
+    pub fn arrival_end(&mut self, cfg: &RadioConfig, key: u64, power: Milliwatts) -> Heard {
+        assert!(
+            self.on_air > 0,
+            "arrival end for key {key:#x} with nothing on the air"
+        );
+        self.on_air -= 1;
+        self.in_air = if self.on_air == 0 {
+            // Squash float dust so a quiet channel reads exactly zero.
+            Milliwatts::ZERO
+        } else {
+            (self.in_air - power).clamp_non_negative()
+        };
+        let mut heard = 0;
+        if self.mode == Mode::Rx && self.locked_key == key {
+            debug_assert_eq!(
+                self.locked_power, power,
+                "the locked arrival ends at the power it started with"
+            );
+            heard = Heard::RX_END | if self.corrupted { 0 } else { Heard::RX_OK };
+            self.leave_rx(Mode::Idle);
+        }
+        Heard(heard | self.carrier_edge(cfg, Heard::EDGE_AFTER))
+    }
+
+    /// Begin transmitting. Any reception in progress is aborted (its
+    /// frame is lost; the arrival remains as interference but can no
+    /// longer be delivered).
+    #[inline]
+    pub fn start_tx(&mut self, cfg: &RadioConfig) -> Heard {
+        debug_assert!(
+            !self.is_transmitting(),
+            "start_tx while already transmitting"
+        );
+        self.leave_rx(Mode::Tx);
+        Heard(self.carrier_edge(cfg, Heard::EDGE_AFTER))
+    }
+
+    /// Our transmission ended. The station returns to idle; ongoing
+    /// arrivals stay undecodable (we missed their beginnings) but keep
+    /// contributing interference and carrier sense.
+    #[inline]
+    pub fn end_tx(&mut self, cfg: &RadioConfig) -> Heard {
+        debug_assert!(self.is_transmitting(), "end_tx while not transmitting");
+        self.mode = Mode::Idle;
+        Heard(self.carrier_edge(cfg, Heard::EDGE_AFTER))
+    }
+
+    /// Switch to `mode`, forgetting any locked frame.
+    #[inline]
+    fn leave_rx(&mut self, mode: Mode) {
+        self.mode = mode;
+        self.locked_key = 0;
+        self.locked_power = Milliwatts::ZERO;
+        self.corrupted = false;
+    }
+
+    /// `flag` if carrier sense differs from what was last indicated (and
+    /// now it is indicated), 0 otherwise.
+    #[inline]
+    fn carrier_edge(&mut self, cfg: &RadioConfig, flag: u8) -> u8 {
+        let busy = self.carrier_busy(cfg);
+        if busy == self.reported_busy {
+            return 0;
+        }
+        self.reported_busy = busy;
+        flag
+    }
+}
+
+/// Indications from a [`Radio`] to the MAC.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RadioEvent<F> {
     /// Physical carrier sense went idle → busy.
@@ -109,46 +387,19 @@ pub enum RadioEvent<F> {
     },
 }
 
-/// One transmission currently arriving at this node.
-#[derive(Debug, Clone)]
-struct Arrival {
-    key: u64,
-    power: Milliwatts,
-    /// Kept for diagnostics; removal is keyed, not time-driven.
-    #[allow(dead_code)]
-    end: SimTime,
-}
-
-#[derive(Debug, Clone)]
-enum Lock<F> {
-    Idle,
-    Rx {
-        key: u64,
-        power: Milliwatts,
-        frame: F,
-        corrupted: bool,
-    },
-    Tx {
-        /// When the transmission ends (diagnostics; the MAC drives `end_tx`).
-        #[allow(dead_code)]
-        until: SimTime,
-    },
-}
-
-/// The per-node, per-channel radio.
-///
-/// The arrival list is allocated by the first transmission that reaches
-/// the node, so the radio of a station nothing ever reaches — and the
-/// control-channel radio outside PCMAC — owns no heap memory.
+/// One station's radio on one channel as a self-contained object: an
+/// [`RxRow`] with its configuration, the frame it is locked onto and the
+/// `(key, power)` of everything on the air, so an arrival ends by key
+/// alone and indications come out as [`RadioEvent`]s. Every reception
+/// decision is the row's.
 #[derive(Debug, Clone)]
 pub struct Radio<F> {
     cfg: RadioConfig,
-    lock: Lock<F>,
-    arrivals: Vec<Arrival>,
-    /// Sum of the power of all arrivals (including a locked frame).
-    total_in_air: Milliwatts,
-    /// Last carrier state reported to the MAC.
-    reported_busy: bool,
+    row: RxRow,
+    /// What the row is summing, so an end can hand its power back.
+    on_air: Vec<(u64, Milliwatts)>,
+    /// The frame the row is locked onto.
+    locked: Option<F>,
 }
 
 impl<F: Clone> Radio<F> {
@@ -156,10 +407,9 @@ impl<F: Clone> Radio<F> {
     pub fn new(cfg: RadioConfig) -> Self {
         Radio {
             cfg,
-            lock: Lock::Idle,
-            arrivals: Vec::new(),
-            total_in_air: Milliwatts::ZERO,
-            reported_busy: false,
+            row: RxRow::default(),
+            on_air: Vec::new(),
+            locked: None,
         }
     }
 
@@ -168,283 +418,149 @@ impl<F: Clone> Radio<F> {
         &self.cfg
     }
 
-    /// Replace the receiver noise floor (transient channel impairments).
-    ///
-    /// Affects SINR and [`Radio::noise_power`] from the next evaluation
-    /// on; already-locked frames keep the corruption verdicts reached so
-    /// far. The floor stays below any sane carrier-sense threshold, so
-    /// no busy/idle edge can result and no event vector is needed.
-    pub fn set_noise_floor(&mut self, floor: Milliwatts) {
-        debug_assert!(floor.is_valid());
-        self.cfg.noise_floor = floor;
-    }
-
     /// `true` while a transmission of ours is on the air.
     pub fn is_transmitting(&self) -> bool {
-        matches!(self.lock, Lock::Tx { .. })
+        self.row.is_transmitting()
     }
 
     /// `true` while locked onto an arriving frame.
     pub fn is_receiving(&self) -> bool {
-        matches!(self.lock, Lock::Rx { .. })
+        self.row.is_receiving()
     }
 
-    /// Physical carrier sense: busy while transmitting, receiving, or when
-    /// total in-air power reaches the carrier-sense threshold.
+    /// Physical carrier sense ([`RxRow::carrier_busy`]).
     pub fn carrier_busy(&self) -> bool {
-        !matches!(self.lock, Lock::Idle) || self.total_in_air.value() >= self.cfg.cs_thresh.value()
+        self.row.carrier_busy(&self.cfg)
     }
 
-    /// Noise-plus-interference observed by this node, excluding the locked
-    /// frame's own power. This is the `N_r` of the paper's tolerance
-    /// computation.
+    /// Noise-plus-interference excluding the locked frame
+    /// ([`RxRow::noise_power`]).
     pub fn noise_power(&self) -> Milliwatts {
-        let locked = match &self.lock {
-            Lock::Rx { power, .. } => *power,
-            _ => Milliwatts::ZERO,
-        };
-        (self.cfg.noise_floor + self.total_in_air - locked).clamp_non_negative()
+        self.row.noise_power(&self.cfg)
     }
 
     /// Total in-air power (diagnostics).
     pub fn in_air_power(&self) -> Milliwatts {
-        self.total_in_air
+        self.row.in_air_power()
     }
 
     /// A transmission begins arriving at this node.
     ///
     /// `key` must be unique per transmission; `power` is the received (post
-    /// path-loss) power; `end` is when the arrival finishes. Indications
-    /// are appended to `out`.
+    /// path-loss) power; `end` is when the arrival finishes (unused: ends
+    /// are keyed, not time-driven). Indications are appended to `out`.
     pub fn on_arrival_start(
         &mut self,
         key: u64,
         power: Milliwatts,
-        end: SimTime,
+        _end: SimTime,
         frame: &F,
         out: &mut Vec<RadioEvent<F>>,
     ) {
-        debug_assert!(power.is_valid());
-        self.arrivals.push(Arrival { key, power, end });
-        self.total_in_air += power;
-        // Report the busy edge before any RxStart so the MAC already sees
-        // the channel as busy when it learns a frame is arriving.
-        self.emit_carrier_edge(out);
-
-        match &mut self.lock {
-            Lock::Idle => {
-                if power.value() >= self.cfg.rx_thresh.value() {
-                    // Lock on. Initial SINR check against everything else
-                    // already in the air (both policies check at lock).
-                    let interference =
-                        (self.cfg.noise_floor + self.total_in_air - power).clamp_non_negative();
-                    let corrupted = power.ratio(interference) < self.cfg.capture_ratio;
-                    self.lock = Lock::Rx {
-                        key,
-                        power,
-                        frame: frame.clone(),
-                        corrupted,
-                    };
-                    out.push(RadioEvent::RxStart {
-                        key,
-                        power,
-                        frame: frame.clone(),
-                    });
-                }
-                // Below rx_thresh: interference / carrier sense only.
-            }
-            Lock::Rx {
-                power: locked_power,
-                corrupted,
-                ..
-            } => {
-                // Existing reception: the newcomer can corrupt it.
-                let survives = match self.cfg.capture_policy {
-                    CapturePolicy::StartOnly => {
-                        // ns-2: pairwise capture check against the newcomer.
-                        locked_power.ratio(power) >= self.cfg.capture_ratio
-                    }
-                    CapturePolicy::Continuous => {
-                        let interference = (self.cfg.noise_floor + self.total_in_air
-                            - *locked_power)
-                            .clamp_non_negative();
-                        locked_power.ratio(interference) >= self.cfg.capture_ratio
-                    }
-                };
-                if !survives {
-                    *corrupted = true;
-                }
-            }
-            Lock::Tx { .. } => {
-                // Half-duplex: we cannot hear anything while transmitting.
-            }
+        let heard = self.row.arrival_start(&self.cfg, key, power);
+        self.on_air.push((key, power));
+        if heard.edge_before() {
+            out.push(self.carrier_event());
         }
-        // Locking cannot change the busy verdict (a decodable arrival is
-        // already above cs_thresh), but keep the edge detector consistent.
-        self.emit_carrier_edge(out);
+        if heard.rx_start() {
+            self.locked = Some(frame.clone());
+            out.push(RadioEvent::RxStart {
+                key,
+                power,
+                frame: frame.clone(),
+            });
+        }
+        if heard.edge_after() {
+            out.push(self.carrier_event());
+        }
     }
 
     /// A transmission finishes arriving at this node.
+    ///
+    /// # Panics
+    /// If no arrival keyed `key` is on the air.
     pub fn on_arrival_end(&mut self, key: u64, out: &mut Vec<RadioEvent<F>>) {
-        let Some(idx) = self.arrivals.iter().position(|a| a.key == key) else {
-            debug_assert!(false, "arrival end for unknown key {key}");
-            return;
-        };
-        let arrival = self.arrivals.swap_remove(idx);
-        self.total_in_air = (self.total_in_air - arrival.power).clamp_non_negative();
-        if self.arrivals.is_empty() {
-            // Squash float dust so a quiet channel reads exactly zero.
-            self.total_in_air = Milliwatts::ZERO;
-        }
-
-        if let Lock::Rx {
-            key: locked_key,
-            power,
-            corrupted,
-            ..
-        } = &self.lock
-        {
-            if *locked_key == key {
-                let (power, ok) = (*power, !*corrupted);
-                let Lock::Rx { frame, .. } = std::mem::replace(&mut self.lock, Lock::Idle) else {
-                    unreachable!()
-                };
-                out.push(RadioEvent::RxEnd {
-                    key,
-                    power,
-                    frame,
-                    ok,
-                });
-            }
-        }
-        self.emit_carrier_edge(out);
-    }
-
-    /// Begin transmitting until `until`. Any reception in progress is
-    /// aborted (its frame is lost; the arrival remains as interference for
-    /// other bookkeeping but can no longer be delivered).
-    pub fn start_tx(&mut self, until: SimTime, out: &mut Vec<RadioEvent<F>>) {
-        debug_assert!(
-            !self.is_transmitting(),
-            "start_tx while already transmitting"
-        );
-        self.lock = Lock::Tx { until };
-        self.emit_carrier_edge(out);
-    }
-
-    /// Our transmission ended. The radio returns to idle; ongoing arrivals
-    /// stay undecodable (we missed their beginnings) but keep contributing
-    /// interference and carrier sense.
-    pub fn end_tx(&mut self, out: &mut Vec<RadioEvent<F>>) {
-        debug_assert!(self.is_transmitting(), "end_tx while not transmitting");
-        self.lock = Lock::Idle;
-        self.emit_carrier_edge(out);
-    }
-
-    fn emit_carrier_edge(&mut self, out: &mut Vec<RadioEvent<F>>) {
-        let busy = self.carrier_busy();
-        if busy != self.reported_busy {
-            self.reported_busy = busy;
-            out.push(if busy {
-                RadioEvent::CarrierBusy
-            } else {
-                RadioEvent::CarrierIdle
+        let idx = self
+            .on_air
+            .iter()
+            .position(|&(k, _)| k == key)
+            .unwrap_or_else(|| panic!("arrival end for unknown key {key}"));
+        let (_, power) = self.on_air.swap_remove(idx);
+        let heard = self.row.arrival_end(&self.cfg, key, power);
+        if let Some(ok) = heard.rx_end() {
+            let frame = self.locked.take().expect("a locked row's frame is held");
+            out.push(RadioEvent::RxEnd {
+                key,
+                power,
+                frame,
+                ok,
             });
+        }
+        if heard.edge_after() {
+            out.push(self.carrier_event());
+        }
+    }
+
+    /// Begin transmitting (until `until`, which only the caller tracks).
+    /// Any reception in progress is aborted.
+    pub fn start_tx(&mut self, _until: SimTime, out: &mut Vec<RadioEvent<F>>) {
+        self.locked = None;
+        if self.row.start_tx(&self.cfg).edge_after() {
+            out.push(self.carrier_event());
+        }
+    }
+
+    /// Our transmission ended.
+    pub fn end_tx(&mut self, out: &mut Vec<RadioEvent<F>>) {
+        if self.row.end_tx(&self.cfg).edge_after() {
+            out.push(self.carrier_event());
+        }
+    }
+
+    /// The edge the row has just indicated, as an event.
+    fn carrier_event(&self) -> RadioEvent<F> {
+        if self.row.reported_busy() {
+            RadioEvent::CarrierBusy
+        } else {
+            RadioEvent::CarrierIdle
         }
     }
 }
 
 mod snap {
-    //! Checkpoint capture of the radio state machine: the lock, every
-    //! in-flight arrival, the interference sum, and the carrier edge
-    //! detector travel bit-exactly.
+    //! Checkpoint capture of a row: the interference sum, its count, the
+    //! lock and the carrier edge detector travel bit-exactly.
 
-    use super::{Arrival, CapturePolicy, Lock, Radio, RadioConfig};
+    use super::{Mode, RxRow};
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    impl Snap for CapturePolicy {
+    impl Snap for Mode {
         fn save(&self, w: &mut SnapWriter) {
             w.u8(match self {
-                CapturePolicy::StartOnly => 0,
-                CapturePolicy::Continuous => 1,
+                Mode::Idle => 0,
+                Mode::Rx => 1,
+                Mode::Tx => 2,
             });
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             match r.u8()? {
-                0 => Ok(CapturePolicy::StartOnly),
-                1 => Ok(CapturePolicy::Continuous),
-                _ => Err(SnapError::Corrupt("capture policy tag")),
+                0 => Ok(Mode::Idle),
+                1 => Ok(Mode::Rx),
+                2 => Ok(Mode::Tx),
+                _ => Err(SnapError::Corrupt("radio mode tag")),
             }
         }
     }
 
-    pcmac_snap::snap_struct!(RadioConfig {
-        rx_thresh,
-        cs_thresh,
-        capture_ratio,
-        noise_floor,
-        capture_policy,
+    pcmac_snap::snap_struct!(RxRow {
+        in_air,
+        locked_power,
+        locked_key,
+        on_air,
+        mode,
+        corrupted,
+        reported_busy,
     });
-
-    pcmac_snap::snap_struct!(Arrival { key, power, end });
-
-    impl<F: Snap> Snap for Lock<F> {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Lock::Idle => w.u8(0),
-                Lock::Rx {
-                    key,
-                    power,
-                    frame,
-                    corrupted,
-                } => {
-                    w.u8(1);
-                    key.save(w);
-                    power.save(w);
-                    frame.save(w);
-                    corrupted.save(w);
-                }
-                Lock::Tx { until } => {
-                    w.u8(2);
-                    until.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Lock::Idle),
-                1 => Ok(Lock::Rx {
-                    key: Snap::load(r)?,
-                    power: Snap::load(r)?,
-                    frame: Snap::load(r)?,
-                    corrupted: Snap::load(r)?,
-                }),
-                2 => Ok(Lock::Tx {
-                    until: Snap::load(r)?,
-                }),
-                _ => Err(SnapError::Corrupt("radio lock tag")),
-            }
-        }
-    }
-
-    impl<F: Snap> Snap for Radio<F> {
-        fn save(&self, w: &mut SnapWriter) {
-            self.cfg.save(w);
-            self.lock.save(w);
-            self.arrivals.save(w);
-            self.total_in_air.save(w);
-            self.reported_busy.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Radio {
-                cfg: Snap::load(r)?,
-                lock: Snap::load(r)?,
-                arrivals: Snap::load(r)?,
-                total_in_air: Snap::load(r)?,
-                reported_busy: Snap::load(r)?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -466,11 +582,21 @@ mod tests {
     const FAINT: Milliwatts = Milliwatts(1e-9); // below cs
 
     #[test]
-    fn arrival_list_is_allocated_by_the_first_arrival() {
+    #[should_panic(expected = "nothing on the air")]
+    fn an_arrival_end_without_its_start_panics_in_every_build() {
+        let cfg = RadioConfig::ns2_default();
+        let mut row = RxRow::default();
+        row.arrival_start(&cfg, 1, MID);
+        row.arrival_end(&cfg, 1, MID);
+        row.arrival_end(&cfg, 2, MID);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown key 2")]
+    fn the_adapter_refuses_an_end_for_a_key_it_never_saw() {
         let mut r = radio();
-        assert_eq!(r.arrivals.capacity(), 0);
-        r.on_arrival_start(1, FAINT, t(100), &"x", &mut Vec::new());
-        assert!(r.arrivals.capacity() >= 1);
+        r.on_arrival_start(1, MID, t(100), &"x", &mut Vec::new());
+        r.on_arrival_end(2, &mut Vec::new());
     }
 
     #[test]

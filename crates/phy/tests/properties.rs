@@ -1,8 +1,37 @@
 //! Property-based tests for physical-layer invariants.
 
 use pcmac_engine::{Milliwatts, Point, SimTime};
-use pcmac_phy::{PowerLevels, Propagation, Radio, RadioConfig, RadioEvent, TwoRayGround};
+use pcmac_phy::{
+    CapturePolicy, Heard, PowerLevels, Propagation, Radio, RadioConfig, RadioEvent, RxRow,
+    TwoRayGround,
+};
 use proptest::prelude::*;
+
+/// A station's receive side must stay one half of a cache line: an
+/// arrival that decodes nothing reads and writes this and nothing else.
+#[test]
+fn a_receive_row_fits_32_bytes() {
+    assert!(std::mem::size_of::<RxRow>() <= 32);
+}
+
+/// What a bare row's flags say, as the events [`Radio`] would emit: the
+/// caller supplies the reception event, the row the edge's direction.
+fn as_events(heard: Heard, row: &RxRow, rx: Option<RadioEvent<u32>>) -> Vec<RadioEvent<u32>> {
+    let edge = || match row.reported_busy() {
+        true => RadioEvent::CarrierBusy,
+        false => RadioEvent::CarrierIdle,
+    };
+    let mut out = Vec::new();
+    if heard.edge_before() {
+        out.push(edge());
+    }
+    assert_eq!(heard.rx_start() || heard.rx_end().is_some(), rx.is_some());
+    out.extend(rx);
+    if heard.edge_after() {
+        out.push(edge());
+    }
+    out
+}
 
 proptest! {
     /// Path loss: received power never exceeds transmitted power and never
@@ -139,6 +168,85 @@ proptest! {
             _ => None,
         }).collect();
         prop_assert_eq!(starts, ends);
+    }
+
+    /// The adapter cannot drift from the row: any interleaving of arrival
+    /// starts and ends and of our own transmissions, driven through
+    /// `Radio` (which ends an arrival by key) and through a bare row
+    /// (handed each arrival's power back at its end), yields the same
+    /// indications in the same order and bit-equal interference sums —
+    /// under both capture policies, and with a decode threshold below
+    /// the carrier-sense one, where locking on is itself a busy edge.
+    #[test]
+    fn adapter_and_bare_row_agree(
+        ops in proptest::collection::vec((0u8..9, -10.0f64..-3.0, 0usize..32), 1..160),
+        start_only in any::<bool>(),
+        deaf_carrier_sense in any::<bool>(),
+    ) {
+        let mut cfg = RadioConfig::ns2_default();
+        if start_only {
+            cfg.capture_policy = CapturePolicy::StartOnly;
+        }
+        if deaf_carrier_sense {
+            cfg.cs_thresh = Milliwatts(1e-5);
+        }
+        let mut radio: Radio<u32> = Radio::new(cfg.clone());
+        let mut row = RxRow::default();
+        let mut locked: Option<u32> = None;
+        let mut open: Vec<(u64, Milliwatts)> = Vec::new();
+        let (mut next_key, mut edge_after_lock) = (0u64, false);
+        for &(kind, exponent, pick) in &ops {
+            let mut got = Vec::new();
+            let want = match kind {
+                0..=3 => {
+                    let (key, power, frame) = (next_key, Milliwatts(10f64.powf(exponent)), pick as u32);
+                    next_key += 1;
+                    open.push((key, power));
+                    radio.on_arrival_start(key, power, SimTime::MAX, &frame, &mut got);
+                    let heard = row.arrival_start(&cfg, key, power);
+                    edge_after_lock |= heard.rx_start() && heard.edge_after();
+                    let rx = heard.rx_start().then(|| {
+                        locked = Some(frame);
+                        RadioEvent::RxStart { key, power, frame }
+                    });
+                    as_events(heard, &row, rx)
+                }
+                4..=6 if !open.is_empty() => {
+                    let (key, power) = open.swap_remove(pick % open.len());
+                    radio.on_arrival_end(key, &mut got);
+                    let heard = row.arrival_end(&cfg, key, power);
+                    let rx = heard.rx_end().map(|ok| RadioEvent::RxEnd {
+                        key,
+                        power,
+                        frame: locked.take().expect("an RxEnd follows its RxStart"),
+                        ok,
+                    });
+                    as_events(heard, &row, rx)
+                }
+                7 if !row.is_transmitting() => {
+                    radio.start_tx(SimTime::MAX, &mut got);
+                    locked = None;
+                    as_events(row.start_tx(&cfg), &row, None)
+                }
+                8 if row.is_transmitting() => {
+                    radio.end_tx(&mut got);
+                    as_events(row.end_tx(&cfg), &row, None)
+                }
+                _ => continue,
+            };
+            prop_assert_eq!(&got, &want, "op {:?}", (kind, exponent, pick));
+            prop_assert_eq!(
+                radio.in_air_power().value().to_bits(),
+                row.in_air_power().value().to_bits()
+            );
+            prop_assert_eq!(radio.noise_power(), row.noise_power(&cfg));
+            prop_assert_eq!(radio.carrier_busy(), row.carrier_busy(&cfg));
+            prop_assert_eq!(row.on_air() as usize, open.len());
+            prop_assert!(got.len() <= 2, "an operation flips carrier sense at most once");
+        }
+        // Only a decode threshold under the carrier-sense one can make
+        // the lock itself the busy edge.
+        prop_assert!(deaf_carrier_sense || !edge_after_lock);
     }
 
     /// The sparse gain cache is transparent: through arbitrary interleaved

@@ -33,7 +33,12 @@ pub const MAGIC: [u8; 4] = *b"PCSN";
 /// Current envelope version. Bump on any incompatible layout change; old
 /// versions are rejected with [`SnapError::BadVersion`] rather than
 /// misread.
-pub const VERSION: u32 = 1;
+///
+/// Version 2: a pending arrival end carries its received power, and a
+/// node's radio section is its receive rows plus the locked frame — the
+/// per-node list of arrivals on the air, and with it the list's
+/// insertion-history order, left the format.
+pub const VERSION: u32 = 2;
 
 /// Everything that can go wrong reading a snapshot. All variants are
 /// recoverable by design: a caller falls back to recomputing from

@@ -35,7 +35,7 @@ fn every_arrival_start_has_matching_end() {
             SimEvent::ArrivalStart { node, key, .. } => {
                 open.borrow_mut().insert((*node, *key), ());
             }
-            SimEvent::ArrivalEnd { node, key }
+            SimEvent::ArrivalEnd { node, key, .. }
                 if open.borrow_mut().remove(&(*node, *key)).is_none() =>
             {
                 *unmatched.borrow_mut() += 1;
