@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! pcmac-campaign run <campaign.json> [--threads N] [--out FILE]
+//! pcmac-campaign figures [--full] [--secs N] [--seeds a,b] [--loads x,y]
 //! pcmac-campaign expand <campaign.json>
 //! pcmac-campaign validate <campaign.json>
 //! pcmac-campaign scenario <scenario.json> [--seed S]
@@ -11,11 +12,12 @@
 
 use std::process::ExitCode;
 
-use pcmac::{ExecutionMode, MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
+use pcmac::{MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
 use pcmac_campaign::{
-    bisect_configs, cli, dashboard, run_campaign_with, AxesSpec, Axis, CampaignSpec,
-    MetricsArtifact, RunOptions, ScenarioSpec,
+    bisect_configs, cli, dashboard, figures, run_campaign, run_campaign_with, AxesSpec, Axis,
+    CampaignSpec, ExecutionSpec, MetricsArtifact, RunOptions, ScenarioSpec, SpecError,
 };
+use pcmac_stats::{ascii_plot, series::to_csv, Series};
 
 const USAGE: &str = "\
 usage: pcmac-campaign <command> [args]
@@ -25,7 +27,8 @@ commands:
                       [--duration SECS] [--fresh] [--metrics] [--shards N]
                       [--checkpoint-interval SECS]
         expand the campaign, run every point x seed in parallel, print the
-        aggregated table and write CAMPAIGN_<name>.json (or FILE). The
+        aggregated table, then one row per executed run with its MAC and
+        routing counters, and write CAMPAIGN_<name>.json (or FILE). The
         artifact is persisted after every finished point; rerunning with
         the same output path resumes an interrupted campaign (--fresh
         recomputes from scratch). --timeout abandons runs that exceed the
@@ -39,12 +42,25 @@ commands:
         scenario on the region-sharded parallel engine (bit-identical to
         single-threaded; supplies a 10 us delay floor when the spec sets
         none, so only specs already carrying a floor are comparable to
-        their unsharded runs). --checkpoint-interval additionally
+        their unsharded runs); a sharded run counts as that many of the
+        --threads. --checkpoint-interval additionally
         checkpoints every in-progress run's simulator state that often
         (simulated seconds) into a sidecar <out>.ckpt/ directory, so a
         killed campaign resumes mid-run from the newest checkpoint
         instead of recomputing the cell; timed-out runs stop cleanly at
         a checkpoint cut. Checkpoint files are host-independent.
+  figures [--full] [--secs N] [--seeds a,b,c] [--loads x,y,z] [--threads N]
+          [--json FILE] [--campaign-json FILE]
+        regenerate the paper's Figure 8 (aggregate throughput) and
+        Figure 9 (mean end-to-end delay) from one sweep of the section IV
+        scenario over offered load x all four protocols x seeds: table,
+        ASCII plot and CSV per figure, then the per-point aggregation.
+        Defaults: loads 300..1000 step 100 kbps, seed 1, 60 s per run;
+        --full runs the paper's 400 s, an explicit --secs wins over it.
+        --json writes every raw report as JSON lines, --campaign-json the
+        aggregated report. Exit 1 when either figure fails its shape
+        check against the paper (PCMAC best at saturation, no collapse,
+        delay growing with load)
   expand <campaign.json>
         print the grid a campaign expands to, without running it
   validate <campaign.json>
@@ -78,35 +94,54 @@ commands:
   example
         print a starter campaign spec (pipe into a .json file to begin)";
 
+/// What is invalid, then its defects, one per line.
+fn invalid(what: &str, e: SpecError) -> String {
+    format!("{what} is invalid:\n  - {}", e.problems.join("\n  - "))
+}
+
 fn read_spec(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Parse `--shards N` (N ≥ 1) if present.
-fn shards_flag(args: &[String]) -> Result<Option<usize>, String> {
-    match cli::try_flag::<usize>(args, "--shards")? {
-        Some(0) => Err("--shards 0: need at least one region shard".into()),
-        other => Ok(other),
+/// Apply `--shards N` (N ≥ 1), if present, to a spec: switch it onto
+/// the region-sharded engine, supplying the default 10 µs delay floor
+/// when the spec sets none (the floor is the engine's lookahead and is
+/// mandatory for sharded runs; it must stay below the 20 µs slot time
+/// or the MAC's two-slot timeout grace is exhausted and every handshake
+/// fails).
+fn override_shards(spec: &mut ScenarioSpec, args: &[String]) -> Result<(), String> {
+    let Some(shards) = cli::try_flag::<usize>(args, "--shards")? else {
+        return Ok(());
+    };
+    if shards == 0 {
+        return Err("--shards 0: need at least one region shard".into());
     }
+    let execution = spec.execution.get_or_insert_with(ExecutionSpec::default);
+    execution.shards = Some(shards);
+    execution.delay_floor_us.get_or_insert(10.0);
+    Ok(())
 }
 
-/// Switch a materialized config onto the region-sharded engine,
-/// supplying the default 10 µs delay floor when the spec set none (the
-/// floor is the engine's lookahead and is mandatory for sharded runs;
-/// it must stay below the 20 µs slot time or the MAC's two-slot
-/// timeout grace is exhausted and every handshake fails).
-fn apply_shards(cfg: &mut ScenarioConfig, shards: usize) {
-    cfg.execution = Some(ExecutionMode::Sharded { shards });
-    if cfg.delay_floor_us.is_none() {
-        cfg.delay_floor_us = Some(10.0);
+/// When `flag` is on the command line, write `contents()` to the path
+/// that follows it.
+fn write_output_flag(
+    args: &[String],
+    flag: &str,
+    what: &str,
+    contents: impl FnOnce() -> String,
+) -> Result<(), String> {
+    if let Some(path) = cli::flag_value(args, flag) {
+        std::fs::write(path, contents())
+            .map_err(|e| format!("cannot write {what} to {path}: {e}"))?;
+        eprintln!("wrote {what} to {path}");
     }
+    Ok(())
 }
 
 fn load_campaign(path: &str) -> Result<CampaignSpec, String> {
     let text = read_spec(path)?;
     let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.validate()
-        .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))?;
+    spec.validate().map_err(|e| invalid(path, e))?;
     Ok(spec)
 }
 
@@ -114,11 +149,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
     let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    // Both overrides apply to the spec before it expands, so a Patch
+    // axis on the same knob still wins and the dispatcher sees every
+    // cell's real width.
     if let Some(d) = cli::try_flag::<f64>(args, "--duration")? {
         spec.duration_s = Some(d);
     }
-    spec.validate()
-        .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))?;
+    override_shards(&mut spec.base, args)?;
+    spec.validate().map_err(|e| invalid(path, e))?;
     let threads = cli::try_flag(args, "--threads")?.unwrap_or(0usize);
     let timeout = cli::try_flag::<f64>(args, "--timeout")?.map(std::time::Duration::from_secs_f64);
     let out = cli::flag_value(args, "--out")
@@ -126,7 +164,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| format!("CAMPAIGN_{}.json", cli::sanitize(&spec.name)));
     let fresh = args.iter().any(|a| a == "--fresh");
     let with_metrics = args.iter().any(|a| a == "--metrics");
-    let shards = shards_flag(args)?;
     let resume = !fresh && std::path::Path::new(&out).exists();
     if resume {
         eprintln!("{out} exists: resuming if it is a partial artifact (--fresh recomputes)");
@@ -159,11 +196,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         if with_metrics && cfg.metrics.is_none() {
             cfg.metrics = Some(MetricsConfig::default());
         }
-        // Likewise the sharded engine is bit-identical to the
-        // single-threaded reference under the same delay floor.
-        if let Some(s) = shards {
-            apply_shards(&mut cfg, s);
-        }
         // The standard resilient run: checkpoint periodically, resume
         // from this cell's newest valid checkpoint, stop cleanly at a
         // cut when the watchdog cancels.
@@ -187,6 +219,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         outcome.report.wall_s
     );
     println!("{}", outcome.report.render_table());
+    println!("{}", outcome.render_runs_table());
     eprintln!("wrote {out}");
 
     if let Some(failures) = &outcome.report.failures {
@@ -206,6 +239,102 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             spec.name,
             failures.len()
         ));
+    }
+    Ok(())
+}
+
+/// Print one figure: title, table, ASCII plot, CSV.
+fn print_figure(title: &str, value_label: &str, plot_title: &str, series: &[Series], note: &str) {
+    println!("{title}\n({note})\n");
+    println!("{}", figures::render_table(value_label, series));
+    println!(
+        "{}",
+        ascii_plot(plot_title, "offered load kbps", series, 64, 16)
+    );
+    println!("CSV:\n{}", to_csv("offered_load_kbps", series));
+}
+
+fn cmd_figures(args: &[String]) -> Result<(), String> {
+    let secs = cli::figure_secs(args)?;
+    let seeds = cli::try_flag_list(args, "--seeds")?.unwrap_or_else(|| vec![1u64]);
+    let loads = cli::try_flag_list(args, "--loads")?.unwrap_or_else(figures::paper_loads);
+    let threads = cli::try_flag(args, "--threads")?.unwrap_or(0usize);
+    let spec = figures::sweep_spec(&loads, secs, &seeds);
+    eprintln!(
+        "figures: loads {loads:?} kbps, {secs} s per run, {} seed(s), 4 protocols → {} runs",
+        seeds.len(),
+        spec.run_count()
+    );
+
+    let outcome = run_campaign(&spec, threads).map_err(|e| invalid("sweep configuration", e))?;
+    if let Some(failures) = &outcome.report.failures {
+        return Err(format!(
+            "{} run(s) of the sweep failed, first: {}",
+            failures.len(),
+            failures[0].error
+        ));
+    }
+    let throughput = figures::throughput_series(&outcome.report);
+    let delay = figures::delay_series(&outcome.report);
+    let note = format!("{secs} s per run, {} seed(s) averaged", seeds.len());
+
+    print_figure(
+        "Figure 8 — aggregate network throughput (kbps) vs offered load (kbps)",
+        "throughput kbps",
+        "Figure 8 (reproduced)",
+        &throughput,
+        &note,
+    );
+    print_figure(
+        "Figure 9 — average end-to-end delay (ms) vs offered load (kbps)",
+        "delay ms",
+        "Figure 9 (reproduced)",
+        &delay,
+        &note,
+    );
+    println!(
+        "per-point aggregation (mean ± 95% CI over seeds):\n{}",
+        outcome.report.render_table()
+    );
+
+    write_output_flag(args, "--json", "raw reports", || {
+        outcome
+            .runs
+            .iter()
+            .map(|r| serde_json::to_string(r).expect("reports serialize"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    })?;
+    write_output_flag(
+        args,
+        "--campaign-json",
+        "aggregated campaign report",
+        || outcome.report.to_json(),
+    )?;
+
+    let mut failed = false;
+    for (figure, result, claim) in [
+        (
+            "Fig. 8",
+            figures::check_figure8_shape(&throughput),
+            "PCMAC > Basic at saturation; no collapse",
+        ),
+        (
+            "Fig. 9",
+            figures::check_figure9_shape(&delay),
+            "delay grows with load; PCMAC lowest at saturation",
+        ),
+    ] {
+        match result {
+            Ok(()) => println!("shape check vs paper {figure}: PASS ({claim})"),
+            Err(e) => {
+                println!("shape check vs paper {figure}: FAIL — {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        return Err("the reproduced figures do not have the paper's shape".into());
     }
     Ok(())
 }
@@ -247,8 +376,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     // Expanding the grid validates the campaign *and* every grid cell,
     // aggregating the defects of all of them into one list.
-    spec.grid()
-        .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))?;
+    spec.grid().map_err(|e| invalid(path, e))?;
     println!(
         "{path}: OK ({} points x {} seeds)",
         spec.point_count(),
@@ -260,14 +388,10 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
-    let spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let mut spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    override_shards(&mut spec, args)?;
     let seed = cli::try_flag(args, "--seed")?.unwrap_or(1u64);
-    let mut cfg = spec
-        .materialize(seed)
-        .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))?;
-    if let Some(s) = shards_flag(args)? {
-        apply_shards(&mut cfg, s);
-    }
+    let cfg = spec.materialize(seed).map_err(|e| invalid(path, e))?;
     eprintln!(
         "running `{}` ({} nodes, {} flows)",
         cfg.name,
@@ -307,8 +431,7 @@ fn cmd_bisect(args: &[String]) -> Result<(), String> {
     let load = |path: &str| -> Result<ScenarioConfig, String> {
         let text = read_spec(path)?;
         let spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        spec.materialize(seed)
-            .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))
+        spec.materialize(seed).map_err(|e| invalid(path, e))
     };
     let cfg_a = load(a_path)?;
     let cfg_b = load(b_path)?;
@@ -409,6 +532,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
+        Some("figures") => cmd_figures(&args[1..]),
         Some("expand") => cmd_expand(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("scenario") => cmd_scenario(&args[1..]),

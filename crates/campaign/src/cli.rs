@@ -1,13 +1,9 @@
-//! Typed command-line flag parsing shared by every binary in the
-//! workspace (`pcmac-campaign` and the `pcmac-bench` figure/ablation
-//! drivers, which re-export these helpers).
+//! Typed command-line flag parsing for the `pcmac-campaign` binary.
 //!
-//! The pre-redesign binaries funnelled all flags through one `f64`
-//! grabber (`grab("--seed", 1.0) as u64`), silently truncating
-//! fractional input and any seed above 2⁵³, and list parsers dropped
-//! unparseable elements with `filter_map`. These helpers parse the
-//! target type directly and treat a present-but-malformed value as an
-//! error.
+//! These helpers parse the target type directly (no detour through
+//! `f64`, which truncates fractional input and any seed above 2⁵³) and
+//! treat a present-but-malformed value, or an unparseable list element,
+//! as an error naming the flag; nothing here exits the process.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -57,39 +53,16 @@ where
     Ok(Some(items))
 }
 
-/// Exit cleanly (status 2) with the parse error — the binaries' shared
-/// failure mode for malformed flags.
-fn exit_on_flag_error<T>(result: Result<T, String>) -> T {
-    result.unwrap_or_else(|msg| {
-        eprintln!("invalid command line: {msg}");
-        std::process::exit(2);
+/// Simulated seconds per run for `figures`: `--secs N` when given
+/// (wherever it stands relative to `--full`), else the paper's 400 s
+/// under `--full`, else a faster 60 s that already shows the same curve
+/// shapes.
+pub fn figure_secs(args: &[String]) -> Result<u64, String> {
+    Ok(match try_flag(args, "--secs")? {
+        Some(secs) => secs,
+        None if args.iter().any(|a| a == "--full") => 400,
+        None => 60,
     })
-}
-
-/// [`try_flag`] with a default, exiting (status 2) on malformed input.
-pub fn flag_or<T: FromStr>(args: &[String], flag: &str, default: T) -> T
-where
-    T::Err: Display,
-{
-    exit_on_flag_error(try_flag(args, flag)).unwrap_or(default)
-}
-
-/// [`try_flag`] as an optional override, exiting (status 2) on
-/// malformed input.
-pub fn flag_opt<T: FromStr>(args: &[String], flag: &str) -> Option<T>
-where
-    T::Err: Display,
-{
-    exit_on_flag_error(try_flag(args, flag))
-}
-
-/// [`try_flag_list`] with a default, exiting (status 2) on malformed
-/// input.
-pub fn flag_list_or<T: FromStr>(args: &[String], flag: &str, default: Vec<T>) -> Vec<T>
-where
-    T::Err: Display,
-{
-    exit_on_flag_error(try_flag_list(args, flag)).unwrap_or(default)
 }
 
 /// Campaign names as artifact-file stems: every character outside
@@ -116,10 +89,33 @@ mod tests {
     }
 
     #[test]
+    fn values_parse_as_their_own_type() {
+        // Through `f64` this seed would lose its low bits.
+        let big = u64::MAX - 1;
+        let a = args(&format!("--seed {big} --loads 300,500"));
+        assert_eq!(try_flag::<u64>(&a, "--seed").unwrap(), Some(big));
+        assert_eq!(
+            try_flag_list::<f64>(&a, "--loads").unwrap(),
+            Some(vec![300.0, 500.0])
+        );
+    }
+
+    #[test]
     fn malformed_values_error() {
         assert!(try_flag::<u64>(&args("--seed 1.5"), "--seed").is_err());
+        assert!(try_flag::<u64>(&args("--seed abc"), "--seed").is_err());
         assert!(try_flag::<u64>(&args("--seed"), "--seed").is_err());
-        assert!(try_flag_list::<f64>(&args("--loads 1,x"), "--loads").is_err());
+        assert!(try_flag_list::<f64>(&args("--loads 300,x,500"), "--loads").is_err());
+        assert!(try_flag_list::<f64>(&args("--loads"), "--loads").is_err());
+    }
+
+    #[test]
+    fn explicit_secs_wins_over_full_in_either_order() {
+        assert_eq!(figure_secs(&args("--full --secs 30")), Ok(30));
+        assert_eq!(figure_secs(&args("--secs 30 --full")), Ok(30));
+        assert_eq!(figure_secs(&args("--full")), Ok(400));
+        assert_eq!(figure_secs(&args("--json out.jsonl")), Ok(60));
+        assert!(figure_secs(&args("--full --secs 1.5")).is_err());
     }
 
     #[test]

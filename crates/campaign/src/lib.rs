@@ -27,12 +27,15 @@
 //!   into mean / stddev / 95% confidence interval per metric
 //!   ([`CampaignReport`], written as the machine-readable
 //!   `CAMPAIGN_*.json` artifact).
+//! * [`figures`] — the paper's Figures 8 and 9 as one such campaign,
+//!   with the shape checks that judge its report.
 //!
 //! The `pcmac-campaign` binary drives all of this from the command line:
 //!
 //! ```text
 //! pcmac-campaign run examples/paper_load_sweep.json --out CAMPAIGN.json
 //! pcmac-campaign run examples/ablation_safety_factor.json
+//! pcmac-campaign figures --full         # Figures 8 and 9, one sweep
 //! pcmac-campaign expand <spec.json>     # show the grid without running
 //! pcmac-campaign validate <spec.json>   # actionable errors, exit code
 //! pcmac-campaign scenario <spec.json>   # run a single ScenarioSpec
@@ -48,6 +51,7 @@ pub mod bisect;
 pub mod campaign;
 pub mod cli;
 pub mod dashboard;
+pub mod figures;
 pub mod runner;
 pub mod spec;
 

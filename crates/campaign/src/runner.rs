@@ -27,14 +27,15 @@ use std::time::{Duration, Instant};
 
 use pcmac::{CancelToken, RunHooks, RunOutcome, RunReport, SimSnapshot, Simulator};
 use pcmac_engine::Duration as SimDuration;
+use pcmac_stats::Table;
 
 use crate::aggregate::{CampaignReport, FailureKind, PointFailure, PointSummary};
-use crate::campaign::{CampaignGrid, CampaignSpec};
+use crate::campaign::{CampaignGrid, CampaignSpec, PointKey};
 use crate::spec::SpecError;
 
 /// Everything a campaign produced: the aggregated report (the
 /// `CAMPAIGN_*.json` artifact) plus the raw per-run reports for callers
-/// that need more than the per-point summaries (the figure harness, flow
+/// that need more than the per-point summaries (per-run counters, flow
 /// fairness analyses).
 #[derive(Debug)]
 pub struct CampaignOutcome {
@@ -45,6 +46,54 @@ pub struct CampaignOutcome {
     /// and on resume the previously-finished points are represented
     /// only by their summaries in `report`.
     pub runs: Vec<RunReport>,
+    /// The grid point each entry of `runs` belongs to, aligned with it.
+    pub run_keys: Vec<PointKey>,
+}
+
+impl CampaignOutcome {
+    /// One row per executed run: the point, the seed, the headline
+    /// metrics and the MAC / routing counters the per-point means
+    /// cannot carry (control-channel traffic, handshake timeouts,
+    /// implicit retransmissions, decode errors, route repair).
+    pub fn render_runs_table(&self) -> String {
+        let mut t = Table::new(&[
+            "point",
+            "load kbps",
+            "nodes",
+            "seed",
+            "thpt kbps",
+            "delay ms",
+            "pdr %",
+            "ctrlDef",
+            "ctrlBcast",
+            "ctsT/O",
+            "ackT/O",
+            "implRetx",
+            "rxErr",
+            "rerr",
+            "rreq",
+        ]);
+        for (key, r) in self.run_keys.iter().zip(&self.runs) {
+            t.row(&[
+                key.label(),
+                format!("{:.0}", key.load_kbps),
+                format!("{}", key.node_count),
+                format!("{}", r.seed),
+                format!("{:.1}", r.throughput_kbps),
+                format!("{:.1}", r.mean_delay_ms),
+                format!("{:.1}", r.pdr() * 100.0),
+                format!("{}", r.mac.ctrl_deferrals),
+                format!("{}", r.mac.ctrl_broadcasts),
+                format!("{}", r.mac.cts_timeouts),
+                format!("{}", r.mac.ack_timeouts),
+                format!("{}", r.mac.implicit_retx),
+                format!("{}", r.mac.rx_errors),
+                format!("{}", r.routing.rerr_sent),
+                format!("{}", r.routing.rreq_originated + r.routing.rreq_forwarded),
+            ]);
+        }
+        t.render()
+    }
 }
 
 /// How [`run_campaign_with`] executes a campaign.
@@ -152,8 +201,7 @@ fn worker_count(threads: usize) -> usize {
 }
 
 /// Expand `spec` and run every `(point × seed)` with the stock
-/// simulator — no watchdog, no persistence. Thin wrapper over
-/// [`run_campaign_with`] kept for the figure/ablation drivers.
+/// simulator — no watchdog, no persistence.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignOutcome, SpecError> {
     run_campaign_with(
         spec,
@@ -351,6 +399,9 @@ where
 
     struct InFlight {
         id: usize,
+        /// OS threads the run occupies: its shard count, clamped to
+        /// the budget so one wide run still starts (alone).
+        weight: usize,
         deadline: Option<Instant>,
         cancel: CancelToken,
         handle: std::thread::JoinHandle<()>,
@@ -367,12 +418,18 @@ where
     let mut resolved_jobs = 0usize;
 
     while resolved_jobs < jobs.len() {
-        // Keep the worker budget full. Materialization failures resolve
+        // Keep the thread budget full, in thread units: a sharded run
+        // spawns its shard count of workers inside the run, so it
+        // debits that many. Materialization failures resolve
         // immediately (no thread) as Invalid.
-        while in_flight.len() < threads && next_job < jobs.len() {
+        while next_job < jobs.len() {
             let id = next_job;
-            next_job += 1;
             let job = jobs[id];
+            let weight = grid.cells[job.cell].spec.shards().clamp(1, threads);
+            if in_flight.iter().map(|f| f.weight).sum::<usize>() + weight > threads {
+                break;
+            }
+            next_job += 1;
             match grid.cells[job.cell].spec.materialize(job.seed) {
                 Err(e) => {
                     state.record_failure(job, FailureKind::Invalid, e.problems.join("; "));
@@ -398,6 +455,7 @@ where
                     });
                     in_flight.push(InFlight {
                         id,
+                        weight,
                         deadline: opts.timeout.map(|t| Instant::now() + t),
                         cancel,
                         handle,
@@ -528,9 +586,17 @@ where
     let mut runs_tagged: Vec<(usize, RunReport)> =
         state.progress.into_values().flat_map(|p| p.ok).collect();
     runs_tagged.sort_unstable_by_key(|&(id, _)| id);
+    let run_keys = runs_tagged
+        .iter()
+        .map(|&(id, _)| grid.cells[jobs[id].cell].key.clone())
+        .collect();
     let runs = runs_tagged.into_iter().map(|(_, r)| r).collect();
 
-    Ok(CampaignOutcome { report, runs })
+    Ok(CampaignOutcome {
+        report,
+        runs,
+        run_keys,
+    })
 }
 
 /// A run panicked; pull the human-readable message out of the payload.

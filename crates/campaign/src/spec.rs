@@ -741,6 +741,13 @@ impl ScenarioSpec {
         self.execution.get_or_insert_with(ExecutionSpec::default)
     }
 
+    /// OS threads one run of this spec occupies: its region-shard count
+    /// (1 when single-threaded) — what [`ScenarioConfig::shards`] reads
+    /// once materialized.
+    pub fn shards(&self) -> usize {
+        self.execution.and_then(|e| e.shards).unwrap_or(1).max(1)
+    }
+
     fn trace_mut(&mut self) -> &mut TraceFilter {
         self.trace.get_or_insert_with(TraceFilter::default)
     }

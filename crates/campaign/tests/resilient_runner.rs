@@ -1,7 +1,9 @@
 //! The campaign runner must survive hostile points: a panicking run and
 //! a hanging run are recorded as structured failures, the partial
 //! artifact is persisted incrementally, and a rerun resumes from it
-//! without recomputing the points that already finished.
+//! without recomputing the points that already finished. The runner
+//! also meters concurrency in OS threads, not jobs: a sharded run counts
+//! as its shard count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -9,8 +11,8 @@ use std::time::Duration;
 
 use pcmac::{FlowShape, ScenarioConfig, Variant};
 use pcmac_campaign::{
-    run_campaign_with, AxesSpec, CampaignReport, CampaignSpec, FailureKind, NodesSpec,
-    PlacementSpec, RunOptions, ScenarioSpec, TrafficPattern, TrafficSpec,
+    run_campaign_with, AxesSpec, CampaignOutcome, CampaignReport, CampaignSpec, ExecutionSpec,
+    FailureKind, NodesSpec, PlacementSpec, RunOptions, ScenarioSpec, TrafficPattern, TrafficSpec,
 };
 
 /// Three grid cells (loads 50/75/100) x two seeds: load 50 is clean,
@@ -243,4 +245,86 @@ fn invalid_grid_cells_are_structured_failures_not_aborts() {
         "aggregated defect list names the knob: {:?}",
         err.problems
     );
+}
+
+/// Run the six-run campaign with every cell on `shards` region shards
+/// (`None`: single-threaded, same delay floor) through a `threads`-wide
+/// dispatcher. Each run adds itself to two gauges while it is in
+/// flight; returns the outcome with the peak number of concurrent runs
+/// and the peak number of OS threads they asked for between them.
+fn run_metered(shards: Option<usize>, threads: usize) -> (CampaignOutcome, usize, usize) {
+    #[derive(Default)]
+    struct Gauge {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+    impl Gauge {
+        fn enter(&self, n: usize) {
+            let now = self.now.fetch_add(n, Ordering::SeqCst) + n;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+        }
+        fn leave(&self, n: usize) {
+            self.now.fetch_sub(n, Ordering::SeqCst);
+        }
+    }
+
+    let mut spec = hostile_campaign();
+    spec.base.execution = Some(ExecutionSpec {
+        shards,
+        delay_floor_us: Some(10.0),
+    });
+    let gauges = Arc::new((Gauge::default(), Gauge::default()));
+    let seen = Arc::clone(&gauges);
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let outcome = run_campaign_with(&spec, opts, move |cfg, ctl| {
+        let (runs, os_threads) = &*seen;
+        let width = cfg.shards();
+        runs.enter(1);
+        os_threads.enter(width);
+        // Long enough that a dispatcher counting jobs, which starts
+        // `threads` of them back to back, is caught overlapping them.
+        std::thread::sleep(Duration::from_millis(40));
+        let result = ctl.run(cfg);
+        os_threads.leave(width);
+        runs.leave(1);
+        result
+    })
+    .expect("the campaign runs");
+    assert_eq!(outcome.runs.len(), 6);
+    assert!(outcome.report.failures.is_none());
+    let (runs, os_threads) = &*gauges;
+    (
+        outcome,
+        runs.peak.load(Ordering::SeqCst),
+        os_threads.peak.load(Ordering::SeqCst),
+    )
+}
+
+#[test]
+fn sharded_runs_debit_their_shard_count_from_the_thread_budget() {
+    // Single-threaded cells fill a two-thread budget two at a time.
+    let (single, runs, os_threads) = run_metered(None, 2);
+    assert_eq!((runs, os_threads), (2, 2), "the gauges see an overlap");
+
+    // Two-shard cells: one in flight at a time, never 2 x 2 threads.
+    let (sharded, runs, os_threads) = run_metered(Some(2), 2);
+    assert_eq!((runs, os_threads), (1, 2));
+
+    // A cell wider than the whole budget is clamped to it: it still
+    // starts, alone.
+    let (wide, runs, os_threads) = run_metered(Some(4), 2);
+    assert_eq!((runs, os_threads), (1, 4));
+
+    // Metering changes when a run starts, not what it computes: the
+    // sharded runs equal their single-threaded twins, in order.
+    for other in [&sharded, &wide] {
+        for (a, b) in single.runs.iter().zip(&other.runs) {
+            assert_eq!((a.seed, a.offered_load_kbps), (b.seed, b.offered_load_kbps));
+            assert_eq!(a.events, b.events);
+            assert_eq!(a.delivered_packets, b.delivered_packets);
+        }
+    }
 }

@@ -430,7 +430,7 @@ fn pre_redesign_spec_json_still_parses() {
 fn paper_spec_materializes_identically_to_the_constructor() {
     // The whole point of the refactor: the declarative path must
     // reproduce the constructor-built paper scenario bit for bit, so the
-    // figure binaries lose nothing by driving the campaign subsystem.
+    // figures lose nothing by being a campaign over this spec.
     for (seed, load) in [(1u64, 300.0), (7, 650.0), (42, 1000.0)] {
         for variant in Variant::ALL {
             let mut spec = ScenarioSpec::paper();

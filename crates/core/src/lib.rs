@@ -26,8 +26,9 @@
 //!
 //! [`ScenarioConfig::paper`] builds the §IV setup: 50 nodes, random
 //! waypoint over 1000 m × 1000 m at 3 m/s (3 s pause), ten 512-byte CBR
-//! flows, AODV routing, one of the four MAC variants. The `pcmac-bench`
-//! crate sweeps it over offered load to regenerate Figures 8 and 9.
+//! flows, AODV routing, one of the four MAC variants. The
+//! `pcmac-campaign` crate sweeps it over offered load to regenerate
+//! Figures 8 and 9 (`pcmac-campaign figures`).
 //!
 //! ## Architecture
 //!
@@ -62,7 +63,6 @@ pub mod node;
 pub mod parallel;
 pub(crate) mod reference;
 pub mod report;
-pub mod runner;
 pub mod sim;
 pub mod snapshot;
 pub(crate) mod soa;
@@ -79,7 +79,6 @@ pub use metrics::{
     RoutingMetrics, SimMetrics, TxPowerMetrics,
 };
 pub use report::{LatencySummary, ResilienceReport, RunReport};
-pub use runner::run_parallel;
 pub use sim::Simulator;
 pub use snapshot::{CancelToken, RunHooks, RunOutcome, SimSnapshot};
 pub use trace::{TraceFilter, TraceWriter};

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Event counts collected by one node's MAC. The figure harness aggregates
+/// Event counts collected by one node's MAC. The run report aggregates
 /// these across nodes to explain *why* a protocol wins (retransmissions,
 /// collisions heard, control-channel deferrals).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]

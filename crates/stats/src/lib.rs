@@ -1,7 +1,7 @@
 //! # pcmac-stats — metric collection primitives
 //!
 //! Small, dependency-light building blocks the simulation core and the
-//! figure harness assemble their reports from:
+//! campaign subsystem assemble their reports from:
 //!
 //! * [`OnlineStats`] — Welford single-pass mean/variance/min/max.
 //! * [`Histogram`] — fixed-width buckets with percentile queries (delay

@@ -1,8 +1,8 @@
 //! Terminal line plots.
 //!
-//! The figure binaries render their series as ASCII charts so the curve
+//! `pcmac-campaign figures` renders its series as ASCII charts so the curve
 //! *shapes* — who saturates where, who crosses whom — are visible right
-//! in the harness output, next to the exact numbers.
+//! in its output, next to the exact numbers.
 
 use crate::series::Series;
 use std::fmt::Write as _;

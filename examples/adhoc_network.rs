@@ -8,8 +8,8 @@
 //! cargo run --release --example adhoc_network [-- <load_kbps> <secs> <seed>]
 //! ```
 
-use pcmac::{run_parallel, ScenarioConfig, Variant};
-use pcmac_engine::Duration;
+use pcmac_sim::campaign::{run_campaign, AxesSpec, CampaignSpec, ScenarioSpec};
+use pcmac_sim::Variant;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -20,11 +20,26 @@ fn main() {
     println!("paper scenario: 50 nodes, 10 CBR flows, {load} kbps offered, {secs}s, seed {seed}");
     println!("running all four protocols in parallel...\n");
 
-    let scenarios: Vec<_> = Variant::ALL
-        .iter()
-        .map(|v| ScenarioConfig::paper(*v, load, seed).with_duration(Duration::from_secs(secs)))
-        .collect();
-    let reports = run_parallel(scenarios, 0);
+    let mut base = ScenarioSpec::paper();
+    base.traffic.offered_load_kbps = load;
+    let spec = CampaignSpec {
+        name: "adhoc-network".into(),
+        base,
+        duration_s: Some(secs as f64),
+        seeds: vec![seed],
+        axes: Some(AxesSpec {
+            variants: Some(Variant::ALL.to_vec()),
+            ..AxesSpec::default()
+        }),
+        sweep: None,
+    };
+    let reports = match run_campaign(&spec, 0) {
+        Ok(outcome) => outcome.runs,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
 
     for r in &reports {
         println!("{}", r.summary());

@@ -14,7 +14,7 @@
 //! cargo run --release --example asymmetric_links
 //! ```
 
-use pcmac::{run_parallel, ScenarioConfig, Variant};
+use pcmac::{RunReport, ScenarioConfig, Simulator, Variant};
 
 fn main() {
     // Saturating load on both pairs: with spatial reuse both could run
@@ -26,11 +26,20 @@ fn main() {
     println!("  the pairs are mutually invisible, but C's frames land at B");
     println!("  inside the capture ratio and corrupt A→B receptions.\n");
 
-    let scenarios: Vec<_> = Variant::ALL
-        .iter()
-        .map(|v| ScenarioConfig::asymmetric_pairs(*v, rate, 7))
-        .collect();
-    let reports = run_parallel(scenarios, 0);
+    // One thread per protocol; the scope joins them in protocol order.
+    let reports: Vec<RunReport> = std::thread::scope(|scope| {
+        let runs: Vec<_> = Variant::ALL
+            .iter()
+            .map(|&v| {
+                scope.spawn(move || {
+                    Simulator::new(ScenarioConfig::asymmetric_pairs(v, rate, 7)).run()
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("a run panicked"))
+            .collect()
+    });
 
     println!(
         "{:<13} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10}  {:>8} {:>8}",

@@ -32,24 +32,29 @@ fn main() {
         "power (mW)",
         "decode range (m)",
         "paper (m)",
+        "delta (m)",
         "sense range (m)",
     ]);
+    let mut worst: f64 = 0.0;
     for (i, (&p, &want)) in levels.all().iter().zip(paper.iter()).enumerate() {
         let decode = model.range_for(p, rx_thresh);
         let sense = model.range_for(p, cs_thresh);
+        worst = worst.max((decode - want).abs());
         table.row(&[
             format!("{}", i + 1),
             format!("{:.2}", p.value()),
             format!("{decode:.1}"),
             format!("{want:.0}"),
+            format!("{:+.1}", decode - want),
             format!("{sense:.1}"),
         ]);
-        assert!(
-            (decode - want).abs() <= 4.0,
-            "class {} range {decode:.1} deviates from the paper's {want}",
-            i + 1
-        );
     }
     println!("{}", table.render());
-    println!("all ten classes within ±4 m of the paper's table ✓");
+    println!("worst deviation from the paper's quoted ranges: {worst:.1} m");
+    if worst <= 4.0 {
+        println!("table reproduction: PASS (the paper itself says ranges 'roughly correspond')");
+    } else {
+        println!("table reproduction: FAIL");
+        std::process::exit(1);
+    }
 }

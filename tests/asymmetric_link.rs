@@ -2,14 +2,23 @@
 //! naive power control must suppress the low-power pair; PCMAC must
 //! recover it (and buy spatial reuse on top).
 
-use pcmac::{run_parallel, ScenarioConfig, Variant};
+use pcmac::{RunReport, ScenarioConfig, Simulator, Variant};
 
-fn reports() -> Vec<pcmac::RunReport> {
-    let scenarios: Vec<_> = Variant::ALL
-        .iter()
-        .map(|v| ScenarioConfig::asymmetric_pairs(*v, 1_000_000.0, 7))
-        .collect();
-    run_parallel(scenarios, 0)
+/// One run per protocol, on a thread each.
+fn reports() -> Vec<RunReport> {
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = Variant::ALL
+            .iter()
+            .map(|&v| {
+                scope.spawn(move || {
+                    Simulator::new(ScenarioConfig::asymmetric_pairs(v, 1_000_000.0, 7)).run()
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("a run panicked"))
+            .collect()
+    })
 }
 
 #[test]

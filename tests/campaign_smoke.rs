@@ -70,6 +70,30 @@ fn hotspot_example_still_loads_and_expands() {
     }
 }
 
+/// Every checked-in spec file must stay runnable: each `examples/*.json`
+/// is a campaign spec that parses, validates, and materializes every
+/// `(point x seed)` it expands to.
+#[test]
+fn every_example_campaign_spec_parses_validates_and_expands() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("examples/ exists") {
+        let path = entry.expect("readable entry").path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let name = path.display();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec = CampaignSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let points = spec.expand_vec().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(points.len(), spec.point_count(), "{name}");
+        assert!(points.iter().all(|p| p.scenarios.len() == spec.seeds.len()));
+        seen += 1;
+    }
+    assert!(seen >= 10, "only {seen} spec files found under {dir}");
+}
+
 #[test]
 fn reduced_campaign_runs_and_aggregates() {
     let mut spec = example_spec();

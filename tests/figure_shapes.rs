@@ -1,37 +1,33 @@
 //! Reduced-scale regression of the paper's Figures 8 and 9: run a small
 //! load sweep and assert the qualitative claims the reproduction stands
-//! on. The full-resolution sweep lives in the `pcmac-bench` binaries;
+//! on. The full-resolution sweep is `pcmac-campaign figures --full`;
 //! this keeps the shape guarded by `cargo test`.
 
-use pcmac_bench::{check_figure8_shape, check_figure9_shape, Sweep};
-
-fn sweep() -> pcmac_bench::SweepResult {
-    Sweep {
-        loads: vec![300.0, 650.0, 1000.0],
-        secs: 30,
-        seeds: vec![1],
-        threads: 0,
-    }
-    .run()
-}
+use pcmac_campaign::figures::{
+    check_figure8_shape, check_figure9_shape, delay_series, render_table, sweep_spec,
+    throughput_series,
+};
+use pcmac_campaign::run_campaign;
 
 #[test]
 fn figure_8_and_9_shapes_hold_at_reduced_scale() {
-    let result = sweep();
+    let spec = sweep_spec(&[300.0, 650.0, 1000.0], 30, &[1]);
+    let report = run_campaign(&spec, 0).expect("the sweep is valid").report;
+    assert!(report.failures.is_none(), "{:?}", report.failures);
 
-    let throughput = result.throughput_series();
+    let throughput = throughput_series(&report);
     if let Err(e) = check_figure8_shape(&throughput) {
         panic!(
             "figure 8 shape violated: {e}\n{}",
-            result.render_table("thpt", &throughput)
+            render_table("thpt", &throughput)
         );
     }
 
-    let delay = result.delay_series();
+    let delay = delay_series(&report);
     if let Err(e) = check_figure9_shape(&delay) {
         panic!(
             "figure 9 shape violated: {e}\n{}",
-            result.render_table("delay", &delay)
+            render_table("delay", &delay)
         );
     }
 
