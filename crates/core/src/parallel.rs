@@ -61,17 +61,14 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pcmac_phy::SparseCacheStats;
 use pcmac_shard::{partition_columns, Poisoned, SpinBarrier};
 
 use pcmac_engine::SimTime;
 
 use crate::channel::Shipment;
 use crate::event::SimEvent;
-use crate::metrics::MetricsState;
-use crate::node::Node;
 use crate::report::RunReport;
-use crate::sim::{EventObserver, FaultState, ShardParts, Simulator, SnapContribution};
+use crate::sim::{EventObserver, ShardParts, Simulator, SnapContribution};
 use crate::snapshot::{next_grid_point, RunHooks, RunOutcome, SimSnapshot};
 
 /// A shard's buffered dispatch stream: `(time, rank, event)` per event.
@@ -308,72 +305,10 @@ fn run_sharded_core(
         // the same cut, and shard 0 parked the merged snapshot.
         return RunOutcome::Cancelled(cancel_snap.into_inner().expect("cancel snapshot"));
     }
-    let results: Vec<(ShardParts, TracedEvents)> = results
+    let (parts, traces): (Vec<ShardParts>, Vec<TracedEvents>) = results
         .into_iter()
         .map(|r| r.expect("all lanes agreed on completion"))
-        .collect();
-
-    let mut parts = Vec::with_capacity(shards);
-    let mut traces = Vec::with_capacity(shards);
-    for (p, t) in results {
-        parts.push(p);
-        traces.push(t);
-    }
-
-    // Replicated impairment bursts are scheduled once per shard; every
-    // other scheduled event exists on exactly one shard (probe chains
-    // were already subtracted per shard, like in single mode).
-    let n_bursts = cfg
-        .faults
-        .as_ref()
-        .and_then(|f| f.impairments.as_ref())
-        .map_or(0, Vec::len) as u64;
-    let events = parts.iter().map(|p| p.events).sum::<u64>() - (shards as u64 - 1) * 2 * n_bursts;
-    let sent = parts.iter().map(|p| p.sent_packets).sum::<u64>();
-
-    // Per-node state: each node's owner holds the authoritative replica.
-    let n = owner.len();
-    // Read where it lies; nothing is moved or copied.
-    let pools: Vec<Vec<Option<Box<Node>>>> = parts
-        .iter_mut()
-        .map(|p| std::mem::take(&mut p.nodes))
-        .collect();
-    let nodes: Vec<&Node> = (0..n)
-        .map(|i| pools[owner[i] as usize][i].as_deref().expect("owned node"))
-        .collect();
-
-    let fault_parts: Vec<FaultState> = parts.iter_mut().filter_map(|p| p.faults.take()).collect();
-    let resilience = if fault_parts.is_empty() {
-        None
-    } else {
-        Some(FaultState::merge(fault_parts, &owner).into_report())
-    };
-
-    // Sparse-cache effectiveness is an execution-strategy diagnostic
-    // (each shard ran its own cache); sum the counters.
-    let mut cache: Option<SparseCacheStats> = None;
-    for p in &parts {
-        if let Some(cs) = p.cache_stats {
-            match &mut cache {
-                None => cache = Some(cs),
-                Some(acc) => {
-                    acc.hits += cs.hits;
-                    acc.misses += cs.misses;
-                    acc.blocks += cs.blocks;
-                    acc.entries += cs.entries;
-                    acc.flushes += cs.flushes;
-                }
-            }
-        }
-    }
-
-    let metric_parts: Vec<MetricsState> =
-        parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-    let metrics = if metric_parts.is_empty() {
-        None
-    } else {
-        Some(MetricsState::merge(metric_parts).finish(&nodes, cache))
-    };
+        .unzip();
 
     if let Some(obs) = observer {
         let mut all: Vec<(SimTime, u128, SimEvent)> = traces.into_iter().flatten().collect();
@@ -385,13 +320,5 @@ fn run_sharded_core(
         }
     }
 
-    RunOutcome::Completed(RunReport::build(
-        &cfg,
-        &nodes,
-        sent,
-        events,
-        wall_start.elapsed().as_secs_f64(),
-        resilience,
-        metrics,
-    ))
+    RunOutcome::Completed(Simulator::merge_report(&cfg, &owner, parts, wall_start))
 }

@@ -2140,6 +2140,79 @@ impl Simulator {
         }
     }
 
+    /// Fold what each lane surrendered when its queue drained
+    /// ([`Simulator::into_shard_parts`]) into the run's report — the
+    /// counterpart of [`Simulator::merge_contributions`] at the end of a
+    /// run. `owner` maps each node to the lane holding its state (all
+    /// zeros for a single-threaded run, whose one part this returns
+    /// unchanged): per-node state is read from its owner, counters are
+    /// summed and fault records replayed in `(time, rank)` order, all in
+    /// fixed lane order with no wall-clock input but `wall_s`.
+    pub(crate) fn merge_report(
+        cfg: &ScenarioConfig,
+        owner: &[u32],
+        mut parts: Vec<ShardParts>,
+        wall_start: std::time::Instant,
+    ) -> RunReport {
+        // Replicated impairment bursts are scheduled once per lane; every
+        // other scheduled event exists on exactly one (probe chains were
+        // already subtracted per lane).
+        let n_bursts = cfg
+            .faults
+            .as_ref()
+            .and_then(|f| f.impairments.as_ref())
+            .map_or(0, Vec::len) as u64;
+        let events =
+            parts.iter().map(|p| p.events).sum::<u64>() - (parts.len() as u64 - 1) * 2 * n_bursts;
+        let sent = parts.iter().map(|p| p.sent_packets).sum::<u64>();
+
+        // Per-node state: each node's owner holds the authoritative
+        // replica. Read where it lies; moving every node out of its box
+        // would copy the whole network once more at the very end.
+        let pools: Vec<Vec<Option<Box<Node>>>> = parts
+            .iter_mut()
+            .map(|p| std::mem::take(&mut p.nodes))
+            .collect();
+        let nodes: Vec<&Node> = owner
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| pools[o as usize][i].as_deref().expect("owned node"))
+            .collect();
+
+        let fault_parts: Vec<FaultState> =
+            parts.iter_mut().filter_map(|p| p.faults.take()).collect();
+        let resilience =
+            (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner).into_report());
+
+        // Sparse-cache effectiveness is an execution-strategy diagnostic
+        // (each lane ran its own cache); sum the counters.
+        let cache = parts
+            .iter()
+            .filter_map(|p| p.cache_stats)
+            .reduce(|mut acc, cs| {
+                acc.hits += cs.hits;
+                acc.misses += cs.misses;
+                acc.blocks += cs.blocks;
+                acc.entries += cs.entries;
+                acc.flushes += cs.flushes;
+                acc
+            });
+        let metric_parts: Vec<MetricsState> =
+            parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
+        let metrics = (!metric_parts.is_empty())
+            .then(|| MetricsState::merge(metric_parts).finish(&nodes, cache));
+
+        RunReport::build(
+            cfg,
+            &nodes,
+            sent,
+            events,
+            wall_start.elapsed().as_secs_f64(),
+            resilience,
+            metrics,
+        )
+    }
+
     /// Bring a snapshot back to life under `cfg`. The configuration must
     /// describe the same scenario the snapshot was captured from
     /// ([`SimSnapshot::matches`]); execution strategy, channel-index,
@@ -2534,4 +2607,53 @@ fn arrivals_on_air(pending: &[(SimTime, u128, SimEvent)], nodes: usize) -> Vec<[
 #[inline]
 fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
     queue.schedule_ranked(at, ev.rank(), QueueEntry::Event(ev));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{ChurnConfig, FaultConfig, ImpairmentBurst};
+    use crate::metrics::MetricsConfig;
+
+    /// The single-threaded report is the one-part case of the merge.
+    #[test]
+    fn merge_report_over_one_part_equals_finalize_single() {
+        let mut cfg = ScenarioConfig::paper_with(pcmac_mac::Variant::Pcmac, 600.0, 5, 16, 8.0)
+            .with_duration(Duration::from_secs(3));
+        cfg.metrics = Some(MetricsConfig::default());
+        cfg.faults = Some(FaultConfig {
+            crashes: None,
+            churn: Some(ChurnConfig {
+                mean_uptime_s: 2.0,
+                mean_downtime_s: 0.3,
+                start_s: None,
+                stop_s: None,
+            }),
+            expire_routes: None,
+            impairments: Some(vec![ImpairmentBurst {
+                start_s: 1.0,
+                stop_s: 2.0,
+                extra_loss_db: 3.0,
+                noise_mult: Some(2.0),
+            }]),
+            energy_budget_mj: Some(2.0),
+        });
+        let end = SimTime::ZERO + cfg.duration;
+        let drained = || {
+            let mut sim = Simulator::new(cfg.clone());
+            sim.advance(past(end), u64::MAX, None);
+            sim
+        };
+        let wall_start = std::time::Instant::now();
+        let json = |mut r: RunReport| {
+            r.wall_s = 0.0;
+            serde_json::to_string(&r).expect("reports serialize")
+        };
+        let old = drained().finalize_single(wall_start, end);
+        assert!(old.resilience.is_some() && old.metrics.is_some());
+        let owner = vec![0u32; cfg.nodes.count()];
+        let parts = vec![drained().into_shard_parts(end)];
+        let new = Simulator::merge_report(&cfg, &owner, parts, wall_start);
+        assert_eq!(json(new), json(old));
+    }
 }
