@@ -1186,7 +1186,6 @@ impl ScenarioSpec {
             aodv,
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: self.shadowing,
-            gain_cache: None,
             faults: self.faults.clone(),
             metrics: self.metrics,
             execution: self

@@ -181,69 +181,76 @@ fn interrupted_campaign_resumes_from_checkpoint_bit_identically() {
 
 /// The 8-byte config digest a snapshot opens with, as [`Simulator`]
 /// computes it: FNV-1a over the canonical JSON of the scenario with the
-/// display name, gain-cache mode and execution strategy blanked.
-/// `extra_keys` is spliced in ahead of `"gain_cache"`, where the
-/// previous release serialized two more fields.
+/// display name and execution strategy blanked. `extra_keys` is spliced
+/// in between `"shadowing"` and `"faults"`, where earlier releases
+/// serialized the channel knobs that have since left the config.
 fn config_digest(cfg: &ScenarioConfig, extra_keys: &str) -> u64 {
     let mut c = cfg.clone();
     c.name = String::new();
-    c.gain_cache = None;
     c.execution = None;
     let json = serde_json::to_string(&c).expect("configs serialize");
-    assert_eq!(json.matches(r#""gain_cache""#).count(), 1);
-    let json = json.replace(r#""gain_cache""#, &format!(r#"{extra_keys}"gain_cache""#));
+    assert_eq!(json.matches(r#""faults""#).count(), 1);
+    let json = json.replace(r#""faults""#, &format!(r#"{extra_keys}"faults""#));
     pcmac_snap::fnv1a64(json.as_bytes())
 }
 
-/// The commit that took the channel-index and refresh-mode options out
-/// of `ScenarioConfig` changed every scenario's config digest once (two
-/// keys left the canonical JSON). A checkpoint written before it must be
+/// Each commit that took channel options out of `ScenarioConfig` — the
+/// channel-index and refresh-mode knobs first, the gain-cache selector
+/// after them — changed every scenario's config digest once (keys left
+/// the canonical JSON). A checkpoint written before either must be
 /// refused with `CfgMismatch` — and `JobCtl::run` must then recompute
 /// the cell from scratch, to the uninterrupted result.
 #[test]
 fn checkpoint_from_before_the_channel_knobs_left_resumes_as_a_fresh_run() {
     let spec = campaign();
     let ref_out = reference_run(&spec, "old-digest-reference");
-    let out = scratch("old-digest");
-    let ckpt_file = interrupted_run(&spec, &out, |cfg, mut bytes| {
-        // Envelope: magic, version, payload length (16 bytes), payload
-        // (the digest first), checksum of the payload.
-        let end = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        assert_eq!(
-            stored,
-            config_digest(cfg, ""),
-            "this test reconstructs the digest's input exactly"
-        );
-        let old = config_digest(cfg, r#""channel_index":"Grid","mobility_refresh":null,"#);
-        assert_ne!(old, stored, "the digest changed with the config's shape");
-        bytes[16..24].copy_from_slice(&old.to_le_bytes());
-        let sum = pcmac_snap::checksum64(&bytes[16..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    for (tag, old_keys) in [
+        (
+            "old-digest-index",
+            r#""channel_index":"Grid","mobility_refresh":null,"gain_cache":null,"#,
+        ),
+        ("old-digest-cache", r#""gain_cache":null,"#),
+    ] {
+        let out = scratch(tag);
+        let ckpt_file = interrupted_run(&spec, &out, |cfg, mut bytes| {
+            // Envelope: magic, version, payload length (16 bytes), payload
+            // (the digest first), checksum of the payload.
+            let end = bytes.len() - 8;
+            let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+            assert_eq!(
+                stored,
+                config_digest(cfg, ""),
+                "this test reconstructs the digest's input exactly"
+            );
+            let old = config_digest(cfg, old_keys);
+            assert_ne!(old, stored, "the digest changed with the config's shape");
+            bytes[16..24].copy_from_slice(&old.to_le_bytes());
+            let sum = pcmac_snap::checksum64(&bytes[16..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
 
-        let snap = SimSnapshot::from_bytes(&bytes).expect("still a well-formed snapshot");
-        assert!(!snap.matches(cfg));
-        assert!(matches!(
-            Simulator::restore(cfg.clone(), &snap),
-            Err(SnapError::CfgMismatch)
-        ));
-        bytes
-    });
+            let snap = SimSnapshot::from_bytes(&bytes).expect("still a well-formed snapshot");
+            assert!(!snap.matches(cfg));
+            assert!(matches!(
+                Simulator::restore(cfg.clone(), &snap),
+                Err(SnapError::CfgMismatch)
+            ));
+            bytes
+        });
 
-    let opts = RunOptions {
-        threads: 0,
-        checkpoint_every: Some(SimDuration::from_millis(300)),
-        out: Some(out.clone()),
-        resume: true,
-        ..RunOptions::default()
-    };
-    let resumed =
-        run_campaign_with(&spec, opts, |cfg, ctl| ctl.run(cfg)).expect("resume pass runs");
-    assert_eq!(resumed.report.complete, Some(true));
-    assert!(!ckpt_file.exists(), "finished run deletes its checkpoint");
-    assert_eq!(normalized(&out), normalized(&ref_out));
-
-    let _ = std::fs::remove_file(&out);
+        let opts = RunOptions {
+            threads: 0,
+            checkpoint_every: Some(SimDuration::from_millis(300)),
+            out: Some(out.clone()),
+            resume: true,
+            ..RunOptions::default()
+        };
+        let resumed =
+            run_campaign_with(&spec, opts, |cfg, ctl| ctl.run(cfg)).expect("resume pass runs");
+        assert_eq!(resumed.report.complete, Some(true));
+        assert!(!ckpt_file.exists(), "finished run deletes its checkpoint");
+        assert_eq!(normalized(&out), normalized(&ref_out), "{tag}");
+        let _ = std::fs::remove_file(&out);
+    }
     let _ = std::fs::remove_file(&ref_out);
 }
 

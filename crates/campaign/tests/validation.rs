@@ -1,7 +1,7 @@
 //! Load-time validation: defective specs must fail with actionable
 //! messages naming the problem, not panic mid-run.
 
-use pcmac::{FlowShape, ScenarioConfig, Variant};
+use pcmac::{FlowShape, NodeSetup, ScenarioConfig, Variant};
 use pcmac_campaign::{
     AodvSpec, AxesSpec, Axis, CampaignSpec, ExecutionSpec, NodesSpec, PlacementSpec, ProtocolSpec,
     RadioSpec, ScenarioSpec, TrafficPattern, TrafficSpec, PATCH_PATHS,
@@ -520,6 +520,29 @@ fn scenario_config_validate_catches_raw_defects() {
         err.problems[0].contains("Pcmac") && err.problems[0].contains("Basic"),
         "{err}"
     );
+
+    // A NaN coordinate would land in grid cell 0, hear nothing and run
+    // to "sent 242, delivered 0" without a word.
+    for moving in [false, true] {
+        let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+        let starts = [(f64::NAN, 500.0), (180.0, 500.0)]
+            .map(|(x, y)| pcmac_engine::Point::new(x, y))
+            .to_vec();
+        cfg.nodes = if moving {
+            NodeSetup::WaypointFrom {
+                starts,
+                speed: 2.0,
+                pause: pcmac_engine::Duration::from_secs(1),
+            }
+        } else {
+            NodeSetup::Static(starts)
+        };
+        let err = cfg.validate().expect_err("NaN start coordinate");
+        assert!(
+            err.problems[0].contains("node 0") && err.problems[0].contains("finite"),
+            "{err}"
+        );
+    }
 
     let cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
     cfg.validate().expect("stock scenario is valid");

@@ -58,25 +58,33 @@
 //!
 //! # Gains
 //!
-//! Propagation is dispatched statically through [`PropagationModel`].
-//! [`GainCacheMode::Auto`] resolves to what the repo benchmark measured:
+//! Propagation is dispatched statically through [`PropagationModel`],
+//! and [`Channel::new`] picks the gain path from the scenario's shape —
+//! there is no option to set:
 //!
-//! * a dense precomputed [`GainCache`] for small fully-static scenarios
-//!   (up to `GAIN_CACHE_MAX_NODES` nodes);
-//! * **live evaluation** for two-ray-ground gains everywhere else —
-//!   mobile scenarios and static ones past the dense guard. Under
-//!   mobility the block-sparse cache never hits (every endpoint moves
-//!   between two of a transmitter's transmissions: hit ratio 0 on
-//!   `paper_mobile`, `mobile_field` and `churn_observed`, each lookup a
-//!   miss plus an insert), and on the static 32 000-node field it hits
-//!   91 % of the time and still costs ≈ 42 ns per candidate in the run
-//!   against ≈ 4 ns for evaluating two-ray ground in one batched pass;
-//! * the block-sparse, movement-invalidated [`SparseGainCache`] only for
-//!   *shadowed* static scenarios past the dense guard, where a gain
-//!   costs a hash-derived log-normal draw and no workload has judged the
-//!   cache yet.
+//! * **shadowed and static** (`cfg.shadowing` set, nothing moves): the
+//!   block-sparse [`SparseGainCache`]. A shadowed gain is a hash-derived
+//!   log-normal draw on top of the path loss, positions never change,
+//!   so every pair is drawn once and replayed;
+//! * **everything else**: live evaluation, one batched pass per
+//!   transmission. That is the paper's channel (ns-2 two-ray ground, no
+//!   shadowing) static or mobile, and every mobile scenario — between
+//!   two transmissions of one station every endpoint has moved, so a
+//!   cache under mobility never hits.
 //!
-//! Explicit `Dense` / `Sparse` / `Off` requests are honoured as before.
+//! Measured before the other paths were deleted (median ns per event of
+//! five alternating rounds, 2-vCPU sandbox, 6 s simulated; the dense
+//! path was a precomputed N×N table, capped at 2 048 nodes):
+//!
+//! | static field | live | sparse | dense (build) |
+//! |---|---|---|---|
+//! | two-ray, 2 000 nodes | 64.2 | — | 66.1 (29–33 ms, 32 MB) |
+//! | shadowed σ = 4 dB, 2 000 nodes | 470 | 305 | 182 (238–271 ms) |
+//! | shadowed σ = 4 dB, 8 000 nodes | 554 | 450 | over the cap |
+//!
+//! Two-ray gains cost as much to look up as to evaluate, and the dense
+//! table repaid its build only past ≈ 2.0 M events, so one cache is
+//! kept, for the one shape where every round favoured it.
 //!
 //! # One queue entry per cursor, and a held walk
 //!
@@ -129,11 +137,9 @@ use pcmac_engine::{
     Duration, EventQueue, Milliwatts, NodeId, Point, ScheduledEvent, SimTime, UniformGrid,
 };
 use pcmac_mac::{CtrlFrame, Frame};
-use pcmac_phy::{
-    GainCache, PropagationModel, Shadowed, SparseCacheStats, SparseGainCache, TwoRayGround,
-};
+use pcmac_phy::{PropagationModel, Shadowed, SparseCacheStats, SparseGainCache, TwoRayGround};
 
-use crate::config::{GainCacheMode, ScenarioConfig};
+use crate::config::ScenarioConfig;
 use crate::event::{arrival_rank, SimEvent};
 use crate::metrics::HotPathProfile;
 use crate::reference::ReferenceScan;
@@ -147,12 +153,6 @@ const C: f64 = 299_792_458.0;
 /// error of inverting the path-loss formula so the spatial index can
 /// never drop a receiver the exact power test would keep.
 const RADIUS_SLACK: f64 = 1.0 + 1e-9;
-
-/// *Dense* gain caches are quadratic in node count; beyond this many
-/// nodes the table would dominate memory for little win and dense
-/// requests fall back to live evaluation (the block-sparse cache has no
-/// such guard — its memory follows the touched local pairs).
-const GAIN_CACHE_MAX_NODES: usize = 2048;
 
 /// Refresh drift pad, as a fraction of a grid cell: a node's
 /// indexed position may go stale by up to this much before its refresh
@@ -169,18 +169,6 @@ const AUDIT_EVERY: u32 = 128;
 /// error at the drift boundary so a node sampled exactly at its
 /// deadline can never be missed.
 const REFRESH_PAD_SLACK: f64 = 1.01;
-
-/// How the channel replays pairwise gains (resolved from
-/// [`GainCacheMode`] against the scenario's actual shape).
-#[derive(Debug)]
-enum GainCacheState {
-    /// Evaluate the propagation model per lookup.
-    Live,
-    /// Precomputed N×N table (fully static scenarios).
-    Dense(GainCache),
-    /// Block-sparse movement-invalidated cache.
-    Sparse(SparseGainCache),
-}
 
 /// What a transmission carries: a data-channel frame (shared by every
 /// receiver) or a power-control broadcast.
@@ -394,8 +382,9 @@ pub(crate) struct Channel {
     /// [`Channel::refresh_positions`]; under mobility its entries may
     /// trail true positions by up to `pad_m`).
     grid: UniformGrid,
-    /// Pairwise gain replay strategy.
-    gain_cache: GainCacheState,
+    /// Pairwise gain replay, where it beats evaluation (shadowed static
+    /// scenarios, see the module docs); `None` evaluates live.
+    gain_cache: Option<SparseGainCache>,
     /// `Some` on the test oracle only (`Simulator::new_reference`):
     /// receivers and gains come from the O(N) scan instead.
     reference: Option<ReferenceScan>,
@@ -454,25 +443,16 @@ impl Channel {
         };
         let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &hot.positions);
 
-        let dense_ok = !any_mobile && n <= GAIN_CACHE_MAX_NODES;
-        // `Auto` caches only where replay beats evaluation (see the
-        // module docs): two-ray gains past the dense guard or under
-        // mobility are cheaper live than through the sparse cache.
-        let shadowed_static = cfg.shadowing.is_some() && !any_mobile;
-        let gain_cache = match cfg.gain_cache_mode() {
-            GainCacheMode::Auto | GainCacheMode::Dense if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &hot.positions))
+        // The gain path follows the scenario's shape (see the module
+        // docs): replay pays only where a gain is a log-normal draw and
+        // no position ever changes.
+        let gain_cache = (cfg.shadowing.is_some() && !any_mobile).then(|| {
+            let mut c = SparseGainCache::new(n);
+            for i in 0..n as u32 {
+                c.set_cell(i, grid.node_cell(i));
             }
-            GainCacheMode::Auto if !shadowed_static => GainCacheState::Live,
-            GainCacheMode::Auto | GainCacheMode::Sparse => {
-                let mut c = SparseGainCache::new(n);
-                for i in 0..n as u32 {
-                    c.set_cell(i, grid.node_cell(i));
-                }
-                GainCacheState::Sparse(c)
-            }
-            GainCacheMode::Dense | GainCacheMode::Off => GainCacheState::Live,
-        };
+            c
+        });
 
         // Seed every mobile node's first refresh deadline from its start
         // position (positions are exact at t = 0).
@@ -512,10 +492,10 @@ impl Channel {
     /// Turn this channel into the test oracle (see [`ReferenceScan`]):
     /// from here on receivers come from the scan over every node and
     /// gains from per-pair evaluation; the index, the refresh deadlines
-    /// and any gain cache are never consulted again.
+    /// and the gain cache are never consulted again.
     pub(crate) fn use_reference_scan(&mut self) {
         self.reference = Some(ReferenceScan::default());
-        self.gain_cache = GainCacheState::Live;
+        self.gain_cache = None;
     }
 
     /// The spatial index's cell size — region boundaries snap to grid
@@ -527,10 +507,7 @@ impl Channel {
 
     /// Sparse gain-cache effectiveness counters, when that cache runs.
     pub(crate) fn cache_stats(&self) -> Option<SparseCacheStats> {
-        match &self.gain_cache {
-            GainCacheState::Sparse(c) => Some(c.stats()),
-            _ => None,
-        }
+        self.gain_cache.as_ref().map(SparseGainCache::stats)
     }
 
     /// Prune the spatial index to the nodes shard `id` keeps hot state
@@ -625,21 +602,12 @@ impl Channel {
         for i in 0..hot.positions.len() {
             let p = hot.mobility[i].position(cut);
             hot.positions[i] = p;
-            self.note_move(i, p);
+            self.grid.update(i as u32, p);
             hot.sampled_at[i] = cut;
             let d = hot.mobility[i].stale_after(cut, self.pad_m);
             if d != SimTime::MAX {
                 self.refresh_heap.push(Reverse((d, i as u32)));
             }
-        }
-    }
-
-    /// Node `i` moved to `p`: update the index and invalidate its cached
-    /// gains.
-    fn note_move(&mut self, i: usize, p: Point) {
-        self.grid.update(i as u32, p);
-        if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-            c.note_move(i as u32, self.grid.node_cell(i as u32));
         }
     }
 
@@ -670,13 +638,8 @@ impl Channel {
                 p.refresh_pops += 1;
             }
             let i = node as usize;
-            self.sample_exact(hot, prof.as_deref_mut(), i, now);
+            Self::sample_exact(hot, prof.as_deref_mut(), i, now);
             self.grid.update(node, hot.positions[i]);
-            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                // `sample_exact` already invalidated the node's entries
-                // if it moved; only its block key can still be behind.
-                c.set_cell(node, self.grid.node_cell(node));
-            }
             // The +1 ns floor keeps degenerate horizons (pad/speed
             // rounding to zero) from re-firing at the same instant
             // forever.
@@ -688,17 +651,11 @@ impl Channel {
     }
 
     /// Sample node `i`'s exact position at `now` (at most once per
-    /// instant) for the physics: `hot.positions` and the sparse gain
-    /// cache follow, the spatial index and the node's refresh deadline
-    /// do not — the index's own copy stays within `pad_m` of the truth
-    /// by the deadline chain alone, which is all a padded query needs.
-    fn sample_exact(
-        &mut self,
-        hot: &mut HotState,
-        prof: Option<&mut HotPathProfile>,
-        i: usize,
-        now: SimTime,
-    ) {
+    /// instant) for the physics: `hot.positions` follows, the spatial
+    /// index and the node's refresh deadline do not — the index's own
+    /// copy stays within `pad_m` of the truth by the deadline chain
+    /// alone, which is all a padded query needs.
+    fn sample_exact(hot: &mut HotState, prof: Option<&mut HotPathProfile>, i: usize, now: SimTime) {
         if hot.sampled_at[i] == now {
             return;
         }
@@ -706,13 +663,7 @@ impl Channel {
         if let Some(p) = prof {
             p.exact_samples += 1;
         }
-        let p = hot.mobility[i].position(now);
-        if p != hot.positions[i] {
-            hot.positions[i] = p;
-            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                c.note_move(i as u32, self.grid.node_cell(i as u32));
-            }
-        }
+        hot.positions[i] = hot.mobility[i].position(now);
     }
 
     /// Debug builds check the invariant physics-only sampling leans on:
@@ -768,7 +719,7 @@ impl Channel {
                     self.audit_index_staleness(hot, now);
                 }
             }
-            self.sample_exact(hot, prof.as_deref_mut(), i, now);
+            Self::sample_exact(hot, prof.as_deref_mut(), i, now);
         }
         self.candidates.clear();
         let mut radius = cull_radius(&self.propagation, power, self.interference_floor);
@@ -784,7 +735,7 @@ impl Channel {
         if self.any_mobile {
             for c in 0..self.candidates.len() {
                 let j = self.candidates[c] as usize;
-                self.sample_exact(hot, prof.as_deref_mut(), j, now);
+                Self::sample_exact(hot, prof.as_deref_mut(), j, now);
             }
         }
         if let Some(p) = prof {
@@ -806,10 +757,9 @@ impl Channel {
     }
 
     /// Batch-evaluate the gains from node `i` to every candidate into
-    /// the gain scratch (parallel to the candidates): replayed from the
-    /// dense table (static), streamed through the block-sparse cache
-    /// (generation-checked), or evaluated live in one contiguous pass.
-    /// All three paths produce bit-identical values to per-pair calls.
+    /// the gain scratch (parallel to the candidates): streamed through
+    /// the block-sparse cache, or evaluated live in one contiguous pass.
+    /// Both produce bit-identical values to per-pair calls.
     fn fill_gains(&mut self, i: usize, positions: &[Point]) {
         if self.reference.is_some() {
             return ReferenceScan::gains(
@@ -821,19 +771,13 @@ impl Channel {
             );
         }
         match &mut self.gain_cache {
-            GainCacheState::Dense(cache) => {
-                self.gains.clear();
-                self.gains.reserve(self.candidates.len());
-                self.gains
-                    .extend(self.candidates.iter().map(|&j| cache.gain(i, j as usize)));
-            }
-            GainCacheState::Sparse(cache) => {
+            Some(cache) => {
                 let prop = &self.propagation;
                 cache.gains_with_into(i as u32, &self.candidates, &mut self.gains, |j| {
                     prop.gain(positions[i], positions[j as usize])
                 });
             }
-            GainCacheState::Live => self.propagation.gains_into_indexed(
+            None => self.propagation.gains_into_indexed(
                 positions[i],
                 positions,
                 &self.candidates,

@@ -84,29 +84,6 @@ impl NodeSetup {
     }
 }
 
-/// Which pairwise gain cache the channel uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GainCacheMode {
-    /// Whatever replays faster than it evaluates: the dense table for
-    /// small fully-static scenarios, the block-sparse cache for larger
-    /// static *shadowed* ones, and no cache — live evaluation — for
-    /// two-ray-ground gains everywhere else (mobile, or static past the
-    /// dense guard), where the sparse cache measured slower than the
-    /// model it caches. The default.
-    #[default]
-    Auto,
-    /// The O(N²)-memory precomputed table (static scenarios up to the
-    /// node guard; silently falls back to live evaluation beyond it or
-    /// under mobility).
-    Dense,
-    /// The block-sparse cache keyed by occupied grid-cell pairs,
-    /// invalidated per node on movement — works for mobile and 10⁴-node
-    /// scenarios.
-    Sparse,
-    /// No cache: evaluate the propagation model on every lookup.
-    Off,
-}
-
 /// How the event loop executes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
@@ -165,9 +142,6 @@ pub struct ScenarioConfig {
     pub interference_floor: Milliwatts,
     /// Optional log-normal shadowing (robustness ablations).
     pub shadowing: Option<ShadowingConfig>,
-    /// Gain cache selection (`None` = the default, auto). Kept optional
-    /// so scenario JSON predating the knob parses unchanged.
-    pub gain_cache: Option<GainCacheMode>,
     /// Deterministic fault plan (`None` = healthy network). Kept
     /// optional so scenario JSON predating the fault layer parses
     /// unchanged.
@@ -307,7 +281,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             execution: None,
@@ -344,7 +317,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             execution: None,
@@ -391,7 +363,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             execution: None,
@@ -412,11 +383,6 @@ impl ScenarioConfig {
     /// Aggregate offered application load in kbit/s.
     pub fn offered_load_kbps(&self) -> f64 {
         self.flows.iter().map(|f| f.rate_bps).sum::<f64>() / 1000.0
-    }
-
-    /// Effective gain cache selection (the default when unset).
-    pub fn gain_cache_mode(&self) -> GainCacheMode {
-        self.gain_cache.unwrap_or_default()
     }
 
     /// Effective execution strategy (the default when unset).
@@ -459,6 +425,18 @@ impl ScenarioConfig {
                 }
             }
             NodeSetup::Static(_) => {}
+        }
+        // A NaN coordinate lands in grid cell 0 and hears nothing: the
+        // run would complete with its traffic silently zeroed.
+        if let NodeSetup::Static(pts) | NodeSetup::WaypointFrom { starts: pts, .. } = &self.nodes {
+            for (i, p) in pts.iter().enumerate() {
+                if !p.x.is_finite() || !p.y.is_finite() {
+                    problems.push(format!(
+                        "node {i}: start position ({}, {}) must be finite",
+                        p.x, p.y
+                    ));
+                }
+            }
         }
         for (which, dim) in [("width", self.field.0), ("height", self.field.1)] {
             if !dim.is_finite() || dim <= 0.0 {
@@ -745,8 +723,8 @@ mod tests {
 
     #[test]
     fn pre_knob_json_still_parses() {
-        // Scenario JSON written before the cache knob and the fault
-        // layer existed has none of the keys; all must come back as
+        // Scenario JSON written before the fault layer and the execution
+        // knobs existed has none of the keys; all must come back as
         // `None` (the defaults).
         let a = ScenarioConfig::paper(Variant::Pcmac, 500.0, 3);
         let v: serde_json::Value = serde_json::from_str(&a.to_json()).unwrap();
@@ -754,11 +732,7 @@ mod tests {
             serde_json::Value::Map(m) => serde_json::Value::Map(
                 m.into_iter()
                     .filter(|(k, _)| {
-                        k != "gain_cache"
-                            && k != "faults"
-                            && k != "metrics"
-                            && k != "execution"
-                            && k != "delay_floor_us"
+                        k != "faults" && k != "metrics" && k != "execution" && k != "delay_floor_us"
                     })
                     .collect(),
             ),
@@ -766,12 +740,10 @@ mod tests {
         };
         let b = ScenarioConfig::from_json(&serde_json::to_string(&stripped).unwrap())
             .expect("pre-knob JSON parses");
-        assert_eq!(b.gain_cache, None);
         assert_eq!(b.faults, None);
         assert_eq!(b.metrics, None);
         assert_eq!(b.execution, None);
         assert_eq!(b.delay_floor_us, None);
-        assert_eq!(b.gain_cache_mode(), GainCacheMode::Auto);
         assert_eq!(b.execution_mode(), ExecutionMode::Single);
         assert_eq!(b.shards(), 1);
         assert!(b.delay_floor().is_zero());
@@ -779,19 +751,23 @@ mod tests {
 
     #[test]
     fn json_naming_the_removed_channel_knobs_still_parses_and_runs() {
-        // A config written before the brute-force scan and the eager
-        // rescan left the option surface names both. Results never
-        // depended on either, so the keys are skipped like any unknown
-        // key and the run is the production run.
+        // A config written before the brute-force scan, the eager rescan
+        // and the gain-cache selector left the option surface names all
+        // three. Results never depended on any, so the keys are skipped
+        // like any unknown key and the run is the production run.
         let a =
             ScenarioConfig::paper(Variant::Pcmac, 500.0, 3).with_duration(Duration::from_secs(3));
         let old = a.to_json().replacen(
             '{',
-            r#"{ "channel_index": "BruteForce", "mobility_refresh": "Eager","#,
+            r#"{ "channel_index": "BruteForce", "mobility_refresh": "Eager", "gain_cache": "Dense","#,
             1,
         );
         let b = ScenarioConfig::from_json(&old).expect("old JSON parses");
-        assert_eq!(b.to_json(), a.to_json(), "nothing but the two keys differs");
+        assert_eq!(
+            b.to_json(),
+            a.to_json(),
+            "nothing but the three keys differs"
+        );
         let fingerprint = |cfg: ScenarioConfig| {
             let mut r = crate::Simulator::new(cfg).run();
             r.wall_s = 0.0;
@@ -842,6 +818,16 @@ mod tests {
         let err = c.validate().expect_err("bad fault plan must be rejected");
         assert!(err.problems.iter().any(|p| p.contains("out of range")));
         assert!(err.problems.iter().any(|p| p.contains("energy budget")));
+    }
+
+    /// Unvalidated, this config ran to "sent 242, delivered 0": the NaN
+    /// node sits in grid cell 0 and no gain to it ever clears a threshold.
+    #[test]
+    #[should_panic(expected = "node 0: start position (NaN, 500) must be finite")]
+    fn simulator_construction_refuses_a_nan_coordinate() {
+        let mut c = ScenarioConfig::two_nodes(Variant::Basic, 180.0, 50_000.0, 1);
+        c.nodes = NodeSetup::Static(vec![Point::new(f64::NAN, 500.0), Point::new(180.0, 500.0)]);
+        let _ = crate::Simulator::new(c);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub(crate) mod soa;
 pub mod trace;
 
 pub use config::{
-    flow_start, random_flow_pairs, ExecutionMode, FlowShape, FlowSpec, GainCacheMode,
-    InvalidScenario, NodeSetup, ScenarioConfig, ShadowingConfig,
+    flow_start, random_flow_pairs, ExecutionMode, FlowShape, FlowSpec, InvalidScenario, NodeSetup,
+    ScenarioConfig, ShadowingConfig,
 };
 pub use event::SimEvent;
 pub use fault::{ChurnConfig, CrashWindow, FaultConfig, ImpairmentBurst};

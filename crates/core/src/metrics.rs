@@ -17,9 +17,9 @@
 //!   of events.
 //! * **Bit-identical metrics.** [`SimMetrics`] carries no wall-clock
 //!   values and every field is derived from the event stream, so the
-//!   metrics section itself is identical across reruns and across the
-//!   refresh × cache equivalence matrix (`channel_equivalence` proves
-//!   both).
+//!   metrics section itself is identical across reruns and between the
+//!   production channel and the reference scan, hot-path work counts
+//!   aside (`channel_equivalence` proves both).
 //!
 //! The drop taxonomy is conservation-complete by construction: every
 //! application packet is registered at emission and assigned exactly one
@@ -247,9 +247,9 @@ pub struct HotPathProfile {
     pub exact_samples: u64,
     /// Metrics probe events processed.
     pub probes: u64,
-    /// Block-sparse gain-cache effectiveness (`None` unless the run
-    /// used the sparse cache: `GainCacheMode::Sparse`, or `Auto` on a
-    /// large static shadowed scenario).
+    /// Block-sparse gain-cache effectiveness: `Some` exactly when the
+    /// scenario is shadowed and static, the one shape whose gains the
+    /// channel replays instead of evaluating.
     pub sparse_cache: Option<SparseCacheStats>,
 }
 

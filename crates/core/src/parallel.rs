@@ -67,7 +67,6 @@ use pcmac_engine::SimTime;
 
 use crate::channel::Shipment;
 use crate::event::SimEvent;
-use crate::report::RunReport;
 use crate::sim::{EventObserver, ShardParts, Simulator, SnapContribution};
 use crate::snapshot::{next_grid_point, RunHooks, RunOutcome, SimSnapshot};
 
@@ -78,7 +77,9 @@ type TracedEvents = Vec<(SimTime, u128, SimEvent)>;
 /// cancel, or [`Poisoned`] when another worker panicked.
 type LaneResult = Result<Option<(ShardParts, TracedEvents)>, Poisoned>;
 
-/// Execute `sim` as `shards` region shards and merge the report.
+/// Execute `sim` as `shards` region shards and merge the report, with
+/// the durability hooks of `Simulator::run_with_hooks`: cooperative
+/// cancellation and periodic collective checkpoints.
 ///
 /// `observer`, when given, receives the merged event stream after the
 /// run (per-shard streams are buffered and replayed in global
@@ -89,24 +90,7 @@ type LaneResult = Result<Option<(ShardParts, TracedEvents)>, Poisoned>;
 /// panicked — a panicking checkpoint sink, a broken invariant inside a
 /// window — exactly as the single-threaded run would have, once the
 /// rest of the crew has been released from the barrier.
-pub(crate) fn run_sharded(sim: Simulator, shards: usize, observer: EventObserver<'_>) -> RunReport {
-    match run_sharded_core(sim, shards, observer, &RunHooks::default()) {
-        RunOutcome::Completed(report) => report,
-        RunOutcome::Cancelled(_) => unreachable!("no cancel token was supplied"),
-    }
-}
-
-/// [`run_sharded`] with durability hooks: cooperative cancellation and
-/// periodic collective checkpoints (see `Simulator::run_with_hooks`).
-pub(crate) fn run_sharded_hooked(
-    sim: Simulator,
-    shards: usize,
-    hooks: &RunHooks<'_>,
-) -> RunOutcome {
-    run_sharded_core(sim, shards, None, hooks)
-}
-
-fn run_sharded_core(
+pub(crate) fn run_sharded(
     mut sim: Simulator,
     shards: usize,
     observer: EventObserver<'_>,
@@ -295,20 +279,16 @@ fn run_sharded_core(
         .into_iter()
         .map(|joined| joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect();
-    let results: Vec<Option<(ShardParts, TracedEvents)>> = lanes
+    let completed: Option<Vec<(ShardParts, TracedEvents)>> = lanes
         .into_iter()
         .map(|lane| lane.expect("the barrier is poisoned only by a panicking worker"))
         .collect();
-
-    if results.iter().any(Option::is_none) {
+    let Some(completed) = completed else {
         // Cancellation is an epoch-wide agreement: every lane bailed at
         // the same cut, and shard 0 parked the merged snapshot.
         return RunOutcome::Cancelled(cancel_snap.into_inner().expect("cancel snapshot"));
-    }
-    let (parts, traces): (Vec<ShardParts>, Vec<TracedEvents>) = results
-        .into_iter()
-        .map(|r| r.expect("all lanes agreed on completion"))
-        .unzip();
+    };
+    let (parts, traces): (Vec<ShardParts>, Vec<TracedEvents>) = completed.into_iter().unzip();
 
     if let Some(obs) = observer {
         let mut all: Vec<(SimTime, u128, SimEvent)> = traces.into_iter().flatten().collect();

@@ -24,7 +24,7 @@ use crate::fault::FaultConfig;
 use crate::metrics::{Drop as PacketDrop, MetricsState};
 use crate::node::{Node, TrafficSource};
 use crate::report::{LatencySummary, ResilienceReport, RunReport};
-use crate::snapshot::SimSnapshot;
+use crate::snapshot::{RunHooks, RunOutcome, SimSnapshot};
 use crate::soa::HotState;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -61,8 +61,9 @@ impl<T> BufPool<T> {
 /// the master seed at build time (crashes, churn, impairment bursts)
 /// or triggered by deterministic event-stream facts (energy budgets),
 /// and none of them touch positions, the spatial index, or the gain
-/// caches — which is what keeps faulted runs bit-identical across
-/// channel-index, mobility-refresh, and gain-cache modes.
+/// cache — which is what keeps faulted runs bit-identical between the
+/// production channel and the reference scan, single-threaded or
+/// sharded.
 ///
 /// Crash semantics: a down node schedules no arrivals (nothing it
 /// "sends" radiates), is skipped as a receiver (it hears nothing new),
@@ -412,8 +413,9 @@ pub(crate) struct ShardCtx {
     pub(crate) transitions: Vec<Vec<(SimTime, u128, bool)>>,
 }
 
-/// What one shard contributes to the merged report, extracted after its
-/// queue drains (see `parallel::run_sharded`).
+/// What one lane — a region shard, or the whole single-threaded
+/// simulator — contributes to the report, extracted after its queue
+/// drains and folded by [`Simulator::merge_report`].
 pub(crate) struct ShardParts {
     /// The shard's full node replica (only owned entries are merged).
     pub(crate) nodes: Vec<Option<Box<Node>>>,
@@ -683,8 +685,8 @@ impl Simulator {
 
         // Fault plan: precompute the entire crash/recover/impairment
         // schedule up front, from the master seed and the static plan
-        // alone, so the injected events are identical whatever cache or
-        // execution mode runs them.
+        // alone, so the injected events are identical whatever gain path
+        // or execution mode runs them.
         let faults = cfg.faults.as_ref().map(|plan| {
             let dur_s = cfg.duration.as_secs_f64();
             let at = |s: f64| SimTime::ZERO + Duration::from_secs_f64(s);
@@ -867,13 +869,11 @@ impl Simulator {
     /// Under [`ExecutionMode::Sharded`] the run executes on that many
     /// region threads and produces a report bit-identical to the
     /// single-threaded one (hot-path instrumentation counters aside,
-    /// which — as across cache modes — reflect the execution
-    /// strategy itself).
+    /// which reflect the execution strategy itself).
     pub fn run(self) -> RunReport {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(None),
-            ExecutionMode::Sharded { shards } => crate::parallel::run_sharded(self, shards, None),
-        }
+        self.execute(None, &RunHooks::default())
+            .report()
+            .expect("no cancel token was supplied")
     }
 
     /// Like [`Simulator::run`], but calls `observer` with every event
@@ -882,12 +882,9 @@ impl Simulator {
     /// exact execution order (sharded runs buffer per-region streams and
     /// replay the deterministic merge to the observer after the run).
     pub fn run_with_observer(self, mut observer: impl FnMut(&SimEvent, SimTime)) -> RunReport {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(Some(&mut observer)),
-            ExecutionMode::Sharded { shards } => {
-                crate::parallel::run_sharded(self, shards, Some(&mut observer))
-            }
-        }
+        self.execute(Some(&mut observer), &RunHooks::default())
+            .report()
+            .expect("no cancel token was supplied")
     }
 
     /// Like [`Simulator::run`], with in-run durability controls: a
@@ -897,14 +894,17 @@ impl Simulator {
     /// sharded execution — checkpoints land at the same simulated
     /// instants with bit-identical state, and a cancelled run returns a
     /// final snapshot instead of a report.
-    pub fn run_with_hooks(
-        self,
-        hooks: crate::snapshot::RunHooks<'_>,
-    ) -> crate::snapshot::RunOutcome {
+    pub fn run_with_hooks(self, hooks: RunHooks<'_>) -> RunOutcome {
+        self.execute(None, &hooks)
+    }
+
+    /// The one way a run starts: [`Simulator::run`] is this with no
+    /// observer and no hooks.
+    fn execute(self, observer: EventObserver<'_>, hooks: &RunHooks<'_>) -> RunOutcome {
         match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single_hooked(&hooks),
+            ExecutionMode::Single => self.run_single(observer, hooks),
             ExecutionMode::Sharded { shards } => {
-                crate::parallel::run_sharded_hooked(self, shards, &hooks)
+                crate::parallel::run_sharded(self, shards, observer, hooks)
             }
         }
     }
@@ -917,8 +917,9 @@ impl Simulator {
 
     /// The one event loop: dispatch pending events in `(time, rank)`
     /// order — every one due strictly before `until`, at most `budget` of
-    /// them — and return how many were dispatched. `run`, the hooked run,
-    /// a shard's window and the test-only `step` are four choices of
+    /// them — and return how many were dispatched. The single-threaded
+    /// run (to the end, or to the next checkpoint or look at the cancel
+    /// token), a shard's window and the test-only `step` are choices of
     /// bound and budget.
     ///
     /// A popped cursor is *held* for as long as its list keeps coming
@@ -930,7 +931,7 @@ impl Simulator {
     /// `observer` sees each event just before it is dispatched. An
     /// arrival riding a cursor is materialised as a `SimEvent` for that
     /// call only; its dispatch reads the fan-out in place.
-    fn advance(&mut self, until: SimTime, budget: u64, mut observer: EventObserver<'_>) -> u64 {
+    fn advance(&mut self, until: SimTime, budget: u64, observer: &mut EventObserver<'_>) -> u64 {
         let mut fired = 0;
         while fired < budget {
             if self.queue.peek().is_none_or(|top| top.at >= until) {
@@ -941,7 +942,7 @@ impl Simulator {
                 QueueEntry::Event(ev) => {
                     debug_assert_eq!(ev.rank(), top.rank, "queue key drifted from {ev:?}");
                     self.cur = (top.at, top.rank);
-                    if let Some(obs) = &mut observer {
+                    if let Some(obs) = observer {
                         obs(&ev, top.at);
                     }
                     self.dispatch(ev, top.at);
@@ -949,7 +950,7 @@ impl Simulator {
                 }
                 QueueEntry::Cursor { fan, end } => {
                     let room = budget - fired;
-                    fired += self.walk(fan, end, until, room, &mut observer);
+                    fired += self.walk(fan, end, until, room, observer);
                     #[cfg(debug_assertions)]
                     {
                         self.audit.walks += 1;
@@ -1029,23 +1030,13 @@ impl Simulator {
             .expect("event dispatched for a node this shard does not own")
     }
 
-    fn run_single(mut self, observer: EventObserver<'_>) -> RunReport {
-        let wall_start = std::time::Instant::now();
-        let end = SimTime::ZERO + self.cfg.duration;
-        self.advance(past(end), u64::MAX, observer);
-        self.finalize_single(wall_start, end)
-    }
-
-    /// Single-threaded run with cancellation and periodic checkpoints.
-    /// The cut logic mirrors the sharded epoch loop exactly: whenever the
-    /// next event's time reaches a checkpoint grid instant, every grid
-    /// instant up to it is snapshotted *before* the event dispatches, so
-    /// both execution modes checkpoint at identical simulated times.
-    fn run_single_hooked(
-        mut self,
-        hooks: &crate::snapshot::RunHooks<'_>,
-    ) -> crate::snapshot::RunOutcome {
-        use crate::snapshot::RunOutcome;
+    /// The single-threaded run. The cut logic mirrors the sharded epoch
+    /// loop exactly: whenever the next event's time reaches a checkpoint
+    /// grid instant, every grid instant up to it is snapshotted *before*
+    /// the event dispatches, so both execution modes checkpoint at
+    /// identical simulated times. Without hooks there is no grid and no
+    /// token, and the loop below is one [`Simulator::advance`] call.
+    fn run_single(mut self, mut observer: EventObserver<'_>, hooks: &RunHooks<'_>) -> RunOutcome {
         let wall_start = std::time::Instant::now();
         let end = SimTime::ZERO + self.cfg.duration;
         let every_ns = hooks.checkpoint_every.map(|e| e.as_nanos().max(1));
@@ -1083,42 +1074,13 @@ impl Simulator {
             // On to the next grid instant or the next look at the token,
             // whichever comes first (`t` precedes both, so this moves).
             let until = next_cp_ns.map_or(past(end), |cp| past(end).min(SimTime::from_nanos(cp)));
-            ticks += self.advance(until, 0x100 - (ticks & 0xFF), None);
+            let budget = hooks.cancel.map_or(u64::MAX, |_| 0x100 - (ticks & 0xFF));
+            ticks += self.advance(until, budget, &mut observer);
         }
-        RunOutcome::Completed(self.finalize_single(wall_start, end))
-    }
-
-    /// Close the ledgers and build the report after the single-threaded
-    /// event loop drains (shared by the plain and hooked run paths).
-    fn finalize_single(mut self, wall_start: std::time::Instant, end: SimTime) -> RunReport {
-        for node in self.nodes.iter_mut().flatten() {
-            node.energy.finish(end);
-        }
-        // Read in place: moving every node out of its box would copy the
-        // whole network once more at the very end of the run.
-        let nodes: Vec<&Node> = self
-            .nodes
-            .iter()
-            .map(|b| b.as_deref().expect("single mode owns every node"))
-            .collect();
-        let resilience = self.faults.take().map(FaultState::into_report);
-        let cache_stats = self.channel.cache_stats();
-        // Probe events are subtracted from the scheduled total so the
-        // reported event count matches a metrics-off run exactly.
-        let mut probes_scheduled = 0;
-        let metrics = self.metrics.take().map(|m| {
-            probes_scheduled = m.probes_scheduled;
-            m.finish(&nodes, cache_stats)
-        });
-        RunReport::build(
-            &self.cfg,
-            &nodes,
-            self.sent_packets,
-            self.queue.scheduled_total() - probes_scheduled,
-            wall_start.elapsed().as_secs_f64(),
-            resilience,
-            metrics,
-        )
+        let cfg = self.cfg.clone();
+        let owner = vec![0u32; cfg.nodes.count()];
+        let parts = vec![self.into_shard_parts(end)];
+        RunOutcome::Completed(Self::merge_report(&cfg, &owner, parts, wall_start))
     }
 
     // ------------------------------------------------------------------
@@ -2215,9 +2177,9 @@ impl Simulator {
 
     /// Bring a snapshot back to life under `cfg`. The configuration must
     /// describe the same scenario the snapshot was captured from
-    /// ([`SimSnapshot::matches`]); execution strategy, channel-index,
-    /// refresh and cache modes may differ freely — a snapshot taken
-    /// single-threaded restores into a sharded run and vice versa.
+    /// ([`SimSnapshot::matches`]); the execution strategy may differ
+    /// freely — a snapshot taken single-threaded restores into a sharded
+    /// run and vice versa.
     /// Running the result to the end is bit-identical to the
     /// uninterrupted run.
     pub fn restore(cfg: ScenarioConfig, snap: &SimSnapshot) -> Result<Simulator, SnapError> {
@@ -2446,7 +2408,7 @@ impl Simulator {
     ) {
         let until = past(end).min(SimTime::from_nanos(horizon_ns));
         let Some(buf) = trace else {
-            self.advance(until, u64::MAX, None);
+            self.advance(until, u64::MAX, &mut None);
             return;
         };
         let primary = self.shard.as_ref().is_some_and(|c| c.id == 0);
@@ -2456,7 +2418,7 @@ impl Simulator {
                 buf.push((at, ev.rank(), ev.clone()));
             }
         };
-        self.advance(until, u64::MAX, Some(&mut record));
+        self.advance(until, u64::MAX, &mut Some(&mut record));
     }
 
     /// Take the window's outgoing shipments (one bucket per shard).
@@ -2498,8 +2460,9 @@ impl Simulator {
         }
     }
 
-    /// Finalize this shard after its queue drains: close the energy
-    /// ledgers and surrender the pieces the merge needs.
+    /// Finalize this lane after its queue drains: close the energy
+    /// ledgers and surrender the pieces [`Simulator::merge_report`]
+    /// needs.
     pub(crate) fn into_shard_parts(mut self, end: SimTime) -> ShardParts {
         for node in self.nodes.iter_mut().flatten() {
             node.energy.finish(end);
@@ -2561,7 +2524,7 @@ impl Simulator {
         let end = SimTime::ZERO + self.cfg.duration;
         let mut stepped = None;
         let mut record = |ev: &SimEvent, at: SimTime| stepped = Some((at, ev.rank(), ev.clone()));
-        self.advance(until.min(past(end)), 1, Some(&mut record));
+        self.advance(until.min(past(end)), 1, &mut Some(&mut record));
         stepped
     }
 }
@@ -2607,53 +2570,4 @@ fn arrivals_on_air(pending: &[(SimTime, u128, SimEvent)], nodes: usize) -> Vec<[
 #[inline]
 fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
     queue.schedule_ranked(at, ev.rank(), QueueEntry::Event(ev));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fault::{ChurnConfig, FaultConfig, ImpairmentBurst};
-    use crate::metrics::MetricsConfig;
-
-    /// The single-threaded report is the one-part case of the merge.
-    #[test]
-    fn merge_report_over_one_part_equals_finalize_single() {
-        let mut cfg = ScenarioConfig::paper_with(pcmac_mac::Variant::Pcmac, 600.0, 5, 16, 8.0)
-            .with_duration(Duration::from_secs(3));
-        cfg.metrics = Some(MetricsConfig::default());
-        cfg.faults = Some(FaultConfig {
-            crashes: None,
-            churn: Some(ChurnConfig {
-                mean_uptime_s: 2.0,
-                mean_downtime_s: 0.3,
-                start_s: None,
-                stop_s: None,
-            }),
-            expire_routes: None,
-            impairments: Some(vec![ImpairmentBurst {
-                start_s: 1.0,
-                stop_s: 2.0,
-                extra_loss_db: 3.0,
-                noise_mult: Some(2.0),
-            }]),
-            energy_budget_mj: Some(2.0),
-        });
-        let end = SimTime::ZERO + cfg.duration;
-        let drained = || {
-            let mut sim = Simulator::new(cfg.clone());
-            sim.advance(past(end), u64::MAX, None);
-            sim
-        };
-        let wall_start = std::time::Instant::now();
-        let json = |mut r: RunReport| {
-            r.wall_s = 0.0;
-            serde_json::to_string(&r).expect("reports serialize")
-        };
-        let old = drained().finalize_single(wall_start, end);
-        assert!(old.resilience.is_some() && old.metrics.is_some());
-        let owner = vec![0u32; cfg.nodes.count()];
-        let parts = vec![drained().into_shard_parts(end)];
-        let new = Simulator::merge_report(&cfg, &owner, parts, wall_start);
-        assert_eq!(json(new), json(old));
-    }
 }

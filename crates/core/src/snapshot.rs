@@ -205,9 +205,9 @@ impl SimSnapshot {
     }
 
     /// Does this snapshot belong to `cfg` (same behavior-relevant
-    /// configuration)? Execution strategy, channel index, refresh and
-    /// cache modes are excluded — they do not change behavior, so a
-    /// snapshot moves freely across them.
+    /// configuration)? The execution strategy and the display name are
+    /// excluded — they do not change behavior, so a snapshot moves
+    /// freely across them.
     pub fn matches(&self, cfg: &ScenarioConfig) -> bool {
         self.cfg_digest == config_digest(cfg)
     }
@@ -293,14 +293,13 @@ impl SimSnapshot {
 /// Digest of the behavior-relevant scenario configuration: the master
 /// seed, duration, field, nodes, flows, radio/MAC/AODV parameters,
 /// variant, interference floor, shadowing, fault plan, metrics config
-/// and delay floor. Execution strategy, gain-cache mode and the display
-/// name are normalized away — proven behavior-invariant by the
-/// equivalence matrix — so a snapshot restores across any of them. The digest hashes the canonical JSON
-/// encoding, which is identical on every host.
+/// and delay floor. Execution strategy and the display name are
+/// normalized away — proven behavior-invariant by the equivalence
+/// matrix — so a snapshot restores across either. The digest hashes the
+/// canonical JSON encoding, which is identical on every host.
 pub(crate) fn config_digest(cfg: &ScenarioConfig) -> u64 {
     let mut c = cfg.clone();
     c.name = String::new();
-    c.gain_cache = None;
     c.execution = None;
     let json = serde_json::to_string(&c).expect("scenario config serializes");
     fnv1a64(json.as_bytes())

@@ -1,7 +1,7 @@
 //! Production channel ≡ reference channel.
 //!
 //! The uniform-grid spatial index, the deadline-driven position refresh
-//! and the gain caches are pure optimizations: for any scenario, the set
+//! and the gain cache are pure optimizations: for any scenario, the set
 //! (and order) of arrivals they schedule must be *identical* to the
 //! oracle's — the O(N) scan over all nodes at positions re-sampled per
 //! timestamp, gains evaluated pair by pair — so `Simulator::new(cfg)`
@@ -14,9 +14,8 @@
 //! shadowing.
 
 use pcmac::{
-    ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec, GainCacheMode,
-    ImpairmentBurst, MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig,
-    Simulator, Variant,
+    ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec, ImpairmentBurst,
+    MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig, Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use proptest::prelude::*;
@@ -48,7 +47,7 @@ fn behaviour_fingerprint(r: &RunReport) -> serde_json::Value {
 }
 
 /// [`fingerprint`] with `metrics.hot_path` removed: the hot-path
-/// profile legitimately differs across cache and execution modes and
+/// profile legitimately differs across execution modes and from
 /// the reference (it counts what each one's machinery *did*), while
 /// every other metrics field must be mode-invariant.
 fn mode_invariant_fingerprint(r: &RunReport) -> serde_json::Value {
@@ -202,29 +201,6 @@ fn grid_matches_brute_force_under_shadowing() {
 }
 
 #[test]
-fn grid_matches_brute_force_under_mobility_with_shadowing() {
-    // The hardest combination: the shadow-inflated culling radius must
-    // stay a superset while incremental grid updates track cell
-    // crossings — a regression in either alone could hide behind the
-    // separate mobility and shadowing tests.
-    for (seed, symmetric) in [(11u64, true), (23, false)] {
-        let cfg = random_scenario(
-            Variant::Pcmac,
-            seed,
-            14,
-            1500.0,
-            Milliwatts(1.559e-10),
-            true,
-            Some(ShadowingConfig {
-                sigma_db: 5.0,
-                symmetric,
-            }),
-        );
-        assert_equivalent(cfg);
-    }
-}
-
-#[test]
 fn grid_matches_brute_force_with_disabled_floor() {
     // floor = 0 ⇒ every node hears every transmission; the index must
     // degrade to full coverage, not drop anyone.
@@ -232,101 +208,99 @@ fn grid_matches_brute_force_with_disabled_floor() {
     assert_equivalent(cfg);
 }
 
-/// Every gain-cache request the production channel honours.
-const CACHES: [GainCacheMode; 4] = [
-    GainCacheMode::Auto,
-    GainCacheMode::Dense,
-    GainCacheMode::Sparse,
-    GainCacheMode::Off,
-];
-
-/// Pin the production channel's cache strategy.
-fn with_cache(mut cfg: ScenarioConfig, cache: GainCacheMode) -> ScenarioConfig {
-    cfg.gain_cache = Some(cache);
-    cfg
+/// The channel shapes `Channel::new` tells apart when it picks a gain
+/// path — the paper's two-ray channel and both shadowing modes, each
+/// static and mobile — as `(shadowing, mobile)`. Shadowed *and* static is
+/// the one shape whose gains are replayed from the sparse cache; the
+/// other five evaluate live.
+fn channel_shapes() -> Vec<(Option<ShadowingConfig>, bool)> {
+    let shadowed = |symmetric| {
+        Some(ShadowingConfig {
+            sigma_db: 5.0,
+            symmetric,
+        })
+    };
+    [None, shadowed(true), shadowed(false)]
+        .into_iter()
+        .flat_map(|s| [(s, false), (s, true)])
+        .collect()
 }
 
-/// The PR 4 acceptance bar, against the oracle: deadline-driven refresh
-/// under every gain cache (the block-sparse one included, invalidated by
-/// movement) versus the rescan of every node with per-pair gains —
-/// bit-identical reports on mobile scenarios across seeds.
+/// The production channel against the oracle — deadline-driven refresh,
+/// grid candidates and whichever gain path the shape selects versus the
+/// rescan of every node with per-pair gains — on every channel shape,
+/// single-threaded and on two region shards: bit-identical reports.
+/// Shadowed and mobile is the hardest combination: the shadow-inflated
+/// culling radius must stay a superset while the index trails the nodes,
+/// and a regression in either could hide behind the other's test.
 #[test]
-fn every_gain_cache_matches_the_reference_under_mobility() {
-    for seed in [2u64, 19, 31, 47] {
-        let cfg = random_scenario(
-            Variant::ALL[seed as usize % 4],
-            seed,
-            18,
-            1600.0,
-            Milliwatts(1.559e-10),
-            true,
-            None,
-        );
-        let reference = Simulator::new_reference(cfg.clone()).run();
-        assert!(
-            reference.events > 0,
-            "degenerate run is a vacuous comparison"
-        );
-        for cache in CACHES {
-            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
+fn production_matches_the_reference_on_every_channel_shape() {
+    for (k, (shadowing, mobile)) in channel_shapes().into_iter().enumerate() {
+        // Seeds whose 800 m scatter delivers traffic on all six shapes
+        // under all four variants.
+        for seed in [8u64, 13] {
+            let cfg = random_scenario(
+                Variant::ALL[(seed as usize + k) % 4],
+                seed,
+                18,
+                800.0,
+                Milliwatts(1.559e-10),
+                mobile,
+                shadowing,
+            );
+            let shape = format!("seed {seed} shadowing {shadowing:?} mobile {mobile}");
+            let reference = Simulator::new_reference(cfg.clone()).run();
+            assert!(
+                reference.delivered_packets > 0,
+                "nothing delivered makes bit-identity a weak claim: {shape}"
+            );
+            let run = Simulator::new(cfg.clone()).run();
+            assert_eq!(fingerprint(&run), fingerprint(&reference), "{shape}");
+
+            // The delay floor is part of the channel model, so the
+            // sharded run is held to the reference under the same floor.
+            let floored = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
+            let sharded = Simulator::new(with_execution(cfg, Some(2))).run();
             assert_eq!(
-                fingerprint(&run),
-                fingerprint(&reference),
-                "production diverged from the reference (seed {seed} cache {cache:?})"
+                fingerprint(&sharded),
+                fingerprint(&floored),
+                "sharded: {shape}"
             );
         }
     }
 }
 
-/// Same bar under shadowing, where gains are direction-dependent and
-/// the sparse cache must key ordered pairs.
+/// The gain path follows the scenario's shape and nothing else: the
+/// sparse cache runs — and reports its counters — exactly when the
+/// scenario is shadowed and static, at any node count.
 #[test]
-fn every_gain_cache_matches_the_reference_under_mobility_with_shadowing() {
-    for (seed, symmetric) in [(13u64, true), (29, false)] {
-        let cfg = random_scenario(
-            Variant::Pcmac,
-            seed,
-            14,
-            1500.0,
-            Milliwatts(1.559e-10),
-            true,
-            Some(ShadowingConfig {
-                sigma_db: 5.0,
-                symmetric,
-            }),
-        );
-        let reference = Simulator::new_reference(cfg.clone()).run();
-        for cache in CACHES {
-            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
-            assert_eq!(
-                fingerprint(&run),
-                fingerprint(&reference),
-                "seed {seed} cache {cache:?}"
+fn the_gain_cache_runs_exactly_when_the_scenario_is_shadowed_and_static() {
+    for (shadowing, mobile) in channel_shapes() {
+        for n in [4usize, 20] {
+            let mut cfg = random_scenario(
+                Variant::Pcmac,
+                21,
+                n,
+                600.0,
+                Milliwatts(1.559e-10),
+                mobile,
+                shadowing,
             );
+            cfg.metrics = Some(MetricsConfig::default());
+            for shards in [None, Some(2)] {
+                let run = Simulator::new(with_execution(cfg.clone(), shards)).run();
+                let cache = run.metrics.expect("metrics layer on").hot_path.sparse_cache;
+                let shape = format!("n {n} shadowing {shadowing:?} mobile {mobile} {shards:?}");
+                assert_eq!(
+                    cache.is_some(),
+                    shadowing.is_some() && !mobile,
+                    "cache selection: {shape}"
+                );
+                if let Some(c) = cache {
+                    assert!(c.hits > 0 && c.misses > 0, "cache unused: {shape}");
+                }
+            }
         }
-    }
-}
-
-/// Static scenarios: the block-sparse cache (lazy fill) must replay the
-/// dense precomputed table bit for bit, and both the per-pair gains of
-/// the reference.
-#[test]
-fn sparse_cache_matches_dense_cache_when_static() {
-    for seed in [4u64, 21] {
-        let cfg = random_scenario(
-            Variant::Pcmac,
-            seed,
-            20,
-            1200.0,
-            Milliwatts(1.559e-10),
-            false,
-            None,
-        );
-        let sparse = Simulator::new(with_cache(cfg.clone(), GainCacheMode::Sparse)).run();
-        let dense = Simulator::new(with_cache(cfg.clone(), GainCacheMode::Dense)).run();
-        let reference = Simulator::new_reference(cfg).run();
-        assert_eq!(fingerprint(&sparse), fingerprint(&dense), "seed {seed}");
-        assert_eq!(fingerprint(&dense), fingerprint(&reference), "seed {seed}");
     }
 }
 
@@ -367,12 +341,13 @@ fn fault_plan(n: usize) -> FaultConfig {
 }
 
 /// The fault schedule is derived from the master seed and the plan
-/// alone, so injected runs must stay bit-identical across every gain
-/// cache and against the reference channel — the ISSUE 6 determinism
-/// proof obligation.
+/// alone, so injected runs must stay bit-identical against the reference
+/// channel on every channel shape — the ISSUE 6 determinism proof
+/// obligation.
 #[test]
-fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
-    for seed in [3u64, 23, 41] {
+fn fault_injection_is_deterministic_on_every_channel_shape() {
+    for (k, (shadowing, mobile)) in channel_shapes().into_iter().enumerate() {
+        let seed = [3u64, 23, 41][k % 3];
         let n = 16;
         let mut cfg = random_scenario(
             Variant::ALL[seed as usize % 4],
@@ -380,8 +355,8 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
             n,
             1500.0,
             Milliwatts(1.559e-10),
-            true,
-            None,
+            mobile,
+            shadowing,
         );
         cfg.faults = Some(fault_plan(n));
 
@@ -397,14 +372,12 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
             "phase accounting must cover every packet"
         );
 
-        for cache in CACHES {
-            let run = Simulator::new(with_cache(cfg.clone(), cache)).run();
-            assert_eq!(
-                fingerprint(&run),
-                fingerprint(&reference),
-                "faulted run diverged (seed {seed} cache {cache:?})"
-            );
-        }
+        let run = Simulator::new(cfg).run();
+        assert_eq!(
+            fingerprint(&run),
+            fingerprint(&reference),
+            "faulted run diverged (seed {seed} shadowing {shadowing:?} mobile {mobile})"
+        );
     }
 }
 
@@ -471,46 +444,50 @@ fn metrics_layer_is_behaviour_identical() {
 }
 
 /// The metrics section's own determinism contract: bit-identical across
-/// same-mode reruns (including the hot-path profile), and — hot-path
-/// profile aside, which by design counts mode-specific work —
-/// bit-identical across every gain cache and the reference channel.
+/// reruns (including the hot-path profile), and — hot-path profile
+/// aside, which by design counts what each channel's machinery did —
+/// bit-identical to the reference channel's, with gains evaluated live
+/// (mobile) and replayed from the cache (shadowed static).
 #[test]
-fn metrics_are_deterministic_across_reruns_and_modes() {
-    let base = || {
-        let mut cfg = random_scenario(
-            Variant::Pcmac,
-            57,
-            14,
-            1400.0,
-            Milliwatts(1.559e-10),
-            true,
-            None,
-        );
-        cfg.faults = Some(fault_plan(14));
-        cfg.metrics = Some(MetricsConfig {
-            probe_interval_s: 0.25,
-        });
-        cfg
-    };
+fn metrics_are_deterministic_across_reruns_and_against_the_reference() {
+    let shadowed = Some(ShadowingConfig {
+        sigma_db: 4.0,
+        symmetric: true,
+    });
+    for (shadowing, mobile) in [(None, true), (shadowed, false)] {
+        let base = || {
+            let mut cfg = random_scenario(
+                Variant::Pcmac,
+                57,
+                14,
+                1400.0,
+                Milliwatts(1.559e-10),
+                mobile,
+                shadowing,
+            );
+            cfg.faults = Some(fault_plan(14));
+            cfg.metrics = Some(MetricsConfig {
+                probe_interval_s: 0.25,
+            });
+            cfg
+        };
 
-    let a = Simulator::new(base()).run();
-    let b = Simulator::new(base()).run();
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "same-mode reruns must match bit for bit, hot-path profile included"
-    );
-    let m = a.metrics.as_ref().expect("metrics layer on");
-    assert!(!m.samples.is_empty(), "0.25 s probes inside a 2 s run");
-    assert!(m.drops.conserved(), "taxonomy leak");
-
-    let reference = Simulator::new_reference(base()).run();
-    for cache in CACHES {
-        let run = Simulator::new(with_cache(base(), cache)).run();
+        let a = Simulator::new(base()).run();
+        let b = Simulator::new(base()).run();
         assert_eq!(
-            mode_invariant_fingerprint(&run),
+            fingerprint(&a),
+            fingerprint(&b),
+            "reruns must match bit for bit, hot-path profile included"
+        );
+        let m = a.metrics.as_ref().expect("metrics layer on");
+        assert!(!m.samples.is_empty(), "0.25 s probes inside a 2 s run");
+        assert!(m.drops.conserved(), "taxonomy leak");
+
+        let reference = Simulator::new_reference(base()).run();
+        assert_eq!(
+            mode_invariant_fingerprint(&a),
             mode_invariant_fingerprint(&reference),
-            "metrics diverged from the reference (cache {cache:?})"
+            "metrics diverged from the reference (mobile {mobile})"
         );
     }
 }
@@ -566,14 +543,14 @@ fn sharded_matches_single_across_shard_counts() {
     }
 }
 
-/// Sharding composed with the whole rest of the execution-strategy
-/// space: every gain cache under a dense fault plan (crashes, churn,
-/// impairments, energy deaths). Every combination must reproduce the
-/// single-threaded run with the same cache, and that run the
-/// (single-threaded) reference channel under the same delay floor.
+/// Sharding composed with every channel shape under a dense fault plan
+/// (crashes, churn, impairments, energy deaths): each sharded run must
+/// reproduce the single-threaded one, and that run the (single-threaded)
+/// reference channel under the same delay floor.
 #[test]
-fn sharded_matches_single_with_faults_across_refresh_and_cache() {
-    for seed in [3u64, 23] {
+fn sharded_matches_single_with_faults_on_every_channel_shape() {
+    for (k, (shadowing, mobile)) in channel_shapes().into_iter().enumerate() {
+        let seed = [3u64, 23][k % 2];
         let n = 16;
         let mut cfg = random_scenario(
             Variant::ALL[seed as usize % 4],
@@ -581,32 +558,30 @@ fn sharded_matches_single_with_faults_across_refresh_and_cache() {
             n,
             1500.0,
             Milliwatts(1.559e-10),
-            true,
-            None,
+            mobile,
+            shadowing,
         );
         cfg.faults = Some(fault_plan(n));
+        let shape = format!("seed {seed} shadowing {shadowing:?} mobile {mobile}");
         let reference = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
-        for cache in CACHES {
-            let moded = with_cache(cfg.clone(), cache);
-            let single = Simulator::new(with_execution(moded.clone(), None)).run();
-            let res = single
-                .resilience
-                .as_ref()
-                .expect("fault plan => resilience");
-            assert!(res.crashes >= 2, "the plan must actually crash nodes");
+        let single = Simulator::new(with_execution(cfg.clone(), None)).run();
+        let res = single
+            .resilience
+            .as_ref()
+            .expect("fault plan => resilience");
+        assert!(res.crashes >= 2, "the plan must actually crash nodes");
+        assert_eq!(
+            fingerprint(&single),
+            fingerprint(&reference),
+            "faulted run diverged from the reference ({shape})"
+        );
+        for shards in [2usize, 8] {
+            let sharded = Simulator::new(with_execution(cfg.clone(), Some(shards))).run();
             assert_eq!(
+                fingerprint(&sharded),
                 fingerprint(&single),
-                fingerprint(&reference),
-                "faulted run diverged from the reference (seed {seed} cache {cache:?})"
+                "faulted sharded run diverged ({shape} shards {shards})"
             );
-            for shards in [2usize, 8] {
-                let sharded = Simulator::new(with_execution(moded.clone(), Some(shards))).run();
-                assert_eq!(
-                    fingerprint(&sharded),
-                    fingerprint(&single),
-                    "faulted sharded run diverged (seed {seed} cache {cache:?} shards {shards})"
-                );
-            }
         }
     }
 }
@@ -682,45 +657,10 @@ fn oversubscribed_sharded_reruns_are_bit_identical() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Fuzzed cache matrix: the production channel under any gain cache
-    /// must reproduce the reference (full scan, rescan per timestamp,
-    /// per-pair gains) bit for bit — mobile or static, any variant, any
-    /// floor.
-    #[test]
-    fn refresh_and_cache_modes_never_change_results(
-        seed in 0u64..10_000,
-        n in 8usize..24,
-        side in 600.0f64..3000.0,
-        floor_exp in 0u32..4,
-        variant_idx in 0usize..4,
-        mobile in any::<bool>(),
-        cache_idx in 0usize..4,
-    ) {
-        let floor = Milliwatts(1.559e-10 * 10f64.powi(floor_exp as i32));
-        let cfg = random_scenario(
-            Variant::ALL[variant_idx],
-            seed,
-            n,
-            side,
-            floor,
-            mobile,
-            None,
-        );
-        let cache = CACHES[cache_idx];
-        let indexed = Simulator::new(with_cache(cfg.clone(), cache)).run();
-        let reference = Simulator::new_reference(cfg).run();
-        prop_assert_eq!(
-            fingerprint(&indexed),
-            fingerprint(&reference),
-            "diverged: seed {} n {} side {} mobile {} cache {:?}",
-            seed, n, side, mobile, cache
-        );
-    }
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fuzzed equivalence: random seed, node count, field size, floor
-    /// scaling, variant, and mobility flag.
+    /// scaling, variant, and channel shape (shadowing × mobility).
     #[test]
     fn grid_matches_brute_force_fuzzed(
         seed in 0u64..10_000,
@@ -728,12 +668,13 @@ proptest! {
         side in 600.0f64..3500.0,
         floor_exp in 0u32..4,
         variant_idx in 0usize..4,
-        mobile in any::<bool>(),
+        shape_idx in 0usize..6,
     ) {
         // Floors from CSThresh/100 up to CSThresh·10: small floors make
         // everyone audible (stress superset-coverage), large floors make
         // reception local (stress cell culling).
         let floor = Milliwatts(1.559e-10 * 10f64.powi(floor_exp as i32));
+        let (shadowing, mobile) = channel_shapes()[shape_idx];
         let cfg = random_scenario(
             Variant::ALL[variant_idx],
             seed,
@@ -741,15 +682,15 @@ proptest! {
             side,
             floor,
             mobile,
-            None,
+            shadowing,
         );
         let grid = Simulator::new(cfg.clone()).run();
         let brute = Simulator::new_reference(cfg).run();
         prop_assert_eq!(
             fingerprint(&grid),
             fingerprint(&brute),
-            "diverged: seed {} n {} side {} floor {:?} mobile {}",
-            seed, n, side, floor, mobile
+            "diverged: seed {} n {} side {} floor {:?} shadowing {:?} mobile {}",
+            seed, n, side, floor, shadowing, mobile
         );
     }
 }
@@ -782,14 +723,24 @@ fn run_with_checkpoints(cfg: ScenarioConfig, every: Duration) -> (RunReport, Vec
 /// has to carry (crashes, churn, impairments, energy budgets, probe
 /// chains, waypoint RNGs all live at the cut).
 fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
+    snapshot_scenario_shaped(seed, n, None, true)
+}
+
+/// [`snapshot_scenario`] on any channel shape.
+fn snapshot_scenario_shaped(
+    seed: u64,
+    n: usize,
+    shadowing: Option<ShadowingConfig>,
+    mobile: bool,
+) -> ScenarioConfig {
     let mut cfg = random_scenario(
         Variant::ALL[seed as usize % 4],
         seed,
         n,
         1500.0,
         Milliwatts(1.559e-10),
-        true,
-        None,
+        mobile,
+        shadowing,
     );
     cfg.faults = Some(fault_plan(n));
     cfg.metrics = Some(MetricsConfig {
@@ -799,16 +750,21 @@ fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
 }
 
 /// The PR 10 acceptance bar: snapshot at a fuzzed mid-run grid time
-/// under every cache × shard-count combination (faulted, metrics-on,
-/// mobile), restore in-process, run to the end — the result must be
+/// under every shard count (faulted, metrics-on), with gains evaluated
+/// live (mobile) and replayed from the cache — which no snapshot
+/// carries — (shadowed static); restore in-process, run to the end — the result must be
 /// bit-identical (mode-invariant observables) to the uninterrupted run
 /// of the reference channel. The capture run itself must also be
 /// unperturbed by checkpointing, and every checkpoint must survive a
 /// serialization round trip unchanged.
 #[test]
 fn checkpoint_restore_is_bit_identical_across_matrix() {
-    for seed in [5u64, 29] {
-        let cfg = snapshot_scenario(seed, 16);
+    let shadowed = Some(ShadowingConfig {
+        sigma_db: 4.0,
+        symmetric: false,
+    });
+    for (seed, shadowing, mobile) in [(5u64, None, true), (23, shadowed, false)] {
+        let cfg = snapshot_scenario_shaped(seed, 16, shadowing, mobile);
         let reference = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
         assert!(
             reference.events > 0,
@@ -818,45 +774,43 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
         // Fuzz the checkpoint grid per seed so cuts land at arbitrary
         // mid-run instants, not a hand-picked friendly time.
         let every = Duration::from_millis(110 + (seed * 37) % 140);
-        for cache in [GainCacheMode::Sparse, GainCacheMode::Off] {
-            for shards in [None, Some(1), Some(2), Some(4)] {
-                let moded = with_execution(with_cache(cfg.clone(), cache), shards);
-                let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
+        for shards in [None, Some(1), Some(2), Some(4)] {
+            let moded = with_execution(cfg.clone(), shards);
+            let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
+            assert_eq!(
+                mode_invariant_fingerprint(&hooked),
+                ref_fp,
+                "checkpointing perturbed the run (seed {seed} shards {shards:?})"
+            );
+            assert!(
+                snaps.len() >= 4,
+                "a 2 s run on a {every:?} grid must checkpoint repeatedly"
+            );
+            for s in &snaps {
                 assert_eq!(
-                    mode_invariant_fingerprint(&hooked),
-                    ref_fp,
-                    "checkpointing perturbed the run (seed {seed} shards {shards:?})"
-                );
-                assert!(
-                    snaps.len() >= 4,
-                    "a 2 s run on a {every:?} grid must checkpoint repeatedly"
-                );
-                for s in &snaps {
-                    assert_eq!(
-                        s.time().as_nanos() % every.as_nanos(),
-                        0,
-                        "checkpoints land on the absolute grid"
-                    );
-                }
-                let snap = &snaps[snaps.len() / 2];
-                let bytes = snap.to_bytes();
-                let back = SimSnapshot::from_bytes(&bytes).expect("round trip");
-                assert_eq!(
-                    back.state_fingerprint(),
-                    snap.state_fingerprint(),
-                    "serialization round trip changed behavioral state"
-                );
-                let resumed = Simulator::restore(moded.clone(), &back)
-                    .expect("snapshot matches its own scenario")
-                    .run();
-                assert_eq!(
-                    mode_invariant_fingerprint(&resumed),
-                    ref_fp,
-                    "restore-then-run diverged (seed {seed} cache {cache:?} \
-                     shards {shards:?} cut {:?})",
-                    snap.time()
+                    s.time().as_nanos() % every.as_nanos(),
+                    0,
+                    "checkpoints land on the absolute grid"
                 );
             }
+            let snap = &snaps[snaps.len() / 2];
+            let bytes = snap.to_bytes();
+            let back = SimSnapshot::from_bytes(&bytes).expect("round trip");
+            assert_eq!(
+                back.state_fingerprint(),
+                snap.state_fingerprint(),
+                "serialization round trip changed behavioral state"
+            );
+            let resumed = Simulator::restore(moded.clone(), &back)
+                .expect("snapshot matches its own scenario")
+                .run();
+            assert_eq!(
+                mode_invariant_fingerprint(&resumed),
+                ref_fp,
+                "restore-then-run diverged (seed {seed} mobile {mobile} \
+                 shards {shards:?} cut {:?})",
+                snap.time()
+            );
         }
     }
 }

@@ -10,34 +10,49 @@
 //! at every age of the index in between. The lazily refreshed
 //! production channel must still equal the reference channel — which
 //! eagerly re-samples every node per timestamp
-//! (`Simulator::new_reference`) — report for report, under each gain
-//! cache; and, in debug builds, the staleness audit in
+//! (`Simulator::new_reference`) — report for report, on the paper's
+//! two-ray channel and under both shadowing modes, and so must the same
+//! placement frozen (where shadowed gains come from the cache); and, in
+//! debug builds, the staleness audit in
 //! `Channel::collect_receivers` checks the invariant the padded query
 //! leans on while it runs.
 
 use pcmac::{
-    FlowShape, FlowSpec, GainCacheMode, MetricsConfig, NodeSetup, RunReport, ScenarioConfig,
+    FlowShape, FlowSpec, MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig,
     Simulator, Variant,
 };
-use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, RngStream, SimTime};
+use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 
 const NODES: usize = 40;
 
 /// 40 nodes at 60 m/s with 100 ms pauses on 1500 m × 1500 m. The
 /// carrier-sense threshold as interference floor makes a grid cell
 /// ≈ 500 m and the drift pad ≈ 60 m, i.e. about one deadline generation
-/// per second of movement over the 6 s run.
-fn scenario(variant: Variant, seed: u64) -> ScenarioConfig {
+/// per second of movement over the 6 s run. `mobile = false` freezes
+/// a seeded scatter of the same density instead.
+fn scenario(
+    variant: Variant,
+    seed: u64,
+    shadowing: Option<ShadowingConfig>,
+    mobile: bool,
+) -> ScenarioConfig {
     let duration = Duration::from_secs(6);
     let mut cfg = ScenarioConfig::two_nodes(variant, 100.0, 1000.0, seed);
     cfg.name = format!("lazy-refresh-{seed}");
     cfg.field = (1500.0, 1500.0);
     cfg.duration = duration;
     cfg.interference_floor = Milliwatts(1.559e-8);
-    cfg.nodes = NodeSetup::UniformWaypoint {
-        count: NODES,
-        speed: 60.0,
-        pause: Duration::from_millis(100),
+    cfg.shadowing = shadowing;
+    cfg.nodes = if mobile {
+        NodeSetup::UniformWaypoint {
+            count: NODES,
+            speed: 60.0,
+            pause: Duration::from_millis(100),
+        }
+    } else {
+        let mut rng = RngStream::derive(seed, "lazy_refresh.placement");
+        let mut at = || Point::new(rng.uniform(0.0, 1500.0), rng.uniform(0.0, 1500.0));
+        NodeSetup::Static((0..NODES).map(|_| at()).collect())
     };
     let mut rng = RngStream::derive(seed, "lazy_refresh.flows");
     cfg.flows = (0..6)
@@ -73,35 +88,41 @@ fn fingerprint(report: &RunReport) -> String {
 
 #[test]
 fn lazy_equals_eager_through_several_deadline_generations() {
+    // The cull radius — and with it the cells and the drift pad — grows
+    // by the 6σ shadowing bound: 1 dB still turns three generations.
+    let shadowed = |symmetric| {
+        Some(ShadowingConfig {
+            sigma_db: 1.0,
+            symmetric,
+        })
+    };
     for (variant, seed) in [(Variant::Basic, 3), (Variant::Pcmac, 4)] {
-        let lazy = Simulator::new(scenario(variant, seed)).run();
-        let eager = Simulator::new_reference(scenario(variant, seed)).run();
-        assert!(lazy.delivered_packets > 0, "seed {seed}: nothing delivered");
-        assert_eq!(fingerprint(&lazy), fingerprint(&eager), "seed {seed}");
-        for cache in [
-            GainCacheMode::Dense,
-            GainCacheMode::Sparse,
-            GainCacheMode::Off,
-        ] {
-            let mut cfg = scenario(variant, seed);
-            cfg.gain_cache = Some(cache);
+        for shadowing in [None, shadowed(true), shadowed(false)] {
+            let shape = format!("seed {seed} shadowing {shadowing:?}");
+            let frozen = scenario(variant, seed, shadowing, false);
             assert_eq!(
-                fingerprint(&Simulator::new(cfg).run()),
-                fingerprint(&eager),
-                "seed {seed} cache {cache:?}"
+                fingerprint(&Simulator::new(frozen.clone()).run()),
+                fingerprint(&Simulator::new_reference(frozen).run()),
+                "static, {shape}"
             );
-        }
 
-        let hot = lazy.metrics.expect("metrics were on").hot_path;
-        assert!(
-            hot.refresh_pops >= 3 * NODES as u64,
-            "seed {seed}: {} deadline pops are fewer than 3 generations of {NODES} nodes",
-            hot.refresh_pops
-        );
-        assert_eq!(
-            hot.refresh_rearms, 0,
-            "seed {seed}: only the deadline chain schedules deadlines"
-        );
-        assert!(hot.grid_queries > 1000 && hot.exact_samples > hot.grid_queries);
+            let cfg = scenario(variant, seed, shadowing, true);
+            let lazy = Simulator::new(cfg.clone()).run();
+            let eager = Simulator::new_reference(cfg).run();
+            assert!(lazy.delivered_packets > 0, "{shape}: nothing delivered");
+            assert_eq!(fingerprint(&lazy), fingerprint(&eager), "{shape}");
+
+            let hot = lazy.metrics.expect("metrics were on").hot_path;
+            assert!(
+                hot.refresh_pops >= 3 * NODES as u64,
+                "{shape}: {} deadline pops are fewer than 3 generations of {NODES} nodes",
+                hot.refresh_pops
+            );
+            assert_eq!(
+                hot.refresh_rearms, 0,
+                "{shape}: only the deadline chain schedules deadlines"
+            );
+            assert!(hot.grid_queries > 1000 && hot.exact_samples > hot.grid_queries);
+        }
     }
 }

@@ -1,10 +1,9 @@
-//! Block-sparse pairwise gain cache for indexed channels.
+//! Block-sparse pairwise gain cache for static scenarios.
 //!
-//! The dense [`GainCache`](crate::GainCache) precomputes all N² gains,
-//! which is exact and fast but quadratic in memory and only sound when
-//! every position is frozen for the whole run — mobile scenarios and
-//! networks beyond a few thousand nodes get nothing. [`SparseGainCache`]
-//! drops both restrictions:
+//! Where a gain is expensive to evaluate — a shadowed link is a
+//! hash-derived log-normal draw on top of the path loss — and no
+//! position ever changes, the channel computes each pair's gain once and
+//! replays it. [`SparseGainCache`] holds what a run actually touches:
 //!
 //! * **Block-sparse storage.** Entries live in blocks keyed by the
 //!   *occupied grid-cell pair* `(cell(i), cell(j))` of their endpoints
@@ -13,23 +12,20 @@
 //!   the populated blocks mirror the channel's actual locality instead
 //!   of the full N×N pair space. Within a block, pair gains materialize
 //!   lazily on first lookup.
-//! * **Per-node invalidation on movement.** Every node carries a
-//!   generation counter, bumped by [`SparseGainCache::note_move`]
-//!   whenever its position changes. Entries remember the generations
-//!   they were computed at; a lookup whose generations no longer match
-//!   recomputes in place. Paused and static nodes keep their entries hot
-//!   while moving nodes invalidate only their own links — this is what
-//!   makes *mobile* scenarios cacheable at all (random-waypoint nodes
-//!   spend their pauses, and every instant between lazy refreshes, at a
-//!   fixed position).
+//! * **No invalidation.** The cache only ever runs when nothing moves
+//!   (`Channel::new` in `pcmac-core` selects it for shadowed static
+//!   scenarios and nothing else), so an entry is valid for the whole
+//!   run. Mobile scenarios evaluate gains live: between two
+//!   transmissions of one station every endpoint has moved, and a cache
+//!   that tracked movement measured a 0 % hit ratio there.
 //!
-//! Exactness contract: [`SparseGainCache::gain_with`] returns exactly
-//! what the supplied closure would — values are only replayed while both
-//! endpoint generations are unchanged — so swapping the cache into the
-//! channel changes nothing about a run except its speed. Memory is
-//! bounded: when the live entry count passes the configured cap the
-//! whole cache flushes (an epoch flush — correctness is untouched, the
-//! next lookups simply refill).
+//! Exactness contract: [`SparseGainCache::gains_with_into`] returns
+//! exactly what the supplied closure would for positions that never
+//! change, in whatever order pairs are looked up, so swapping the cache
+//! into the channel changes nothing about a run except its speed.
+//! Memory is bounded: when the live entry count passes the configured
+//! cap the whole cache flushes (an epoch flush — correctness is
+//! untouched, the next lookups simply refill).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -70,18 +66,10 @@ impl Hasher for PairHasher {
 
 type FastMap<V> = HashMap<u64, V, BuildHasherDefault<PairHasher>>;
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    gain: f64,
-    /// Endpoint generations this gain was computed at.
-    gi: u32,
-    gj: u32,
-}
-
 /// Pair gains for one occupied cell pair, filled lazily.
 #[derive(Debug, Default)]
 struct Block {
-    pairs: FastMap<Entry>,
+    pairs: FastMap<f64>,
 }
 
 /// Running effectiveness counters (bench + report diagnostics).
@@ -89,7 +77,7 @@ struct Block {
 pub struct SparseCacheStats {
     /// Lookups answered from a live entry.
     pub hits: u64,
-    /// Lookups that (re)computed the gain.
+    /// Lookups that computed the gain.
     pub misses: u64,
     /// Occupied cell-pair blocks currently held.
     pub blocks: usize,
@@ -99,12 +87,10 @@ pub struct SparseCacheStats {
     pub flushes: u64,
 }
 
-/// Block-sparse, movement-invalidated pairwise gain cache.
+/// Block-sparse pairwise gain cache over positions that never change.
 #[derive(Debug)]
 pub struct SparseGainCache {
-    /// Position generation per node (bumped on every actual move).
-    gen: Vec<u32>,
-    /// Current spatial-index cell per node.
+    /// Spatial-index cell per node.
     cell: Vec<u32>,
     blocks: FastMap<Block>,
     entries: usize,
@@ -123,11 +109,9 @@ fn pack(a: u32, b: u32) -> u64 {
 impl SparseGainCache {
     /// Cache for `n` nodes. Memory is capped at roughly 64 live entries
     /// per node (and never below 4096), a small multiple of the audible
-    /// neighbourhood the channel actually touches; contrast with the
-    /// dense cache's unconditional N² table.
+    /// neighbourhood the channel actually touches.
     pub fn new(n: usize) -> Self {
         SparseGainCache {
-            gen: vec![0; n],
             cell: vec![0; n],
             blocks: FastMap::default(),
             entries: 0,
@@ -138,80 +122,18 @@ impl SparseGainCache {
         }
     }
 
-    /// Number of tracked nodes.
-    pub fn len(&self) -> usize {
-        self.gen.len()
-    }
-
-    /// `true` when tracking zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.gen.is_empty()
-    }
-
-    /// Set `node`'s cell without invalidating anything — initial sync
-    /// with the spatial index, before any gains are cached.
+    /// Set `node`'s cell — the initial sync with the spatial index,
+    /// before any gains are cached.
     pub fn set_cell(&mut self, node: u32, cell: u32) {
         self.cell[node as usize] = cell;
     }
 
-    /// Record that `node` moved (to a position inside `cell`): all its
-    /// cached link gains become stale and will recompute on next touch.
-    pub fn note_move(&mut self, node: u32, cell: u32) {
-        let i = node as usize;
-        self.gen[i] = self.gen[i].wrapping_add(1);
-        self.cell[i] = cell;
-    }
-
-    /// The gain from `i` to `j`: replayed from the cache when both
-    /// endpoints are at the generation the entry was computed at,
-    /// otherwise recomputed via `compute` and stored. Returns exactly
-    /// what `compute` would return.
-    #[inline]
-    pub fn gain_with(&mut self, i: u32, j: u32, compute: impl FnOnce() -> f64) -> f64 {
-        if self.entries > self.cap {
-            self.blocks.clear();
-            self.entries = 0;
-            self.flushes += 1;
-        }
-        let (gi, gj) = (self.gen[i as usize], self.gen[j as usize]);
-        let block = self
-            .blocks
-            .entry(pack(self.cell[i as usize], self.cell[j as usize]))
-            .or_default();
-        match block.pairs.entry(pack(i, j)) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                let e = o.get_mut();
-                if e.gi == gi && e.gj == gj {
-                    self.hits += 1;
-                    return e.gain;
-                }
-                self.misses += 1;
-                *e = Entry {
-                    gain: compute(),
-                    gi,
-                    gj,
-                };
-                e.gain
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses += 1;
-                let gain = compute();
-                v.insert(Entry { gain, gi, gj });
-                self.entries += 1;
-                gain
-            }
-        }
-    }
-
-    /// Batched [`SparseGainCache::gain_with`]: resolve the gain from `i`
-    /// to every candidate in `js` in one pass, appending to `out` in
-    /// candidate order. Sequentially equivalent to calling `gain_with`
-    /// per candidate — the per-candidate flush check, hit/miss counting
-    /// and insertion order are replicated exactly, so counters and
-    /// flush epochs match the scalar path bit for bit — but the block
-    /// handle is memoized across candidates sharing the previous
-    /// candidate's cell, and the borrow/branch overhead is paid once per
-    /// candidate instead of once per closure call.
+    /// Resolve the gain from `i` to every candidate in `js` in one pass,
+    /// appending to `out` in candidate order: replayed from the cache
+    /// where the pair has been looked up since the last flush, otherwise
+    /// computed via `compute` and stored. The flush check runs per
+    /// candidate; the block handle is memoized across candidates sharing
+    /// the previous candidate's cell.
     pub fn gains_with_into(
         &mut self,
         i: u32,
@@ -221,7 +143,6 @@ impl SparseGainCache {
     ) {
         out.clear();
         out.reserve(js.len());
-        let gi = self.gen[i as usize];
         let cell_i = self.cell[i as usize];
         let mut cur_block_key = u64::MAX;
         for &j in js {
@@ -231,7 +152,6 @@ impl SparseGainCache {
                 self.flushes += 1;
                 cur_block_key = u64::MAX; // the memoized handle died
             }
-            let gj = self.gen[j as usize];
             let key = pack(cell_i, self.cell[j as usize]);
             if key != cur_block_key {
                 // Materialize the block once per run of same-cell
@@ -242,27 +162,14 @@ impl SparseGainCache {
             }
             let block = self.blocks.get_mut(&key).expect("block just ensured");
             let gain = match block.pairs.entry(pack(i, j)) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let e = o.get_mut();
-                    if e.gi == gi && e.gj == gj {
-                        self.hits += 1;
-                        e.gain
-                    } else {
-                        self.misses += 1;
-                        *e = Entry {
-                            gain: compute(j),
-                            gi,
-                            gj,
-                        };
-                        e.gain
-                    }
+                std::collections::hash_map::Entry::Occupied(o) => {
+                    self.hits += 1;
+                    *o.get()
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     self.misses += 1;
-                    let gain = compute(j);
-                    v.insert(Entry { gain, gi, gj });
                     self.entries += 1;
-                    gain
+                    *v.insert(compute(j))
                 }
             };
             out.push(gain);
@@ -285,30 +192,32 @@ impl SparseGainCache {
 mod tests {
     use super::*;
 
+    /// One lookup of `(i, j)` whose miss would compute `fresh`.
+    fn lookup(c: &mut SparseGainCache, i: u32, j: u32, fresh: f64) -> f64 {
+        let mut out = Vec::new();
+        c.gains_with_into(i, &[j], &mut out, |_| fresh);
+        out[0]
+    }
+
     #[test]
-    fn replays_only_while_generations_match() {
+    fn replays_the_value_of_the_first_lookup() {
         let mut c = SparseGainCache::new(4);
-        assert_eq!(c.gain_with(0, 1, || 0.5), 0.5);
+        assert_eq!(lookup(&mut c, 0, 1, 0.5), 0.5);
         // Hit: the closure's new value must NOT be observed.
-        assert_eq!(c.gain_with(0, 1, || 99.0), 0.5);
-        // Either endpoint moving invalidates the pair.
-        c.note_move(1, 0);
-        assert_eq!(c.gain_with(0, 1, || 0.25), 0.25);
-        c.note_move(0, 0);
-        assert_eq!(c.gain_with(0, 1, || 0.125), 0.125);
-        assert_eq!(c.gain_with(0, 1, || 99.0), 0.125);
+        assert_eq!(lookup(&mut c, 0, 1, 99.0), 0.5);
+        assert_eq!(lookup(&mut c, 0, 2, 0.25), 0.25);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses), (2, 3));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
     }
 
     #[test]
     fn direction_matters() {
         let mut c = SparseGainCache::new(2);
-        assert_eq!(c.gain_with(0, 1, || 1.0), 1.0);
+        assert_eq!(lookup(&mut c, 0, 1, 1.0), 1.0);
         // (1,0) is a distinct pair (asymmetric shadowing support).
-        assert_eq!(c.gain_with(1, 0, || 2.0), 2.0);
-        assert_eq!(c.gain_with(0, 1, || 9.0), 1.0);
-        assert_eq!(c.gain_with(1, 0, || 9.0), 2.0);
+        assert_eq!(lookup(&mut c, 1, 0, 2.0), 2.0);
+        assert_eq!(lookup(&mut c, 0, 1, 9.0), 1.0);
+        assert_eq!(lookup(&mut c, 1, 0, 9.0), 2.0);
     }
 
     #[test]
@@ -318,57 +227,44 @@ mod tests {
             c.set_cell(node, cell);
         }
         // Touch pairs spanning (0,7), (0,7), (7,9): two distinct blocks.
-        c.gain_with(0, 2, || 0.1);
-        c.gain_with(1, 3, || 0.2);
-        c.gain_with(2, 4, || 0.3);
+        lookup(&mut c, 0, 2, 0.1);
+        lookup(&mut c, 1, 3, 0.2);
+        lookup(&mut c, 2, 4, 0.3);
         let s = c.stats();
         assert_eq!(s.blocks, 2);
         assert_eq!(s.entries, 3);
     }
 
     #[test]
-    fn cell_change_reroutes_to_a_new_block() {
-        let mut c = SparseGainCache::new(2);
-        c.set_cell(0, 3);
-        c.set_cell(1, 5);
-        c.gain_with(0, 1, || 0.5);
-        c.note_move(0, 4); // crossed into cell 4
-                           // New block, and the generation bump forces a recompute anyway.
-        assert_eq!(c.gain_with(0, 1, || 0.75), 0.75);
-        assert!(c.stats().blocks >= 2);
-    }
-
-    #[test]
-    fn batched_lookup_matches_scalar_path_including_counters() {
-        // Drive two caches through an identical mixed workload — scalar
-        // on one, batched on the other — across moves and flushes; the
-        // answers AND the counters must agree exactly.
-        let n = 80u32; // cap 5120 < 80·79 pairs: the flush path runs too
-        let mut scalar = SparseGainCache::new(n as usize);
-        let mut batched = SparseGainCache::new(n as usize);
-        for c in [&mut scalar, &mut batched] {
-            for node in 0..n {
-                c.set_cell(node, node / 5);
-            }
+    fn lookups_in_any_order_and_batching_return_the_pair_function() {
+        // The static contract: whatever the order and the batching, a
+        // lookup returns the pair's one value, and below the cap every
+        // pair is computed exactly once.
+        let n = 60u32; // 60 * 59 pairs < cap 4096: no flush
+        let mut c = SparseGainCache::new(n as usize);
+        for node in 0..n {
+            c.set_cell(node, node / 5);
         }
-        let gain_of = |i: u32, j: u32, round: u32| (i * 1000 + j) as f64 + round as f64 * 0.5;
-        for round in 0..100u32 {
-            let tx = round % n;
-            let js: Vec<u32> = (0..n).filter(|&j| j != tx).collect();
-            let mut want = Vec::new();
-            for &j in &js {
-                want.push(scalar.gain_with(tx, j, || gain_of(tx, j, round)));
+        let gain_of = |i: u32, j: u32| (i * 1000 + j) as f64;
+        let mut lookups = 0;
+        for round in 0..120u32 {
+            let tx = (round * 7) % n;
+            let mut js: Vec<u32> = (0..n).filter(|&j| j != tx).collect();
+            if round % 2 == 1 {
+                js.reverse();
             }
+            js.truncate(1 + (round * 13 % n) as usize);
             let mut got = Vec::new();
-            batched.gains_with_into(tx, &js, &mut got, |j| gain_of(tx, j, round));
+            c.gains_with_into(tx, &js, &mut got, |j| gain_of(tx, j));
+            let want: Vec<f64> = js.iter().map(|&j| gain_of(tx, j)).collect();
             assert_eq!(got, want, "round {round}");
-            if round % 7 == 3 {
-                let mover = (round * 11) % n;
-                scalar.note_move(mover, mover % 4);
-                batched.note_move(mover, mover % 4);
-            }
+            lookups += js.len() as u64;
         }
-        assert_eq!(scalar.stats(), batched.stats());
+        let s = c.stats();
+        assert_eq!(s.hits + s.misses, lookups);
+        assert_eq!(s.misses, s.entries as u64, "a pair is computed once");
+        assert!(s.hits > 0);
+        assert_eq!(s.flushes, 0);
     }
 
     #[test]
@@ -381,7 +277,7 @@ mod tests {
                 for j in 0..70u32 {
                     if i != j {
                         let want = (i * 70 + j) as f64;
-                        total += c.gain_with(i, j, || want) - want;
+                        total += lookup(&mut c, i, j, want) - want;
                     }
                 }
             }

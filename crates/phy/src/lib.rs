@@ -8,12 +8,10 @@
 //!   constants: 914 MHz carrier, 1.5 m antennas, decode range 250 m and
 //!   carrier-sense range 550 m at the 281.8 mW maximum power.
 //! * [`model`] — the closed [`PropagationModel`] enum (static dispatch on
-//!   the channel hot path) and the dense [`GainCache`] precomputing
-//!   pairwise gains for fully static scenarios.
+//!   the channel hot path).
 //! * [`gain`] — the block-sparse [`SparseGainCache`]: pair gains keyed by
-//!   occupied spatial-index cell pairs, invalidated per node on movement,
-//!   O(touched local pairs) memory instead of N² — the cache mobile and
-//!   10⁴-node scenarios use.
+//!   occupied spatial-index cell pairs, O(touched local pairs) memory —
+//!   what the channel replays shadowed gains from when nothing moves.
 //! * [`levels`] — the paper's ten discrete transmit power levels
 //!   (1 mW … 281.8 mW) and quantisation of a computed "needed power" up to
 //!   the next level.
@@ -38,7 +36,7 @@ pub mod shadowing;
 pub use energy::{EnergyMeter, RadioMode};
 pub use gain::{SparseCacheStats, SparseGainCache};
 pub use levels::PowerLevels;
-pub use model::{GainCache, PropagationModel};
+pub use model::PropagationModel;
 pub use propagation::{Propagation, TwoRayGround};
 pub use radio::{CapturePolicy, Heard, Radio, RadioConfig, RadioEvent, RxRow};
 pub use shadowing::Shadowed;

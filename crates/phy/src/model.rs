@@ -1,4 +1,4 @@
-//! Closed propagation-model enum and the static-scenario gain cache.
+//! Closed propagation-model enum.
 //!
 //! The simulator's channel fan-out sits on the hottest path of every
 //! run: one gain evaluation per (transmission, candidate receiver).
@@ -8,13 +8,6 @@
 //! two-ray ground, or two-ray with log-normal shadowing — so gain
 //! evaluation is a direct (inlineable) match instead of a vtable jump.
 //! The [`Propagation`] trait stays for generic call-sites and tests.
-//!
-//! [`GainCache`] goes one step further for fully static scenarios: with
-//! positions frozen for the whole run, every pairwise gain is computed
-//! once up front and each transmission reads a table row. The cache
-//! stores the full N×N matrix (not just the upper triangle) so it is
-//! also exact for the asymmetric-shadowing ablation, where
-//! `G_sd ≠ G_ds` by design.
 
 use pcmac_engine::{Milliwatts, Point};
 
@@ -138,54 +131,6 @@ impl Propagation for PropagationModel {
     }
 }
 
-/// Precomputed pairwise gains for a frozen set of positions.
-///
-/// `gain(i, j)` returns exactly what `model.gain(pos[i], pos[j])`
-/// returns — bit-for-bit, since the table is filled by calling the
-/// model — so swapping the cache into the channel changes nothing about
-/// a run except its speed.
-#[derive(Debug, Clone)]
-pub struct GainCache {
-    n: usize,
-    gains: Vec<f64>,
-}
-
-impl GainCache {
-    /// Evaluate `model` over all ordered pairs of `positions`, one
-    /// batched [`PropagationModel::gains_into`] pass per table row (the
-    /// diagonal is zeroed afterwards, exactly as the per-pair fill
-    /// skipped it).
-    pub fn build(model: &PropagationModel, positions: &[Point]) -> Self {
-        let n = positions.len();
-        let mut gains = Vec::with_capacity(n * n);
-        let mut row = Vec::with_capacity(n);
-        for &a in positions {
-            model.gains_into(a, positions, &mut row);
-            gains.extend_from_slice(&row);
-        }
-        for i in 0..n {
-            gains[i * n + i] = 0.0;
-        }
-        GainCache { n, gains }
-    }
-
-    /// Number of tracked positions.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when built over zero positions.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Cached gain from node `i` to node `j`.
-    #[inline]
-    pub fn gain(&self, i: usize, j: usize) -> f64 {
-        self.gains[i * self.n + j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,53 +143,6 @@ mod tests {
             Point::new(333.0, 333.0),
             Point::new(333.5, 333.5),
         ]
-    }
-
-    #[test]
-    fn cache_matches_two_ray_exactly() {
-        let model = PropagationModel::TwoRay(TwoRayGround::ns2_default());
-        let pts = positions();
-        let cache = GainCache::build(&model, &pts);
-        for i in 0..pts.len() {
-            for j in 0..pts.len() {
-                if i == j {
-                    continue;
-                }
-                assert_eq!(
-                    cache.gain(i, j),
-                    model.gain(pts[i], pts[j]),
-                    "pair ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cache_matches_shadowed_exactly_even_asymmetric() {
-        let model = PropagationModel::Shadowed(Shadowed::new(
-            TwoRayGround::ns2_default(),
-            8.0,
-            false, // asymmetric: G_sd ≠ G_ds
-            42,
-        ));
-        let pts = positions();
-        let cache = GainCache::build(&model, &pts);
-        let mut asymmetric_pairs = 0;
-        for i in 0..pts.len() {
-            for j in 0..pts.len() {
-                if i == j {
-                    continue;
-                }
-                assert_eq!(cache.gain(i, j), model.gain(pts[i], pts[j]));
-                if cache.gain(i, j) != cache.gain(j, i) {
-                    asymmetric_pairs += 1;
-                }
-            }
-        }
-        assert!(
-            asymmetric_pairs > 0,
-            "asymmetric mode should break G_sd = G_ds"
-        );
     }
 
     #[test]
