@@ -2039,11 +2039,7 @@ impl Simulator {
     ) -> SimSnapshot {
         let s = parts.len() as u64;
         let n = owner.len();
-        let n_bursts = cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.impairments.as_ref())
-            .map_or(0, Vec::len) as u64;
+        let n_bursts = replicated_bursts(cfg);
         let probes_scheduled = parts[0].probes_scheduled;
         debug_assert!(parts.iter().all(|p| p.probes_scheduled == probes_scheduled));
         // Canonical scheduled total: replicated machinery — the
@@ -2119,11 +2115,7 @@ impl Simulator {
         // Replicated impairment bursts are scheduled once per lane; every
         // other scheduled event exists on exactly one (probe chains were
         // already subtracted per lane).
-        let n_bursts = cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.impairments.as_ref())
-            .map_or(0, Vec::len) as u64;
+        let n_bursts = replicated_bursts(cfg);
         let events =
             parts.iter().map(|p| p.events).sum::<u64>() - (parts.len() as u64 - 1) * 2 * n_bursts;
         let sent = parts.iter().map(|p| p.sent_packets).sum::<u64>();
@@ -2252,12 +2244,7 @@ impl Simulator {
             .iter()
             .filter(|(_, _, e)| matches!(e, SimEvent::MetricsProbe))
             .count() as u64;
-        let n_bursts = self
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.impairments.as_ref())
-            .map_or(0, Vec::len) as u64;
+        let n_bursts = replicated_bursts(&self.cfg);
         let base = if primary {
             // The canonical total already counts this lane's replicated
             // events exactly once.
@@ -2564,6 +2551,13 @@ fn arrivals_on_air(pending: &[(SimTime, u128, SimEvent)], nodes: usize) -> Vec<[
         }
     }
     on_air
+}
+
+/// Impairment bursts in `cfg`'s fault plan: the events every lane
+/// schedules a replica of (two edges each), so a merge counts them once.
+fn replicated_bursts(cfg: &ScenarioConfig) -> u64 {
+    let bursts = cfg.faults.as_ref().and_then(|f| f.impairments.as_ref());
+    bursts.map_or(0, Vec::len) as u64
 }
 
 /// Schedule `ev` as a plain queue entry under its content-derived rank.

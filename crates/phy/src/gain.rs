@@ -66,12 +66,6 @@ impl Hasher for PairHasher {
 
 type FastMap<V> = HashMap<u64, V, BuildHasherDefault<PairHasher>>;
 
-/// Pair gains for one occupied cell pair, filled lazily.
-#[derive(Debug, Default)]
-struct Block {
-    pairs: FastMap<f64>,
-}
-
 /// Running effectiveness counters (bench + report diagnostics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparseCacheStats {
@@ -92,7 +86,8 @@ pub struct SparseCacheStats {
 pub struct SparseGainCache {
     /// Spatial-index cell per node.
     cell: Vec<u32>,
-    blocks: FastMap<Block>,
+    /// Pair gains per occupied cell pair, filled lazily.
+    blocks: FastMap<FastMap<f64>>,
     entries: usize,
     /// Entry count that triggers an epoch flush.
     cap: usize,
@@ -161,7 +156,7 @@ impl SparseGainCache {
                 cur_block_key = key;
             }
             let block = self.blocks.get_mut(&key).expect("block just ensured");
-            let gain = match block.pairs.entry(pack(i, j)) {
+            let gain = match block.entry(pack(i, j)) {
                 std::collections::hash_map::Entry::Occupied(o) => {
                     self.hits += 1;
                     *o.get()
