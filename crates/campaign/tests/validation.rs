@@ -544,6 +544,20 @@ fn scenario_config_validate_catches_raw_defects() {
         );
     }
 
+    // An infinite interference floor culled every arrival and ran to
+    // "sent 242, delivered 0"; any floor over the carrier-sense threshold
+    // culls arrivals the radio would have sensed.
+    let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 80.0, 50_000.0, 1);
+    for floor in [f64::INFINITY, cfg.radio.cs_thresh.value() * 2.0] {
+        cfg.interference_floor = pcmac_engine::Milliwatts(floor);
+        let err = cfg.validate().expect_err("floor over carrier sense");
+        assert!(
+            err.problems[0].contains("interference floor")
+                && err.problems[0].contains(&format!("{:?}", cfg.radio.cs_thresh)),
+            "{err}"
+        );
+    }
+
     let cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
     cfg.validate().expect("stock scenario is valid");
 }

@@ -16,18 +16,40 @@
 //!
 //! Candidates come from a [`UniformGrid`] spatial index sized to the
 //! maximum reception range (max transmit power against the
-//! interference floor), so a transmission visits only the cells its
-//! signal can reach instead of scanning all N nodes. Candidate lists are
-//! sorted by node id, so the event schedule is independent of the
-//! index's internal bucket order.
+//! interference floor), so a query visits only the cells a signal can
+//! reach instead of scanning all N nodes.
+//!
+//! **When nothing moves and that range is finite, a node asks once.**
+//! Its first transmission runs the query at the maximum reach, evaluates
+//! each candidate's gain and propagation delay, sorts by `(delay, node)`
+//! and stores the result as the node's *row* of `((delay << 32) | node,
+//! gain)` pairs. Every transmission then walks the row: `power * (gain *
+//! impairment)` in exactly the general path's operation order, skip what
+//! falls below the interference floor, skip an owned receiver that is
+//! down, ship one another region owns, keep the rest — already in
+//! `(delay, node)` order, because a filter preserves it. There is no
+//! per-transmission query, gain evaluation, distance or sort. A
+//! transmission below maximum power cuts the maximum-reach row exactly
+//! as its own smaller query would have: whatever lies beyond its cull
+//! radius is below the floor under any gain. Rows are derived state — no
+//! snapshot carries them, a restored run rebuilds them on demand — and
+//! cost 16 bytes per stored neighbour plus 8 per node (`Rows`).
+//!
+//! **Mobile scenarios, and a disabled floor's unbounded reach, keep the
+//! general path:** one query per transmission at that transmission's
+//! cull radius, one batched gain pass, one sort of the audible
+//! candidates (the grid returns them in id order, so the event schedule
+//! is independent of the index's internal bucket order either way). The
+//! choice is [`Channel::new`]'s, from the scenario's shape; there is no
+//! option to set.
 //!
 //! The scan over all N nodes survives as the test oracle:
 //! `Simulator::new_reference` swaps in [`ReferenceScan`] (every node but
 //! the transmitter, every position re-sampled per timestamp, gains pair
 //! by pair), which [`Channel::collect_receivers`] and the gain fill
-//! dispatch to before touching any of the machinery below. Both paths
-//! produce the identical arrival sequence; the equivalence suite holds
-//! them to it.
+//! dispatch to before touching any of the machinery here. All three
+//! paths produce the identical arrival sequence; the equivalence suite
+//! holds them to it.
 //!
 //! # Mobility refresh: who moves the index and who only samples
 //!
@@ -58,39 +80,31 @@
 //!
 //! # Gains
 //!
-//! Propagation is dispatched statically through [`PropagationModel`],
-//! and [`Channel::new`] picks the gain path from the scenario's shape —
-//! there is no option to set:
+//! Propagation is dispatched statically through [`PropagationModel`] and
+//! evaluated in one batched pass over a candidate list — per
+//! transmission on the general path, once per transmitter where rows are
+//! kept. A row replays each pair's gain from that one evaluation, which
+//! is everything a gain cache did: the block-sparse cache that shadowed
+//! static scenarios used to stream their gains through is gone (and the
+//! dense N×N table before it). Median ns per event on a static field at
+//! the benchmark's density, 6 s simulated, 2-vCPU sandbox — the first
+//! three columns from five alternating rounds before those paths were
+//! deleted, the last from the session that deleted the cache, where the
+//! parent read 66.4 live on the first field and 281–292 and 407 through
+//! the cache on the other two:
 //!
-//! * **shadowed and static** (`cfg.shadowing` set, nothing moves): the
-//!   block-sparse [`SparseGainCache`]. A shadowed gain is a hash-derived
-//!   log-normal draw on top of the path loss, positions never change,
-//!   so every pair is drawn once and replayed;
-//! * **everything else**: live evaluation, one batched pass per
-//!   transmission. That is the paper's channel (ns-2 two-ray ground, no
-//!   shadowing) static or mobile, and every mobile scenario — between
-//!   two transmissions of one station every endpoint has moved, so a
-//!   cache under mobility never hits.
-//!
-//! Measured before the other paths were deleted (median ns per event of
-//! five alternating rounds, 2-vCPU sandbox, 6 s simulated; the dense
-//! path was a precomputed N×N table, capped at 2 048 nodes):
-//!
-//! | static field | live | sparse | dense (build) |
-//! |---|---|---|---|
-//! | two-ray, 2 000 nodes | 64.2 | — | 66.1 (29–33 ms, 32 MB) |
-//! | shadowed σ = 4 dB, 2 000 nodes | 470 | 305 | 182 (238–271 ms) |
-//! | shadowed σ = 4 dB, 8 000 nodes | 554 | 450 | over the cap |
-//!
-//! Two-ray gains cost as much to look up as to evaluate, and the dense
-//! table repaid its build only past ≈ 2.0 M events, so one cache is
-//! kept, for the one shape where every round favoured it.
+//! | static field | live | sparse | dense (build) | rows |
+//! |---|---|---|---|---|
+//! | two-ray, 2 000 nodes | 64.2 | — | 66.1 (29–33 ms, 32 MB) | 48.1 |
+//! | shadowed σ = 4 dB, 2 000 nodes | 470 | 305 | 182 (238–271 ms) | 109 |
+//! | shadowed σ = 4 dB, 8 000 nodes | 554 | 450 | over the cap | 154 |
 //!
 //! # One queue entry per cursor, and a held walk
 //!
 //! A transmission heard by K owned receivers is 2·K *logical* events but
-//! only two *physical* queue entries. [`Channel::fan_out`] sorts the
-//! receivers by `(delay, node)` (one packed integer per receiver) —
+//! only two *physical* queue entries. [`Channel::radiate`] has the
+//! receivers in `(delay, node)` order (one packed integer per receiver;
+//! a row is stored in it, the general path sorts) —
 //! which is the `(time, rank)` pop order of both their starts and their
 //! ends, because every receiver's start sits at `tx start + delay`, its
 //! end at `tx end + delay`, and arrival ranks order by receiver at equal
@@ -133,11 +147,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use pcmac_engine::{
-    Duration, EventQueue, Milliwatts, NodeId, Point, ScheduledEvent, SimTime, UniformGrid,
-};
+use pcmac_engine::{Duration, EventQueue, Milliwatts, NodeId, Point, SimTime, UniformGrid};
 use pcmac_mac::{CtrlFrame, Frame};
-use pcmac_phy::{PropagationModel, Shadowed, SparseCacheStats, SparseGainCache, TwoRayGround};
+use pcmac_phy::{PropagationModel, Shadowed, TwoRayGround};
 
 use crate::config::ScenarioConfig;
 use crate::event::{arrival_rank, SimEvent};
@@ -237,6 +249,17 @@ pub(crate) struct Transmission {
     pub(crate) cause: (SimTime, u128),
 }
 
+impl Transmission {
+    /// Whether this is its node's first transmission ever: the key's low
+    /// word is the node's transmission counter (`Simulator::tx_key`),
+    /// which snapshots carry — so it stays `false` for a node that
+    /// transmitted before a restore.
+    #[inline]
+    fn is_first(&self) -> bool {
+        self.key as u32 == 0
+    }
+}
+
 /// One ready-made cross-region arrival pair: everything the receiving
 /// shard needs to schedule the start/end events its own sender loop
 /// would have produced.
@@ -276,23 +299,22 @@ struct Receiver {
     power: Milliwatts,
 }
 
-impl Receiver {
-    /// # Panics
-    /// If `delay` does not fit 32 bits of nanoseconds (4.29 s: no radio
-    /// link on Earth, so a misconfigured delay floor).
-    #[inline]
-    fn new(delay: Duration, node: u32, power: Milliwatts) -> Self {
-        let ns = delay.as_nanos();
-        assert!(
-            ns <= u32::MAX as u64,
-            "propagation delay of {ns} ns to node {node} overflows the receiver sort key"
-        );
-        Receiver {
-            at: ns << 32 | node as u64,
-            power,
-        }
-    }
+/// `(delay, node)` as the one integer receivers sort by.
+///
+/// # Panics
+/// If `delay` does not fit 32 bits of nanoseconds (4.29 s: no radio
+/// link on Earth, so a misconfigured delay floor).
+#[inline]
+fn pack_delay_node(delay: Duration, node: u32) -> u64 {
+    let ns = delay.as_nanos();
+    assert!(
+        ns <= u32::MAX as u64,
+        "propagation delay of {ns} ns to node {node} overflows the receiver sort key"
+    );
+    ns << 32 | node as u64
+}
 
+impl Receiver {
     #[inline]
     fn delay(&self) -> Duration {
         Duration::from_nanos(self.at >> 32)
@@ -301,6 +323,75 @@ impl Receiver {
     #[inline]
     fn node(&self) -> u32 {
         self.at as u32
+    }
+}
+
+/// One stored neighbour of a static transmitter: where and when it hears
+/// the transmitter, and how strongly per milliwatt radiated.
+#[derive(Debug, Clone, Copy)]
+struct Neighbour {
+    /// [`Receiver::at`].
+    at: u64,
+    /// Linear gain of the pair, from its one evaluation.
+    gain: f64,
+}
+
+/// The receiver rows of a static scenario (module docs, "Candidate
+/// receivers"): 16 bytes per stored neighbour, 8 bytes of index per node.
+#[derive(Debug)]
+struct Rows {
+    /// Per node, `(start, len)` of its row — chunk `start / CHUNK` from
+    /// offset `start % CHUNK` — or [`Rows::UNBUILT`].
+    index: Vec<(u32, u32)>,
+    /// The arena every built row lives in, in chunks that are filled
+    /// once and never reallocated: a row does not straddle chunks, and one
+    /// longer than [`Rows::CHUNK`] has a chunk to itself. (One growing
+    /// `Vec` cost the 32 000-node benchmark field 1.4–1.8 MiB more
+    /// resident memory than the rows' own 3.0, in the holes its
+    /// reallocations left behind.)
+    chunks: Vec<Vec<Neighbour>>,
+}
+
+impl Rows {
+    /// Neighbours per chunk (16 KiB).
+    const CHUNK: usize = 1024;
+    /// The index entry of a node that has not transmitted yet.
+    const UNBUILT: (u32, u32) = (u32::MAX, 0);
+
+    fn new(nodes: usize) -> Self {
+        Rows {
+            index: vec![Self::UNBUILT; nodes],
+            chunks: Vec::new(),
+        }
+    }
+
+    /// Node `i`'s row, strictly increasing in [`Neighbour::at`], once
+    /// [`Rows::insert`] has stored it.
+    #[inline]
+    fn get(&self, i: usize) -> Option<&[Neighbour]> {
+        let row = self.index[i];
+        let (start, len) = (row.0 as usize, row.1 as usize);
+        (row != Self::UNBUILT)
+            .then(|| &self.chunks[start / Self::CHUNK][start % Self::CHUNK..][..len])
+    }
+
+    /// Store `row`, in any order, as node `i`'s.
+    fn insert(&mut self, i: usize, row: impl ExactSizeIterator<Item = Neighbour>) {
+        let len = row.len();
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.capacity() - c.len() < len)
+        {
+            self.chunks.push(Vec::with_capacity(len.max(Self::CHUNK)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let slab = &mut self.chunks[chunk];
+        let off = slab.len();
+        slab.extend(row);
+        slab[off..].sort_unstable_by_key(|n| n.at);
+        let start = u32::try_from(chunk * Self::CHUNK + off).expect("under 2^32 stored neighbours");
+        self.index[i] = (start, len as u32);
     }
 }
 
@@ -373,7 +464,7 @@ impl FanOut {
     }
 }
 
-/// Channel state: propagation, the spatial index, gain replay,
+/// Channel state: propagation, the spatial index, the receiver rows,
 /// deadline-driven position refresh, and the fan-outs in flight.
 #[derive(Debug)]
 pub(crate) struct Channel {
@@ -382,9 +473,10 @@ pub(crate) struct Channel {
     /// [`Channel::refresh_positions`]; under mobility its entries may
     /// trail true positions by up to `pad_m`).
     grid: UniformGrid,
-    /// Pairwise gain replay, where it beats evaluation (shadowed static
-    /// scenarios, see the module docs); `None` evaluates live.
-    gain_cache: Option<SparseGainCache>,
+    /// `Some` exactly when nothing moves and the maximum reach is finite:
+    /// a transmission then walks its node's stored row instead of
+    /// querying the index.
+    rows: Option<Rows>,
     /// `Some` on the test oracle only (`Simulator::new_reference`):
     /// receivers and gains come from the O(N) scan instead.
     reference: Option<ReferenceScan>,
@@ -401,7 +493,10 @@ pub(crate) struct Channel {
     /// Propagation-delay floor in nanoseconds (0 = exact delays).
     delay_floor_ns: u64,
     interference_floor: Milliwatts,
-    /// The farthest any transmission can matter (metres).
+    /// The strongest any transmission can be.
+    max_power: Milliwatts,
+    /// The farthest any transmission can matter (metres): the cull
+    /// radius of `max_power`.
     max_reach: f64,
     /// Candidate-receiver scratch (used only between a position refresh
     /// and the fan-out, which never re-enters).
@@ -435,7 +530,8 @@ impl Channel {
         // to tile the field evenly (and caps the cell count on huge
         // fields), so a max-reach query touches a small O(1) block of
         // cells around the transmitter — typically 3×3, sometimes 4×4.
-        let max_reach = cull_radius(&propagation, cfg.mac.max_power(), cfg.interference_floor);
+        let max_power = cfg.mac.max_power();
+        let max_reach = cull_radius(&propagation, max_power, cfg.interference_floor);
         let cell = if max_reach.is_finite() {
             max_reach.max(1.0)
         } else {
@@ -443,16 +539,8 @@ impl Channel {
         };
         let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &hot.positions);
 
-        // The gain path follows the scenario's shape (see the module
-        // docs): replay pays only where a gain is a log-normal draw and
-        // no position ever changes.
-        let gain_cache = (cfg.shadowing.is_some() && !any_mobile).then(|| {
-            let mut c = SparseGainCache::new(n);
-            for i in 0..n as u32 {
-                c.set_cell(i, grid.node_cell(i));
-            }
-            c
-        });
+        // Rows are lazy: a node's is built by its first transmission.
+        let rows = (!any_mobile && max_reach.is_finite()).then(|| Rows::new(n));
 
         // Seed every mobile node's first refresh deadline from its start
         // position (positions are exact at t = 0).
@@ -471,7 +559,7 @@ impl Channel {
         Channel {
             propagation,
             grid,
-            gain_cache,
+            rows,
             reference: None,
             any_mobile,
             pad_m,
@@ -480,6 +568,7 @@ impl Channel {
             audit_tick: 0,
             delay_floor_ns: cfg.delay_floor().as_nanos(),
             interference_floor: cfg.interference_floor,
+            max_power,
             max_reach,
             candidates: Vec::new(),
             gains: Vec::new(),
@@ -492,10 +581,10 @@ impl Channel {
     /// Turn this channel into the test oracle (see [`ReferenceScan`]):
     /// from here on receivers come from the scan over every node and
     /// gains from per-pair evaluation; the index, the refresh deadlines
-    /// and the gain cache are never consulted again.
+    /// and the receiver rows are never consulted again.
     pub(crate) fn use_reference_scan(&mut self) {
         self.reference = Some(ReferenceScan::default());
-        self.gain_cache = None;
+        self.rows = None;
     }
 
     /// The spatial index's cell size — region boundaries snap to grid
@@ -503,11 +592,6 @@ impl Channel {
     /// straddles more than two regions.
     pub(crate) fn cell_size(&self) -> f64 {
         self.grid.cell_size()
-    }
-
-    /// Sparse gain-cache effectiveness counters, when that cache runs.
-    pub(crate) fn cache_stats(&self) -> Option<SparseCacheStats> {
-        self.gain_cache.as_ref().map(SparseGainCache::stats)
     }
 
     /// Prune the spatial index to the nodes shard `id` keeps hot state
@@ -699,7 +783,7 @@ impl Channel {
     /// into `hot.positions`, so the subsequent gain/delay computations
     /// see true positions and the arrivals match the reference scan bit
     /// for bit.
-    pub(crate) fn collect_receivers(
+    fn collect_receivers(
         &mut self,
         hot: &mut HotState,
         mut prof: Option<&mut HotPathProfile>,
@@ -744,22 +828,9 @@ impl Channel {
         }
     }
 
-    /// Drop owned receivers that are currently crashed (`down`) from the
-    /// candidate list. Runs *before* the batched gain fill, exactly where
-    /// the per-pair loop applied its inline `down` skip — so the
-    /// sparse cache sees the same lookup sequence (and mints the same
-    /// hit/miss/flush counters) as the per-pair path did.
-    pub(crate) fn cull_down_receivers(&mut self, down: &[bool], shard: Option<&ShardCtx>) {
-        self.candidates.retain(|&j| {
-            let owned = shard.is_none_or(|c| c.owner[j as usize] == c.id);
-            !(owned && down[j as usize])
-        });
-    }
-
     /// Batch-evaluate the gains from node `i` to every candidate into
-    /// the gain scratch (parallel to the candidates): streamed through
-    /// the block-sparse cache, or evaluated live in one contiguous pass.
-    /// Both produce bit-identical values to per-pair calls.
+    /// the gain scratch (parallel to the candidates), in one contiguous
+    /// pass that produces bit-identical values to per-pair calls.
     fn fill_gains(&mut self, i: usize, positions: &[Point]) {
         if self.reference.is_some() {
             return ReferenceScan::gains(
@@ -770,80 +841,48 @@ impl Channel {
                 &mut self.gains,
             );
         }
-        match &mut self.gain_cache {
-            Some(cache) => {
-                let prop = &self.propagation;
-                cache.gains_with_into(i as u32, &self.candidates, &mut self.gains, |j| {
-                    prop.gain(positions[i], positions[j as usize])
-                });
-            }
-            None => self.propagation.gains_into_indexed(
-                positions[i],
-                positions,
-                &self.candidates,
-                &mut self.gains,
-            ),
-        }
-    }
-
-    /// Propagation delay over `dist` metres, floored at the configured
-    /// minimum (the floor is the conservative lookahead of a sharded run;
-    /// zero in plain single mode).
-    #[inline]
-    fn prop_delay(&self, dist: f64) -> Duration {
-        Duration::from_nanos(((dist / C * 1e9).round() as u64).max(self.delay_floor_ns))
+        self.propagation.gains_into_indexed(
+            positions[i],
+            positions,
+            &self.candidates,
+            &mut self.gains,
+        );
     }
 
     // ------------------------------------------------------------------
     // Fan-out
     // ------------------------------------------------------------------
 
-    /// Turn the collected candidates into arrivals: gains are evaluated
-    /// in one batch, and every receiver above the interference floor
-    /// hears `tx` after its propagation delay. Receivers this simulator dispatches join one
-    /// fan-out walked by two queue cursors (`2·K` logical events, two
-    /// entries); receivers another region owns are shipped to it as
+    /// Put `tx` on the air: every receiver above the interference floor
+    /// hears it after its propagation delay — found by walking the
+    /// transmitter's stored row where rows are kept, by an index query
+    /// and a batched gain evaluation otherwise. An owned receiver that
+    /// is crashed (`down`) hears nothing. Receivers this simulator
+    /// dispatches join one fan-out walked by two queue cursors (`2·K`
+    /// logical events, two entries); receivers another region owns are
+    /// shipped to it as
     /// ready-made arrival pairs, which the owner culls against its
     /// authoritative down-state at our send instant when it drains.
-    pub(crate) fn fan_out(
+    pub(crate) fn radiate(
         &mut self,
         tx: Transmission,
-        positions: &[Point],
-        mut shard: Option<&mut ShardCtx>,
+        hot: &mut HotState,
+        prof: Option<&mut HotPathProfile>,
+        down: Option<&[bool]>,
+        shard: Option<&mut ShardCtx>,
         queue: &mut EventQueue<QueueEntry>,
     ) {
-        self.fill_gains(tx.src, positions);
-        let src_pos = positions[tx.src];
         let mut rx = self.rx_pool.take();
-        for (c, &j) in self.candidates.iter().enumerate() {
-            let j = j as usize;
-            let power = tx.power * (self.gains[c] * tx.impair);
-            if power.value() < self.interference_floor.value() {
-                continue;
-            }
-            let delay = self.prop_delay(src_pos.distance(positions[j]));
-            match shard.as_deref_mut().filter(|ctx| ctx.owner[j] != ctx.id) {
-                Some(ctx) => ctx.outbox[ctx.owner[j] as usize].push(Shipment {
-                    at: tx.start + delay,
-                    node: NodeId(j as u32),
-                    key: tx.key,
-                    power,
-                    end: tx.end + delay,
-                    payload: tx.payload.clone(),
-                    tx: tx.cause,
-                }),
-                None => rx.push(Receiver::new(delay, j as u32, power)),
-            }
+        if self.rows.is_some() {
+            self.walk_row(&tx, &hot.positions, prof, down, shard, &mut rx);
+        } else {
+            self.collect_receivers(hot, prof, tx.src, tx.power, tx.start);
+            self.price_candidates(&tx, &hot.positions, down, shard, &mut rx);
         }
         if rx.is_empty() {
             self.rx_pool.put(rx);
             return;
         }
-        // `(delay, node)` order is `(time, rank)` order for the starts and
-        // for the ends alike: equal delays are equal instants, where the
-        // arrival rank orders by receiver. (Candidates come in id order,
-        // so this equals the stable sort by delay.)
-        rx.sort_unstable_by_key(|r| r.at);
         debug_assert!(
             rx.windows(2).all(|w| w[0].at < w[1].at),
             "fan-out receivers must be strictly increasing in (delay, node): \
@@ -871,6 +910,105 @@ impl Channel {
         };
         for (end, (at, rank)) in [false, true].into_iter().zip(heads) {
             queue.push_cursor(at, rank, QueueEntry::Cursor { fan: slot, end });
+        }
+    }
+
+    /// The general path: price the collected candidates in one gain
+    /// batch, time each audible one, and leave the owned, live ones in
+    /// `rx` sorted by `(delay, node)` — which is `(time, rank)` order for
+    /// the starts and for the ends alike: equal delays are equal
+    /// instants, where the arrival rank orders by receiver.
+    fn price_candidates(
+        &mut self,
+        tx: &Transmission,
+        positions: &[Point],
+        down: Option<&[bool]>,
+        mut shard: Option<&mut ShardCtx>,
+        rx: &mut Vec<Receiver>,
+    ) {
+        self.fill_gains(tx.src, positions);
+        let src_pos = positions[tx.src];
+        for (c, &j) in self.candidates.iter().enumerate() {
+            let power = tx.power * (self.gains[c] * tx.impair);
+            if power.value() < self.interference_floor.value() {
+                continue;
+            }
+            let dist = src_pos.distance(positions[j as usize]);
+            let at = pack_delay_node(prop_delay(dist, self.delay_floor_ns), j);
+            deliver(tx, Receiver { at, power }, down, shard.as_deref_mut(), rx);
+        }
+        rx.sort_unstable_by_key(|r| r.at);
+    }
+
+    /// Build node `i`'s row: its candidates at the maximum reach — the
+    /// query a maximum-power transmission makes on the general path, a
+    /// superset of any weaker one's — each with its gain and packed
+    /// `(delay, node)`.
+    fn build_row(&mut self, i: usize, positions: &[Point], prof: Option<&mut HotPathProfile>) {
+        self.candidates.clear();
+        self.grid.query_circle(
+            positions[i],
+            self.max_reach,
+            Some(i as u32),
+            &mut self.candidates,
+        );
+        if let Some(p) = prof {
+            p.grid_queries += 1;
+            p.grid_candidates += self.candidates.len() as u64;
+        }
+        self.fill_gains(i, positions);
+        let row = self.candidates.iter().zip(&self.gains).map(|(&j, &gain)| {
+            let dist = positions[i].distance(positions[j as usize]);
+            Neighbour {
+                at: pack_delay_node(prop_delay(dist, self.delay_floor_ns), j),
+                gain,
+            }
+        });
+        self.rows.as_mut().expect("rows are kept").insert(i, row);
+    }
+
+    /// The row path: price every stored neighbour of the transmitter at
+    /// this transmission's power — in the general path's operation order,
+    /// so bit for bit its values — and leave the audible, owned, live
+    /// ones in `rx`; filtering a sorted row keeps `(delay, node)` order.
+    /// A weaker transmission cuts the maximum-reach row exactly as its
+    /// smaller query would have: what lies beyond its cull radius is
+    /// below the floor under any gain.
+    fn walk_row(
+        &mut self,
+        tx: &Transmission,
+        positions: &[Point],
+        prof: Option<&mut HotPathProfile>,
+        down: Option<&[bool]>,
+        mut shard: Option<&mut ShardCtx>,
+        rx: &mut Vec<Receiver>,
+    ) {
+        assert!(
+            tx.power <= self.max_power,
+            "node {} transmits at {:?}, over the {:?} its row was cut for",
+            tx.src,
+            tx.power,
+            self.max_power
+        );
+        let rows = self.rows.as_ref().expect("rows are kept");
+        if rows.get(tx.src).is_none() {
+            // A row rebuilt after a restore was counted before the cut:
+            // the profile is in the snapshot, the rows are not.
+            self.build_row(tx.src, positions, prof.filter(|_| tx.is_first()));
+        }
+        let rows = self.rows.as_ref().expect("rows are kept");
+        for n in rows.get(tx.src).expect("just built") {
+            let power = tx.power * (n.gain * tx.impair);
+            if power.value() < self.interference_floor.value() {
+                continue;
+            }
+            deliver(
+                tx,
+                Receiver { at: n.at, power },
+                down,
+                shard.as_deref_mut(),
+                rx,
+            );
         }
     }
 
@@ -908,8 +1046,8 @@ impl Channel {
         &self,
         queue: &EventQueue<QueueEntry>,
     ) -> Vec<(SimTime, u128, SimEvent)> {
-        queue.pending_logical(|e: &ScheduledEvent<QueueEntry>, out| match &e.event {
-            QueueEntry::Event(event) => out.push((e.at, e.rank, event.clone())),
+        queue.pending_logical(|at, rank, entry, out| match entry {
+            QueueEntry::Event(event) => out.push((at, rank, event.clone())),
             QueueEntry::Cursor { fan, end } => {
                 let f = self.fanouts[*fan as usize]
                     .as_ref()
@@ -920,6 +1058,42 @@ impl Channel {
                 }
             }
         })
+    }
+}
+
+/// Propagation delay over `dist` metres, floored at the configured
+/// minimum of `floor_ns` (the floor is the conservative lookahead of a
+/// sharded run; zero in plain single mode).
+#[inline]
+fn prop_delay(dist: f64, floor_ns: u64) -> Duration {
+    Duration::from_nanos(((dist / C * 1e9).round() as u64).max(floor_ns))
+}
+
+/// Hand audible receiver `r` its arrival pair of `tx`: shipped to the
+/// region that owns it — which culls it against its own authoritative
+/// down-state — or appended to the fan-out list `rx`, unless it is
+/// crashed (`down`) right now.
+#[inline]
+fn deliver(
+    tx: &Transmission,
+    r: Receiver,
+    down: Option<&[bool]>,
+    shard: Option<&mut ShardCtx>,
+    rx: &mut Vec<Receiver>,
+) {
+    let j = r.node() as usize;
+    match shard.filter(|ctx| ctx.owner[j] != ctx.id) {
+        Some(ctx) => ctx.outbox[ctx.owner[j] as usize].push(Shipment {
+            at: tx.start + r.delay(),
+            node: NodeId(r.node()),
+            key: tx.key,
+            power: r.power,
+            end: tx.end + r.delay(),
+            payload: tx.payload.clone(),
+            tx: tx.cause,
+        }),
+        None if down.is_some_and(|d| d[j]) => {}
+        None => rx.push(r),
     }
 }
 

@@ -548,11 +548,16 @@ impl ScenarioConfig {
                 self.radio.capture_ratio
             ));
         }
+        // An arrival under the floor is never scheduled, so a floor over
+        // the carrier-sense threshold culls what the radio would have
+        // sensed — and an infinite one everything (zero delivery,
+        // silently).
         let floor = self.interference_floor.value();
-        if floor.is_nan() || floor < 0.0 {
+        if !(0.0..=self.radio.cs_thresh.value()).contains(&floor) {
             problems.push(format!(
-                "interference floor {:?} must be non-negative",
-                self.interference_floor
+                "interference floor {:?} must be non-negative and at most the \
+                 carrier-sense threshold {:?}",
+                self.interference_floor, self.radio.cs_thresh
             ));
         }
         if let Some(s) = &self.shadowing {
@@ -801,6 +806,25 @@ mod tests {
         c.delay_floor_us = Some(-1.0);
         let err = c.validate().expect_err("negative floor must be rejected");
         assert!(err.problems.iter().any(|p| p.contains("delay floor")));
+    }
+
+    /// Unvalidated, an infinite floor ran to "sent 242, delivered 0".
+    #[test]
+    fn interference_floor_defects_are_rejected() {
+        let mut c = ScenarioConfig::two_nodes(Variant::Basic, 80.0, 50_000.0, 1);
+        let cs = c.radio.cs_thresh;
+        for bad in [f64::INFINITY, f64::NAN, -1e-12, cs.value() * 1.01] {
+            c.interference_floor = Milliwatts(bad);
+            let err = c.validate().expect_err("floor must be rejected");
+            let named = |p: &String| {
+                p.contains(&format!("{:?}", Milliwatts(bad))) && p.contains(&format!("{cs:?}"))
+            };
+            assert!(err.problems.iter().any(named), "{bad}: {err}");
+        }
+        for good in [0.0, cs.value()] {
+            c.interference_floor = Milliwatts(good);
+            c.validate().expect("disabled, or exactly carrier sense");
+        }
     }
 
     #[test]

@@ -231,9 +231,13 @@ pub struct TxPowerMetrics {
 /// values — so the profile is bit-identical across reruns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotPathProfile {
-    /// Spatial-index receiver queries issued (one per transmission).
+    /// Spatial-index receiver queries issued: one per transmission, or —
+    /// where static transmitters keep receiver rows — one per distinct
+    /// transmitter, when its row is first built (a row rebuilt after a
+    /// restore is not counted again).
     pub grid_queries: u64,
-    /// Candidate receivers returned across all queries.
+    /// Candidate receivers returned across all queries; where rows are
+    /// kept, the neighbours stored.
     pub grid_candidates: u64,
     /// Position-refresh deadline pops processed.
     pub refresh_pops: u64,
@@ -247,9 +251,9 @@ pub struct HotPathProfile {
     pub exact_samples: u64,
     /// Metrics probe events processed.
     pub probes: u64,
-    /// Block-sparse gain-cache effectiveness: `Some` exactly when the
-    /// scenario is shadowed and static, the one shape whose gains the
-    /// channel replays instead of evaluating.
+    /// Always `None`: the block-sparse gain cache these counters
+    /// described is gone (receiver rows replay gains instead). The field
+    /// stays until the repo benchmark, which reads it, can change.
     pub sparse_cache: Option<SparseCacheStats>,
 }
 
@@ -417,9 +421,7 @@ mod snap {
 
     impl Snap for HotPathProfile {
         fn save(&self, w: &mut SnapWriter) {
-            // The sparse-cache stats are only attached at `finish`, never
-            // while a run is live, so the checkpoint image omits them.
-            debug_assert!(self.sparse_cache.is_none());
+            // `sparse_cache` is always `None`; the image omits it.
             w.u64(self.grid_queries);
             w.u64(self.grid_candidates);
             w.u64(self.refresh_pops);
@@ -777,7 +779,7 @@ impl MetricsState {
     }
 
     /// Fold the collected state into the serializable report section.
-    pub(crate) fn finish(self, nodes: &[&Node], cache: Option<SparseCacheStats>) -> SimMetrics {
+    pub(crate) fn finish(self, nodes: &[&Node]) -> SimMetrics {
         let mut drops = DropTaxonomy {
             sent: self.sent,
             duplicate_deliveries: self.duplicate_deliveries,
@@ -888,9 +890,6 @@ impl MetricsState {
             energy_histogram[i] += 1;
         }
 
-        let mut hot = self.hot;
-        hot.sparse_cache = cache;
-
         SimMetrics {
             probe_interval_s: self.interval.as_secs_f64(),
             samples,
@@ -908,7 +907,7 @@ impl MetricsState {
                 energy_mean_mj: energy_mean,
                 energy_max_mj: energy_max,
             },
-            hot_path: hot,
+            hot_path: self.hot,
         }
     }
 }
@@ -940,7 +939,7 @@ mod tests {
         drop_at(&mut m, 2, Drop::EmitDead, 30);
         drop_at(&mut m, 3, Drop::TtlExpired, 40);
         m.note_delivered(PacketId(3)); // delivery overrides a drop
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         let d = &s.drops;
         assert_eq!(d.sent, 6);
         assert_eq!(d.delivered_unique, 2);
@@ -963,7 +962,7 @@ mod tests {
         drop_at(&mut m, 8, Drop::NoRoute, 5);
         assert_eq!(m.sent, 0);
         assert_eq!(m.delivered_cum, 1);
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         assert_eq!(s.drops.delivered_unique, 1);
         assert_eq!(s.drops.no_route, 1);
     }
@@ -989,7 +988,7 @@ mod tests {
         b.record_probe(SimTime::from_nanos(1_000), 1, 1, 2);
 
         let m = MetricsState::merge(vec![a, b]);
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         let d = &s.drops;
         assert_eq!(d.sent, 4);
         assert_eq!(d.delivered_unique, 2);
@@ -1011,7 +1010,7 @@ mod tests {
         let mut m = MetricsState::new(MetricsConfig::default(), 1, vec![]);
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(1.0), 0, 0, 0);
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(2.0), 4, 1, 6);
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         assert_eq!(s.samples.len(), 2);
         assert_eq!(s.samples[0].busy_fraction, 0.0);
         assert_eq!(s.samples[1].busy_fraction, 0.25);

@@ -6,7 +6,7 @@
 //! It shares nothing with the machinery it checks: no spatial index (the
 //! candidates are every node but the transmitter), no refresh deadlines
 //! or drift pad (every node's position is re-sampled whenever a
-//! transmission finds the clock has moved), no gain cache and no batched
+//! transmission finds the clock has moved), no stored rows and no batched
 //! evaluation (one propagation call per pair). Reachable only through
 //! `Simulator::new_reference`.
 

@@ -425,7 +425,6 @@ pub(crate) struct ShardParts {
     pub(crate) events: u64,
     pub(crate) faults: Option<FaultState>,
     pub(crate) metrics: Option<MetricsState>,
-    pub(crate) cache_stats: Option<pcmac_phy::SparseCacheStats>,
 }
 
 /// Optional pre-dispatch callback: sees every event, in dispatch order.
@@ -530,7 +529,7 @@ impl Simulator {
     /// transmission finds its receivers by scanning all N nodes at
     /// positions re-sampled per timestamp and prices them with one
     /// propagation call per pair — no spatial index, no refresh
-    /// deadlines, no gain cache (see the `reference` module). The
+    /// deadlines, no receiver rows (see the `reference` module). The
     /// equivalence suite holds the production channel to this run's
     /// report, bit for bit; nothing else should call it.
     ///
@@ -1848,9 +1847,8 @@ impl Simulator {
         self.radiate(i, Payload::Ctrl(frame), power, now, end);
     }
 
-    /// Put `payload` on the air from live node `i` over `[now, end]`:
-    /// find who could hear it, then let the channel's fan-out price and
-    /// time the arrivals.
+    /// Put `payload` on the air from live node `i` over `[now, end]`
+    /// under a freshly minted transmission key.
     fn radiate(
         &mut self,
         i: usize,
@@ -1859,13 +1857,6 @@ impl Simulator {
         now: SimTime,
         end: SimTime,
     ) {
-        let prof = self.metrics.as_mut().map(|m| &mut m.hot);
-        self.channel
-            .collect_receivers(&mut self.hot, prof, i, power, now);
-        if let Some(fs) = &self.faults {
-            self.channel
-                .cull_down_receivers(&fs.down, self.shard.as_ref());
-        }
         let tx = Transmission {
             src: i,
             key: self.tx_key(i),
@@ -1876,9 +1867,11 @@ impl Simulator {
             payload,
             cause: self.cur,
         };
-        self.channel.fan_out(
+        self.channel.radiate(
             tx,
-            &self.hot.positions,
+            &mut self.hot,
+            self.metrics.as_mut().map(|m| &mut m.hot),
+            self.faults.as_ref().map(|f| &f.down[..]),
             self.shard.as_mut(),
             &mut self.queue,
         );
@@ -2138,23 +2131,10 @@ impl Simulator {
         let resilience =
             (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner).into_report());
 
-        // Sparse-cache effectiveness is an execution-strategy diagnostic
-        // (each lane ran its own cache); sum the counters.
-        let cache = parts
-            .iter()
-            .filter_map(|p| p.cache_stats)
-            .reduce(|mut acc, cs| {
-                acc.hits += cs.hits;
-                acc.misses += cs.misses;
-                acc.blocks += cs.blocks;
-                acc.entries += cs.entries;
-                acc.flushes += cs.flushes;
-                acc
-            });
         let metric_parts: Vec<MetricsState> =
             parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-        let metrics = (!metric_parts.is_empty())
-            .then(|| MetricsState::merge(metric_parts).finish(&nodes, cache));
+        let metrics =
+            (!metric_parts.is_empty()).then(|| MetricsState::merge(metric_parts).finish(&nodes));
 
         RunReport::build(
             cfg,
@@ -2454,7 +2434,6 @@ impl Simulator {
         for node in self.nodes.iter_mut().flatten() {
             node.energy.finish(end);
         }
-        let cache_stats = self.channel.cache_stats();
         let probes = self.metrics.as_ref().map_or(0, |m| m.probes_scheduled);
         ShardParts {
             nodes: self.nodes,
@@ -2462,7 +2441,6 @@ impl Simulator {
             events: self.queue.scheduled_total() - probes,
             faults: self.faults,
             metrics: self.metrics,
-            cache_stats,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Production channel ≡ reference channel.
 //!
 //! The uniform-grid spatial index, the deadline-driven position refresh
-//! and the gain cache are pure optimizations: for any scenario, the set
+//! and the static transmitters' receiver rows are pure optimizations: for any scenario, the set
 //! (and order) of arrivals they schedule must be *identical* to the
 //! oracle's — the O(N) scan over all nodes at positions re-sampled per
 //! timestamp, gains evaluated pair by pair — so `Simulator::new(cfg)`
@@ -15,7 +15,8 @@
 
 use pcmac::{
     ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec, ImpairmentBurst,
-    MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig, Simulator, Variant,
+    MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig, SimEvent, Simulator,
+    Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use proptest::prelude::*;
@@ -208,11 +209,10 @@ fn grid_matches_brute_force_with_disabled_floor() {
     assert_equivalent(cfg);
 }
 
-/// The channel shapes `Channel::new` tells apart when it picks a gain
-/// path — the paper's two-ray channel and both shadowing modes, each
-/// static and mobile — as `(shadowing, mobile)`. Shadowed *and* static is
-/// the one shape whose gains are replayed from the sparse cache; the
-/// other five evaluate live.
+/// The channel shapes — the paper's two-ray channel and both shadowing
+/// modes, each static and mobile — as `(shadowing, mobile)`. The static
+/// ones (with the finite reach every scenario here has) walk stored
+/// receiver rows; the mobile ones query the index per transmission.
 fn channel_shapes() -> Vec<(Option<ShadowingConfig>, bool)> {
     let shadowed = |symmetric| {
         Some(ShadowingConfig {
@@ -226,15 +226,71 @@ fn channel_shapes() -> Vec<(Option<ShadowingConfig>, bool)> {
         .collect()
 }
 
-/// The production channel against the oracle — deadline-driven refresh,
-/// grid candidates and whichever gain path the shape selects versus the
-/// rescan of every node with per-pair gains — on every channel shape,
-/// single-threaded and on two region shards: bit-identical reports.
-/// Shadowed and mobile is the hardest combination: the shadow-inflated
-/// culling radius must stay a superset while the index trails the nodes,
-/// and a regression in either could hide behind the other's test.
+/// What a stored row must get right that a per-transmission query got
+/// for free, on one static scenario: PCMAC's transmissions below maximum
+/// power cut the maximum-reach row, seeded churn takes receivers down —
+/// skipped when the row is walked — and up again, and an impairment burst
+/// scales every stored gain. Metrics are on so the test can see that all
+/// of it happened.
+fn row_stress(seed: u64, shadowing: Option<ShadowingConfig>) -> ScenarioConfig {
+    let floor = Milliwatts(1.559e-10);
+    let mut cfg = random_scenario(Variant::Pcmac, seed, 18, 800.0, floor, false, shadowing);
+    cfg.faults = Some(FaultConfig {
+        crashes: None,
+        churn: Some(ChurnConfig {
+            mean_uptime_s: 0.8,
+            mean_downtime_s: 0.1,
+            start_s: Some(0.2),
+            stop_s: Some(1.3),
+        }),
+        expire_routes: None,
+        impairments: Some(vec![ImpairmentBurst {
+            start_s: 0.7,
+            stop_s: 1.1,
+            extra_loss_db: 6.0,
+            noise_mult: None,
+        }]),
+        energy_budget_mj: None,
+    });
+    cfg.metrics = Some(MetricsConfig::default());
+    cfg
+}
+
+/// The production channel against the oracle — stored rows or
+/// deadline-driven refresh and grid candidates, whichever the shape
+/// selects, versus the rescan of every node with per-pair gains — on
+/// every channel shape, single-threaded and on two region shards:
+/// bit-identical reports. Shadowed and mobile is the hardest combination
+/// for the index: the shadow-inflated culling radius must stay a superset
+/// while the index trails the nodes, and a regression in either could
+/// hide behind the other's test. The static shapes also run
+/// [`row_stress`].
 #[test]
 fn production_matches_the_reference_on_every_channel_shape() {
+    let check = |cfg: ScenarioConfig, shape: &str| {
+        let reference = Simulator::new_reference(cfg.clone()).run();
+        assert!(
+            reference.delivered_packets > 0,
+            "nothing delivered makes bit-identity a weak claim: {shape}"
+        );
+        let run = Simulator::new(cfg.clone()).run();
+        assert_eq!(
+            mode_invariant_fingerprint(&run),
+            mode_invariant_fingerprint(&reference),
+            "{shape}"
+        );
+
+        // The delay floor is part of the channel model, so the
+        // sharded run is held to the reference under the same floor.
+        let floored = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
+        let sharded = Simulator::new(with_execution(cfg, Some(2))).run();
+        assert_eq!(
+            mode_invariant_fingerprint(&sharded),
+            mode_invariant_fingerprint(&floored),
+            "sharded: {shape}"
+        );
+        reference
+    };
     for (k, (shadowing, mobile)) in channel_shapes().into_iter().enumerate() {
         // Seeds whose 800 m scatter delivers traffic on all six shapes
         // under all four variants.
@@ -249,57 +305,67 @@ fn production_matches_the_reference_on_every_channel_shape() {
                 shadowing,
             );
             let shape = format!("seed {seed} shadowing {shadowing:?} mobile {mobile}");
-            let reference = Simulator::new_reference(cfg.clone()).run();
+            check(cfg, &shape);
+            if mobile {
+                continue;
+            }
+            let stressed = check(row_stress(seed, shadowing), &format!("row stress, {shape}"));
+            let by_level = &stressed
+                .metrics
+                .expect("metrics on")
+                .tx_power
+                .data_tx_by_level;
+            let (at_max, below) = by_level.split_last().expect("levels");
             assert!(
-                reference.delivered_packets > 0,
-                "nothing delivered makes bit-identity a weak claim: {shape}"
+                *at_max > 0 && below.iter().sum::<u64>() > 0,
+                "rows cut at full power and below it: {by_level:?} ({shape})"
             );
-            let run = Simulator::new(cfg.clone()).run();
-            assert_eq!(fingerprint(&run), fingerprint(&reference), "{shape}");
-
-            // The delay floor is part of the channel model, so the
-            // sharded run is held to the reference under the same floor.
-            let floored = Simulator::new_reference(with_execution(cfg.clone(), None)).run();
-            let sharded = Simulator::new(with_execution(cfg, Some(2))).run();
-            assert_eq!(
-                fingerprint(&sharded),
-                fingerprint(&floored),
-                "sharded: {shape}"
+            let res = stressed.resilience.expect("fault plan => resilience");
+            assert!(
+                res.crashes > 3 && res.recoveries > 3 && res.delivered_after > 0,
+                "churn took receivers down and up again: {res:?} ({shape})"
             );
         }
     }
 }
 
-/// The gain path follows the scenario's shape and nothing else: the
-/// sparse cache runs — and reports its counters — exactly when the
-/// scenario is shadowed and static, at any node count.
+/// Rows are kept exactly when nothing moves and the maximum reach is
+/// finite, and what tells is the index: a row is one query per distinct
+/// transmitter for the whole run, the general path one per transmission.
 #[test]
-fn the_gain_cache_runs_exactly_when_the_scenario_is_shadowed_and_static() {
-    for (shadowing, mobile) in channel_shapes() {
-        for n in [4usize, 20] {
-            let mut cfg = random_scenario(
-                Variant::Pcmac,
-                21,
-                n,
-                600.0,
-                Milliwatts(1.559e-10),
-                mobile,
-                shadowing,
-            );
-            cfg.metrics = Some(MetricsConfig::default());
-            for shards in [None, Some(2)] {
-                let run = Simulator::new(with_execution(cfg.clone(), shards)).run();
-                let cache = run.metrics.expect("metrics layer on").hot_path.sparse_cache;
-                let shape = format!("n {n} shadowing {shadowing:?} mobile {mobile} {shards:?}");
-                assert_eq!(
-                    cache.is_some(),
-                    shadowing.is_some() && !mobile,
-                    "cache selection: {shape}"
-                );
-                if let Some(c) = cache {
-                    assert!(c.hits > 0 && c.misses > 0, "cache unused: {shape}");
-                }
-            }
+fn rows_are_kept_exactly_when_the_scenario_is_static_with_finite_reach() {
+    let floor = Milliwatts(1.559e-10);
+    let cases = channel_shapes()
+        .into_iter()
+        .map(|(shadowing, mobile)| (shadowing, mobile, floor))
+        // Static, but with the floor disabled everyone hears everything:
+        // no finite reach to cut a row at.
+        .chain([(None, false, Milliwatts(0.0))]);
+    for (shadowing, mobile, floor) in cases {
+        let mut cfg = random_scenario(Variant::Pcmac, 21, 20, 600.0, floor, mobile, shadowing);
+        cfg.metrics = Some(MetricsConfig::default());
+        for shards in [None, Some(2)] {
+            let shape = format!("shadowing {shadowing:?} mobile {mobile} {floor:?} {shards:?}");
+            let mut transmitters = std::collections::HashSet::new();
+            let mut transmissions = 0u64;
+            let run =
+                Simulator::new(with_execution(cfg.clone(), shards)).run_with_observer(|ev, _| {
+                    // Every transmission ends once; a station that never
+                    // hears anyone back still radiated.
+                    if let SimEvent::TxEnd { node } | SimEvent::CtrlTxEnd { node } = ev {
+                        transmitters.insert(*node);
+                        transmissions += 1;
+                    }
+                });
+            let hot = run.metrics.expect("metrics layer on").hot_path;
+            assert!(transmissions > 10 * transmitters.len() as u64, "{shape}");
+            let rows = !mobile && floor.value() > 0.0;
+            let expected = if rows {
+                transmitters.len() as u64
+            } else {
+                transmissions
+            };
+            assert_eq!(hot.grid_queries, expected, "index queries: {shape}");
         }
     }
 }
@@ -340,6 +406,17 @@ fn fault_plan(n: usize) -> FaultConfig {
     }
 }
 
+/// The variant of a faulted run: static shapes walk stored rows, so they
+/// run PCMAC, whose transmissions below maximum power cut the row (churn
+/// and the burst then act on a cut row); mobile shapes rotate by seed.
+fn row_cutting_variant(seed: u64, mobile: bool) -> Variant {
+    if mobile {
+        Variant::ALL[seed as usize % 4]
+    } else {
+        Variant::Pcmac
+    }
+}
+
 /// The fault schedule is derived from the master seed and the plan
 /// alone, so injected runs must stay bit-identical against the reference
 /// channel on every channel shape — the ISSUE 6 determinism proof
@@ -350,7 +427,7 @@ fn fault_injection_is_deterministic_on_every_channel_shape() {
         let seed = [3u64, 23, 41][k % 3];
         let n = 16;
         let mut cfg = random_scenario(
-            Variant::ALL[seed as usize % 4],
+            row_cutting_variant(seed, mobile),
             seed,
             n,
             1500.0,
@@ -553,7 +630,7 @@ fn sharded_matches_single_with_faults_on_every_channel_shape() {
         let seed = [3u64, 23][k % 2];
         let n = 16;
         let mut cfg = random_scenario(
-            Variant::ALL[seed as usize % 4],
+            row_cutting_variant(seed, mobile),
             seed,
             n,
             1500.0,
@@ -670,10 +747,11 @@ proptest! {
         variant_idx in 0usize..4,
         shape_idx in 0usize..6,
     ) {
-        // Floors from CSThresh/100 up to CSThresh·10: small floors make
-        // everyone audible (stress superset-coverage), large floors make
-        // reception local (stress cell culling).
-        let floor = Milliwatts(1.559e-10 * 10f64.powi(floor_exp as i32));
+        // Floors from CSThresh/1000 up to CSThresh, the highest a
+        // scenario may set: small floors make everyone audible (stress
+        // superset-coverage), large floors make reception local (stress
+        // cell culling).
+        let floor = Milliwatts(1.559e-8 / 10f64.powi(floor_exp as i32));
         let (shadowing, mobile) = channel_shapes()[shape_idx];
         let cfg = random_scenario(
             Variant::ALL[variant_idx],
@@ -812,6 +890,46 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
                 snap.time()
             );
         }
+    }
+}
+
+/// Rows are derived state and no snapshot carries them, but the hot-path
+/// profile that counts their builds is snapshotted: a row rebuilt after a
+/// restore was counted before the cut and must not be counted again. A
+/// static metrics-on run cut mid-way and restored reports what the
+/// uninterrupted run does, the hot-path profile included.
+#[test]
+fn a_resumed_static_run_counts_each_row_once() {
+    let cfg = row_stress(13, None);
+    for shards in [None, Some(2)] {
+        let moded = with_execution(cfg.clone(), shards);
+        let (whole, snaps) = run_with_checkpoints(moded.clone(), Duration::from_millis(250));
+        let snap = &snaps[snaps.len() / 2];
+        let cut = snap.time();
+
+        // Most rows exist at the cut and are walked again after it.
+        let mut before = std::collections::HashSet::new();
+        let mut rebuilt = std::collections::HashSet::new();
+        Simulator::new(moded.clone()).run_with_observer(|ev, at| {
+            if let SimEvent::TxEnd { node } | SimEvent::CtrlTxEnd { node } = ev {
+                if at < cut {
+                    before.insert(*node);
+                } else if before.contains(node) {
+                    rebuilt.insert(*node);
+                }
+            }
+        });
+        assert!(rebuilt.len() > 5, "only {} rows rebuilt", rebuilt.len());
+
+        let back = SimSnapshot::from_bytes(&snap.to_bytes()).expect("round trip");
+        let resumed = Simulator::restore(moded, &back).expect("restores").run();
+        assert_eq!(
+            fingerprint(&resumed),
+            fingerprint(&whole),
+            "shards {shards:?}"
+        );
+        let hot = whole.metrics.expect("metrics layer on").hot_path;
+        assert!(hot.grid_queries >= before.len() as u64, "{hot:?}");
     }
 }
 

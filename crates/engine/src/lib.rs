@@ -40,7 +40,7 @@ pub mod units;
 pub use geom::{Point, Vector};
 pub use grid::UniformGrid;
 pub use ids::{FlowId, NodeId, PacketId, SessionId};
-pub use queue::{EventQueue, ScheduledEvent};
+pub use queue::{EventKey, EventQueue, ScheduledEvent};
 pub use rng::RngStream;
 pub use time::{Duration, SimTime};
 pub use timer::{TimerSlot, TimerToken};

@@ -1,6 +1,10 @@
 //! Deterministic event queue.
 //!
-//! A binary heap keyed on `(time, rank, sequence)`. The rank is a
+//! A binary heap keyed on `(time, rank, sequence)`. The heap itself holds
+//! only 40-byte `Copy` keys — the three ordering fields and a slot
+//! number — and the payloads sit still in a slab beside it, recycled
+//! through a free list: a sift moves keys, never an event, whatever the
+//! payload type's size (the simulator's is 64 bytes). The rank is a
 //! caller-supplied content-derived priority ([`EventQueue::schedule_ranked`];
 //! plain [`EventQueue::schedule_at`] uses rank 0), so same-instant ordering
 //! can be made a pure function of event *content* rather than scheduling
@@ -39,13 +43,13 @@
 //! the caller to expand each cursor's remaining tail. A held cursor is in
 //! neither: callers push it back before anything else looks at the queue.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::{Duration, SimTime};
 
-/// An event in the queue: a payload tagged with its due time, rank, and
-/// insertion sequence.
+/// An event popped from the queue: a payload tagged with its due time,
+/// rank, and insertion sequence.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// Instant at which the event fires.
@@ -59,27 +63,35 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.rank == other.rank && self.seq == other.seq
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The `(time, rank)` the queue's next entry is keyed with
+/// ([`EventQueue::peek`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventKey {
+    /// Instant at which the entry fires.
+    pub at: SimTime,
+    /// Its same-instant priority.
+    pub rank: u128,
 }
 
-impl<E> Ord for ScheduledEvent<E> {
-    /// Reversed so the `BinaryHeap` (a max-heap) pops the *earliest* event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.rank.cmp(&self.rank))
-            .then_with(|| other.seq.cmp(&self.seq))
+/// What the heap sifts: the pop order `(at, rank, seq)` — the derived
+/// lexicographic comparison, the rank as two words so the key aligns to
+/// 8 bytes, not a `u128`'s 16 — and the slab slot of the payload. `seq`
+/// is unique, so `slot` never decides a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapKey {
+    at: SimTime,
+    rank_hi: u64,
+    rank_lo: u64,
+    seq: u64,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<HeapKey>() <= 40);
+
+impl HeapKey {
+    #[inline]
+    fn rank(&self) -> u128 {
+        (self.rank_hi as u128) << 64 | self.rank_lo as u128
     }
 }
 
@@ -97,7 +109,12 @@ impl<E> Ord for ScheduledEvent<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
+    /// Min-heap of keys (`Reverse` turns std's max-heap around).
+    heap: BinaryHeap<Reverse<HeapKey>>,
+    /// Payloads, addressed by [`HeapKey::slot`]; `None` slots are listed
+    /// in `free`.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -112,12 +129,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at t=0.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with pre-reserved capacity for `cap` physical
@@ -125,6 +137,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -206,14 +220,26 @@ impl<E> EventQueue<E> {
             at,
             self.now
         );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending entries");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(ScheduledEvent {
+        self.heap.push(Reverse(HeapKey {
             at,
-            rank,
+            rank_hi: (rank >> 64) as u64,
+            rank_lo: rank as u64,
             seq,
-            event,
-        });
+            slot,
+        }));
     }
 
     /// Fire a key the caller holds outside the heap — the next event of
@@ -245,26 +271,39 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to its due time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        Some(ev)
+        let Reverse(key) = self.heap.pop()?;
+        debug_assert!(key.at >= self.now, "time went backwards");
+        self.now = key.at;
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a heap key owns a full slot");
+        self.free.push(key.slot);
+        Some(ScheduledEvent {
+            at: key.at,
+            rank: key.rank(),
+            seq: key.seq,
+            event,
+        })
     }
 
     /// Due time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|Reverse(k)| k.at)
     }
 
-    /// The next entry without popping it.
+    /// The next entry's key without popping it.
     #[inline]
-    pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
-        self.heap.peek()
+    pub fn peek(&self) -> Option<EventKey> {
+        self.heap.peek().map(|Reverse(k)| EventKey {
+            at: k.at,
+            rank: k.rank(),
+        })
     }
 
     /// Every pending *logical* event in canonical pop order — `(at,
     /// rank, seq)` ascending. `expand` is called once per physical entry,
-    /// in that order, and appends the logical events the entry stands
+    /// in that order, with the entry's `(at, rank)` and payload, and
+    /// appends the logical events the entry stands
     /// for: a plain entry appends itself under its own key, a cursor
     /// appends its un-walked tail (whose events, by the cursor contract,
     /// share a `(time, rank)` with nothing else). The sequence numbers
@@ -274,13 +313,16 @@ impl<E> EventQueue<E> {
     /// capture the queue content-deterministically.
     pub fn pending_logical<L>(
         &self,
-        mut expand: impl FnMut(&ScheduledEvent<E>, &mut Vec<(SimTime, u128, L)>),
+        mut expand: impl FnMut(SimTime, u128, &E, &mut Vec<(SimTime, u128, L)>),
     ) -> Vec<(SimTime, u128, L)> {
-        let mut entries: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| (e.at, e.rank, e.seq));
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            expand(e, &mut out);
+        let mut keys: Vec<HeapKey> = self.heap.iter().map(|&Reverse(k)| k).collect();
+        keys.sort_unstable();
+        let mut out = Vec::with_capacity(keys.len());
+        for k in keys {
+            let event = self.slab[k.slot as usize]
+                .as_ref()
+                .expect("a heap key owns a full slot");
+            expand(k.at, k.rank(), event, &mut out);
         }
         // Stable: plain events sharing a full `(at, rank)` were appended
         // in `seq` order above and stay in it.
@@ -296,10 +338,9 @@ impl<E> EventQueue<E> {
     /// brings the schedule count back to its pre-capture value.
     pub fn restored(now: SimTime, base_total: u64) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
             now,
             scheduled_total: base_total,
+            ..Self::new()
         }
     }
 }
@@ -392,6 +433,47 @@ mod tests {
     }
 
     #[test]
+    fn tie_order_survives_slot_reuse() {
+        // Pops free slab slots in pop order and pushes take the most
+        // recently freed first, so each refill's slot numbers run against
+        // its insertion order; only the sequence number may decide the
+        // `(at, rank)` tie.
+        let mut q = EventQueue::new();
+        let early = SimTime::from_nanos(1);
+        let tie = SimTime::from_nanos(9);
+        for i in 0..6 {
+            q.schedule_ranked(early, i, -1);
+        }
+        let mut pushed = 0;
+        let mut popped = Vec::new();
+        let mut reversed = false;
+        for round in 0..6 {
+            // Free one to three slots, then refill them at the tie.
+            let k = 1 + round % 3;
+            for _ in 0..k {
+                let e = q.pop().expect("entries remain");
+                if e.at == tie {
+                    popped.push(e.event);
+                }
+            }
+            let before = q.free.clone();
+            for _ in 0..k {
+                q.schedule_ranked(tie, 7, pushed);
+                pushed += 1;
+            }
+            reversed |= before.len() > 1 && before.windows(2).all(|w| w[0] < w[1]);
+        }
+        assert!(
+            reversed,
+            "some refill took ascending slots in descending order"
+        );
+        assert_eq!(q.slab.len(), 6, "freed slots are reused, not leaked");
+        popped.extend(std::iter::from_fn(|| q.pop().map(|e| e.event)));
+        assert_eq!(popped, (0..pushed).collect::<Vec<_>>());
+        assert_eq!(q.free.len(), q.slab.len(), "every slot came back");
+    }
+
+    #[test]
     fn held_cursor_fires_like_separately_scheduled_events() {
         // One cursor standing for events at 10, 20 and 40; a plain event
         // at 30 must interleave exactly where it would among four plain
@@ -453,8 +535,8 @@ mod tests {
         q.schedule_ranked(t(7), 2, Some("b"));
         q.schedule_ranked(t(7), 2, Some("c"));
         q.schedule_ranked(t(3), 0, Some("a"));
-        let pending = q.pending_logical(|e, out| match e.event {
-            Some(name) => out.push((e.at, e.rank, name)),
+        let pending = q.pending_logical(|at, rank, event, out| match *event {
+            Some(name) => out.push((at, rank, name)),
             None => out.extend([(t(5), 1, "x"), (t(7), 0, "y"), (t(9), 3, "z")]),
         });
         let names: Vec<&str> = pending.iter().map(|p| p.2).collect();

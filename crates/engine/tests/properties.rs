@@ -304,7 +304,7 @@ mod cursor_properties {
             self.seed(&mut q, |ev| ev);
             let (mut popped, mut pending) = (Vec::new(), Vec::new());
             loop {
-                pending.push(q.pending_logical(|e, out| out.push((e.at, e.rank, e.event))));
+                pending.push(q.pending_logical(|at, rank, &ev, out| out.push((at, rank, ev))));
                 let Some(e) = q.pop() else { break };
                 popped.push((e.at, e.rank, e.event));
                 if let Ev::Tx(f) = e.event {
@@ -409,8 +409,8 @@ mod cursor_properties {
         }
 
         fn pending(&self) -> Popped {
-            self.q.pending_logical(|e, out| match e.event {
-                Entry::Plain(ev) => out.push((e.at, e.rank, ev)),
+            self.q.pending_logical(|at, rank, &entry, out| match entry {
+                Entry::Plain(ev) => out.push((at, rank, ev)),
                 Entry::Cursor { fan, end } => {
                     let list = &self.model.fans[fan];
                     for i in self.walked[fan][end as usize]..list.rx.len() {

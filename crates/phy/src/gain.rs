@@ -12,9 +12,11 @@
 //!   the populated blocks mirror the channel's actual locality instead
 //!   of the full N×N pair space. Within a block, pair gains materialize
 //!   lazily on first lookup.
-//! * **No invalidation.** The cache only ever runs when nothing moves
-//!   (`Channel::new` in `pcmac-core` selects it for shadowed static
-//!   scenarios and nothing else), so an entry is valid for the whole
+//! * **No invalidation.** The cache only ever ran when nothing moves
+//!   (`pcmac-core`'s channel selected it for shadowed static scenarios
+//!   until a static transmitter's stored receiver row took over that
+//!   job; since then only the repo benchmark's micro pass calls it, and
+//!   the type goes when that does), so an entry is valid for the whole
 //!   run. Mobile scenarios evaluate gains live: between two
 //!   transmissions of one station every endpoint has moved, and a cache
 //!   that tracked movement measured a 0 % hit ratio there.

@@ -10,8 +10,9 @@
 //! * [`model`] — the closed [`PropagationModel`] enum (static dispatch on
 //!   the channel hot path).
 //! * [`gain`] — the block-sparse [`SparseGainCache`]: pair gains keyed by
-//!   occupied spatial-index cell pairs, O(touched local pairs) memory —
-//!   what the channel replays shadowed gains from when nothing moves.
+//!   occupied spatial-index cell pairs, O(touched local pairs) memory.
+//!   No product code uses it since static transmitters keep receiver
+//!   rows (`pcmac-core`'s channel); the repo benchmark still times it.
 //! * [`levels`] — the paper's ten discrete transmit power levels
 //!   (1 mW … 281.8 mW) and quantisation of a computed "needed power" up to
 //!   the next level.
