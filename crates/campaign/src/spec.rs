@@ -914,9 +914,13 @@ impl ScenarioSpec {
             PlacementSpec::Uniform | PlacementSpec::Density { .. } => {}
         }
         if let Some(m) = &self.nodes.mobility {
-            if !m.speed_mps.is_finite() || m.speed_mps < 0.0 {
+            // A waypoint walk at 0 m/s never reaches its first waypoint:
+            // the model refuses it. A patch of `nodes.mobility.pause_s`
+            // alone creates mobility at 0 m/s on a static base.
+            if !m.speed_mps.is_finite() || m.speed_mps <= 0.0 {
                 problems.push(format!(
-                    "mobility speed {} m/s must be finite and non-negative",
+                    "mobility speed {} m/s must be positive and finite \
+                     (omit `nodes.mobility` for static nodes)",
                     m.speed_mps
                 ));
             }

@@ -117,6 +117,29 @@ fn bad_mobility_and_duration_are_rejected() {
     assert_problem(&s, "speed");
 }
 
+/// A waypoint walk at 0 m/s validated and then panicked building its
+/// mobility model. The spec rejects it and says what static nodes take;
+/// so is the 0 m/s mobility a lone pause patch creates on a static base.
+#[test]
+fn zero_speed_mobility_is_rejected_before_it_runs() {
+    let mut s = valid_spec();
+    s.nodes.mobility = Some(pcmac_campaign::MobilitySpec {
+        speed_mps: 0.0,
+        pause_s: 1.0,
+    });
+    assert_problem(&s, "must be positive");
+    assert_problem(&s, "omit `nodes.mobility` for static nodes");
+
+    let mut s = valid_spec();
+    s.apply_patch("nodes.mobility.pause_s", &Value::F64(2.0))
+        .expect("the path exists");
+    assert_problem(&s, "mobility speed 0 m/s");
+    s.apply_patch("nodes.mobility.speed_mps", &Value::F64(3.0))
+        .expect("the path exists");
+    s.validate().expect("a positive speed walks");
+    s.materialize(1).expect("and materializes");
+}
+
 #[test]
 fn placements_that_overflow_the_field_are_rejected() {
     let mut s = valid_spec();
@@ -540,6 +563,34 @@ fn scenario_config_validate_catches_raw_defects() {
         let err = cfg.validate().expect_err("NaN start coordinate");
         assert!(
             err.problems[0].contains("node 0") && err.problems[0].contains("finite"),
+            "{err}"
+        );
+    }
+
+    // A waypoint speed of 0 m/s validated, then panicked in the model.
+    for from_starts in [false, true] {
+        let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+        let pause = pcmac_engine::Duration::from_secs(1);
+        cfg.nodes = if from_starts {
+            let starts = [(10.0, 500.0), (110.0, 500.0)]
+                .map(|(x, y)| pcmac_engine::Point::new(x, y))
+                .to_vec();
+            NodeSetup::WaypointFrom {
+                starts,
+                speed: 0.0,
+                pause,
+            }
+        } else {
+            NodeSetup::UniformWaypoint {
+                count: 2,
+                speed: 0.0,
+                pause,
+            }
+        };
+        let err = cfg.validate().expect_err("zero waypoint speed");
+        assert!(
+            err.problems[0].contains("speed 0 m/s must be positive")
+                && err.problems[0].contains("NodeSetup::Static"),
             "{err}"
         );
     }

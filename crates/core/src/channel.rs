@@ -17,14 +17,16 @@
 //! Candidates come from a [`UniformGrid`] spatial index sized to the
 //! maximum reception range (max transmit power against the
 //! interference floor), so a query visits only the cells a signal can
-//! reach instead of scanning all N nodes.
+//! reach instead of scanning all N nodes. How often a transmitter asks
+//! is [`Channel::new`]'s choice, one `match` over whether anything
+//! moves and whether that range is finite; there is no option to set.
 //!
 //! **When nothing moves and that range is finite, a node asks once.**
 //! Its first transmission runs the query at the maximum reach, evaluates
 //! each candidate's gain and propagation delay, sorts by `(delay, node)`
 //! and stores the result as the node's *row* of `((delay << 32) | node,
 //! gain)` pairs. Every transmission then walks the row: `power * (gain *
-//! impairment)` in exactly the general path's operation order, skip what
+//! impairment)` in exactly the candidate walk's operation order, skip what
 //! falls below the interference floor, skip an owned receiver that is
 //! down, ship one another region owns, keep the rest — already in
 //! `(delay, node)` order, because a filter preserves it. There is no
@@ -35,21 +37,37 @@
 //! snapshot carries them, a restored run rebuilds them on demand — and
 //! cost 16 bytes per stored neighbour plus 8 per node (`Rows`).
 //!
-//! **Mobile scenarios, and a disabled floor's unbounded reach, keep the
-//! general path:** one query per transmission at that transmission's
-//! cull radius, one batched gain pass, one sort of the audible
-//! candidates (the grid returns them in id order, so the event schedule
-//! is independent of the index's internal bucket order either way). The
-//! choice is [`Channel::new`]'s, from the scenario's shape; there is no
-//! option to set.
+//! **When nodes move and the range is finite, a node asks again only
+//! when the index has moved under its row.** Distances change, so a
+//! mobile row cannot keep gains, but it can keep the candidate *set*:
+//! the ids the index returns around the transmitter's *indexed*
+//! position at `max_reach + 2·pad` (pad: see "Mobility refresh"), with
+//! the index clock of that moment. Every indexed position — the
+//! transmitter's and each receiver's — is within one pad of the truth,
+//! so those ids are a superset of the true receivers of any power the
+//! node can transmit at. The row is reused while no cell that query
+//! covers carries a later stamp ([`UniformGrid::stamp_of`]): the
+//! refresh that moves the transmitter stamps its own cell, so a moved
+//! centre always asks again, and a restore stamps every cell. A
+//! transmission samples the row's candidates exactly, prices them in one
+//! fused pass (see "Gains"), times only the audible ones, sorts those by
+//! `(delay, node)` with an insertion sort, writes that order back into
+//! the row — audible first — and delivers. The next walk meets its
+//! audible candidates in the order the last one heard them, nearly
+//! sorted already. A kept row costs 4 bytes per stored candidate plus 16
+//! per node, and its rebuilds leave at most an eighth more behind
+//! (`CandidateRows`).
+//!
+//! **A disabled floor's unbounded reach** queries afresh per
+//! transmission at that transmission's cull radius and prices the
+//! result with the same loop, keeping nothing.
 //!
 //! The scan over all N nodes survives as the test oracle:
 //! `Simulator::new_reference` swaps in [`ReferenceScan`] (every node but
 //! the transmitter, every position re-sampled per timestamp, gains pair
-//! by pair), which [`Channel::collect_receivers`] and the gain fill
-//! dispatch to before touching any of the machinery here. All three
-//! paths produce the identical arrival sequence; the equivalence suite
-//! holds them to it.
+//! by pair, one full sort), walked instead of any of the machinery here.
+//! Every path produces the identical arrival sequence; the equivalence
+//! suite holds them to it.
 //!
 //! # Mobility refresh: who moves the index and who only samples
 //!
@@ -59,9 +77,12 @@
 //! from `Mobility::stale_after` — kept in a min-heap, and advancing
 //! the clock re-samples only nodes whose deadlines have passed, O(moved)
 //! instead of O(N). That deadline chain is the **only** writer of the
-//! index: it moves the node between buckets and schedules the node's
-//! next deadline, which is what guarantees every indexed position is at
-//! most one pad stale. Queries inflate their radius by the pad (and the
+//! index: it moves the node between buckets (stamping the cells it
+//! leaves and enters, which is what retires the candidate rows that
+//! cover them) and schedules the node's next deadline, which is what
+//! guarantees every indexed position is at most one pad stale. A query
+//! around a transmitter's exact position inflates its radius by the
+//! pad, a candidate row around its indexed position by two (and the
 //! index's distance pre-cull tests its own, equally aged copy of the
 //! positions), so the stale index still yields a superset of every true
 //! receiver.
@@ -75,18 +96,27 @@
 //! number of waypoint evaluations changes. (Feeding every sample back into the index, as
 //! an earlier version did, bought nothing the padded query needs and
 //! cost ≈ 21 ns per candidate against ≈ 4.5 ns for the waypoint
-//! evaluation itself.) Debug builds audit the staleness bound every
-//! `AUDIT_EVERY` queries against clones of the mobility models.
+//! evaluation itself.) On every `AUDIT_EVERY`-th mobile transmission
+//! debug builds audit the staleness bound against clones of the
+//! mobility models, and the candidates against the query they stand
+//! for: every node within this transmission's cull radius plus one pad
+//! of the transmitter's exact position must be among them.
 //!
 //! # Gains
 //!
 //! Propagation is dispatched statically through [`PropagationModel`] and
-//! evaluated in one batched pass over a candidate list — per
-//! transmission on the general path, once per transmitter where rows are
-//! kept. A row replays each pair's gain from that one evaluation, which
-//! is everything a gain cache did: the block-sparse cache that shadowed
-//! static scenarios used to stream their gains through is gone (and the
-//! dense N×N table before it). Median ns per event on a static field at
+//! evaluated in one fused pass over a candidate list
+//! ([`PropagationModel::distance_gains_into_indexed`]): each candidate's
+//! exact distance is computed once and both its gain — bit-identical to
+//! `gain(a, b)` — and, if it is audible, its delay derive from it. The
+//! delay rounds to the nanosecond by an exact integer split instead of a
+//! libm `round` (`nearest_ns`). That pass runs per transmission where
+//! nodes move or the reach is unbounded, once per transmitter where
+//! static rows are kept. A static row replays each pair's gain from that
+//! one evaluation, which is everything a gain cache did: the
+//! block-sparse cache that shadowed static scenarios used to stream
+//! their gains through is gone (and the dense N×N table before it).
+//! Median ns per event on a static field at
 //! the benchmark's density, 6 s simulated, 2-vCPU sandbox — the first
 //! three columns from five alternating rounds before those paths were
 //! deleted, the last from the session that deleted the cache, where the
@@ -104,7 +134,7 @@
 //! A transmission heard by K owned receivers is 2·K *logical* events but
 //! only two *physical* queue entries. [`Channel::radiate`] has the
 //! receivers in `(delay, node)` order (one packed integer per receiver;
-//! a row is stored in it, the general path sorts) —
+//! a static row is stored in it, every other path sorts) —
 //! which is the `(time, rank)` pop order of both their starts and their
 //! ends, because every receiver's start sits at `tx start + delay`, its
 //! end at `tx end + delay`, and arrival ranks order by receiver at equal
@@ -172,8 +202,9 @@ const RADIUS_SLACK: f64 = 1.0 + 1e-9;
 /// slightly fatter candidate rings (queries inflate by the pad).
 const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
 
-/// Debug builds audit the index's staleness bound on every this-many-th
-/// receiver query of a mobile run (an audit is O(N)).
+/// Debug builds audit the index's staleness bound and the candidates
+/// on every this-many-th transmission of a mobile run (an audit is
+/// O(N)).
 #[cfg(debug_assertions)]
 const AUDIT_EVERY: u32 = 128;
 
@@ -336,63 +367,208 @@ struct Neighbour {
     gain: f64,
 }
 
-/// The receiver rows of a static scenario (module docs, "Candidate
-/// receivers"): 16 bytes per stored neighbour, 8 bytes of index per node.
+/// Per-node rows packed into one arena: the receiver rows of a static
+/// scenario (`Rows<Neighbour>`, 16 bytes per stored neighbour) and the
+/// candidate rows of a mobile one (inside [`CandidateRows`]). 8 bytes of
+/// index per node; no row has an allocation or a capacity of its own.
 #[derive(Debug)]
-struct Rows {
+struct Rows<T> {
     /// Per node, `(start, len)` of its row — chunk `start / CHUNK` from
     /// offset `start % CHUNK` — or [`Rows::UNBUILT`].
     index: Vec<(u32, u32)>,
-    /// The arena every built row lives in, in chunks that are filled
-    /// once and never reallocated: a row does not straddle chunks, and one
-    /// longer than [`Rows::CHUNK`] has a chunk to itself. (One growing
-    /// `Vec` cost the 32 000-node benchmark field 1.4–1.8 MiB more
-    /// resident memory than the rows' own 3.0, in the holes its
-    /// reallocations left behind.)
-    chunks: Vec<Vec<Neighbour>>,
+    /// The arena every built row lives in, in chunks that are never
+    /// reallocated: a row does not straddle chunks, and one longer than
+    /// [`Rows::CHUNK`] has a chunk to itself. (One growing `Vec` cost the
+    /// 32 000-node benchmark field 1.4–1.8 MiB more resident memory than
+    /// the rows' own 3.0, in the holes its reallocations left behind.)
+    chunks: Vec<Vec<T>>,
+    /// Entries some row holds.
+    live: usize,
+    /// Entries no row holds any more: what [`Rows::replace`] leaves
+    /// behind until [`Rows::compact`] reclaims it.
+    dead: usize,
 }
 
-impl Rows {
-    /// Neighbours per chunk (16 KiB).
-    const CHUNK: usize = 1024;
-    /// The index entry of a node that has not transmitted yet.
+impl<T: Copy> Rows<T> {
+    /// Entries per chunk (16 KiB).
+    const CHUNK: usize = (16 << 10) / std::mem::size_of::<T>();
+    /// The index entry of a node without a row.
     const UNBUILT: (u32, u32) = (u32::MAX, 0);
 
     fn new(nodes: usize) -> Self {
         Rows {
             index: vec![Self::UNBUILT; nodes],
             chunks: Vec::new(),
+            live: 0,
+            dead: 0,
         }
     }
 
-    /// Node `i`'s row, strictly increasing in [`Neighbour::at`], once
-    /// [`Rows::insert`] has stored it.
+    /// Whether a row of `len` entries fits a chunk from offset `off`
+    /// (an empty row, too, needs its offset inside the chunk).
     #[inline]
-    fn get(&self, i: usize) -> Option<&[Neighbour]> {
+    fn fits(off: usize, len: usize) -> bool {
+        off + len.max(1) <= Self::CHUNK
+    }
+
+    /// Node `i`'s row, once stored.
+    #[inline]
+    fn get(&self, i: usize) -> Option<&[T]> {
         let row = self.index[i];
         let (start, len) = (row.0 as usize, row.1 as usize);
         (row != Self::UNBUILT)
             .then(|| &self.chunks[start / Self::CHUNK][start % Self::CHUNK..][..len])
     }
 
-    /// Store `row`, in any order, as node `i`'s.
-    fn insert(&mut self, i: usize, row: impl ExactSizeIterator<Item = Neighbour>) {
+    /// [`Rows::get`], mutably.
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> Option<&mut [T]> {
+        let row = self.index[i];
+        let (start, len) = (row.0 as usize, row.1 as usize);
+        (row != Self::UNBUILT)
+            .then(|| &mut self.chunks[start / Self::CHUNK][start % Self::CHUNK..][..len])
+    }
+
+    /// Store `row` as node `i`'s, which has none, at the end of the
+    /// arena, and return it.
+    fn insert(&mut self, i: usize, row: impl ExactSizeIterator<Item = T>) -> &mut [T] {
+        debug_assert_eq!(self.index[i], Self::UNBUILT);
         let len = row.len();
-        if self
-            .chunks
-            .last()
-            .is_none_or(|c| c.capacity() - c.len() < len)
-        {
+        if self.chunks.last().is_none_or(|c| !Self::fits(c.len(), len)) {
             self.chunks.push(Vec::with_capacity(len.max(Self::CHUNK)));
         }
         let chunk = self.chunks.len() - 1;
-        let slab = &mut self.chunks[chunk];
-        let off = slab.len();
-        slab.extend(row);
-        slab[off..].sort_unstable_by_key(|n| n.at);
-        let start = u32::try_from(chunk * Self::CHUNK + off).expect("under 2^32 stored neighbours");
+        let off = self.chunks[chunk].len();
+        let start = u32::try_from(chunk * Self::CHUNK + off).expect("under 2^32 stored entries");
         self.index[i] = (start, len as u32);
+        self.live += len;
+        let slab = &mut self.chunks[chunk];
+        slab.extend(row);
+        &mut slab[off..]
     }
+
+    /// Make `row` node `i`'s: over its old one when it is no longer,
+    /// at the end of the arena otherwise. The entries that frees are
+    /// dead; once they number over a chunk and over an eighth of the live
+    /// ones, the arena is compacted, so neither bound is ever exceeded
+    /// between calls.
+    fn replace(&mut self, i: usize, row: &[T]) -> &mut [T] {
+        let (start, len) = self.index[i];
+        let (start, len) = (start as usize, len as usize);
+        if self.index[i] != Self::UNBUILT && row.len() <= len {
+            self.live -= len - row.len();
+            self.dead += len - row.len();
+            self.index[i].1 = row.len() as u32;
+            self.chunks[start / Self::CHUNK][start % Self::CHUNK..][..row.len()]
+                .copy_from_slice(row);
+        } else {
+            self.live -= len;
+            self.dead += len;
+            self.index[i] = Self::UNBUILT;
+            self.insert(i, row.iter().copied());
+        }
+        if self.dead > Self::CHUNK.max(self.live / 8) {
+            self.compact();
+        }
+        self.get_mut(i).expect("just stored")
+    }
+
+    /// Reinsert every row, in arena order, into a fresh arena, dropping
+    /// each old chunk once the rows it held have moved: compacting holds
+    /// at most one chunk more than the arena it leaves.
+    fn compact(&mut self) {
+        let mut order: Vec<u32> = (0..self.index.len() as u32)
+            .filter(|&i| self.index[i as usize] != Self::UNBUILT)
+            .collect();
+        order.sort_unstable_by_key(|&i| self.index[i as usize]);
+        let mut old = std::mem::take(&mut self.chunks).into_iter();
+        let (mut k, mut held) = (0, old.next().unwrap_or_default());
+        self.live = 0;
+        self.dead = 0;
+        for i in order {
+            let (start, len) = self.index[i as usize];
+            let (start, len) = (start as usize, len as usize);
+            while k < start / Self::CHUNK {
+                held = old.next().expect("a stored row's chunk");
+                k += 1;
+            }
+            self.index[i as usize] = Self::UNBUILT;
+            let s = start % Self::CHUNK;
+            self.insert(i as usize, held[s..s + len].iter().copied());
+        }
+    }
+}
+
+/// The candidate rows of a mobile scenario with finite reach (module
+/// docs, "Candidate receivers"): per node, the ids the index returned
+/// around its indexed position at [`CandidateRows::reach`] — kept in the
+/// order its last transmission heard them — and the index clock they
+/// were read at.
+///
+/// Memory, per node: 8 bytes of row index and 8 of clock, 16 in all,
+/// whether or not the node transmits. Per stored candidate: one 4-byte
+/// id. Rows are replaced in place while they do not grow; a grown one
+/// moves to the end of the arena, and what it leaves is reclaimed once
+/// it exceeds both an eighth of the live ids and one 16 KiB chunk —
+/// so at most 4.5 bytes per live candidate plus 16 KiB, and the last
+/// chunk's unfilled tail.
+#[derive(Debug)]
+struct CandidateRows {
+    ids: Rows<u32>,
+    built: Vec<u64>,
+    /// The row query's radius: the maximum reach plus two drift pads
+    /// (with their slack) — one for the transmitter's indexed position,
+    /// one for each receiver's.
+    reach: f64,
+}
+
+impl CandidateRows {
+    fn new(nodes: usize, reach: f64) -> Self {
+        CandidateRows {
+            ids: Rows::new(nodes),
+            // Older than any stamp: the index's construction ticks its
+            // clock past 0.
+            built: vec![0; nodes],
+            reach,
+        }
+    }
+
+    /// Node `i`'s row, first read afresh from `grid` (into `scratch`) if
+    /// a cell it covers changed since it was read.
+    fn current(
+        &mut self,
+        grid: &UniformGrid,
+        i: usize,
+        scratch: &mut Vec<u32>,
+        prof: Option<&mut HotPathProfile>,
+    ) -> &mut [u32] {
+        let center = grid.position(i as u32);
+        if grid.stamp_of(center, self.reach) <= self.built[i] {
+            return self.ids.get_mut(i).expect("a stamped row is stored");
+        }
+        scratch.clear();
+        grid.query_circle(center, self.reach, Some(i as u32), scratch);
+        if let Some(p) = prof {
+            p.grid_queries += 1;
+            p.grid_candidates += scratch.len() as u64;
+        }
+        self.built[i] = grid.clock();
+        self.ids.replace(i, scratch)
+    }
+}
+
+/// Where a transmission's receivers come from: fixed by the scenario's
+/// shape in [`Channel::new`] (module docs, "Candidate receivers").
+#[derive(Debug)]
+enum Receivers {
+    /// Nothing moves, finite reach: each transmitter's priced row.
+    Rows(Rows<Neighbour>),
+    /// Nodes move, finite reach: each transmitter's kept candidates.
+    Candidates(CandidateRows),
+    /// Unbounded reach: a fresh query per transmission.
+    Query,
+    /// The test oracle (`Simulator::new_reference`).
+    Reference(ReferenceScan),
 }
 
 /// The in-flight arrivals of one transmission on this simulator.
@@ -473,13 +649,7 @@ pub(crate) struct Channel {
     /// [`Channel::refresh_positions`]; under mobility its entries may
     /// trail true positions by up to `pad_m`).
     grid: UniformGrid,
-    /// `Some` exactly when nothing moves and the maximum reach is finite:
-    /// a transmission then walks its node's stored row instead of
-    /// querying the index.
-    rows: Option<Rows>,
-    /// `Some` on the test oracle only (`Simulator::new_reference`):
-    /// receivers and gains come from the O(N) scan instead.
-    reference: Option<ReferenceScan>,
+    receivers: Receivers,
     any_mobile: bool,
     /// Metres of drift the index tolerates before a deadline refresh.
     pad_m: f64,
@@ -501,8 +671,11 @@ pub(crate) struct Channel {
     /// Candidate-receiver scratch (used only between a position refresh
     /// and the fan-out, which never re-enters).
     candidates: Vec<u32>,
-    /// Batched gain scratch, parallel to `candidates` once filled.
-    gains: Vec<f64>,
+    /// `(distance, gain)` scratch of the fused pass, parallel to the
+    /// candidates it priced.
+    links: Vec<(f64, f64)>,
+    /// The inaudible candidates of one transmission, in walk order.
+    quiet: Vec<u32>,
     /// Fan-out slab: `None` slots are listed in `free_slots`.
     fanouts: Vec<Option<FanOut>>,
     free_slots: Vec<u32>,
@@ -538,13 +711,20 @@ impl Channel {
             cfg.field.0.max(cfg.field.1)
         };
         let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &hot.positions);
+        let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
 
         // Rows are lazy: a node's is built by its first transmission.
-        let rows = (!any_mobile && max_reach.is_finite()).then(|| Rows::new(n));
+        let receivers = match (any_mobile, max_reach.is_finite()) {
+            (_, false) => Receivers::Query,
+            (false, true) => Receivers::Rows(Rows::new(n)),
+            (true, true) => Receivers::Candidates(CandidateRows::new(
+                n,
+                max_reach + 2.0 * pad_m * REFRESH_PAD_SLACK,
+            )),
+        };
 
         // Seed every mobile node's first refresh deadline from its start
         // position (positions are exact at t = 0).
-        let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
         let mut refresh_heap = BinaryHeap::new();
         if any_mobile {
             hot.sampled_at = vec![SimTime::ZERO; n];
@@ -559,8 +739,7 @@ impl Channel {
         Channel {
             propagation,
             grid,
-            rows,
-            reference: None,
+            receivers,
             any_mobile,
             pad_m,
             refresh_heap,
@@ -571,7 +750,8 @@ impl Channel {
             max_power,
             max_reach,
             candidates: Vec::new(),
-            gains: Vec::new(),
+            links: Vec::new(),
+            quiet: Vec::new(),
             fanouts: Vec::new(),
             free_slots: Vec::new(),
             rx_pool: BufPool::default(),
@@ -583,8 +763,7 @@ impl Channel {
     /// gains from per-pair evaluation; the index, the refresh deadlines
     /// and the receiver rows are never consulted again.
     pub(crate) fn use_reference_scan(&mut self) {
-        self.reference = Some(ReferenceScan::default());
-        self.rows = None;
+        self.receivers = Receivers::Reference(ReferenceScan::default());
     }
 
     /// The spatial index's cell size — region boundaries snap to grid
@@ -676,7 +855,8 @@ impl Channel {
 
     /// Re-derive positions, the index and the refresh chains from
     /// mobility models restored *exactly* at `cut` (positions are exact
-    /// there, like at t = 0 for a fresh build).
+    /// there, like at t = 0 for a fresh build). Re-bucketing the index
+    /// stamps every cell, so no candidate row read before is reused.
     pub(crate) fn resync(&mut self, hot: &mut HotState, cut: SimTime) {
         if !self.any_mobile {
             return;
@@ -684,15 +864,15 @@ impl Channel {
         // One live deadline chain per node, re-seeded from the cut.
         self.refresh_heap.clear();
         for i in 0..hot.positions.len() {
-            let p = hot.mobility[i].position(cut);
-            hot.positions[i] = p;
-            self.grid.update(i as u32, p);
+            hot.positions[i] = hot.mobility[i].position(cut);
             hot.sampled_at[i] = cut;
             let d = hot.mobility[i].stale_after(cut, self.pad_m);
             if d != SimTime::MAX {
                 self.refresh_heap.push(Reverse((d, i as u32)));
             }
         }
+        // A mobile scenario's index tracks every node (`track_shard`).
+        self.grid.rebuild(&hot.positions);
     }
 
     // ------------------------------------------------------------------
@@ -706,7 +886,7 @@ impl Channel {
     /// the heap holds one entry per mobile node — O(moved · log N) per
     /// timestamp, not O(N) — and is empty for static scenarios, which
     /// never pay anything. Exact sampling of the nodes that actually
-    /// matter happens per candidate in [`Channel::collect_receivers`].
+    /// matter happens per candidate in [`Channel::walk_candidates`].
     fn refresh_positions(
         &mut self,
         hot: &mut HotState,
@@ -775,78 +955,189 @@ impl Channel {
     // Receivers and gains
     // ------------------------------------------------------------------
 
-    /// Fill the candidate scratch with every node (other than `i`,
-    /// sorted by id) that could receive a transmission from `i` at
-    /// `power` above the interference floor. Under mobility the index
-    /// query is padded by the staleness allowance and the transmitter
-    /// plus every returned candidate are re-sampled exactly at `now`
-    /// into `hot.positions`, so the subsequent gain/delay computations
-    /// see true positions and the arrivals match the reference scan bit
-    /// for bit.
-    fn collect_receivers(
+    /// The row path: price every stored neighbour of the transmitter at
+    /// this transmission's power — in the candidate walk's operation
+    /// order, so bit for bit its values — and leave the audible ones in
+    /// `rx`; filtering a sorted row keeps `(delay, node)` order. A weaker
+    /// transmission cuts the maximum-reach row exactly as its smaller
+    /// query would have: what lies beyond its cull radius is below the
+    /// floor under any gain.
+    fn walk_row(
         &mut self,
+        tx: &Transmission,
+        positions: &[Point],
+        prof: Option<&mut HotPathProfile>,
+        rx: &mut Vec<Receiver>,
+    ) {
+        assert!(
+            tx.power <= self.max_power,
+            "node {} transmits at {:?}, over the {:?} its row was cut for",
+            tx.src,
+            tx.power,
+            self.max_power
+        );
+        let Receivers::Rows(rows) = &mut self.receivers else {
+            unreachable!("a row walk without rows")
+        };
+        let i = tx.src;
+        if rows.get(i).is_none() {
+            // The first transmission's query, at the maximum reach: a
+            // superset of any weaker one's. A row rebuilt after a restore
+            // was counted before the cut: the profile is in the snapshot,
+            // the rows are not.
+            self.candidates.clear();
+            let (center, reach) = (positions[i], self.max_reach);
+            self.grid
+                .query_circle(center, reach, Some(i as u32), &mut self.candidates);
+            if let Some(p) = prof.filter(|_| tx.is_first()) {
+                p.grid_queries += 1;
+                p.grid_candidates += self.candidates.len() as u64;
+            }
+            self.propagation.distance_gains_into_indexed(
+                center,
+                positions,
+                &self.candidates,
+                &mut self.links,
+            );
+            let floor_ns = self.delay_floor_ns;
+            let row = self
+                .candidates
+                .iter()
+                .zip(&self.links)
+                .map(|(&j, &(d, gain))| {
+                    let at = pack_delay_node(prop_delay(d, floor_ns), j);
+                    Neighbour { at, gain }
+                });
+            rows.insert(i, row).sort_unstable_by_key(|n| n.at);
+        }
+        for n in rows.get(i).expect("just built") {
+            let power = tx.power * (n.gain * tx.impair);
+            if power.value() >= self.interference_floor.value() {
+                rx.push(Receiver { at: n.at, power });
+            }
+        }
+    }
+
+    /// The candidate walk, where nodes move or the reach is unbounded:
+    /// refresh the index, take the transmitter's kept row (re-read if the
+    /// index moved under it) or query afresh at this transmission's cull
+    /// radius, sample every candidate exactly, then price them all in one
+    /// fused pass and time only the audible ones, which are left in `rx`
+    /// sorted by `(delay, node)`. That order goes back into the candidate
+    /// list, audible first, so a kept row is met nearly sorted next time.
+    fn walk_candidates(
+        &mut self,
+        tx: &Transmission,
         hot: &mut HotState,
         mut prof: Option<&mut HotPathProfile>,
-        i: usize,
-        power: Milliwatts,
-        now: SimTime,
+        rx: &mut Vec<Receiver>,
     ) {
-        if let Some(reference) = &mut self.reference {
-            return reference.collect(hot, i, now, &mut self.candidates);
-        }
+        let (i, now) = (tx.src, tx.start);
+        #[cfg(debug_assertions)]
+        let mut audit = false;
         if self.any_mobile {
             self.refresh_positions(hot, prof.as_deref_mut(), now);
             #[cfg(debug_assertions)]
             {
                 self.audit_tick += 1;
-                if self.audit_tick.is_multiple_of(AUDIT_EVERY) {
+                audit = self.audit_tick.is_multiple_of(AUDIT_EVERY);
+                if audit {
                     self.audit_index_staleness(hot, now);
                 }
             }
             Self::sample_exact(hot, prof.as_deref_mut(), i, now);
         }
-        self.candidates.clear();
-        let mut radius = cull_radius(&self.propagation, power, self.interference_floor);
-        if self.any_mobile {
-            radius += self.pad_m * REFRESH_PAD_SLACK;
-        }
-        self.grid.query_circle(
-            hot.positions[i],
-            radius,
-            Some(i as u32),
-            &mut self.candidates,
-        );
-        if self.any_mobile {
-            for c in 0..self.candidates.len() {
-                let j = self.candidates[c] as usize;
-                Self::sample_exact(hot, prof.as_deref_mut(), j, now);
+        let ids: &mut [u32] = match &mut self.receivers {
+            Receivers::Candidates(rows) => {
+                assert!(
+                    tx.power <= self.max_power,
+                    "node {i} transmits at {:?}, over the {:?} its candidates were read for",
+                    tx.power,
+                    self.max_power
+                );
+                rows.current(&self.grid, i, &mut self.candidates, prof.as_deref_mut())
+            }
+            _ => {
+                let mut radius = cull_radius(&self.propagation, tx.power, self.interference_floor);
+                if self.any_mobile {
+                    radius += self.pad_m * REFRESH_PAD_SLACK;
+                }
+                self.candidates.clear();
+                self.grid.query_circle(
+                    hot.positions[i],
+                    radius,
+                    Some(i as u32),
+                    &mut self.candidates,
+                );
+                if let Some(p) = prof.as_deref_mut() {
+                    p.grid_queries += 1;
+                    p.grid_candidates += self.candidates.len() as u64;
+                }
+                &mut self.candidates
+            }
+        };
+        #[cfg(debug_assertions)]
+        if audit {
+            // The candidates hold what a query around the exact position
+            // at this power's cull radius plus one pad returns.
+            let radius = cull_radius(&self.propagation, tx.power, self.interference_floor)
+                + self.pad_m * REFRESH_PAD_SLACK;
+            let mut want = Vec::new();
+            self.grid
+                .query_circle(hot.positions[i], radius, Some(i as u32), &mut want);
+            let mut have = ids.to_vec();
+            have.sort_unstable();
+            for j in want {
+                assert!(
+                    have.binary_search(&j).is_ok(),
+                    "node {j} is within reach of node {i} at {now:?} but not among its candidates"
+                );
             }
         }
-        if let Some(p) = prof {
-            p.grid_queries += 1;
-            p.grid_candidates += self.candidates.len() as u64;
+        if self.any_mobile {
+            for &j in ids.iter() {
+                Self::sample_exact(hot, prof.as_deref_mut(), j as usize, now);
+            }
         }
+
+        let positions = &hot.positions;
+        self.propagation
+            .distance_gains_into_indexed(positions[i], positions, ids, &mut self.links);
+        self.quiet.clear();
+        for (&j, &(d, gain)) in ids.iter().zip(&self.links) {
+            let power = tx.power * (gain * tx.impair);
+            if power.value() < self.interference_floor.value() {
+                self.quiet.push(j);
+            } else {
+                let at = pack_delay_node(prop_delay(d, self.delay_floor_ns), j);
+                rx.push(Receiver { at, power });
+            }
+        }
+        sort_receivers(rx);
+        let (heard, quiet) = ids.split_at_mut(rx.len());
+        for (id, r) in heard.iter_mut().zip(rx.iter()) {
+            *id = r.node();
+        }
+        quiet.copy_from_slice(&self.quiet);
     }
 
-    /// Batch-evaluate the gains from node `i` to every candidate into
-    /// the gain scratch (parallel to the candidates), in one contiguous
-    /// pass that produces bit-identical values to per-pair calls.
-    fn fill_gains(&mut self, i: usize, positions: &[Point]) {
-        if self.reference.is_some() {
-            return ReferenceScan::gains(
-                &self.propagation,
-                positions,
-                i,
-                &self.candidates,
-                &mut self.gains,
-            );
+    /// The oracle's walk: every other node, each gain from its own model
+    /// call at positions re-sampled for the instant, the audible ones
+    /// timed and fully sorted.
+    fn walk_reference(&mut self, tx: &Transmission, hot: &mut HotState, rx: &mut Vec<Receiver>) {
+        let Receivers::Reference(scan) = &mut self.receivers else {
+            unreachable!("an oracle walk without the oracle")
+        };
+        for &(j, gain) in scan.gains(&self.propagation, hot, tx.src, tx.start) {
+            let power = tx.power * (gain * tx.impair);
+            if power.value() < self.interference_floor.value() {
+                continue;
+            }
+            let dist = hot.positions[tx.src].distance(hot.positions[j as usize]);
+            let at = pack_delay_node(prop_delay(dist, self.delay_floor_ns), j);
+            rx.push(Receiver { at, power });
         }
-        self.propagation.gains_into_indexed(
-            positions[i],
-            positions,
-            &self.candidates,
-            &mut self.gains,
-        );
+        rx.sort_unstable_by_key(|r| r.at);
     }
 
     // ------------------------------------------------------------------
@@ -855,12 +1146,11 @@ impl Channel {
 
     /// Put `tx` on the air: every receiver above the interference floor
     /// hears it after its propagation delay — found by walking the
-    /// transmitter's stored row where rows are kept, by an index query
-    /// and a batched gain evaluation otherwise. An owned receiver that
-    /// is crashed (`down`) hears nothing. Receivers this simulator
-    /// dispatches join one fan-out walked by two queue cursors (`2·K`
-    /// logical events, two entries); receivers another region owns are
-    /// shipped to it as
+    /// transmitter's stored row where static rows are kept, by pricing
+    /// its candidates otherwise. An owned receiver that is crashed
+    /// (`down`) hears nothing. Receivers this simulator dispatches join
+    /// one fan-out walked by two queue cursors (`2·K` logical events, two
+    /// entries); receivers another region owns are shipped to it as
     /// ready-made arrival pairs, which the owner culls against its
     /// authoritative down-state at our send instant when it drains.
     pub(crate) fn radiate(
@@ -869,16 +1159,22 @@ impl Channel {
         hot: &mut HotState,
         prof: Option<&mut HotPathProfile>,
         down: Option<&[bool]>,
-        shard: Option<&mut ShardCtx>,
+        mut shard: Option<&mut ShardCtx>,
         queue: &mut EventQueue<QueueEntry>,
     ) {
+        // Every walk leaves the audible receivers in `(delay, node)`
+        // order — `(time, rank)` order for the starts and for the ends
+        // alike: equal delays are equal instants, where the arrival rank
+        // orders by receiver — and a filter keeps it.
         let mut rx = self.rx_pool.take();
-        if self.rows.is_some() {
-            self.walk_row(&tx, &hot.positions, prof, down, shard, &mut rx);
-        } else {
-            self.collect_receivers(hot, prof, tx.src, tx.power, tx.start);
-            self.price_candidates(&tx, &hot.positions, down, shard, &mut rx);
+        match self.receivers {
+            Receivers::Rows(_) => self.walk_row(&tx, &hot.positions, prof, &mut rx),
+            Receivers::Candidates(_) | Receivers::Query => {
+                self.walk_candidates(&tx, hot, prof, &mut rx);
+            }
+            Receivers::Reference(_) => self.walk_reference(&tx, hot, &mut rx),
         }
+        rx.retain(|&r| deliver_here(&tx, r, down, shard.as_deref_mut()));
         if rx.is_empty() {
             self.rx_pool.put(rx);
             return;
@@ -910,105 +1206,6 @@ impl Channel {
         };
         for (end, (at, rank)) in [false, true].into_iter().zip(heads) {
             queue.push_cursor(at, rank, QueueEntry::Cursor { fan: slot, end });
-        }
-    }
-
-    /// The general path: price the collected candidates in one gain
-    /// batch, time each audible one, and leave the owned, live ones in
-    /// `rx` sorted by `(delay, node)` — which is `(time, rank)` order for
-    /// the starts and for the ends alike: equal delays are equal
-    /// instants, where the arrival rank orders by receiver.
-    fn price_candidates(
-        &mut self,
-        tx: &Transmission,
-        positions: &[Point],
-        down: Option<&[bool]>,
-        mut shard: Option<&mut ShardCtx>,
-        rx: &mut Vec<Receiver>,
-    ) {
-        self.fill_gains(tx.src, positions);
-        let src_pos = positions[tx.src];
-        for (c, &j) in self.candidates.iter().enumerate() {
-            let power = tx.power * (self.gains[c] * tx.impair);
-            if power.value() < self.interference_floor.value() {
-                continue;
-            }
-            let dist = src_pos.distance(positions[j as usize]);
-            let at = pack_delay_node(prop_delay(dist, self.delay_floor_ns), j);
-            deliver(tx, Receiver { at, power }, down, shard.as_deref_mut(), rx);
-        }
-        rx.sort_unstable_by_key(|r| r.at);
-    }
-
-    /// Build node `i`'s row: its candidates at the maximum reach — the
-    /// query a maximum-power transmission makes on the general path, a
-    /// superset of any weaker one's — each with its gain and packed
-    /// `(delay, node)`.
-    fn build_row(&mut self, i: usize, positions: &[Point], prof: Option<&mut HotPathProfile>) {
-        self.candidates.clear();
-        self.grid.query_circle(
-            positions[i],
-            self.max_reach,
-            Some(i as u32),
-            &mut self.candidates,
-        );
-        if let Some(p) = prof {
-            p.grid_queries += 1;
-            p.grid_candidates += self.candidates.len() as u64;
-        }
-        self.fill_gains(i, positions);
-        let row = self.candidates.iter().zip(&self.gains).map(|(&j, &gain)| {
-            let dist = positions[i].distance(positions[j as usize]);
-            Neighbour {
-                at: pack_delay_node(prop_delay(dist, self.delay_floor_ns), j),
-                gain,
-            }
-        });
-        self.rows.as_mut().expect("rows are kept").insert(i, row);
-    }
-
-    /// The row path: price every stored neighbour of the transmitter at
-    /// this transmission's power — in the general path's operation order,
-    /// so bit for bit its values — and leave the audible, owned, live
-    /// ones in `rx`; filtering a sorted row keeps `(delay, node)` order.
-    /// A weaker transmission cuts the maximum-reach row exactly as its
-    /// smaller query would have: what lies beyond its cull radius is
-    /// below the floor under any gain.
-    fn walk_row(
-        &mut self,
-        tx: &Transmission,
-        positions: &[Point],
-        prof: Option<&mut HotPathProfile>,
-        down: Option<&[bool]>,
-        mut shard: Option<&mut ShardCtx>,
-        rx: &mut Vec<Receiver>,
-    ) {
-        assert!(
-            tx.power <= self.max_power,
-            "node {} transmits at {:?}, over the {:?} its row was cut for",
-            tx.src,
-            tx.power,
-            self.max_power
-        );
-        let rows = self.rows.as_ref().expect("rows are kept");
-        if rows.get(tx.src).is_none() {
-            // A row rebuilt after a restore was counted before the cut:
-            // the profile is in the snapshot, the rows are not.
-            self.build_row(tx.src, positions, prof.filter(|_| tx.is_first()));
-        }
-        let rows = self.rows.as_ref().expect("rows are kept");
-        for n in rows.get(tx.src).expect("just built") {
-            let power = tx.power * (n.gain * tx.impair);
-            if power.value() < self.interference_floor.value() {
-                continue;
-            }
-            deliver(
-                tx,
-                Receiver { at: n.at, power },
-                down,
-                shard.as_deref_mut(),
-                rx,
-            );
         }
     }
 
@@ -1061,39 +1258,76 @@ impl Channel {
     }
 }
 
-/// Propagation delay over `dist` metres, floored at the configured
-/// minimum of `floor_ns` (the floor is the conservative lookahead of a
-/// sharded run; zero in plain single mode).
+/// Propagation delay over `dist` metres to the nearest nanosecond,
+/// floored at the configured minimum of `floor_ns` (the floor is the
+/// conservative lookahead of a sharded run; zero in plain single mode).
 #[inline]
 fn prop_delay(dist: f64, floor_ns: u64) -> Duration {
-    Duration::from_nanos(((dist / C * 1e9).round() as u64).max(floor_ns))
+    Duration::from_nanos(nearest_ns(dist / C * 1e9).max(floor_ns))
+}
+
+/// `x.round() as u64` for `x ≥ 0` (halves away from zero, saturating),
+/// without the libm call: below 2^53 both `floor(x)` and `x − floor(x)`
+/// are exact in `f64`, so the comparison with one half is exact too (it
+/// keeps `0.49999999999999994` at 0, where `floor(x + 0.5)` would not),
+/// and above it every `f64` is an integer.
+#[inline]
+fn nearest_ns(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
+/// Sort `rx` by [`Receiver::at`]. A kept candidate row is walked in the
+/// order its last transmission was heard in, so its audible receivers
+/// arrive nearly sorted and an insertion sort moves a few of them; a
+/// list that is not (a fresh query comes in id order) stops after a
+/// bounded number of moves and goes to `sort_unstable`. The keys are
+/// unique, so both give the one order.
+fn sort_receivers(rx: &mut [Receiver]) {
+    let budget = 4 * rx.len();
+    let mut moved = 0;
+    for k in 1..rx.len() {
+        let r = rx[k];
+        let mut at = k;
+        while at > 0 && rx[at - 1].at > r.at {
+            rx[at] = rx[at - 1];
+            at -= 1;
+        }
+        rx[at] = r;
+        moved += k - at;
+        if moved > budget {
+            rx.sort_unstable_by_key(|r| r.at);
+            return;
+        }
+    }
 }
 
 /// Hand audible receiver `r` its arrival pair of `tx`: shipped to the
 /// region that owns it — which culls it against its own authoritative
-/// down-state — or appended to the fan-out list `rx`, unless it is
-/// crashed (`down`) right now.
+/// down-state — or kept for this simulator's fan-out unless it is
+/// crashed (`down`) right now. Returns whether it is kept.
 #[inline]
-fn deliver(
+fn deliver_here(
     tx: &Transmission,
     r: Receiver,
     down: Option<&[bool]>,
     shard: Option<&mut ShardCtx>,
-    rx: &mut Vec<Receiver>,
-) {
+) -> bool {
     let j = r.node() as usize;
     match shard.filter(|ctx| ctx.owner[j] != ctx.id) {
-        Some(ctx) => ctx.outbox[ctx.owner[j] as usize].push(Shipment {
-            at: tx.start + r.delay(),
-            node: NodeId(r.node()),
-            key: tx.key,
-            power: r.power,
-            end: tx.end + r.delay(),
-            payload: tx.payload.clone(),
-            tx: tx.cause,
-        }),
-        None if down.is_some_and(|d| d[j]) => {}
-        None => rx.push(r),
+        Some(ctx) => {
+            ctx.outbox[ctx.owner[j] as usize].push(Shipment {
+                at: tx.start + r.delay(),
+                node: NodeId(r.node()),
+                key: tx.key,
+                power: r.power,
+                end: tx.end + r.delay(),
+                payload: tx.payload.clone(),
+                tx: tx.cause,
+            });
+            false
+        }
+        None => !down.is_some_and(|d| d[j]),
     }
 }
 
@@ -1105,6 +1339,113 @@ fn cull_radius(model: &PropagationModel, power: Milliwatts, floor: Milliwatts) -
         return f64::INFINITY;
     }
     model.max_range_for(power, floor) * RADIUS_SLACK
+}
+
+#[cfg(test)]
+mod exactness {
+    //! What the candidate walk leans on: the integer-split rounding
+    //! equals libm's, and the row arena reads back what was stored
+    //! through every replacement and compaction.
+
+    use pcmac_engine::RngStream;
+    use proptest::prelude::*;
+
+    use super::{nearest_ns, prop_delay, Rows, C};
+
+    proptest! {
+        /// Delays over arbitrary distances, and every half-way value
+        /// below 2^40 ns with its two neighbours.
+        #[test]
+        fn integer_split_rounding_equals_libm_round(d in 0.0f64..3e7, k in 0u64..1 << 40) {
+            prop_assert_eq!(prop_delay(d, 0).as_nanos(), (d / C * 1e9).round() as u64);
+            let half = k as f64 + 0.5;
+            for x in [
+                k as f64,
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ] {
+                prop_assert_eq!(nearest_ns(x), x.round() as u64, "x = {:e}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn integer_split_rounding_keeps_the_edge_cases() {
+        assert_eq!(nearest_ns(0.49999999999999994), 0);
+        for x in [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            2.5,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52) + 1.0,
+            2f64.powi(64),
+            1e30,
+            f64::MAX,
+        ] {
+            assert_eq!(nearest_ns(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    /// Rows replaced at random — shrinking in place, growing to the end
+    /// of the arena, long enough to need a chunk of their own, emptied —
+    /// read back as plain vectors do, through dozens of compactions, and
+    /// the dead entries never pass their bound.
+    #[test]
+    fn replaced_rows_read_back_through_compactions() {
+        const NODES: usize = 40;
+        let chunk = Rows::<u32>::CHUNK;
+        let mut rows = Rows::<u32>::new(NODES);
+        let mut model: Vec<Option<Vec<u32>>> = vec![None; NODES];
+        let mut rng = RngStream::derive(5, "rows.replace");
+        let mut compactions = 0;
+        for step in 0..3000 {
+            let i = rng.below(NODES as u64) as usize;
+            let len = match rng.below(20) {
+                0 => 0,
+                1 => chunk + rng.below(300) as usize,
+                _ => rng.below(400) as usize,
+            };
+            let row: Vec<u32> = (0..len).map(|_| rng.below(1 << 20) as u32).collect();
+            let dead = rows.dead;
+            assert_eq!(rows.replace(i, &row), &row[..], "step {step}");
+            compactions += usize::from(rows.dead < dead);
+            model[i] = Some(row);
+            for (j, want) in model.iter().enumerate() {
+                assert_eq!(rows.get(j), want.as_deref(), "node {j} after step {step}");
+            }
+            let live: usize = model.iter().flatten().map(Vec::len).sum();
+            assert_eq!(rows.live, live);
+            assert!(
+                rows.dead <= chunk.max(live / 8),
+                "step {step}: {} dead",
+                rows.dead
+            );
+        }
+        assert!(compactions > 20, "only {compactions} compactions");
+    }
+
+    /// An empty row takes no entries, so the row stored after it can
+    /// start where it does — here one that fills its chunk exactly.
+    /// Compaction still reads both back.
+    #[test]
+    fn an_empty_row_and_a_full_chunk_sharing_a_start_survive_compaction() {
+        let chunk = Rows::<u32>::CHUNK;
+        let mut rows = Rows::<u32>::new(3);
+        let full: Vec<u32> = (0..chunk as u32).collect();
+        rows.replace(0, &[]);
+        rows.replace(1, &full);
+        assert_eq!(rows.index[0].0, rows.index[1].0, "one start");
+        for len in [1000, 2000, 3000, 4000] {
+            let grown: Vec<u32> = (0..len).collect();
+            rows.replace(2, &grown);
+        }
+        assert_eq!(rows.dead, 0, "compacted");
+        assert_eq!(rows.get(0), Some(&[][..]));
+        assert_eq!(rows.get(1), Some(&full[..]));
+        assert_eq!(rows.get(2).map(<[u32]>::len), Some(4000));
+    }
 }
 
 #[cfg(test)]

@@ -418,9 +418,12 @@ impl ScenarioConfig {
         }
         match &self.nodes {
             NodeSetup::UniformWaypoint { speed, .. } | NodeSetup::WaypointFrom { speed, .. } => {
-                if !speed.is_finite() || *speed < 0.0 {
+                // A waypoint walk at 0 m/s never reaches its first
+                // waypoint: the model refuses it.
+                if !speed.is_finite() || *speed <= 0.0 {
                     problems.push(format!(
-                        "mobility speed {speed} must be finite and non-negative"
+                        "mobility speed {speed} m/s must be positive and finite \
+                         (place static nodes with NodeSetup::Static instead)"
                     ));
                 }
             }

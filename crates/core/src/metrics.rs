@@ -231,13 +231,19 @@ pub struct TxPowerMetrics {
 /// values — so the profile is bit-identical across reruns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotPathProfile {
-    /// Spatial-index receiver queries issued: one per transmission, or —
-    /// where static transmitters keep receiver rows — one per distinct
+    /// Spatial-index receiver queries issued, one per row built. Where
+    /// static transmitters keep receiver rows, that is one per distinct
     /// transmitter, when its row is first built (a row rebuilt after a
-    /// restore is not counted again).
+    /// restore is not counted again). Where mobile ones keep candidate
+    /// rows, it is one per read — the first, and each after the index
+    /// moved under the row — and a restore, which keeps no row, makes
+    /// every transmitter read again: like `grid_candidates` and
+    /// `exact_samples`, the count depends on the index's history, so a
+    /// resumed mobile run may count more than the uninterrupted one.
+    /// With unbounded reach nothing is kept: one per transmission.
     pub grid_queries: u64,
-    /// Candidate receivers returned across all queries; where rows are
-    /// kept, the neighbours stored.
+    /// Candidate receivers returned across all queries; where static
+    /// rows are kept, the neighbours stored.
     pub grid_candidates: u64,
     /// Position-refresh deadline pops processed.
     pub refresh_pops: u64,

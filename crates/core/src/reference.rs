@@ -10,7 +10,7 @@
 //! evaluation (one propagation call per pair). Reachable only through
 //! `Simulator::new_reference`.
 
-use pcmac_engine::{Point, SimTime};
+use pcmac_engine::SimTime;
 use pcmac_phy::PropagationModel;
 
 use crate::soa::HotState;
@@ -21,42 +21,34 @@ pub(crate) struct ReferenceScan {
     /// Instant of the last rescan: transmissions at one instant — several
     /// nodes reacting to the same timer tick — share it.
     positions_at: Option<SimTime>,
+    /// `(node, gain)` of the last scan.
+    gains: Vec<(u32, f64)>,
 }
 
 impl ReferenceScan {
-    /// Bring every position in `hot` up to `now` and list all nodes
-    /// other than `i`, in id order, into `out`.
-    pub(crate) fn collect(
+    /// Bring every position in `hot` up to `now` and evaluate the gain
+    /// from node `i` to every other node, one model call per pair, in id
+    /// order.
+    pub(crate) fn gains(
         &mut self,
+        model: &PropagationModel,
         hot: &mut HotState,
         i: usize,
         now: SimTime,
-        out: &mut Vec<u32>,
-    ) {
+    ) -> &[(u32, f64)] {
         if self.positions_at != Some(now) {
             for (p, m) in hot.positions.iter_mut().zip(&mut hot.mobility) {
                 *p = m.position(now);
             }
             self.positions_at = Some(now);
         }
-        out.clear();
-        out.extend((0..hot.positions.len() as u32).filter(|&j| j as usize != i));
-    }
-
-    /// The gain from node `i` to each of `candidates`, one model
-    /// evaluation per pair, into `out`.
-    pub(crate) fn gains(
-        model: &PropagationModel,
-        positions: &[Point],
-        i: usize,
-        candidates: &[u32],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            candidates
-                .iter()
-                .map(|&j| model.gain(positions[i], positions[j as usize])),
+        let positions = &hot.positions;
+        self.gains.clear();
+        self.gains.extend(
+            (0..positions.len() as u32)
+                .filter(|&j| j as usize != i)
+                .map(|j| (j, model.gain(positions[i], positions[j as usize]))),
         );
+        &self.gains
     }
 }

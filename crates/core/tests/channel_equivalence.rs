@@ -209,17 +209,19 @@ fn grid_matches_brute_force_with_disabled_floor() {
     assert_equivalent(cfg);
 }
 
+/// 5 dB shadowing, reciprocal or not.
+fn shadowed(symmetric: bool) -> Option<ShadowingConfig> {
+    Some(ShadowingConfig {
+        sigma_db: 5.0,
+        symmetric,
+    })
+}
+
 /// The channel shapes — the paper's two-ray channel and both shadowing
-/// modes, each static and mobile — as `(shadowing, mobile)`. The static
-/// ones (with the finite reach every scenario here has) walk stored
-/// receiver rows; the mobile ones query the index per transmission.
+/// modes, each static and mobile — as `(shadowing, mobile)`. With the
+/// finite reach every scenario here has, the static ones walk stored
+/// receiver rows and the mobile ones kept candidate rows.
 fn channel_shapes() -> Vec<(Option<ShadowingConfig>, bool)> {
-    let shadowed = |symmetric| {
-        Some(ShadowingConfig {
-            sigma_db: 5.0,
-            symmetric,
-        })
-    };
     [None, shadowed(true), shadowed(false)]
         .into_iter()
         .flat_map(|s| [(s, false), (s, true)])
@@ -235,7 +237,15 @@ fn channel_shapes() -> Vec<(Option<ShadowingConfig>, bool)> {
 fn row_stress(seed: u64, shadowing: Option<ShadowingConfig>) -> ScenarioConfig {
     let floor = Milliwatts(1.559e-10);
     let mut cfg = random_scenario(Variant::Pcmac, seed, 18, 800.0, floor, false, shadowing);
-    cfg.faults = Some(FaultConfig {
+    cfg.faults = Some(churn_and_burst());
+    cfg.metrics = Some(MetricsConfig::default());
+    cfg
+}
+
+/// Seeded churn from 0.2 s to 1.3 s and a 6 dB impairment burst from
+/// 0.7 s to 1.1 s.
+fn churn_and_burst() -> FaultConfig {
+    FaultConfig {
         crashes: None,
         churn: Some(ChurnConfig {
             mean_uptime_s: 0.8,
@@ -251,9 +261,46 @@ fn row_stress(seed: u64, shadowing: Option<ShadowingConfig>) -> ScenarioConfig {
             noise_mult: None,
         }]),
         energy_budget_mj: None,
-    });
+    }
+}
+
+/// A mobile scenario whose index moves under kept candidate rows many
+/// times over: 40 PCMAC stations at 30 m/s with 100 ms pauses on a
+/// 1 500 m field for 8 s, the carrier-sense threshold as interference
+/// floor — cells of 500 m, a 62.5 m drift pad, every node re-indexed
+/// about every two seconds, each time retiring the rows around it — and
+/// 100 kb/s flows, under [`churn_and_burst`], metrics on.
+fn fast_mobile(seed: u64) -> ScenarioConfig {
+    let floor = Milliwatts(1.559e-8);
+    let mut cfg = random_scenario(Variant::Pcmac, seed, 40, 1500.0, floor, true, None);
+    cfg.duration = Duration::from_secs(8);
+    for f in &mut cfg.flows {
+        f.rate_bps = 100_000.0;
+        f.stop = SimTime::ZERO + cfg.duration;
+    }
+    cfg.nodes = NodeSetup::UniformWaypoint {
+        count: 40,
+        speed: 30.0,
+        pause: Duration::from_millis(100),
+    };
+    cfg.faults = Some(churn_and_burst());
     cfg.metrics = Some(MetricsConfig::default());
     cfg
+}
+
+/// The report of `cfg`, its distinct transmitters and its transmissions,
+/// counted by their ends: every transmission ends once, and a station
+/// that never hears anyone back still radiated.
+fn transmissions(cfg: ScenarioConfig) -> (RunReport, usize, u64) {
+    let mut transmitters = std::collections::HashSet::new();
+    let mut count = 0u64;
+    let run = Simulator::new(cfg).run_with_observer(|ev, _| {
+        if let SimEvent::TxEnd { node } | SimEvent::CtrlTxEnd { node } = ev {
+            transmitters.insert(*node);
+            count += 1;
+        }
+    });
+    (run, transmitters.len(), count)
 }
 
 /// The production channel against the oracle — stored rows or
@@ -264,7 +311,8 @@ fn row_stress(seed: u64, shadowing: Option<ShadowingConfig>) -> ScenarioConfig {
 /// for the index: the shadow-inflated culling radius must stay a superset
 /// while the index trails the nodes, and a regression in either could
 /// hide behind the other's test. The static shapes also run
-/// [`row_stress`].
+/// [`row_stress`]; [`fast_mobile`] retires kept candidate rows again and
+/// again under the same faults, and is cut mid-run and resumed as well.
 #[test]
 fn production_matches_the_reference_on_every_channel_shape() {
     let check = |cfg: ScenarioConfig, shape: &str| {
@@ -327,45 +375,87 @@ fn production_matches_the_reference_on_every_channel_shape() {
             );
         }
     }
+
+    let cfg = fast_mobile(6);
+    let reference = check(cfg.clone(), "fast mobility");
+    let res = reference.resilience.expect("fault plan => resilience");
+    assert!(res.crashes > 3 && res.recoveries > 3, "{res:?}");
+    let (_, transmitters, count) = transmissions(cfg.clone());
+    let hot = Simulator::new(cfg.clone())
+        .run()
+        .metrics
+        .expect("metrics on")
+        .hot_path;
+    assert!(
+        hot.refresh_pops >= 3 * 40 && hot.grid_queries > 2 * transmitters as u64,
+        "three index generations, rows read again and again: {hot:?}, \
+         {transmitters} transmitters of {count} frames"
+    );
+    for shards in [None, Some(2)] {
+        let moded = with_execution(cfg.clone(), shards);
+        let (whole, snaps) = run_with_checkpoints(moded.clone(), Duration::from_millis(700));
+        let back = SimSnapshot::from_bytes(&snaps[snaps.len() / 2].to_bytes()).expect("round trip");
+        let resumed = Simulator::restore(moded, &back).expect("restores").run();
+        assert_eq!(
+            mode_invariant_fingerprint(&resumed),
+            mode_invariant_fingerprint(&whole),
+            "fast mobility resumed at {:?}, shards {shards:?}",
+            back.time()
+        );
+    }
 }
 
-/// Rows are kept exactly when nothing moves and the maximum reach is
-/// finite, and what tells is the index: a row is one query per distinct
-/// transmitter for the whole run, the general path one per transmission.
+/// The receiver path is chosen from the scenario's shape, and what tells
+/// which one ran is the index. Nothing moves and the reach is finite: a
+/// row is one query per distinct transmitter for the whole run. Nodes
+/// move and the reach is finite: a kept candidate row is one query per
+/// read, and it is read again only when the index moved under it — more
+/// than once per transmitter, far less than once per transmission. The
+/// floor disabled, static or mobile: everyone hears everything, no reach
+/// bounds a row, and every transmission queries.
 #[test]
 fn rows_are_kept_exactly_when_the_scenario_is_static_with_finite_reach() {
-    let floor = Milliwatts(1.559e-10);
-    let cases = channel_shapes()
-        .into_iter()
-        .map(|(shadowing, mobile)| (shadowing, mobile, floor))
-        // Static, but with the floor disabled everyone hears everything:
-        // no finite reach to cut a row at.
-        .chain([(None, false, Milliwatts(0.0))]);
-    for (shadowing, mobile, floor) in cases {
-        let mut cfg = random_scenario(Variant::Pcmac, 21, 20, 600.0, floor, mobile, shadowing);
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Rows,
+        Candidates,
+        Query,
+    }
+    let with_metrics = |mut cfg: ScenarioConfig| {
         cfg.metrics = Some(MetricsConfig::default());
+        cfg
+    };
+    let floor = Milliwatts(1.559e-10);
+    let statics = [None, shadowed(true), shadowed(false)].map(|shadowing| {
+        let cfg = random_scenario(Variant::Pcmac, 21, 20, 600.0, floor, false, shadowing);
+        (Path::Rows, with_metrics(cfg))
+    });
+    let unbounded = [false, true].map(|mobile| {
+        let cfg = random_scenario(Variant::Pcmac, 21, 20, 600.0, Milliwatts(0.0), mobile, None);
+        (Path::Query, with_metrics(cfg))
+    });
+    let cases = statics
+        .into_iter()
+        .chain([(Path::Candidates, fast_mobile(6))])
+        .chain(unbounded);
+    for (path, cfg) in cases {
         for shards in [None, Some(2)] {
-            let shape = format!("shadowing {shadowing:?} mobile {mobile} {floor:?} {shards:?}");
-            let mut transmitters = std::collections::HashSet::new();
-            let mut transmissions = 0u64;
-            let run =
-                Simulator::new(with_execution(cfg.clone(), shards)).run_with_observer(|ev, _| {
-                    // Every transmission ends once; a station that never
-                    // hears anyone back still radiated.
-                    if let SimEvent::TxEnd { node } | SimEvent::CtrlTxEnd { node } = ev {
-                        transmitters.insert(*node);
-                        transmissions += 1;
-                    }
-                });
-            let hot = run.metrics.expect("metrics layer on").hot_path;
-            assert!(transmissions > 10 * transmitters.len() as u64, "{shape}");
-            let rows = !mobile && floor.value() > 0.0;
-            let expected = if rows {
-                transmitters.len() as u64
-            } else {
-                transmissions
-            };
-            assert_eq!(hot.grid_queries, expected, "index queries: {shape}");
+            let shape = format!(
+                "{path:?}: shadowing {:?}, {:?}, shards {shards:?}",
+                cfg.shadowing, cfg.interference_floor
+            );
+            let (run, transmitters, count) = transmissions(with_execution(cfg.clone(), shards));
+            let queries = run.metrics.expect("metrics layer on").hot_path.grid_queries;
+            let transmitters = transmitters as u64;
+            assert!(count > 10 * transmitters, "{shape}");
+            match path {
+                Path::Rows => assert_eq!(queries, transmitters, "index queries: {shape}"),
+                Path::Candidates => assert!(
+                    transmitters < queries && queries < count / 2,
+                    "{queries} index queries by {transmitters} transmitters of {count} frames: {shape}"
+                ),
+                Path::Query => assert_eq!(queries, count, "index queries: {shape}"),
+            }
         }
     }
 }

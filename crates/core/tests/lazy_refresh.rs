@@ -12,10 +12,11 @@
 //! eagerly re-samples every node per timestamp
 //! (`Simulator::new_reference`) — report for report, on the paper's
 //! two-ray channel and under both shadowing modes, and so must the same
-//! placement frozen (where shadowed gains come from the cache); and, in
-//! debug builds, the staleness audit in
-//! `Channel::collect_receivers` checks the invariant the padded query
-//! leans on while it runs.
+//! placement frozen (where stored rows replay the gains); and, in debug
+//! builds, the audits in `Channel::walk_candidates` check the
+//! invariants the kept candidate rows lean on while it runs: the
+//! staleness bound, and each row holding what a fresh padded query
+//! would.
 
 use pcmac::{
     FlowShape, FlowSpec, MetricsConfig, NodeSetup, RunReport, ScenarioConfig, ShadowingConfig,
@@ -122,7 +123,13 @@ fn lazy_equals_eager_through_several_deadline_generations() {
                 hot.refresh_rearms, 0,
                 "{shape}: only the deadline chain schedules deadlines"
             );
-            assert!(hot.grid_queries > 1000 && hot.exact_samples > hot.grid_queries);
+            // A kept candidate row is read again when the index moves
+            // under it — at every generation, for a busy transmitter —
+            // and each read serves several transmissions' exact samples.
+            assert!(
+                hot.grid_queries > 2 * NODES as u64 && hot.exact_samples > 3 * hot.grid_candidates,
+                "{shape}: {hot:?}"
+            );
         }
     }
 }

@@ -22,6 +22,24 @@
 //! between buckets only when it crossed a cell boundary, so refreshing
 //! positions under mobility costs a few integer operations per node and
 //! allocates nothing in the steady state.
+//!
+//! # Cell stamps
+//!
+//! A caller may keep a query's result instead of asking again, and
+//! needs to know when it went stale. Every change to the index ticks a
+//! monotone clock ([`UniformGrid::clock`]) and stamps the cells it
+//! touched with the new value: [`UniformGrid::update`] stamps the node's
+//! old and new cell on *every* call, a move inside one cell included —
+//! the query's distance pre-cull reads the indexed position, so that
+//! move can change a result too — and [`UniformGrid::rebuild`] and
+//! [`UniformGrid::retain_nodes`] stamp every cell.
+//! [`UniformGrid::stamp_of`] is the latest stamp over the cells a query
+//! with that centre and radius visits. A query reads nothing but those
+//! cells' buckets and their nodes' indexed positions, so while
+//! `stamp_of` is at most the clock read right after a query, the same
+//! query returns the same nodes.
+
+use std::ops::RangeInclusive;
 
 use crate::geom::Point;
 
@@ -44,6 +62,10 @@ pub struct UniformGrid {
     node_cell: Vec<u32>,
     /// Tracked positions (authoritative copy for boundary checks).
     positions: Vec<Point>,
+    /// Changes so far (module docs, "Cell stamps").
+    clock: u64,
+    /// Per cell, the clock of the last change that touched it.
+    stamps: Vec<u64>,
 }
 
 impl UniformGrid {
@@ -67,6 +89,8 @@ impl UniformGrid {
             buckets: vec![Vec::new(); nx * ny],
             node_cell: Vec::new(),
             positions: Vec::new(),
+            clock: 0,
+            stamps: vec![0; nx * ny],
         };
         grid.rebuild(positions);
         grid
@@ -110,8 +134,49 @@ impl UniformGrid {
         self.positions[node as usize]
     }
 
+    /// The index clock: the stamp of the latest change (module docs,
+    /// "Cell stamps").
+    #[inline]
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The latest stamp over the cells
+    /// [`UniformGrid::query_circle`]`(center, radius, ..)` visits: while
+    /// it is at most [`UniformGrid::clock`] as read right after such a
+    /// query, the query's result is unchanged.
+    pub fn stamp_of(&self, center: Point, radius: f64) -> u64 {
+        let (xs, ys) = self.cell_span(center, radius);
+        ys.flat_map(|cy| self.stamps[cy * self.nx..][xs.clone()].iter().copied())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Tick the clock and stamp every cell with it.
+    fn stamp_all(&mut self) {
+        self.clock += 1;
+        self.stamps.fill(self.clock);
+    }
+
+    /// The column and row ranges of the cells intersecting the bounding
+    /// box of the disc around `center`.
+    #[inline]
+    fn cell_span(
+        &self,
+        center: Point,
+        radius: f64,
+    ) -> (RangeInclusive<usize>, RangeInclusive<usize>) {
+        let at = |v: f64, n: usize| ((v / self.cell).floor().max(0.0) as usize).min(n - 1);
+        (
+            at(center.x - radius, self.nx)..=at(center.x + radius, self.nx),
+            at(center.y - radius, self.ny)..=at(center.y + radius, self.ny),
+        )
+    }
+
     /// Drop all state and re-bucket `positions` (reuses allocations).
+    /// Stamps every cell.
     pub fn rebuild(&mut self, positions: &[Point]) {
+        self.stamp_all();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -136,8 +201,10 @@ impl UniformGrid {
     /// [`UNTRACKED`]. Queries then never return it and updates to it are
     /// forbidden. The owner-only region shards use this to keep only
     /// their owned nodes plus the boundary halo in the index — bucket
-    /// memory (and query work) shrinks to the tracked population.
+    /// memory (and query work) shrinks to the tracked population. Stamps
+    /// every cell.
     pub fn retain_nodes(&mut self, keep: impl Fn(u32) -> bool) {
+        self.stamp_all();
         for b in &mut self.buckets {
             b.retain(|&n| keep(n));
         }
@@ -148,13 +215,17 @@ impl UniformGrid {
         }
     }
 
-    /// Move `node` to `pos`, re-bucketing only on cell crossings.
+    /// Move `node` to `pos`, re-bucketing only on cell crossings. Stamps
+    /// the node's old and new cell, even when they are one.
     pub fn update(&mut self, node: u32, pos: Point) {
         let i = node as usize;
         self.positions[i] = pos;
         let new_cell = self.cell_of(pos);
         let old_cell = self.node_cell[i];
         assert!(old_cell != UNTRACKED, "update of an untracked node");
+        self.clock += 1;
+        self.stamps[old_cell as usize] = self.clock;
+        self.stamps[new_cell as usize] = self.clock;
         if new_cell == old_cell {
             return;
         }
@@ -182,14 +253,11 @@ impl UniformGrid {
         out: &mut Vec<u32>,
     ) {
         debug_assert!(radius >= 0.0);
-        let lo_x = (((center.x - radius) / self.cell).floor().max(0.0) as usize).min(self.nx - 1);
-        let hi_x = (((center.x + radius) / self.cell).floor().max(0.0) as usize).min(self.nx - 1);
-        let lo_y = (((center.y - radius) / self.cell).floor().max(0.0) as usize).min(self.ny - 1);
-        let hi_y = (((center.y + radius) / self.cell).floor().max(0.0) as usize).min(self.ny - 1);
+        let (xs, ys) = self.cell_span(center, radius);
         let r_sq = radius * radius;
         let skip = exclude.unwrap_or(u32::MAX);
-        for cy in lo_y..=hi_y {
-            for cx in lo_x..=hi_x {
+        for cy in ys {
+            for cx in xs.clone() {
                 for &n in &self.buckets[cy * self.nx + cx] {
                     // Exact distance pre-cull: cheap, and keeps candidate
                     // sets tight for the caller's per-node work.
@@ -334,6 +402,62 @@ mod tests {
         let mut grid = UniformGrid::new(100.0, 100.0, 20.0, &pts);
         grid.retain_nodes(|n| n != 4);
         grid.update(4, Point::new(1.0, 1.0));
+    }
+
+    /// Queries cached at a clock reading stay exact for as long as their
+    /// cells' stamps do not pass it — through cell crossings, moves
+    /// inside one cell (small steps) and a rebuild.
+    #[test]
+    fn an_unchanged_stamp_means_an_unchanged_query() {
+        let mut pts = scatter(80, 900.0, 900.0, 4);
+        let mut grid = UniformGrid::new(900.0, 900.0, 100.0, &pts);
+        let query = |grid: &UniformGrid, c: Point, r: f64| {
+            let mut out = Vec::new();
+            grid.query_circle(c, r, None, &mut out);
+            out
+        };
+        let probes: Vec<(Point, f64)> = scatter(12, 900.0, 900.0, 8)
+            .into_iter()
+            .zip([40.0, 90.0, 150.0, 260.0].into_iter().cycle())
+            .collect();
+        let mut cached: Vec<(Vec<u32>, u64)> = probes
+            .iter()
+            .map(|&(c, r)| (query(&grid, c, r), grid.clock()))
+            .collect();
+        let steps = scatter(600, 1.0, 1.0, 13);
+        let (mut kept, mut stale) = (0, 0);
+        for (k, s) in steps.iter().enumerate() {
+            let node = k % pts.len();
+            // Mostly short hops, every fifth a jump anywhere.
+            let to = if k % 5 == 0 {
+                Point::new(s.x * 900.0, s.y * 900.0)
+            } else {
+                Point::new(
+                    (pts[node].x + (s.x - 0.5) * 30.0).clamp(0.0, 899.0),
+                    (pts[node].y + (s.y - 0.5) * 30.0).clamp(0.0, 899.0),
+                )
+            };
+            pts[node] = to;
+            if k == 300 {
+                grid.rebuild(&pts);
+            } else {
+                grid.update(node as u32, to);
+            }
+            for (&(c, r), (ids, at)) in probes.iter().zip(&mut cached) {
+                let fresh = query(&grid, c, r);
+                if grid.stamp_of(c, r) <= *at {
+                    assert_eq!(*ids, fresh, "step {k}: a stale result kept its stamp");
+                    kept += 1;
+                } else {
+                    (*ids, *at) = (fresh, grid.clock());
+                    stale += 1;
+                }
+            }
+        }
+        assert!(
+            kept > 1000 && stale > 1000,
+            "kept {kept}, refreshed {stale}"
+        );
     }
 
     #[test]

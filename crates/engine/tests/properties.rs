@@ -197,6 +197,51 @@ mod grid_properties {
                 prop_assert_eq!(got, brute(&pts, center, radius));
             }
         }
+
+        /// Over arbitrary update sequences — jumps across cells and
+        /// nudges inside one — a query whose cells' stamps have not
+        /// passed the clock it was cached at still returns what it did.
+        #[test]
+        fn an_unchanged_stamp_keeps_a_cached_query_exact(
+            coords in proptest::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 2..60),
+            moves in proptest::collection::vec(
+                (0usize..60, -1200.0f64..1200.0, -1200.0f64..1200.0, any::<bool>()),
+                1..80,
+            ),
+            probes in proptest::collection::vec((0.0f64..1000.0, 0.0f64..1000.0, 0.0f64..600.0), 1..6),
+            cell in 20.0f64..500.0,
+        ) {
+            let mut pts = points(&coords);
+            let mut grid = UniformGrid::new(1000.0, 1000.0, cell, &pts);
+            let query = |grid: &UniformGrid, c: Point, r: f64| {
+                let mut out = Vec::new();
+                grid.query_circle(c, r, None, &mut out);
+                out
+            };
+            let mut cached: Vec<(Vec<u32>, u64)> = probes
+                .iter()
+                .map(|&(x, y, r)| (query(&grid, Point::new(x, y), r), grid.clock()))
+                .collect();
+            for &(node, dx, dy, nudge) in &moves {
+                let node = node % pts.len();
+                let scale = if nudge { 0.01 } else { 1.0 };
+                let p = pts[node];
+                pts[node] = Point::new(
+                    (p.x + dx * scale).clamp(0.0, 1000.0),
+                    (p.y + dy * scale).clamp(0.0, 1000.0),
+                );
+                grid.update(node as u32, pts[node]);
+                for (&(x, y, r), (ids, at)) in probes.iter().zip(&mut cached) {
+                    let c = Point::new(x, y);
+                    let fresh = query(&grid, c, r);
+                    if grid.stamp_of(c, r) <= *at {
+                        prop_assert_eq!(&*ids, &fresh);
+                    } else {
+                        (*ids, *at) = (fresh, grid.clock());
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -76,25 +76,35 @@ impl PropagationModel {
         }
     }
 
-    /// [`PropagationModel::gains_into`] over an index list into a shared
-    /// position array — the shape the simulator's candidate sets have
-    /// (sorted node ids from the spatial index). Avoids gathering the
-    /// candidate positions into a temporary.
-    pub fn gains_into_indexed(
+    /// Each candidate's exact distance from `tx` and the gain over it,
+    /// `(tx.distance(p), gain)`, in one pass over an index list into a
+    /// shared position array — the shape the simulator's candidate sets
+    /// have — replacing `out`'s contents: the distance is computed once
+    /// and serves both. Gains are bit-identical to per-pair
+    /// [`PropagationModel::gain`] calls; the variant match is hoisted out
+    /// of the loop as in [`PropagationModel::gains_into`].
+    pub fn distance_gains_into_indexed(
         &self,
         tx: Point,
         positions: &[Point],
         idx: &[u32],
-        out: &mut Vec<f64>,
+        out: &mut Vec<(f64, f64)>,
     ) {
         out.clear();
         out.reserve(idx.len());
         match self {
             PropagationModel::TwoRay(m) => {
-                out.extend(idx.iter().map(|&j| m.gain(tx, positions[j as usize])));
+                out.extend(idx.iter().map(|&j| {
+                    let d = tx.distance(positions[j as usize]);
+                    (d, m.gain_at(d))
+                }));
             }
             PropagationModel::Shadowed(m) => {
-                out.extend(idx.iter().map(|&j| m.gain(tx, positions[j as usize])));
+                out.extend(idx.iter().map(|&j| {
+                    let p = positions[j as usize];
+                    let d = tx.distance(p);
+                    (d, m.gain_over(tx, p, d))
+                }));
             }
         }
     }
@@ -148,7 +158,6 @@ mod tests {
     #[test]
     fn batched_gains_match_per_pair_calls_bitwise() {
         let pts = positions();
-        let idx: Vec<u32> = (0..pts.len() as u32).collect();
         for model in [
             PropagationModel::TwoRay(TwoRayGround::ns2_default()),
             PropagationModel::Shadowed(Shadowed::new(TwoRayGround::ns2_default(), 6.0, false, 9)),
@@ -156,12 +165,39 @@ mod tests {
             let tx = Point::new(250.0, 400.0);
             let mut batch = Vec::new();
             model.gains_into(tx, &pts, &mut batch);
-            let mut indexed = Vec::new();
-            model.gains_into_indexed(tx, &pts, &idx, &mut indexed);
             assert_eq!(batch.len(), pts.len());
             for (k, &p) in pts.iter().enumerate() {
                 assert_eq!(batch[k].to_bits(), model.gain(tx, p).to_bits());
-                assert_eq!(indexed[k].to_bits(), batch[k].to_bits());
+            }
+        }
+    }
+
+    /// The fused pass prices a candidate exactly as `gain(a, b)` does and
+    /// measures it exactly as `Point::distance` does: on the two-ray
+    /// model and under both shadowing symmetries, from a transmitter on
+    /// either side of each pair and across the two-ray crossover.
+    #[test]
+    fn fused_distance_gains_match_per_pair_calls_bitwise() {
+        let mut pts = positions();
+        pts.extend((0..40).map(|k| Point::new(250.0 + 3.1 * k as f64, 400.0 - 2.3 * k as f64)));
+        let idx: Vec<u32> = (0..pts.len() as u32).collect();
+        for model in [
+            PropagationModel::TwoRay(TwoRayGround::ns2_default()),
+            PropagationModel::Shadowed(Shadowed::new(TwoRayGround::ns2_default(), 6.0, true, 9)),
+            PropagationModel::Shadowed(Shadowed::new(TwoRayGround::ns2_default(), 6.0, false, 9)),
+        ] {
+            for tx in [Point::new(250.0, 400.0), pts[1], Point::new(-7.5, 1e3)] {
+                let mut fused = Vec::new();
+                model.distance_gains_into_indexed(tx, &pts, &idx, &mut fused);
+                assert_eq!(fused.len(), pts.len());
+                for (k, (&p, &(d, g))) in pts.iter().zip(&fused).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        model.gain(tx, p).to_bits(),
+                        "{model:?} gain to {k}"
+                    );
+                    assert_eq!(d.to_bits(), tx.distance(p).to_bits(), "distance to {k}");
+                }
             }
         }
     }

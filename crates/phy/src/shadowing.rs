@@ -20,7 +20,7 @@
 
 use pcmac_engine::{Milliwatts, Point};
 
-use crate::propagation::Propagation;
+use crate::propagation::{Propagation, TwoRayGround};
 
 /// Log-normal shadowing wrapper.
 #[derive(Debug, Clone)]
@@ -104,6 +104,15 @@ impl<P: Propagation> Shadowed<P> {
     }
 }
 
+impl Shadowed<TwoRayGround> {
+    /// [`Propagation::gain`]`(a, b)` given `d = a.distance(b)`, bit for
+    /// bit: the base gain at that distance times the link's shadowing.
+    #[inline]
+    pub fn gain_over(&self, a: Point, b: Point, d: f64) -> f64 {
+        (self.base.gain_at(d) * self.shadow_gain(a, b)).min(1.0)
+    }
+}
+
 impl<P: Propagation> Propagation for Shadowed<P> {
     fn gain(&self, a: Point, b: Point) -> f64 {
         // Shadowing never amplifies above unity overall gain.
@@ -124,7 +133,6 @@ impl<P: Propagation> Propagation for Shadowed<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagation::TwoRayGround;
 
     fn model(sigma: f64, symmetric: bool) -> Shadowed<TwoRayGround> {
         Shadowed::new(TwoRayGround::ns2_default(), sigma, symmetric, 7)
