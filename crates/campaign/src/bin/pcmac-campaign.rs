@@ -4,7 +4,7 @@
 //! pcmac-campaign run <campaign.json> [--threads N] [--out FILE]
 //! pcmac-campaign figures [--full] [--secs N] [--seeds a,b] [--loads x,y]
 //! pcmac-campaign expand <campaign.json>
-//! pcmac-campaign validate <campaign.json>
+//! pcmac-campaign validate <campaign.json | scenario.json>
 //! pcmac-campaign scenario <scenario.json> [--seed S]
 //! pcmac-campaign dashboard [DIR] [--baseline DIR] [--band PCT]
 //! pcmac-campaign example
@@ -63,9 +63,10 @@ commands:
         delay growing with load)
   expand <campaign.json>
         print the grid a campaign expands to, without running it
-  validate <campaign.json>
-        check the spec and every expanded grid cell; exit 0 when clean,
-        1 with the full aggregated defect list, one problem per line
+  validate <campaign.json | scenario.json>
+        check a campaign spec and every expanded grid cell, or a single
+        ScenarioSpec; exit 0 when clean, 1 with the full aggregated
+        defect list, one problem per line
   scenario <scenario.json> [--seed S] [--shards N]
         materialize and run a single ScenarioSpec (default seed 1;
         --shards as for `run`). A
@@ -373,7 +374,20 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
 fn cmd_validate(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
-    let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let spec = match CampaignSpec::from_json(&text) {
+        Ok(spec) => spec,
+        Err(not_campaign) => {
+            let scenario = ScenarioSpec::from_json(&text).map_err(|not_scenario| {
+                format!(
+                    "{path}: neither a campaign spec ({not_campaign}) nor a scenario spec \
+                     ({not_scenario})"
+                )
+            })?;
+            scenario.validate().map_err(|e| invalid(path, e))?;
+            println!("{path}: OK (scenario `{}`)", scenario.name);
+            return Ok(());
+        }
+    };
     // Expanding the grid validates the campaign *and* every grid cell,
     // aggregating the defects of all of them into one list.
     spec.grid().map_err(|e| invalid(path, e))?;

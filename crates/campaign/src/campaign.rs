@@ -46,18 +46,26 @@ pub struct AxesSpec {
 impl AxesSpec {
     /// Lower the fixed grid onto the general axis list.
     pub fn lower(&self) -> Vec<Axis> {
+        self.keyed().into_iter().map(|(_, axis)| axis).collect()
+    }
+
+    /// [`AxesSpec::lower`], each axis with the key it came from.
+    fn keyed(&self) -> Vec<(&'static str, Axis)> {
         let mut axes = Vec::new();
         if let Some(v) = &self.loads_kbps {
-            axes.push(Axis::Load { values: v.clone() });
+            axes.push(("loads_kbps", Axis::Load { values: v.clone() }));
         }
         if let Some(v) = &self.node_counts {
-            axes.push(Axis::Nodes { values: v.clone() });
+            axes.push(("node_counts", Axis::Nodes { values: v.clone() }));
         }
         if let Some(v) = &self.power_level_sets_mw {
-            axes.push(Axis::PowerLevels { sets_mw: v.clone() });
+            axes.push((
+                "power_level_sets_mw",
+                Axis::PowerLevels { sets_mw: v.clone() },
+            ));
         }
         if let Some(v) = &self.variants {
-            axes.push(Axis::Variants { values: v.clone() });
+            axes.push(("variants", Axis::Variants { values: v.clone() }));
         }
         axes
     }
@@ -140,66 +148,47 @@ impl Axis {
         }
     }
 
+    /// Check the axis: it has values, a `Nodes` axis counts at least 2
+    /// on a placement that takes a count, and every value applies to a
+    /// copy of `base`. That types a patch and, when the base itself is
+    /// valid, catches a value the spec rejects (a negative load, a
+    /// non-increasing level set, a negative safety factor, …) here
+    /// rather than at expansion time.
     fn validate(&self, base: &ScenarioSpec, base_ok: bool, problems: &mut Vec<String>) {
         if self.is_empty() {
             problems.push(format!("{} axis is empty", self.label()));
             return;
         }
-        match self {
-            Axis::Load { values } => {
-                for l in values {
-                    if !l.is_finite() || *l <= 0.0 {
-                        problems.push(format!("load {l} kbps must be positive and finite"));
-                    }
-                }
+        if let Axis::Nodes { values } = self {
+            if values.iter().any(|c| *c < 2) {
+                problems.push("node counts must be at least 2".into());
             }
-            Axis::Nodes { values } => {
-                if values.iter().any(|c| *c < 2) {
-                    problems.push("node counts must be at least 2".into());
-                }
-                if matches!(
-                    base.nodes.placement,
-                    PlacementSpec::Density { .. } | PlacementSpec::Explicit { .. }
-                ) {
-                    problems.push(
-                        "Nodes axis conflicts with a placement that implies its own count".into(),
-                    );
-                }
+            if matches!(
+                base.nodes.placement,
+                PlacementSpec::Density { .. } | PlacementSpec::Explicit { .. }
+            ) {
+                problems.push(
+                    "Nodes axis conflicts with a placement that implies its own count".into(),
+                );
             }
-            Axis::Variants { .. } => {}
-            Axis::PowerLevels { sets_mw } => {
-                validate_level_sets(sets_mw, problems);
+        }
+        let knob = self.knob();
+        for i in 0..self.len() {
+            let at = |e: SpecError| {
+                e.problems
+                    .into_iter()
+                    .map(move |p| format!("axis `{knob}` value {i}: {p}"))
+            };
+            let mut probe = base.clone();
+            if let Err(e) = self.apply(i, &mut probe, &mut Vec::new()) {
+                problems.extend(at(e));
+                // An unknown path fails identically for every value; one
+                // report suffices.
+                break;
             }
-            Axis::Patch { path, values } => {
-                // Type-check every value by applying it to a scratch copy
-                // of the base; when the base itself is valid, also catch
-                // semantically-bad values (negative safety factor, …)
-                // here rather than at expansion time.
-                for (i, v) in values.iter().enumerate() {
-                    let mut probe = base.clone();
-                    match probe.apply_patch(path, v) {
-                        Err(e) => {
-                            problems.extend(
-                                e.problems
-                                    .into_iter()
-                                    .map(|p| format!("axis `{path}` value {i}: {p}")),
-                            );
-                            // An unknown path fails identically for every
-                            // value; one report suffices.
-                            break;
-                        }
-                        Ok(()) => {
-                            if base_ok {
-                                if let Err(e) = probe.validate() {
-                                    problems.extend(
-                                        e.problems
-                                            .into_iter()
-                                            .map(|p| format!("axis `{path}` value {i}: {p}")),
-                                    );
-                                }
-                            }
-                        }
-                    }
+            if base_ok {
+                if let Err(e) = probe.validate() {
+                    problems.extend(at(e));
                 }
             }
         }
@@ -224,20 +213,6 @@ impl Axis {
             }
         }
         Ok(())
-    }
-}
-
-fn validate_level_sets(sets: &[Vec<f64>], problems: &mut Vec<String>) {
-    for (i, levels) in sets.iter().enumerate() {
-        if levels.is_empty() {
-            problems.push(format!("power level set {i} is empty"));
-        } else if levels.iter().any(|l| !l.is_finite() || *l <= 0.0) {
-            problems.push(format!(
-                "power level set {i} must be all-positive and finite (mW)"
-            ));
-        } else if levels.windows(2).any(|w| w[0] >= w[1]) {
-            problems.push(format!("power level set {i} must be strictly increasing"));
-        }
     }
 }
 
@@ -361,11 +336,11 @@ impl CampaignGrid {
     /// Lazily materialize every `(cell × seed)` scenario, point-major and
     /// seed-minor — the stream the campaign runner consumes.
     ///
-    /// Every cell spec was validated when the grid was built, so a
-    /// materialization failure here is a validator/materializer
-    /// disagreement. It used to panic; now it propagates as an `Err`
-    /// naming the cell and seed, which the runner records as a failed
-    /// point instead of aborting the whole sweep.
+    /// Every cell spec was validated when the grid was built, and
+    /// validity does not depend on the seed, so these are expected to
+    /// succeed. A failure still comes back as an `Err` naming the cell
+    /// and seed, which the runner records as a failed point instead of
+    /// aborting the whole sweep.
     pub fn scenarios(&self) -> impl Iterator<Item = Result<ScenarioConfig, SpecError>> + '_ {
         self.cells.iter().flat_map(move |cell| {
             self.seeds.iter().map(move |&seed| {
@@ -392,11 +367,24 @@ impl CampaignSpec {
         axes
     }
 
-    /// Check the campaign (base spec, seeds, every axis) with actionable
-    /// messages.
+    /// The spec every cell starts from: the base with the campaign
+    /// duration override in place. It applies before the axes, so an
+    /// explicit `duration_s` Patch axis wins over it, keeping every
+    /// point's key truthful about what actually ran.
+    fn cell_base(&self) -> ScenarioSpec {
+        let mut spec = self.base.clone();
+        if let Some(d) = self.duration_s {
+            spec.duration_s = d;
+        }
+        spec
+    }
+
+    /// Check the campaign (base spec under the duration override, seeds,
+    /// every axis) with actionable messages.
     pub fn validate(&self) -> Result<(), SpecError> {
         let mut problems = Vec::new();
-        let base_ok = match self.base.validate() {
+        let base = self.cell_base();
+        let base_ok = match base.validate() {
             Ok(()) => true,
             Err(e) => {
                 problems.extend(e.problems.into_iter().map(|p| format!("base: {p}")));
@@ -406,63 +394,15 @@ impl CampaignSpec {
         if self.seeds.is_empty() {
             problems.push("campaign has no seeds".into());
         }
-        if let Some(d) = self.duration_s {
-            if !d.is_finite() || d <= 0.0 {
-                problems.push(format!("duration {d} s must be positive and finite"));
-            } else if d <= self.base.min_duration_s() {
-                // The override replaces the base duration at expansion;
-                // catch an over-shrunk campaign here, not mid-expand.
-                problems.push(format!(
-                    "duration override {d} s leaves later flows no airtime (flow starts are staggered up to {:.3} s)",
-                    self.base.min_duration_s()
-                ));
-            }
+        // The legacy grid is checked as the axes it lowers to; each
+        // problem names the key it came from.
+        for (key, axis) in self.axes.as_ref().map(AxesSpec::keyed).unwrap_or_default() {
+            let mut found = Vec::new();
+            axis.validate(&base, base_ok, &mut found);
+            problems.extend(found.into_iter().map(|p| format!("axes.{key}: {p}")));
         }
-        // Legacy-grid defects keep their historical messages.
-        if let Some(axes) = &self.axes {
-            if let Some(loads) = &axes.loads_kbps {
-                if loads.is_empty() {
-                    problems.push("loads_kbps axis is empty".into());
-                }
-                for l in loads {
-                    if !l.is_finite() || *l <= 0.0 {
-                        problems.push(format!("load {l} kbps must be positive and finite"));
-                    }
-                }
-            }
-            if let Some(counts) = &axes.node_counts {
-                if counts.is_empty() {
-                    problems.push("node_counts axis is empty".into());
-                }
-                if counts.iter().any(|c| *c < 2) {
-                    problems.push("node counts must be at least 2".into());
-                }
-                if matches!(
-                    self.base.nodes.placement,
-                    PlacementSpec::Density { .. } | PlacementSpec::Explicit { .. }
-                ) {
-                    problems.push(
-                        "node_counts axis conflicts with a placement that implies its own count"
-                            .into(),
-                    );
-                }
-            }
-            if let Some(vs) = &axes.variants {
-                if vs.is_empty() {
-                    problems.push("variants axis is empty".into());
-                }
-            }
-            if let Some(sets) = &axes.power_level_sets_mw {
-                if sets.is_empty() {
-                    problems.push("power_level_sets_mw axis is empty".into());
-                }
-                validate_level_sets(sets, &mut problems);
-            }
-        }
-        if let Some(sweep) = &self.sweep {
-            for axis in sweep {
-                axis.validate(&self.base, base_ok, &mut problems);
-            }
+        for axis in self.sweep.iter().flatten() {
+            axis.validate(&base, base_ok, &mut problems);
         }
         // Two axes sweeping the same knob would produce duplicate points
         // whose keys collide (the later axis value silently wins). The
@@ -526,14 +466,7 @@ impl CampaignSpec {
                 idx[k] = n % len;
                 n /= len;
             }
-            let mut spec = self.base.clone();
-            // The campaign-level duration override replaces the *base*
-            // duration, so it applies before the axes: an explicit
-            // `duration_s` Patch axis wins over it, keeping every
-            // point's key truthful about what actually ran.
-            if let Some(d) = self.duration_s {
-                spec.duration_s = d;
-            }
+            let mut spec = self.cell_base();
             let mut patches = Vec::new();
             let mut cell_problems = Vec::new();
             for (axis, &i) in axes.iter().zip(&idx) {

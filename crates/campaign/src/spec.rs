@@ -20,6 +20,22 @@
 //! policy), and AODV parameters on top of the paper defaults. Campaign
 //! sweep axes reach every one of those knobs through
 //! [`ScenarioSpec::apply_patch`] and its dotted [`PATCH_PATHS`].
+//!
+//! # Validation
+//!
+//! A spec is valid exactly when it materializes into a config that
+//! passes [`ScenarioConfig::validate`], the one home of every rule on a
+//! value the config holds (thresholds, the §III knobs, AODV timers,
+//! flows, faults, metrics, execution). [`ScenarioSpec::validate`] is
+//! [`ScenarioSpec::materialize`] with the config discarded. The checks
+//! written here are only those on values the config never sees: the
+//! node-count resolution, the placement's parameters and whether it
+//! fits the field, the aggregate offered load, whether the traffic
+//! pattern can be drawn, the power-level list, airtime for the
+//! staggered flow starts, and the waypoint pause (seconds whose
+//! `Duration` would silently turn NaN or negative into a valid zero).
+//! The config is built whenever those allow it, so one pass reports the
+//! problems of both layers.
 
 use pcmac::{
     ChurnConfig, ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup,
@@ -222,34 +238,6 @@ impl ProtocolSpec {
             mac.rts_threshold = v;
         }
     }
-
-    fn validate(&self, problems: &mut Vec<String>) {
-        if let Some(v) = self.safety_factor {
-            if !v.is_finite() || v <= 0.0 {
-                problems.push(format!(
-                    "PCMAC safety factor {v} must be positive and finite"
-                ));
-            }
-        }
-        if let Some(v) = self.capture_ratio {
-            if v.is_nan() || v < 1.0 {
-                problems.push(format!("PCMAC capture ratio {v} must be at least 1"));
-            }
-        }
-        if self.ctrl_rate_bps == Some(0) {
-            problems.push("control channel rate is zero".into());
-        }
-        if let Some(v) = self.history_expiry_s {
-            if !v.is_finite() || v <= 0.0 {
-                problems.push(format!(
-                    "power history expiry {v} s must be positive and finite"
-                ));
-            }
-        }
-        if self.queue_capacity == Some(0) {
-            problems.push("interface queue capacity is zero".into());
-        }
-    }
 }
 
 /// Overlay on the radio configuration (thresholds and capture model).
@@ -289,35 +277,6 @@ impl RadioSpec {
         }
         if let Some(v) = self.capture_policy {
             radio.capture_policy = v;
-        }
-    }
-
-    fn validate(&self, problems: &mut Vec<String>) {
-        for (which, v) in [
-            ("decode threshold", self.rx_thresh_mw),
-            ("carrier-sense threshold", self.cs_thresh_mw),
-            ("noise floor", self.noise_floor_mw),
-        ] {
-            if let Some(v) = v {
-                if !v.is_finite() || v <= 0.0 {
-                    problems.push(format!("{which} {v} mW must be positive and finite"));
-                }
-            }
-        }
-        if let Some(v) = self.capture_ratio {
-            if v.is_nan() || v < 1.0 {
-                problems.push(format!("radio capture ratio {v} must be at least 1"));
-            }
-        }
-        // Effective values after the overlay: the decode threshold must
-        // stay above the noise floor or nothing could ever be received.
-        let defaults = RadioConfig::ns2_default();
-        let rx = self.rx_thresh_mw.unwrap_or(defaults.rx_thresh.value());
-        let noise = self.noise_floor_mw.unwrap_or(defaults.noise_floor.value());
-        if rx.is_finite() && noise.is_finite() && rx > 0.0 && noise > 0.0 && rx <= noise {
-            problems.push(format!(
-                "decode threshold {rx} mW must exceed the noise floor {noise} mW"
-            ));
         }
     }
 }
@@ -366,30 +325,6 @@ impl AodvSpec {
             aodv.rreq_ttl = v;
         }
     }
-
-    fn validate(&self, problems: &mut Vec<String>) {
-        for (which, v) in [
-            ("active route timeout", self.active_route_timeout_s),
-            ("RREQ cache timeout", self.rreq_cache_timeout_s),
-            ("RREQ wait", self.rreq_wait_s),
-            ("buffer timeout", self.buffer_timeout_s),
-        ] {
-            if let Some(v) = v {
-                if !v.is_finite() || v <= 0.0 {
-                    problems.push(format!("AODV {which} {v} s must be positive and finite"));
-                }
-            }
-        }
-        if self.rreq_retries == Some(0) {
-            problems.push("AODV needs at least one RREQ attempt".into());
-        }
-        if self.buffer_capacity == Some(0) {
-            problems.push("AODV send-buffer capacity is zero".into());
-        }
-        if self.rreq_ttl == Some(0) {
-            problems.push("AODV RREQ TTL is zero: floods would die at the source".into());
-        }
-    }
 }
 
 /// Execution-strategy overlay: how the event loop runs, not what it
@@ -405,26 +340,6 @@ pub struct ExecutionSpec {
     /// Minimum propagation delay in microseconds, applied to every
     /// arrival. Required whenever `shards` is set.
     pub delay_floor_us: Option<f64>,
-}
-
-impl ExecutionSpec {
-    fn validate(&self, problems: &mut Vec<String>) {
-        if self.shards == Some(0) {
-            problems.push("sharded execution with zero shards: nothing would run".into());
-        }
-        if let Some(us) = self.delay_floor_us {
-            if !us.is_finite() || us <= 0.0 {
-                problems.push(format!("delay floor {us} µs must be positive and finite"));
-            }
-        }
-        if self.shards.is_some() && self.delay_floor_us.is_none() {
-            problems.push(
-                "sharded execution requires delay_floor_us: the floor is the \
-                 lookahead that makes region-parallel runs bit-identical"
-                    .into(),
-            );
-        }
-    }
 }
 
 /// Every dotted path [`ScenarioSpec::apply_patch`] accepts — the
@@ -487,6 +402,12 @@ pub const PATCH_PATHS: &[&str] = &[
 /// mismatch.
 fn patch_value<T: Deserialize>(path: &str, v: &Value) -> Result<T, SpecError> {
     T::from_value(v).map_err(|e| SpecError::one(format!("patch `{path}`: {e}")))
+}
+
+/// Columns and rows of the `Grid` placement holding `count` nodes.
+fn grid_shape(count: usize) -> (usize, usize) {
+    let cols = ((count as f64).sqrt().ceil() as usize).max(1);
+    (cols, count.div_ceil(cols))
 }
 
 /// A declarative scenario: data, not code. Load from JSON, validate,
@@ -764,7 +685,7 @@ impl ScenarioSpec {
     /// The node count this spec materializes (resolving density- and
     /// placement-implied counts).
     pub fn node_count(&self) -> Result<usize, SpecError> {
-        match (&self.nodes.placement, self.nodes.count) {
+        let count = match (&self.nodes.placement, self.nodes.count) {
             (PlacementSpec::Density { per_km2 }, maybe_count) => {
                 if !per_km2.is_finite() || *per_km2 <= 0.0 {
                     return Err(SpecError::one(format!(
@@ -791,7 +712,15 @@ impl ScenarioSpec {
             (_, None) => Err(SpecError::one(
                 "node count is required unless the placement implies it (Density, Explicit)",
             )),
+        }?;
+        // Node ids are 32 bits wide. A count past them (a density over a
+        // vast field) would only fail allocating its positions.
+        if count > u32::MAX as usize {
+            return Err(SpecError::one(format!(
+                "node count {count} does not fit 32-bit node ids"
+            )));
         }
+        Ok(count)
     }
 
     /// Number of flows the traffic pattern creates.
@@ -811,68 +740,82 @@ impl ScenarioSpec {
         pcmac::flow_start(self.flow_count().saturating_sub(1)).as_secs_f64()
     }
 
-    /// Check the spec for defects with actionable messages, without
-    /// materializing it.
+    /// Check the spec: [`ScenarioSpec::materialize`] with the config
+    /// discarded. Whether a spec is valid never depends on the seed.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.materialize(0).map(drop)
+    }
+
+    /// Turn the spec into a concrete, runnable [`ScenarioConfig`] for
+    /// `seed`, or report everything wrong with it: the spec-only checks,
+    /// then [`ScenarioConfig::validate`] on the config (module docs,
+    /// "Validation"). The config is built once the node count resolves
+    /// and the placement can be generated; traffic that cannot be drawn
+    /// is left out of it and an unusable power-level list keeps the
+    /// paper's, the spec already rejected for either.
+    pub fn materialize(&self, seed: u64) -> Result<ScenarioConfig, SpecError> {
         let mut problems = Vec::new();
-        if !self.duration_s.is_finite() || self.duration_s <= 0.0 {
-            problems.push(format!(
-                "duration {} s must be positive and finite",
-                self.duration_s
-            ));
-        }
-        for (which, dim) in [("width", self.field.0), ("height", self.field.1)] {
-            if !dim.is_finite() || dim <= 0.0 {
-                problems.push(format!("field {which} {dim} must be positive and finite"));
+        let count = self
+            .node_count()
+            .map_err(|e| problems.extend(e.problems))
+            .ok();
+        let nodes = count.and_then(|count| self.node_setup(count, seed, &mut problems));
+        let flows = self.flows(count, seed, &mut problems);
+        let levels = self.power_levels(&mut problems);
+        if let Some(nodes) = nodes {
+            let cfg = self.config(seed, nodes, flows.unwrap_or_default(), levels);
+            match cfg.validate() {
+                Ok(()) if problems.is_empty() => return Ok(cfg),
+                Ok(()) => {}
+                Err(e) => problems.extend(e.problems),
             }
         }
-        let count = match self.node_count() {
-            Ok(0) => {
-                problems.push("scenario has zero nodes".to_string());
-                0
-            }
-            Ok(c) => c,
-            Err(e) => {
-                problems.extend(e.problems);
-                0
-            }
-        };
+        Err(SpecError { problems })
+    }
+
+    /// The node population, once the placement's parameters are usable,
+    /// it fits the field and the waypoint pause is a time.
+    fn node_setup(&self, count: usize, seed: u64, problems: &mut Vec<String>) -> Option<NodeSetup> {
+        let (w, h) = self.field;
+        // Every generator places nodes inside the field, so there must
+        // be one before a config (whose own rule this is) can exist.
+        if !(w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite()) {
+            problems.push(format!("nodes cannot be placed on a {w} m x {h} m field"));
+            return None;
+        }
+        let before = problems.len();
+        let unusable = |v: f64| !v.is_finite() || v <= 0.0;
+        let (cols, rows) = grid_shape(count);
         match &self.nodes.placement {
+            PlacementSpec::Grid { spacing } if unusable(*spacing) => {
+                problems.push(format!("spacing {spacing} m must be positive and finite"));
+            }
             PlacementSpec::Grid { spacing } => {
-                if !spacing.is_finite() || *spacing <= 0.0 {
-                    problems.push(format!("spacing {spacing} m must be positive and finite"));
-                } else if count > 0 {
-                    let cols = (count as f64).sqrt().ceil() as usize;
-                    let rows = count.div_ceil(cols);
-                    if (cols - 1) as f64 * spacing > self.field.0
-                        || (rows - 1) as f64 * spacing > self.field.1
-                    {
-                        problems.push(format!(
-                            "a {cols}x{rows} grid at {spacing} m pitch does not fit the {} m x {} m field",
-                            self.field.0, self.field.1
-                        ));
-                    }
+                if (cols - 1) as f64 * spacing > w || rows.saturating_sub(1) as f64 * spacing > h {
+                    problems.push(format!(
+                        "a {cols}x{rows} grid at {spacing} m pitch does not fit the {w} m x {h} m field"
+                    ));
                 }
+            }
+            PlacementSpec::Chain { spacing } if unusable(*spacing) => {
+                problems.push(format!("spacing {spacing} m must be positive and finite"));
             }
             PlacementSpec::Chain { spacing } => {
-                if !spacing.is_finite() || *spacing <= 0.0 {
-                    problems.push(format!("spacing {spacing} m must be positive and finite"));
-                } else if count > 1 && (count - 1) as f64 * spacing > self.field.0 {
+                if count.saturating_sub(1) as f64 * spacing > w {
                     problems.push(format!(
-                        "a {count}-node chain at {spacing} m spacing exceeds the field width {}",
-                        self.field.0
+                        "a {count}-node chain at {spacing} m spacing exceeds the field width {w}"
                     ));
                 }
             }
+            PlacementSpec::Ring { radius } if unusable(*radius) => {
+                problems.push(format!(
+                    "ring radius {radius} m must be positive and finite"
+                ));
+            }
             PlacementSpec::Ring { radius } => {
-                if !radius.is_finite() || *radius <= 0.0 {
+                if *radius > w.min(h) / 2.0 {
                     problems.push(format!(
-                        "ring radius {radius} m must be positive and finite"
-                    ));
-                } else if *radius > self.field.0.min(self.field.1) / 2.0 {
-                    problems.push(format!(
-                        "ring radius {radius} m does not fit the {} m x {} m field",
-                        self.field.0, self.field.1
+                        "ring radius {radius} m does not fit the {w} m x {h} m field"
                     ));
                 }
             }
@@ -880,190 +823,48 @@ impl ScenarioSpec {
                 if *clusters == 0 {
                     problems.push("clustered placement needs at least one cluster".into());
                 }
-                if !spread_m.is_finite() || *spread_m <= 0.0 {
+                if unusable(*spread_m) {
                     problems.push(format!(
                         "cluster spread {spread_m} m must be positive and finite"
+                    ));
+                } else if *spread_m >= w.min(h) / 2.0 {
+                    // Centres keep `spread_m` from the border: at half
+                    // the field there is nowhere left to draw them.
+                    problems.push(format!(
+                        "cluster spread {spread_m} m does not fit the {w} m x {h} m field \
+                         (it must stay under half the shorter side)"
                     ));
                 }
             }
             PlacementSpec::Corridor { width_m } => {
-                if !width_m.is_finite() || *width_m <= 0.0 || *width_m > self.field.1 {
+                if unusable(*width_m) || *width_m > h {
                     problems.push(format!(
-                        "corridor width {width_m} m must be positive and fit the field height {}",
-                        self.field.1
+                        "corridor width {width_m} m must be positive and fit the field height {h}"
                     ));
                 }
             }
             PlacementSpec::Explicit { points } => {
-                if points.is_empty() {
-                    problems.push("explicit placement has no points".into());
-                }
                 for (i, p) in points.iter().enumerate() {
-                    if !p.x.is_finite()
-                        || !p.y.is_finite()
-                        || !(0.0..=self.field.0).contains(&p.x)
-                        || !(0.0..=self.field.1).contains(&p.y)
-                    {
+                    if !(0.0..=w).contains(&p.x) || !(0.0..=h).contains(&p.y) {
                         problems.push(format!(
-                            "point {i} ({}, {}) lies outside the {} m x {} m field",
-                            p.x, p.y, self.field.0, self.field.1
+                            "point {i} ({}, {}) lies outside the {w} m x {h} m field",
+                            p.x, p.y
                         ));
                     }
                 }
             }
             PlacementSpec::Uniform | PlacementSpec::Density { .. } => {}
         }
-        if let Some(m) = &self.nodes.mobility {
-            // A waypoint walk at 0 m/s never reaches its first waypoint:
-            // the model refuses it. A patch of `nodes.mobility.pause_s`
-            // alone creates mobility at 0 m/s on a static base.
-            if !m.speed_mps.is_finite() || m.speed_mps <= 0.0 {
-                problems.push(format!(
-                    "mobility speed {} m/s must be positive and finite \
-                     (omit `nodes.mobility` for static nodes)",
-                    m.speed_mps
-                ));
-            }
-            if !m.pause_s.is_finite() || m.pause_s < 0.0 {
-                problems.push(format!(
-                    "mobility pause {} s must be finite and non-negative",
-                    m.pause_s
-                ));
-            }
-        }
-        let load = self.traffic.offered_load_kbps;
-        if !load.is_finite() || load <= 0.0 {
+        let mobility = self.nodes.mobility;
+        if let Some(m) = mobility.filter(|m| !m.pause_s.is_finite() || m.pause_s < 0.0) {
             problems.push(format!(
-                "offered load {load} kbps must be positive and finite"
+                "mobility pause {} s must be finite and non-negative",
+                m.pause_s
             ));
         }
-        if self.traffic.bytes == 0 {
-            problems.push("packet size is zero bytes".into());
+        if problems.len() > before {
+            return None;
         }
-        if let FlowShape::OnOff {
-            mean_on_s,
-            mean_off_s,
-        } = self.traffic.shape
-        {
-            for (which, mean) in [("on", mean_on_s), ("off", mean_off_s)] {
-                if !mean.is_finite() || mean <= 0.0 {
-                    problems.push(format!(
-                        "mean {which} phase {mean} s must be positive and finite"
-                    ));
-                }
-            }
-        }
-        // A duration at or below the last flow's staggered start would
-        // silently strand flows with zero airtime — the classic
-        // over-shrunk smoke campaign.
-        if self.duration_s.is_finite()
-            && self.duration_s > 0.0
-            && self.duration_s <= self.min_duration_s()
-        {
-            problems.push(format!(
-                "duration {} s leaves later flows no airtime (flow starts are staggered up to {:.3} s)",
-                self.duration_s,
-                self.min_duration_s()
-            ));
-        }
-        match &self.traffic.pattern {
-            TrafficPattern::RandomPairs { flows } => {
-                if *flows == 0 {
-                    problems.push("traffic has zero flows".into());
-                } else if count > 0 && count * (count.saturating_sub(1)) < *flows {
-                    problems.push(format!(
-                        "{flows} distinct random pairs cannot be drawn from {count} nodes"
-                    ));
-                }
-            }
-            TrafficPattern::NeighbourPairs { flows } => {
-                if *flows == 0 {
-                    problems.push("traffic has zero flows".into());
-                } else if count > 0 && 2 * flows > count {
-                    problems.push(format!(
-                        "{flows} neighbour pairs need {} nodes, scenario has {count}",
-                        2 * flows
-                    ));
-                }
-            }
-            TrafficPattern::Explicit { pairs } => {
-                if pairs.is_empty() {
-                    problems.push("traffic has zero flows".into());
-                }
-                for (i, (s, d)) in pairs.iter().enumerate() {
-                    if s == d {
-                        problems.push(format!(
-                            "flow {i}: source and destination are both node {s}"
-                        ));
-                    }
-                    if count > 0 {
-                        for (role, node) in [("source", s), ("destination", d)] {
-                            if *node as usize >= count {
-                                problems.push(format!(
-                                    "flow {i}: {role} node {node} out of range (scenario has {count} nodes)"
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(levels) = &self.power_levels_mw {
-            if levels.is_empty() {
-                problems.push("power level set is empty".into());
-            }
-            if levels.iter().any(|l| !l.is_finite() || *l <= 0.0) {
-                problems.push("power levels must all be positive and finite (mW)".into());
-            } else if levels.windows(2).any(|w| w[0] >= w[1]) {
-                problems.push("power levels must be strictly increasing".into());
-            }
-        }
-        if let Some(s) = &self.shadowing {
-            if !s.sigma_db.is_finite() || s.sigma_db < 0.0 {
-                problems.push(format!(
-                    "shadowing sigma {} dB must be finite and non-negative",
-                    s.sigma_db
-                ));
-            }
-        }
-        if let Some(p) = &self.protocol {
-            p.validate(&mut problems);
-        }
-        if let Some(r) = &self.radio {
-            r.validate(&mut problems);
-        }
-        if let Some(a) = &self.aodv {
-            a.validate(&mut problems);
-        }
-        if let Some(fc) = &self.faults {
-            fc.collect_problems(count, self.duration_s, &mut problems);
-        }
-        if let Some(mc) = &self.metrics {
-            if !mc.probe_interval_s.is_finite() || mc.probe_interval_s <= 0.0 {
-                problems.push(format!(
-                    "metrics probe interval {} s must be positive and finite",
-                    mc.probe_interval_s
-                ));
-            }
-        }
-        if let Some(e) = &self.execution {
-            e.validate(&mut problems);
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(SpecError { problems })
-        }
-    }
-
-    /// Turn the spec into a concrete, runnable [`ScenarioConfig`] for
-    /// `seed`. Validates first; the result additionally passes
-    /// [`ScenarioConfig::validate`].
-    pub fn materialize(&self, seed: u64) -> Result<ScenarioConfig, SpecError> {
-        self.validate()?;
-        let count = self.node_count()?;
-        let duration = Duration::from_secs_f64(self.duration_s);
-        let (w, h) = self.field;
 
         let starts: Option<Vec<Point>> = match &self.nodes.placement {
             // Uniform placement is left symbolic: the simulator derives
@@ -1075,8 +876,6 @@ impl ScenarioSpec {
                 Some(placement::uniform(count, w, h, &mut rng))
             }
             PlacementSpec::Grid { spacing } => {
-                let cols = (count as f64).sqrt().ceil() as usize;
-                let rows = count.div_ceil(cols);
                 let mut pts = placement::grid(cols, rows, Point::new(0.0, 0.0), *spacing);
                 pts.truncate(count);
                 Some(pts)
@@ -1107,8 +906,7 @@ impl ScenarioSpec {
             }
             PlacementSpec::Explicit { points } => Some(points.clone()),
         };
-
-        let nodes = match (starts, &self.nodes.mobility) {
+        Some(match (starts, mobility) {
             (None, Some(m)) => NodeSetup::UniformWaypoint {
                 count,
                 speed: m.speed_mps,
@@ -1125,7 +923,56 @@ impl ScenarioSpec {
                 pause: Duration::from_secs_f64(m.pause_s),
             },
             (Some(starts), None) => NodeSetup::Static(starts),
-        };
+        })
+    }
+
+    /// The flows, once the aggregate load is a rate, the pattern can be
+    /// drawn from `count` nodes (when it resolved) and every staggered
+    /// start gets airtime.
+    fn flows(
+        &self,
+        count: Option<usize>,
+        seed: u64,
+        problems: &mut Vec<String>,
+    ) -> Option<Vec<FlowSpec>> {
+        let before = problems.len();
+        let load = self.traffic.offered_load_kbps;
+        if !load.is_finite() || load <= 0.0 {
+            problems.push(format!(
+                "offered load {load} kbps must be positive and finite"
+            ));
+        }
+        if self.flow_count() == 0 {
+            problems.push("traffic has zero flows".into());
+        }
+        // A duration at or below the last flow's staggered start would
+        // silently strand flows with zero airtime — the classic
+        // over-shrunk smoke campaign.
+        if self.duration_s.is_nan() || self.duration_s <= self.min_duration_s() {
+            problems.push(format!(
+                "duration {} s leaves later flows no airtime (flow starts are staggered up to {:.3} s)",
+                self.duration_s,
+                self.min_duration_s()
+            ));
+        }
+        let count = count?;
+        match self.traffic.pattern {
+            TrafficPattern::RandomPairs { flows } if count * count.saturating_sub(1) < flows => {
+                problems.push(format!(
+                    "{flows} distinct random pairs cannot be drawn from {count} nodes"
+                ));
+            }
+            TrafficPattern::NeighbourPairs { flows } if 2 * flows > count => {
+                problems.push(format!(
+                    "{flows} neighbour pairs need {} nodes, scenario has {count}",
+                    2 * flows
+                ));
+            }
+            _ => {}
+        }
+        if problems.len() > before {
+            return None;
+        }
 
         let pairs: Vec<(u32, u32)> = match &self.traffic.pattern {
             TrafficPattern::RandomPairs { flows } => pcmac::random_flow_pairs(seed, count, *flows),
@@ -1134,25 +981,55 @@ impl ScenarioSpec {
                 .collect(),
             TrafficPattern::Explicit { pairs } => pairs.clone(),
         };
-        let per_flow_bps = self.traffic.offered_load_kbps * 1000.0 / pairs.len() as f64;
-        let flows: Vec<FlowSpec> = pairs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (src, dst))| FlowSpec {
-                flow: FlowId(i as u32),
-                src: NodeId(src),
-                dst: NodeId(dst),
-                bytes: self.traffic.bytes,
-                rate_bps: per_flow_bps,
-                start: pcmac::flow_start(i),
-                stop: SimTime::ZERO + duration,
-                shape: self.traffic.shape,
-            })
-            .collect();
+        let per_flow_bps = load * 1000.0 / pairs.len() as f64;
+        let stop = SimTime::ZERO + Duration::from_secs_f64(self.duration_s);
+        Some(
+            pairs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (src, dst))| FlowSpec {
+                    flow: FlowId(i as u32),
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    bytes: self.traffic.bytes,
+                    rate_bps: per_flow_bps,
+                    start: pcmac::flow_start(i),
+                    stop,
+                    shape: self.traffic.shape,
+                })
+                .collect(),
+        )
+    }
 
+    /// The overridden power-level set, when there is one and
+    /// [`PowerLevels::new`] would accept it.
+    fn power_levels(&self, problems: &mut Vec<String>) -> Option<PowerLevels> {
+        let levels = self.power_levels_mw.as_ref()?;
+        if levels.is_empty() {
+            problems.push("power level set is empty".into());
+        } else if levels.iter().any(|l| !l.is_finite() || *l <= 0.0) {
+            problems.push("power levels must all be positive and finite (mW)".into());
+        } else if levels.windows(2).any(|w| w[0] >= w[1]) {
+            problems.push("power levels must be strictly increasing".into());
+        } else {
+            return Some(PowerLevels::new(
+                levels.iter().map(|&l| Milliwatts(l)).collect(),
+            ));
+        }
+        None
+    }
+
+    /// The config: paper defaults under this spec's overlays.
+    fn config(
+        &self,
+        seed: u64,
+        nodes: NodeSetup,
+        flows: Vec<FlowSpec>,
+        levels: Option<PowerLevels>,
+    ) -> ScenarioConfig {
         let mut mac = MacConfig::paper_default(self.variant);
-        if let Some(levels) = &self.power_levels_mw {
-            mac.levels = PowerLevels::new(levels.iter().map(|&l| Milliwatts(l)).collect());
+        if let Some(levels) = levels {
+            mac.levels = levels;
         }
         // The paper's numbers come from ns2.1b8a, whose capture model is
         // pairwise and start-only (see `ScenarioConfig::paper`); overlays
@@ -1171,8 +1048,7 @@ impl ScenarioSpec {
         if let Some(a) = &self.aodv {
             a.apply(&mut aodv);
         }
-
-        let cfg = ScenarioConfig {
+        ScenarioConfig {
             name: format!(
                 "{}-{}-{:.0}kbps-s{seed}",
                 self.name,
@@ -1181,7 +1057,7 @@ impl ScenarioSpec {
             ),
             variant: self.variant,
             seed,
-            duration,
+            duration: Duration::from_secs_f64(self.duration_s),
             field: self.field,
             nodes,
             flows,
@@ -1197,9 +1073,7 @@ impl ScenarioSpec {
                 .and_then(|e| e.shards)
                 .map(|shards| ExecutionMode::Sharded { shards }),
             delay_floor_us: self.execution.and_then(|e| e.delay_floor_us),
-        };
-        cfg.validate()?;
-        Ok(cfg)
+        }
     }
 
     /// Serialize to pretty JSON.

@@ -1,7 +1,7 @@
 //! Load-time validation: defective specs must fail with actionable
 //! messages naming the problem, not panic mid-run.
 
-use pcmac::{FlowShape, NodeSetup, ScenarioConfig, Variant};
+use pcmac::{FlowShape, MetricsConfig, NodeSetup, ScenarioConfig, Variant};
 use pcmac_campaign::{
     AodvSpec, AxesSpec, Axis, CampaignSpec, ExecutionSpec, NodesSpec, PlacementSpec, ProtocolSpec,
     RadioSpec, ScenarioSpec, TrafficPattern, TrafficSpec, PATCH_PATHS,
@@ -128,7 +128,9 @@ fn zero_speed_mobility_is_rejected_before_it_runs() {
         pause_s: 1.0,
     });
     assert_problem(&s, "must be positive");
+    // One rule for specs and hand-built configs, naming both spellings.
     assert_problem(&s, "omit `nodes.mobility` for static nodes");
+    assert_problem(&s, "NodeSetup::Static");
 
     let mut s = valid_spec();
     s.apply_patch("nodes.mobility.pause_s", &Value::F64(2.0))
@@ -157,6 +159,17 @@ fn placements_that_overflow_the_field_are_rejected() {
     };
     s.nodes.count = None;
     assert_problem(&s, "outside the");
+    // Both validated, then failed materializing: the cluster centres had
+    // no room left to be drawn in, and 10^12 positions no memory.
+    let mut s = valid_spec();
+    s.nodes.placement = PlacementSpec::Clustered {
+        clusters: 2,
+        spread_m: 500.0,
+    };
+    assert_problem(&s, "cluster spread 500 m does not fit the");
+    s.nodes.placement = PlacementSpec::Density { per_km2: 1e12 };
+    s.nodes.count = None;
+    assert_problem(&s, "does not fit 32-bit node ids");
 }
 
 #[test]
@@ -335,11 +348,10 @@ fn duration_patch_axis_wins_over_the_campaign_override() {
     assert_eq!(grid.cells[0].spec.duration_s, 10.0);
 }
 
-#[test]
-fn every_documented_patch_path_applies() {
-    // `PATCH_PATHS` is the contract surface: each entry must accept a
-    // value of its documented type on the paper's base spec.
-    let samples: Vec<(&str, Value)> = vec![
+/// One value of its documented type per `PATCH_PATHS` entry, in order,
+/// all valid together on the paper's base spec.
+fn patch_samples() -> Vec<(&'static str, Value)> {
+    vec![
         ("duration_s", Value::F64(30.0)),
         ("variant", Value::Str("Basic".into())),
         ("field.width", Value::F64(800.0)),
@@ -419,7 +431,14 @@ fn every_documented_patch_path_applies() {
         ("trace.ctrl", Value::Bool(false)),
         ("trace.timers", Value::Bool(false)),
         ("trace.traffic", Value::Bool(true)),
-    ];
+    ]
+}
+
+#[test]
+fn every_documented_patch_path_applies() {
+    // `PATCH_PATHS` is the contract surface: each entry must accept a
+    // value of its documented type on the paper's base spec.
+    let samples = patch_samples();
     let sampled: Vec<&str> = samples.iter().map(|(p, _)| *p).collect();
     assert_eq!(sampled, PATCH_PATHS, "sample table must cover PATCH_PATHS");
     let mut spec = ScenarioSpec::paper();
@@ -429,6 +448,120 @@ fn every_documented_patch_path_applies() {
     }
     spec.validate().expect("fully patched spec stays valid");
     spec.materialize(1).expect("and materializes");
+}
+
+/// Each hostile value of `sample`'s type, one leaf at a time: a float
+/// becomes 0, −1, NaN, ±∞, 1e-12 or 1e12, an integer 0 or 1, a boolean
+/// either; a sequence is also emptied.
+fn hostile(sample: &Value) -> Vec<Value> {
+    fn each_leaf<T: Clone>(items: &[T], leaf: impl Fn(&T) -> &Value) -> Vec<(usize, Value)> {
+        let per_item = items.iter().map(|item| hostile(leaf(item)));
+        per_item
+            .enumerate()
+            .flat_map(|(i, values)| values.into_iter().map(move |v| (i, v)))
+            .collect()
+    }
+    const FLOATS: [f64; 7] = [
+        0.0,
+        -1.0,
+        f64::NAN,
+        f64::INFINITY,
+        -f64::INFINITY,
+        1e-12,
+        1e12,
+    ];
+    match sample {
+        Value::F64(_) => FLOATS.map(Value::F64).to_vec(),
+        Value::U64(_) | Value::I64(_) => vec![Value::U64(0), Value::U64(1)],
+        Value::Bool(_) => vec![Value::Bool(false), Value::Bool(true)],
+        Value::Seq(items) => std::iter::once(Value::Seq(Vec::new()))
+            .chain(each_leaf(items, |v| v).into_iter().map(|(i, v)| {
+                let mut items = items.clone();
+                items[i] = v;
+                Value::Seq(items)
+            }))
+            .collect(),
+        Value::Map(fields) => each_leaf(fields, |(_, v)| v)
+            .into_iter()
+            .map(|(i, v)| {
+                let mut fields = fields.clone();
+                fields[i].1 = v;
+                Value::Map(fields)
+            })
+            .collect(),
+        Value::Null | Value::Str(_) => vec![sample.clone()],
+    }
+}
+
+/// One validator, fuzzed over the whole patch surface: every
+/// `PATCH_PATHS` entry takes each hostile value of its type on a small
+/// valid base. Nothing may panic, `validate` must answer as
+/// `materialize` does at every seed, and whatever it accepts must build
+/// a simulator.
+#[test]
+fn hostile_patches_validate_exactly_when_they_materialize() {
+    use serde::Serialize;
+    let mut samples = patch_samples();
+    // Every placement and traffic pattern, not only the sampled ones.
+    let placements = [
+        PlacementSpec::Uniform,
+        PlacementSpec::Density { per_km2: 6.0 },
+        PlacementSpec::Chain { spacing: 100.0 },
+        PlacementSpec::Ring { radius: 100.0 },
+        PlacementSpec::Clustered {
+            clusters: 2,
+            spread_m: 50.0,
+        },
+        PlacementSpec::Corridor { width_m: 50.0 },
+        PlacementSpec::Explicit {
+            points: vec![pcmac_engine::Point::new(10.0, 10.0); 6],
+        },
+    ];
+    samples.extend(placements.iter().map(|p| ("nodes.placement", p.to_value())));
+    let patterns = [
+        TrafficPattern::RandomPairs { flows: 3 },
+        TrafficPattern::Explicit {
+            pairs: vec![(0, 1)],
+        },
+    ];
+    samples.extend(patterns.iter().map(|p| ("traffic.pattern", p.to_value())));
+
+    let (mut tried, mut accepted, mut failures) = (0, 0, Vec::new());
+    for (path, sample) in &samples {
+        for value in hostile(sample) {
+            let mut spec = valid_spec();
+            if spec.apply_patch(path, &value).is_err() {
+                continue; // a type the path does not take
+            }
+            tried += 1;
+            let case = std::panic::catch_unwind(|| {
+                let valid = spec.validate().is_ok();
+                let agree = (1..=3).all(|seed| spec.materialize(seed).is_ok() == valid);
+                if valid {
+                    drop(pcmac::Simulator::new(
+                        spec.materialize(1).expect("validated"),
+                    ));
+                }
+                (valid, agree)
+            });
+            match case {
+                Ok((valid, true)) => accepted += usize::from(valid),
+                Ok((_, false)) => failures.push(format!("{path} = {value:?}: disagree")),
+                Err(_) => failures.push(format!("{path} = {value:?}: panicked")),
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {tried} hostile patches failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    // The surface was exercised: most values are refused, but not all.
+    assert!(
+        tried > 300 && accepted > 50,
+        "tried {tried}, accepted {accepted}"
+    );
 }
 
 #[test]
@@ -590,7 +723,8 @@ fn scenario_config_validate_catches_raw_defects() {
         let err = cfg.validate().expect_err("zero waypoint speed");
         assert!(
             err.problems[0].contains("speed 0 m/s must be positive")
-                && err.problems[0].contains("NodeSetup::Static"),
+                && err.problems[0].contains("NodeSetup::Static")
+                && err.problems[0].contains("omit `nodes.mobility`"),
             "{err}"
         );
     }
@@ -609,8 +743,64 @@ fn scenario_config_validate_catches_raw_defects() {
         );
     }
 
+    // Rules the spec layer alone used to hold: a config with any of these
+    // validated.
+    use pcmac_engine::Duration;
+    type Defect = fn(&mut ScenarioConfig);
+    let cases: [(&str, Defect); 5] = [
+        ("RREQ TTL is zero", |c| c.aodv.rreq_ttl = 0),
+        ("at least one RREQ attempt", |c| c.aodv.rreq_retries = 0),
+        ("send-buffer capacity is zero", |c| {
+            c.aodv.buffer_capacity = 0
+        }),
+        ("AODV RREQ wait 0 s", |c| c.aodv.rreq_wait = Duration::ZERO),
+        ("power history expiry 0 s", |c| {
+            c.mac.pcmac.history_expiry = Duration::ZERO
+        }),
+    ];
+    for (needle, defect) in cases {
+        let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+        defect(&mut cfg);
+        let err = cfg.validate().expect_err(needle);
+        assert!(
+            err.problems.iter().any(|p| p.contains(needle)),
+            "{needle}: {err}"
+        );
+    }
+
     let cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
     cfg.validate().expect("stock scenario is valid");
+}
+
+/// A probe interval under 0.5 ns rounds to 0 ns: it validated, then the
+/// probe re-armed itself at t = 0 for ever.
+#[test]
+fn a_probe_interval_that_rounds_to_zero_is_rejected() {
+    let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
+    for bad in [1e-10, 4e-10, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+        cfg.metrics = Some(MetricsConfig {
+            probe_interval_s: bad,
+        });
+        let err = cfg.validate().expect_err("rounds to 0 ns");
+        assert!(
+            err.problems
+                .iter()
+                .any(|p| p.contains(&format!("metrics probe interval {bad} s"))),
+            "{bad}: {err}"
+        );
+    }
+    cfg.metrics = Some(MetricsConfig {
+        probe_interval_s: 1e-9,
+    });
+    cfg.validate().expect("one nanosecond is a period");
+
+    let mut s = valid_spec();
+    s.apply_patch("metrics.probe_interval_s", &Value::F64(1e-10))
+        .expect("the path exists");
+    assert_problem(&s, "metrics probe interval 0.0000000001 s");
+    s.apply_patch("metrics.probe_interval_s", &Value::F64(0.5))
+        .expect("the path exists");
+    s.validate().expect("half a second probes");
 }
 
 #[test]

@@ -409,7 +409,9 @@ impl ScenarioConfig {
     /// panics (or nonsense) deep inside a run: zero nodes, non-finite or
     /// non-positive rates and dimensions, flows referencing out-of-range
     /// nodes. Collects *every* problem so a bad spec file is fixed in one
-    /// round trip.
+    /// round trip. Every rule on a value the config holds lives here
+    /// only: a declarative scenario spec is valid exactly when it
+    /// materializes into a config that passes.
     pub fn validate(&self) -> Result<(), InvalidScenario> {
         let mut problems = Vec::new();
         let count = self.nodes.count();
@@ -419,11 +421,14 @@ impl ScenarioConfig {
         match &self.nodes {
             NodeSetup::UniformWaypoint { speed, .. } | NodeSetup::WaypointFrom { speed, .. } => {
                 // A waypoint walk at 0 m/s never reaches its first
-                // waypoint: the model refuses it.
+                // waypoint: the model refuses it. A lone
+                // `nodes.mobility.pause_s` patch on a static spec
+                // materializes into one.
                 if !speed.is_finite() || *speed <= 0.0 {
                     problems.push(format!(
                         "mobility speed {speed} m/s must be positive and finite \
-                         (place static nodes with NodeSetup::Static instead)"
+                         (omit `nodes.mobility` for static nodes, or use \
+                         NodeSetup::Static in a hand-built config)"
                     ));
                 }
             }
@@ -445,9 +450,6 @@ impl ScenarioConfig {
             if !dim.is_finite() || dim <= 0.0 {
                 problems.push(format!("field {which} {dim} must be positive and finite"));
             }
-        }
-        if self.duration.as_nanos() == 0 {
-            problems.push("duration is zero: nothing would run".to_string());
         }
         for f in &self.flows {
             let id = f.flow.0;
@@ -525,6 +527,42 @@ impl ScenarioConfig {
         if self.mac.queue_capacity == 0 {
             problems.push("interface queue capacity is zero: every packet would drop".into());
         }
+        let aodv = &self.aodv;
+        if aodv.rreq_retries == 0 {
+            problems.push("AODV needs at least one RREQ attempt".into());
+        }
+        if aodv.buffer_capacity == 0 {
+            problems.push("AODV send-buffer capacity is zero".into());
+        }
+        if aodv.rreq_ttl == 0 {
+            problems.push("AODV RREQ TTL is zero: floods would die at the source".into());
+        }
+        // Lifetimes and periods are whole nanoseconds: at zero an entry
+        // expires as it is made, or a timer re-arms at its own instant
+        // for ever. The probe interval is still seconds here; the metrics
+        // layer rounds it the same way.
+        let timers = [
+            ("duration", self.duration),
+            ("power history expiry", pc.history_expiry),
+            ("AODV active route timeout", aodv.active_route_timeout),
+            ("AODV RREQ cache timeout", aodv.rreq_cache_timeout),
+            ("AODV RREQ wait", aodv.rreq_wait),
+            ("AODV buffer timeout", aodv.buffer_timeout),
+        ];
+        let probe = self
+            .metrics
+            .map(|m| ("metrics probe interval", m.probe_interval_s));
+        for (which, s) in timers
+            .map(|(w, d)| (w, d.as_secs_f64()))
+            .into_iter()
+            .chain(probe)
+        {
+            if Duration::from_secs_f64(s).is_zero() {
+                problems.push(format!(
+                    "{which} {s} s must be finite and round to at least 1 ns"
+                ));
+            }
+        }
         for (which, w) in [
             ("MAC decode threshold", self.mac.rx_thresh),
             ("radio decode threshold", self.radio.rx_thresh),
@@ -573,14 +611,6 @@ impl ScenarioConfig {
         }
         if let Some(fc) = &self.faults {
             fc.collect_problems(count, self.duration.as_secs_f64(), &mut problems);
-        }
-        if let Some(mc) = &self.metrics {
-            if !mc.probe_interval_s.is_finite() || mc.probe_interval_s <= 0.0 {
-                problems.push(format!(
-                    "metrics probe interval {} s must be positive and finite",
-                    mc.probe_interval_s
-                ));
-            }
         }
         if let Some(us) = self.delay_floor_us {
             if !us.is_finite() || us <= 0.0 {

@@ -91,8 +91,8 @@ impl FaultConfig {
             || self.energy_budget_mj.is_some()
     }
 
-    /// Append every defect in the plan to `problems` (shared by the
-    /// scenario validator and the declarative spec validator).
+    /// Append every defect in the plan to `problems` (the fault-plan
+    /// part of [`crate::ScenarioConfig::validate`]).
     /// `node_count` bounds crash targets; `duration_s` bounds windows.
     pub fn collect_problems(&self, node_count: usize, duration_s: f64, problems: &mut Vec<String>) {
         if let Some(crashes) = &self.crashes {

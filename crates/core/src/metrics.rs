@@ -51,8 +51,8 @@ pub const ENERGY_BUCKETS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricsConfig {
     /// Seconds between time-series probe samples. Must be finite and
-    /// positive; one [`ProbeSample`] is recorded at every multiple of
-    /// this interval that falls inside the run.
+    /// round to at least 1 ns; one [`ProbeSample`] is recorded at every
+    /// multiple of this interval that falls inside the run.
     pub probe_interval_s: f64,
 }
 

@@ -114,14 +114,20 @@ impl PropagationModel {
     /// spatial-index culling radius. For the two-ray model this is the
     /// exact range; under shadowing the bound inflates the median range
     /// by the maximum shadowing boost (`6σ` dB), because a constructive
-    /// shadow can lift a link far beyond its median reach.
+    /// shadow can lift a link far beyond its median reach. A σ so large
+    /// that the boosted threshold underflows to zero bounds nothing: the
+    /// radius is infinite.
     pub fn max_range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
         match self {
             PropagationModel::TwoRay(m) => m.range_for(p_tx, threshold),
             PropagationModel::Shadowed(m) => {
                 let boost = 10f64.powf(SHADOW_SIGMA_SPAN * m.sigma_db() / 10.0);
                 let effective = Milliwatts(threshold.value() / boost);
-                m.range_for(p_tx, effective)
+                if effective.value() > 0.0 {
+                    m.range_for(p_tx, effective)
+                } else {
+                    f64::INFINITY
+                }
             }
         }
     }
