@@ -4,7 +4,7 @@
 //! pcmac-campaign run <campaign.json> [--threads N] [--out FILE]
 //! pcmac-campaign figures [--full] [--secs N] [--seeds a,b] [--loads x,y]
 //! pcmac-campaign expand <campaign.json>
-//! pcmac-campaign validate <campaign.json | scenario.json>
+//! pcmac-campaign validate <campaign.json | scenario.json>...
 //! pcmac-campaign scenario <scenario.json> [--seed S]
 //! pcmac-campaign dashboard [DIR] [--baseline DIR] [--band PCT]
 //! pcmac-campaign example
@@ -14,8 +14,8 @@ use std::process::ExitCode;
 
 use pcmac::{MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
 use pcmac_campaign::{
-    bisect_configs, cli, dashboard, figures, run_campaign, run_campaign_with, AxesSpec, Axis,
-    CampaignSpec, ExecutionSpec, MetricsArtifact, RunOptions, ScenarioSpec, SpecError,
+    bisect_configs, cli, dashboard, figures, run_campaign, run_campaign_with, Axis, CampaignSpec,
+    ExecutionSpec, MetricsArtifact, RunOptions, ScenarioSpec, SpecError,
 };
 use pcmac_stats::{ascii_plot, series::to_csv, Series};
 
@@ -63,10 +63,11 @@ commands:
         delay growing with load)
   expand <campaign.json>
         print the grid a campaign expands to, without running it
-  validate <campaign.json | scenario.json>
-        check a campaign spec and every expanded grid cell, or a single
-        ScenarioSpec; exit 0 when clean, 1 with the full aggregated
-        defect list, one problem per line
+  validate <campaign.json | scenario.json>...
+        check each campaign spec and every expanded grid cell, or a
+        single ScenarioSpec, and report every file; exit 0 when all are
+        clean, 1 with each file's aggregated defect list, one problem
+        per line
   scenario <scenario.json> [--seed S] [--shards N]
         materialize and run a single ScenarioSpec (default seed 1;
         --shards as for `run`). A
@@ -150,8 +151,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
     let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    // Both overrides apply to the spec before it expands, so a Patch
-    // axis on the same knob still wins and the dispatcher sees every
+    // Both overrides apply to the spec before it expands, so an axis
+    // on the same knob still wins and the dispatcher sees every
     // cell's real width.
     if let Some(d) = cli::try_flag::<f64>(args, "--duration")? {
         spec.duration_s = Some(d);
@@ -371,8 +372,31 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Check every file named, printing one verdict each; fail when any
+/// file is defective.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or(USAGE)?;
+    if args.is_empty() {
+        return Err(USAGE.into());
+    }
+    let mut failed = 0;
+    for path in args {
+        match validate_file(path) {
+            Ok(verdict) => println!("{path}: OK ({verdict})"),
+            Err(e) => {
+                eprintln!("{e}");
+                failed += 1;
+            }
+        }
+    }
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} of {} spec file(s) are invalid", args.len())),
+    }
+}
+
+/// A campaign spec and every grid cell it expands to, or one scenario
+/// spec: what it holds when valid, else its defects.
+fn validate_file(path: &str) -> Result<String, String> {
     let text = read_spec(path)?;
     let spec = match CampaignSpec::from_json(&text) {
         Ok(spec) => spec,
@@ -384,19 +408,17 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 )
             })?;
             scenario.validate().map_err(|e| invalid(path, e))?;
-            println!("{path}: OK (scenario `{}`)", scenario.name);
-            return Ok(());
+            return Ok(format!("scenario `{}`", scenario.name));
         }
     };
     // Expanding the grid validates the campaign *and* every grid cell,
     // aggregating the defects of all of them into one list.
     spec.grid().map_err(|e| invalid(path, e))?;
-    println!(
-        "{path}: OK ({} points x {} seeds)",
+    Ok(format!(
+        "{} points x {} seeds",
         spec.point_count(),
         spec.seeds.len()
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
@@ -525,18 +547,14 @@ fn cmd_example() -> Result<(), String> {
         base: ScenarioSpec::paper(),
         duration_s: Some(60.0),
         seeds: vec![1, 2],
-        axes: Some(AxesSpec {
-            loads_kbps: Some(vec![300.0, 650.0, 1000.0]),
-            node_counts: None,
-            variants: Some(vec![pcmac::Variant::Basic, pcmac::Variant::Pcmac]),
-            power_level_sets_mw: None,
-        }),
-        // A generic sweep axis: any dotted path on the spec surface
-        // (here the paper's 0.7 safety factor) multiplies the grid.
-        sweep: Some(vec![Axis::Patch {
-            path: "mac.pcmac.safety_factor".into(),
-            values: vec![serde::Value::F64(0.5), serde::Value::F64(0.7)],
-        }]),
+        // Each axis is a dotted path in the spec's JSON (here the load,
+        // the protocol and the paper's 0.7 safety factor) and multiplies
+        // the grid.
+        sweep: Some(vec![
+            Axis::new("traffic.offered_load_kbps", &[300.0, 650.0, 1000.0]),
+            Axis::new("variant", &[pcmac::Variant::Basic, pcmac::Variant::Pcmac]),
+            Axis::new("protocol.safety_factor", &[0.5, 0.7]),
+        ]),
     };
     println!("{}", spec.to_json());
     Ok(())

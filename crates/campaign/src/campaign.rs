@@ -5,14 +5,15 @@
 //! Figures 8/9 are (variant × offered load × seed) grids, the power-level
 //! table is a (level-set) sweep, and the design ablations (safety factor,
 //! control-channel bandwidth, capture policy, handshake arity) are
-//! single-knob sweeps over the [`crate::spec::PATCH_PATHS`] surface.
+//! single-knob sweeps.
 //!
-//! The sweep dimensions are [`Axis`] values: first-class axes for the
-//! common coordinates (offered load, node count, MAC variant, power-level
-//! set) plus the generic [`Axis::Patch`] — a dotted path into the
-//! scenario's parameter surface with a list of values. The historical
-//! fixed grid ([`AxesSpec`]) is kept as sugar that lowers onto axes, so
-//! existing spec files expand exactly as before.
+//! Every sweep dimension is one [`Axis`]: a dotted path into the base
+//! spec's JSON and the values to set it to, applied through
+//! [`ScenarioSpec::apply_patch`]. Offered load is
+//! `traffic.offered_load_kbps`, the protocol `variant`, the §III safety
+//! factor `protocol.safety_factor`; there is no second spelling. A
+//! point's [`PointKey`] carries the variant, load, node count and level
+//! set in fields of its own and every other swept path in `patches`.
 //!
 //! Expansion is lazy: [`CampaignSpec::grid`] builds only the per-point
 //! *specs* (cheap), and [`CampaignGrid::scenarios`] materializes each
@@ -21,166 +22,59 @@
 //! a few configs in memory. [`CampaignSpec::expand_vec`] keeps the eager
 //! form for the CLI's `expand` subcommand and for parity tests.
 
-use pcmac::{ScenarioConfig, Variant};
+use pcmac::ScenarioConfig;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::spec::{PlacementSpec, ScenarioSpec, SpecError};
+use crate::spec::{from_tree, ScenarioSpec, SpecError};
 
-/// The legacy fixed sweep grid. Every `None` axis stays at the base
-/// spec's value; every `Some` axis multiplies the grid. Kept as sugar:
-/// [`AxesSpec::lower`] turns it into the equivalent [`Axis`] list
-/// (preserving the historical nesting order: load outermost, then node
-/// count, then power-level set, then variant innermost).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AxesSpec {
-    /// Aggregate offered loads (kbps).
-    pub loads_kbps: Option<Vec<f64>>,
-    /// Node counts (density sweeps).
-    pub node_counts: Option<Vec<usize>>,
-    /// MAC variants to compare.
-    pub variants: Option<Vec<Variant>>,
-    /// Discrete transmit power-level sets (mW, each strictly increasing).
-    pub power_level_sets_mw: Option<Vec<Vec<f64>>>,
-}
+/// The paths a [`PointKey`] carries in its own fields; an axis over any
+/// other path is recorded in [`PointKey::patches`].
+const KEYED_PATHS: [&str; 4] = [
+    "variant",
+    "traffic.offered_load_kbps",
+    "nodes.count",
+    "power_levels_mw",
+];
 
-impl AxesSpec {
-    /// Lower the fixed grid onto the general axis list.
-    pub fn lower(&self) -> Vec<Axis> {
-        self.keyed().into_iter().map(|(_, axis)| axis).collect()
-    }
-
-    /// [`AxesSpec::lower`], each axis with the key it came from.
-    fn keyed(&self) -> Vec<(&'static str, Axis)> {
-        let mut axes = Vec::new();
-        if let Some(v) = &self.loads_kbps {
-            axes.push(("loads_kbps", Axis::Load { values: v.clone() }));
-        }
-        if let Some(v) = &self.node_counts {
-            axes.push(("node_counts", Axis::Nodes { values: v.clone() }));
-        }
-        if let Some(v) = &self.power_level_sets_mw {
-            axes.push((
-                "power_level_sets_mw",
-                Axis::PowerLevels { sets_mw: v.clone() },
-            ));
-        }
-        if let Some(v) = &self.variants {
-            axes.push(("variants", Axis::Variants { values: v.clone() }));
-        }
-        axes
-    }
-}
-
-/// One sweep dimension of a campaign. The cross-product of every axis's
-/// values (first axis outermost) drives the expansion.
+/// One sweep dimension of a campaign: a dotted spec path and the values
+/// to set it to, e.g. `{"path": "protocol.safety_factor", "values":
+/// [0.5, 0.7, 0.9, 1.0]}`. The cross-product of every axis's values
+/// (first axis outermost) drives the expansion.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Axis {
-    /// Aggregate offered load (kbps).
-    Load {
-        /// The load points.
-        values: Vec<f64>,
-    },
-    /// Node count (density sweeps).
-    Nodes {
-        /// The node counts.
-        values: Vec<usize>,
-    },
-    /// MAC variant under test.
-    Variants {
-        /// The protocols to compare.
-        values: Vec<Variant>,
-    },
-    /// Discrete transmit power-level set.
-    PowerLevels {
-        /// One level set (mW, strictly increasing) per axis value.
-        sets_mw: Vec<Vec<f64>>,
-    },
-    /// Generic typed patch: a dotted path into the scenario's parameter
-    /// surface (see [`crate::spec::PATCH_PATHS`]) and the values to sweep
-    /// it over, e.g. `{"path": "mac.pcmac.safety_factor",
-    /// "values": [0.5, 0.7, 0.9, 1.0]}`.
-    Patch {
-        /// Dotted parameter path.
-        path: String,
-        /// Raw JSON values, type-checked against the target field.
-        values: Vec<Value>,
-    },
+pub struct Axis {
+    /// The field it sets ([`ScenarioSpec::apply_patch`]).
+    pub path: String,
+    /// One JSON value per grid step, set whole at `path`.
+    pub values: Vec<Value>,
 }
 
 impl Axis {
-    /// Number of values on this axis.
-    pub fn len(&self) -> usize {
-        match self {
-            Axis::Load { values } => values.len(),
-            Axis::Nodes { values } => values.len(),
-            Axis::Variants { values } => values.len(),
-            Axis::PowerLevels { sets_mw } => sets_mw.len(),
-            Axis::Patch { values, .. } => values.len(),
+    /// An axis over `path` taking each of `values` in turn.
+    pub fn new<T: Serialize>(path: &str, values: &[T]) -> Self {
+        Axis {
+            path: path.into(),
+            values: values.iter().map(Serialize::to_value).collect(),
         }
     }
 
-    /// `true` when the axis has no values (always a spec defect).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The canonical parameter path this axis sweeps — the identity
-    /// used to detect two axes fighting over one knob (a first-class
-    /// axis and the equivalent `Patch` path share it).
-    pub fn knob(&self) -> &str {
-        match self {
-            Axis::Load { .. } => "traffic.offered_load_kbps",
-            Axis::Nodes { .. } => "nodes.count",
-            Axis::Variants { .. } => "variant",
-            Axis::PowerLevels { .. } => "power_levels_mw",
-            Axis::Patch { path, .. } => path,
-        }
-    }
-
-    /// Display label: the axis kind, plus the path for patch axes.
-    pub fn label(&self) -> String {
-        match self {
-            Axis::Load { .. } => "Load".into(),
-            Axis::Nodes { .. } => "Nodes".into(),
-            Axis::Variants { .. } => "Variants".into(),
-            Axis::PowerLevels { .. } => "PowerLevels".into(),
-            Axis::Patch { path, .. } => format!("Patch `{path}`"),
-        }
-    }
-
-    /// Check the axis: it has values, a `Nodes` axis counts at least 2
-    /// on a placement that takes a count, and every value applies to a
-    /// copy of `base`. That types a patch and, when the base itself is
-    /// valid, catches a value the spec rejects (a negative load, a
-    /// non-increasing level set, a negative safety factor, …) here
-    /// rather than at expansion time.
+    /// Check the axis: it has values, and every value applies to a copy
+    /// of `base`. When the base itself is valid, each patched copy must
+    /// validate too, so a value the spec rejects (a negative load, a
+    /// non-increasing level set, a negative safety factor, …) is caught
+    /// here rather than at expansion time.
     fn validate(&self, base: &ScenarioSpec, base_ok: bool, problems: &mut Vec<String>) {
-        if self.is_empty() {
-            problems.push(format!("{} axis is empty", self.label()));
-            return;
+        let path = &self.path;
+        if self.values.is_empty() {
+            problems.push(format!("axis `{path}` is empty"));
         }
-        if let Axis::Nodes { values } = self {
-            if values.iter().any(|c| *c < 2) {
-                problems.push("node counts must be at least 2".into());
-            }
-            if matches!(
-                base.nodes.placement,
-                PlacementSpec::Density { .. } | PlacementSpec::Explicit { .. }
-            ) {
-                problems.push(
-                    "Nodes axis conflicts with a placement that implies its own count".into(),
-                );
-            }
-        }
-        let knob = self.knob();
-        for i in 0..self.len() {
+        for (i, value) in self.values.iter().enumerate() {
+            let mut probe = base.clone();
             let at = |e: SpecError| {
                 e.problems
                     .into_iter()
-                    .map(move |p| format!("axis `{knob}` value {i}: {p}"))
+                    .map(move |p| format!("axis `{path}` value {i}: {p}"))
             };
-            let mut probe = base.clone();
-            if let Err(e) = self.apply(i, &mut probe, &mut Vec::new()) {
+            if let Err(e) = probe.apply_patch(path, value) {
                 problems.extend(at(e));
                 // An unknown path fails identically for every value; one
                 // report suffices.
@@ -192,27 +86,6 @@ impl Axis {
                 }
             }
         }
-    }
-
-    /// Apply value `idx` of this axis to `spec`. Patch-axis coordinates
-    /// are also recorded in `patches` so the grid point's key names them.
-    fn apply(
-        &self,
-        idx: usize,
-        spec: &mut ScenarioSpec,
-        patches: &mut Vec<(String, Value)>,
-    ) -> Result<(), SpecError> {
-        match self {
-            Axis::Load { values } => spec.traffic.offered_load_kbps = values[idx],
-            Axis::Nodes { values } => spec.nodes.count = Some(values[idx]),
-            Axis::Variants { values } => spec.variant = values[idx],
-            Axis::PowerLevels { sets_mw } => spec.power_levels_mw = Some(sets_mw[idx].clone()),
-            Axis::Patch { path, values } => {
-                spec.apply_patch(path, &values[idx])?;
-                patches.push((path.clone(), values[idx].clone()));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -226,15 +99,12 @@ pub struct CampaignSpec {
     /// Override the base spec's duration (s) for every run — shrinking a
     /// published campaign for smoke tests without editing the base. It
     /// replaces the *base* duration before the axes apply, so an
-    /// explicit `duration_s` Patch axis still wins.
+    /// explicit `duration_s` axis still wins.
     pub duration_s: Option<f64>,
     /// Seeds run (and later averaged) per grid point.
     pub seeds: Vec<u64>,
-    /// Legacy fixed sweep grid (sugar; lowered onto axes first).
-    pub axes: Option<AxesSpec>,
-    /// General sweep axes, appended after the lowered legacy grid. Each
-    /// axis multiplies the grid; [`Axis::Patch`] reaches any knob on the
-    /// [`crate::spec::PATCH_PATHS`] surface.
+    /// The sweep axes, first outermost; each multiplies the grid.
+    /// `None` runs the base alone.
     pub sweep: Option<Vec<Axis>>,
 }
 
@@ -250,14 +120,16 @@ pub struct PointKey {
     /// Power-level set (mW) of the point's spec, when it overrides the
     /// paper's ten classes.
     pub power_levels_mw: Option<Vec<f64>>,
-    /// Generic patch-axis coordinates `(path, value)` in axis order;
-    /// `None` when the campaign sweeps no patch axes.
+    /// The coordinates `(path, value)` of every axis over a path the
+    /// fields above do not carry, in axis order; `None` when there are
+    /// none.
     pub patches: Option<Vec<(String, Value)>>,
 }
 
 impl PointKey {
-    /// The swept patch knobs as `name=value` pairs (`-` when none) — the
-    /// column that distinguishes rows of a patch-axis campaign.
+    /// The swept knobs of [`PointKey::patches`] as `name=value` pairs
+    /// (`-` when none) — the column that distinguishes rows of an
+    /// ablation campaign.
     pub fn patches_label(&self) -> String {
         match &self.patches {
             None => "-".into(),
@@ -357,19 +229,14 @@ impl CampaignGrid {
 }
 
 impl CampaignSpec {
-    /// Every sweep dimension in expansion order: the lowered legacy grid
-    /// first, then the general `sweep` axes.
-    pub fn axes_list(&self) -> Vec<Axis> {
-        let mut axes = self.axes.as_ref().map(AxesSpec::lower).unwrap_or_default();
-        if let Some(sweep) = &self.sweep {
-            axes.extend(sweep.iter().cloned());
-        }
-        axes
+    /// The sweep axes in expansion order (none without a `sweep`).
+    pub fn axes(&self) -> &[Axis] {
+        self.sweep.as_deref().unwrap_or_default()
     }
 
     /// The spec every cell starts from: the base with the campaign
     /// duration override in place. It applies before the axes, so an
-    /// explicit `duration_s` Patch axis wins over it, keeping every
+    /// explicit `duration_s` axis wins over it, keeping every
     /// point's key truthful about what actually ran.
     fn cell_base(&self) -> ScenarioSpec {
         let mut spec = self.base.clone();
@@ -394,36 +261,16 @@ impl CampaignSpec {
         if self.seeds.is_empty() {
             problems.push("campaign has no seeds".into());
         }
-        // The legacy grid is checked as the axes it lowers to; each
-        // problem names the key it came from.
-        for (key, axis) in self.axes.as_ref().map(AxesSpec::keyed).unwrap_or_default() {
-            let mut found = Vec::new();
-            axis.validate(&base, base_ok, &mut found);
-            problems.extend(found.into_iter().map(|p| format!("axes.{key}: {p}")));
-        }
-        for axis in self.sweep.iter().flatten() {
+        let axes = self.axes();
+        for (i, axis) in axes.iter().enumerate() {
             axis.validate(&base, base_ok, &mut problems);
-        }
-        // Two axes sweeping the same knob would produce duplicate points
-        // whose keys collide (the later axis value silently wins). The
-        // comparison is by *target knob*, not label, so a first-class
-        // axis and its Patch-path equivalent (e.g. `Load` and
-        // `traffic.offered_load_kbps`) collide too.
-        let axes = self.axes_list();
-        let mut seen: Vec<&str> = Vec::new();
-        for axis in &axes {
-            let knob = axis.knob();
-            if seen.contains(&knob) {
+            // Two axes over one path would produce duplicate points
+            // whose keys collide (the later value silently wins).
+            if axes[..i].iter().any(|a| a.path == axis.path) {
                 problems.push(format!(
-                    "axes {} sweep the same knob `{knob}`; merge their values into one axis",
-                    axes.iter()
-                        .filter(|a| a.knob() == knob)
-                        .map(Axis::label)
-                        .collect::<Vec<_>>()
-                        .join(" and ")
+                    "two axes sweep the same knob `{}`; merge their values into one axis",
+                    axis.path
                 ));
-            } else {
-                seen.push(knob);
             }
         }
         if problems.is_empty() {
@@ -435,7 +282,7 @@ impl CampaignSpec {
 
     /// Number of grid points (before seeds).
     pub fn point_count(&self) -> usize {
-        self.axes_list().iter().map(|a| a.len().max(1)).product()
+        self.axes().iter().map(|a| a.values.len().max(1)).product()
     }
 
     /// Total runs the campaign will execute.
@@ -450,8 +297,8 @@ impl CampaignSpec {
     /// or [`CampaignSpec::expand_vec`] (eager).
     pub fn grid(&self) -> Result<CampaignGrid, SpecError> {
         self.validate()?;
-        let axes = self.axes_list();
-        let lens: Vec<usize> = axes.iter().map(Axis::len).collect();
+        let axes = self.axes();
+        let lens: Vec<usize> = axes.iter().map(|a| a.values.len()).collect();
         let total: usize = lens.iter().product();
 
         let mut cells = Vec::with_capacity(total);
@@ -470,8 +317,12 @@ impl CampaignSpec {
             let mut patches = Vec::new();
             let mut cell_problems = Vec::new();
             for (axis, &i) in axes.iter().zip(&idx) {
-                if let Err(e) = axis.apply(i, &mut spec, &mut patches) {
+                let value = &axis.values[i];
+                if let Err(e) = spec.apply_patch(&axis.path, value) {
                     cell_problems.extend(e.problems);
+                }
+                if !KEYED_PATHS.contains(&axis.path.as_str()) {
+                    patches.push((axis.path.clone(), value.clone()));
                 }
             }
             let node_count = match spec.node_count() {
@@ -541,8 +392,9 @@ impl CampaignSpec {
         serde_json::to_string_pretty(self).expect("specs always serialize")
     }
 
-    /// Parse from JSON (no validation — call [`CampaignSpec::validate`]).
+    /// Parse from JSON, refusing unknown keys (no validation — call
+    /// [`CampaignSpec::validate`]).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        Ok(from_tree(&serde_json::from_str(json)?)?)
     }
 }

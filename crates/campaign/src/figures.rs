@@ -12,7 +12,7 @@ use pcmac::Variant;
 use pcmac_stats::{Series, Table};
 
 use crate::aggregate::{CampaignReport, PointSummary};
-use crate::campaign::{AxesSpec, CampaignSpec};
+use crate::campaign::{Axis, CampaignSpec};
 use crate::spec::ScenarioSpec;
 
 /// The paper's offered-load axis (kbps): 300..=1000 step 100.
@@ -29,13 +29,10 @@ pub fn sweep_spec(loads: &[f64], secs: u64, seeds: &[u64]) -> CampaignSpec {
         base: ScenarioSpec::paper(),
         duration_s: Some(secs as f64),
         seeds: seeds.to_vec(),
-        axes: Some(AxesSpec {
-            loads_kbps: Some(loads.to_vec()),
-            node_counts: None,
-            variants: Some(Variant::ALL.to_vec()),
-            power_level_sets_mw: None,
-        }),
-        sweep: None,
+        sweep: Some(vec![
+            Axis::new("traffic.offered_load_kbps", loads),
+            Axis::new("variant", &Variant::ALL),
+        ]),
     }
 }
 

@@ -14,12 +14,11 @@
 //!   policy, thresholds, AODV timers — everything defaults to the
 //!   paper's values). [`ScenarioSpec::materialize`] turns it into a
 //!   seeded, validated [`pcmac::ScenarioConfig`].
-//! * [`CampaignSpec`] — a base spec expanded across named sweep axes
-//!   ([`Axis`]): first-class load / node-count / variant / power-level
-//!   axes plus generic typed patches over dotted parameter paths
-//!   ([`spec::PATCH_PATHS`], e.g. `mac.pcmac.safety_factor`), times a
-//!   seed list. The historical fixed grid ([`AxesSpec`]) lowers onto
-//!   axes, so old spec files expand unchanged.
+//! * [`CampaignSpec`] — a base spec expanded across sweep axes times a
+//!   seed list. An [`Axis`] is a dotted path in the spec's own JSON and
+//!   the values to set it to (`traffic.offered_load_kbps`, `variant`,
+//!   `protocol.safety_factor`, …): one rule names every knob, and a
+//!   misspelt path or spec key is an error listing the keys that exist.
 //! * [`run_campaign`] — expands lazily ([`CampaignSpec::grid`] +
 //!   [`campaign::CampaignGrid::scenarios`] feed the parallel driver's
 //!   bounded work channel directly, so huge campaigns never hold the
@@ -37,7 +36,7 @@
 //! pcmac-campaign run examples/ablation_safety_factor.json
 //! pcmac-campaign figures --full         # Figures 8 and 9, one sweep
 //! pcmac-campaign expand <spec.json>     # show the grid without running
-//! pcmac-campaign validate <spec.json>   # actionable errors, exit code
+//! pcmac-campaign validate <spec.json>...  # actionable errors, exit code
 //! pcmac-campaign scenario <spec.json>   # run a single ScenarioSpec
 //! pcmac-campaign example                # print a starter campaign spec
 //! pcmac-campaign dashboard . --baseline prev/ --band 20
@@ -57,10 +56,10 @@ pub mod spec;
 
 pub use aggregate::{CampaignReport, FailureKind, MetricSummary, PointFailure, PointSummary};
 pub use bisect::{bisect_configs, BisectReport, EventDivergence};
-pub use campaign::{AxesSpec, Axis, CampaignGrid, CampaignPoint, CampaignSpec, GridCell, PointKey};
+pub use campaign::{Axis, CampaignGrid, CampaignPoint, CampaignSpec, GridCell, PointKey};
 pub use dashboard::{MetricsArtifact, MetricsRun};
 pub use runner::{run_campaign, run_campaign_with, CampaignOutcome, JobCtl, RunOptions};
 pub use spec::{
     AodvSpec, ExecutionSpec, MobilitySpec, NodesSpec, PlacementSpec, ProtocolSpec, RadioSpec,
-    ScenarioSpec, SpecError, TrafficPattern, TrafficSpec, PATCH_PATHS,
+    ScenarioSpec, SpecError, TrafficPattern, TrafficSpec,
 };

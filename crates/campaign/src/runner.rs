@@ -641,7 +641,6 @@ mod tests {
     use crate::spec::{
         MobilitySpec, NodesSpec, PlacementSpec, ScenarioSpec, TrafficPattern, TrafficSpec,
     };
-    use crate::AxesSpec;
     use pcmac::{FlowShape, Variant};
 
     fn tiny_campaign() -> CampaignSpec {
@@ -675,11 +674,10 @@ mod tests {
             },
             duration_s: None,
             seeds: vec![1, 2],
-            axes: Some(AxesSpec {
-                loads_kbps: Some(vec![50.0, 100.0]),
-                ..AxesSpec::default()
-            }),
-            sweep: None,
+            sweep: Some(vec![crate::Axis::new(
+                "traffic.offered_load_kbps",
+                &[50.0, 100.0],
+            )]),
         }
     }
 
@@ -710,7 +708,7 @@ mod tests {
             speed_mps: 2.0,
             pause_s: 1.0,
         });
-        spec.axes = None;
+        spec.sweep = None;
         spec.seeds = vec![3];
         let outcome = run_campaign(&spec, 0).expect("mobile ring runs");
         assert_eq!(outcome.runs.len(), 1);
@@ -719,15 +717,13 @@ mod tests {
 
     #[test]
     fn patch_axis_campaign_runs_and_keys_each_point() {
-        use serde::Value;
         let mut spec = tiny_campaign();
         spec.base.variant = Variant::Pcmac;
-        spec.axes = None;
         spec.seeds = vec![1];
-        spec.sweep = Some(vec![crate::Axis::Patch {
-            path: "mac.pcmac.safety_factor".into(),
-            values: vec![Value::F64(0.5), Value::F64(0.9)],
-        }]);
+        spec.sweep = Some(vec![crate::Axis::new(
+            "protocol.safety_factor",
+            &[0.5, 0.9],
+        )]);
         let outcome = run_campaign(&spec, 0).expect("patch sweep runs");
         assert_eq!(outcome.runs.len(), 2);
         assert_eq!(outcome.report.points.len(), 2);

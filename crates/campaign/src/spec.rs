@@ -17,9 +17,24 @@
 //! [`ProtocolSpec`] / [`RadioSpec`] / [`AodvSpec`] sections overlay the
 //! MAC (including the PCMAC §III knobs: safety factor, capture ratio,
 //! control-channel rate, handshake arity), radio (thresholds, capture
-//! policy), and AODV parameters on top of the paper defaults. Campaign
-//! sweep axes reach every one of those knobs through
-//! [`ScenarioSpec::apply_patch`] and its dotted [`PATCH_PATHS`].
+//! policy), and AODV parameters on top of the paper defaults.
+//!
+//! # Paths
+//!
+//! A knob's name is its dotted path in the spec's own JSON:
+//! `protocol.safety_factor`, `traffic.offered_load_kbps`,
+//! `nodes.placement`. [`ScenarioSpec::apply_patch`] sets one by
+//! serializing the spec to its value tree, replacing the value at the
+//! path and parsing the tree back, so any field the spec has is
+//! reachable and nothing restates the layout. Segments name map keys
+//! only: lists (`field`, `power_levels_mw`) and enum values
+//! (`nodes.placement`) are set whole. A section the spec leaves `null`
+//! is created as `{}` and must then parse, so a lone
+//! `shadowing.sigma_db` names the missing `symmetric` instead of
+//! inventing it. [`ScenarioSpec::from_json`] reads a file through the
+//! same tree: a key the parsed spec does not serialize back (a
+//! misspelling) is an error naming its path and the keys that exist
+//! beside it.
 //!
 //! # Validation
 //!
@@ -38,15 +53,15 @@
 //! problems of both layers.
 
 use pcmac::{
-    ChurnConfig, ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup,
-    ScenarioConfig, ShadowingConfig, TraceFilter, Variant,
+    ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup, ScenarioConfig,
+    ShadowingConfig, TraceFilter, Variant,
 };
 use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use pcmac_mac::MacConfig;
 use pcmac_mobility::placement;
 use pcmac_phy::{CapturePolicy, PowerLevels, RadioConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Everything wrong with a spec, found in one pass.
 #[derive(Debug, Clone)]
@@ -213,23 +228,24 @@ pub struct ProtocolSpec {
 
 impl ProtocolSpec {
     pub(crate) fn apply(&self, mac: &mut MacConfig) {
+        let pcmac = &mut mac.pcmac;
         if let Some(v) = self.safety_factor {
-            mac.pcmac.safety_factor = v;
+            pcmac.safety_factor = v;
         }
         if let Some(v) = self.capture_ratio {
-            mac.pcmac.capture_ratio = v;
+            pcmac.capture_ratio = v;
         }
         if let Some(v) = self.ctrl_rate_bps {
-            mac.pcmac.ctrl_rate_bps = v;
+            pcmac.ctrl_rate_bps = v;
         }
         if let Some(v) = self.history_expiry_s {
-            mac.pcmac.history_expiry = Duration::from_secs_f64(v);
+            pcmac.history_expiry = Duration::from_secs_f64(v);
         }
         if let Some(v) = self.max_retx {
-            mac.pcmac.max_retx = v;
+            pcmac.max_retx = v;
         }
         if let Some(v) = self.four_way_handshake {
-            mac.pcmac.four_way_handshake = v;
+            pcmac.four_way_handshake = v;
         }
         if let Some(v) = self.queue_capacity {
             mac.queue_capacity = v;
@@ -342,66 +358,76 @@ pub struct ExecutionSpec {
     pub delay_floor_us: Option<f64>,
 }
 
-/// Every dotted path [`ScenarioSpec::apply_patch`] accepts — the
-/// sweepable parameter surface of a scenario. Paths mirror the
-/// materialized [`ScenarioConfig`] layout (`mac.pcmac.*`, `radio.*`,
-/// `aodv.*`) plus the spec's own top-level knobs.
-pub const PATCH_PATHS: &[&str] = &[
-    "duration_s",
-    "variant",
-    "field.width",
-    "field.height",
-    "nodes.count",
-    "nodes.placement",
-    "nodes.mobility.speed_mps",
-    "nodes.mobility.pause_s",
-    "traffic.pattern",
-    "traffic.offered_load_kbps",
-    "traffic.bytes",
-    "power_levels_mw",
-    "shadowing.sigma_db",
-    "shadowing.symmetric",
-    "faults.crashes",
-    "faults.churn.mean_uptime_s",
-    "faults.churn.mean_downtime_s",
-    "faults.churn.start_s",
-    "faults.churn.stop_s",
-    "faults.expire_routes",
-    "faults.impairments",
-    "faults.energy_budget_mj",
-    "mac.pcmac.safety_factor",
-    "mac.pcmac.capture_ratio",
-    "mac.pcmac.ctrl_rate_bps",
-    "mac.pcmac.history_expiry_s",
-    "mac.pcmac.max_retx",
-    "mac.pcmac.four_way_handshake",
-    "mac.queue_capacity",
-    "mac.rts_threshold",
-    "radio.rx_thresh_mw",
-    "radio.cs_thresh_mw",
-    "radio.capture_ratio",
-    "radio.noise_floor_mw",
-    "radio.capture_policy",
-    "aodv.active_route_timeout_s",
-    "aodv.rreq_cache_timeout_s",
-    "aodv.rreq_wait_s",
-    "aodv.rreq_retries",
-    "aodv.buffer_capacity",
-    "aodv.buffer_timeout_s",
-    "aodv.rreq_ttl",
-    "metrics.probe_interval_s",
-    "execution.shards",
-    "execution.delay_floor_us",
-    "trace.channel",
-    "trace.ctrl",
-    "trace.timers",
-    "trace.traffic",
-];
+/// Parse `tree` as a `T`, refusing any key the parsed value does not
+/// serialize back. The serde shim skips keys it does not know, so
+/// without this a misspelt section would run at its defaults.
+pub(crate) fn from_tree<T: Serialize + Deserialize>(tree: &Value) -> Result<T, DeError> {
+    let parsed = T::from_value(tree)?;
+    match unknown_key(tree, &parsed.to_value()) {
+        None => Ok(parsed),
+        Some((path, known)) => Err(DeError(format!(
+            "unknown key `{}`; the keys there are {known}",
+            path.trim_start_matches('.')
+        ))),
+    }
+}
 
-/// Deserialize one patch value as the target type, naming the path on
-/// mismatch.
-fn patch_value<T: Deserialize>(path: &str, v: &Value) -> Result<T, SpecError> {
-    T::from_value(v).map_err(|e| SpecError::one(format!("patch `{path}`: {e}")))
+/// The path of the first key of `given` that `kept` lacks, and the keys
+/// `kept` has at that level. Paths are built only on the way out of a
+/// miss, so a spec without one allocates nothing here.
+fn unknown_key(given: &Value, kept: &Value) -> Option<(String, String)> {
+    match (given, kept) {
+        (Value::Map(given), Value::Map(kept)) => {
+            given
+                .iter()
+                .find_map(|(key, value)| match kept.iter().find(|(k, _)| k == key) {
+                    Some((_, known)) => unknown_key(value, known)
+                        .map(|(path, keys)| (format!(".{key}{path}"), keys)),
+                    None => Some((
+                        format!(".{key}"),
+                        kept.iter()
+                            .map(|(k, _)| format!("`{k}`"))
+                            .collect::<Vec<_>>()
+                            .join(", "),
+                    )),
+                })
+        }
+        (Value::Seq(given), Value::Seq(kept)) => {
+            given.iter().zip(kept).enumerate().find_map(|(i, (g, k))| {
+                unknown_key(g, k).map(|(path, keys)| (format!("[{i}]{path}"), keys))
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Put `value` at the dotted `path` of `tree`, creating a `null`
+/// section as `{}` and a missing key as it goes ([`from_tree`] then
+/// refuses a key the type does not have).
+fn set_path(tree: &mut Value, path: &str, value: Value) -> Result<(), String> {
+    let mut node = tree;
+    for (depth, key) in path.split('.').enumerate() {
+        if node.is_null() {
+            *node = Value::Map(Vec::new());
+        }
+        let Value::Map(entries) = node else {
+            let whole: Vec<&str> = path.split('.').take(depth).collect();
+            return Err(format!(
+                "`{}` is not a section of named keys; set it whole",
+                whole.join(".")
+            ));
+        };
+        let at = match entries.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                entries.push((key.to_string(), Value::Null));
+                entries.len() - 1
+            }
+        };
+        node = &mut entries[at].1;
+    }
+    *node = value;
+    Ok(())
 }
 
 /// Columns and rows of the `Grid` placement holding `count` nodes.
@@ -495,171 +521,16 @@ impl ScenarioSpec {
         }
     }
 
-    /// Set one parameter by its dotted path (see [`PATCH_PATHS`]) — the
-    /// mechanism behind generic campaign sweep axes. The value is a raw
-    /// JSON value and is type-checked against the target field; unknown
-    /// paths and mismatched types fail with an actionable message.
+    /// Set the field at the dotted `path` of the spec's JSON to `value`
+    /// (module docs, "Paths") — the mechanism behind campaign sweep
+    /// axes. The spec is unchanged when the path or the value does not
+    /// fit; the error names the path.
     pub fn apply_patch(&mut self, path: &str, value: &Value) -> Result<(), SpecError> {
-        match path {
-            "duration_s" => self.duration_s = patch_value(path, value)?,
-            "variant" => self.variant = patch_value(path, value)?,
-            "field.width" => self.field.0 = patch_value(path, value)?,
-            "field.height" => self.field.1 = patch_value(path, value)?,
-            "nodes.count" => self.nodes.count = Some(patch_value(path, value)?),
-            "nodes.placement" => self.nodes.placement = patch_value(path, value)?,
-            "nodes.mobility.speed_mps" => {
-                self.mobility_mut().speed_mps = patch_value(path, value)?;
-            }
-            "nodes.mobility.pause_s" => {
-                self.mobility_mut().pause_s = patch_value(path, value)?;
-            }
-            "traffic.pattern" => self.traffic.pattern = patch_value(path, value)?,
-            "traffic.offered_load_kbps" => {
-                self.traffic.offered_load_kbps = patch_value(path, value)?;
-            }
-            "traffic.bytes" => self.traffic.bytes = patch_value(path, value)?,
-            "power_levels_mw" => self.power_levels_mw = Some(patch_value(path, value)?),
-            "shadowing.sigma_db" => self.shadowing_mut().sigma_db = patch_value(path, value)?,
-            "shadowing.symmetric" => self.shadowing_mut().symmetric = patch_value(path, value)?,
-            "faults.crashes" => self.faults_mut().crashes = Some(patch_value(path, value)?),
-            "faults.churn.mean_uptime_s" => {
-                self.churn_mut().mean_uptime_s = patch_value(path, value)?;
-            }
-            "faults.churn.mean_downtime_s" => {
-                self.churn_mut().mean_downtime_s = patch_value(path, value)?;
-            }
-            "faults.churn.start_s" => {
-                self.churn_mut().start_s = Some(patch_value(path, value)?);
-            }
-            "faults.churn.stop_s" => {
-                self.churn_mut().stop_s = Some(patch_value(path, value)?);
-            }
-            "faults.expire_routes" => {
-                self.faults_mut().expire_routes = Some(patch_value(path, value)?);
-            }
-            "faults.impairments" => {
-                self.faults_mut().impairments = Some(patch_value(path, value)?);
-            }
-            "faults.energy_budget_mj" => {
-                self.faults_mut().energy_budget_mj = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.safety_factor" => {
-                self.protocol_mut().safety_factor = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.capture_ratio" => {
-                self.protocol_mut().capture_ratio = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.ctrl_rate_bps" => {
-                self.protocol_mut().ctrl_rate_bps = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.history_expiry_s" => {
-                self.protocol_mut().history_expiry_s = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.max_retx" => {
-                self.protocol_mut().max_retx = Some(patch_value(path, value)?);
-            }
-            "mac.pcmac.four_way_handshake" => {
-                self.protocol_mut().four_way_handshake = Some(patch_value(path, value)?);
-            }
-            "mac.queue_capacity" => {
-                self.protocol_mut().queue_capacity = Some(patch_value(path, value)?);
-            }
-            "mac.rts_threshold" => {
-                self.protocol_mut().rts_threshold = Some(patch_value(path, value)?);
-            }
-            "radio.rx_thresh_mw" => {
-                self.radio_mut().rx_thresh_mw = Some(patch_value(path, value)?);
-            }
-            "radio.cs_thresh_mw" => {
-                self.radio_mut().cs_thresh_mw = Some(patch_value(path, value)?);
-            }
-            "radio.capture_ratio" => {
-                self.radio_mut().capture_ratio = Some(patch_value(path, value)?);
-            }
-            "radio.noise_floor_mw" => {
-                self.radio_mut().noise_floor_mw = Some(patch_value(path, value)?);
-            }
-            "radio.capture_policy" => {
-                self.radio_mut().capture_policy = Some(patch_value(path, value)?);
-            }
-            "aodv.active_route_timeout_s" => {
-                self.aodv_mut().active_route_timeout_s = Some(patch_value(path, value)?);
-            }
-            "aodv.rreq_cache_timeout_s" => {
-                self.aodv_mut().rreq_cache_timeout_s = Some(patch_value(path, value)?);
-            }
-            "aodv.rreq_wait_s" => {
-                self.aodv_mut().rreq_wait_s = Some(patch_value(path, value)?);
-            }
-            "aodv.rreq_retries" => {
-                self.aodv_mut().rreq_retries = Some(patch_value(path, value)?);
-            }
-            "aodv.buffer_capacity" => {
-                self.aodv_mut().buffer_capacity = Some(patch_value(path, value)?);
-            }
-            "aodv.buffer_timeout_s" => {
-                self.aodv_mut().buffer_timeout_s = Some(patch_value(path, value)?);
-            }
-            "aodv.rreq_ttl" => self.aodv_mut().rreq_ttl = Some(patch_value(path, value)?),
-            "metrics.probe_interval_s" => {
-                self.metrics_mut().probe_interval_s = patch_value(path, value)?;
-            }
-            "execution.shards" => {
-                self.execution_mut().shards = Some(patch_value(path, value)?);
-            }
-            "execution.delay_floor_us" => {
-                self.execution_mut().delay_floor_us = Some(patch_value(path, value)?);
-            }
-            "trace.channel" => self.trace_mut().channel = patch_value(path, value)?,
-            "trace.ctrl" => self.trace_mut().ctrl = patch_value(path, value)?,
-            "trace.timers" => self.trace_mut().timers = patch_value(path, value)?,
-            "trace.traffic" => self.trace_mut().traffic = patch_value(path, value)?,
-            unknown => {
-                return Err(SpecError::one(format!(
-                    "unknown patch path `{unknown}`; supported paths: {}",
-                    PATCH_PATHS.join(", ")
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    fn protocol_mut(&mut self) -> &mut ProtocolSpec {
-        self.protocol.get_or_insert_with(ProtocolSpec::default)
-    }
-
-    fn radio_mut(&mut self) -> &mut RadioSpec {
-        self.radio.get_or_insert_with(RadioSpec::default)
-    }
-
-    fn aodv_mut(&mut self) -> &mut AodvSpec {
-        self.aodv.get_or_insert_with(AodvSpec::default)
-    }
-
-    fn mobility_mut(&mut self) -> &mut MobilitySpec {
-        self.nodes.mobility.get_or_insert(MobilitySpec {
-            speed_mps: 0.0,
-            pause_s: 0.0,
-        })
-    }
-
-    fn shadowing_mut(&mut self) -> &mut ShadowingConfig {
-        self.shadowing.get_or_insert(ShadowingConfig {
-            sigma_db: 0.0,
-            symmetric: true,
-        })
-    }
-
-    fn faults_mut(&mut self) -> &mut FaultConfig {
-        self.faults.get_or_insert_with(FaultConfig::default)
-    }
-
-    fn metrics_mut(&mut self) -> &mut MetricsConfig {
-        self.metrics.get_or_insert_with(MetricsConfig::default)
-    }
-
-    fn execution_mut(&mut self) -> &mut ExecutionSpec {
-        self.execution.get_or_insert_with(ExecutionSpec::default)
+        let mut tree = self.to_value();
+        set_path(&mut tree, path, value.clone())
+            .and_then(|()| from_tree(&tree).map_err(|e| e.0))
+            .map(|patched| *self = patched)
+            .map_err(|e| SpecError::one(format!("patch `{path}`: {e}")))
     }
 
     /// OS threads one run of this spec occupies: its region-shard count
@@ -667,19 +538,6 @@ impl ScenarioSpec {
     /// once materialized.
     pub fn shards(&self) -> usize {
         self.execution.and_then(|e| e.shards).unwrap_or(1).max(1)
-    }
-
-    fn trace_mut(&mut self) -> &mut TraceFilter {
-        self.trace.get_or_insert_with(TraceFilter::default)
-    }
-
-    fn churn_mut(&mut self) -> &mut ChurnConfig {
-        self.faults_mut().churn.get_or_insert(ChurnConfig {
-            mean_uptime_s: 60.0,
-            mean_downtime_s: 10.0,
-            start_s: None,
-            stop_s: None,
-        })
     }
 
     /// The node count this spec materializes (resolving density- and
@@ -1081,8 +939,9 @@ impl ScenarioSpec {
         serde_json::to_string_pretty(self).expect("specs always serialize")
     }
 
-    /// Parse from JSON (no validation — call [`ScenarioSpec::validate`]).
+    /// Parse from JSON, refusing unknown keys (no validation — call
+    /// [`ScenarioSpec::validate`]).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        Ok(from_tree(&serde_json::from_str(json)?)?)
     }
 }

@@ -48,7 +48,6 @@ fn campaign() -> CampaignSpec {
         },
         duration_s: None,
         seeds: vec![1],
-        axes: None,
         sweep: None,
     }
 }

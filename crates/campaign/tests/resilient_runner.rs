@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use pcmac::{FlowShape, ScenarioConfig, Variant};
 use pcmac_campaign::{
-    run_campaign_with, AxesSpec, CampaignOutcome, CampaignReport, CampaignSpec, ExecutionSpec,
+    run_campaign_with, Axis, CampaignOutcome, CampaignReport, CampaignSpec, ExecutionSpec,
     FailureKind, NodesSpec, PlacementSpec, RunOptions, ScenarioSpec, TrafficPattern, TrafficSpec,
 };
 
@@ -48,11 +48,10 @@ fn hostile_campaign() -> CampaignSpec {
         },
         duration_s: None,
         seeds: vec![1, 2],
-        axes: Some(AxesSpec {
-            loads_kbps: Some(vec![50.0, 75.0, 100.0]),
-            ..AxesSpec::default()
-        }),
-        sweep: None,
+        sweep: Some(vec![Axis::new(
+            "traffic.offered_load_kbps",
+            &[50.0, 75.0, 100.0],
+        )]),
     }
 }
 
@@ -189,10 +188,7 @@ fn fresh_run_ignores_a_finished_artifact() {
     let out = scratch_artifact("fresh");
     let _ = std::fs::remove_file(&out);
     let mut spec = hostile_campaign();
-    spec.axes = Some(AxesSpec {
-        loads_kbps: Some(vec![50.0]),
-        ..AxesSpec::default()
-    });
+    spec.sweep = Some(vec![Axis::new("traffic.offered_load_kbps", &[50.0])]);
 
     let opts = RunOptions {
         threads: 0,
@@ -229,14 +225,18 @@ fn fresh_run_ignores_a_finished_artifact() {
 fn invalid_grid_cells_are_structured_failures_not_aborts() {
     // A sweep axis that patches a value the spec layer rejects at
     // materialization time must surface as `FailureKind::Invalid`.
-    use serde::Value;
     let mut spec = hostile_campaign();
-    spec.axes = None;
     spec.seeds = vec![1];
-    spec.sweep = Some(vec![pcmac_campaign::Axis::Patch {
-        path: "faults.churn.mean_uptime_s".into(),
-        values: vec![Value::F64(5.0), Value::F64(-3.0)],
-    }]);
+    spec.base.faults = Some(pcmac::FaultConfig {
+        churn: Some(pcmac::ChurnConfig {
+            mean_uptime_s: 60.0,
+            mean_downtime_s: 10.0,
+            start_s: None,
+            stop_s: None,
+        }),
+        ..pcmac::FaultConfig::default()
+    });
+    spec.sweep = Some(vec![Axis::new("faults.churn.mean_uptime_s", &[5.0, -3.0])]);
 
     // Validation catches the defect up front, listing the poisoned cell.
     let err = spec.grid().expect_err("negative uptime is invalid");

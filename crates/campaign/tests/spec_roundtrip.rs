@@ -7,8 +7,8 @@ use pcmac::{
     ShadowingConfig, Variant,
 };
 use pcmac_campaign::{
-    AodvSpec, AxesSpec, Axis, CampaignSpec, MobilitySpec, NodesSpec, PlacementSpec, ProtocolSpec,
-    RadioSpec, ScenarioSpec, TrafficPattern, TrafficSpec,
+    AodvSpec, Axis, CampaignSpec, MobilitySpec, NodesSpec, PlacementSpec, ProtocolSpec, RadioSpec,
+    ScenarioSpec, TrafficPattern, TrafficSpec,
 };
 use pcmac_phy::CapturePolicy;
 use proptest::prelude::*;
@@ -201,6 +201,16 @@ proptest! {
         expire in any::<bool>(),
     ) {
         let mut patched = spec_from(0, 0, 0, 8, 200.0, false, false);
+        // The churn section is set whole, then each of its keys by path.
+        let churn = ChurnConfig {
+            mean_uptime_s: 1.0,
+            mean_downtime_s: 1.0,
+            start_s: None,
+            stop_s: None,
+        };
+        patched
+            .apply_patch("faults.churn", &serde::Serialize::to_value(&churn))
+            .expect("path applies");
         patched
             .apply_patch("faults.churn.mean_uptime_s", &Value::F64(uptime))
             .expect("path applies");
@@ -267,16 +277,20 @@ proptest! {
             base,
             duration_s: Some(3.0),
             seeds,
-            axes: Some(AxesSpec {
-                loads_kbps: Some(vec![100.0, 200.0]),
-                node_counts: counts_ok.then(|| vec![6, 10]),
-                variants: Some(vec![Variant::Basic, Variant::Pcmac]),
-                power_level_sets_mw: with_levels.then(|| vec![
-                    vec![281.83815],
-                    vec![1.0, 15.0, 281.83815],
-                ]),
-            }),
-            sweep: None,
+            sweep: Some(
+                [
+                    Some(Axis::new("traffic.offered_load_kbps", &[100.0, 200.0])),
+                    counts_ok.then(|| Axis::new("nodes.count", &[6, 10])),
+                    Some(Axis::new("variant", &[Variant::Basic, Variant::Pcmac])),
+                    with_levels.then(|| Axis::new(
+                        "power_levels_mw",
+                        &[vec![281.83815], vec![1.0, 15.0, 281.83815]],
+                    )),
+                ]
+                .into_iter()
+                .flatten()
+                .collect(),
+            ),
         };
         let json = spec.to_json();
         let back = CampaignSpec::from_json(&json).expect("reparses");
@@ -299,30 +313,26 @@ proptest! {
         prop_assert_eq!(back.to_json(), json);
     }
 
-    /// Every `Axis` variant (including generic patches over raw JSON
-    /// values) round-trips stably inside a campaign's `sweep` list.
+    /// Axes over every kind of JSON value round-trip stably inside a
+    /// campaign's `sweep` list.
     #[test]
     fn sweep_axes_round_trip(kind in 0usize..6, seeds in proptest::collection::vec(0u64..100, 1..3)) {
         let axis = match kind {
-            0 => Axis::Load { values: vec![100.0, 200.0] },
-            1 => Axis::Nodes { values: vec![6, 10] },
-            2 => Axis::Variants { values: vec![Variant::Basic, Variant::Pcmac] },
-            3 => Axis::PowerLevels { sets_mw: vec![vec![281.83815], vec![1.0, 281.83815]] },
-            4 => Axis::Patch {
-                path: "mac.pcmac.safety_factor".into(),
-                values: vec![Value::F64(0.5), Value::F64(0.7)],
-            },
-            _ => Axis::Patch {
-                path: "radio.capture_policy".into(),
-                values: vec![Value::Str("StartOnly".into()), Value::Str("Continuous".into())],
-            },
+            0 => Axis::new("traffic.offered_load_kbps", &[100.0, 200.0]),
+            1 => Axis::new("nodes.count", &[6, 10]),
+            2 => Axis::new("variant", &[Variant::Basic, Variant::Pcmac]),
+            3 => Axis::new("power_levels_mw", &[vec![281.83815], vec![1.0, 281.83815]]),
+            4 => Axis::new("protocol.safety_factor", &[0.5, 0.7]),
+            _ => Axis::new(
+                "radio.capture_policy",
+                &[CapturePolicy::StartOnly, CapturePolicy::Continuous],
+            ),
         };
         let spec = CampaignSpec {
             name: "fuzz-sweep".into(),
             base: spec_from(0, 0, 0, 8, 200.0, false, false),
             duration_s: Some(3.0),
             seeds,
-            axes: None,
             sweep: Some(vec![axis]),
         };
         let json = spec.to_json();
@@ -388,9 +398,9 @@ proptest! {
 }
 
 #[test]
-fn pre_redesign_spec_json_still_parses() {
-    // A spec written before the protocol/radio/aodv sections and the
-    // `sweep` axis list existed must load with every overlay absent.
+fn optional_sections_may_be_omitted() {
+    // A spec without the protocol/radio/aodv sections or a `sweep` list
+    // loads with every overlay absent and runs the base alone.
     let json = r#"{
       "name": "old",
       "base": {
@@ -409,21 +419,15 @@ fn pre_redesign_spec_json_still_parses() {
         "shadowing": null
       },
       "duration_s": null,
-      "seeds": [1],
-      "axes": {
-        "loads_kbps": [100.0, 200.0],
-        "node_counts": null,
-        "variants": null,
-        "power_level_sets_mw": null
-      }
+      "seeds": [1]
     }"#;
-    let spec = CampaignSpec::from_json(json).expect("old shape parses");
+    let spec = CampaignSpec::from_json(json).expect("minimal shape parses");
     assert_eq!(spec.base.protocol, None);
     assert_eq!(spec.base.radio, None);
     assert_eq!(spec.base.aodv, None);
     assert_eq!(spec.sweep, None);
-    spec.validate().expect("old shape is valid");
-    assert_eq!(spec.point_count(), 2);
+    spec.validate().expect("minimal shape is valid");
+    assert_eq!(spec.point_count(), 1);
 }
 
 #[test]

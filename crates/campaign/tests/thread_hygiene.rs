@@ -49,7 +49,6 @@ fn slow_campaign() -> CampaignSpec {
         },
         duration_s: None,
         seeds: vec![1],
-        axes: None,
         sweep: None,
     }
 }

@@ -1,12 +1,16 @@
 //! Load-time validation: defective specs must fail with actionable
 //! messages naming the problem, not panic mid-run.
 
-use pcmac::{FlowShape, MetricsConfig, NodeSetup, ScenarioConfig, Variant};
-use pcmac_campaign::{
-    AodvSpec, AxesSpec, Axis, CampaignSpec, ExecutionSpec, NodesSpec, PlacementSpec, ProtocolSpec,
-    RadioSpec, ScenarioSpec, TrafficPattern, TrafficSpec, PATCH_PATHS,
+use pcmac::{
+    ChurnConfig, CrashWindow, FaultConfig, FlowShape, ImpairmentBurst, MetricsConfig, NodeSetup,
+    ScenarioConfig, ShadowingConfig, TraceFilter, Variant,
 };
-use serde::Value;
+use pcmac_campaign::{
+    AodvSpec, Axis, CampaignSpec, ExecutionSpec, MobilitySpec, NodesSpec, PlacementSpec,
+    ProtocolSpec, RadioSpec, ScenarioSpec, TrafficPattern, TrafficSpec,
+};
+use pcmac_phy::CapturePolicy;
+use serde::{Serialize, Value};
 
 fn valid_spec() -> ScenarioSpec {
     ScenarioSpec {
@@ -118,8 +122,7 @@ fn bad_mobility_and_duration_are_rejected() {
 }
 
 /// A waypoint walk at 0 m/s validated and then panicked building its
-/// mobility model. The spec rejects it and says what static nodes take;
-/// so is the 0 m/s mobility a lone pause patch creates on a static base.
+/// mobility model. The spec rejects it and says what static nodes take.
 #[test]
 fn zero_speed_mobility_is_rejected_before_it_runs() {
     let mut s = valid_spec();
@@ -131,15 +134,6 @@ fn zero_speed_mobility_is_rejected_before_it_runs() {
     // One rule for specs and hand-built configs, naming both spellings.
     assert_problem(&s, "omit `nodes.mobility` for static nodes");
     assert_problem(&s, "NodeSetup::Static");
-
-    let mut s = valid_spec();
-    s.apply_patch("nodes.mobility.pause_s", &Value::F64(2.0))
-        .expect("the path exists");
-    assert_problem(&s, "mobility speed 0 m/s");
-    s.apply_patch("nodes.mobility.speed_mps", &Value::F64(3.0))
-        .expect("the path exists");
-    s.validate().expect("a positive speed walks");
-    s.materialize(1).expect("and materializes");
 }
 
 #[test]
@@ -184,7 +178,6 @@ fn over_shrunk_durations_are_rejected() {
         base: valid_spec(),
         duration_s: Some(1.2),
         seeds: vec![1],
-        axes: None,
         sweep: None,
     };
     let err = c.validate().expect_err("override too short");
@@ -209,124 +202,170 @@ fn every_problem_is_reported_at_once() {
     );
 }
 
-#[test]
-fn campaign_axis_defects_are_rejected() {
-    let base = valid_spec();
-    let mut c = CampaignSpec {
-        name: "c".into(),
-        base,
-        duration_s: None,
-        seeds: vec![],
-        axes: Some(AxesSpec::default()),
-        sweep: None,
-    };
-    let err = c.validate().expect_err("no seeds");
-    assert!(err.problems.iter().any(|p| p.contains("no seeds")));
-
-    c.seeds = vec![1];
-    c.axes.as_mut().unwrap().loads_kbps = Some(vec![]);
-    let err = c.validate().expect_err("empty axis");
-    assert!(err.problems.iter().any(|p| p.contains("loads_kbps")));
-
-    c.axes.as_mut().unwrap().loads_kbps = Some(vec![100.0]);
-    c.axes.as_mut().unwrap().node_counts = Some(vec![1]);
-    let err = c.validate().expect_err("count < 2");
-    assert!(err.problems.iter().any(|p| p.contains("at least 2")));
-}
-
 fn sweep_campaign(axes: Vec<Axis>) -> CampaignSpec {
     CampaignSpec {
         name: "sweep".into(),
         base: valid_spec(),
         duration_s: None,
         seeds: vec![1],
-        axes: None,
         sweep: Some(axes),
     }
 }
 
+/// Every problem of `c`, one per line.
+fn campaign_problems(c: &CampaignSpec) -> String {
+    c.validate()
+        .expect_err("campaign must be rejected")
+        .problems
+        .join("\n")
+}
+
 #[test]
 fn sweep_axis_defects_are_rejected() {
-    // Empty axis.
-    let c = sweep_campaign(vec![Axis::Load { values: vec![] }]);
-    let err = c.validate().expect_err("empty axis");
-    assert!(err.problems.iter().any(|p| p.contains("axis is empty")));
+    let mut c = sweep_campaign(vec![]);
+    c.seeds = vec![];
+    assert!(campaign_problems(&c).contains("no seeds"));
 
-    // Unknown patch path, with the supported surface named.
-    let c = sweep_campaign(vec![Axis::Patch {
-        path: "mac.bogus_knob".into(),
-        values: vec![Value::F64(1.0)],
-    }]);
-    let err = c.validate().expect_err("unknown path");
+    let empty = Axis::new::<f64>("traffic.offered_load_kbps", &[]);
+    let all = campaign_problems(&sweep_campaign(vec![empty]));
     assert!(
-        err.problems
-            .iter()
-            .any(|p| p.contains("unknown patch path") && p.contains("mac.pcmac.safety_factor")),
-        "{:?}",
-        err.problems
+        all.contains("`traffic.offered_load_kbps` is empty"),
+        "{all}"
     );
+
+    // A path names the spec's own keys; a miss lists those that exist.
+    // The old `mac.pcmac.*` spelling is such a miss.
+    let all = campaign_problems(&sweep_campaign(vec![Axis::new(
+        "mac.pcmac.safety_factor",
+        &[0.5],
+    )]));
+    assert!(
+        all.contains("unknown key `mac`") && all.contains("`protocol`"),
+        "{all}"
+    );
+    // Inside a section the base leaves out, too.
+    let all = campaign_problems(&sweep_campaign(vec![Axis::new("protocol.bogus", &[1.0])]));
+    assert!(
+        all.contains("unknown key `protocol.bogus`") && all.contains("`safety_factor`"),
+        "{all}"
+    );
+    // A list is set whole: `field.width` became `field`.
+    let all = campaign_problems(&sweep_campaign(vec![Axis::new("field.width", &[800.0])]));
+    assert!(all.contains("`field` is not a section"), "{all}");
 
     // Type mismatch: a string where a float belongs.
-    let c = sweep_campaign(vec![Axis::Patch {
-        path: "mac.pcmac.safety_factor".into(),
-        values: vec![Value::Str("high".into())],
-    }]);
-    let err = c.validate().expect_err("type mismatch");
-    assert!(
-        err.problems.iter().any(|p| p.contains("safety_factor")),
-        "{:?}",
-        err.problems
-    );
+    let all = campaign_problems(&sweep_campaign(vec![Axis::new(
+        "protocol.safety_factor",
+        &["high"],
+    )]));
+    assert!(all.contains("protocol.safety_factor"), "{all}");
 
     // Semantically-bad value: validation catches it before expansion.
-    let c = sweep_campaign(vec![Axis::Patch {
-        path: "mac.pcmac.safety_factor".into(),
-        values: vec![Value::F64(-0.5)],
-    }]);
-    let err = c.validate().expect_err("negative safety factor");
+    let all = campaign_problems(&sweep_campaign(vec![Axis::new(
+        "protocol.safety_factor",
+        &[-0.5],
+    )]));
     assert!(
-        err.problems
-            .iter()
-            .any(|p| p.contains("safety factor") && p.contains("positive")),
-        "{:?}",
-        err.problems
+        all.contains("safety factor") && all.contains("positive"),
+        "{all}"
     );
 
-    // Two axes sweeping the same knob.
-    let mut c = sweep_campaign(vec![Axis::Load {
-        values: vec![100.0],
-    }]);
-    c.axes = Some(AxesSpec {
-        loads_kbps: Some(vec![50.0]),
-        ..AxesSpec::default()
+    // Two axes over one path: the later would silently overwrite the
+    // earlier per cell, leaving duplicate points whose keys lie.
+    let all = campaign_problems(&sweep_campaign(vec![
+        Axis::new("traffic.offered_load_kbps", &[100.0, 150.0]),
+        Axis::new("traffic.offered_load_kbps", &[120.0]),
+    ]));
+    assert!(
+        all.contains("same knob `traffic.offered_load_kbps`"),
+        "{all}"
+    );
+}
+
+/// A section the base leaves out is created empty and must then parse:
+/// one key of it does not invent the others.
+#[test]
+fn a_patch_into_an_absent_section_names_what_it_lacks() {
+    for (path, missing) in [
+        ("shadowing.sigma_db", "symmetric"),
+        ("nodes.mobility.pause_s", "speed_mps"),
+        ("faults.churn.mean_uptime_s", "mean_downtime_s"),
+    ] {
+        let mut s = valid_spec();
+        let err = s
+            .apply_patch(path, &Value::F64(2.0))
+            .expect_err("a lone key does not parse");
+        assert!(
+            err.problems[0].contains(&format!("missing field `{missing}`")),
+            "{path}: {err}"
+        );
+        assert_eq!(s, valid_spec(), "a failed patch leaves the spec alone");
+    }
+    // Setting the section whole works, and so does a key of it after.
+    let mut s = valid_spec();
+    let shadowing = ShadowingConfig {
+        sigma_db: 0.0,
+        symmetric: true,
+    };
+    s.apply_patch("shadowing", &shadowing.to_value())
+        .expect("the section parses");
+    s.apply_patch("shadowing.sigma_db", &Value::F64(4.0))
+        .expect("the key exists now");
+    assert_eq!(s.shadowing.map(|sh| sh.sigma_db), Some(4.0));
+}
+
+/// The serde shim skips keys it does not know, so both of these ran
+/// quietly wrong: a misspelt `sweep` expanded to the base alone, and a
+/// misspelt `protocol` ran at the paper's 0.7.
+#[test]
+fn unknown_spec_keys_are_rejected_by_path() {
+    let sweep = include_str!("../../../examples/paper_load_sweep.json");
+    let misspelt = sweep.replacen("\"sweep\"", "\"axis\"", 1);
+    let err = CampaignSpec::from_json(&misspelt).expect_err("`axis` is not a key");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("unknown key `axis`") && msg.contains("`sweep`"),
+        "{msg}"
+    );
+    // The retired grid is refused the same way.
+    let legacy = sweep.replacen("\"sweep\"", "\"axes\"", 1);
+    let msg = CampaignSpec::from_json(&legacy).unwrap_err().to_string();
+    assert!(msg.contains("unknown key `axes`"), "{msg}");
+
+    let fixture = include_str!("../../../benchmark/fixtures/churn_observed.json");
+    ScenarioSpec::from_json(fixture).expect("the benchmark fixture parses");
+    let misspelt = fixture.replacen(
+        "\"metrics\"",
+        "\"protocl\": { \"safety_factor\": 0.1 },\n  \"metrics\"",
+        1,
+    );
+    let msg = ScenarioSpec::from_json(&misspelt).unwrap_err().to_string();
+    assert!(
+        msg.contains("unknown key `protocl`") && msg.contains("`protocol`"),
+        "{msg}"
+    );
+    // Nested, inside a list, and under a campaign's base.
+    let nested = fixture.replacen("\"expire_routes\"", "\"expire_route\"", 1);
+    let msg = ScenarioSpec::from_json(&nested).unwrap_err().to_string();
+    assert!(
+        msg.contains("unknown key `faults.expire_route`") && msg.contains("`expire_routes`"),
+        "{msg}"
+    );
+    let mut s = valid_spec();
+    s.faults = Some(FaultConfig {
+        crashes: Some(vec![CrashWindow {
+            node: 1,
+            at_s: 2.0,
+            recover_s: None,
+        }]),
+        ..FaultConfig::default()
     });
-    let err = c.validate().expect_err("duplicate axis");
-    assert!(
-        err.problems.iter().any(|p| p.contains("same knob")),
-        "{:?}",
-        err.problems
-    );
-
-    // A first-class axis and its Patch-path spelling collide too: the
-    // later axis would silently overwrite the earlier one per cell,
-    // leaving duplicate points whose keys lie about what ran.
-    let c = sweep_campaign(vec![
-        Axis::Load {
-            values: vec![100.0, 150.0],
-        },
-        Axis::Patch {
-            path: "traffic.offered_load_kbps".into(),
-            values: vec![Value::F64(120.0)],
-        },
-    ]);
-    let err = c.validate().expect_err("first-class vs patch duplicate");
-    assert!(
-        err.problems
-            .iter()
-            .any(|p| p.contains("same knob `traffic.offered_load_kbps`")),
-        "{:?}",
-        err.problems
-    );
+    let listed = s.to_json().replacen("\"recover_s\"", "\"recover\"", 1);
+    let msg = ScenarioSpec::from_json(&listed).unwrap_err().to_string();
+    assert!(msg.contains("`faults.crashes[0].recover`"), "{msg}");
+    let in_base = sweep.replacen("\"shadowing\"", "\"shadow\"", 1);
+    let msg = CampaignSpec::from_json(&in_base).unwrap_err().to_string();
+    assert!(msg.contains("unknown key `base.shadow`"), "{msg}");
 }
 
 #[test]
@@ -334,10 +373,7 @@ fn duration_patch_axis_wins_over_the_campaign_override() {
     // The campaign `duration_s` replaces the *base* duration; a sweep
     // axis over `duration_s` must still take effect per cell (keys that
     // say duration_s=20 must actually run 20 s).
-    let mut c = sweep_campaign(vec![Axis::Patch {
-        path: "duration_s".into(),
-        values: vec![Value::F64(20.0), Value::F64(30.0)],
-    }]);
+    let mut c = sweep_campaign(vec![Axis::new("duration_s", &[20.0, 30.0])]);
     c.duration_s = Some(10.0);
     let grid = c.grid().expect("grid builds");
     let durations: Vec<f64> = grid.cells.iter().map(|cell| cell.spec.duration_s).collect();
@@ -348,106 +384,105 @@ fn duration_patch_axis_wins_over_the_campaign_override() {
     assert_eq!(grid.cells[0].spec.duration_s, 10.0);
 }
 
-/// One value of its documented type per `PATCH_PATHS` entry, in order,
-/// all valid together on the paper's base spec.
-fn patch_samples() -> Vec<(&'static str, Value)> {
-    vec![
-        ("duration_s", Value::F64(30.0)),
-        ("variant", Value::Str("Basic".into())),
-        ("field.width", Value::F64(800.0)),
-        ("field.height", Value::F64(800.0)),
-        ("nodes.count", Value::U64(20)),
-        (
-            "nodes.placement",
-            Value::Map(vec![(
-                "Grid".into(),
-                Value::Map(vec![("spacing".into(), Value::F64(100.0))]),
-            )]),
-        ),
-        ("nodes.mobility.speed_mps", Value::F64(5.0)),
-        ("nodes.mobility.pause_s", Value::F64(1.0)),
-        (
-            "traffic.pattern",
-            Value::Map(vec![(
-                "NeighbourPairs".into(),
-                Value::Map(vec![("flows".into(), Value::U64(10))]),
-            )]),
-        ),
-        ("traffic.offered_load_kbps", Value::F64(400.0)),
-        ("traffic.bytes", Value::U64(256)),
-        (
-            "power_levels_mw",
-            Value::Seq(vec![Value::F64(1.0), Value::F64(281.83815)]),
-        ),
-        ("shadowing.sigma_db", Value::F64(4.0)),
-        ("shadowing.symmetric", Value::Bool(false)),
-        (
-            "faults.crashes",
-            Value::Seq(vec![Value::Map(vec![
-                ("node".into(), Value::U64(3)),
-                ("at_s".into(), Value::F64(10.0)),
-                ("recover_s".into(), Value::F64(20.0)),
-            ])]),
-        ),
-        ("faults.churn.mean_uptime_s", Value::F64(20.0)),
-        ("faults.churn.mean_downtime_s", Value::F64(5.0)),
-        ("faults.churn.start_s", Value::F64(5.0)),
-        ("faults.churn.stop_s", Value::F64(25.0)),
-        ("faults.expire_routes", Value::Bool(true)),
-        (
-            "faults.impairments",
-            Value::Seq(vec![Value::Map(vec![
-                ("start_s".into(), Value::F64(12.0)),
-                ("stop_s".into(), Value::F64(18.0)),
-                ("extra_loss_db".into(), Value::F64(6.0)),
-                ("noise_mult".into(), Value::F64(2.0)),
-            ])]),
-        ),
-        ("faults.energy_budget_mj", Value::F64(5000.0)),
-        ("mac.pcmac.safety_factor", Value::F64(0.9)),
-        ("mac.pcmac.capture_ratio", Value::F64(8.0)),
-        ("mac.pcmac.ctrl_rate_bps", Value::U64(250_000)),
-        ("mac.pcmac.history_expiry_s", Value::F64(2.0)),
-        ("mac.pcmac.max_retx", Value::U64(6)),
-        ("mac.pcmac.four_way_handshake", Value::Bool(true)),
-        ("mac.queue_capacity", Value::U64(25)),
-        ("mac.rts_threshold", Value::U64(512)),
-        ("radio.rx_thresh_mw", Value::F64(4.0e-7)),
-        ("radio.cs_thresh_mw", Value::F64(2.0e-8)),
-        ("radio.capture_ratio", Value::F64(6.0)),
-        ("radio.noise_floor_mw", Value::F64(2.0e-9)),
-        ("radio.capture_policy", Value::Str("Continuous".into())),
-        ("aodv.active_route_timeout_s", Value::F64(8.0)),
-        ("aodv.rreq_cache_timeout_s", Value::F64(5.0)),
-        ("aodv.rreq_wait_s", Value::F64(1.5)),
-        ("aodv.rreq_retries", Value::U64(2)),
-        ("aodv.buffer_capacity", Value::U64(32)),
-        ("aodv.buffer_timeout_s", Value::F64(20.0)),
-        ("aodv.rreq_ttl", Value::U64(16)),
-        ("metrics.probe_interval_s", Value::F64(0.5)),
-        ("execution.shards", Value::U64(4)),
-        ("execution.delay_floor_us", Value::F64(10.0)),
-        ("trace.channel", Value::Bool(true)),
-        ("trace.ctrl", Value::Bool(false)),
-        ("trace.timers", Value::Bool(false)),
-        ("trace.traffic", Value::Bool(true)),
-    ]
+/// [`valid_spec`] at 2 s with every optional section present and every
+/// optional value set, so each knob the spec has is a leaf of its value
+/// tree. It runs single-threaded, so an event budget can stop a run
+/// that does not end.
+fn full_spec() -> ScenarioSpec {
+    let mut s = valid_spec();
+    s.duration_s = 2.0;
+    s.nodes.mobility = Some(MobilitySpec {
+        speed_mps: 2.0,
+        pause_s: 1.0,
+    });
+    s.traffic.shape = FlowShape::OnOff {
+        mean_on_s: 0.5,
+        mean_off_s: 0.5,
+    };
+    s.power_levels_mw = Some(vec![1.0, 281.83815]);
+    s.shadowing = Some(ShadowingConfig {
+        sigma_db: 4.0,
+        symmetric: false,
+    });
+    s.protocol = Some(ProtocolSpec {
+        safety_factor: Some(0.9),
+        capture_ratio: Some(8.0),
+        ctrl_rate_bps: Some(250_000),
+        history_expiry_s: Some(2.0),
+        max_retx: Some(6),
+        four_way_handshake: Some(true),
+        queue_capacity: Some(25),
+        rts_threshold: Some(512),
+    });
+    s.radio = Some(RadioSpec {
+        rx_thresh_mw: Some(4.0e-7),
+        cs_thresh_mw: Some(2.0e-8),
+        capture_ratio: Some(6.0),
+        noise_floor_mw: Some(2.0e-9),
+        capture_policy: Some(CapturePolicy::Continuous),
+    });
+    s.aodv = Some(AodvSpec {
+        active_route_timeout_s: Some(8.0),
+        rreq_cache_timeout_s: Some(5.0),
+        rreq_wait_s: Some(1.5),
+        rreq_retries: Some(2),
+        buffer_capacity: Some(32),
+        buffer_timeout_s: Some(20.0),
+        rreq_ttl: Some(16),
+    });
+    s.faults = Some(FaultConfig {
+        crashes: Some(vec![CrashWindow {
+            node: 3,
+            at_s: 1.2,
+            recover_s: Some(1.6),
+        }]),
+        churn: Some(ChurnConfig {
+            mean_uptime_s: 3.0,
+            mean_downtime_s: 0.5,
+            start_s: Some(1.0),
+            stop_s: Some(1.8),
+        }),
+        expire_routes: Some(true),
+        impairments: Some(vec![ImpairmentBurst {
+            start_s: 1.1,
+            stop_s: 1.3,
+            extra_loss_db: 6.0,
+            noise_mult: Some(2.0),
+        }]),
+        energy_budget_mj: Some(5000.0),
+    });
+    s.metrics = Some(MetricsConfig {
+        probe_interval_s: 0.5,
+    });
+    s.trace = Some(TraceFilter {
+        channel: true,
+        ctrl: false,
+        timers: false,
+        traffic: true,
+    });
+    s.execution = Some(ExecutionSpec {
+        shards: None,
+        delay_floor_us: Some(10.0),
+    });
+    s
 }
 
-#[test]
-fn every_documented_patch_path_applies() {
-    // `PATCH_PATHS` is the contract surface: each entry must accept a
-    // value of its documented type on the paper's base spec.
-    let samples = patch_samples();
-    let sampled: Vec<&str> = samples.iter().map(|(p, _)| *p).collect();
-    assert_eq!(sampled, PATCH_PATHS, "sample table must cover PATCH_PATHS");
-    let mut spec = ScenarioSpec::paper();
-    for (path, value) in &samples {
-        spec.apply_patch(path, value)
-            .unwrap_or_else(|e| panic!("{path}: {e}"));
+/// Every leaf of `tree` (a value that is not a non-empty map) with its
+/// dotted path under `at`.
+fn leaves(tree: &Value, at: &str, out: &mut Vec<(String, Value)>) {
+    match tree {
+        Value::Map(entries) if !entries.is_empty() => {
+            for (key, value) in entries {
+                let path = if at.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{at}.{key}")
+                };
+                leaves(value, &path, out);
+            }
+        }
+        leaf => out.push((at.to_string(), leaf.clone())),
     }
-    spec.validate().expect("fully patched spec stays valid");
-    spec.materialize(1).expect("and materializes");
 }
 
 /// Each hostile value of `sample`'s type, one leaf at a time: a float
@@ -493,19 +528,26 @@ fn hostile(sample: &Value) -> Vec<Value> {
     }
 }
 
-/// One validator, fuzzed over the whole patch surface: every
-/// `PATCH_PATHS` entry takes each hostile value of its type on a small
-/// valid base. Nothing may panic, `validate` must answer as
-/// `materialize` does at every seed, and whatever it accepts must build
-/// a simulator.
+/// Events a fuzz run may dispatch. The busiest case that validates (a
+/// 1-byte packet) ends near 11 000, so a run past this never ends.
+const EVENT_BUDGET: u64 = 200_000;
+
+/// One validator, fuzzed over every leaf of the spec: each takes each
+/// hostile value of its type and each wrong kind of value on
+/// [`full_spec`]. Nothing may panic, `validate` must answer as
+/// `materialize` does at every seed, and whatever it accepts must run
+/// to its end inside [`EVENT_BUDGET`].
 #[test]
-fn hostile_patches_validate_exactly_when_they_materialize() {
-    use serde::Serialize;
-    let mut samples = patch_samples();
-    // Every placement and traffic pattern, not only the sampled ones.
+fn hostile_patches_validate_exactly_when_they_run() {
+    let full = full_spec();
+    full.validate().expect("the full spec is valid");
+    let mut samples = Vec::new();
+    leaves(&full.to_value(), "", &mut samples);
+    // Enum values are set whole: every placement, pattern and shape, not
+    // only the full spec's. One shard count runs on its own.
     let placements = [
-        PlacementSpec::Uniform,
         PlacementSpec::Density { per_km2: 6.0 },
+        PlacementSpec::Grid { spacing: 100.0 },
         PlacementSpec::Chain { spacing: 100.0 },
         PlacementSpec::Ring { radius: 100.0 },
         PlacementSpec::Clustered {
@@ -517,37 +559,59 @@ fn hostile_patches_validate_exactly_when_they_materialize() {
             points: vec![pcmac_engine::Point::new(10.0, 10.0); 6],
         },
     ];
-    samples.extend(placements.iter().map(|p| ("nodes.placement", p.to_value())));
+    let mut whole: Vec<(&str, Value)> = placements
+        .iter()
+        .map(|p| ("nodes.placement", p.to_value()))
+        .collect();
     let patterns = [
-        TrafficPattern::RandomPairs { flows: 3 },
+        TrafficPattern::NeighbourPairs { flows: 3 },
         TrafficPattern::Explicit {
             pairs: vec![(0, 1)],
         },
     ];
-    samples.extend(patterns.iter().map(|p| ("traffic.pattern", p.to_value())));
+    whole.extend(patterns.iter().map(|p| ("traffic.pattern", p.to_value())));
+    whole.extend([FlowShape::Cbr, FlowShape::Poisson].map(|s| ("traffic.shape", s.to_value())));
+    whole.push(("execution.shards", Value::U64(2)));
+    samples.extend(whole.into_iter().map(|(p, v)| (p.to_string(), v)));
+    let wrong_kinds = [
+        Value::Null,
+        Value::Str("x".into()),
+        Value::Map(Vec::new()),
+        Value::Seq(Vec::new()),
+    ];
 
     let (mut tried, mut accepted, mut failures) = (0, 0, Vec::new());
     for (path, sample) in &samples {
-        for value in hostile(sample) {
-            let mut spec = valid_spec();
+        for value in hostile(sample).into_iter().chain(wrong_kinds.clone()) {
+            let mut spec = full.clone();
             if spec.apply_patch(path, &value).is_err() {
-                continue; // a type the path does not take
+                continue; // a value the path does not take
             }
             tried += 1;
             let case = std::panic::catch_unwind(|| {
                 let valid = spec.validate().is_ok();
                 let agree = (1..=3).all(|seed| spec.materialize(seed).is_ok() == valid);
                 if valid {
-                    drop(pcmac::Simulator::new(
-                        spec.materialize(1).expect("validated"),
-                    ));
+                    let cfg = spec.materialize(1).expect("validated");
+                    let mut events = 0u64;
+                    pcmac::Simulator::new(cfg).run_with_observer(|_, _| {
+                        events += 1;
+                        assert!(events <= EVENT_BUDGET, "ran past the event budget");
+                    });
                 }
                 (valid, agree)
             });
             match case {
                 Ok((valid, true)) => accepted += usize::from(valid),
                 Ok((_, false)) => failures.push(format!("{path} = {value:?}: disagree")),
-                Err(_) => failures.push(format!("{path} = {value:?}: panicked")),
+                Err(e) => {
+                    let why = e
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    failures.push(format!("{path} = {value:?}: panicked: {why}"));
+                }
             }
         }
     }
@@ -562,6 +626,45 @@ fn hostile_patches_validate_exactly_when_they_materialize() {
         tried > 300 && accepted > 50,
         "tried {tried}, accepted {accepted}"
     );
+}
+
+/// Each of these validated on the benchmark's churn fixture, then spun
+/// (a CBR interval that rounds to 0 ns), panicked on `SimTime` overflow
+/// (an interval or timeout past it) or exhausted memory drawing the
+/// churn schedule.
+#[test]
+fn inputs_that_validated_then_hung_or_panicked_are_rejected() {
+    let cases: [(&[(&str, f64)], &str); 4] = [
+        (
+            &[("traffic.offered_load_kbps", 1e12)],
+            "flow 0: packet interval 0.00000000008192 s must be finite, round to at least 1 ns",
+        ),
+        (
+            &[("traffic.offered_load_kbps", 1e-12)],
+            "flow 0: packet interval 81920000000000 s must be finite",
+        ),
+        (
+            &[("aodv.active_route_timeout_s", 1e12)],
+            "AODV active route timeout 18446744073.709553 s",
+        ),
+        (
+            &[
+                ("faults.churn.mean_uptime_s", 1e-9),
+                ("faults.churn.mean_downtime_s", 1e-9),
+            ],
+            "over the cap of 1e6",
+        ),
+    ];
+    let fixture = include_str!("../../../benchmark/fixtures/churn_observed.json");
+    for (patches, needle) in cases {
+        let mut s = ScenarioSpec::from_json(fixture).expect("the fixture parses");
+        s.validate().expect("the fixture is valid");
+        for (path, value) in patches {
+            s.apply_patch(path, &Value::F64(*value))
+                .expect("the path exists");
+        }
+        assert_problem(&s, needle);
+    }
 }
 
 #[test]

@@ -199,6 +199,26 @@ pub fn random_flow_pairs(seed: u64, count: usize, n_flows: usize) -> Vec<(u32, u
     used
 }
 
+/// The longest span, in seconds, a configured duration, period or
+/// interval may have: 10⁸ s, about three years. The most a run adds to
+/// a time is a route discovery's wait after six backoffs, 64 × this;
+/// with a run of this length that stays under the 1.8 × 10¹⁰ s a `u64`
+/// of nanoseconds holds, so `SimTime` arithmetic cannot overflow.
+const MAX_SPAN_S: f64 = 1e8;
+
+/// `which`, `s` seconds long, must round to at least 1 ns (at 0 ns an
+/// entry expires as it is made, or a timer or source re-arms at its own
+/// instant for ever) and stay at most [`MAX_SPAN_S`]. The label is
+/// formatted only for a problem.
+fn check_span(which: std::fmt::Arguments<'_>, s: f64, problems: &mut Vec<String>) {
+    if Duration::from_secs_f64(s).is_zero() || s > MAX_SPAN_S {
+        problems.push(format!(
+            "{which} {s} s must be finite, round to at least 1 ns and stay at most \
+             {MAX_SPAN_S:e} s"
+        ));
+    }
+}
+
 /// Everything wrong with a scenario, found in one pass — the load-time
 /// alternative to panicking mid-run.
 #[derive(Debug, Clone)]
@@ -419,7 +439,8 @@ impl ScenarioConfig {
             problems.push("scenario has zero nodes".to_string());
         }
         match &self.nodes {
-            NodeSetup::UniformWaypoint { speed, .. } | NodeSetup::WaypointFrom { speed, .. } => {
+            NodeSetup::UniformWaypoint { speed, pause, .. }
+            | NodeSetup::WaypointFrom { speed, pause, .. } => {
                 // A waypoint walk at 0 m/s never reaches its first
                 // waypoint: the model refuses it. A lone
                 // `nodes.mobility.pause_s` patch on a static spec
@@ -430,6 +451,15 @@ impl ScenarioConfig {
                          (omit `nodes.mobility` for static nodes, or use \
                          NodeSetup::Static in a hand-built config)"
                     ));
+                }
+                // The longest leg crosses the field's diagonal.
+                let leg_s = self.field.0.hypot(self.field.1) / speed;
+                for (which, s) in [("pause", pause.as_secs_f64()), ("longest leg", leg_s)] {
+                    if s > MAX_SPAN_S {
+                        problems.push(format!(
+                            "mobility {which} {s} s must stay at most {MAX_SPAN_S:e} s"
+                        ));
+                    }
                 }
             }
             NodeSetup::Static(_) => {}
@@ -479,19 +509,29 @@ impl ScenarioConfig {
                     "flow {id}: rate {} b/s must be positive and finite",
                     f.rate_bps
                 ));
+            } else if f.bytes > 0 {
+                let interval = f.bytes as f64 * 8.0 / f.rate_bps;
+                check_span(
+                    format_args!("flow {id}: packet interval"),
+                    interval,
+                    &mut problems,
+                );
             }
             if let FlowShape::OnOff {
                 mean_on_s,
                 mean_off_s,
             } = f.shape
             {
-                for (which, mean) in [("on", mean_on_s), ("off", mean_off_s)] {
-                    if !mean.is_finite() || mean <= 0.0 {
-                        problems.push(format!(
-                            "flow {id}: mean {which} phase {mean} s must be positive and finite"
-                        ));
-                    }
-                }
+                check_span(
+                    format_args!("flow {id}: mean on phase"),
+                    mean_on_s,
+                    &mut problems,
+                );
+                check_span(
+                    format_args!("flow {id}: mean off phase"),
+                    mean_off_s,
+                    &mut problems,
+                );
             }
         }
         // --- protocol / radio parameter surface (spec-overlay knobs) ---
@@ -537,31 +577,25 @@ impl ScenarioConfig {
         if aodv.rreq_ttl == 0 {
             problems.push("AODV RREQ TTL is zero: floods would die at the source".into());
         }
-        // Lifetimes and periods are whole nanoseconds: at zero an entry
-        // expires as it is made, or a timer re-arms at its own instant
-        // for ever. The probe interval is still seconds here; the metrics
-        // layer rounds it the same way.
-        let timers = [
+        // Lifetimes and periods are whole nanoseconds (`check_span`).
+        // The probe interval is still seconds here; the metrics layer
+        // rounds it the same way.
+        for (which, d) in [
             ("duration", self.duration),
             ("power history expiry", pc.history_expiry),
             ("AODV active route timeout", aodv.active_route_timeout),
             ("AODV RREQ cache timeout", aodv.rreq_cache_timeout),
             ("AODV RREQ wait", aodv.rreq_wait),
             ("AODV buffer timeout", aodv.buffer_timeout),
-        ];
-        let probe = self
-            .metrics
-            .map(|m| ("metrics probe interval", m.probe_interval_s));
-        for (which, s) in timers
-            .map(|(w, d)| (w, d.as_secs_f64()))
-            .into_iter()
-            .chain(probe)
-        {
-            if Duration::from_secs_f64(s).is_zero() {
-                problems.push(format!(
-                    "{which} {s} s must be finite and round to at least 1 ns"
-                ));
-            }
+        ] {
+            check_span(format_args!("{which}"), d.as_secs_f64(), &mut problems);
+        }
+        if let Some(m) = self.metrics {
+            check_span(
+                format_args!("metrics probe interval"),
+                m.probe_interval_s,
+                &mut problems,
+            );
         }
         for (which, w) in [
             ("MAC decode threshold", self.mac.rx_thresh),

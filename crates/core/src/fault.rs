@@ -13,6 +13,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most down/up cycles a churn plan may expect to precompute over
+/// all nodes (nodes × window / (mean up + mean down)).
+const MAX_CHURN_CYCLES: f64 = 1e6;
+
 /// One scheduled crash: the node goes dark at `at_s`, and (optionally)
 /// comes back at `recover_s`. While down a node neither transmits nor
 /// receives nor forwards; its timers keep running so recovery is clean.
@@ -149,6 +153,20 @@ impl FaultConfig {
                 problems.push(format!(
                     "fault churn: window starts at {} s, at or beyond the {duration_s} s run",
                     ch.start_s.unwrap_or(0.0)
+                ));
+            }
+            // The simulator draws the whole up/down schedule while it is
+            // built, so its expected length is bounded before anything
+            // allocates it.
+            let window =
+                ch.stop_s.unwrap_or(duration_s).min(duration_s) - ch.start_s.unwrap_or(0.0);
+            let cycles = node_count as f64 * window / (ch.mean_uptime_s + ch.mean_downtime_s);
+            if cycles > MAX_CHURN_CYCLES {
+                problems.push(format!(
+                    "fault churn: {node_count} nodes over a {window} s window at mean up {} s + \
+                     down {} s precompute about {cycles:.1e} down/up cycles, over the cap of \
+                     {MAX_CHURN_CYCLES:e}",
+                    ch.mean_uptime_s, ch.mean_downtime_s
                 ));
             }
         }

@@ -8,7 +8,7 @@
 //! cargo run --release --example adhoc_network [-- <load_kbps> <secs> <seed>]
 //! ```
 
-use pcmac_sim::campaign::{run_campaign, AxesSpec, CampaignSpec, ScenarioSpec};
+use pcmac_sim::campaign::{run_campaign, Axis, CampaignSpec, ScenarioSpec};
 use pcmac_sim::Variant;
 
 fn main() {
@@ -27,11 +27,7 @@ fn main() {
         base,
         duration_s: Some(secs as f64),
         seeds: vec![seed],
-        axes: Some(AxesSpec {
-            variants: Some(Variant::ALL.to_vec()),
-            ..AxesSpec::default()
-        }),
-        sweep: None,
+        sweep: Some(vec![Axis::new("variant", &Variant::ALL)]),
     };
     let reports = match run_campaign(&spec, 0) {
         Ok(outcome) => outcome.runs,

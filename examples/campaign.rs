@@ -13,7 +13,7 @@
 //! cargo run --release --example campaign
 //! ```
 
-use pcmac_sim::campaign::{run_campaign, AxesSpec, CampaignSpec, ScenarioSpec};
+use pcmac_sim::campaign::{run_campaign, Axis, CampaignSpec, ScenarioSpec};
 use pcmac_sim::Variant;
 
 fn main() {
@@ -24,17 +24,14 @@ fn main() {
         base: ScenarioSpec::paper(),
         duration_s: Some(10.0),
         seeds: vec![1, 2],
-        axes: Some(AxesSpec {
-            loads_kbps: Some(vec![300.0, 650.0, 1000.0]),
-            node_counts: None,
-            variants: Some(vec![Variant::Basic, Variant::Pcmac]),
-            power_level_sets_mw: None,
-        }),
-        // Arbitrary extra sweep dimensions go here: `sweep` axes reach
-        // every knob on the spec surface by dotted path, e.g.
-        // `Axis::Patch { path: "mac.pcmac.safety_factor", values: ... }`
-        // — see examples/ablation_*.json for complete ablation campaigns.
-        sweep: None,
+        // Every axis is a dotted path in the spec's JSON, so any knob
+        // sweeps the same way, e.g. `Axis::new("protocol.safety_factor",
+        // &[0.5, 0.7])` — see examples/ablation_*.json for complete
+        // ablation campaigns.
+        sweep: Some(vec![
+            Axis::new("traffic.offered_load_kbps", &[300.0, 650.0, 1000.0]),
+            Axis::new("variant", &[Variant::Basic, Variant::Pcmac]),
+        ]),
     };
     println!(
         "campaign `{}`: {} points x {} seeds = {} runs",

@@ -18,9 +18,12 @@ fn example_spec() -> CampaignSpec {
 #[test]
 fn example_spec_meets_the_acceptance_shape() {
     let spec = example_spec();
-    let axes = spec.axes.as_ref().expect("legacy grid");
-    let loads = axes.loads_kbps.as_ref().expect("load axis");
-    assert!(loads.len() >= 3, "acceptance: >= 3-point load sweep");
+    let loads = spec
+        .axes()
+        .iter()
+        .find(|a| a.path == "traffic.offered_load_kbps")
+        .expect("load axis");
+    assert!(loads.values.len() >= 3, "acceptance: >= 3-point load sweep");
     assert!(spec.seeds.len() >= 2, "acceptance: >= 2 seeds");
     let points = spec.expand_vec().expect("expands");
     assert_eq!(points.len(), spec.point_count());
@@ -32,11 +35,10 @@ fn example_spec_meets_the_acceptance_shape() {
     }
 }
 
-/// The pre-redesign spec files must keep expanding to the same configs:
-/// the legacy `axes` grid is sugar over the general axis list, not a
-/// second code path.
+/// A load axis then a variant axis expand load outermost, and the point
+/// key carries both in its own fields, not as patches.
 #[test]
-fn legacy_grid_lowering_reproduces_the_old_expansion() {
+fn load_and_variant_axes_expand_load_outermost() {
     let spec = example_spec();
     let points = spec.expand_vec().expect("expands");
     // Old nesting order: load outermost, variant innermost.
@@ -46,15 +48,15 @@ fn legacy_grid_lowering_reproduces_the_old_expansion() {
     for (i, p) in points.iter().enumerate() {
         assert_eq!(p.key.load_kbps, loads[i / variants.len()]);
         assert_eq!(p.key.variant, variants[i % variants.len()]);
-        assert_eq!(p.key.patches, None, "no patch axes in the legacy grid");
+        assert_eq!(p.key.patches, None, "load and variant are key fields");
         for cfg in &p.scenarios {
             assert!((cfg.offered_load_kbps() - p.key.load_kbps).abs() < 1e-9);
         }
     }
 }
 
-/// The other pre-redesign example must load and expand unchanged too:
-/// a base-only variant axis (null) means one point per load.
+/// A campaign without a variant axis runs the base's variant at every
+/// load.
 #[test]
 fn hotspot_example_still_loads_and_expands() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/hotspot_poisson.json");
