@@ -25,8 +25,11 @@
 
 use std::cell::RefCell;
 
-use pcmac::{RunHooks, ScenarioConfig, SimEvent, SimSnapshot, Simulator, Variant};
-use pcmac_engine::Duration;
+use pcmac::{
+    ExecutionMode, FlowSpec, MetricsConfig, NodeSetup, RunHooks, RunReport, ScenarioConfig,
+    SimEvent, SimSnapshot, Simulator, Variant,
+};
+use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 
 /// Incremental FNV-1a 64.
 struct Fnv(u64);
@@ -128,5 +131,194 @@ fn event_stream_and_checkpoint_bytes_match_the_recorded_goldens() {
         assert_eq!(got_events, events, "{variant:?}: RunReport.events");
         assert_eq!(got_stream, stream, "{variant:?}: observer stream digest");
         assert_eq!(got_snaps, snaps, "{variant:?}: checkpoint bytes digest");
+    }
+}
+
+const FIELD_NODES: usize = 400;
+const NODES_PER_FLOW: usize = 40;
+const PITCH_M: f64 = 250.0;
+
+/// `FIELD_NODES` stations at one per 250 m × 250 m, one single-hop CBR
+/// flow per 40 stations to the source's nearest neighbour, metrics on,
+/// 10 µs delay floor, 2 s; every station walking at 10 m/s from its
+/// start when `mobile`.
+fn sparse_field(variant: Variant, mobile: bool) -> ScenarioConfig {
+    let side = (FIELD_NODES as f64).sqrt() * PITCH_M;
+    let mut rng = RngStream::derive(5, "golden.placement");
+    let pts: Vec<Point> = (0..FIELD_NODES)
+        .map(|_| Point::new(rng.uniform(0.0, side), rng.uniform(0.0, side)))
+        .collect();
+    let duration = Duration::from_secs(2);
+    let mut cfg = ScenarioConfig::two_nodes(variant, 100.0, 40_000.0, 5);
+    cfg.name = "sparse-field".into();
+    cfg.field = (side, side);
+    cfg.duration = duration;
+    cfg.interference_floor = Milliwatts(1.559e-8);
+    cfg.delay_floor_us = Some(10.0);
+    cfg.metrics = Some(MetricsConfig::default());
+    let template: FlowSpec = cfg.flows[0].clone();
+    cfg.flows = (0..(FIELD_NODES / NODES_PER_FLOW) as u32)
+        .map(|i| {
+            let src = rng.below(FIELD_NODES as u64) as usize;
+            let dst = (0..FIELD_NODES)
+                .filter(|&j| j != src)
+                .min_by(|&a, &b| {
+                    pts[src]
+                        .distance_sq(pts[a])
+                        .total_cmp(&pts[src].distance_sq(pts[b]))
+                })
+                .expect("at least two nodes");
+            let mut f = template.clone();
+            f.flow = FlowId(i);
+            f.src = NodeId(src as u32);
+            f.dst = NodeId(dst as u32);
+            f.start = SimTime::ZERO + Duration::from_millis(20 + 7 * u64::from(i));
+            f.stop = SimTime::ZERO + duration;
+            f
+        })
+        .collect();
+    cfg.nodes = if mobile {
+        NodeSetup::WaypointFrom {
+            starts: pts,
+            speed: 10.0,
+            pause: Duration::ZERO,
+        }
+    } else {
+        NodeSetup::Static(pts)
+    };
+    cfg
+}
+
+fn sharded(mut cfg: ScenarioConfig) -> ScenarioConfig {
+    cfg.execution = Some(ExecutionMode::Sharded { shards: 2 });
+    cfg
+}
+
+/// FNV-1a over the report's JSON without `wall_s` and without the
+/// metrics section's hot-path counters, which describe how the run was
+/// executed rather than what happened in it.
+fn report_digest(report: &RunReport) -> u64 {
+    let text = serde_json::to_string(report).expect("reports serialize");
+    let value: serde_json::Value = serde_json::from_str(&text).expect("reports parse");
+    let serde_json::Value::Map(entries) = value else {
+        panic!("a report is a map");
+    };
+    let entries = entries
+        .into_iter()
+        .filter(|(k, _)| k != "wall_s")
+        .map(|(k, v)| match (k.as_str(), v) {
+            ("metrics", serde_json::Value::Map(m)) => (
+                k,
+                serde_json::Value::Map(m.into_iter().filter(|(k, _)| k != "hot_path").collect()),
+            ),
+            (_, v) => (k, v),
+        })
+        .collect();
+    let mut d = Fnv::new();
+    d.bytes(
+        serde_json::to_string(&serde_json::Value::Map(entries))
+            .expect("values serialize")
+            .as_bytes(),
+    );
+    d.0
+}
+
+/// Run `cfg` with a checkpoint every 250 ms: the report and the
+/// checkpoints in order.
+fn run_checkpointed(cfg: ScenarioConfig) -> (RunReport, Vec<SimSnapshot>) {
+    let taken = std::sync::Mutex::new(Vec::new());
+    let sink = |snap: SimSnapshot| taken.lock().unwrap().push(snap);
+    let outcome = Simulator::new(cfg).run_with_hooks(RunHooks {
+        cancel: None,
+        checkpoint_every: Some(Duration::from_millis(250)),
+        checkpoint_sink: Some(&sink),
+    });
+    let report = outcome.report().expect("no cancel token: must complete");
+    (report, taken.into_inner().unwrap())
+}
+
+/// FNV-1a over the checkpoints' wire bytes, each without its config
+/// digest (which covers the execution mode) and envelope checksum.
+fn masked_digest(taken: &[SimSnapshot]) -> u64 {
+    let mut digest = Fnv::new();
+    for snap in taken {
+        let wire = snap.to_bytes();
+        digest.bytes(&wire[24..wire.len() - 8]);
+    }
+    digest.0
+}
+
+/// `(variant, mobile, report digest, checkpoint-bytes digest, the same
+/// on two shards)`. The two checkpoint columns differ only because the
+/// metrics section carries the hot-path counters.
+const SPARSE_GOLDEN: [(Variant, bool, u64, u64, u64); 4] = [
+    (
+        Variant::Basic,
+        false,
+        0x57791553d294c5a6,
+        0xfd2d36463eb635d7,
+        0x8e4113ed1bc5ddc3,
+    ),
+    (
+        Variant::Pcmac,
+        false,
+        0x1e2bb596d73d9009,
+        0xd669cc63dadea281,
+        0x6b5c2a18572d3bd9,
+    ),
+    (
+        Variant::Basic,
+        true,
+        0x9a03d625e67ab61d,
+        0xfe4d95815696bba0,
+        0x420c944ac6d64d58,
+    ),
+    (
+        Variant::Pcmac,
+        true,
+        0x5913ddde7925739a,
+        0x7b1770faf6775ad7,
+        0x19b81c03f5148ac9,
+    ),
+];
+
+#[test]
+fn sparse_fields_report_checkpoint_and_resume_as_recorded() {
+    for (variant, mobile, report, snaps, snaps_on_two) in SPARSE_GOLDEN {
+        let what = format!("{variant:?}, mobile = {mobile}");
+        let cfg = sparse_field(variant, mobile);
+        let (single, taken) = run_checkpointed(cfg.clone());
+        assert!(
+            single.delivered_packets > 0,
+            "{what}: the field carried traffic"
+        );
+        assert_eq!(report_digest(&single), report, "{what}: report digest");
+        assert_eq!(
+            masked_digest(&taken),
+            snaps,
+            "{what}: checkpoint bytes digest"
+        );
+
+        let (on_two, taken_on_two) = run_checkpointed(sharded(cfg.clone()));
+        assert_eq!(report_digest(&on_two), report, "{what}: sharded report");
+        assert_eq!(
+            masked_digest(&taken_on_two),
+            snaps_on_two,
+            "{what}: checkpoint bytes digest on two shards"
+        );
+
+        let first = taken.first().expect("a 2 s run crosses the 250 ms grid");
+        for resumed in [cfg.clone(), sharded(cfg)] {
+            let mode = resumed.execution_mode();
+            let report_after = Simulator::restore(resumed, first)
+                .expect("the checkpoint restores")
+                .run();
+            assert_eq!(
+                report_digest(&report_after),
+                report,
+                "{what}: resumed from {:?} on {mode:?}",
+                first.time()
+            );
+        }
     }
 }
