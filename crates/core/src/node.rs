@@ -103,9 +103,10 @@ impl TrafficSource {
 /// One station: MAC, routing, traffic endpoints, meter. Movement, the
 /// receive side of both radios and the other dispatch-hot per-node
 /// scalars live in the simulator's struct-of-arrays state, not here —
-/// `Node` is the *cold* half (protocol machines, tables, counters) that a
-/// region shard only materialises for nodes it owns. Of a reception in
-/// progress it holds the frame being decoded and nothing else.
+/// `Node` is the *cold* half (protocol machines, tables, counters) that
+/// the simulator builds the first time it must touch a station, and a
+/// region shard only for nodes it owns. Of a reception in progress it
+/// holds the frame being decoded and nothing else.
 #[derive(Debug)]
 pub struct Node {
     /// Station address.
@@ -132,6 +133,12 @@ impl Node {
     /// with every other node of the scenario, and no component allocates
     /// until it is used: a node that never sends, receives or hears
     /// anything owns nothing on the heap.
+    ///
+    /// The result is a pure function of its arguments (every random
+    /// stream derives from the seed and the id), which is what lets the
+    /// simulator build a station on its first touch rather than up front:
+    /// a node built late is the node that would have been built early,
+    /// and a station never touched reads, and is checkpointed, as this.
     pub fn new(id: NodeId, mac_cfg: Arc<MacConfig>, aodv_cfg: Arc<AodvConfig>, seed: u64) -> Self {
         Node {
             id,

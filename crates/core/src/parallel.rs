@@ -9,9 +9,10 @@
 //! *owner-only* shard directly (`Simulator::new_shard`): cold per-node
 //! state — MAC queues, routing tables, traffic endpoints — is
 //! materialised only for owned nodes (whose receive rows are the only
-//! ones a shard ever writes), and the struct-of-arrays hot state plus the spatial
-//! index are pruned to the owned band and a boundary halo sized by the
-//! maximum transmission reach. Shard memory is O(N/S + halo), not O(N).
+//! ones a shard ever writes), each the first time its shard touches it,
+//! and the struct-of-arrays hot state plus the spatial index are pruned
+//! to the owned band and a boundary halo sized by the maximum
+//! transmission reach. Shard memory is O(N/S + halo), not O(N).
 //! Construction is deterministic, so the shards agree exactly on the
 //! global picture they share (positions, ownership, event ranks). At
 //! runtime a shard dispatches only events addressing its own nodes; when
@@ -142,8 +143,10 @@ pub(crate) fn run_sharded(
 
     // Split the caller's full replica into S owner-only shards on this
     // thread, *recycling* its cold per-node state: each shard's build
-    // moves the already-constructed boxes of its owned nodes out of the
-    // donor vec instead of allocating a second copy. This keeps the
+    // moves the boxes the replica has built for its owned nodes (the
+    // flow homes of a fresh build, every station of a restored one) out
+    // of the donor vec instead of allocating a second copy; a station
+    // the replica never touched stays unbuilt on its shard too. This keeps the
     // process peak at one full build — freeing the parent and
     // reallocating in S worker threads would double resident memory,
     // because worker-arena allocations cannot reuse what the main

@@ -189,7 +189,13 @@ pub struct RunReport {
     /// Application packets delivered to their destinations.
     pub delivered_packets: u64,
     /// Aggregate network throughput (kbit/s of delivered application
-    /// payload) — the paper's Figure 8 metric.
+    /// payload) — the paper's Figure 8 metric. The payload is divided by
+    /// the whole simulated duration, although flow `i` of the generated
+    /// scenarios starts emitting only at 1 s + 137 ms·`i`
+    /// ([`flow_start`](crate::config::flow_start)): a short run reads
+    /// below the rate its flows sustained while they were on. Scale by
+    /// the duration over the flows' active time before comparing it with
+    /// a saturation model.
     pub throughput_kbps: f64,
     /// Mean end-to-end delay (ms) over delivered packets — the paper's
     /// Figure 9 metric. `0` when nothing arrived.

@@ -11,8 +11,9 @@
 
 use std::sync::Arc;
 
+use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
-use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacAction};
+use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacAction, MacConfig};
 use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::energy::RadioMode;
 use pcmac_phy::{RadioConfig, RxRow};
@@ -443,10 +444,16 @@ pub struct Simulator {
     /// Pending events; a transmission's arrivals ride two cursor entries
     /// (see the `channel` module), so only [`Simulator::advance`] pops.
     queue: EventQueue<QueueEntry>,
-    /// Cold per-node state, present only for owned nodes (`None` for
-    /// nodes another region shard owns; always all-present in single
-    /// mode). Boxed so a shard's vector of absentees stays thin.
+    /// Cold per-node state, built the first time the simulator must
+    /// touch a station (see [`Simulator::node_mut`]): `None` for a
+    /// station that has not acted yet, and for every node another region
+    /// shard owns. An untouched station is exactly the `Node::new` it
+    /// would be built as, and readers that must not build one read it
+    /// that way. Boxed so an untouched station costs its 8-byte slot.
     nodes: Vec<Option<Box<Node>>>,
+    /// The MAC and routing configurations every node shares.
+    mac_cfg: Arc<MacConfig>,
+    aodv_cfg: Arc<AodvConfig>,
     /// Struct-of-arrays hot per-node state: positions, movement,
     /// alive flags, last transmit powers, tx-key counters, and the
     /// receive side of every station.
@@ -556,13 +563,14 @@ impl Simulator {
     /// bursts, the probe chain) is scheduled everywhere.
     ///
     /// `donor` recycles cold state from an already-built full replica
-    /// (see [`Simulator::take_cold_nodes`]): owned entries found there
+    /// (see [`Simulator::take_cold_nodes`]): owned entries built there
     /// are *moved* in instead of constructed, so splitting one full
     /// simulator into S shards allocates no second copy of any node —
-    /// the process peak stays at one full build. A freshly built box
-    /// and a donated one are identical by construction (per-node RNG
-    /// streams derive from the node id; the donor's attached traffic
-    /// sources are cleared and re-attached below).
+    /// the process peak stays at one full build. Entries the donor never
+    /// built stay unbuilt here too. A freshly built box and a donated one
+    /// are identical by construction (per-node RNG streams derive from
+    /// the node id; the donor's attached traffic sources are cleared and
+    /// re-attached below).
     pub(crate) fn new_shard(
         cfg: ScenarioConfig,
         id: u32,
@@ -573,8 +581,9 @@ impl Simulator {
         Self::build(cfg, Some((id, shards, owner)), donor)
     }
 
-    /// Move the cold per-node state out, leaving `None`s — the donor
-    /// side of the no-realloc shard split in [`Simulator::new_shard`].
+    /// Move the cold per-node state out (`None` where a station is
+    /// untouched) — the donor side of the no-realloc shard split in
+    /// [`Simulator::new_shard`].
     pub(crate) fn take_cold_nodes(&mut self) -> Vec<Option<Box<Node>>> {
         std::mem::take(&mut self.nodes)
     }
@@ -628,29 +637,20 @@ impl Simulator {
                 NodeSetup::Static(_) => Mobility::Static(*start),
             };
             mobility.push(m);
-            // Cold state only for owned nodes: this is the owner-only
-            // memory model — a shard never assembles the radios, MAC
-            // queues, and routing tables of nodes another region
-            // dispatches.
-            let cold = if owned(i) {
-                Some(match donor.get_mut(i).and_then(Option::take) {
-                    Some(mut b) => {
-                        // Re-attached (identically) by the flow loop
-                        // below, like a fresh box's.
-                        b.sources.clear();
-                        b
-                    }
-                    None => Box::new(Node::new(
-                        NodeId(i as u32),
-                        Arc::clone(&mac_cfg),
-                        Arc::clone(&aodv_cfg),
-                        cfg.seed,
-                    )),
-                })
-            } else {
-                None
-            };
-            nodes.push(cold);
+            // Cold state is built on a station's first touch, and only
+            // ever for owned nodes: a shard never assembles the MAC
+            // queues and routing tables of nodes another region
+            // dispatches. A donated box is taken over as it is.
+            let donated = owned(i)
+                .then(|| donor.get_mut(i).and_then(Option::take))
+                .flatten()
+                .map(|mut b| {
+                    // Re-attached (identically) by the flow loop below,
+                    // like a fresh box's.
+                    b.sources.clear();
+                    b
+                });
+            nodes.push(donated);
             positions.push(*start);
         }
 
@@ -664,9 +664,18 @@ impl Simulator {
             assert!(home < nodes.len(), "flow source out of range");
             // Source RNG streams derive per flow id, so skipping the
             // foreign homes perturbs nothing an owned source draws.
-            let Some(home_node) = nodes[home].as_deref_mut() else {
+            if !owned(home) {
                 continue;
-            };
+            }
+            // A flow's home is touched at build: it holds the source.
+            let home_node = nodes[home].get_or_insert_with(|| {
+                Box::new(Node::new(
+                    NodeId(home as u32),
+                    Arc::clone(&mac_cfg),
+                    Arc::clone(&aodv_cfg),
+                    cfg.seed,
+                ))
+            });
             let mut src = TrafficSource::from_spec(spec, cfg.seed);
             if let Some(t0) = src.next_time() {
                 let source_idx = home_node.sources.len();
@@ -848,6 +857,8 @@ impl Simulator {
             cfg,
             queue,
             nodes,
+            mac_cfg,
+            aodv_cfg,
             hot,
             channel,
             cur: (SimTime::ZERO, 0),
@@ -1009,24 +1020,60 @@ impl Simulator {
         fired
     }
 
-    /// The cold state of node `i`.
-    ///
-    /// # Panics
-    /// If this shard does not hold node `i`'s cold state — events only
-    /// ever address owned nodes, so a miss here is a sharding bug.
+    /// Does this simulator dispatch node `i`'s events? Every node in
+    /// single mode; on a region shard, the nodes the owner map gives it.
     #[inline]
-    fn node(&self, i: usize) -> &Node {
-        self.nodes[i]
-            .as_deref()
-            .expect("event dispatched for a node this shard does not own")
+    fn owns(&self, i: usize) -> bool {
+        self.shard.as_ref().is_none_or(|ctx| ctx.owner[i] == ctx.id)
     }
 
-    /// Mutable [`Simulator::node`].
+    /// Node `i` as [`Node::new`] assembles it: what an untouched station
+    /// is, and what its first touch builds.
+    fn pristine(&self, i: usize) -> Node {
+        Node::new(
+            NodeId(i as u32),
+            Arc::clone(&self.mac_cfg),
+            Arc::clone(&self.aodv_cfg),
+            self.cfg.seed,
+        )
+    }
+
+    /// The cold state of node `i`, built on this first touch if the
+    /// station has not acted before. [`Node::new`] is a pure function of
+    /// the id, the shared configurations and the seed, so a node built
+    /// late is the node that would have been built early.
+    ///
+    /// # Panics
+    /// If this shard does not own node `i` — events only ever address
+    /// owned nodes, so a miss here is a sharding bug.
     #[inline]
     fn node_mut(&mut self, i: usize) -> &mut Node {
-        self.nodes[i]
-            .as_deref_mut()
-            .expect("event dispatched for a node this shard does not own")
+        if self.nodes[i].is_none() {
+            return self.build_node(i);
+        }
+        self.nodes[i].as_deref_mut().expect("checked above")
+    }
+
+    /// Build untouched node `i`'s cold state (see
+    /// [`Simulator::node_mut`]).
+    #[cold]
+    #[inline(never)]
+    fn build_node(&mut self, i: usize) -> &mut Node {
+        assert!(
+            self.owns(i),
+            "event dispatched for a node this shard does not own"
+        );
+        let node = Box::new(self.pristine(i));
+        self.nodes[i].insert(node)
+    }
+
+    /// Read node `i`'s cold state without building it: an untouched
+    /// station reads as the pristine node it would be built as.
+    fn read_node<R>(&self, i: usize, f: impl FnOnce(&Node) -> R) -> R {
+        match self.nodes[i].as_deref() {
+            Some(node) => f(node),
+            None => f(&self.pristine(i)),
+        }
     }
 
     /// The single-threaded run. The cut logic mirrors the sharded epoch
@@ -1337,14 +1384,14 @@ impl Simulator {
     /// job or arm a timer.
     #[inline]
     fn with_mac<R>(&mut self, i: usize, now: SimTime, f: impl FnOnce(&mut DcfMac) -> R) -> R {
-        let node = self.nodes[i]
-            .as_deref_mut()
-            .expect("event dispatched for a node this shard does not own");
-        if let Some((busy, noise)) = self.hot.held_edge(i) {
-            tell_held_edge(&mut node.mac, busy, noise, now);
+        let held = self.hot.held_edge(i);
+        let mac = &mut self.node_mut(i).mac;
+        if let Some((busy, noise)) = held {
+            tell_held_edge(mac, busy, noise, now);
         }
-        let out = f(&mut node.mac);
-        self.hot.mac_heard(i, node.mac.listening());
+        let out = f(mac);
+        let listening = mac.listening();
+        self.hot.mac_heard(i, listening);
         out
     }
 
@@ -1419,12 +1466,12 @@ impl Simulator {
             mac.save_state(&mut w);
             w.payload().to_vec()
         };
-        let mac = &self.node(i).mac;
+        let mac = self.read_node(i, |node| node.mac.clone());
         let mut latest = mac.clone();
         tell_held_edge(&mut latest, busy, noise, now);
         assert!(!latest.listening(), "a carrier edge made node {i} listen");
         if let Some((earlier, noise_then)) = self.hot.held_edge(i) {
-            let mut both = mac.clone();
+            let mut both = mac;
             tell_held_edge(&mut both, earlier, noise_then, now);
             tell_held_edge(&mut both, busy, noise, now);
             assert!(
@@ -1440,8 +1487,7 @@ impl Simulator {
         let on_air = arrivals_on_air(pending, self.nodes.len());
         (0..self.nodes.len()).find(|&i| {
             let ctrl = self.hot.ctrl_rx.get(i).map_or(0, RxRow::on_air);
-            self.nodes[i].is_some()
-                && on_air[i] != [i64::from(self.hot.rx[i].on_air()), i64::from(ctrl)]
+            self.owns(i) && on_air[i] != [i64::from(self.hot.rx[i].on_air()), i64::from(ctrl)]
         })
     }
 
@@ -1483,14 +1529,16 @@ impl Simulator {
                 continue;
             }
             // Carrier state is the hot row's; queue depth is read where
-            // it lives: a probe walks the nodes once a sampling interval,
-            // whereas a mirror would have to be refreshed after every
-            // event.
+            // it lives (an untouched station's queue is empty): a probe
+            // walks the nodes once a sampling interval, whereas a mirror
+            // would have to be refreshed after every event.
             live += 1;
             if self.hot.rx[i].carrier_busy(&self.radio) {
                 busy += 1;
             }
-            queue_sum += self.node(i).mac.queue_len() as u64;
+            queue_sum += self.nodes[i]
+                .as_deref()
+                .map_or(0, |node| node.mac.queue_len() as u64);
         }
         let Some(m) = &mut self.metrics else { return };
         m.record_probe(now, live, busy, queue_sum);
@@ -1896,8 +1944,8 @@ pub(crate) struct SnapContribution {
     /// replica of the probe chain).
     probes_scheduled: u64,
     sent_packets: u64,
-    /// Cold-state blobs for owned nodes (`None` where the cold state
-    /// lives on another shard).
+    /// Blobs for owned nodes, untouched ones included (`None` where the
+    /// node lives on another shard).
     node_blobs: Vec<Option<Vec<u8>>>,
     tx_key_ctr: Vec<u32>,
     faults: Option<FaultState>,
@@ -1940,14 +1988,11 @@ impl Simulator {
         // One scratch writer for every node: per-node `SnapWriter`s pay
         // allocator growth 64k times over at scale.
         let mut scratch = SnapWriter::new();
-        let node_blobs: Vec<Option<Vec<u8>>> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                b.as_deref().map(|node| {
+        let node_blobs: Vec<Option<Vec<u8>>> = (0..self.nodes.len())
+            .map(|i| {
+                self.owns(i).then(|| {
                     scratch.clear();
-                    self.save_node(i, node, cut, &mut scratch);
+                    self.save_node(i, cut, &mut scratch);
                     scratch.payload().to_vec()
                 })
             })
@@ -1982,42 +2027,48 @@ impl Simulator {
     /// simulator's hot arrays, which no snapshot carries, so a MAC that
     /// is owed one is written from a copy that has heard it — the state
     /// eager delivery would have captured, whatever was deferred here.
-    fn save_node(&self, i: usize, node: &Node, cut: SimTime, w: &mut SnapWriter) {
+    /// An untouched station is written as the pristine node it would be
+    /// built as, so when a node is built never shows in a checkpoint.
+    fn save_node(&self, i: usize, cut: SimTime, w: &mut SnapWriter) {
         self.hot.rx[i].save(w);
         if let Some(row) = self.hot.ctrl_rx.get(i) {
             row.save(w);
         }
-        let Some((busy, noise)) = self.hot.held_edge(i) else {
-            return node.save_state(&node.mac, w);
-        };
-        let mut told = node.mac.clone();
-        tell_held_edge(&mut told, busy, noise, cut);
-        node.save_state(&told, w);
+        self.read_node(i, |node| {
+            let Some((busy, noise)) = self.hot.held_edge(i) else {
+                return node.save_state(&node.mac, w);
+            };
+            let mut told = node.mac.clone();
+            tell_held_edge(&mut told, busy, noise, cut);
+            node.save_state(&told, w);
+        });
     }
 
     /// Overlay a blob written by [`Simulator::save_node`] on node `i`, if
-    /// this simulator holds its cold state. The MAC arrives as told, so
-    /// nothing is held back and only its listening bit needs deriving.
+    /// this simulator owns it, building the node if it is untouched. The
+    /// MAC arrives as told, so nothing is held back and only its
+    /// listening bit needs deriving.
     fn load_node(&mut self, i: usize, blob: &[u8]) -> Result<(), SnapError> {
-        let Some(node) = self.nodes[i].as_deref_mut() else {
+        if !self.owns(i) {
             return Ok(());
-        };
+        }
         let mut r = SnapReader::over(blob);
         self.hot.rx[i] = Snap::load(&mut r)?;
         if let Some(row) = self.hot.ctrl_rx.get_mut(i) {
             *row = Snap::load(&mut r)?;
         }
+        let node = self.node_mut(i);
         node.load_state(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("node blob trailing bytes"));
         }
+        let locked = (node.locked.is_some(), node.ctrl_locked.is_some());
+        let listening = node.mac.listening();
         let ctrl_locked = self.hot.ctrl_rx.get(i).is_some_and(RxRow::is_receiving);
-        if self.hot.rx[i].is_receiving() != node.locked.is_some()
-            || ctrl_locked != node.ctrl_locked.is_some()
-        {
+        if (self.hot.rx[i].is_receiving(), ctrl_locked) != locked {
             return Err(SnapError::Corrupt("locked frame does not match its row"));
         }
-        self.hot.mac_heard(i, node.mac.listening());
+        self.hot.mac_heard(i, listening);
         Ok(())
     }
 
@@ -2115,15 +2166,26 @@ impl Simulator {
 
         // Per-node state: each node's owner holds the authoritative
         // replica. Read where it lies; moving every node out of its box
-        // would copy the whole network once more at the very end.
+        // would copy the whole network once more at the very end. A
+        // station its owner never touched reads as a pristine node with
+        // its ledger closed at the run end, as `into_shard_parts` closes
+        // the others'; nothing the report reads is a node's id, so one
+        // such node stands in for every untouched station.
         let pools: Vec<Vec<Option<Box<Node>>>> = parts
             .iter_mut()
             .map(|p| std::mem::take(&mut p.nodes))
             .collect();
+        let mut untouched = Node::new(
+            NodeId(0),
+            Arc::new(cfg.mac.clone()),
+            Arc::new(cfg.aodv.clone()),
+            cfg.seed,
+        );
+        untouched.energy.finish(SimTime::ZERO + cfg.duration);
         let nodes: Vec<&Node> = owner
             .iter()
             .enumerate()
-            .map(|(i, &o)| pools[o as usize][i].as_deref().expect("owned node"))
+            .map(|(i, &o)| pools[o as usize][i].as_deref().unwrap_or(&untouched))
             .collect();
 
         let fault_parts: Vec<FaultState> =
@@ -2466,10 +2528,11 @@ impl Simulator {
         (held, in_company)
     }
 
-    /// Tell every MAC the carrier edge it is owed, as of `now`.
+    /// Tell every MAC the carrier edge it is owed, as of `now` (which
+    /// builds an untouched station that is owed one).
     pub(crate) fn tell_held_edges(&mut self, now: SimTime) {
         for i in 0..self.nodes.len() {
-            if self.nodes[i].is_some() {
+            if self.owns(i) && self.hot.held_edge(i).is_some() {
                 self.with_mac(i, now, |_| ());
             }
         }
@@ -2542,4 +2605,71 @@ fn replicated_bursts(cfg: &ScenarioConfig) -> u64 {
 #[inline]
 fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
     queue.schedule_ranked(at, ev.rank(), QueueEntry::Event(ev));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use pcmac_engine::{Duration, NodeId, SimTime};
+    use pcmac_mac::Variant;
+
+    use crate::config::ScenarioConfig;
+    use crate::event::SimEvent;
+    use crate::Simulator;
+
+    /// 20 waypoint stations, ten flows, 2 s.
+    fn scenario() -> ScenarioConfig {
+        ScenarioConfig::paper_with(Variant::Pcmac, 400.0, 3, 20, 5.0)
+            .with_duration(Duration::from_secs(2))
+    }
+
+    /// Shard 0 of two, owning the even stations.
+    fn even_shard(cfg: ScenarioConfig) -> (Simulator, Arc<Vec<u32>>) {
+        let n = cfg.nodes.count();
+        let owner = Arc::new((0..n as u32).map(|i| i % 2).collect::<Vec<_>>());
+        let shard = Simulator::new_shard(cfg, 0, 2, Arc::clone(&owner), &mut []);
+        (shard, owner)
+    }
+
+    #[test]
+    #[should_panic(expected = "event dispatched for a node this shard does not own")]
+    fn a_shard_refuses_an_event_for_a_node_another_shard_owns() {
+        let (mut shard, owner) = even_shard(scenario());
+        assert_eq!(owner[1], 1);
+        let at = SimTime::ZERO + Duration::from_millis(1);
+        shard.dispatch(
+            SimEvent::TrafficEmit {
+                node: NodeId(1),
+                source: 0,
+            },
+            at,
+        );
+    }
+
+    #[test]
+    fn a_shard_builds_its_own_stations_only_and_only_when_touched() {
+        let cfg = scenario();
+        let homes: Vec<usize> = cfg.flows.iter().map(|f| f.src.index()).collect();
+        let (mut shard, owner) = even_shard(cfg.clone());
+        for (i, node) in shard.nodes.iter().enumerate() {
+            let home = owner[i] == 0 && homes.contains(&i);
+            assert_eq!(node.is_some(), home, "station {i} after the shard build");
+        }
+
+        // Half a second in, most stations have state a pristine node
+        // lacks; a restore onto the shard builds exactly the ones it owns.
+        let mut full = Simulator::new(cfg);
+        let cut = SimTime::ZERO + Duration::from_millis(500);
+        while full.step_before(cut).is_some() {}
+        let snap = full.snapshot_at(cut);
+        for (i, blob) in snap.nodes.iter().enumerate() {
+            shard
+                .load_node(i, blob)
+                .expect("a blob of the same scenario");
+        }
+        for (i, node) in shard.nodes.iter().enumerate() {
+            assert_eq!(node.is_some(), owner[i] == 0, "station {i} after loading");
+        }
+    }
 }
