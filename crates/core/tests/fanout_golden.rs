@@ -189,6 +189,7 @@ fn sparse_field(variant: Variant, mobile: bool) -> ScenarioConfig {
     cfg
 }
 
+/// `cfg` on two region shards.
 fn sharded(mut cfg: ScenarioConfig) -> ScenarioConfig {
     cfg.execution = Some(ExecutionMode::Sharded { shards: 2 });
     cfg
