@@ -11,12 +11,17 @@
 //! * §III step 2 — the collision computation protects receptions only
 //!   under PCMAC: a station of any other protocol keeps no registry, so
 //!   nothing it is handed on the control channel can hold a frame back.
+//! * §III step 2 — a PCMAC RTS climbs one class per CTS timeout up to the
+//!   maximum, the next job toward that peer starts where the ladder
+//!   stopped for as long as the table keeps it, and a checkpoint taken
+//!   mid-ladder resumes on the same rung.
 
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, PacketId, SimTime, TimerToken};
 use pcmac_mac::{
     CtrlFrame, DcfMac, Frame, FrameBody, FrameKind, MacAction, MacConfig, MacTimerKind, Variant,
 };
 use pcmac_net::Packet;
+use pcmac_snap::{SnapReader, SnapWriter};
 
 const MAX_P: Milliwatts = Milliwatts(281.83815);
 
@@ -372,4 +377,134 @@ fn only_pcmac_stations_act_on_control_channel_advertisements() {
     }
     assert!(armed(&log, MacTimerKind::CtrlRetry).is_some(), "{log:?}");
     assert_eq!(p.counters.ctrl_deferrals, 1);
+}
+
+/// Enqueue one packet at `m` toward `peer` at `start` and let every RTS
+/// go unanswered, for at most `timeouts` CTS timeouts or until the job is
+/// dropped: the level of every RTS that reached the air, the instant the
+/// last timeout fired, and the actions that timeout produced.
+fn rts_ladder(
+    m: &mut DcfMac,
+    peer: u32,
+    start: SimTime,
+    timeouts: usize,
+) -> (Vec<Milliwatts>, SimTime, Vec<MacAction>) {
+    let mut log = Vec::new();
+    m.enqueue(
+        data_packet(1, m.id().0, peer),
+        NodeId(peer),
+        start,
+        &mut log,
+    );
+    let (mut rts, mut now) = walk_to_air(m, &mut log, 0, start, &ACCESS);
+    let mut levels = Vec::new();
+    loop {
+        assert_eq!(rts.kind, FrameKind::Rts);
+        assert_eq!(rts.rx, NodeId(peer));
+        levels.push(rts.tx_power);
+        now += Duration::from_micros(352);
+        let from = log.len();
+        m.on_tx_end(now, &mut log);
+        let (cto, tok) = armed(&log[from..], MacTimerKind::CtsTimeout).expect("waits for a CTS");
+        now += cto;
+        let from = log.len();
+        m.on_timer(MacTimerKind::CtsTimeout, tok, now, &mut log);
+        let retry = armed(&log[from..], MacTimerKind::Defer).is_some();
+        if levels.len() == timeouts || !retry {
+            return (levels, now, log.split_off(from));
+        }
+        (rts, now) = walk_to_air(m, &mut log, from, now, &ACCESS);
+    }
+}
+
+#[test]
+fn pcmac_rts_ladder_climbs_per_cts_timeout_and_is_remembered() {
+    let ladder = |teach_gain: f64| {
+        let mut a = mac(1, Variant::Pcmac);
+        teach(&mut a, 2, teach_gain);
+        let (levels, last, _) = rts_ladder(&mut a, 2, t(10), usize::MAX);
+        (a, levels, last)
+    };
+
+    // One class per timeout from the learned 36.6 mW, then the maximum
+    // and no further: seven attempts (the short retry limit) in all.
+    let (a, levels, _) = ladder(GAIN);
+    let cap = MacConfig::paper_default(Variant::Pcmac).timing.retry_short;
+    assert_eq!(levels.len(), usize::from(cap));
+    assert_eq!(
+        levels,
+        [NEEDED, Milliwatts(75.8), MAX_P, MAX_P, MAX_P, MAX_P, MAX_P]
+    );
+    assert_eq!(a.counters.power_step_ups, 2);
+    assert_eq!(a.counters.retry_drops, 1);
+
+    // From the lowest class the seven timeouts step it seven times; the
+    // last rung (36.6 mW) is never sent for that job, but the table keeps
+    // it for the peer, so the next job starts there — until 3 s after
+    // that last timeout, when the peer is unknown again.
+    let (a, levels, last) = ladder(1e-3);
+    assert_eq!(
+        levels,
+        [1.0, 2.0, 3.45, 4.8, 7.25, 10.6, 15.0].map(Milliwatts)
+    );
+    assert_eq!(a.counters.power_step_ups, 7);
+    let expiry = Duration::from_secs(3);
+    for (at, want) in [
+        (last + Duration::from_millis(1), NEEDED),
+        (last + expiry - Duration::from_micros(1), NEEDED),
+        (last + expiry, MAX_P),
+    ] {
+        let mut next = a.clone();
+        let (levels, _, _) = rts_ladder(&mut next, 2, at, 1);
+        assert_eq!(levels, [want], "next job at {at:?}");
+    }
+}
+
+#[test]
+fn only_pcmac_steps_its_rts_up() {
+    // Under the other three protocols every retry rides the §IV level,
+    // and so does the next job.
+    for variant in [Variant::Basic, Variant::Scheme1, Variant::Scheme2] {
+        let mut a = mac(1, variant);
+        teach(&mut a, 2, 1e-3);
+        let want = match variant {
+            Variant::Scheme2 => Milliwatts(1.0),
+            _ => MAX_P,
+        };
+        let (levels, last, _) = rts_ladder(&mut a, 2, t(10), usize::MAX);
+        assert_eq!(levels, [want; 7], "{variant:?}");
+        let (levels, _, _) = rts_ladder(&mut a, 2, last + Duration::from_millis(1), 1);
+        assert_eq!(levels, [want], "{variant:?}: next job");
+        assert_eq!(a.counters.power_step_ups, 0, "{variant:?}");
+    }
+}
+
+#[test]
+fn a_checkpoint_mid_ladder_resumes_on_the_same_rung() {
+    let mut a = mac(1, Variant::Pcmac);
+    teach(&mut a, 2, 1e-3);
+    let (levels, now, tail) = rts_ladder(&mut a, 2, t(10), 2);
+    assert_eq!(levels, [Milliwatts(1.0), Milliwatts(2.0)]);
+
+    let mut w = SnapWriter::new();
+    a.save_state(&mut w);
+    let mut restored = mac(1, Variant::Pcmac);
+    let mut r = SnapReader::over(w.payload());
+    restored.load_state(&mut r).expect("the state restores");
+    assert!(r.is_exhausted());
+    let mut again = SnapWriter::new();
+    restored.save_state(&mut again);
+    assert_eq!(
+        again.payload(),
+        w.payload(),
+        "the restore writes the same bytes"
+    );
+
+    for m in [&mut a, &mut restored] {
+        let mut log = tail.clone();
+        let (rts, _) = walk_to_air(m, &mut log, 0, now, &ACCESS);
+        assert_eq!(rts.kind, FrameKind::Rts);
+        assert_eq!(rts.tx_power, Milliwatts(3.45), "third rung");
+        assert_eq!(m.counters.power_step_ups, 2);
+    }
 }
