@@ -4,7 +4,6 @@ use pcmac_engine::{Duration, Milliwatts};
 use pcmac_phy::PowerLevels;
 use serde::{Deserialize, Serialize};
 
-use crate::power::PowerPolicy;
 use crate::timing::Dot11Timing;
 
 /// Which of the paper's four MAC protocols a node runs.
@@ -30,20 +29,6 @@ impl Variant {
         Variant::Scheme1,
         Variant::Scheme2,
     ];
-
-    /// The per-frame power policy of this variant.
-    pub fn power_policy(self) -> PowerPolicy {
-        match self {
-            Variant::Basic => PowerPolicy::AllMax,
-            Variant::Scheme1 => PowerPolicy::RtsCtsMax,
-            Variant::Scheme2 | Variant::Pcmac => PowerPolicy::AllNeeded,
-        }
-    }
-
-    /// `true` when the variant learns per-neighbour power levels.
-    pub fn uses_power_history(self) -> bool {
-        !matches!(self, Variant::Basic)
-    }
 
     /// `true` for PCMAC's control channel + three-way handshake machinery.
     pub fn is_pcmac(self) -> bool {

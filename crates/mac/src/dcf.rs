@@ -1,15 +1,15 @@
 //! The 802.11 DCF engine with power control.
 //!
 //! One state machine implements all four protocols of the evaluation —
-//! Basic 802.11, Scheme 1, Scheme 2 and PCMAC. The configured variant is
-//! consulted in exactly three places: `tx_power` (which level a frame
-//! rides at — the §IV table in [`crate::power`]), `pcmac` (is the §III
-//! machinery live: control channel, CTS echo, RTS ladder, advertised
-//! noise; `three_way` derives the handshake arity from it) and
-//! `learn_level` (does this station keep the needed-power table). This
-//! keeps the heavily-tested CSMA/CA core identical across variants, so
-//! protocol comparisons measure the *power control design*, not
-//! incidental implementation drift.
+//! Basic 802.11, Scheme 1, Scheme 2 and PCMAC. Every power decision —
+//! which level a frame rides at, what a decoded frame teaches, the RTS
+//! ladder, the measured noise — belongs to the station's
+//! [`PowerControl`], which reads the configured protocol itself. The
+//! engine reads it in one place only, `pcmac` (is the §III machinery
+//! live: control channel, CTS echo, noise-sized responses; `three_way`
+//! derives the handshake arity from it). This keeps the heavily-tested
+//! CSMA/CA core identical across protocols, so comparisons measure the
+//! *power control design*, not incidental implementation drift.
 //!
 //! The MAC is a pure state machine: inputs are radio indications, timer
 //! fires and enqueued packets; outputs are [`MacAction`]s that the
@@ -35,7 +35,7 @@ use crate::counters::MacCounters;
 use crate::frame::{CtrlFrame, Frame, FrameBody, FrameKind};
 use crate::nav::Nav;
 use crate::pcmac::{noise_tolerance, ActiveReceivers, EchoVerdict, ReceivedTable, SentTable};
-use crate::power::{noise_sized_level, PowerHistory};
+use crate::power::PowerControl;
 
 /// Logical timers of the MAC. Each has its own [`TimerSlot`]; fired events
 /// carry the token so stale (cancelled/re-armed) timers are ignored.
@@ -174,7 +174,7 @@ impl Exchange {
     }
 }
 
-/// The 802.11 DCF MAC (all four protocol variants).
+/// The 802.11 DCF MAC (all four protocols).
 #[derive(Debug, Clone)]
 pub struct DcfMac {
     id: NodeId,
@@ -206,14 +206,7 @@ pub struct DcfMac {
     exchange: Option<Box<Exchange>>,
     ssrc: u8,
     slrc: u8,
-    /// RTS power for the current job (PCMAC steps this up on timeouts).
-    rts_power: Milliwatts,
-
-    // Power control state.
-    history: PowerHistory,
-    /// Latest noise measurement from our radio (PCMAC advertises it in
-    /// RTS headers so responders can size their CTS power).
-    last_noise: Milliwatts,
+    power: PowerControl,
 
     /// Statistics.
     pub counters: MacCounters,
@@ -230,10 +223,8 @@ impl DcfMac {
         let cfg: Arc<MacConfig> = cfg.into();
         let rng = RngStream::derive_sub(seed, "mac.backoff", id.0 as u64);
         let backoff = Backoff::new(cfg.timing.cw_min, cfg.timing.cw_max);
-        let history = PowerHistory::new(cfg.levels.clone(), cfg.rx_thresh)
-            .with_expiry(cfg.pcmac.history_expiry);
         let queue = DropTailQueue::new(cfg.queue_capacity);
-        let max_power = cfg.max_power();
+        let power = PowerControl::new(&cfg);
         DcfMac {
             id,
             cfg,
@@ -255,9 +246,7 @@ impl DcfMac {
             exchange: None,
             ssrc: 0,
             slrc: 0,
-            rts_power: max_power,
-            history,
-            last_noise: Milliwatts::ZERO,
+            power,
             counters: MacCounters::default(),
             retx_hist: [0; 8],
         }
@@ -267,7 +256,7 @@ impl DcfMac {
     /// refreshes this alongside radio indications; PCMAC advertises it in
     /// RTS headers (paper §III step 2).
     pub fn set_noise(&mut self, noise: Milliwatts) {
-        self.last_noise = noise;
+        self.power.set_noise(noise);
     }
 
     /// This node's MAC address.
@@ -299,16 +288,13 @@ impl DcfMac {
         }
     }
 
-    /// The level a unicast `kind` frame toward `peer` rides at: the §IV
-    /// table over the level learned for `peer`.
+    /// The level a unicast `kind` frame toward `peer` rides at.
     fn tx_power(&self, kind: FrameKind, peer: NodeId, now: SimTime) -> Milliwatts {
-        let needed = self.history.level_for(peer, now);
-        let policy = self.cfg.variant.power_policy();
-        policy.frame_power(kind, needed, self.cfg.max_power())
+        self.power.level(&self.cfg, kind, peer, now)
     }
 
     /// `true` when PCMAC's §III machinery is live: the control channel,
-    /// the CTS echo, the RTS power ladder and the advertised noise.
+    /// the CTS echo and the noise-sized responses.
     fn pcmac(&self) -> bool {
         self.cfg.variant.is_pcmac()
     }
@@ -319,19 +305,10 @@ impl DcfMac {
         self.pcmac() && !packet.is_routing() && !self.cfg.pcmac.four_way_handshake
     }
 
-    /// Every decoded frame teaches the needed power toward its sender
-    /// (frames carry their transmit power in the header) — except under
-    /// Basic 802.11, which keeps no table.
-    fn learn_level(&mut self, frame: &Frame, power: Milliwatts, now: SimTime) {
-        if self.cfg.variant.uses_power_history() {
-            self.history.observe(frame.tx, power, frame.tx_power, now);
-        }
-    }
-
     /// PCMAC's collision computation (paper §III step 2) for a
     /// transmission at `power`: `Err(until)` names the instant the last
     /// protected reception it would violate ends. Only a PCMAC station
-    /// ever records an advertisement, so under every other variant the
+    /// ever records an advertisement, so under every other protocol the
     /// registry is empty and this is `Ok`.
     fn check_protected(
         &self,
@@ -468,7 +445,9 @@ impl DcfMac {
             return;
         }
 
-        self.learn_level(&frame, power, now);
+        // Frames carry their transmit power in the header.
+        self.power
+            .learn(&self.cfg, frame.tx, power, frame.tx_power, now);
 
         if !frame.is_for(self.id) {
             // Virtual carrier sense from the duration field.
@@ -642,17 +621,14 @@ impl DcfMac {
             // — "B required DATA be sent at the power level
             // P = η_cp · N_B · P_t / S" — to clear *our* currently-measured
             // noise N_B, not just the decode threshold.
-            let gain = (power.value() / frame.tx_power.value()).max(1e-30);
-            let noise_at_sender = sender_noise.unwrap_or(Milliwatts::ZERO);
+            let (cts, data) = self
+                .power
+                .respond(&self.cfg, power, frame.tx_power, *sender_noise);
             let echo = self
                 .exchange
                 .as_ref()
                 .and_then(|e| e.recv.echo_for(frame.tx));
-            (
-                noise_sized_level(&self.cfg, noise_at_sender, gain),
-                Some(noise_sized_level(&self.cfg, self.last_noise, gain)),
-                echo,
-            )
+            (cts, Some(data), echo)
         } else {
             (self.tx_power(FrameKind::Cts, frame.tx, now), None, None)
         };
@@ -853,20 +829,13 @@ impl DcfMac {
         self.counters.cts_timeouts += 1;
         self.ssrc += 1;
 
-        if self.pcmac() {
-            // Paper §III step 2: "A increases its power level (by one
-            // class until it gets to the maximal level)".
-            let stepped = self.cfg.levels.step_up(self.rts_power);
-            if stepped.value() > self.rts_power.value() {
-                self.counters.power_step_ups += 1;
-                self.rts_power = stepped;
-                self.history.record_level(
-                    self.current.as_ref().map(|j| j.next_hop).unwrap_or(self.id),
-                    stepped,
-                    now,
-                );
-            }
-        }
+        let peer = self
+            .current
+            .as_ref()
+            .expect("a CTS timeout implies the job whose RTS went unanswered")
+            .next_hop;
+        self.power
+            .cts_timeout(&self.cfg, peer, now, &mut self.counters);
 
         if self.ssrc >= self.cfg.timing.retry_short {
             self.drop_current(now, out);
@@ -927,13 +896,10 @@ impl DcfMac {
         }
     }
 
-    /// Initialise per-job state (RTS power ladder).
+    /// Initialise per-job state (retry counters, RTS power ladder).
     fn begin_job(&mut self, now: SimTime) {
         let Some(job) = &self.current else { return };
-        // A broadcast job reads the maximum here too: nothing is ever
-        // recorded under the broadcast address (`observe` keys by a
-        // frame's transmitter, `record_level` by a unicast next hop).
-        self.rts_power = self.tx_power(FrameKind::Rts, job.next_hop, now);
+        self.power.start_job(&self.cfg, job.next_hop, now);
         self.ssrc = 0;
         self.slrc = 0;
     }
@@ -1113,19 +1079,13 @@ impl DcfMac {
             return;
         }
 
-        // Unicast: RTS first. PCMAC's ladder (the job-start level, stepped
-        // up on CTS timeouts) is the one level that is not a fresh read
-        // of the table.
-        let rts_power = if self.pcmac() {
-            self.rts_power
-        } else {
-            self.tx_power(FrameKind::Rts, job.next_hop, now)
-        };
+        // Unicast: RTS first.
+        let rts_level = self.tx_power(FrameKind::Rts, job.next_hop, now);
         // Paper §III step 2: would this power corrupt a protected
         // reception nearby? (The intended receiver is *not* exempt here —
         // if it is busy receiving from someone else, our RTS would be the
         // collision.)
-        if let Err(until) = self.check_protected(rts_power, None, now) {
+        if let Err(until) = self.check_protected(rts_level, None, now) {
             self.defer_for_ctrl(until, now, out);
             return;
         }
@@ -1138,20 +1098,20 @@ impl DcfMac {
         } else {
             t.sifs * 2 + t.cts_time() + data_time
         };
-        let sender_noise = self.pcmac().then_some(self.last_noise);
+        let sender_noise = self.power.advertised_noise(&self.cfg);
         let rts = Frame {
             kind: FrameKind::Rts,
             tx: self.id,
             rx: job.next_hop,
             duration,
-            tx_power: rts_power,
+            tx_power: rts_level,
             body: FrameBody::Rts { sender_noise },
         };
         self.counters.rts_sent += 1;
         self.phase = Phase::Tx(TxKind::Rts);
         out.push(MacAction::TxFrame {
             frame: rts,
-            power: rts_power,
+            power: rts_level,
         });
     }
 
@@ -1217,12 +1177,11 @@ mod snap {
     //! `id` and `cfg` are rebuilt from the scenario config on restore, so
     //! [`DcfMac::save_state`] / [`DcfMac::load_state`] transfer only the
     //! mutable state: backoff RNG position, timers, queue, the exchange in
-    //! progress and the power-control tables. The cut always falls between
+    //! progress and the power control. The cut always falls between
     //! events, never inside a `MacAction` burst, so this is the complete
     //! reachable state.
 
     use super::{DcfMac, Exchange, MacTimerKind, Phase, TxJob, TxKind};
-    use crate::power::PowerHistory;
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for MacTimerKind {
@@ -1339,12 +1298,11 @@ mod snap {
             ex.pending_response.save(w);
             self.ssrc.save(w);
             self.slrc.save(w);
-            self.rts_power.save(w);
-            self.history.save(w);
+            self.power.save_head(&self.cfg, w);
             ex.sent.save(w);
             ex.recv.save(w);
             ex.active_rx.save(w);
-            self.last_noise.save(w);
+            self.power.save_tail(w);
             self.counters.save(w);
             self.retx_hist.save(w);
         }
@@ -1371,8 +1329,7 @@ mod snap {
             let pending_response = Snap::load(r)?;
             self.ssrc = Snap::load(r)?;
             self.slrc = Snap::load(r)?;
-            self.rts_power = Snap::load(r)?;
-            self.history = PowerHistory::load(r)?.sharing_levels(&self.cfg.levels);
+            self.power.load_head(r)?;
             let ex = Exchange {
                 retransmit_override,
                 pending_response,
@@ -1381,7 +1338,7 @@ mod snap {
                 active_rx: Snap::load(r)?,
             };
             self.exchange = (!ex.is_blank()).then(|| Box::new(ex));
-            self.last_noise = Snap::load(r)?;
+            self.power.load_tail(r)?;
             self.counters = Snap::load(r)?;
             self.retx_hist = Snap::load(r)?;
             Ok(())

@@ -4,16 +4,16 @@
 //! ([`DcfMac`]) implements all four protocols compared in the paper's
 //! evaluation:
 //!
-//! | Variant | [`PowerPolicy`] | RTS/CTS | DATA/ACK | Extras |
-//! |---|---|---|---|---|
-//! | [`Variant::Basic`]   | `AllMax`    | max power | max power | — |
-//! | [`Variant::Scheme1`] | `RtsCtsMax` | max power | needed power | power history table |
-//! | [`Variant::Scheme2`] | `AllNeeded` | needed | needed | power history table |
-//! | [`Variant::Pcmac`]   | `AllNeeded` | needed | needed, **no ACK** | control channel, 3-way handshake, tolerance checks, noise-sized CTS / DATA |
+//! | Variant | RTS/CTS | DATA/ACK | Extras |
+//! |---|---|---|---|
+//! | [`Variant::Basic`]   | max power | max power | — |
+//! | [`Variant::Scheme1`] | max power | needed power | power history table |
+//! | [`Variant::Scheme2`] | needed | needed | power history table |
+//! | [`Variant::Pcmac`]   | needed | needed, **no ACK** | control channel, 3-way handshake, tolerance checks, RTS ladder, noise-sized CTS / DATA |
 //!
-//! The table is one function, [`PowerPolicy::frame_power`]; the engine
-//! asks it through a single private `tx_power(kind, peer, now)` and
-//! never matches on the variant itself.
+//! The table is one `match` in [`PowerControl::level`]; the engine asks
+//! it through a single private `tx_power(kind, peer, now)` and never
+//! matches on the variant itself.
 //!
 //! Modules:
 //!
@@ -22,13 +22,14 @@
 //!   frame (48 bits).
 //! * [`nav`] — virtual carrier sense.
 //! * [`backoff`] — binary exponential backoff with freeze/resume.
-//! * [`power`] — where every unicast frame's level is chosen: the
-//!   needed-power history table, the §IV table over it and PCMAC's
-//!   noise-sized class (§III step 3).
+//! * [`power`] — a station's [`PowerControl`]: the needed-power history
+//!   table, the §IV table over it, PCMAC's RTS ladder (§III step 2) and
+//!   its noise-sized responses (§III step 3).
 //! * [`pcmac`] — noise tolerances, protected-receiver registry, and the
 //!   sent/received tables of the three-way handshake.
-//! * [`dcf`] — the full state machine; it asks `power` for levels and
-//!   one predicate for whether the PCMAC machinery is live.
+//! * [`dcf`] — the full state machine; it tells its `PowerControl`
+//!   what happened, asks it for levels, and reads the variant through one
+//!   predicate, whether the PCMAC machinery is live.
 //! * [`config`], [`counters`] — knobs and statistics.
 
 pub mod backoff;
@@ -45,5 +46,5 @@ pub use config::{MacConfig, PcmacParams, Variant};
 pub use counters::MacCounters;
 pub use dcf::{DcfMac, MacAction, MacTimerKind};
 pub use frame::{CtrlFrame, Frame, FrameBody, FrameKind};
-pub use power::{PowerHistory, PowerPolicy};
+pub use power::PowerControl;
 pub use timing::Dot11Timing;

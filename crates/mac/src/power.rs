@@ -1,308 +1,383 @@
-//! Transmit power selection: the one place a unicast frame's level is
-//! chosen.
+//! Transmit power control: the one place a unicast frame's level is
+//! chosen, and the one place a station's power-control state lives.
 //!
-//! [`PowerHistory`] is the paper's per-neighbour table of needed power
-//! levels: every decoded frame carries its transmit power in the header,
-//! so the hearer computes the propagation gain `g = S / P_tx` and from it
-//! the minimum power that would still decode at this distance,
-//! `P_need = rx_thresh / g`, quantised up to the next discrete class.
-//! Entries expire after 3 s; unknown neighbours get the maximum ("normal")
-//! power.
+//! [`PowerControl`] is paper §III's three parts for one station:
 //!
-//! [`PowerPolicy::frame_power`] is the table of paper §IV: given a frame
-//! kind, the needed level toward its receiver and the maximum, the level
-//! the frame rides at under each of the evaluation's protocols.
-//! `noise_sized_level` is PCMAC's refinement of §III step 3, a class
-//! sized to clear the noise measured at the far end as well. The DCF
-//! engine asks these two and nothing else (broadcasts always go at the
-//! maximum; PCMAC's RTS ladder starts from the table and steps up on
-//! CTS timeouts).
+//! * the per-neighbour table of needed power levels: every decoded frame
+//!   carries its transmit power in the header, so the hearer computes the
+//!   propagation gain `g = S / P_tx` and from it the minimum power that
+//!   would still decode at this distance, `P_need = rx_thresh / g`,
+//!   quantised up to the next discrete class. Entries expire after 3 s;
+//!   unknown neighbours get the maximum ("normal") power;
+//! * PCMAC's RTS ladder (step 2): a job's RTS starts from the table's
+//!   level and climbs one class per CTS timeout, up to the maximum;
+//! * the noise last measured at the station's radio, which a PCMAC RTS
+//!   advertises and a PCMAC responder sizes the DATA it dictates to
+//!   (step 3).
+//!
+//! [`PowerControl::level`] is the table of paper §IV: given a frame kind
+//! and its receiver, the level the frame rides at under each of the
+//! evaluation's protocols. Every parameter — the classes, the decode
+//! threshold, the expiry, the capture ratio, the variant — is read from
+//! the [`MacConfig`] every station of a scenario shares, so the state is
+//! the three pieces above and nothing else. Broadcasts never ask: they
+//! always go at the maximum.
 
 use std::collections::HashMap;
 
-use pcmac_engine::{Duration, Milliwatts, NodeId, SimTime};
-use pcmac_phy::PowerLevels;
+use pcmac_engine::{Milliwatts, NodeId, SimTime};
 
-use crate::config::MacConfig;
+use crate::config::{MacConfig, Variant};
+use crate::counters::MacCounters;
 use crate::frame::FrameKind;
 
-/// Which frames use the learned "needed" power level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PowerPolicy {
-    /// Basic 802.11: every frame at maximum power.
-    AllMax,
-    /// Scheme 1: RTS/CTS at maximum, DATA/ACK at needed power.
-    RtsCtsMax,
-    /// Scheme 2 and PCMAC: every unicast frame at needed power.
-    AllNeeded,
-}
-
-impl PowerPolicy {
-    /// Power for a unicast `kind` frame toward a neighbour whose learned
-    /// level is `needed` (paper §IV).
-    pub fn frame_power(self, kind: FrameKind, needed: Milliwatts, max: Milliwatts) -> Milliwatts {
-        use FrameKind::{Ack, Cts, Data, Rts};
-        match (self, kind) {
-            (PowerPolicy::AllMax, _) | (PowerPolicy::RtsCtsMax, Rts | Cts) => max,
-            (PowerPolicy::RtsCtsMax, Data | Ack) | (PowerPolicy::AllNeeded, _) => needed,
-        }
-    }
-}
-
-/// PCMAC §III step 3: the smallest class that, through `gain`, arrives
-/// above both the decode threshold and `η_cp` times the `noise` measured
-/// at the far end — `P = η_cp · N · P_t / S` in the paper's terms, with
-/// `gain = S / P_t` taken off the RTS just heard.
-pub(crate) fn noise_sized_level(cfg: &MacConfig, noise: Milliwatts, gain: f64) -> Milliwatts {
-    let need_rx = cfg
-        .rx_thresh
-        .value()
-        .max(cfg.pcmac.capture_ratio * noise.value());
-    cfg.levels.quantize_up_or_max(Milliwatts(need_rx / gain))
-}
-
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct HistoryEntry {
+struct Entry {
     level: Milliwatts,
     updated_at: SimTime,
 }
 
-/// The per-neighbour needed-power table (paper §III: "each mobile terminal
-/// also keeps a power history table, recording the needed power level to
-/// reach every other terminal", 3 s expiry).
+/// One station's power control (paper §III: "each mobile terminal also
+/// keeps a power history table, recording the needed power level to reach
+/// every other terminal", plus PCMAC's RTS ladder and measured noise).
 #[derive(Debug, Clone)]
-pub struct PowerHistory {
-    entries: HashMap<NodeId, HistoryEntry>,
-    expiry: Duration,
-    levels: PowerLevels,
-    /// Decode threshold the needed power must clear.
-    rx_thresh: Milliwatts,
-    /// Multiplicative headroom on the decode threshold (1.0 = none; the
-    /// discrete quantisation already adds margin).
-    margin: f64,
+pub struct PowerControl {
+    /// Needed level toward each neighbour heard, and when it was learned.
+    entries: HashMap<NodeId, Entry>,
+    /// PCMAC's RTS level for the current job: the ladder's rung.
+    rts: Milliwatts,
+    /// Latest noise measured at this station's radio.
+    noise: Milliwatts,
 }
 
-impl PowerHistory {
-    /// The paper's configuration: 3-second expiry over the ten classes.
-    pub fn new(levels: PowerLevels, rx_thresh: Milliwatts) -> Self {
-        PowerHistory {
+impl PowerControl {
+    /// A station that has heard nothing and has no job.
+    pub fn new(cfg: &MacConfig) -> Self {
+        PowerControl {
             entries: HashMap::new(),
-            expiry: Duration::from_secs(3),
-            levels,
-            rx_thresh,
-            margin: 1.0,
+            rts: cfg.max_power(),
+            noise: Milliwatts::ZERO,
         }
     }
 
-    /// Override the expiry (ablations).
-    pub fn with_expiry(mut self, expiry: Duration) -> Self {
-        self.expiry = expiry;
-        self
-    }
-
-    /// Override the threshold margin (ablations).
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin >= 1.0);
-        self.margin = margin;
-        self
-    }
-
-    /// Adopt `shared` as the level set when it holds the same levels: a
-    /// table read back from a snapshot owns a private copy of the list,
-    /// and this returns it to the one its MAC's configuration holds.
-    pub fn sharing_levels(mut self, shared: &PowerLevels) -> Self {
-        if self.levels == *shared {
-            self.levels = shared.clone();
-        }
-        self
-    }
-
-    /// The level set in use.
-    pub fn levels(&self) -> &PowerLevels {
-        &self.levels
-    }
-
-    /// Learn from a decoded frame: `heard_at` is the measured receive
-    /// power, `sent_at` the transmit power from the frame header.
-    pub fn observe(
-        &mut self,
-        from: NodeId,
-        heard_at: Milliwatts,
-        sent_at: Milliwatts,
+    /// The level a unicast `kind` frame toward `peer` rides at (paper
+    /// §IV), PCMAC's RTS riding its ladder.
+    pub fn level(
+        &self,
+        cfg: &MacConfig,
+        kind: FrameKind,
+        peer: NodeId,
         now: SimTime,
-    ) {
-        if heard_at.value() <= 0.0 || sent_at.value() <= 0.0 {
-            return;
+    ) -> Milliwatts {
+        use FrameKind::{Cts, Rts};
+        match (cfg.variant, kind) {
+            (Variant::Basic, _) | (Variant::Scheme1, Rts | Cts) => cfg.max_power(),
+            (Variant::Pcmac, Rts) => self.rts,
+            _ => self.needed(cfg, peer, now),
         }
-        let gain = heard_at.value() / sent_at.value();
-        let needed = Milliwatts(self.rx_thresh.value() * self.margin / gain);
-        let level = self.levels.quantize_up_or_max(needed);
-        self.entries.insert(
-            from,
-            HistoryEntry {
-                level,
-                updated_at: now,
-            },
-        );
     }
 
-    /// The power to use toward `to`: the learned level if fresh, otherwise
+    /// The table's level toward `peer`: the learned one if fresh, otherwise
     /// the maximum ("if A has no power level record as to B, A uses the
     /// normal power level").
-    pub fn level_for(&self, to: NodeId, now: SimTime) -> Milliwatts {
-        match self.entries.get(&to) {
-            Some(e) if now.saturating_since(e.updated_at) < self.expiry => e.level,
-            _ => self.levels.max(),
+    fn needed(&self, cfg: &MacConfig, peer: NodeId, now: SimTime) -> Milliwatts {
+        self.learned(cfg, peer, now)
+            .unwrap_or_else(|| cfg.max_power())
+    }
+
+    /// The fresh entry toward `peer`, if the table holds one.
+    fn learned(&self, cfg: &MacConfig, peer: NodeId, now: SimTime) -> Option<Milliwatts> {
+        self.entries
+            .get(&peer)
+            .filter(|e| now.saturating_since(e.updated_at) < cfg.pcmac.history_expiry)
+            .map(|e| e.level)
+    }
+
+    /// A frame from `from` decoded: `heard` is the measured receive power,
+    /// `sent` the transmit power from its header. Every protocol but
+    /// Basic 802.11 learns the needed level toward the sender.
+    pub fn learn(
+        &mut self,
+        cfg: &MacConfig,
+        from: NodeId,
+        heard: Milliwatts,
+        sent: Milliwatts,
+        now: SimTime,
+    ) {
+        if cfg.variant == Variant::Basic || heard.value() <= 0.0 || sent.value() <= 0.0 {
+            return;
         }
-    }
-
-    /// `true` if a fresh entry exists for `to`.
-    pub fn knows(&self, to: NodeId, now: SimTime) -> bool {
-        matches!(self.entries.get(&to),
-                 Some(e) if now.saturating_since(e.updated_at) < self.expiry)
-    }
-
-    /// Record that `level` was explicitly tried toward `to` (the paper's
-    /// step-up on CTS timeout): keeps the table consistent with what the
-    /// retry ladder actually used.
-    pub fn record_level(&mut self, to: NodeId, level: Milliwatts, now: SimTime) {
+        let gain = heard.value() / sent.value();
+        let level = cfg
+            .levels
+            .quantize_up_or_max(Milliwatts(cfg.rx_thresh.value() / gain));
         self.entries.insert(
-            to,
-            HistoryEntry {
+            from,
+            Entry {
                 level,
                 updated_at: now,
             },
         );
+    }
+
+    /// A job toward `peer` begins: the RTS ladder starts from the table.
+    /// A broadcast job reads the maximum here too: nothing is ever
+    /// recorded under the broadcast address.
+    pub(crate) fn start_job(&mut self, cfg: &MacConfig, peer: NodeId, now: SimTime) {
+        self.rts = match cfg.variant {
+            Variant::Scheme1 => cfg.max_power(),
+            _ => self.needed(cfg, peer, now),
+        };
+    }
+
+    /// An RTS toward `peer` went unanswered (paper §III step 2: "A
+    /// increases its power level by one class until it gets to the
+    /// maximal level"). Under PCMAC the rung rises one class, the table
+    /// records it for `peer` and `counters` counts the step.
+    pub(crate) fn cts_timeout(
+        &mut self,
+        cfg: &MacConfig,
+        peer: NodeId,
+        now: SimTime,
+        counters: &mut MacCounters,
+    ) {
+        if !cfg.variant.is_pcmac() {
+            return;
+        }
+        let stepped = cfg.levels.step_up(self.rts);
+        if stepped.value() <= self.rts.value() {
+            return;
+        }
+        counters.power_step_ups += 1;
+        self.rts = stepped;
+        self.entries.insert(
+            peer,
+            Entry {
+                level: stepped,
+                updated_at: now,
+            },
+        );
+    }
+
+    /// A PCMAC responder's levels for an RTS heard at `heard`, sent at
+    /// `sent`, whose sender advertised `sender_noise` (paper §III step 3):
+    /// the CTS clears the noise at the requester, and the DATA it dictates
+    /// clears the noise measured here — "P = η_cp · N_B · P_t / S".
+    pub(crate) fn respond(
+        &self,
+        cfg: &MacConfig,
+        heard: Milliwatts,
+        sent: Milliwatts,
+        sender_noise: Option<Milliwatts>,
+    ) -> (Milliwatts, Milliwatts) {
+        let gain = (heard.value() / sent.value()).max(1e-30);
+        let noise_sized = |noise: Milliwatts| {
+            let need_rx = cfg
+                .rx_thresh
+                .value()
+                .max(cfg.pcmac.capture_ratio * noise.value());
+            cfg.levels.quantize_up_or_max(Milliwatts(need_rx / gain))
+        };
+        (
+            noise_sized(sender_noise.unwrap_or(Milliwatts::ZERO)),
+            noise_sized(self.noise),
+        )
+    }
+
+    /// The radio measured `noise`.
+    pub(crate) fn set_noise(&mut self, noise: Milliwatts) {
+        self.noise = noise;
+    }
+
+    /// The noise an RTS advertises: PCMAC's alone.
+    pub(crate) fn advertised_noise(&self, cfg: &MacConfig) -> Option<Milliwatts> {
+        cfg.variant.is_pcmac().then_some(self.noise)
     }
 }
 
 mod snap {
-    use super::{HistoryEntry, PowerHistory};
+    use super::{Entry, PowerControl};
+    use crate::config::MacConfig;
+    use pcmac_engine::{Duration, Milliwatts};
+    use pcmac_phy::PowerLevels;
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    pcmac_snap::snap_struct!(HistoryEntry { level, updated_at });
+    pcmac_snap::snap_struct!(Entry { level, updated_at });
 
-    pcmac_snap::snap_struct!(PowerHistory {
-        entries,
-        expiry,
-        levels,
-        rx_thresh,
-        margin,
-    });
+    impl PowerControl {
+        /// Version-2 layout, part one: the rung, then the table with its
+        /// copy of the configuration (expiry, levels, threshold, margin).
+        pub(crate) fn save_head(&self, cfg: &MacConfig, w: &mut SnapWriter) {
+            self.rts.save(w);
+            self.entries.save(w);
+            cfg.pcmac.history_expiry.save(w);
+            cfg.levels.save(w);
+            cfg.rx_thresh.save(w);
+            1.0f64.save(w);
+        }
+
+        /// Version-2 layout, part two: the measured noise.
+        pub(crate) fn save_tail(&self, w: &mut SnapWriter) {
+            self.noise.save(w);
+        }
+
+        pub(crate) fn load_head(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.rts = Snap::load(r)?;
+            self.entries = Snap::load(r)?;
+            let _: (Duration, PowerLevels, Milliwatts, f64) = (
+                Snap::load(r)?,
+                Snap::load(r)?,
+                Snap::load(r)?,
+                Snap::load(r)?,
+            );
+            Ok(())
+        }
+
+        pub(crate) fn load_tail(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.noise = Snap::load(r)?;
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcmac_engine::Duration;
 
-    fn table() -> PowerHistory {
-        PowerHistory::new(PowerLevels::paper_defaults(), Milliwatts(3.652e-7))
+    fn cfg() -> MacConfig {
+        MacConfig::paper_default(Variant::Scheme2)
     }
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + Duration::from_secs(s)
     }
 
+    fn level_for(h: &PowerControl, to: NodeId, now: SimTime) -> Milliwatts {
+        h.level(&cfg(), FrameKind::Data, to, now)
+    }
+
+    fn observe(
+        h: &mut PowerControl,
+        from: NodeId,
+        heard: Milliwatts,
+        sent: Milliwatts,
+        now: SimTime,
+    ) {
+        h.learn(&cfg(), from, heard, sent, now);
+    }
+
     #[test]
     fn unknown_neighbour_gets_max() {
-        let h = table();
-        assert_eq!(h.level_for(NodeId(9), t(0)), h.levels().max());
-        assert!(!h.knows(NodeId(9), t(0)));
+        let h = PowerControl::new(&cfg());
+        assert_eq!(level_for(&h, NodeId(9), t(0)), cfg().max_power());
+        assert!(h.learned(&cfg(), NodeId(9), t(0)).is_none());
     }
 
     #[test]
     fn observe_learns_quantized_needed_power() {
-        let mut h = table();
+        let mut h = PowerControl::new(&cfg());
         // Heard a max-power frame at gain 1e-8: P_rx = 281.83815e-8 mW.
-        let p_max = h.levels().max();
-        h.observe(NodeId(2), p_max * 1e-8, p_max, t(0));
+        let p_max = cfg().max_power();
+        observe(&mut h, NodeId(2), p_max * 1e-8, p_max, t(0));
         // needed = 3.652e-7 / 1e-8 = 36.52 mW → class 36.6 mW.
-        assert_eq!(h.level_for(NodeId(2), t(0)), Milliwatts(36.6));
+        assert_eq!(level_for(&h, NodeId(2), t(0)), Milliwatts(36.6));
     }
 
     #[test]
     fn close_neighbour_needs_minimum_class() {
-        let mut h = table();
-        let p_max = h.levels().max();
+        let mut h = PowerControl::new(&cfg());
+        let p_max = cfg().max_power();
         // gain 1e-3: needed = 3.652e-4 mW → class 1 mW.
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(0));
-        assert_eq!(h.level_for(NodeId(2), t(0)), Milliwatts(1.0));
+        observe(&mut h, NodeId(2), p_max * 1e-3, p_max, t(0));
+        assert_eq!(level_for(&h, NodeId(2), t(0)), Milliwatts(1.0));
     }
 
     #[test]
     fn entries_expire_after_three_seconds() {
-        let mut h = table();
-        let p_max = h.levels().max();
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(0));
-        assert!(h.knows(NodeId(2), t(2)));
-        assert!(!h.knows(NodeId(2), t(3)), "3 s is already expired");
-        assert_eq!(h.level_for(NodeId(2), t(3)), h.levels().max());
+        let mut h = PowerControl::new(&cfg());
+        let p_max = cfg().max_power();
+        observe(&mut h, NodeId(2), p_max * 1e-3, p_max, t(0));
+        assert!(h.learned(&cfg(), NodeId(2), t(2)).is_some());
+        assert!(
+            h.learned(&cfg(), NodeId(2), t(3)).is_none(),
+            "3 s is already expired"
+        );
+        assert_eq!(level_for(&h, NodeId(2), t(3)), p_max);
     }
 
     #[test]
     fn fresh_observation_renews_expiry() {
-        let mut h = table();
-        let p_max = h.levels().max();
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(0));
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(2));
-        assert!(h.knows(NodeId(2), t(4)));
+        let mut h = PowerControl::new(&cfg());
+        let p_max = cfg().max_power();
+        observe(&mut h, NodeId(2), p_max * 1e-3, p_max, t(0));
+        observe(&mut h, NodeId(2), p_max * 1e-3, p_max, t(2));
+        assert!(h.learned(&cfg(), NodeId(2), t(4)).is_some());
     }
 
     #[test]
     fn weak_signal_requires_more_power_than_strong() {
-        let mut h = table();
-        let p_max = h.levels().max();
-        h.observe(NodeId(2), p_max * 1e-3, p_max, t(0)); // strong
-        h.observe(NodeId(3), p_max * 1e-8, p_max, t(0)); // weak
-        assert!(h.level_for(NodeId(3), t(0)).value() > h.level_for(NodeId(2), t(0)).value());
-    }
-
-    #[test]
-    fn margin_raises_needed_class() {
-        let p_max = PowerLevels::paper_defaults().max();
-        let mut plain = table();
-        let mut margined =
-            PowerHistory::new(PowerLevels::paper_defaults(), Milliwatts(3.652e-7)).with_margin(3.0);
-        // gain such that plain needs just under 36.6 → margined jumps class.
-        plain.observe(NodeId(2), p_max * 1e-8, p_max, t(0));
-        margined.observe(NodeId(2), p_max * 1e-8, p_max, t(0));
-        assert!(
-            margined.level_for(NodeId(2), t(0)).value() >= plain.level_for(NodeId(2), t(0)).value()
-        );
+        let mut h = PowerControl::new(&cfg());
+        let p_max = cfg().max_power();
+        observe(&mut h, NodeId(2), p_max * 1e-3, p_max, t(0)); // strong
+        observe(&mut h, NodeId(3), p_max * 1e-8, p_max, t(0)); // weak
+        assert!(level_for(&h, NodeId(3), t(0)).value() > level_for(&h, NodeId(2), t(0)).value());
     }
 
     #[test]
     fn power_table_matches_paper_section_iv() {
-        use crate::config::Variant;
         use FrameKind::{Ack, Cts, Data, Rts};
 
         let max = Milliwatts(281.83815);
         let need = Milliwatts(2.0);
-        // Every (policy, frame kind) cell: RTS, CTS, DATA, ACK.
-        for (policy, row) in [
-            (PowerPolicy::AllMax, [max, max, max, max]),
-            (PowerPolicy::RtsCtsMax, [max, max, need, need]),
-            (PowerPolicy::AllNeeded, [need, need, need, need]),
+        let rung = Milliwatts(7.25);
+        let peer = NodeId(2);
+        // Every (variant, frame kind) cell: RTS, CTS, DATA, ACK; whether
+        // the variant learns levels; whether the PCMAC machinery (control
+        // channel, three-way handshake, RTS ladder) is live.
+        for (variant, row, learns, pcmac) in [
+            (Variant::Basic, [max, max, max, max], false, false),
+            (Variant::Scheme1, [max, max, need, need], true, false),
+            (Variant::Scheme2, [need, need, need, need], true, false),
+            (Variant::Pcmac, [rung, need, need, need], true, true),
         ] {
+            let cfg = MacConfig::paper_default(variant);
+            let mut h = PowerControl::new(&cfg);
+            // A frame heard through a gain that needs 1.5 mW: class 2 mW.
+            h.learn(&cfg, peer, max * (cfg.rx_thresh.value() / 1.5), max, t(0));
+            assert_eq!(h.learned(&cfg, peer, t(0)).is_some(), learns, "{variant:?}");
+            if learns {
+                assert_eq!(h.needed(&cfg, peer, t(0)), need, "{variant:?}");
+            }
+            h.rts = rung;
             for (kind, want) in [Rts, Cts, Data, Ack].into_iter().zip(row) {
                 assert_eq!(
-                    policy.frame_power(kind, need, max),
+                    h.level(&cfg, kind, peer, t(0)),
                     want,
-                    "{policy:?} {kind:?}"
+                    "{variant:?} {kind:?}"
                 );
             }
-        }
-        // Every variant: its policy, whether it learns levels, whether the
-        // PCMAC machinery (control channel, three-way handshake) is live.
-        for variant in Variant::ALL {
-            let (policy, learns, pcmac) = match variant {
-                Variant::Basic => (PowerPolicy::AllMax, false, false),
-                Variant::Scheme1 => (PowerPolicy::RtsCtsMax, true, false),
-                Variant::Scheme2 => (PowerPolicy::AllNeeded, true, false),
-                Variant::Pcmac => (PowerPolicy::AllNeeded, true, true),
-            };
-            assert_eq!(variant.power_policy(), policy, "{variant:?}");
-            assert_eq!(variant.uses_power_history(), learns, "{variant:?}");
             assert_eq!(variant.is_pcmac(), pcmac, "{variant:?}");
+            assert_eq!(h.advertised_noise(&cfg).is_some(), pcmac, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn only_pcmac_climbs_the_ladder() {
+        for variant in Variant::ALL {
+            let cfg = MacConfig::paper_default(variant);
+            let mut h = PowerControl::new(&cfg);
+            let mut counters = MacCounters::default();
+            h.rts = Milliwatts(75.8);
+            let pcmac = variant.is_pcmac();
+            h.cts_timeout(&cfg, NodeId(2), t(0), &mut counters);
+            assert_eq!(counters.power_step_ups, u64::from(pcmac), "{variant:?}");
+            assert_eq!(h.learned(&cfg, NodeId(2), t(0)).is_some(), pcmac);
+            if pcmac {
+                assert_eq!(h.rts, cfg.max_power());
+                h.cts_timeout(&cfg, NodeId(2), t(0), &mut counters);
+                assert_eq!(counters.power_step_ups, 1, "stops at the maximum");
+            }
         }
     }
 }

@@ -4,9 +4,8 @@ use pcmac_engine::{Duration, Milliwatts, NodeId, RngStream, SessionId, SimTime};
 use pcmac_mac::backoff::Backoff;
 use pcmac_mac::nav::Nav;
 use pcmac_mac::pcmac::{ActiveReceivers, EchoVerdict, ReceivedTable, SentTable};
-use pcmac_mac::{Dot11Timing, PowerHistory};
+use pcmac_mac::{Dot11Timing, FrameKind, MacConfig, PowerControl, Variant};
 use pcmac_net::Packet;
-use pcmac_phy::PowerLevels;
 use proptest::prelude::*;
 
 fn t(us: u64) -> SimTime {
@@ -76,11 +75,12 @@ proptest! {
         obs in proptest::collection::vec((1u32..50, 1e-12f64..1e-2, 0u64..10_000_000), 1..60),
         query in 0u64..20_000_000,
     ) {
-        let levels = PowerLevels::paper_defaults();
-        let classes: Vec<f64> = levels.all().iter().map(|l| l.value()).collect();
-        let mut h = PowerHistory::new(levels, Milliwatts(3.652e-7));
+        let cfg = MacConfig::paper_default(Variant::Scheme2);
+        let classes: Vec<f64> = cfg.levels.all().iter().map(|l| l.value()).collect();
+        let mut h = PowerControl::new(&cfg);
         for (node, gain, at) in obs {
-            h.observe(
+            h.learn(
+                &cfg,
                 NodeId(node),
                 Milliwatts(281.83815 * gain),
                 Milliwatts(281.83815),
@@ -88,7 +88,7 @@ proptest! {
             );
         }
         for node in 0..50u32 {
-            let lvl = h.level_for(NodeId(node), t(query)).value();
+            let lvl = h.level(&cfg, FrameKind::Data, NodeId(node), t(query)).value();
             prop_assert!(
                 classes.iter().any(|c| (c - lvl).abs() < 1e-12),
                 "level {lvl} is not a class"

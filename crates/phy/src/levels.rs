@@ -14,9 +14,9 @@ use serde::{Deserialize, Serialize};
 
 /// An ordered set of discrete transmit power levels.
 ///
-/// Immutable once built, and held behind an [`Arc`]: every MAC and every
-/// power-history table of a scenario keeps its own `PowerLevels`, and
-/// cloning one shares the list instead of copying it.
+/// Immutable once built, and held behind an [`Arc`]: a scenario's MAC
+/// configuration, which all its stations share, holds the one copy, and
+/// cloning it shares the list instead of copying it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerLevels {
     /// Strictly increasing power values.
