@@ -253,24 +253,24 @@ fn checkpoint_from_before_the_channel_knobs_left_resumes_as_a_fresh_run() {
     let _ = std::fs::remove_file(&ref_out);
 }
 
-/// Snapshot version 2 took the per-node list of arrivals on the air out
-/// of the format (a pending arrival end carries its power instead), so a
+/// Every snapshot version changes the layout (version 3 took the copy of
+/// the MAC configuration out of each station's power control), so a
 /// checkpoint left behind by the previous release cannot be read. It must
 /// be refused as `BadVersion` at the envelope — never misread — and the
 /// cell holding it must complete as a fresh run with the same artifact.
 #[test]
-fn a_version_1_checkpoint_file_resumes_as_a_fresh_run() {
+fn a_previous_version_checkpoint_file_resumes_as_a_fresh_run() {
+    const PREVIOUS: u32 = pcmac_snap::VERSION - 1;
     let spec = campaign();
-    let ref_out = reference_run(&spec, "v1-reference");
-    let out = scratch("v1");
+    let ref_out = reference_run(&spec, "prev-reference");
+    let out = scratch("prev");
     let ckpt_file = interrupted_run(&spec, &out, |_, mut bytes| {
         // Envelope: magic (4 bytes), version (4), payload length (8).
         assert_eq!(bytes[4..8], pcmac_snap::VERSION.to_le_bytes());
-        assert_eq!(pcmac_snap::VERSION, 2);
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&PREVIOUS.to_le_bytes());
         assert!(matches!(
             SimSnapshot::from_bytes(&bytes),
-            Err(SnapError::BadVersion(1))
+            Err(SnapError::BadVersion(PREVIOUS))
         ));
         bytes
     });

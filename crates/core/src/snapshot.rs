@@ -48,7 +48,7 @@
 //! sorted key order, so a file written on one machine restores with
 //! bit-identical results on any other.
 //!
-//! The envelope is at **version 2**. A node's blob opens with its radio
+//! The envelope is at **version 3**. A node's blob opens with its radio
 //! section — the data-channel receive row (`pcmac_phy::RxRow`: in-air
 //! sum, locked power and key, arrivals on the air, mode, corruption
 //! verdict, last carrier state indicated), the control-channel row when
@@ -63,6 +63,19 @@
 //! received power it has to hand back. Version-1 files fail
 //! `SnapReader::open` with `BadVersion`; the campaign runner recomputes
 //! the cell.
+//!
+//! Version 3 writes a MAC's power control as the three pieces of state
+//! it has — the needed-level table, the RTS ladder rung and the noise
+//! last measured at the radio — where version 2 wrote the rung and the
+//! table among the exchange fields, the noise after them, and beside the
+//! table a copy of four configuration values: the entry expiry, the
+//! level list, the decode threshold and a threshold margin that was
+//! always 1. The configuration is rebuilt from the scenario on restore
+//! (and the snapshot's config digest pins it), so the copy carried
+//! nothing: it cost 112 B per station per cut. Every variant writes the
+//! same shape — Basic's table is empty and only PCMAC reads the rung —
+//! so the blob has one layout. Version-2 files are refused as
+//! `BadVersion(2)` and their cells recomputed, as version 1's are.
 //!
 //! Two things a snapshot does **not** carry, by construction. The MAC is
 //! written *as told*: a carrier edge the simulator is holding back from

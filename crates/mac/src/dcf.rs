@@ -1298,11 +1298,10 @@ mod snap {
             ex.pending_response.save(w);
             self.ssrc.save(w);
             self.slrc.save(w);
-            self.power.save_head(&self.cfg, w);
+            self.power.save(w);
             ex.sent.save(w);
             ex.recv.save(w);
             ex.active_rx.save(w);
-            self.power.save_tail(w);
             self.counters.save(w);
             self.retx_hist.save(w);
         }
@@ -1329,7 +1328,7 @@ mod snap {
             let pending_response = Snap::load(r)?;
             self.ssrc = Snap::load(r)?;
             self.slrc = Snap::load(r)?;
-            self.power.load_head(r)?;
+            self.power = Snap::load(r)?;
             let ex = Exchange {
                 retransmit_override,
                 pending_response,
@@ -1338,7 +1337,6 @@ mod snap {
                 active_rx: Snap::load(r)?,
             };
             self.exchange = (!ex.is_blank()).then(|| Box::new(ex));
-            self.power.load_tail(r)?;
             self.counters = Snap::load(r)?;
             self.retx_hist = Snap::load(r)?;
             Ok(())

@@ -124,10 +124,7 @@ impl PowerControl {
     /// A broadcast job reads the maximum here too: nothing is ever
     /// recorded under the broadcast address.
     pub(crate) fn start_job(&mut self, cfg: &MacConfig, peer: NodeId, now: SimTime) {
-        self.rts = match cfg.variant {
-            Variant::Scheme1 => cfg.max_power(),
-            _ => self.needed(cfg, peer, now),
-        };
+        self.rts = self.needed(cfg, peer, now);
     }
 
     /// An RTS toward `peer` went unanswered (paper §III step 2: "A
@@ -197,47 +194,14 @@ impl PowerControl {
 
 mod snap {
     use super::{Entry, PowerControl};
-    use crate::config::MacConfig;
-    use pcmac_engine::{Duration, Milliwatts};
-    use pcmac_phy::PowerLevels;
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     pcmac_snap::snap_struct!(Entry { level, updated_at });
 
-    impl PowerControl {
-        /// Version-2 layout, part one: the rung, then the table with its
-        /// copy of the configuration (expiry, levels, threshold, margin).
-        pub(crate) fn save_head(&self, cfg: &MacConfig, w: &mut SnapWriter) {
-            self.rts.save(w);
-            self.entries.save(w);
-            cfg.pcmac.history_expiry.save(w);
-            cfg.levels.save(w);
-            cfg.rx_thresh.save(w);
-            1.0f64.save(w);
-        }
-
-        /// Version-2 layout, part two: the measured noise.
-        pub(crate) fn save_tail(&self, w: &mut SnapWriter) {
-            self.noise.save(w);
-        }
-
-        pub(crate) fn load_head(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.rts = Snap::load(r)?;
-            self.entries = Snap::load(r)?;
-            let _: (Duration, PowerLevels, Milliwatts, f64) = (
-                Snap::load(r)?,
-                Snap::load(r)?,
-                Snap::load(r)?,
-                Snap::load(r)?,
-            );
-            Ok(())
-        }
-
-        pub(crate) fn load_tail(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.noise = Snap::load(r)?;
-            Ok(())
-        }
-    }
+    pcmac_snap::snap_struct!(PowerControl {
+        entries,
+        rts,
+        noise,
+    });
 }
 
 #[cfg(test)]

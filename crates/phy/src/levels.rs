@@ -124,12 +124,6 @@ impl PowerLevels {
     }
 }
 
-mod snap {
-    use super::PowerLevels;
-
-    pcmac_snap::snap_struct!(PowerLevels { levels });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,11 @@ pub const MAGIC: [u8; 4] = *b"PCSN";
 /// node's radio section is its receive rows plus the locked frame — the
 /// per-node list of arrivals on the air, and with it the list's
 /// insertion-history order, left the format.
-pub const VERSION: u32 = 2;
+///
+/// Version 3: a MAC's power control is its three pieces of state — the
+/// needed-level table, the RTS ladder rung and the measured noise — in
+/// one place; the table's copy of the MAC configuration left the format.
+pub const VERSION: u32 = 3;
 
 /// Everything that can go wrong reading a snapshot. All variants are
 /// recoverable by design: a caller falls back to recomputing from
