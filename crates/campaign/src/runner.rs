@@ -302,7 +302,11 @@ impl SweepState<'_> {
             return;
         }
         if p.failed.is_empty() {
-            let reports: Vec<RunReport> = p.ok.iter().map(|(_, r)| r.clone()).collect();
+            // Seed order, not finishing order: the running statistics
+            // round differently when their samples come in another order.
+            let mut ok: Vec<&(usize, RunReport)> = p.ok.iter().collect();
+            ok.sort_unstable_by_key(|&&(id, _)| id);
+            let reports: Vec<RunReport> = ok.into_iter().map(|(_, r)| r.clone()).collect();
             self.done[cell] = Some(PointSummary::from_reports(
                 self.grid.cells[cell].key.clone(),
                 self.grid.seeds.clone(),

@@ -6,10 +6,10 @@
 //! as its shard count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use pcmac::{FlowShape, ScenarioConfig, Variant};
+use pcmac::{FlowShape, RunOutcome, ScenarioConfig, Variant};
 use pcmac_campaign::{
     run_campaign_with, Axis, CampaignOutcome, CampaignReport, CampaignSpec, ExecutionSpec,
     FailureKind, NodesSpec, PlacementSpec, RunOptions, ScenarioSpec, TrafficPattern, TrafficSpec,
@@ -327,4 +327,40 @@ fn sharded_runs_debit_their_shard_count_from_the_thread_budget() {
             assert_eq!(a.delivered_packets, b.delivered_packets);
         }
     }
+}
+
+/// A cell's summary does not depend on which of its seeds finishes
+/// first. With two workers, seed 1's run starts only once seed 2's has
+/// finished, so the runner hears the seeds out of order; the points must
+/// equal the ones a single worker writes in seed order. The throughputs
+/// are set to 0.1 and 0.7 kbps because a running mean over them rounds
+/// differently in the two orders (0.4 against 0.39999999999999997).
+#[test]
+fn a_cell_summarizes_its_seeds_in_seed_order_whatever_order_they_finish() {
+    let mut spec = hostile_campaign();
+    spec.sweep = None;
+    let points = |threads: usize| {
+        let second_done = Arc::new(Barrier::new(2));
+        let opts = RunOptions {
+            threads,
+            ..RunOptions::default()
+        };
+        let outcome = run_campaign_with(&spec, opts, move |cfg, ctl| {
+            let seed = cfg.seed;
+            if threads > 1 && seed == 1 {
+                second_done.wait();
+            }
+            let mut outcome = ctl.run(cfg);
+            if let RunOutcome::Completed(report) = &mut outcome {
+                report.throughput_kbps = if seed == 1 { 0.1 } else { 0.7 };
+            }
+            if threads > 1 && seed == 2 {
+                second_done.wait();
+            }
+            outcome
+        })
+        .expect("the sweep runs");
+        format!("{:?}", outcome.report.points)
+    };
+    assert_eq!(points(2), points(1));
 }
