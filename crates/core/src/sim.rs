@@ -2241,6 +2241,9 @@ impl Simulator {
             if sim.on_air_mismatch(&snap.pending).is_some() {
                 return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
             }
+            // Every lane checks the layer sections against the same
+            // shapes: refuse a bad one here, not in a worker thread.
+            sim.restore_layers(snap)?;
             sim.resume = Some(Arc::new(snap.clone()));
         } else {
             sim.apply_restore(snap)?;
@@ -2259,7 +2262,6 @@ impl Simulator {
     /// counters; see `FaultState::restore_from` / `MetricsState::
     /// restore_from` for the replication roles.
     pub(crate) fn apply_restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
-        let n = self.cfg.nodes.count();
         let cut = snap.time;
         let shard_info: Option<(Arc<Vec<u32>>, u32)> = self
             .shard
@@ -2338,6 +2340,16 @@ impl Simulator {
         self.channel.resync(&mut self.hot, cut);
         self.sent_packets = if primary { snap.sent_packets } else { 0 };
         self.cur = (cut, 0);
+        self.restore_layers(snap)
+    }
+
+    /// Overlay the snapshot's fault and metrics sections on this lane's
+    /// layers, refusing a section whose presence or shape disagrees with
+    /// the scenario.
+    fn restore_layers(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
+        let n = self.cfg.nodes.count();
+        let cut = snap.time;
+        let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
 
         // The fault layer.
         match (self.faults.as_mut(), snap.faults.as_ref()) {

@@ -343,6 +343,90 @@ mod tests {
         assert_eq!(next_grid_point(SimTime::from_nanos(5), 0).as_nanos(), 6);
     }
 
+    /// Restore refuses a fault or metrics section whose presence or
+    /// shape disagrees with the scenario, on one thread and on two
+    /// shards alike: the sections are outside input.
+    #[test]
+    fn restore_refuses_a_layer_section_that_does_not_fit_the_scenario() {
+        use crate::fault::{FaultConfig, ImpairmentBurst};
+        use crate::metrics::MetricsConfig;
+        use crate::{ExecutionMode, Simulator};
+        use pcmac_engine::Milliwatts;
+        use pcmac_mac::Variant;
+        use pcmac_phy::PowerLevels;
+
+        // `n` stations and `bursts` impairment bursts, each layer on
+        // when asked for.
+        let cfg = |n: usize, bursts: usize, faults: bool, metrics: bool| {
+            let mut c = ScenarioConfig::paper_with(Variant::Pcmac, 300.0, 1, n, 5.0)
+                .with_duration(Duration::from_secs(2));
+            c.delay_floor_us = Some(10.0);
+            c.metrics = metrics.then(MetricsConfig::default);
+            c.faults = faults.then(|| FaultConfig {
+                impairments: Some(
+                    (0..bursts)
+                        .map(|k| ImpairmentBurst {
+                            start_s: 0.5 + k as f64,
+                            stop_s: 0.8 + k as f64,
+                            extra_loss_db: 3.0,
+                            noise_mult: None,
+                        })
+                        .collect(),
+                ),
+                ..FaultConfig::default()
+            });
+            c
+        };
+        let snap = |c: ScenarioConfig| Simulator::new(c).snapshot();
+        let both = snap(cfg(12, 1, true, true));
+        let mut one_level = cfg(12, 1, true, true);
+        one_level.mac.levels = PowerLevels::fixed(Milliwatts(281.8));
+
+        let mut cases: Vec<(ScenarioConfig, SimSnapshot, &str)> = Vec::new();
+        let mut s = both.clone();
+        s.faults = snap(cfg(13, 1, true, false)).faults;
+        cases.push((cfg(12, 1, true, true), s, "fault node count"));
+        let mut s = both.clone();
+        s.faults = snap(cfg(12, 2, true, false)).faults;
+        cases.push((cfg(12, 1, true, true), s, "fault burst count"));
+        let mut s = both.clone();
+        s.metrics = snap(cfg(13, 1, false, true)).metrics;
+        cases.push((cfg(12, 1, true, true), s, "metrics node count"));
+        let mut s = both.clone();
+        s.metrics = snap(one_level).metrics;
+        cases.push((cfg(12, 1, true, true), s, "metrics power-level count"));
+        let mut s = both.clone();
+        s.faults = None;
+        cases.push((cfg(12, 1, true, true), s, "fault section presence"));
+        let mut s = both.clone();
+        s.metrics = None;
+        cases.push((cfg(12, 1, true, true), s, "metrics section presence"));
+        let mut s = snap(cfg(12, 1, false, false));
+        s.faults = both.faults.clone();
+        cases.push((cfg(12, 1, false, false), s, "fault section presence"));
+        let mut s = snap(cfg(12, 1, false, false));
+        s.metrics = both.metrics.clone();
+        cases.push((cfg(12, 1, false, false), s, "metrics section presence"));
+
+        for (c, s, message) in cases {
+            for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
+                let mut c = c.clone();
+                c.execution = Some(execution);
+                match Simulator::restore(c, &s) {
+                    Err(SnapError::Corrupt(m)) => assert_eq!(m, message, "{execution:?}"),
+                    Err(e) => panic!("{message} on {execution:?}: {e:?}"),
+                    Ok(_) => panic!("{message} on {execution:?}: restored"),
+                }
+            }
+        }
+        // The unmutated snapshot restores on both.
+        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
+            let mut c = cfg(12, 1, true, true);
+            c.execution = Some(execution);
+            assert!(Simulator::restore(c, &both).is_ok(), "{execution:?}");
+        }
+    }
+
     #[test]
     fn cancel_token_round_trip() {
         let t = CancelToken::new();

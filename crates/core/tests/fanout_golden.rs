@@ -29,8 +29,8 @@
 use std::cell::RefCell;
 
 use pcmac::{
-    ExecutionMode, FlowSpec, MetricsConfig, NodeSetup, RunHooks, RunReport, ScenarioConfig,
-    SimEvent, SimSnapshot, Simulator, Variant,
+    ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowSpec, ImpairmentBurst, MetricsConfig,
+    NodeSetup, RunHooks, RunReport, ScenarioConfig, SimEvent, SimSnapshot, Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 
@@ -323,6 +323,119 @@ fn sparse_fields_report_checkpoint_and_resume_as_recorded() {
                 "{what}: resumed from {:?} on {mode:?}",
                 first.time()
             );
+        }
+    }
+}
+
+/// The 16-node mobile [`scenario`] with metrics on, a 10 µs delay floor
+/// and a fault plan that uses every part of the layer: a crash with a
+/// recovery, a permanent crash, seeded churn, an impairment burst that
+/// also raises the noise floor, route expiry on recovery, and an energy
+/// budget small enough to kill stations.
+fn faulted(variant: Variant) -> ScenarioConfig {
+    let mut cfg = scenario(variant);
+    cfg.delay_floor_us = Some(10.0);
+    cfg.metrics = Some(MetricsConfig {
+        probe_interval_s: 0.1,
+    });
+    cfg.faults = Some(FaultConfig {
+        crashes: Some(vec![
+            CrashWindow {
+                node: 3,
+                at_s: 1.5,
+                recover_s: Some(2.2),
+            },
+            CrashWindow {
+                node: 9,
+                at_s: 2.4,
+                recover_s: None,
+            },
+        ]),
+        churn: Some(ChurnConfig {
+            mean_uptime_s: 1.5,
+            mean_downtime_s: 0.3,
+            start_s: Some(1.4),
+            stop_s: Some(2.6),
+        }),
+        expire_routes: Some(true),
+        impairments: Some(vec![ImpairmentBurst {
+            start_s: 1.6,
+            stop_s: 2.0,
+            extra_loss_db: 4.0,
+            noise_mult: Some(3.0),
+        }]),
+        energy_budget_mj: Some(ENERGY_BUDGET_MJ),
+    });
+    cfg
+}
+
+const ENERGY_BUDGET_MJ: f64 = 4.0;
+
+/// `(variant, report digest, checkpoint-bytes digest, the same on two
+/// shards)` of the [`faulted`] scenario. The two checkpoint columns
+/// differ only because the metrics section carries the hot-path counters.
+const FAULTED_GOLDEN: [(Variant, u64, u64, u64); 2] = [
+    (
+        Variant::Pcmac,
+        0xf8cf421cdb183094,
+        0x4ebe171cc119bd2c,
+        0x569f50c0b4e7dc8,
+    ),
+    (
+        Variant::Basic,
+        0x8bb5c8a79c352656,
+        0x4863efe26ac832e3,
+        0x916f365e6a08ac39,
+    ),
+];
+
+#[test]
+fn faulted_runs_report_checkpoint_and_resume_as_recorded() {
+    for (variant, report, snaps, snaps_on_two) in FAULTED_GOLDEN {
+        let cfg = faulted(variant);
+        let (single, taken) = run_checkpointed(cfg.clone());
+        let r = single.resilience.as_ref().expect("a fault plan reports");
+        for (what, count) in [
+            ("crashes", r.crashes),
+            ("recoveries", r.recoveries),
+            ("energy deaths", r.energy_deaths),
+            ("started repairs", r.repairs_started),
+        ] {
+            assert!(count > 0, "{variant:?}: the plan caused no {what}");
+        }
+        let (on_two, taken_on_two) = run_checkpointed(sharded(cfg.clone()));
+        assert_eq!(report_digest(&single), report, "{variant:?}: report digest");
+        assert_eq!(
+            masked_digest(&taken),
+            snaps,
+            "{variant:?}: checkpoint bytes digest"
+        );
+        assert_eq!(
+            report_digest(&on_two),
+            report,
+            "{variant:?}: sharded report"
+        );
+        assert_eq!(
+            masked_digest(&taken_on_two),
+            snaps_on_two,
+            "{variant:?}: checkpoint bytes digest on two shards"
+        );
+
+        let first = taken.first().expect("a 3 s run crosses the 250 ms grid");
+        let mid = &taken[taken.len() / 2];
+        for cut in [first, mid] {
+            for resumed in [cfg.clone(), sharded(cfg.clone())] {
+                let mode = resumed.execution_mode();
+                let report_after = Simulator::restore(resumed, cut)
+                    .expect("the checkpoint restores")
+                    .run();
+                assert_eq!(
+                    report_digest(&report_after),
+                    report,
+                    "{variant:?}: resumed from {:?} on {mode:?}",
+                    cut.time()
+                );
+            }
         }
     }
 }
