@@ -5,13 +5,21 @@
 //! transient channel impairment bursts, and per-node energy budgets.
 //! Everything is derived from the master seed and the static schedule,
 //! so the same seed plus the same fault plan produces bit-identical
-//! reports regardless of channel-index, mobility-refresh, or gain-cache
-//! mode — the fault layer never touches the spatial data structures.
+//! reports on one thread or on region shards, and against the reference
+//! channel — the fault layer never touches positions or the spatial
+//! index. A `None` field of the plan injects nothing of its kind.
 //!
-//! All fields are optional so scenario JSON predating the fault layer
-//! parses unchanged.
+//! The simulator keeps the layer's run-time state in a `FaultState`
+//! built from the plan; the state is also the layer's checkpoint
+//! section, and the plan itself is read from the scenario every time.
 
+use pcmac_engine::{Duration, NodeId, RngStream, SimTime};
+use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
+
+use crate::config::ScenarioConfig;
+use crate::event::SimEvent;
+use crate::report::{LatencySummary, ResilienceReport};
 
 /// The most down/up cycles a churn plan may expect to precompute over
 /// all nodes (nodes × window / (mean up + mean down)).
@@ -208,6 +216,366 @@ impl FaultConfig {
         }
     }
 }
+
+/// Runtime fault-injection state, present only when the scenario
+/// carries a fault plan. Every transition is either precomputed from
+/// the master seed at build time (crashes, churn, impairment bursts)
+/// or triggered by deterministic event-stream facts (energy budgets),
+/// and none of them touch positions or the spatial index — which is
+/// what keeps faulted runs bit-identical between the production channel
+/// and the reference scan, single-threaded or sharded.
+///
+/// Crash semantics: a down node schedules no arrivals (nothing it
+/// "sends" radiates), is skipped as a receiver (it hears nothing new),
+/// and accrues no transmit energy. Its MAC/AODV state machines keep
+/// running against the dead radio, so their timer chains stay
+/// consistent and a later recovery resumes cleanly; arrivals already
+/// in flight at the crash instant still land, keeping the radio's
+/// interference bookkeeping exact.
+///
+/// The struct is the layer's checkpoint section, written field by field
+/// in declaration order; the plan it was built from is not part of it.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultState {
+    /// `true` while the node is down.
+    pub(crate) down: Vec<bool>,
+    /// Which impairment bursts are currently active.
+    pub(crate) burst_active: Vec<bool>,
+    /// Product of the active bursts' linear gain attenuations.
+    pub(crate) impair_gain: f64,
+    /// Product of the active bursts' noise multipliers.
+    pub(crate) noise_mult: f64,
+    /// Committed radiated data-channel energy per node (mJ).
+    pub(crate) committed_mj: Vec<f64>,
+    /// Nodes whose budget ran out (their `NodeDown` is permanent).
+    pub(crate) energy_dead: Vec<bool>,
+    /// Fault window from the precomputed schedule alone: start of the
+    /// first activation, end of the last deactivation. Energy deaths
+    /// extend it during the [`FaultState::into_report`] replay.
+    window_start: Option<SimTime>,
+    window_end: Option<SimTime>,
+    /// End of the run (an exhausted budget extends the window to here).
+    run_end: SimTime,
+    pub(crate) crashes: u64,
+    pub(crate) recoveries: u64,
+    pub(crate) energy_deaths: u64,
+    /// Open route-repair observations: (node, destination, first failure).
+    pub(crate) pending_repairs: Vec<(u32, u32, SimTime)>,
+    pub(crate) repairs_started: u64,
+    pub(crate) repair_latency: pcmac_stats::StreamingQuantile,
+    /// Phase-classification facts in processing order, each keyed by the
+    /// global `(time, rank)` of the event that produced it. Classifying
+    /// lazily at report time (instead of against a live, mutating fault
+    /// window) is what lets region shards — which each observe only their
+    /// own slice of the event stream — merge their facts into the exact
+    /// single-threaded counters: sort by key and replay.
+    pub(crate) records: Vec<(SimTime, u128, FaultRecord)>,
+}
+
+/// One phase-classification fact (see [`FaultState::records`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultRecord {
+    /// A source emitted an application packet (classified by record time).
+    Sent,
+    /// A packet reached its sink (classified by its emission time; the
+    /// record time drives reconvergence detection).
+    Delivered {
+        /// When the delivered packet was emitted.
+        created_at: SimTime,
+    },
+    /// A node's energy budget ran out; it dies (and the fault window
+    /// extends to the end of the run) at `death_at`.
+    EnergyDeath {
+        /// End of the transmission that exhausted the budget.
+        death_at: SimTime,
+    },
+}
+
+impl FaultState {
+    /// Precompute `plan`'s entire crash / recover / impairment schedule
+    /// up front, from the master seed and the static plan alone, so the
+    /// injected events are identical whatever execution mode runs them.
+    /// Each event goes to `schedule`; crash and churn events only for
+    /// the nodes `owned` names, impairment edges always.
+    pub(crate) fn new(
+        plan: &FaultConfig,
+        cfg: &ScenarioConfig,
+        owned: impl Fn(usize) -> bool,
+        mut schedule: impl FnMut(SimTime, SimEvent),
+    ) -> FaultState {
+        let n = cfg.nodes.count();
+        let dur_s = cfg.duration.as_secs_f64();
+        let at = |s: f64| SimTime::ZERO + Duration::from_secs_f64(s);
+        let mut starts: Vec<f64> = Vec::new();
+        let mut ends: Vec<f64> = Vec::new();
+        if let Some(crashes) = &plan.crashes {
+            for cw in crashes {
+                // The fault *window* is global — every shard derives
+                // identical phase boundaries — but the events
+                // themselves are owner-only.
+                let node = NodeId(cw.node);
+                if owned(cw.node as usize) {
+                    schedule(at(cw.at_s), SimEvent::NodeDown { node });
+                }
+                starts.push(cw.at_s);
+                match cw.recover_s {
+                    Some(r) => {
+                        if owned(cw.node as usize) {
+                            schedule(at(r), SimEvent::NodeUp { node });
+                        }
+                        ends.push(r.min(dur_s));
+                    }
+                    None => ends.push(dur_s),
+                }
+            }
+        }
+        if let Some(ch) = &plan.churn {
+            let w0 = ch.start_s.unwrap_or(0.0);
+            let w1 = ch.stop_s.unwrap_or(dur_s).min(dur_s);
+            if w1 > w0 {
+                starts.push(w0);
+                ends.push(w1);
+                for i in (0..n).filter(|&i| owned(i)) {
+                    let mut rng = RngStream::derive_sub(cfg.seed, "faults.churn", i as u64);
+                    let node = NodeId(i as u32);
+                    let mut t = w0;
+                    loop {
+                        t += rng.exponential(ch.mean_uptime_s);
+                        if t >= w1 {
+                            break;
+                        }
+                        schedule(at(t), SimEvent::NodeDown { node });
+                        let downtime = rng.exponential(ch.mean_downtime_s);
+                        // A node still down when the window closes
+                        // recovers at the window edge, so the "after"
+                        // phase observes a healed network.
+                        schedule(at((t + downtime).min(w1)), SimEvent::NodeUp { node });
+                        t += downtime;
+                        if t >= w1 {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        let bursts = plan.impairments.as_deref().unwrap_or(&[]);
+        for (index, b) in bursts.iter().enumerate() {
+            schedule(at(b.start_s), SimEvent::ImpairmentStart { index });
+            schedule(at(b.stop_s), SimEvent::ImpairmentEnd { index });
+            starts.push(b.start_s);
+            ends.push(b.stop_s.min(dur_s));
+        }
+        FaultState {
+            down: vec![false; n],
+            burst_active: vec![false; bursts.len()],
+            impair_gain: 1.0,
+            noise_mult: 1.0,
+            committed_mj: vec![0.0; n],
+            energy_dead: vec![false; n],
+            window_start: starts.iter().copied().reduce(f64::min).map(at),
+            window_end: ends.iter().copied().reduce(f64::max).map(at),
+            run_end: SimTime::ZERO + cfg.duration,
+            crashes: 0,
+            recoveries: 0,
+            energy_deaths: 0,
+            pending_repairs: Vec::new(),
+            repairs_started: 0,
+            repair_latency: pcmac_stats::StreamingQuantile::new(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Merge per-shard fault states into the global one: per-node state is
+    /// taken from each node's owner, counters are summed in shard order,
+    /// and the classification records are merged by their global
+    /// `(time, rank)` keys (a stable sort, so same-shard facts from one
+    /// event keep their intra-event order; cross-shard key collisions are
+    /// impossible because a rank pins the event to one node). Open repair
+    /// observations are sorted by `(node, destination, first failure)`,
+    /// so a merged state is the same whichever lanes it came from — and
+    /// so are the checkpoint bytes written from it.
+    pub(crate) fn merge(mut parts: Vec<FaultState>, owner: &[u32]) -> FaultState {
+        let mut base = parts.remove(0);
+        for (k, part) in parts.into_iter().enumerate() {
+            let sid = k as u32 + 1;
+            for (i, &o) in owner.iter().enumerate() {
+                if o == sid {
+                    base.down[i] = part.down[i];
+                    base.committed_mj[i] = part.committed_mj[i];
+                    base.energy_dead[i] = part.energy_dead[i];
+                }
+            }
+            base.crashes += part.crashes;
+            base.recoveries += part.recoveries;
+            base.energy_deaths += part.energy_deaths;
+            base.repairs_started += part.repairs_started;
+            base.repair_latency.merge(&part.repair_latency);
+            base.pending_repairs.extend(part.pending_repairs);
+            base.records.extend(part.records);
+        }
+        base.pending_repairs.sort_unstable();
+        base.records.sort_by_key(|&(t, r, _)| (t, r));
+        base
+    }
+
+    /// The resilience report of the run `plan` was injected into.
+    pub(crate) fn into_report(self, plan: &FaultConfig) -> ResilienceReport {
+        // Replay the classification records in global processing order
+        // against the static window, applying energy-death window
+        // extensions exactly where the live path used to apply them.
+        let mut ws = self.window_start;
+        let mut we = self.window_end;
+        let mut sent_phase = [0u64; 3];
+        let mut delivered_phase = [0u64; 3];
+        let mut reconverged_at = None;
+        // Phase of instant `t`: 0 before, 1 during, 2 after the window.
+        let phase = |ws: Option<SimTime>, we: Option<SimTime>, t: SimTime| match ws {
+            Some(w) if t >= w => match we {
+                Some(e) if t >= e => 2,
+                _ => 1,
+            },
+            _ => 0,
+        };
+        for &(t, _, rec) in &self.records {
+            match rec {
+                FaultRecord::Sent => sent_phase[phase(ws, we, t)] += 1,
+                FaultRecord::Delivered { created_at } => {
+                    delivered_phase[phase(ws, we, created_at)] += 1;
+                    if reconverged_at.is_none() && we.is_some_and(|e| t >= e) {
+                        reconverged_at = Some(t);
+                    }
+                }
+                FaultRecord::EnergyDeath { death_at } => {
+                    if ws.is_none_or(|w| death_at < w) {
+                        ws = Some(death_at);
+                    }
+                    we = Some(self.run_end);
+                    // The window now reaches the end of the run: a
+                    // delivery after the *old* window end no longer
+                    // follows the window (and would lie before its end).
+                    reconverged_at = None;
+                }
+            }
+        }
+        let pdr = |d: u64, s: u64| if s == 0 { 0.0 } else { d as f64 / s as f64 };
+        let residual = plan
+            .energy_budget_mj
+            .map(|b| self.committed_mj.iter().map(|c| (b - c).max(0.0)).collect());
+        ResilienceReport {
+            window_start_s: ws.map(SimTime::as_secs_f64),
+            window_end_s: we.map(SimTime::as_secs_f64),
+            sent_before: sent_phase[0],
+            sent_during: sent_phase[1],
+            sent_after: sent_phase[2],
+            delivered_before: delivered_phase[0],
+            delivered_during: delivered_phase[1],
+            delivered_after: delivered_phase[2],
+            pdr_before: pdr(delivered_phase[0], sent_phase[0]),
+            pdr_during: pdr(delivered_phase[1], sent_phase[1]),
+            pdr_after: pdr(delivered_phase[2], sent_phase[2]),
+            crashes: self.crashes,
+            recoveries: self.recoveries,
+            energy_deaths: self.energy_deaths,
+            dead_nodes_end: self.down.iter().filter(|d| **d).count() as u64,
+            repairs_started: self.repairs_started,
+            repairs_completed: self.repair_latency.count(),
+            repair_latency: LatencySummary::from_streaming(&self.repair_latency),
+            reconverged_after_s: match (reconverged_at, we) {
+                (Some(t), Some(e)) => Some((t - e).as_secs_f64()),
+                _ => None,
+            },
+            residual_energy_mj: residual,
+        }
+    }
+
+    /// Take `loaded`, a checkpoint's fault section, in place of this
+    /// freshly built state, refusing it unless its node and burst counts
+    /// are this scenario's. Per-node flags and the global impairment
+    /// products replicate everywhere (every lane needs them to
+    /// dispatch); cumulative counters, the latency sketch and the
+    /// classification records stay only on the `primary` lane
+    /// (single-threaded, or region shard 0) so the post-run merge sums
+    /// back to the uninterrupted totals. Open repair observations stay
+    /// on the lane owning their node per `shard` (`None` keeps them all).
+    pub(crate) fn restore(
+        &mut self,
+        loaded: &FaultState,
+        primary: bool,
+        shard: Option<(&[u32], u32)>,
+    ) -> Result<(), &'static str> {
+        let n = self.down.len();
+        if [
+            loaded.down.len(),
+            loaded.committed_mj.len(),
+            loaded.energy_dead.len(),
+        ] != [n; 3]
+        {
+            return Err("fault node count");
+        }
+        if loaded.burst_active.len() != self.burst_active.len() {
+            return Err("fault burst count");
+        }
+        *self = loaded.clone();
+        self.pending_repairs
+            .retain(|&(node, _, _)| shard.is_none_or(|(owner, id)| owner[node as usize] == id));
+        if !primary {
+            self.crashes = 0;
+            self.recoveries = 0;
+            self.energy_deaths = 0;
+            self.repairs_started = 0;
+            self.repair_latency = pcmac_stats::StreamingQuantile::new();
+            self.records.clear();
+        }
+        Ok(())
+    }
+}
+
+impl Snap for FaultRecord {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            FaultRecord::Sent => w.u8(0),
+            FaultRecord::Delivered { created_at } => {
+                w.u8(1);
+                created_at.save(w);
+            }
+            FaultRecord::EnergyDeath { death_at } => {
+                w.u8(2);
+                death_at.save(w);
+            }
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => FaultRecord::Sent,
+            1 => FaultRecord::Delivered {
+                created_at: Snap::load(r)?,
+            },
+            2 => FaultRecord::EnergyDeath {
+                death_at: Snap::load(r)?,
+            },
+            _ => return Err(SnapError::Corrupt("fault record tag")),
+        })
+    }
+}
+
+pcmac_snap::snap_struct!(FaultState {
+    down,
+    burst_active,
+    impair_gain,
+    noise_mult,
+    committed_mj,
+    energy_dead,
+    window_start,
+    window_end,
+    run_end,
+    crashes,
+    recoveries,
+    energy_deaths,
+    pending_repairs,
+    repairs_started,
+    repair_latency,
+    records,
+});
 
 #[cfg(test)]
 mod tests {

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use pcmac_aodv::DropReason;
-use pcmac_engine::{Duration, PacketId, SimTime};
+use pcmac_engine::{Duration, Milliwatts, PacketId, SimTime};
 use pcmac_phy::SparseCacheStats;
 
 use crate::node::Node;
@@ -54,6 +54,13 @@ pub struct MetricsConfig {
     /// round to at least 1 ns; one [`ProbeSample`] is recorded at every
     /// multiple of this interval that falls inside the run.
     pub probe_interval_s: f64,
+}
+
+impl MetricsConfig {
+    /// The probe period, rounded to whole nanoseconds.
+    pub(crate) fn interval(&self) -> Duration {
+        Duration::from_secs_f64(self.probe_interval_s)
+    }
 }
 
 impl Default for MetricsConfig {
@@ -348,30 +355,10 @@ struct RawSample {
     delivered_cum: u64,
 }
 
-/// Portable checkpoint image of [`MetricsState`]: everything that
-/// cannot be rebuilt from the scenario config. Captured by
-/// [`MetricsState::capture`], re-applied by
-/// [`MetricsState::restore_from`].
-#[derive(Debug, Clone)]
-pub(crate) struct MetricsSnap {
-    probes_scheduled: u64,
-    samples: Vec<RawSample>,
-    sent: u64,
-    delivered_cum: u64,
-    duplicate_deliveries: u64,
-    fates: HashMap<u64, Fate>,
-    phy: PhyMetrics,
-    rx_overlap: Vec<bool>,
-    data_tx_by_level: Vec<u64>,
-    data_tx_unclassified: u64,
-    ctrl_tx: u64,
-    hot: HotPathProfile,
-}
-
 mod snap {
     //! Wire format for the metrics checkpoint section.
 
-    use super::{Drop, Fate, HotPathProfile, MetricsSnap, PhyMetrics, RawSample};
+    use super::{Drop, Fate, HotPathProfile, MetricsState, PhyMetrics, RawSample};
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for Drop {
@@ -468,7 +455,7 @@ mod snap {
         delivered_cum,
     });
 
-    pcmac_snap::snap_struct!(MetricsSnap {
+    pcmac_snap::snap_struct!(MetricsState {
         probes_scheduled,
         samples,
         sent,
@@ -488,10 +475,11 @@ mod snap {
 /// the scenario enabled metrics). The simulator mutates the public
 /// counters inline on its hot paths and calls the `note_*` methods at
 /// the packet-fate sites; [`MetricsState::finish`] folds everything
-/// into the serializable [`SimMetrics`].
+/// into the serializable [`SimMetrics`]. The struct is the layer's
+/// checkpoint section, written field by field in declaration order; the
+/// probe interval and the power levels are read from the scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct MetricsState {
-    interval: Duration,
     /// `MetricsProbe` events scheduled so far — subtracted from the
     /// queue's scheduled total so the reported event count matches a
     /// metrics-off run exactly.
@@ -509,8 +497,7 @@ pub(crate) struct MetricsState {
     /// Per-receiver flag: the arrival currently locked at this node has
     /// seen at least one overlapping arrival (capture-effect bookkeeping).
     pub(crate) rx_overlap: Vec<bool>,
-    /// The scenario's power levels (mW), for TX classification.
-    levels_mw: Vec<f64>,
+    /// Data-channel transmissions per scenario power level.
     data_tx_by_level: Vec<u64>,
     data_tx_unclassified: u64,
     ctrl_tx: u64,
@@ -519,10 +506,9 @@ pub(crate) struct MetricsState {
 }
 
 impl MetricsState {
-    pub(crate) fn new(cfg: MetricsConfig, node_count: usize, levels_mw: Vec<f64>) -> MetricsState {
-        let n = levels_mw.len();
+    /// A fresh state for `node_count` stations and `levels` power levels.
+    pub(crate) fn new(node_count: usize, levels: usize) -> MetricsState {
         MetricsState {
-            interval: Duration::from_secs_f64(cfg.probe_interval_s),
             probes_scheduled: 0,
             samples: Vec::new(),
             sent: 0,
@@ -531,17 +517,11 @@ impl MetricsState {
             fates: HashMap::new(),
             phy: PhyMetrics::default(),
             rx_overlap: vec![false; node_count],
-            levels_mw,
-            data_tx_by_level: vec![0; n],
+            data_tx_by_level: vec![0; levels],
             data_tx_unclassified: 0,
             ctrl_tx: 0,
             hot: HotPathProfile::default(),
         }
-    }
-
-    /// The probe period.
-    pub(crate) fn interval(&self) -> Duration {
-        self.interval
     }
 
     /// Register an emitted application packet (fate: in flight).
@@ -590,9 +570,10 @@ impl MetricsState {
         }
     }
 
-    /// Classify a data-channel transmission by power level.
-    pub(crate) fn note_data_tx(&mut self, power_mw: f64) {
-        match self.levels_mw.iter().position(|&l| l == power_mw) {
+    /// Classify a data-channel transmission by the scenario's power
+    /// `levels`.
+    pub(crate) fn note_data_tx(&mut self, power_mw: f64, levels: &[Milliwatts]) {
+        match levels.iter().position(|l| l.value() == power_mw) {
             Some(i) => self.data_tx_by_level[i] += 1,
             None => self.data_tx_unclassified += 1,
         }
@@ -624,76 +605,52 @@ impl MetricsState {
         });
     }
 
-    /// Capture everything the constructor cannot rebuild from the
-    /// scenario config into a portable checkpoint image. For sharded
-    /// runs the caller merges the per-shard states first, so the image
-    /// is the same single-equivalent view either way.
-    pub(crate) fn capture(&self) -> MetricsSnap {
-        MetricsSnap {
-            probes_scheduled: self.probes_scheduled,
-            samples: self.samples.clone(),
-            sent: self.sent,
-            delivered_cum: self.delivered_cum,
-            duplicate_deliveries: self.duplicate_deliveries,
-            fates: self.fates.clone(),
-            phy: self.phy,
-            rx_overlap: self.rx_overlap.clone(),
-            data_tx_by_level: self.data_tx_by_level.clone(),
-            data_tx_unclassified: self.data_tx_unclassified,
-            ctrl_tx: self.ctrl_tx,
-            hot: self.hot,
-        }
-    }
-
-    /// Overlay a checkpoint image on a freshly-built state. Exactly one
-    /// execution lane restores as `primary` (the single-threaded run, or
-    /// region shard 0) and receives the cumulative counters and samples;
-    /// the other shards keep zeros so the final [`MetricsState::merge`]
-    /// sums back to the uninterrupted totals. Per-packet fates and the
+    /// Take `loaded`, a checkpoint's metrics section, in place of this
+    /// freshly built state, refusing it unless its node and power-level
+    /// counts are this scenario's. Exactly one execution lane restores
+    /// as `primary` (the single-threaded run, or region shard 0) and
+    /// keeps the cumulative counters and samples; the other shards keep
+    /// zeros so the final [`MetricsState::merge`] sums back to the
+    /// uninterrupted totals. The probe count, per-packet fates and the
     /// rx-overlap flags replicate everywhere: fate resolution is
     /// idempotent under merge, and each shard needs the full map to
     /// classify post-restore duplicate deliveries the same way an
     /// uninterrupted run would.
-    pub(crate) fn restore_from(
+    pub(crate) fn restore(
         &mut self,
-        snap: &MetricsSnap,
+        loaded: &MetricsState,
         primary: bool,
     ) -> Result<(), &'static str> {
-        if snap.rx_overlap.len() != self.rx_overlap.len() {
+        if loaded.rx_overlap.len() != self.rx_overlap.len() {
             return Err("metrics node count");
         }
-        if snap.data_tx_by_level.len() != self.data_tx_by_level.len() {
+        if loaded.data_tx_by_level.len() != self.data_tx_by_level.len() {
             return Err("metrics power-level count");
         }
-        self.probes_scheduled = snap.probes_scheduled;
-        self.fates = snap.fates.clone();
-        self.rx_overlap = snap.rx_overlap.clone();
-        if primary {
-            self.samples = snap.samples.clone();
-            self.sent = snap.sent;
-            self.delivered_cum = snap.delivered_cum;
-            self.duplicate_deliveries = snap.duplicate_deliveries;
-            self.phy = snap.phy;
-            self.data_tx_by_level = snap.data_tx_by_level.clone();
-            self.data_tx_unclassified = snap.data_tx_unclassified;
-            self.ctrl_tx = snap.ctrl_tx;
-            self.hot = snap.hot;
+        *self = if primary {
+            loaded.clone()
         } else {
-            // Zero-valued shadows at the captured instants keep the
-            // pairwise sample merge aligned.
-            self.samples = snap
-                .samples
-                .iter()
-                .map(|s| RawSample {
-                    t: s.t,
-                    live: 0,
-                    busy: 0,
-                    queue_sum: 0,
-                    sent_cum: 0,
-                    delivered_cum: 0,
-                })
-                .collect();
-        }
+            MetricsState {
+                probes_scheduled: loaded.probes_scheduled,
+                // Zero-valued shadows at the captured instants keep the
+                // pairwise sample merge aligned.
+                samples: loaded
+                    .samples
+                    .iter()
+                    .map(|s| RawSample {
+                        t: s.t,
+                        live: 0,
+                        busy: 0,
+                        queue_sum: 0,
+                        sent_cum: 0,
+                        delivered_cum: 0,
+                    })
+                    .collect(),
+                fates: loaded.fates.clone(),
+                rx_overlap: loaded.rx_overlap.clone(),
+                ..MetricsState::new(self.rx_overlap.len(), self.data_tx_by_level.len())
+            }
+        };
         Ok(())
     }
 
@@ -784,8 +741,14 @@ impl MetricsState {
         base
     }
 
-    /// Fold the collected state into the serializable report section.
-    pub(crate) fn finish(self, nodes: &[&Node]) -> SimMetrics {
+    /// Fold the collected state into the serializable report section,
+    /// sampled every `interval` against the scenario's power `levels`.
+    pub(crate) fn finish(
+        self,
+        interval: Duration,
+        levels: &[Milliwatts],
+        nodes: &[&Node],
+    ) -> SimMetrics {
         let mut drops = DropTaxonomy {
             sent: self.sent,
             duplicate_deliveries: self.duplicate_deliveries,
@@ -897,14 +860,14 @@ impl MetricsState {
         }
 
         SimMetrics {
-            probe_interval_s: self.interval.as_secs_f64(),
+            probe_interval_s: interval.as_secs_f64(),
             samples,
             drops,
             mac,
             phy: self.phy,
             routing,
             tx_power: TxPowerMetrics {
-                levels_mw: self.levels_mw,
+                levels_mw: levels.iter().map(|p| p.value()).collect(),
                 data_tx_by_level: self.data_tx_by_level,
                 data_tx_unclassified: self.data_tx_unclassified,
                 ctrl_tx: self.ctrl_tx,
@@ -927,6 +890,20 @@ mod tests {
         assert_eq!(MetricsConfig::default().probe_interval_s, 1.0);
     }
 
+    /// The one power level the tests classify against.
+    const LEVELS: &[Milliwatts] = &[Milliwatts(1.0)];
+
+    /// A fresh state for one station.
+    fn fresh() -> MetricsState {
+        MetricsState::new(1, LEVELS.len())
+    }
+
+    /// The report section at the default probe interval.
+    fn finish(m: MetricsState) -> SimMetrics {
+        let interval = MetricsConfig::default().interval();
+        m.finish(interval, LEVELS, &[])
+    }
+
     /// Drop at a synthetic `(time, rank)` key.
     fn drop_at(m: &mut MetricsState, id: u64, reason: Drop, t_ns: u64) {
         m.note_dropped(PacketId(id), reason, SimTime::from_nanos(t_ns), 0);
@@ -934,7 +911,7 @@ mod tests {
 
     #[test]
     fn fate_map_is_conservation_complete() {
-        let mut m = MetricsState::new(MetricsConfig::default(), 2, vec![1.0, 2.0]);
+        let mut m = fresh();
         for id in 0..6u64 {
             m.note_sent(PacketId(id));
         }
@@ -945,7 +922,7 @@ mod tests {
         drop_at(&mut m, 2, Drop::EmitDead, 30);
         drop_at(&mut m, 3, Drop::TtlExpired, 40);
         m.note_delivered(PacketId(3)); // delivery overrides a drop
-        let s = m.finish(&[]);
+        let s = finish(m);
         let d = &s.drops;
         assert_eq!(d.sent, 6);
         assert_eq!(d.delivered_unique, 2);
@@ -963,12 +940,12 @@ mod tests {
         // A sink shard delivers (or drops) packets whose emission was
         // registered on the source's shard: the fate records without a
         // prior `note_sent`, and `sent` is untouched.
-        let mut m = MetricsState::new(MetricsConfig::default(), 1, vec![]);
+        let mut m = fresh();
         m.note_delivered(PacketId(7));
         drop_at(&mut m, 8, Drop::NoRoute, 5);
         assert_eq!(m.sent, 0);
         assert_eq!(m.delivered_cum, 1);
-        let s = m.finish(&[]);
+        let s = finish(m);
         assert_eq!(s.drops.delivered_unique, 1);
         assert_eq!(s.drops.no_route, 1);
     }
@@ -976,25 +953,24 @@ mod tests {
     #[test]
     fn merge_resolves_fates_and_sums_counters() {
         // Shard A owns the source: registers emissions.
-        let mut a = MetricsState::new(MetricsConfig::default(), 1, vec![1.0]);
+        let mut a = fresh();
         for id in 0..4u64 {
             a.note_sent(PacketId(id));
         }
         drop_at(&mut a, 1, Drop::NoRoute, 100); // later drop of a copy
         drop_at(&mut a, 2, Drop::TtlExpired, 50);
-        a.note_data_tx(1.0);
+        a.note_data_tx(1.0, LEVELS);
         a.record_probe(SimTime::from_nanos(1_000), 2, 1, 3);
         // Shard B owns the sink: sees deliveries and earlier drops.
-        let mut b = MetricsState::new(MetricsConfig::default(), 1, vec![1.0]);
+        let mut b = fresh();
         b.note_delivered(PacketId(0));
         b.note_delivered(PacketId(0)); // duplicate
         drop_at(&mut b, 1, Drop::MacQueueFull, 60); // globally first
         b.note_delivered(PacketId(2)); // delivery beats A's drop
-        b.note_data_tx(1.0);
+        b.note_data_tx(1.0, LEVELS);
         b.record_probe(SimTime::from_nanos(1_000), 1, 1, 2);
 
-        let m = MetricsState::merge(vec![a, b]);
-        let s = m.finish(&[]);
+        let s = finish(MetricsState::merge(vec![a, b]));
         let d = &s.drops;
         assert_eq!(d.sent, 4);
         assert_eq!(d.delivered_unique, 2);
@@ -1013,10 +989,10 @@ mod tests {
 
     #[test]
     fn probe_samples_divide_safely() {
-        let mut m = MetricsState::new(MetricsConfig::default(), 1, vec![]);
+        let mut m = fresh();
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(1.0), 0, 0, 0);
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(2.0), 4, 1, 6);
-        let s = m.finish(&[]);
+        let s = finish(m);
         assert_eq!(s.samples.len(), 2);
         assert_eq!(s.samples[0].busy_fraction, 0.0);
         assert_eq!(s.samples[1].busy_fraction, 0.25);

@@ -21,10 +21,10 @@ use pcmac_phy::{RadioConfig, RxRow};
 use crate::channel::{Arrival, Channel, Payload, QueueEntry, Shipment, Transmission};
 use crate::config::{ExecutionMode, NodeSetup, ScenarioConfig};
 use crate::event::SimEvent;
-use crate::fault::FaultConfig;
+use crate::fault::{FaultRecord, FaultState};
 use crate::metrics::{Drop as PacketDrop, MetricsState};
 use crate::node::{Node, TrafficSource};
-use crate::report::{LatencySummary, ResilienceReport, RunReport};
+use crate::report::RunReport;
 use crate::snapshot::{RunHooks, RunOutcome, SimSnapshot};
 use crate::soa::HotState;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -55,343 +55,6 @@ impl<T> BufPool<T> {
         buf.clear();
         self.free.push(buf);
     }
-}
-
-/// Runtime fault-injection state, present only when the scenario
-/// carries a fault plan. Every transition is either precomputed from
-/// the master seed at build time (crashes, churn, impairment bursts)
-/// or triggered by deterministic event-stream facts (energy budgets),
-/// and none of them touch positions, the spatial index, or the gain
-/// cache — which is what keeps faulted runs bit-identical between the
-/// production channel and the reference scan, single-threaded or
-/// sharded.
-///
-/// Crash semantics: a down node schedules no arrivals (nothing it
-/// "sends" radiates), is skipped as a receiver (it hears nothing new),
-/// and accrues no transmit energy. Its MAC/AODV state machines keep
-/// running against the dead radio, so their timer chains stay
-/// consistent and a later recovery resumes cleanly; arrivals already
-/// in flight at the crash instant still land, keeping the radio's
-/// interference bookkeeping exact.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultState {
-    plan: FaultConfig,
-    /// `true` while the node is down.
-    down: Vec<bool>,
-    /// Which impairment bursts are currently active.
-    burst_active: Vec<bool>,
-    /// Product of the active bursts' linear gain attenuations.
-    impair_gain: f64,
-    /// Product of the active bursts' noise multipliers.
-    noise_mult: f64,
-    /// Committed radiated data-channel energy per node (mJ).
-    committed_mj: Vec<f64>,
-    /// Nodes whose budget ran out (their `NodeDown` is permanent).
-    energy_dead: Vec<bool>,
-    /// Fault window from the precomputed schedule alone: start of the
-    /// first activation, end of the last deactivation. Energy deaths
-    /// extend it during the [`FaultState::into_report`] replay.
-    window_start: Option<SimTime>,
-    window_end: Option<SimTime>,
-    /// End of the run (an exhausted budget extends the window to here).
-    run_end: SimTime,
-    crashes: u64,
-    recoveries: u64,
-    energy_deaths: u64,
-    /// Open route-repair observations: (node, destination, first failure).
-    pending_repairs: Vec<(u32, u32, SimTime)>,
-    repairs_started: u64,
-    repair_latency: pcmac_stats::StreamingQuantile,
-    /// Phase-classification facts in processing order, each keyed by the
-    /// global `(time, rank)` of the event that produced it. Classifying
-    /// lazily at report time (instead of against a live, mutating fault
-    /// window) is what lets region shards — which each observe only their
-    /// own slice of the event stream — merge their facts into the exact
-    /// single-threaded counters: sort by key and replay.
-    records: Vec<(SimTime, u128, FaultRecord)>,
-}
-
-/// One phase-classification fact (see [`FaultState::records`]).
-#[derive(Debug, Clone, Copy)]
-enum FaultRecord {
-    /// A source emitted an application packet (classified by record time).
-    Sent,
-    /// A packet reached its sink (classified by its emission time; the
-    /// record time drives reconvergence detection).
-    Delivered {
-        /// When the delivered packet was emitted.
-        created_at: SimTime,
-    },
-    /// A node's energy budget ran out; it dies (and the fault window
-    /// extends to the end of the run) at `death_at`.
-    EnergyDeath {
-        /// End of the transmission that exhausted the budget.
-        death_at: SimTime,
-    },
-}
-
-impl FaultState {
-    /// Merge per-shard fault states into the global one: per-node state is
-    /// taken from each node's owner, counters are summed in shard order,
-    /// and the classification records are merged by their global
-    /// `(time, rank)` keys (a stable sort, so same-shard facts from one
-    /// event keep their intra-event order; cross-shard key collisions are
-    /// impossible because a rank pins the event to one node).
-    pub(crate) fn merge(mut parts: Vec<FaultState>, owner: &[u32]) -> FaultState {
-        let mut base = parts.remove(0);
-        for (k, part) in parts.into_iter().enumerate() {
-            let sid = k as u32 + 1;
-            for (i, &o) in owner.iter().enumerate() {
-                if o == sid {
-                    base.down[i] = part.down[i];
-                    base.committed_mj[i] = part.committed_mj[i];
-                    base.energy_dead[i] = part.energy_dead[i];
-                }
-            }
-            base.crashes += part.crashes;
-            base.recoveries += part.recoveries;
-            base.energy_deaths += part.energy_deaths;
-            base.repairs_started += part.repairs_started;
-            base.repair_latency.merge(&part.repair_latency);
-            base.pending_repairs.extend(part.pending_repairs);
-            base.records.extend(part.records);
-        }
-        base.records.sort_by_key(|&(t, r, _)| (t, r));
-        base
-    }
-
-    pub(crate) fn into_report(self) -> ResilienceReport {
-        // Replay the classification records in global processing order
-        // against the static window, applying energy-death window
-        // extensions exactly where the live path used to apply them.
-        let mut ws = self.window_start;
-        let mut we = self.window_end;
-        let mut sent_phase = [0u64; 3];
-        let mut delivered_phase = [0u64; 3];
-        let mut reconverged_at = None;
-        // Phase of instant `t`: 0 before, 1 during, 2 after the window.
-        let phase = |ws: Option<SimTime>, we: Option<SimTime>, t: SimTime| match ws {
-            Some(w) if t >= w => match we {
-                Some(e) if t >= e => 2,
-                _ => 1,
-            },
-            _ => 0,
-        };
-        for &(t, _, rec) in &self.records {
-            match rec {
-                FaultRecord::Sent => sent_phase[phase(ws, we, t)] += 1,
-                FaultRecord::Delivered { created_at } => {
-                    delivered_phase[phase(ws, we, created_at)] += 1;
-                    if reconverged_at.is_none() && we.is_some_and(|e| t >= e) {
-                        reconverged_at = Some(t);
-                    }
-                }
-                FaultRecord::EnergyDeath { death_at } => {
-                    if ws.is_none_or(|w| death_at < w) {
-                        ws = Some(death_at);
-                    }
-                    we = Some(self.run_end);
-                    // The window now reaches the end of the run: a
-                    // delivery after the *old* window end no longer
-                    // follows the window (and would lie before its end).
-                    reconverged_at = None;
-                }
-            }
-        }
-        let pdr = |d: u64, s: u64| if s == 0 { 0.0 } else { d as f64 / s as f64 };
-        let residual = self
-            .plan
-            .energy_budget_mj
-            .map(|b| self.committed_mj.iter().map(|c| (b - c).max(0.0)).collect());
-        ResilienceReport {
-            window_start_s: ws.map(SimTime::as_secs_f64),
-            window_end_s: we.map(SimTime::as_secs_f64),
-            sent_before: sent_phase[0],
-            sent_during: sent_phase[1],
-            sent_after: sent_phase[2],
-            delivered_before: delivered_phase[0],
-            delivered_during: delivered_phase[1],
-            delivered_after: delivered_phase[2],
-            pdr_before: pdr(delivered_phase[0], sent_phase[0]),
-            pdr_during: pdr(delivered_phase[1], sent_phase[1]),
-            pdr_after: pdr(delivered_phase[2], sent_phase[2]),
-            crashes: self.crashes,
-            recoveries: self.recoveries,
-            energy_deaths: self.energy_deaths,
-            dead_nodes_end: self.down.iter().filter(|d| **d).count() as u64,
-            repairs_started: self.repairs_started,
-            repairs_completed: self.repair_latency.count(),
-            repair_latency: LatencySummary::from_streaming(&self.repair_latency),
-            reconverged_after_s: match (reconverged_at, we) {
-                (Some(t), Some(e)) => Some((t - e).as_secs_f64()),
-                _ => None,
-            },
-            residual_energy_mj: residual,
-        }
-    }
-
-    /// Capture everything the build cannot reconstruct from the fault
-    /// plan into a portable checkpoint image. Repair observations and
-    /// classification records are sorted into their canonical key order
-    /// so a sharded capture and a single-threaded one produce identical
-    /// bytes.
-    pub(crate) fn capture(&self) -> FaultSnap {
-        let mut pending_repairs = self.pending_repairs.clone();
-        pending_repairs.sort_by_key(|&(node, dst, t)| (node, dst, t));
-        let mut records = self.records.clone();
-        records.sort_by_key(|&(t, r, _)| (t, r));
-        FaultSnap {
-            down: self.down.clone(),
-            burst_active: self.burst_active.clone(),
-            impair_gain: self.impair_gain,
-            noise_mult: self.noise_mult,
-            committed_mj: self.committed_mj.clone(),
-            energy_dead: self.energy_dead.clone(),
-            window_start: self.window_start,
-            window_end: self.window_end,
-            run_end: self.run_end,
-            crashes: self.crashes,
-            recoveries: self.recoveries,
-            energy_deaths: self.energy_deaths,
-            pending_repairs,
-            repairs_started: self.repairs_started,
-            repair_latency: self.repair_latency.clone(),
-            records,
-        }
-    }
-
-    /// Overlay a checkpoint image on a freshly-built state. Per-node
-    /// flags and the global impairment products replicate everywhere
-    /// (every lane needs them to dispatch correctly); cumulative
-    /// counters, the latency sketch, and the classification records load
-    /// only into the `primary` lane (single-threaded, or region shard 0)
-    /// so the post-run merge sums back to the uninterrupted totals. Open
-    /// repair observations route to the lane owning their node per
-    /// `shard` (`None` keeps them all).
-    pub(crate) fn restore_from(
-        &mut self,
-        snap: &FaultSnap,
-        primary: bool,
-        shard: Option<(&[u32], u32)>,
-    ) -> Result<(), &'static str> {
-        if snap.down.len() != self.down.len()
-            || snap.committed_mj.len() != self.committed_mj.len()
-            || snap.energy_dead.len() != self.energy_dead.len()
-        {
-            return Err("fault node count");
-        }
-        if snap.burst_active.len() != self.burst_active.len() {
-            return Err("fault burst count");
-        }
-        self.down = snap.down.clone();
-        self.burst_active = snap.burst_active.clone();
-        self.impair_gain = snap.impair_gain;
-        self.noise_mult = snap.noise_mult;
-        self.committed_mj = snap.committed_mj.clone();
-        self.energy_dead = snap.energy_dead.clone();
-        self.window_start = snap.window_start;
-        self.window_end = snap.window_end;
-        self.run_end = snap.run_end;
-        self.pending_repairs = snap
-            .pending_repairs
-            .iter()
-            .copied()
-            .filter(|&(node, _, _)| shard.is_none_or(|(owner, id)| owner[node as usize] == id))
-            .collect();
-        if primary {
-            self.crashes = snap.crashes;
-            self.recoveries = snap.recoveries;
-            self.energy_deaths = snap.energy_deaths;
-            self.repairs_started = snap.repairs_started;
-            self.repair_latency = snap.repair_latency.clone();
-            self.records = snap.records.clone();
-        }
-        Ok(())
-    }
-}
-
-/// Portable checkpoint image of [`FaultState`] — everything except the
-/// static plan, which restore rebuilds from the scenario config.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultSnap {
-    down: Vec<bool>,
-    burst_active: Vec<bool>,
-    impair_gain: f64,
-    noise_mult: f64,
-    committed_mj: Vec<f64>,
-    energy_dead: Vec<bool>,
-    window_start: Option<SimTime>,
-    window_end: Option<SimTime>,
-    run_end: SimTime,
-    crashes: u64,
-    recoveries: u64,
-    energy_deaths: u64,
-    /// Sorted by `(node, dst, first_failure)` at capture.
-    pending_repairs: Vec<(u32, u32, SimTime)>,
-    repairs_started: u64,
-    repair_latency: pcmac_stats::StreamingQuantile,
-    /// Sorted by the global `(time, rank)` key at capture.
-    records: Vec<(SimTime, u128, FaultRecord)>,
-}
-
-impl FaultSnap {
-    /// Nodes down at the cut (used to seed alive flags and shard
-    /// transition logs on restore).
-    pub(crate) fn down(&self) -> &[bool] {
-        &self.down
-    }
-}
-
-mod fault_snap {
-    use super::{FaultRecord, FaultSnap};
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for FaultRecord {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                FaultRecord::Sent => w.u8(0),
-                FaultRecord::Delivered { created_at } => {
-                    w.u8(1);
-                    created_at.save(w);
-                }
-                FaultRecord::EnergyDeath { death_at } => {
-                    w.u8(2);
-                    death_at.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => FaultRecord::Sent,
-                1 => FaultRecord::Delivered {
-                    created_at: Snap::load(r)?,
-                },
-                2 => FaultRecord::EnergyDeath {
-                    death_at: Snap::load(r)?,
-                },
-                _ => return Err(SnapError::Corrupt("fault record tag")),
-            })
-        }
-    }
-
-    pcmac_snap::snap_struct!(FaultSnap {
-        down,
-        burst_active,
-        impair_gain,
-        noise_mult,
-        committed_mj,
-        energy_dead,
-        window_start,
-        window_end,
-        run_end,
-        crashes,
-        recoveries,
-        energy_deaths,
-        pending_repairs,
-        repairs_started,
-        repair_latency,
-        records,
-    });
 }
 
 /// Per-shard execution context: which nodes this simulator dispatches,
@@ -691,116 +354,8 @@ impl Simulator {
             home_node.sources.push(src);
         }
 
-        // Fault plan: precompute the entire crash/recover/impairment
-        // schedule up front, from the master seed and the static plan
-        // alone, so the injected events are identical whatever gain path
-        // or execution mode runs them.
         let faults = cfg.faults.as_ref().map(|plan| {
-            let dur_s = cfg.duration.as_secs_f64();
-            let at = |s: f64| SimTime::ZERO + Duration::from_secs_f64(s);
-            let mut starts: Vec<f64> = Vec::new();
-            let mut ends: Vec<f64> = Vec::new();
-            if let Some(crashes) = &plan.crashes {
-                for cw in crashes {
-                    // The fault *window* is global — every shard derives
-                    // identical phase boundaries — but the events
-                    // themselves are owner-only.
-                    if owned(cw.node as usize) {
-                        sched_into(
-                            &mut queue,
-                            at(cw.at_s),
-                            SimEvent::NodeDown {
-                                node: NodeId(cw.node),
-                            },
-                        );
-                    }
-                    starts.push(cw.at_s);
-                    match cw.recover_s {
-                        Some(r) => {
-                            if owned(cw.node as usize) {
-                                sched_into(
-                                    &mut queue,
-                                    at(r),
-                                    SimEvent::NodeUp {
-                                        node: NodeId(cw.node),
-                                    },
-                                );
-                            }
-                            ends.push(r.min(dur_s));
-                        }
-                        None => ends.push(dur_s),
-                    }
-                }
-            }
-            if let Some(ch) = &plan.churn {
-                let w0 = ch.start_s.unwrap_or(0.0);
-                let w1 = ch.stop_s.unwrap_or(dur_s).min(dur_s);
-                if w1 > w0 {
-                    starts.push(w0);
-                    ends.push(w1);
-                    for i in (0..n).filter(|&i| owned(i)) {
-                        let mut rng = RngStream::derive_sub(cfg.seed, "faults.churn", i as u64);
-                        let node = NodeId(i as u32);
-                        let mut t = w0;
-                        loop {
-                            t += rng.exponential(ch.mean_uptime_s);
-                            if t >= w1 {
-                                break;
-                            }
-                            sched_into(&mut queue, at(t), SimEvent::NodeDown { node });
-                            let downtime = rng.exponential(ch.mean_downtime_s);
-                            // A node still down when the window closes
-                            // recovers at the window edge, so the
-                            // "after" phase observes a healed network.
-                            sched_into(
-                                &mut queue,
-                                at((t + downtime).min(w1)),
-                                SimEvent::NodeUp { node },
-                            );
-                            t += downtime;
-                            if t >= w1 {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(bursts) = &plan.impairments {
-                for (k, b) in bursts.iter().enumerate() {
-                    sched_into(
-                        &mut queue,
-                        at(b.start_s),
-                        SimEvent::ImpairmentStart { index: k },
-                    );
-                    sched_into(
-                        &mut queue,
-                        at(b.stop_s),
-                        SimEvent::ImpairmentEnd { index: k },
-                    );
-                    starts.push(b.start_s);
-                    ends.push(b.stop_s.min(dur_s));
-                }
-            }
-            let n_bursts = plan.impairments.as_ref().map_or(0, Vec::len);
-            FaultState {
-                plan: plan.clone(),
-                down: vec![false; n],
-                burst_active: vec![false; n_bursts],
-                impair_gain: 1.0,
-                noise_mult: 1.0,
-                committed_mj: vec![0.0; n],
-                energy_dead: vec![false; n],
-                window_start: starts.iter().copied().reduce(f64::min).map(at),
-                window_end: ends.iter().copied().reduce(f64::max).map(at),
-                run_end: SimTime::ZERO + cfg.duration,
-                crashes: 0,
-                recoveries: 0,
-                energy_deaths: 0,
-                pending_repairs: Vec::new(),
-                repairs_started: 0,
-                repair_latency: pcmac_stats::StreamingQuantile::new(),
-                records: Vec::new(),
-            }
+            FaultState::new(plan, &cfg, owned, |at, ev| sched_into(&mut queue, at, ev))
         });
 
         // Observability: the probe chain rides the ordinary event queue.
@@ -808,20 +363,15 @@ impl Simulator {
         // shift sequence numbers monotonically, so every other pair of
         // events keeps its relative order — a metrics-on run behaves
         // bit-identically to a metrics-off run.
-        let mut metrics = cfg.metrics.map(|mc| {
-            MetricsState::new(
-                mc,
-                n,
-                cfg.mac.levels.all().iter().map(|p| p.value()).collect(),
-            )
-        });
-        if let Some(m) = &mut metrics {
-            let first = SimTime::ZERO + m.interval();
+        let metrics = cfg.metrics.map(|mc| {
+            let mut m = MetricsState::new(n, cfg.mac.levels.count());
+            let first = SimTime::ZERO + mc.interval();
             if first <= SimTime::ZERO + cfg.duration {
                 sched_into(&mut queue, first, SimEvent::MetricsProbe);
                 m.probes_scheduled += 1;
             }
-        }
+            m
+        });
 
         let mut hot = HotState {
             positions,
@@ -1540,9 +1090,11 @@ impl Simulator {
                 .as_deref()
                 .map_or(0, |node| node.mac.queue_len() as u64);
         }
-        let Some(m) = &mut self.metrics else { return };
+        let (Some(m), Some(mc)) = (&mut self.metrics, self.cfg.metrics) else {
+            return;
+        };
         m.record_probe(now, live, busy, queue_sum);
-        let next = now + m.interval();
+        let next = now + mc.interval();
         if next <= end {
             sched_into(&mut self.queue, next, SimEvent::MetricsProbe);
             m.probes_scheduled += 1;
@@ -1588,7 +1140,10 @@ impl Simulator {
             }
             fs.down[i] = false;
             fs.recoveries += 1;
-            fs.plan.expire_routes == Some(true)
+            self.cfg
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.expire_routes == Some(true))
         };
         self.hot.alive[i] = true;
         if let Some(ctx) = &mut self.shard {
@@ -1609,9 +1164,11 @@ impl Simulator {
     /// the active set, so there is no incremental float drift), and
     /// scale the noise floor every receive row is read against.
     fn set_impairment(&mut self, index: usize, active: bool) {
-        let Some(fs) = &mut self.faults else { return };
+        let (Some(fs), Some(plan)) = (&mut self.faults, &self.cfg.faults) else {
+            return;
+        };
         fs.burst_active[index] = active;
-        let bursts = fs.plan.impairments.as_deref().unwrap_or(&[]);
+        let bursts = plan.impairments.as_deref().unwrap_or(&[]);
         let mut gain = 1.0;
         let mut noise = 1.0;
         for (k, b) in bursts.iter().enumerate() {
@@ -1635,7 +1192,7 @@ impl Simulator {
         let (now, cur_rank) = self.cur;
         let died = {
             let Some(fs) = &mut self.faults else { return };
-            let Some(budget) = fs.plan.energy_budget_mj else {
+            let Some(budget) = self.cfg.faults.as_ref().and_then(|p| p.energy_budget_mj) else {
                 return;
             };
             if fs.energy_dead[i] {
@@ -1865,7 +1422,7 @@ impl Simulator {
         self.commit_energy(i, power, airtime, end);
         self.hot.tx_power_mw[i] = power.value();
         if let Some(m) = &mut self.metrics {
-            m.note_data_tx(self.hot.tx_power_mw[i]);
+            m.note_data_tx(self.hot.tx_power_mw[i], self.cfg.mac.levels.all());
         }
 
         self.radiate(i, Payload::Data(Arc::new(frame)), power, now, end);
@@ -2121,12 +1678,10 @@ impl Simulator {
         let mobility = parts[0].mobility.take().expect("primary carries mobility");
         let fault_parts: Vec<FaultState> =
             parts.iter_mut().filter_map(|p| p.faults.take()).collect();
-        let faults =
-            (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner).capture());
+        let faults = (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner));
         let metric_parts: Vec<MetricsState> =
             parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-        let metrics =
-            (!metric_parts.is_empty()).then(|| MetricsState::merge(metric_parts).capture());
+        let metrics = (!metric_parts.is_empty()).then(|| MetricsState::merge(metric_parts));
         SimSnapshot {
             cfg_digest: crate::snapshot::config_digest(cfg),
             time: cut,
@@ -2188,15 +1743,16 @@ impl Simulator {
             .map(|(i, &o)| pools[o as usize][i].as_deref().unwrap_or(&untouched))
             .collect();
 
-        let fault_parts: Vec<FaultState> =
-            parts.iter_mut().filter_map(|p| p.faults.take()).collect();
-        let resilience =
-            (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner).into_report());
-
-        let metric_parts: Vec<MetricsState> =
-            parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-        let metrics =
-            (!metric_parts.is_empty()).then(|| MetricsState::merge(metric_parts).finish(&nodes));
+        // A layer's state exists on every lane exactly when the scenario
+        // configures the layer.
+        let resilience = cfg.faults.as_ref().map(|plan| {
+            let parts = parts.iter_mut().filter_map(|p| p.faults.take()).collect();
+            FaultState::merge(parts, owner).into_report(plan)
+        });
+        let metrics = cfg.metrics.map(|mc| {
+            let parts = parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
+            MetricsState::merge(parts).finish(mc.interval(), cfg.mac.levels.all(), &nodes)
+        });
 
         RunReport::build(
             cfg,
@@ -2259,8 +1815,8 @@ impl Simulator {
     /// Overlay `snap` on this freshly-built simulator (single-threaded,
     /// or one owner-only region shard). Exactly one lane — single mode,
     /// or shard 0 — restores as primary and receives the cumulative
-    /// counters; see `FaultState::restore_from` / `MetricsState::
-    /// restore_from` for the replication roles.
+    /// counters; see `FaultState::restore` / `MetricsState::restore`
+    /// for the replication roles.
     pub(crate) fn apply_restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
         let cut = snap.time;
         let shard_info: Option<(Arc<Vec<u32>>, u32)> = self
@@ -2347,48 +1903,43 @@ impl Simulator {
     /// layers, refusing a section whose presence or shape disagrees with
     /// the scenario.
     fn restore_layers(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
-        let n = self.cfg.nodes.count();
-        let cut = snap.time;
         let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
 
         // The fault layer.
         match (self.faults.as_mut(), snap.faults.as_ref()) {
-            (Some(fs), Some(fsnap)) => {
+            (Some(fs), Some(loaded)) => {
                 let shard = self
                     .shard
                     .as_ref()
                     .map(|ctx| (ctx.owner.as_slice(), ctx.id));
-                fs.restore_from(fsnap, primary, shard)
+                fs.restore(loaded, primary, shard)
                     .map_err(SnapError::Corrupt)?;
                 // The same product `set_impairment` forms.
                 self.radio.noise_floor = self.cfg.radio.noise_floor * fs.noise_mult;
+                for (alive, &d) in self.hot.alive.iter_mut().zip(&fs.down) {
+                    *alive = !d;
+                }
+                // Seed the shard transition logs: a node down at the cut
+                // must cull in-window arrivals from transmissions after
+                // it, exactly as the flip event recorded pre-cut would
+                // have.
+                if let Some(ctx) = &mut self.shard {
+                    let seed = SimTime::from_nanos(snap.time.as_nanos().saturating_sub(1));
+                    for (i, t) in ctx.transitions.iter_mut().enumerate() {
+                        if fs.down[i] && ctx.owner[i] == ctx.id {
+                            t.push((seed, u128::MAX, true));
+                        }
+                    }
+                }
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("fault section presence")),
         }
-        if let Some(fsnap) = snap.faults.as_ref() {
-            let down = fsnap.down();
-            for (alive, &d) in self.hot.alive.iter_mut().zip(down.iter()).take(n) {
-                *alive = !d;
-            }
-            // Seed the shard transition logs: a node down at the cut
-            // must cull in-window arrivals from transmissions after it,
-            // exactly as the flip event recorded pre-cut would have.
-            if let Some(ctx) = &mut self.shard {
-                let seed = SimTime::from_nanos(cut.as_nanos().saturating_sub(1));
-                for (i, t) in ctx.transitions.iter_mut().enumerate() {
-                    if down[i] && ctx.owner[i] == ctx.id {
-                        t.push((seed, u128::MAX, true));
-                    }
-                }
-            }
-        }
 
         // The metrics layer.
         match (self.metrics.as_mut(), snap.metrics.as_ref()) {
-            (Some(ms), Some(msnap)) => {
-                ms.restore_from(msnap, primary)
-                    .map_err(SnapError::Corrupt)?;
+            (Some(ms), Some(loaded)) => {
+                ms.restore(loaded, primary).map_err(SnapError::Corrupt)?;
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("metrics section presence")),

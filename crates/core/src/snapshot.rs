@@ -97,9 +97,9 @@ use pcmac_snap::{checksum64, fnv1a64, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::ScenarioConfig;
 use crate::event::SimEvent;
-use crate::metrics::MetricsSnap;
+use crate::fault::FaultState;
+use crate::metrics::MetricsState;
 use crate::report::RunReport;
-use crate::sim::FaultSnap;
 
 /// A cooperative cancellation handle: clone it, hand one side to the
 /// run via [`RunHooks::cancel`], and call [`CancelToken::cancel`] from
@@ -206,9 +206,9 @@ pub struct SimSnapshot {
     /// (crate::node::Node) wire format), indexed by node.
     pub(crate) nodes: Vec<Vec<u8>>,
     /// Fault-layer state (`Some` iff the scenario has a fault plan).
-    pub(crate) faults: Option<FaultSnap>,
+    pub(crate) faults: Option<FaultState>,
     /// Metrics-layer state (`Some` iff the scenario enabled metrics).
-    pub(crate) metrics: Option<MetricsSnap>,
+    pub(crate) metrics: Option<MetricsState>,
 }
 
 impl SimSnapshot {
