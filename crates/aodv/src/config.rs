@@ -1,12 +1,12 @@
 //! AODV parameters.
 
 use pcmac_engine::Duration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tunable constants of the routing agent. Defaults follow the CMU ns-2
 /// AODV module of the paper's era (link-layer failure detection, 10 s
 /// active route lifetime) with RFC 3561 shapes elsewhere.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AodvConfig {
     /// Lifetime of an actively-used route before it must be refreshed.
     pub active_route_timeout: Duration,

@@ -378,23 +378,6 @@ proptest! {
         prop_assert_eq!(cfg.aodv.rreq_retries, aodv.rreq_retries.unwrap_or(3));
         prop_assert_eq!(cfg.aodv.buffer_capacity, aodv.buffer_capacity.unwrap_or(64));
     }
-
-    /// ScenarioConfig (the materialized form) also round-trips stably —
-    /// covering the WaypointFrom setup and non-CBR shapes the spec layer
-    /// can now produce.
-    #[test]
-    fn materialized_config_json_is_stable(
-        placement_idx in 0usize..8,
-        shape_idx in 0usize..3,
-        seed in 0u64..500,
-        mobile in any::<bool>(),
-    ) {
-        let spec = spec_from(placement_idx, 0, shape_idx, 8, 150.0, mobile, false);
-        let cfg = spec.materialize(seed).expect("valid spec materializes");
-        let json = cfg.to_json();
-        let back = ScenarioConfig::from_json(&json).expect("reparses");
-        prop_assert_eq!(back.to_json(), json, "second serialization must match the first");
-    }
 }
 
 #[test]

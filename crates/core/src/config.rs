@@ -26,7 +26,7 @@ pub enum FlowShape {
 }
 
 /// One application flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlowSpec {
     /// Flow identity.
     pub flow: FlowId,
@@ -47,7 +47,7 @@ pub struct FlowSpec {
 }
 
 /// Node placement and movement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum NodeSetup {
     /// `count` nodes scattered uniformly, moving by random waypoint at
     /// `speed` m/s with `pause` between legs (the paper's setup).
@@ -85,7 +85,7 @@ impl NodeSetup {
 }
 
 /// How the event loop executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum ExecutionMode {
     /// One thread pops one global queue — the reference. The default.
     #[default]
@@ -115,7 +115,7 @@ pub struct ShadowingConfig {
 }
 
 /// A complete simulation scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioConfig {
     /// Human-readable label (reports, logs).
     pub name: String,
@@ -142,15 +142,14 @@ pub struct ScenarioConfig {
     pub interference_floor: Milliwatts,
     /// Optional log-normal shadowing (robustness ablations).
     pub shadowing: Option<ShadowingConfig>,
-    /// Deterministic fault plan (`None` = healthy network). Kept
-    /// optional so scenario JSON predating the fault layer parses
-    /// unchanged.
+    /// Deterministic fault plan (`None` = a healthy network: no fault
+    /// layer and no resilience report).
     pub faults: Option<FaultConfig>,
-    /// Observability layer (`None` = off, zero cost). Kept optional so
-    /// scenario JSON predating the knob parses unchanged.
+    /// Observability layer (`None` = off, zero cost, no metrics
+    /// section in the report).
     pub metrics: Option<MetricsConfig>,
-    /// Execution strategy (`None` = the default, single-threaded). Kept
-    /// optional so scenario JSON predating the knob parses unchanged.
+    /// Execution strategy (`None` = [`ExecutionMode::Single`], the
+    /// default).
     pub execution: Option<ExecutionMode>,
     /// Minimum propagation delay applied to every scheduled arrival, in
     /// microseconds (`None` = exact speed-of-light delays only). Sharded
@@ -683,15 +682,11 @@ impl ScenarioConfig {
         }
     }
 
-    /// Serialize the scenario to pretty JSON (experiment provenance,
-    /// shareable configs).
+    /// Serialize the scenario to pretty JSON (experiment provenance).
+    /// There is no reader for this form: scenario files are
+    /// `pcmac-campaign` scenario specs.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("scenario configs always serialize")
-    }
-
-    /// Load a scenario from JSON produced by [`ScenarioConfig::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -746,106 +741,20 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_scenario() {
-        let a = ScenarioConfig::paper(Variant::Pcmac, 700.0, 9);
-        let json = a.to_json();
-        let b = ScenarioConfig::from_json(&json).expect("parses back");
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.duration, b.duration);
-        assert_eq!(a.flows.len(), b.flows.len());
-        for (fa, fb) in a.flows.iter().zip(&b.flows) {
-            assert_eq!((fa.src, fa.dst, fa.bytes), (fb.src, fb.dst, fb.bytes));
-        }
-        assert_eq!(a.offered_load_kbps(), b.offered_load_kbps());
-        // And a round-tripped config runs identically.
-        use crate::Simulator;
-        let short = pcmac_engine::Duration::from_secs(3);
-        let ra = Simulator::new(a.with_duration(short)).run();
-        let rb = Simulator::new(b.with_duration(short)).run();
-        assert_eq!(ra.delivered_packets, rb.delivered_packets);
-        assert_eq!(ra.events, rb.events);
-    }
-
-    #[test]
     fn variant_label_and_mac_variant_must_agree() {
         let good = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 50_000.0, 1);
         good.validate().expect("constructors keep the two equal");
 
-        // Edited in the struct...
         let mut relabelled = good.clone();
         relabelled.variant = Variant::Pcmac;
-        // ...or in hand-edited JSON (the top-level key, not `mac.variant`).
-        let json = good
-            .to_json()
-            .replacen("\"variant\": \"Basic\"", "\"variant\": \"Pcmac\"", 1);
-        let from_json = ScenarioConfig::from_json(&json).expect("still well-formed");
-        assert_eq!(from_json.variant, Variant::Pcmac);
-        assert_eq!(from_json.mac.variant, Variant::Basic);
-
-        for cfg in [relabelled, from_json] {
-            let err = cfg.validate().expect_err("mismatch must not validate");
-            assert_eq!(err.problems.len(), 1, "{err}");
-            let msg = &err.problems[0];
-            for named in ["Pcmac", "Basic", "\"PCMAC\"", "Basic 802.11"] {
-                assert!(msg.contains(named), "{named} missing from: {msg}");
-            }
+        let err = relabelled
+            .validate()
+            .expect_err("mismatch must not validate");
+        assert_eq!(err.problems.len(), 1, "{err}");
+        let msg = &err.problems[0];
+        for named in ["Pcmac", "Basic", "\"PCMAC\"", "Basic 802.11"] {
+            assert!(msg.contains(named), "{named} missing from: {msg}");
         }
-    }
-
-    #[test]
-    fn pre_knob_json_still_parses() {
-        // Scenario JSON written before the fault layer and the execution
-        // knobs existed has none of the keys; all must come back as
-        // `None` (the defaults).
-        let a = ScenarioConfig::paper(Variant::Pcmac, 500.0, 3);
-        let v: serde_json::Value = serde_json::from_str(&a.to_json()).unwrap();
-        let stripped = match v {
-            serde_json::Value::Map(m) => serde_json::Value::Map(
-                m.into_iter()
-                    .filter(|(k, _)| {
-                        k != "faults" && k != "metrics" && k != "execution" && k != "delay_floor_us"
-                    })
-                    .collect(),
-            ),
-            _ => unreachable!("configs serialize to maps"),
-        };
-        let b = ScenarioConfig::from_json(&serde_json::to_string(&stripped).unwrap())
-            .expect("pre-knob JSON parses");
-        assert_eq!(b.faults, None);
-        assert_eq!(b.metrics, None);
-        assert_eq!(b.execution, None);
-        assert_eq!(b.delay_floor_us, None);
-        assert_eq!(b.execution_mode(), ExecutionMode::Single);
-        assert_eq!(b.shards(), 1);
-        assert!(b.delay_floor().is_zero());
-    }
-
-    #[test]
-    fn json_naming_the_removed_channel_knobs_still_parses_and_runs() {
-        // A config written before the brute-force scan, the eager rescan
-        // and the gain-cache selector left the option surface names all
-        // three. Results never depended on any, so the keys are skipped
-        // like any unknown key and the run is the production run.
-        let a =
-            ScenarioConfig::paper(Variant::Pcmac, 500.0, 3).with_duration(Duration::from_secs(3));
-        let old = a.to_json().replacen(
-            '{',
-            r#"{ "channel_index": "BruteForce", "mobility_refresh": "Eager", "gain_cache": "Dense","#,
-            1,
-        );
-        let b = ScenarioConfig::from_json(&old).expect("old JSON parses");
-        assert_eq!(
-            b.to_json(),
-            a.to_json(),
-            "nothing but the three keys differs"
-        );
-        let fingerprint = |cfg: ScenarioConfig| {
-            let mut r = crate::Simulator::new(cfg).run();
-            r.wall_s = 0.0;
-            serde_json::to_string(&r).expect("reports serialize")
-        };
-        assert_eq!(fingerprint(a), fingerprint(b));
     }
 
     #[test]
@@ -919,12 +828,6 @@ mod tests {
         let mut c = ScenarioConfig::two_nodes(Variant::Basic, 180.0, 50_000.0, 1);
         c.nodes = NodeSetup::Static(vec![Point::new(f64::NAN, 500.0), Point::new(180.0, 500.0)]);
         let _ = crate::Simulator::new(c);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(ScenarioConfig::from_json("{not json").is_err());
-        assert!(ScenarioConfig::from_json("{}").is_err());
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! They are deliberately separate types: adding two instants is meaningless
 //! and does not compile.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A span of simulation time, in nanoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -171,7 +171,7 @@ impl fmt::Display for Duration {
 }
 
 /// An absolute instant of simulation time (nanoseconds since t=0).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {

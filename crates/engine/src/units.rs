@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Linear power in milliwatts. The workhorse unit: interference sums,
 /// tolerances and propagation gains all operate on this.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Milliwatts(pub f64);
 
 /// Logarithmic power in dB-milliwatts.

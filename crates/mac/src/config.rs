@@ -47,7 +47,7 @@ impl Variant {
 }
 
 /// PCMAC-specific parameters (paper §III).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PcmacParams {
     /// The redundancy coefficient on the advertised tolerance (0.7).
     pub safety_factor: f64,
@@ -79,7 +79,7 @@ impl Default for PcmacParams {
 }
 
 /// Full MAC configuration for one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MacConfig {
     /// Protocol variant.
     pub variant: Variant,

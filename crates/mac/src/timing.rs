@@ -12,12 +12,12 @@
 //! §II).
 
 use pcmac_engine::Duration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::frame::{ACK_BYTES, CTS_BYTES, RTS_BYTES};
 
 /// Timing and rate parameters of the 802.11 DSSS PHY/MAC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dot11Timing {
     /// Slot time (µs 20).
     pub slot: Duration,

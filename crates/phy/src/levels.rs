@@ -10,14 +10,14 @@
 use std::sync::Arc;
 
 use pcmac_engine::Milliwatts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An ordered set of discrete transmit power levels.
 ///
 /// Immutable once built, and held behind an [`Arc`]: a scenario's MAC
 /// configuration, which all its stations share, holds the one copy, and
 /// cloning it shares the list instead of copying it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerLevels {
     /// Strictly increasing power values.
     levels: Arc<[Milliwatts]>,

@@ -62,7 +62,7 @@ pub enum CapturePolicy {
 }
 
 /// Radio configuration. Defaults reproduce ns-2's Lucent WaveLAN card.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RadioConfig {
     /// Minimum power to decode a frame (ns-2 `RXThresh`): 3.652e-10 W.
     pub rx_thresh: Milliwatts,
