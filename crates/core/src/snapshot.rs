@@ -77,6 +77,16 @@
 //! so the blob has one layout. Version-2 files are refused as
 //! `BadVersion(2)` and their cells recomputed, as version 1's are.
 //!
+//! The fault and metrics sections follow the same rule: each is its
+//! layer's own run-time state, written field by field (`FaultState`,
+//! `MetricsState`), with no copy of the layer's configuration. The
+//! fault plan, the probe interval and the power levels are rebuilt from
+//! the scenario on restore. Restore checks each section against the
+//! state the scenario builds — present exactly when the layer is
+//! configured, with its node, impairment-burst and power-level counts —
+//! and refuses a mismatch as `SnapError::Corrupt`, on one thread and on
+//! region shards alike.
+//!
 //! Two things a snapshot does **not** carry, by construction. The MAC is
 //! written *as told*: a carrier edge the simulator is holding back from
 //! a MAC that is not listening (see the `soa` module) is told to a copy
