@@ -490,7 +490,7 @@ impl FaultState {
 
     /// Take `loaded`, a checkpoint's fault section, in place of this
     /// freshly built state, refusing it unless its node and burst counts
-    /// are this scenario's. Per-node flags and the global impairment
+    /// are this scenario's and its open repairs name its nodes. Per-node flags and the global impairment
     /// products replicate everywhere (every lane needs them to
     /// dispatch); cumulative counters, the latency sketch and the
     /// classification records stay only on the `primary` lane
@@ -514,6 +514,13 @@ impl FaultState {
         }
         if loaded.burst_active.len() != self.burst_active.len() {
             return Err("fault burst count");
+        }
+        if loaded
+            .pending_repairs
+            .iter()
+            .any(|&(node, _, _)| node as usize >= n)
+        {
+            return Err("fault repair node");
         }
         *self = loaded.clone();
         self.pending_repairs

@@ -354,8 +354,9 @@ mod tests {
     }
 
     /// Restore refuses a fault or metrics section whose presence or
-    /// shape disagrees with the scenario, on one thread and on two
-    /// shards alike: the sections are outside input.
+    /// shape disagrees with the scenario, or an open repair naming no
+    /// station, on one thread and on two shards alike: the sections are
+    /// outside input.
     #[test]
     fn restore_refuses_a_layer_section_that_does_not_fit_the_scenario() {
         use crate::fault::{FaultConfig, ImpairmentBurst};
@@ -405,6 +406,10 @@ mod tests {
         let mut s = both.clone();
         s.metrics = snap(one_level).metrics;
         cases.push((cfg(12, 1, true, true), s, "metrics power-level count"));
+        let mut s = both.clone();
+        let repairs = &mut s.faults.as_mut().expect("a fault section").pending_repairs;
+        repairs.push((12, 0, SimTime::ZERO));
+        cases.push((cfg(12, 1, true, true), s, "fault repair node"));
         let mut s = both.clone();
         s.faults = None;
         cases.push((cfg(12, 1, true, true), s, "fault section presence"));
