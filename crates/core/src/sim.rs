@@ -1134,16 +1134,15 @@ impl Simulator {
     /// churn recovery scheduled for later cannot resurrect the node.
     fn on_node_up(&mut self, i: usize, now: SimTime) {
         let expire = {
-            let Some(fs) = &mut self.faults else { return };
+            let (Some(fs), Some(plan)) = (&mut self.faults, &self.cfg.faults) else {
+                return;
+            };
             if !fs.down[i] || fs.energy_dead[i] {
                 return;
             }
             fs.down[i] = false;
             fs.recoveries += 1;
-            self.cfg
-                .faults
-                .as_ref()
-                .is_some_and(|p| p.expire_routes == Some(true))
+            plan.expire_routes == Some(true)
         };
         self.hot.alive[i] = true;
         if let Some(ctx) = &mut self.shard {
@@ -1191,8 +1190,10 @@ impl Simulator {
     fn commit_energy(&mut self, i: usize, power: Milliwatts, airtime: Duration, end: SimTime) {
         let (now, cur_rank) = self.cur;
         let died = {
-            let Some(fs) = &mut self.faults else { return };
-            let Some(budget) = self.cfg.faults.as_ref().and_then(|p| p.energy_budget_mj) else {
+            let (Some(fs), Some(plan)) = (&mut self.faults, &self.cfg.faults) else {
+                return;
+            };
+            let Some(budget) = plan.energy_budget_mj else {
                 return;
             };
             if fs.energy_dead[i] {
