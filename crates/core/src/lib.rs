@@ -60,7 +60,6 @@ pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod node;
-pub mod parallel;
 pub(crate) mod reference;
 pub mod report;
 pub mod sim;

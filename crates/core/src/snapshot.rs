@@ -354,11 +354,13 @@ mod tests {
     }
 
     /// Restore refuses a fault or metrics section whose presence or
-    /// shape disagrees with the scenario, or an open repair naming no
-    /// station, on one thread and on two shards alike: the sections are
-    /// outside input.
+    /// shape disagrees with the scenario, an open repair naming no
+    /// station, and a pending list with more replicated events than the
+    /// snapshot says were scheduled, an event naming no station or one
+    /// due before the cut, on one thread and on two shards alike, in the
+    /// calling thread: a snapshot is outside input.
     #[test]
-    fn restore_refuses_a_layer_section_that_does_not_fit_the_scenario() {
+    fn restore_refuses_a_snapshot_that_does_not_fit_the_scenario() {
         use crate::fault::{FaultConfig, ImpairmentBurst};
         use crate::metrics::MetricsConfig;
         use crate::{ExecutionMode, Simulator};
@@ -422,6 +424,29 @@ mod tests {
         let mut s = snap(cfg(12, 1, false, false));
         s.metrics = both.metrics.clone();
         cases.push((cfg(12, 1, false, false), s, "metrics section presence"));
+        // One more pending event than the scenario schedules, with the
+        // scheduled total raised to match.
+        let extra = |ev: SimEvent| {
+            let mut s = both.clone();
+            let at = SimTime::ZERO + Duration::from_millis(1500);
+            s.pending.push((at, ev.rank(), ev));
+            s.pending.sort_by_key(|&(at, rank, _)| (at, rank));
+            s.scheduled_total += 1;
+            s
+        };
+        let probe = extra(SimEvent::MetricsProbe);
+        let message = "replicated pending exceeds schedule";
+        cases.push((cfg(12, 1, true, true), probe, message));
+        let emit = extra(SimEvent::TrafficEmit {
+            node: pcmac_engine::NodeId(12),
+            source: 0,
+        });
+        let message = "pending event names no station";
+        cases.push((cfg(12, 1, true, true), emit, message));
+        // The cut moved past the burst's start, still pending.
+        let mut s = both.clone();
+        s.time = SimTime::ZERO + Duration::from_secs(1);
+        cases.push((cfg(12, 1, true, true), s, "pending event before the cut"));
 
         for (c, s, message) in cases {
             for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {

@@ -44,7 +44,7 @@ const HELD_BUSY: u8 = 1 << 2;
 /// have length N (the full scenario) unless stated; in a region shard,
 /// positions are only *maintained* for tracked nodes (owned + halo) and
 /// the receive-side arrays only for owned ones — see
-/// `Simulator::new_shard`.
+/// the `sim::shard` module.
 #[derive(Debug)]
 pub(crate) struct HotState {
     /// Position as of `sampled_at` under mobility (exact for every node

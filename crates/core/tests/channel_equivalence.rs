@@ -1051,6 +1051,20 @@ fn snapshots_move_across_execution_modes() {
         );
     }
 
+    // Restore does the same work in every mode: the restored simulator
+    // re-captures as the snapshot it came from.
+    let mid = &single_snaps[single_snaps.len() / 2];
+    for shards in [None, Some(1), Some(4)] {
+        let restored = Simulator::restore(with_execution(cfg.clone(), shards), mid)
+            .expect("a snapshot of the same scenario restores");
+        assert_eq!(
+            restored.snapshot().state_fingerprint(),
+            mid.state_fingerprint(),
+            "restored under shards {shards:?}, re-captured at t = {:?}",
+            mid.time()
+        );
+    }
+
     // 1-shard capture → 4-shard resume, and 4-shard capture → single
     // resume: the cross-mode acceptance bar.
     let (_, one_shard_snaps) = run_with_checkpoints(with_execution(cfg.clone(), Some(1)), every);

@@ -10,7 +10,7 @@
 //! shard already dispatched. The pieces here are deliberately tiny and
 //! domain-free: a greedy balanced column partition and a spinning
 //! generation barrier. Everything that knows about radios and queues
-//! lives in the core crate's `parallel` module.
+//! lives in the core crate's `sim::shard` module.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
