@@ -3,6 +3,12 @@
 //! A pure state machine, symmetric with the MAC: packets and timer fires
 //! go in, [`AodvAction`]s come out. The simulation core wires the actions
 //! to the MAC queue, the local traffic sink and the event queue.
+//!
+//! What only an originator of traffic needs — its pending discoveries,
+//! the send buffer and their latency record — sits behind one box that
+//! the first discovery allocates. Most stations of a large field only
+//! forward or overhear; theirs stays an empty pointer and checkpoints as
+//! the empty state.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -105,6 +111,41 @@ struct Discovery {
     started: SimTime,
 }
 
+/// What only a station that has started a route discovery carries.
+/// Allocated by the first discovery and kept from then on.
+#[derive(Debug, Clone)]
+struct Origination {
+    discoveries: HashMap<NodeId, Discovery>,
+    /// Packets awaiting discovery, with their buffering time.
+    buffer: VecDeque<(Packet, SimTime)>,
+    /// Discoveries started (observability; pairs with
+    /// `counters.discoveries_failed`).
+    started: u64,
+    /// Seconds from discovery start to the route becoming usable —
+    /// a constant-memory streaming summary (exact for the first
+    /// [`pcmac_stats::quantile::EXACT_CAP`] completions).
+    latency: StreamingQuantile,
+}
+
+impl Origination {
+    fn new() -> Self {
+        Origination {
+            discoveries: HashMap::new(),
+            buffer: VecDeque::new(),
+            started: 0,
+            latency: StreamingQuantile::new(),
+        }
+    }
+
+    /// `true` when nothing here differs from [`Origination::new`].
+    fn is_blank(&self) -> bool {
+        self.discoveries.is_empty()
+            && self.buffer.is_empty()
+            && self.started == 0
+            && self.latency.count() == 0
+    }
+}
+
 /// The per-node AODV agent.
 #[derive(Debug, Clone)]
 pub struct AodvAgent {
@@ -116,19 +157,11 @@ pub struct AodvAgent {
     next_rreq_id: u32,
     /// Duplicate-flood suppression: (origin, rreq_id) → insertion time.
     rreq_cache: HashMap<(NodeId, u32), SimTime>,
-    discoveries: HashMap<NodeId, Discovery>,
-    /// Packets awaiting discovery, with their buffering time.
-    buffer: VecDeque<(Packet, SimTime)>,
     next_ctrl_pkt: u64,
     /// Statistics.
     pub counters: AodvCounters,
-    /// Discoveries started (observability; pairs with
-    /// `counters.discoveries_failed`).
-    discoveries_started: u64,
-    /// Seconds from discovery start to the route becoming usable —
-    /// a constant-memory streaming summary (exact for the first
-    /// [`pcmac_stats::quantile::EXACT_CAP`] completions).
-    discovery_latency: StreamingQuantile,
+    /// `None` until the first discovery.
+    origination: Option<Box<Origination>>,
 }
 
 impl AodvAgent {
@@ -142,12 +175,9 @@ impl AodvAgent {
             own_seq: 0,
             next_rreq_id: 0,
             rreq_cache: HashMap::new(),
-            discoveries: HashMap::new(),
-            buffer: VecDeque::new(),
             next_ctrl_pkt: 0,
             counters: AodvCounters::default(),
-            discoveries_started: 0,
-            discovery_latency: StreamingQuantile::new(),
+            origination: None,
         }
     }
 
@@ -163,12 +193,13 @@ impl AodvAgent {
 
     /// Route discoveries this agent has started.
     pub fn discoveries_started(&self) -> u64 {
-        self.discoveries_started
+        self.origination.as_ref().map_or(0, |o| o.started)
     }
 
-    /// Completed-discovery latency population summary.
-    pub fn discovery_latency(&self) -> &StreamingQuantile {
-        &self.discovery_latency
+    /// Completed-discovery latency population summary, `None` before the
+    /// first discovery.
+    pub fn discovery_latency(&self) -> Option<&StreamingQuantile> {
+        self.origination.as_ref().map(|o| &o.latency)
     }
 
     /// Allocate a control-packet id: namespace 2, node, counter — unique
@@ -205,9 +236,12 @@ impl AodvAgent {
 
     fn buffer_and_discover(&mut self, packet: Packet, now: SimTime, out: &mut Vec<AodvAction>) {
         self.purge_buffer(now, out);
-        if self.buffer.len() >= self.cfg.buffer_capacity {
+        let o = self
+            .origination
+            .get_or_insert_with(|| Box::new(Origination::new()));
+        if o.buffer.len() >= self.cfg.buffer_capacity {
             // Drop the oldest (ns-2 send-buffer behaviour) to make room.
-            if let Some((old, _)) = self.buffer.pop_front() {
+            if let Some((old, _)) = o.buffer.pop_front() {
                 self.counters.drops += 1;
                 out.push(AodvAction::Drop {
                     packet: old,
@@ -216,14 +250,14 @@ impl AodvAgent {
             }
         }
         let dst = packet.dst;
-        self.buffer.push_back((packet, now));
-        if let std::collections::hash_map::Entry::Vacant(e) = self.discoveries.entry(dst) {
+        o.buffer.push_back((packet, now));
+        if let std::collections::hash_map::Entry::Vacant(e) = o.discoveries.entry(dst) {
             e.insert(Discovery {
                 slot: TimerSlot::new(),
                 attempts: 0,
                 started: now,
             });
-            self.discoveries_started += 1;
+            o.started += 1;
             self.emit_rreq(dst, now, out);
         }
     }
@@ -256,7 +290,11 @@ impl AodvAgent {
             next_hop: NodeId::BROADCAST,
         });
 
-        let disc = self.discoveries.get_mut(&dst).expect("discovery exists");
+        let disc = self
+            .origination
+            .as_mut()
+            .and_then(|o| o.discoveries.get_mut(&dst))
+            .expect("discovery exists");
         let token = disc.slot.arm();
         // Binary backoff across retries.
         let delay = self.cfg.rreq_wait.saturating_mul(1 << disc.attempts.min(6));
@@ -271,7 +309,10 @@ impl AodvAgent {
         now: SimTime,
         out: &mut Vec<AodvAction>,
     ) {
-        let Some(disc) = self.discoveries.get_mut(&dst) else {
+        let Some(o) = self.origination.as_deref_mut() else {
+            return;
+        };
+        let Some(disc) = o.discoveries.get_mut(&dst) else {
             return;
         };
         if !disc.slot.fire(token) {
@@ -279,8 +320,8 @@ impl AodvAgent {
         }
         if self.table.lookup(dst, now).is_some() {
             // An RREP raced the timer: flush and finish.
-            if let Some(disc) = self.discoveries.remove(&dst) {
-                self.discovery_latency
+            if let Some(disc) = o.discoveries.remove(&dst) {
+                o.latency
                     .record(now.saturating_since(disc.started).as_secs_f64());
             }
             self.flush_buffer_for(dst, now, out);
@@ -288,11 +329,11 @@ impl AodvAgent {
         }
         disc.attempts += 1;
         if disc.attempts > self.cfg.rreq_retries {
-            self.discoveries.remove(&dst);
+            o.discoveries.remove(&dst);
             self.counters.discoveries_failed += 1;
             // Give up: drop everything buffered for this destination.
             let mut kept = VecDeque::new();
-            while let Some((p, t0)) = self.buffer.pop_front() {
+            while let Some((p, t0)) = o.buffer.pop_front() {
                 if p.dst == dst {
                     self.counters.drops += 1;
                     out.push(AodvAction::Drop {
@@ -303,7 +344,7 @@ impl AodvAgent {
                     kept.push_back((p, t0));
                 }
             }
-            self.buffer = kept;
+            o.buffer = kept;
             return;
         }
         self.emit_rreq(dst, now, out);
@@ -507,10 +548,12 @@ impl AodvAgent {
 
         if rrep.origin == self.id {
             // Our discovery completed.
-            if let Some(mut disc) = self.discoveries.remove(&rrep.target) {
-                disc.slot.cancel();
-                self.discovery_latency
-                    .record(now.saturating_since(disc.started).as_secs_f64());
+            if let Some(o) = self.origination.as_deref_mut() {
+                if let Some(mut disc) = o.discoveries.remove(&rrep.target) {
+                    disc.slot.cancel();
+                    o.latency
+                        .record(now.saturating_since(disc.started).as_secs_f64());
+                }
             }
             self.flush_buffer_for(rrep.target, now, out);
             return;
@@ -610,8 +653,11 @@ impl AodvAgent {
     // ------------------------------------------------------------------
 
     fn flush_buffer_for(&mut self, dst: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
+        let Some(o) = self.origination.as_deref_mut() else {
+            return;
+        };
         let mut kept = VecDeque::new();
-        while let Some((p, t0)) = self.buffer.pop_front() {
+        while let Some((p, t0)) = o.buffer.pop_front() {
             if p.dst != dst {
                 kept.push_back((p, t0));
                 continue;
@@ -634,13 +680,16 @@ impl AodvAgent {
                 kept.push_back((p, t0));
             }
         }
-        self.buffer = kept;
+        o.buffer = kept;
     }
 
     fn purge_buffer(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
+        let Some(o) = self.origination.as_deref_mut() else {
+            return;
+        };
         let timeout = self.cfg.buffer_timeout;
         let mut kept = VecDeque::new();
-        while let Some((p, t0)) = self.buffer.pop_front() {
+        while let Some((p, t0)) = o.buffer.pop_front() {
             if now.saturating_since(t0) > timeout {
                 self.counters.drops += 1;
                 out.push(AodvAction::Drop {
@@ -651,7 +700,7 @@ impl AodvAgent {
                 kept.push_back((p, t0));
             }
         }
-        self.buffer = kept;
+        o.buffer = kept;
     }
 
     fn purge_rreq_cache(&mut self, now: SimTime) {
@@ -667,7 +716,7 @@ mod snap {
     //! route table, sequence counters, flood cache, pending discoveries
     //! and the send buffer — travels through [`AodvAgent::save_state`].
 
-    use super::{AodvAgent, AodvCounters, AodvTimer, Discovery};
+    use super::{AodvAgent, AodvCounters, AodvTimer, Discovery, Origination};
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for AodvTimer {
@@ -708,16 +757,26 @@ mod snap {
     impl AodvAgent {
         /// Serialize every mutable field (everything except `id`/`cfg`).
         pub fn save_state(&self, w: &mut SnapWriter) {
+            // An agent that never started a discovery writes the bytes
+            // of a blank originator state.
+            let blank;
+            let o = match &self.origination {
+                Some(o) => &**o,
+                None => {
+                    blank = Origination::new();
+                    &blank
+                }
+            };
             self.table.save(w);
             self.own_seq.save(w);
             self.next_rreq_id.save(w);
             self.rreq_cache.save(w);
-            self.discoveries.save(w);
-            self.buffer.save(w);
+            o.discoveries.save(w);
+            o.buffer.save(w);
             self.next_ctrl_pkt.save(w);
             self.counters.save(w);
-            self.discoveries_started.save(w);
-            self.discovery_latency.save(w);
+            o.started.save(w);
+            o.latency.save(w);
         }
 
         /// Overwrite the mutable state of a freshly built agent with
@@ -727,12 +786,17 @@ mod snap {
             self.own_seq = Snap::load(r)?;
             self.next_rreq_id = Snap::load(r)?;
             self.rreq_cache = Snap::load(r)?;
-            self.discoveries = Snap::load(r)?;
-            self.buffer = Snap::load(r)?;
+            let discoveries = Snap::load(r)?;
+            let buffer = Snap::load(r)?;
             self.next_ctrl_pkt = Snap::load(r)?;
             self.counters = Snap::load(r)?;
-            self.discoveries_started = Snap::load(r)?;
-            self.discovery_latency = Snap::load(r)?;
+            let o = Origination {
+                discoveries,
+                buffer,
+                started: Snap::load(r)?,
+                latency: Snap::load(r)?,
+            };
+            self.origination = (!o.is_blank()).then(|| Box::new(o));
             Ok(())
         }
     }

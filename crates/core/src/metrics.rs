@@ -833,7 +833,9 @@ impl MetricsState {
             routing.rerr_sent += a.rerr_sent;
             routing.discoveries_failed += a.discoveries_failed;
             routing.discoveries_started += node.aodv.discoveries_started();
-            latencies.merge(node.aodv.discovery_latency());
+            if let Some(l) = node.aodv.discovery_latency() {
+                latencies.merge(l);
+            }
             energies.push(node.energy.radiated_mj());
         }
         routing.discovery_latency = LatencySummary::from_streaming(&latencies);

@@ -26,9 +26,10 @@ pub(crate) struct ReferenceScan {
 }
 
 impl ReferenceScan {
-    /// Bring every position in `hot` up to `now` and evaluate the gain
-    /// from node `i` to every other node, one model call per pair, in id
-    /// order.
+    /// Bring every position in `hot` up to `now` (a static field has no
+    /// movement models and its positions never change) and evaluate the
+    /// gain from node `i` to every other node, one model call per pair,
+    /// in id order.
     pub(crate) fn gains(
         &mut self,
         model: &PropagationModel,

@@ -285,9 +285,10 @@ impl RunReport {
                 delay_sum_ns += f.delay_sum().as_nanos();
                 max_delay_ns = max_delay_ns.max(f.max_delay.as_nanos());
             }
-            match &mut delay_hist {
-                Some(h) => h.merge(node.sink.delay_histogram()),
-                None => delay_hist = Some(node.sink.delay_histogram().clone()),
+            match (&mut delay_hist, node.sink.delay_histogram()) {
+                (Some(h), Some(d)) => h.merge(d),
+                (None, Some(d)) => delay_hist = Some(d.clone()),
+                (_, None) => {}
             }
             mac.merge(&node.mac.counters);
             let a = &node.aodv.counters;

@@ -63,19 +63,19 @@ impl Simulator {
                 .as_ref()
                 .is_none_or(|(id, _, owner)| owner[i] == *id)
         };
-        let mut nodes: Vec<Option<Box<Node>>> = Vec::with_capacity(n);
         // One copy of the immutable per-scenario configuration, shared
         // by every node.
         let mac_cfg = Arc::new(cfg.mac.clone());
         let aodv_cfg = Arc::new(cfg.aodv.clone());
-        let mut mobility = Vec::with_capacity(n);
-        let mut any_mobile = false;
         let starts = start_positions(&cfg);
-        for (i, start) in starts.iter().enumerate() {
-            let m = match &cfg.nodes {
-                NodeSetup::UniformWaypoint { speed, pause, .. }
-                | NodeSetup::WaypointFrom { speed, pause, .. } => {
-                    any_mobile = true;
+        // A movement model per station only when stations move: a static
+        // field's positions are `hot.positions` and nothing else.
+        let mobility: Vec<Mobility> = match &cfg.nodes {
+            NodeSetup::UniformWaypoint { speed, pause, .. }
+            | NodeSetup::WaypointFrom { speed, pause, .. } => starts
+                .iter()
+                .enumerate()
+                .map(|(i, start)| {
                     Mobility::Waypoint(RandomWaypoint::new(
                         *start,
                         cfg.field.0,
@@ -84,25 +84,28 @@ impl Simulator {
                         *pause,
                         RngStream::derive_sub(cfg.seed, "mobility", i as u64),
                     ))
-                }
-                NodeSetup::Static(_) => Mobility::Static(*start),
-            };
-            mobility.push(m);
-            // Cold state is built on a station's first touch, and only
-            // ever for owned nodes: a shard never assembles the MAC
-            // queues and routing tables of nodes another region
-            // dispatches. A donated box is taken over as it is.
-            let donated = owned(i)
-                .then(|| donor.get_mut(i).and_then(Option::take))
-                .flatten()
-                .map(|mut b| {
-                    // Re-attached (identically) by the flow loop below,
-                    // like a fresh box's.
-                    b.sources.clear();
-                    b
-                });
-            nodes.push(donated);
-        }
+                })
+                .collect(),
+            NodeSetup::Static(_) => Vec::new(),
+        };
+        let any_mobile = !mobility.is_empty();
+        // Cold state is built on a station's first touch, and only ever
+        // for owned nodes: a shard never assembles the MAC queues and
+        // routing tables of nodes another region dispatches. A donated
+        // box is taken over as it is.
+        let mut nodes: Vec<Option<Box<Node>>> = (0..n)
+            .map(|i| {
+                owned(i)
+                    .then(|| donor.get_mut(i).and_then(Option::take))
+                    .flatten()
+                    .map(|mut b| {
+                        // Re-attached (identically) by the flow loop
+                        // below, like a fresh box's.
+                        b.sources.clear();
+                        b
+                    })
+            })
+            .collect();
 
         // Attach traffic sources to their homes and schedule first
         // emissions.

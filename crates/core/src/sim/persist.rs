@@ -91,9 +91,18 @@ impl Simulator {
         // Advance the mobility clones exactly to the cut: waypoint
         // queries are non-decreasing and idempotent, so this is the
         // state an uninterrupted run carries at `cut` regardless of when
-        // each node was last sampled.
+        // each node was last sampled. A static field holds no models;
+        // its section names each station's fixed position.
         let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
         let mobility = primary.then(|| {
+            if self.hot.mobility.is_empty() {
+                return self
+                    .hot
+                    .positions
+                    .iter()
+                    .map(|&p| Mobility::Static(p))
+                    .collect();
+            }
             let mut m = self.hot.mobility.clone();
             for mm in &mut m {
                 let _ = mm.position(cut);
@@ -381,9 +390,15 @@ impl Simulator {
             replicated
         };
         self.queue = pcmac_engine::EventQueue::restored(cut, base);
+        let bursts = replicated_bursts(&self.cfg) as usize;
         for (at, rank, ev) in &snap.pending {
             if *at < cut {
                 return Err(SnapError::Corrupt("pending event before the cut"));
+            }
+            if let SimEvent::ImpairmentStart { index } | SimEvent::ImpairmentEnd { index } = ev {
+                if *index >= bursts {
+                    return Err(SnapError::Corrupt("pending impairment names no burst"));
+                }
             }
             let mine = match ev.node_index() {
                 Some(j) if j >= self.nodes.len() => {
@@ -407,10 +422,30 @@ impl Simulator {
         if self.on_air_mismatch(&snap.pending).is_some() {
             return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
         }
+        // An emission names one of its home's sources, as loaded.
+        for (_, _, ev) in &snap.pending {
+            if let SimEvent::TrafficEmit { node, source } = ev {
+                let i = node.index();
+                if self.owns(i) && self.read_node(i, |n| *source >= n.sources.len()) {
+                    return Err(SnapError::Corrupt("pending emission names no source"));
+                }
+            }
+        }
 
         // Hot state: mobility models arrive advanced exactly to the cut,
-        // so sampling them at the cut is exact and free of history.
-        self.hot.mobility = snap.mobility.clone();
+        // so sampling them at the cut is exact and free of history. A
+        // static scenario keeps none, and its section must name the
+        // positions the scenario places its stations at.
+        if self.hot.mobility.is_empty() {
+            let mut pairs = snap.mobility.iter().zip(&self.hot.positions);
+            if !pairs.all(|(m, p)| matches!(m, Mobility::Static(q) if q == p)) {
+                return Err(SnapError::Corrupt(
+                    "movement section does not fit a static scenario",
+                ));
+            }
+        } else {
+            self.hot.mobility = snap.mobility.clone();
+        }
         self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
         self.channel.resync(&mut self.hot, cut);
         self.sent_packets = if primary { snap.sent_packets } else { 0 };

@@ -355,17 +355,20 @@ mod tests {
 
     /// Restore refuses a fault or metrics section whose presence or
     /// shape disagrees with the scenario, an open repair naming no
-    /// station, and a pending list with more replicated events than the
-    /// snapshot says were scheduled, an event naming no station or one
-    /// due before the cut, on one thread and on two shards alike, in the
-    /// calling thread: a snapshot is outside input.
+    /// station, a movement section that does not repeat a static
+    /// scenario's positions, and a pending list with more replicated
+    /// events than the snapshot says were scheduled, an event naming no
+    /// station, burst or source, or one due before the cut, on one
+    /// thread and on two shards alike, in the calling thread: a snapshot
+    /// is outside input.
     #[test]
     fn restore_refuses_a_snapshot_that_does_not_fit_the_scenario() {
         use crate::fault::{FaultConfig, ImpairmentBurst};
         use crate::metrics::MetricsConfig;
-        use crate::{ExecutionMode, Simulator};
-        use pcmac_engine::Milliwatts;
+        use crate::{ExecutionMode, NodeSetup, Simulator};
+        use pcmac_engine::{Milliwatts, Point};
         use pcmac_mac::Variant;
+        use pcmac_mobility::Mobility;
         use pcmac_phy::PowerLevels;
 
         // `n` stations and `bursts` impairment bursts, each layer on
@@ -447,6 +450,59 @@ mod tests {
         let mut s = both.clone();
         s.time = SimTime::ZERO + Duration::from_secs(1);
         cases.push((cfg(12, 1, true, true), s, "pending event before the cut"));
+        // A pending event's payload rewritten to index past what its
+        // target holds: the plan's one burst, the home's sources.
+        let rewrite = |f: &dyn Fn(&SimEvent) -> Option<SimEvent>| {
+            let mut s = both.clone();
+            let hit = s.pending.iter_mut().find_map(|(_, rank, ev)| {
+                let new = f(ev)?;
+                *rank = new.rank();
+                *ev = new;
+                Some(())
+            });
+            assert!(hit.is_some(), "the snapshot holds such an event");
+            s.pending.sort_by_key(|&(at, rank, _)| (at, rank));
+            s
+        };
+        let message = "pending impairment names no burst";
+        let start = rewrite(&|ev| {
+            matches!(ev, SimEvent::ImpairmentStart { .. })
+                .then_some(SimEvent::ImpairmentStart { index: 1 })
+        });
+        cases.push((cfg(12, 1, true, true), start, message));
+        let end = rewrite(&|ev| {
+            matches!(ev, SimEvent::ImpairmentEnd { .. })
+                .then_some(SimEvent::ImpairmentEnd { index: 1 })
+        });
+        cases.push((cfg(12, 1, true, true), end, message));
+        let emit = rewrite(&|ev| match *ev {
+            SimEvent::TrafficEmit { node, .. } => Some(SimEvent::TrafficEmit { node, source: 12 }),
+            _ => None,
+        });
+        cases.push((
+            cfg(12, 1, true, true),
+            emit,
+            "pending emission names no source",
+        ));
+        // A static scenario's movement section: a model that moves, or
+        // a station somewhere else.
+        let fixed = || {
+            let mut c = cfg(12, 1, true, true);
+            let row = (0..12)
+                .map(|k| Point::new(60.0 * k as f64, 300.0))
+                .collect();
+            c.nodes = NodeSetup::Static(row);
+            c
+        };
+        let still = snap(fixed());
+        let message = "movement section does not fit a static scenario";
+        let mut s = still.clone();
+        s.mobility[5] = both.mobility[5].clone();
+        assert!(matches!(s.mobility[5], Mobility::Waypoint(_)));
+        cases.push((fixed(), s, message));
+        let mut s = still.clone();
+        s.mobility[5] = Mobility::Static(Point::new(300.0, 301.0));
+        cases.push((fixed(), s, message));
 
         for (c, s, message) in cases {
             for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
@@ -459,11 +515,14 @@ mod tests {
                 }
             }
         }
-        // The unmutated snapshot restores on both.
+        // The unmutated snapshots restore on both.
         for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
             let mut c = cfg(12, 1, true, true);
             c.execution = Some(execution);
             assert!(Simulator::restore(c, &both).is_ok(), "{execution:?}");
+            let mut c = fixed();
+            c.execution = Some(execution);
+            assert!(Simulator::restore(c, &still).is_ok(), "{execution:?}");
         }
     }
 

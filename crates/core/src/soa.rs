@@ -10,8 +10,11 @@
 //! while dropping the cold `Node` boxes of every node it does not own.
 //!
 //! `positions` / `mobility` are authoritative: the cold [`Node`] carries
-//! no movement state. `alive` is a *mirror* of the fault layer's
-//! down-state, written where a node goes down or comes up.
+//! no movement state. Movement models exist only when something moves:
+//! a static field's `mobility` is empty, like its `sampled_at`, and its
+//! positions are the scenario's, fixed for the whole run. `alive` is a
+//! *mirror* of the fault layer's down-state, written where a node goes
+//! down or comes up.
 //!
 //! **Carrier state is authoritative here too.** A station's receive side
 //! is one [`RxRow`] per channel (`rx`, `ctrl_rx`): the interference sum,
@@ -51,7 +54,8 @@ pub(crate) struct HotState {
     /// a transmission's physics is about to read), fixed otherwise. The
     /// spatial index keeps its own, separately aged copy.
     pub(crate) positions: Vec<Point>,
-    /// Movement model per node (authoritative; moved out of `Node`).
+    /// Movement model per node under mobility (authoritative; moved out
+    /// of `Node`); empty when nothing moves.
     pub(crate) mobility: Vec<Mobility>,
     /// Mirror of `!faults.down[i]` (all-true without a fault plan).
     pub(crate) alive: Vec<bool>,

@@ -1,9 +1,11 @@
 //! What a node costs, counted at the allocator.
 //!
 //! A node pays for what it uses: a station's cold `Node` is built the
-//! first time the simulator touches it, the delay histogram, the
-//! interface queue and the routing agent's latency buckets are allocated
-//! by their first use, the MAC and routing configurations are shared,
+//! first time the simulator touches it, a static station has no
+//! movement model, the sink's flow table and delay histogram, the
+//! interface queue and the routing agent's originator state are
+//! allocated by their first use (the histogram up to its highest bucket
+//! only), the MAC and routing configurations are shared,
 //! the receive side of a radio is one 32-byte row in the simulator's hot
 //! arrays — the control channel's only under PCMAC — and the report
 //! reads the nodes where they lie. This binary installs its own counting
@@ -17,6 +19,7 @@
 //! neighbour that static transmitters now store.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,6 +31,8 @@ use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime};
 use pcmac_mac::MacConfig;
 use pcmac_net::Packet;
+use pcmac_stats::Histogram;
+use pcmac_traffic::FlowStats;
 
 struct Counting;
 
@@ -83,11 +88,11 @@ fn live() -> (usize, usize) {
 }
 
 const NODES: usize = 4_000;
-/// Per node of a static Basic field: position 16, movement model 128,
-/// alive 1, last tx power 8, tx-key counter 4, receive row 32, carrier
-/// flags 1, held noise 8, receiver-row index 8.
+/// Per node of a static Basic field: position 16, alive 1, last tx power
+/// 8, tx-key counter 4, receive row 32, carrier flags 1, held noise 8,
+/// receiver-row index 8. Nothing moves, so there is no movement model.
 const ROW_INDEX_BYTES: f64 = 8.0;
-const HOT_BYTES_PER_NODE: f64 = 198.0 + ROW_INDEX_BYTES;
+const HOT_BYTES_PER_NODE: f64 = 70.0 + ROW_INDEX_BYTES;
 const NODES_PER_FLOW: usize = 50;
 const PITCH_M: f64 = 250.0;
 
@@ -155,17 +160,39 @@ fn a_node_costs_what_it_uses() {
     );
     let inline = std::mem::size_of::<Node>();
     println!("one pristine node: {inline} B inline, 0 B in 0 allocations behind it");
-    assert!(inline <= 1240, "Node grew to {inline} B inline");
+    assert!(inline <= 990, "Node grew to {inline} B inline");
 
     let at = |ms| SimTime::ZERO + Duration::from_millis(ms);
     let packet = |id| Packet::data(PacketId(id), FlowId(0), NodeId(3), NodeId(7), 512, at(0));
 
-    // Sinking a packet allocates the flow table and the delay buckets.
+    // Sinking a packet allocates the sink's box, holding the flow table
+    // and the delay histogram, then the table's one entry and the delay
+    // buckets up to the one a 40 ms delay lands in: five of 10 ms, 8 B
+    // each, not the histogram's thousand.
+    let table = || {
+        let (base, _) = live();
+        let mut t = HashMap::new();
+        t.insert(FlowId(0), FlowStats::default());
+        let bytes = live().0 - base;
+        drop(t);
+        bytes
+    };
+    let table_bytes = table();
+    let boxed =
+        std::mem::size_of::<HashMap<FlowId, FlowStats>>() + std::mem::size_of::<Histogram>();
     let (bytes, allocs) = live();
     node.sink.deliver(&packet(1), at(40));
     let (bytes_after, allocs_after) = live();
-    assert_eq!(allocs_after, allocs + 2, "flow table and delay histogram");
-    assert!(bytes_after - bytes >= 8_000, "1000 delay buckets of 8 B");
+    assert_eq!(
+        allocs_after,
+        allocs + 3,
+        "box, flow table and delay buckets"
+    );
+    assert_eq!(
+        bytes_after - bytes,
+        boxed + table_bytes + 5 * 8,
+        "{boxed} B box, {table_bytes} B table, 5 delay buckets"
+    );
 
     // The first packet becomes the MAC's current job; only the second
     // has to wait, and allocates the interface queue.
@@ -218,7 +245,7 @@ fn a_node_costs_what_it_uses() {
     // --- a 4 000-node field: build, run, report -------------------------
     // The scenario (16 B of position per node, the flow list) belongs to
     // the simulator and is counted with it. The build holds what every
-    // station has and the cold state of the 80 flow homes: 303 B/node
+    // station has and the cold state of the 80 flow homes: 169 B/node
     // and 0.254 allocations/node when last measured; the budgets leave
     // about 10 % (and 0.1 allocations) above that.
     let (base_bytes, base_allocs) = live();
@@ -229,7 +256,7 @@ fn a_node_costs_what_it_uses() {
     let allocs_per_node = (built_allocs - base_allocs) as f64 / NODES as f64;
     println!("after build: {per_node:.0} B/node in {allocs_per_node:.3} allocations/node");
     assert!(
-        per_node <= 335.0,
+        per_node <= 186.0,
         "live heap after Simulator::new: {per_node:.0} B/node"
     );
     assert!(
@@ -245,8 +272,8 @@ fn a_node_costs_what_it_uses() {
     // Nothing moves here, so a station that transmits keeps its receiver
     // row: 16 B per stored neighbour. Over that, the peak holds what the
     // build holds plus the cold state of the stations the run touches:
-    // 1 063 B/node when last measured (1 158 with 5.92 stored neighbours
-    // per node), held to 1 180, about 11 % above. The index query of a
+    // 697 B/node when last measured (792 with 5.92 stored neighbours per
+    // node), held to 770, about 10 % above. The index query of a
     // row's build is profiled once per transmitter, so a metrics-on run
     // of the same field counts the neighbours stored.
     let mut profiled = field(Variant::Basic, 11);
@@ -257,7 +284,7 @@ fn a_node_costs_what_it_uses() {
         "rows: {} of {NODES} stations transmitted, {stored:.2} stored neighbours per node",
         hot.grid_queries
     );
-    let budget = 1180.0 + 16.0 * stored;
+    let budget = 770.0 + 16.0 * stored;
     assert!(
         peak <= budget,
         "peak live heap over build + run + report: {peak:.0} B/node, budget {budget:.0}"

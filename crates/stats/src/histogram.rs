@@ -1,17 +1,24 @@
 //! Fixed-width bucket histograms with percentile queries.
+//!
+//! A histogram's memory follows the samples it holds, not its range: the
+//! bucket array reaches only one past the highest bucket recorded, and a
+//! checkpoint lists only the non-zero buckets, so neither grows with the
+//! number of buckets the range is cut into.
 
 /// A histogram over `[0, width × buckets)` with an overflow bucket.
 ///
-/// The bucket array is allocated by the first sample that lands inside
-/// the range, not by [`Histogram::new`]: most histograms in a large run
-/// (one per traffic sink, i.e. one per node) never see a sample, and an
-/// empty one costs only its geometry. A histogram without an array
-/// behaves exactly like one whose buckets are all zero.
+/// The bucket array holds buckets `0..=k` for the highest bucket `k`
+/// recorded so far, not all `buckets` of the range: a histogram that
+/// never saw an in-range sample holds none, and a sink's delay
+/// histogram, whose samples land in its first few 10 ms buckets, holds
+/// those few rather than a thousand. Every bucket past the array is
+/// zero, so a short array answers exactly like the full-length one.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     width: f64,
     buckets: usize,
-    /// Empty until the first in-range sample, then `buckets` long.
+    /// One past the highest non-zero bucket long (empty before the first
+    /// in-range sample); never longer than `buckets`.
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -35,8 +42,8 @@ impl Histogram {
         self.total += 1;
         let idx = (x.max(0.0) / self.width) as usize;
         if idx < self.buckets {
-            if self.counts.is_empty() {
-                self.counts = vec![0; self.buckets];
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
             }
             self.counts[idx] += 1;
         } else {
@@ -72,20 +79,19 @@ impl Histogram {
     }
 
     /// Merge another histogram with identical geometry (bucket width and
-    /// count) into this one. A side without a bucket array contributes,
-    /// or receives, no per-bucket work.
+    /// count) into this one. The bucket array grows to the longer of the
+    /// two.
     ///
     /// # Panics
     /// If the geometries differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.width, other.width, "bucket width mismatch");
         assert_eq!(self.buckets, other.buckets, "bucket count mismatch");
-        if self.counts.is_empty() {
-            self.counts.clone_from(&other.counts);
-        } else {
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
         self.overflow += other.overflow;
         self.total += other.total;
@@ -133,7 +139,7 @@ mod snap {
             let total = r.u64()?;
             let nz = r.len_prefix()?;
             let buckets = buckets as usize;
-            // Allocated by the first non-zero bucket, like `record`.
+            // Up to the last (highest) pair's bucket, like `record`.
             let mut counts = Vec::new();
             let mut in_buckets: u64 = 0;
             let mut prev: Option<u32> = None;
@@ -146,9 +152,7 @@ mod snap {
                 if i as usize >= buckets || c == 0 {
                     return Err(SnapError::Corrupt("histogram bucket"));
                 }
-                if counts.is_empty() {
-                    counts = vec![0u64; buckets];
-                }
+                counts.resize(i as usize + 1, 0);
                 counts[i as usize] = c;
                 in_buckets = in_buckets
                     .checked_add(c)
@@ -290,8 +294,9 @@ mod tests {
         assert!(Histogram::load(&mut SnapReader::open(&bytes).unwrap()).is_err());
     }
 
-    /// The dense histogram of the parent commit: the reference model the
-    /// allocate-on-first-use one must be indistinguishable from.
+    /// A histogram that holds all of its buckets from the start: the
+    /// reference model the short-array one must be indistinguishable
+    /// from.
     #[derive(Clone)]
     struct Dense {
         width: f64,
@@ -376,18 +381,28 @@ mod tests {
         assert_eq!(snap_bytes(lazy), dense.snap_bytes());
     }
 
+    /// One past the highest non-zero bucket of `d`: the length a
+    /// histogram holding the same samples keeps.
+    fn span(d: &Dense) -> usize {
+        d.counts.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1)
+    }
+
     proptest! {
-        /// Random `record` / `merge` (both directions, either side still
-        /// without a bucket array, samples past the range) on a pair of
-        /// lazy histograms and a pair of dense ones: equal answers, equal
-        /// snapshot bytes, and the bytes load back to the same histogram.
+        /// Random `record` / `merge` (both directions, between arrays of
+        /// different lengths, either side still without one, samples in
+        /// the top bucket and past the range) on a pair of short-array
+        /// histograms and a pair of dense ones: equal answers, equal
+        /// snapshot bytes, arrays exactly one past their highest
+        /// non-zero bucket, and the bytes load back to the same
+        /// histogram at the same length.
         #[test]
         fn lazy_matches_dense_reference(
-            ops in proptest::collection::vec((0u8..6, -5.0f64..250.0, 0.0f64..1.0), 0..60),
+            ops in proptest::collection::vec((0u8..8, -5.0f64..250.0, 0.0f64..1.0), 0..60),
         ) {
             use pcmac_snap::{Snap, SnapReader};
-            // Range [0, 100): a third of the samples overflow, and ops 4/5
-            // record overflow-only samples, which must not allocate.
+            // Range [0, 100): a third of the samples overflow, ops 4/5
+            // record overflow-only samples, which must not allocate, and
+            // ops 6/7 land in the top bucket, 49.
             let (mut a, mut b) = (Histogram::new(2.0, 50), Histogram::new(2.0, 50));
             let (mut da, mut db) = (Dense::new(2.0, 50), Dense::new(2.0, 50));
             for &(op, x, q) in &ops {
@@ -397,16 +412,21 @@ mod tests {
                     2 => { a.merge(&b); da.merge(&db); }
                     3 => { b.merge(&a); db.merge(&da); }
                     4 => { a.record(100.0 + x.abs()); da.record(100.0 + x.abs()); }
-                    _ => { b.record(100.0 + x.abs()); db.record(100.0 + x.abs()); }
+                    5 => { b.record(100.0 + x.abs()); db.record(100.0 + x.abs()); }
+                    6 => { a.record(99.0 + q); da.record(99.0 + q); }
+                    _ => { b.record(99.0 + q); db.record(99.0 + q); }
                 }
                 assert_same(&a, &da, q);
                 assert_same(&b, &db, q);
-                prop_assert_eq!(a.counts.is_empty(), da.counts.iter().all(|&c| c == 0));
+                prop_assert_eq!(a.counts.len(), span(&da));
+                prop_assert_eq!(b.counts.len(), span(&db));
             }
-            let bytes = snap_bytes(&a);
-            let back = Histogram::load(&mut SnapReader::open(&bytes).unwrap()).unwrap();
-            prop_assert_eq!(snap_bytes(&back), bytes);
-            prop_assert_eq!(back.counts.is_empty(), a.counts.is_empty());
+            for h in [&a, &b] {
+                let bytes = snap_bytes(h);
+                let back = Histogram::load(&mut SnapReader::open(&bytes).unwrap()).unwrap();
+                prop_assert_eq!(snap_bytes(&back), bytes);
+                prop_assert_eq!(back.counts.len(), h.counts.len());
+            }
         }
     }
 

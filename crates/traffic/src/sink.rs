@@ -3,6 +3,11 @@
 //! Sinks compute exactly the two quantities the paper's evaluation plots:
 //! delivered application bytes (→ aggregate network throughput, Fig. 8)
 //! and end-to-end packet delay (→ average delay, Fig. 9).
+//!
+//! Every station has a sink, and in a large field few of them are ever
+//! a flow's destination. So a sink's flow table and delay histogram sit
+//! behind one box that its first delivery allocates: until then a sink
+//! is one empty pointer, and it reads and checkpoints as an empty one.
 
 use std::collections::HashMap;
 
@@ -40,20 +45,32 @@ impl FlowStats {
     }
 }
 
-/// Collects deliveries at a destination node.
+/// What a sink holds once something was delivered to it.
 #[derive(Debug, Clone)]
-pub struct Sink {
+struct Deliveries {
     flows: HashMap<FlowId, FlowStats>,
     delay_hist: Histogram,
 }
 
-impl Default for Sink {
-    fn default() -> Self {
-        Sink {
+impl Deliveries {
+    fn new() -> Self {
+        Deliveries {
             flows: HashMap::new(),
             delay_hist: Histogram::new(DELAY_BUCKET_MS, DELAY_BUCKETS),
         }
     }
+
+    /// `true` when nothing here differs from [`Deliveries::new`].
+    fn is_blank(&self) -> bool {
+        self.flows.is_empty() && self.delay_hist.total() == 0
+    }
+}
+
+/// Collects deliveries at a destination node.
+#[derive(Debug, Clone, Default)]
+pub struct Sink {
+    /// `None` until the first delivery.
+    deliveries: Option<Box<Deliveries>>,
 }
 
 impl Sink {
@@ -69,53 +86,58 @@ impl Sink {
         };
         let Some(flow) = packet.flow else { return };
         let delay = now.saturating_since(packet.created_at);
-        let s = self.flows.entry(flow).or_default();
+        let d = self
+            .deliveries
+            .get_or_insert_with(|| Box::new(Deliveries::new()));
+        let s = d.flows.entry(flow).or_default();
         s.received += 1;
         s.bytes += bytes as u64;
         s.delay_sum += delay;
         s.max_delay = s.max_delay.max(delay);
-        self.delay_hist.record(delay.as_millis_f64());
+        d.delay_hist.record(delay.as_millis_f64());
     }
 
-    /// The delay distribution (ms buckets) across all flows at this sink;
-    /// geometry is shared by every sink so histograms merge network-wide.
-    pub fn delay_histogram(&self) -> &Histogram {
-        &self.delay_hist
+    /// The delay distribution (ms buckets) across all flows at this sink,
+    /// `None` before the first delivery; geometry is shared by every sink
+    /// so histograms merge network-wide.
+    pub fn delay_histogram(&self) -> Option<&Histogram> {
+        self.deliveries.as_ref().map(|d| &d.delay_hist)
     }
 
     /// Stats for one flow.
     pub fn flow(&self, flow: FlowId) -> Option<&FlowStats> {
-        self.flows.get(&flow)
+        self.deliveries.as_ref()?.flows.get(&flow)
     }
 
     /// Iterate all flows.
     pub fn flows(&self) -> impl Iterator<Item = (&FlowId, &FlowStats)> {
-        self.flows.iter()
+        self.deliveries.iter().flat_map(|d| d.flows.iter())
     }
 
     /// Total delivered packets.
     pub fn total_received(&self) -> u64 {
-        self.flows.values().map(|f| f.received).sum()
+        self.flows().map(|(_, f)| f.received).sum()
     }
 
     /// Total delivered application bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.flows.values().map(|f| f.bytes).sum()
+        self.flows().map(|(_, f)| f.bytes).sum()
     }
 
     /// Mean end-to-end delay across all delivered packets.
     pub fn mean_delay(&self) -> Option<Duration> {
-        let n: u64 = self.flows.values().map(|f| f.received).sum();
+        let n = self.total_received();
         if n == 0 {
             return None;
         }
-        let sum_ns: u64 = self.flows.values().map(|f| f.delay_sum.as_nanos()).sum();
+        let sum_ns: u64 = self.flows().map(|(_, f)| f.delay_sum.as_nanos()).sum();
         Some(Duration::from_nanos(sum_ns / n))
     }
 }
 
 mod snap {
-    use super::{FlowStats, Sink};
+    use super::{Deliveries, FlowStats, Sink};
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     pcmac_snap::snap_struct!(FlowStats {
         received,
@@ -124,7 +146,33 @@ mod snap {
         max_delay,
     });
 
-    pcmac_snap::snap_struct!(Sink { flows, delay_hist });
+    /// A sink that never had a delivery writes the bytes of an empty
+    /// flow table and histogram, and reading those back allocates
+    /// nothing.
+    impl Snap for Sink {
+        fn save(&self, w: &mut SnapWriter) {
+            let blank;
+            let d = match &self.deliveries {
+                Some(d) => &**d,
+                None => {
+                    blank = Deliveries::new();
+                    &blank
+                }
+            };
+            d.flows.save(w);
+            d.delay_hist.save(w);
+        }
+
+        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let d = Deliveries {
+                flows: Snap::load(r)?,
+                delay_hist: Snap::load(r)?,
+            };
+            Ok(Sink {
+                deliveries: (!d.is_blank()).then(|| Box::new(d)),
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -183,7 +231,37 @@ mod tests {
     fn empty_sink_has_no_delay() {
         let s = Sink::new();
         assert!(s.mean_delay().is_none());
+        assert!(s.delay_histogram().is_none());
         assert_eq!(s.total_received(), 0);
+    }
+
+    #[test]
+    fn checkpoint_bytes_do_not_show_when_the_box_was_allocated() {
+        use pcmac_snap::{Snap, SnapReader, SnapWriter};
+        let bytes = |s: &Sink| {
+            let mut w = SnapWriter::new();
+            s.save(&mut w);
+            w.finish()
+        };
+        // An empty sink writes an empty flow table and the shared
+        // geometry's empty histogram.
+        let mut w = SnapWriter::new();
+        HashMap::<FlowId, FlowStats>::new().save(&mut w);
+        Histogram::new(DELAY_BUCKET_MS, DELAY_BUCKETS).save(&mut w);
+        let blank = Sink::new();
+        assert_eq!(bytes(&blank), w.finish());
+        let back = Sink::load(&mut SnapReader::open(&bytes(&blank)).unwrap()).unwrap();
+        assert!(
+            back.deliveries.is_none(),
+            "a blank sink loads without its box"
+        );
+
+        let mut s = Sink::new();
+        s.deliver(&pkt(0, 1, 0), t(40));
+        s.deliver(&pkt(3, 2, 10), t(1500));
+        let back = Sink::load(&mut SnapReader::open(&bytes(&s)).unwrap()).unwrap();
+        assert_eq!(bytes(&back), bytes(&s));
+        assert_eq!(back.total_received(), 2);
     }
 
     #[test]
@@ -194,7 +272,7 @@ mod tests {
             s.deliver(&pkt(0, n, 0), t(5));
         }
         s.deliver(&pkt(0, 99, 0), t(1000));
-        let h = s.delay_histogram();
+        let h = s.delay_histogram().expect("delivered");
         assert_eq!(h.total(), 10);
         assert_eq!(h.quantile(0.5), Some(10.0), "median in first bucket");
         // 1000 ms lands in bucket [1000, 1010) → upper edge 1010.
