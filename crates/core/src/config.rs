@@ -609,6 +609,16 @@ impl ScenarioConfig {
                 ));
             }
         }
+        // The MAC sizes every needed power against its threshold; a radio
+        // that decodes at another one makes those sizes wrong, silently.
+        if self.mac.rx_thresh != self.radio.rx_thresh {
+            problems.push(format!(
+                "MAC decode threshold {} mW differs from the radio decode threshold {} mW: \
+                 needed powers would be sized for a threshold the radio does not decode at",
+                self.mac.rx_thresh.value(),
+                self.radio.rx_thresh.value()
+            ));
+        }
         if self.radio.rx_thresh.value() <= self.radio.noise_floor.value() {
             problems.push(format!(
                 "decode threshold {} mW must exceed the noise floor {} mW — nothing could ever be decoded",
@@ -853,6 +863,9 @@ mod tests {
         let mut c = base();
         c.radio.rx_thresh = Milliwatts(1e-12); // below the 1e-9 noise floor
         has(c, "noise floor");
+        let mut c = base();
+        c.radio.rx_thresh = c.radio.rx_thresh * 2.0;
+        has(c, "differs from the radio decode threshold");
         let mut c = base();
         c.radio.capture_ratio = f64::NAN;
         has(c, "radio capture ratio");

@@ -94,15 +94,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// `true` when the plan can actually take a node down or impair the
-    /// channel.
-    pub fn is_active(&self) -> bool {
-        self.crashes.as_ref().is_some_and(|c| !c.is_empty())
-            || self.churn.is_some()
-            || self.impairments.as_ref().is_some_and(|i| !i.is_empty())
-            || self.energy_budget_mj.is_some()
-    }
-
     /// Append every defect in the plan to `problems` (the fault-plan
     /// part of [`crate::ScenarioConfig::validate`]).
     /// `node_count` bounds crash targets; `duration_s` bounds windows.
@@ -630,8 +621,6 @@ mod tests {
         let back: FaultConfig =
             serde_json::from_str(&serde_json::to_string(&empty).unwrap()).unwrap();
         assert_eq!(empty, back);
-        assert!(!empty.is_active());
-        assert!(plan.is_active());
     }
 
     #[test]

@@ -3,102 +3,10 @@
 use std::sync::Arc;
 
 use pcmac_aodv::{AodvAgent, AodvConfig};
-use pcmac_engine::{NodeId, RngStream, SimTime};
+use pcmac_engine::{NodeId, SimTime};
 use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacConfig};
-use pcmac_phy::energy::EnergyModel;
 use pcmac_phy::EnergyMeter;
-use pcmac_traffic::{CbrSource, OnOffSource, PoissonSource, Sink, Source};
-
-use crate::config::{FlowShape, FlowSpec};
-
-/// A traffic source of any supported shape.
-#[derive(Debug)]
-pub enum TrafficSource {
-    /// Constant bit rate.
-    Cbr(CbrSource),
-    /// Poisson arrivals.
-    Poisson(PoissonSource),
-    /// Bursty on/off.
-    OnOff(OnOffSource),
-}
-
-impl TrafficSource {
-    /// Build from a flow specification.
-    pub fn from_spec(spec: &FlowSpec, seed: u64) -> Self {
-        match spec.shape {
-            FlowShape::Cbr => TrafficSource::Cbr(CbrSource::new(
-                spec.flow,
-                spec.src,
-                spec.dst,
-                spec.bytes,
-                spec.rate_bps,
-                spec.start,
-                spec.stop,
-            )),
-            FlowShape::Poisson => TrafficSource::Poisson(PoissonSource::new(
-                spec.flow,
-                spec.src,
-                spec.dst,
-                spec.bytes,
-                spec.rate_bps,
-                spec.start,
-                spec.stop,
-                RngStream::derive_sub(seed, "traffic.poisson", spec.flow.0 as u64),
-            )),
-            FlowShape::OnOff {
-                mean_on_s,
-                mean_off_s,
-            } => TrafficSource::OnOff(OnOffSource::new(
-                spec.flow,
-                spec.src,
-                spec.dst,
-                spec.bytes,
-                spec.rate_bps,
-                mean_on_s,
-                mean_off_s,
-                spec.start,
-                spec.stop,
-                RngStream::derive_sub(seed, "traffic.onoff", spec.flow.0 as u64),
-            )),
-        }
-    }
-
-    /// Next emission instant (`None` when the flow finished).
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            TrafficSource::Cbr(s) => s.next_time(),
-            TrafficSource::Poisson(s) => s.next_time(),
-            TrafficSource::OnOff(s) => s.next_time(),
-        }
-    }
-
-    /// Emit the packet due at `now`.
-    pub fn emit(&mut self, now: SimTime) -> pcmac_net::Packet {
-        match self {
-            TrafficSource::Cbr(s) => s.emit(now),
-            TrafficSource::Poisson(s) => s.emit(now),
-            TrafficSource::OnOff(s) => s.emit(now),
-        }
-    }
-
-    /// Packets emitted so far.
-    pub fn emitted(&self) -> u64 {
-        match self {
-            TrafficSource::Cbr(s) => s.emitted(),
-            TrafficSource::Poisson(s) => s.emitted(),
-            TrafficSource::OnOff(s) => s.emitted(),
-        }
-    }
-
-    /// The flow this source feeds.
-    pub fn flow(&self) -> pcmac_engine::FlowId {
-        match self {
-            TrafficSource::Cbr(s) => s.flow(),
-            TrafficSource::Poisson(s) => s.flow(),
-            TrafficSource::OnOff(s) => s.flow(),
-        }
-    }
-}
+use pcmac_traffic::{Sink, Source};
 
 /// One station: MAC, routing, traffic endpoints, meter. Movement, the
 /// receive side of both radios and the other dispatch-hot per-node
@@ -121,10 +29,10 @@ pub struct Node {
     /// The routing agent.
     pub aodv: AodvAgent,
     /// Traffic sources homed on this node.
-    pub sources: Vec<TrafficSource>,
+    pub sources: Vec<Source>,
     /// Delivery statistics for flows terminating here.
     pub sink: Sink,
-    /// Energy bookkeeping.
+    /// Radiated-energy bookkeeping.
     pub energy: EnergyMeter,
 }
 
@@ -148,7 +56,7 @@ impl Node {
             aodv: AodvAgent::new(id, aodv_cfg),
             sources: Vec::new(),
             sink: Sink::new(),
-            energy: EnergyMeter::new(EnergyModel::radiated_only(), SimTime::ZERO),
+            energy: EnergyMeter::new(SimTime::ZERO),
         }
     }
 
@@ -184,37 +92,5 @@ impl Node {
         self.sink = Snap::load(r)?;
         self.energy = Snap::load(r)?;
         Ok(())
-    }
-}
-
-mod snap {
-    use super::TrafficSource;
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for TrafficSource {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                TrafficSource::Cbr(s) => {
-                    w.u8(0);
-                    s.save(w);
-                }
-                TrafficSource::Poisson(s) => {
-                    w.u8(1);
-                    s.save(w);
-                }
-                TrafficSource::OnOff(s) => {
-                    w.u8(2);
-                    s.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(TrafficSource::Cbr(Snap::load(r)?)),
-                1 => Ok(TrafficSource::Poisson(Snap::load(r)?)),
-                2 => Ok(TrafficSource::OnOff(Snap::load(r)?)),
-                _ => Err(SnapError::Corrupt("traffic source tag")),
-            }
-        }
     }
 }

@@ -6,15 +6,46 @@ use std::sync::Arc;
 use pcmac_engine::{EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
 use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::RxRow;
+use pcmac_traffic::Source;
 
 use super::{sched_into, BufPool, ShardCtx, Simulator};
 use crate::channel::Channel;
-use crate::config::{NodeSetup, ScenarioConfig};
+use crate::config::{FlowShape, FlowSpec, NodeSetup, ScenarioConfig};
 use crate::event::SimEvent;
 use crate::fault::FaultState;
 use crate::metrics::MetricsState;
-use crate::node::{Node, TrafficSource};
+use crate::node::Node;
 use crate::soa::HotState;
+
+/// The traffic source of the flow `spec`. Random arrival processes draw
+/// from a stream derived from the seed and the flow id.
+fn source_for(spec: &FlowSpec, seed: u64) -> Source {
+    let &FlowSpec {
+        flow,
+        src,
+        dst,
+        bytes,
+        rate_bps: rate,
+        start,
+        stop,
+        shape,
+    } = spec;
+    let rng = |label| RngStream::derive_sub(seed, label, flow.0 as u64);
+    match shape {
+        FlowShape::Cbr => Source::cbr(flow, src, dst, bytes, rate, start, stop),
+        FlowShape::Poisson => {
+            let rng = rng("traffic.poisson");
+            Source::poisson(flow, src, dst, bytes, rate, start, stop, rng)
+        }
+        FlowShape::OnOff {
+            mean_on_s: on,
+            mean_off_s: off,
+        } => {
+            let rng = rng("traffic.onoff");
+            Source::on_off(flow, src, dst, bytes, rate, on, off, start, stop, rng)
+        }
+    }
+}
 
 /// Every station's position at t = 0. The column partition of a sharded
 /// run reads these too, so a resumed run splits the field exactly as an
@@ -129,7 +160,7 @@ impl Simulator {
                     cfg.seed,
                 ))
             });
-            let mut src = TrafficSource::from_spec(spec, cfg.seed);
+            let mut src = source_for(spec, cfg.seed);
             if let Some(t0) = src.next_time() {
                 let source_idx = home_node.sources.len();
                 sched_into(

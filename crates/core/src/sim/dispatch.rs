@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use pcmac_engine::{Duration, Milliwatts, NodeId, SimTime};
 use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacAction};
-use pcmac_phy::energy::RadioMode;
 #[cfg(debug_assertions)]
 use pcmac_snap::SnapWriter;
 
@@ -165,9 +164,7 @@ impl Simulator {
             SimEvent::TxEnd { node } => {
                 let i = node.index();
                 let heard = self.hot.rx[i].end_tx(&self.radio);
-                self.node_mut(i)
-                    .energy
-                    .set_mode(now, RadioMode::Idle, Milliwatts::ZERO);
+                self.node_mut(i).energy.end_tx(now);
                 if heard.edge_after() {
                     self.carrier_edge(i, self.hot.rx[i].reported_busy(), now);
                 }
@@ -187,9 +184,10 @@ impl Simulator {
                 self.on_ctrl_arrival_end(node.index(), key, power, now)
             }
             SimEvent::CtrlTxEnd { node } => {
-                // The tolerance broadcast happens while the data radio is
-                // mid-reception; energy for it was accounted at start,
-                // and the control channel indicates no carrier edges.
+                // The tolerance broadcast went out while the data radio
+                // was mid-reception. No energy was metered for it (the
+                // meter counts data-channel transmissions only), and the
+                // control channel indicates no carrier edges.
                 self.hot.ctrl_rx[node.index()].end_tx(&self.radio);
             }
             SimEvent::MacTimer { node, kind, token } => {
@@ -863,7 +861,7 @@ impl Simulator {
         // Our own transmission aborts a reception in progress.
         node.locked = None;
         if !down {
-            node.energy.set_mode(now, RadioMode::Transmit, power);
+            node.energy.start_tx(now, power);
         }
         if heard.edge_after() {
             self.carrier_edge(i, self.hot.rx[i].reported_busy(), now);
@@ -895,8 +893,9 @@ impl Simulator {
 
         self.hot.ctrl_rx[i].start_tx(&self.radio);
         self.node_mut(i).ctrl_locked = None;
-        // The ctrl broadcast radiates too (the data radio may be mid-rx;
-        // energy is attributed per-channel, transmit wins for the overlap).
+        // The broadcast radiates on the control channel while the data
+        // radio may be mid-reception. The energy meter does not see it:
+        // `radiated_mj` counts data-channel transmissions only.
         self.sched(
             end,
             SimEvent::CtrlTxEnd {

@@ -174,14 +174,6 @@ impl RunOutcome {
             RunOutcome::Cancelled(_) => None,
         }
     }
-
-    /// The cancellation snapshot, if the run was cancelled mid-flight.
-    pub fn cancelled_snapshot(self) -> Option<SimSnapshot> {
-        match self {
-            RunOutcome::Completed(_) => None,
-            RunOutcome::Cancelled(s) => s,
-        }
-    }
 }
 
 /// The complete deterministic state of a run at a cut instant. Obtain

@@ -45,20 +45,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Unit vector pointing from `self` toward `to`; zero vector if the
-    /// points coincide.
-    pub fn direction_to(self, to: Point) -> Vector {
-        let d = self.distance(to);
-        if d == 0.0 {
-            Vector::default()
-        } else {
-            Vector {
-                x: (to.x - self.x) / d,
-                y: (to.y - self.y) / d,
-            }
-        }
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `to` at `t = 1`.
     pub fn lerp(self, to: Point, t: f64) -> Point {
         Point {
@@ -123,23 +109,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25.0);
-    }
-
-    #[test]
-    fn direction_is_unit_length() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(4.0, 5.0);
-        let d = a.direction_to(b);
-        assert!((d.norm() - 1.0).abs() < 1e-12);
-        // and it actually points at b
-        let c = a + d * 5.0;
-        assert!((c.x - 4.0).abs() < 1e-12 && (c.y - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn direction_to_self_is_zero() {
-        let a = Point::new(2.0, 2.0);
-        assert_eq!(a.direction_to(a).norm(), 0.0);
     }
 
     #[test]

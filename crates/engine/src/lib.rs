@@ -18,8 +18,8 @@
 //! * [`grid`] — a uniform-grid spatial index ([`UniformGrid`]) answering
 //!   "who is within radius r?" in O(local density) instead of O(N); the
 //!   wireless channel's per-transmission neighbourhood query.
-//! * [`units`] — RF power quantities ([`Milliwatts`], [`Dbm`]) and safe
-//!   conversions between them.
+//! * [`units`] — the RF power quantity ([`Milliwatts`]) and its linear
+//!   arithmetic.
 //! * [`ids`] — strongly-typed identifiers ([`NodeId`], [`FlowId`], …).
 //!
 //! The kernel is intentionally generic: the event payload type is a type
@@ -44,4 +44,4 @@ pub use queue::{EventKey, EventQueue, ScheduledEvent};
 pub use rng::RngStream;
 pub use time::{Duration, SimTime};
 pub use timer::{TimerSlot, TimerToken};
-pub use units::{Dbm, Milliwatts};
+pub use units::Milliwatts;

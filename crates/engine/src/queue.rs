@@ -46,7 +46,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// An event popped from the queue: a payload tagged with its due time,
 /// rank, and insertion sequence.
@@ -98,7 +98,7 @@ impl HeapKey {
 /// The simulation event queue.
 ///
 /// ```
-/// use pcmac_engine::{EventQueue, SimTime, Duration};
+/// use pcmac_engine::{EventQueue, SimTime};
 ///
 /// let mut q: EventQueue<&'static str> = EventQueue::new();
 /// q.schedule_at(SimTime::from_nanos(20), "later");
@@ -263,12 +263,6 @@ impl<E> EventQueue<E> {
         self.now = at;
     }
 
-    /// Schedule `event` after `delay` from the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Pop the earliest event and advance the clock to its due time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let Reverse(key) = self.heap.pop()?;
@@ -377,16 +371,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(42));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(100), "a");
-        q.pop();
-        q.schedule_in(Duration::from_nanos(50), "b");
-        let e = q.pop().unwrap();
-        assert_eq!(e.at, SimTime::from_nanos(150));
     }
 
     #[test]

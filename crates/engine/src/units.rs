@@ -1,12 +1,10 @@
 //! RF power units.
 //!
 //! The propagation model and the paper's protocol logic both work in linear
-//! watts/milliwatts (tolerances add linearly); humans and the 802.11
-//! literature speak dBm. [`Milliwatts`] is the canonical representation;
-//! [`Dbm`] is a display/entry convenience. Conversions are exact up to
-//! floating point.
+//! milliwatts (tolerances add linearly), so [`Milliwatts`] is the one
+//! power type.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -15,19 +13,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Milliwatts(pub f64);
 
-/// Logarithmic power in dB-milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct Dbm(pub f64);
-
 impl Milliwatts {
     /// Zero power.
     pub const ZERO: Milliwatts = Milliwatts(0.0);
-
-    /// From watts.
-    #[inline]
-    pub fn from_watts(w: f64) -> Self {
-        Milliwatts(w * 1e3)
-    }
 
     /// To watts.
     #[inline]
@@ -39,12 +27,6 @@ impl Milliwatts {
     #[inline]
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// To dBm. Zero or negative power maps to −∞ dBm.
-    #[inline]
-    pub fn to_dbm(self) -> Dbm {
-        Dbm(10.0 * self.0.log10())
     }
 
     /// `true` if the value is a finite, non-negative power.
@@ -65,14 +47,6 @@ impl Milliwatts {
     #[inline]
     pub fn clamp_non_negative(self) -> Milliwatts {
         Milliwatts(self.0.max(0.0))
-    }
-}
-
-impl Dbm {
-    /// To linear milliwatts.
-    #[inline]
-    pub fn to_milliwatts(self) -> Milliwatts {
-        Milliwatts(10f64.powf(self.0 / 10.0))
     }
 }
 
@@ -132,41 +106,13 @@ impl fmt::Display for Milliwatts {
     }
 }
 
-impl fmt::Display for Dbm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} dBm", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn dbm_roundtrip() {
-        for mw in [0.001, 1.0, 281.8, 1000.0] {
-            let back = Milliwatts(mw).to_dbm().to_milliwatts();
-            assert!((back.0 - mw).abs() / mw < 1e-12);
-        }
-    }
-
-    #[test]
-    fn known_conversions() {
-        assert!((Milliwatts(1.0).to_dbm().0 - 0.0).abs() < 1e-12);
-        assert!((Milliwatts(100.0).to_dbm().0 - 20.0).abs() < 1e-12);
-        assert!((Dbm(30.0).to_milliwatts().0 - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn watts_roundtrip() {
-        let p = Milliwatts::from_watts(0.28183815);
-        assert!((p.0 - 281.83815).abs() < 1e-9);
-        assert!((p.watts() - 0.28183815).abs() < 1e-15);
-    }
-
-    #[test]
-    fn zero_power_maps_to_neg_inf_dbm() {
-        assert_eq!(Milliwatts::ZERO.to_dbm().0, f64::NEG_INFINITY);
+    fn watts() {
+        assert!((Milliwatts(281.83815).watts() - 0.28183815).abs() < 1e-15);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use pcmac_engine::Duration;
 use serde::Serialize;
 
-use crate::frame::{ACK_BYTES, CTS_BYTES, RTS_BYTES};
+use crate::frame::{ACK_BYTES, CTS_BYTES};
 
 /// Timing and rate parameters of the 802.11 DSSS PHY/MAC.
 #[derive(Debug, Clone, Serialize)]
@@ -87,12 +87,6 @@ impl Dot11Timing {
         Duration::from_nanos(bits * 1_000_000_000 / rate_bps)
     }
 
-    /// RTS airtime (352 µs with defaults).
-    #[inline]
-    pub fn rts_time(&self) -> Duration {
-        self.airtime_basic(RTS_BYTES)
-    }
-
     /// CTS airtime (304 µs with defaults).
     #[inline]
     pub fn cts_time(&self) -> Duration {
@@ -148,6 +142,7 @@ impl Default for Dot11Timing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::RTS_BYTES;
 
     #[test]
     fn derived_ifs_values() {
@@ -160,7 +155,7 @@ mod tests {
     #[test]
     fn control_frame_airtimes() {
         let t = Dot11Timing::ns2_default();
-        assert_eq!(t.rts_time(), Duration::from_micros(192 + 160));
+        assert_eq!(t.airtime_basic(RTS_BYTES), Duration::from_micros(192 + 160));
         assert_eq!(t.cts_time(), Duration::from_micros(192 + 112));
         assert_eq!(t.ack_time(), Duration::from_micros(192 + 112));
     }

@@ -39,12 +39,6 @@ impl Mobility {
         }
     }
 
-    /// `true` if the node can move (affects how often the core refreshes
-    /// cached positions).
-    pub fn is_mobile(&self) -> bool {
-        matches!(self, Mobility::Waypoint(_))
-    }
-
     /// See [`RandomWaypoint::stale_after`]; static nodes never go stale.
     pub fn stale_after(&self, now: SimTime, pad: f64) -> SimTime {
         match self {
@@ -223,7 +217,6 @@ mod tests {
         let mut m = Mobility::Static(Point::new(10.0, 20.0));
         assert_eq!(m.position(t(0.0)), Point::new(10.0, 20.0));
         assert_eq!(m.position(t(400.0)), Point::new(10.0, 20.0));
-        assert!(!m.is_mobile());
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl PowerLevels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagation::{Propagation, TwoRayGround};
+    use crate::propagation::TwoRayGround;
 
     #[test]
     fn paper_has_ten_levels() {

@@ -19,8 +19,9 @@
 //! * [`radio`] — the per-node reception state machine: cumulative
 //!   interference tracking, SINR-based capture (threshold 10), half-duplex
 //!   transmit/receive, carrier-sense busy/idle edge notifications.
-//! * [`energy`] — a per-node energy meter (transmit energy scales with the
-//!   selected power level; this is what power *saving* claims measure).
+//! * [`energy`] — a per-node radiated-energy meter (the power of the
+//!   selected level times the time on the air; this is what power
+//!   *saving* claims measure).
 //!
 //! The fidelity anchors in DESIGN.md §4 — crossover distance, the
 //! level→range table, threshold values — are asserted by this crate's
@@ -34,10 +35,10 @@ pub mod propagation;
 pub mod radio;
 pub mod shadowing;
 
-pub use energy::{EnergyMeter, RadioMode};
+pub use energy::EnergyMeter;
 pub use gain::{SparseCacheStats, SparseGainCache};
 pub use levels::PowerLevels;
 pub use model::PropagationModel;
-pub use propagation::{Propagation, TwoRayGround};
+pub use propagation::TwoRayGround;
 pub use radio::{CapturePolicy, Heard, Radio, RadioConfig, RadioEvent, RxRow};
 pub use shadowing::Shadowed;

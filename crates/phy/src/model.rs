@@ -2,16 +2,14 @@
 //!
 //! The simulator's channel fan-out sits on the hottest path of every
 //! run: one gain evaluation per (transmission, candidate receiver).
-//! Dispatching that through `Box<dyn Propagation>` costs an indirect
-//! call per evaluation and keeps the optimizer blind. [`PropagationModel`]
-//! closes the set of models the simulator actually supports — plain
-//! two-ray ground, or two-ray with log-normal shadowing — so gain
-//! evaluation is a direct (inlineable) match instead of a vtable jump.
-//! The [`Propagation`] trait stays for generic call-sites and tests.
+//! [`PropagationModel`] closes the set of models the simulator supports —
+//! plain two-ray ground, or two-ray with log-normal shadowing — so gain
+//! evaluation is a direct (inlineable) match, hoisted out of the batch
+//! loops, instead of a call through a trait object.
 
 use pcmac_engine::{Milliwatts, Point};
 
-use crate::propagation::{Propagation, TwoRayGround};
+use crate::propagation::TwoRayGround;
 use crate::shadowing::Shadowed;
 
 /// The shadowing amplitude bound: the deterministic Irwin–Hall(12)−6
@@ -25,7 +23,7 @@ pub enum PropagationModel {
     /// ns-2's two-ray ground model.
     TwoRay(TwoRayGround),
     /// Two-ray ground with deterministic log-normal shadowing.
-    Shadowed(Shadowed<TwoRayGround>),
+    Shadowed(Shadowed),
 }
 
 impl PropagationModel {
@@ -35,24 +33,6 @@ impl PropagationModel {
         match self {
             PropagationModel::TwoRay(m) => m.gain(a, b),
             PropagationModel::Shadowed(m) => m.gain(a, b),
-        }
-    }
-
-    /// Median-channel radius where `p_tx` drops to `threshold`.
-    #[inline]
-    pub fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
-        match self {
-            PropagationModel::TwoRay(m) => m.range_for(p_tx, threshold),
-            PropagationModel::Shadowed(m) => m.range_for(p_tx, threshold),
-        }
-    }
-
-    /// Minimum transmit power reaching `threshold` at distance `d`.
-    #[inline]
-    pub fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts {
-        match self {
-            PropagationModel::TwoRay(m) => m.power_for_range(d, threshold),
-            PropagationModel::Shadowed(m) => m.power_for_range(d, threshold),
         }
     }
 
@@ -124,26 +104,12 @@ impl PropagationModel {
                 let boost = 10f64.powf(SHADOW_SIGMA_SPAN * m.sigma_db() / 10.0);
                 let effective = Milliwatts(threshold.value() / boost);
                 if effective.value() > 0.0 {
-                    m.range_for(p_tx, effective)
+                    m.base().range_for(p_tx, effective)
                 } else {
                     f64::INFINITY
                 }
             }
         }
-    }
-}
-
-impl Propagation for PropagationModel {
-    fn gain(&self, a: Point, b: Point) -> f64 {
-        PropagationModel::gain(self, a, b)
-    }
-
-    fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
-        PropagationModel::range_for(self, p_tx, threshold)
-    }
-
-    fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts {
-        PropagationModel::power_for_range(self, d, threshold)
     }
 }
 
@@ -209,22 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn static_dispatch_agrees_with_trait_dispatch() {
-        let bare = TwoRayGround::ns2_default();
-        let model = PropagationModel::TwoRay(bare.clone());
-        let a = Point::new(10.0, 20.0);
-        let b = Point::new(400.0, 80.0);
-        assert_eq!(model.gain(a, b), bare.gain(a, b));
-        let p = Milliwatts(281.83815);
-        let th = Milliwatts(3.652e-7);
-        assert_eq!(model.range_for(p, th), bare.range_for(p, th));
-        assert_eq!(
-            model.power_for_range(100.0, th).value(),
-            bare.power_for_range(100.0, th).value()
-        );
-    }
-
-    #[test]
     fn max_range_covers_any_shadow_boost() {
         let sigma = 6.0;
         let model =
@@ -232,7 +182,7 @@ mod tests {
         let p = Milliwatts(281.83815);
         let floor = Milliwatts(1.559e-10);
         let r_max = model.max_range_for(p, floor);
-        let r_median = model.range_for(p, floor);
+        let r_median = TwoRayGround::ns2_default().range_for(p, floor);
         assert!(r_max > r_median, "shadowing must widen the culling radius");
         // Beyond r_max the strongest possible shadow still falls below
         // the floor: check on a dense distance sweep.
@@ -255,6 +205,7 @@ mod tests {
         let model = PropagationModel::TwoRay(TwoRayGround::ns2_default());
         let p = Milliwatts(75.8);
         let floor = Milliwatts(1.559e-10);
-        assert_eq!(model.max_range_for(p, floor), model.range_for(p, floor));
+        let bare = TwoRayGround::ns2_default();
+        assert_eq!(model.max_range_for(p, floor), bare.range_for(p, floor));
     }
 }

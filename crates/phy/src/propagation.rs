@@ -1,6 +1,6 @@
 //! Path-loss models.
 //!
-//! The central abstraction is the **propagation gain** `g` between two
+//! The central quantity is the **propagation gain** `g` between two
 //! positions: received power = transmitted power × `g`. Gains are symmetric
 //! (the paper's assumption 2: `G_sd = G_ds`), dimensionless, and ≤ 1.
 //!
@@ -16,26 +16,6 @@ use serde::{Deserialize, Serialize};
 
 /// Speed of light (m/s).
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
-
-/// A path-loss model: computes the propagation gain between two points.
-pub trait Propagation {
-    /// Dimensionless gain `g` such that `P_rx = g · P_tx`.
-    fn gain(&self, a: Point, b: Point) -> f64;
-
-    /// Received power at `b` for a transmission of `p_tx` from `a`.
-    #[inline]
-    fn received_power(&self, p_tx: Milliwatts, a: Point, b: Point) -> Milliwatts {
-        p_tx * self.gain(a, b)
-    }
-
-    /// The distance at which a transmission at `p_tx` drops to `threshold`,
-    /// i.e. the radius of the zone where `P_rx ≥ threshold`.
-    fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64;
-
-    /// Minimum transmit power for which `threshold` is still received at
-    /// distance `d` (inverse of [`Propagation::range_for`]).
-    fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts;
-}
 
 /// ns-2's `TwoRayGround` model with a Friis near-field.
 ///
@@ -111,15 +91,16 @@ impl TwoRayGround {
         };
         g.min(1.0)
     }
-}
 
-impl Propagation for TwoRayGround {
+    /// Dimensionless gain `g` such that `P_rx = g · P_tx`.
     #[inline]
-    fn gain(&self, a: Point, b: Point) -> f64 {
+    pub fn gain(&self, a: Point, b: Point) -> f64 {
         self.gain_at(a.distance(b))
     }
 
-    fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
+    /// The distance at which a transmission at `p_tx` drops to `threshold`,
+    /// i.e. the radius of the zone where `P_rx ≥ threshold`.
+    pub fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
         assert!(threshold.value() > 0.0, "threshold must be positive");
         if p_tx.value() <= 0.0 {
             return 0.0;
@@ -133,7 +114,9 @@ impl Propagation for TwoRayGround {
         }
     }
 
-    fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts {
+    /// Minimum transmit power for which `threshold` is still received at
+    /// distance `d` (inverse of [`TwoRayGround::range_for`]).
+    pub fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts {
         let g = self.gain_at(d);
         if g <= 0.0 {
             return Milliwatts(f64::INFINITY);
@@ -194,10 +177,10 @@ mod tests {
         let m = model();
         let a = Point::new(0.0, 0.0);
         // At exactly 250 m the received power equals RXThresh.
-        let pr = m.received_power(P_MAX, a, Point::new(250.0, 0.0));
+        let pr = P_MAX * m.gain(a, Point::new(250.0, 0.0));
         assert!((pr.value() - RX_THRESH.value()).abs() / RX_THRESH.value() < 5e-3);
         // At 550 m it equals CSThresh.
-        let ps = m.received_power(P_MAX, a, Point::new(550.0, 0.0));
+        let ps = P_MAX * m.gain(a, Point::new(550.0, 0.0));
         assert!((ps.value() - CS_THRESH.value()).abs() / CS_THRESH.value() < 5e-3);
     }
 

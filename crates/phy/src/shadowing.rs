@@ -18,14 +18,14 @@
 //! reproducible and positions close to each other see coherent shadowing
 //! (a crude spatial correlation, cell-sized).
 
-use pcmac_engine::{Milliwatts, Point};
+use pcmac_engine::Point;
 
-use crate::propagation::{Propagation, TwoRayGround};
+use crate::propagation::TwoRayGround;
 
-/// Log-normal shadowing wrapper.
+/// Log-normal shadowing over the two-ray ground model.
 #[derive(Debug, Clone)]
-pub struct Shadowed<P> {
-    base: P,
+pub struct Shadowed {
+    base: TwoRayGround,
     /// Standard deviation of the shadowing term (dB). 0 disables.
     sigma_db: f64,
     /// Spatial quantisation cell (m); endpoints within the same cell see
@@ -37,9 +37,9 @@ pub struct Shadowed<P> {
     symmetric: bool,
 }
 
-impl<P: Propagation> Shadowed<P> {
+impl Shadowed {
     /// Wrap `base` with log-normal shadowing of `sigma_db`.
-    pub fn new(base: P, sigma_db: f64, symmetric: bool, seed: u64) -> Self {
+    pub fn new(base: TwoRayGround, sigma_db: f64, symmetric: bool, seed: u64) -> Self {
         assert!(sigma_db >= 0.0);
         Shadowed {
             base,
@@ -50,8 +50,9 @@ impl<P: Propagation> Shadowed<P> {
         }
     }
 
-    /// The underlying model.
-    pub fn base(&self) -> &P {
+    /// The underlying model: the median channel, which range queries
+    /// use (shadowing has median 1).
+    pub fn base(&self) -> &TwoRayGround {
         &self.base
     }
 
@@ -102,31 +103,18 @@ impl<P: Propagation> Shadowed<P> {
         let db = self.normal_for(x, y) * self.sigma_db;
         10f64.powf(db / 10.0)
     }
-}
 
-impl Shadowed<TwoRayGround> {
-    /// [`Propagation::gain`]`(a, b)` given `d = a.distance(b)`, bit for
-    /// bit: the base gain at that distance times the link's shadowing.
+    /// Dimensionless gain `g` such that `P_rx = g · P_tx`: the base gain
+    /// times the link's shadowing, never above unity.
+    #[inline]
+    pub fn gain(&self, a: Point, b: Point) -> f64 {
+        self.gain_over(a, b, a.distance(b))
+    }
+
+    /// [`Shadowed::gain`]`(a, b)` given `d = a.distance(b)`, bit for bit.
     #[inline]
     pub fn gain_over(&self, a: Point, b: Point, d: f64) -> f64 {
         (self.base.gain_at(d) * self.shadow_gain(a, b)).min(1.0)
-    }
-}
-
-impl<P: Propagation> Propagation for Shadowed<P> {
-    fn gain(&self, a: Point, b: Point) -> f64 {
-        // Shadowing never amplifies above unity overall gain.
-        (self.base.gain(a, b) * self.shadow_gain(a, b)).min(1.0)
-    }
-
-    /// Range queries use the *median* channel (shadowing has median 1),
-    /// i.e. the base model.
-    fn range_for(&self, p_tx: Milliwatts, threshold: Milliwatts) -> f64 {
-        self.base.range_for(p_tx, threshold)
-    }
-
-    fn power_for_range(&self, d: f64, threshold: Milliwatts) -> Milliwatts {
-        self.base.power_for_range(d, threshold)
     }
 }
 
@@ -134,7 +122,7 @@ impl<P: Propagation> Propagation for Shadowed<P> {
 mod tests {
     use super::*;
 
-    fn model(sigma: f64, symmetric: bool) -> Shadowed<TwoRayGround> {
+    fn model(sigma: f64, symmetric: bool) -> Shadowed {
         Shadowed::new(TwoRayGround::ns2_default(), sigma, symmetric, 7)
     }
 
@@ -233,13 +221,5 @@ mod tests {
         let r1 = m.gain(a1, b) / m.base().gain(a1, b);
         let r2 = m.gain(a2, b) / m.base().gain(a2, b);
         assert!((r1 - r2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn range_queries_use_median_channel() {
-        let m = model(8.0, true);
-        let p = Milliwatts(281.83815);
-        let th = Milliwatts(3.652e-7);
-        assert_eq!(m.range_for(p, th), m.base().range_for(p, th));
     }
 }

@@ -2,8 +2,7 @@
 
 use pcmac_engine::{Milliwatts, Point, SimTime};
 use pcmac_phy::{
-    CapturePolicy, Heard, PowerLevels, Propagation, Radio, RadioConfig, RadioEvent, RxRow,
-    TwoRayGround,
+    CapturePolicy, Heard, PowerLevels, Radio, RadioConfig, RadioEvent, RxRow, TwoRayGround,
 };
 use proptest::prelude::*;
 

@@ -4,23 +4,45 @@
 //! just emitted (or am starting), when is my next packet and what does it
 //! look like?" The core schedules accordingly, so sources stay free of
 //! event-queue plumbing and are directly unit-testable.
+//!
+//! [`Source`] is one concrete type: the fields every flow has (addresses,
+//! packet size, stop time, next emission, emission count) and its arrival
+//! process — constant bit rate, Poisson, or on/off bursts of CBR.
 
 use pcmac_engine::{Duration, FlowId, NodeId, PacketId, RngStream, SimTime};
 use pcmac_net::Packet;
 
 /// A packet generator for one flow.
-pub trait Source {
-    /// The flow this source feeds.
-    fn flow(&self) -> FlowId;
-    /// Network-layer source address.
-    fn src(&self) -> NodeId;
-    /// When the next packet should be emitted, or `None` when the flow has
-    /// finished. Monotone non-decreasing across calls.
-    fn next_time(&mut self) -> Option<SimTime>;
-    /// Build the packet for the emission at `now`.
-    fn emit(&mut self, now: SimTime) -> Packet;
-    /// Total packets emitted so far.
-    fn emitted(&self) -> u64;
+#[derive(Debug, Clone)]
+pub struct Source {
+    flow: FlowId,
+    src: NodeId,
+    dst: NodeId,
+    bytes: u32,
+    stop: SimTime,
+    next: SimTime,
+    count: u64,
+    arrivals: Arrivals,
+}
+
+/// When a flow's packets leave the application.
+#[derive(Debug, Clone)]
+enum Arrivals {
+    /// One packet every `interval`.
+    Cbr { interval: Duration },
+    /// Exponential gaps of mean `mean_interval` seconds.
+    Poisson { mean_interval: f64, rng: RngStream },
+    /// CBR at `interval` during exponential on phases (mean `mean_on`
+    /// seconds), silence during exponential off phases (mean `mean_off`);
+    /// the current phase ends at `phase_end`.
+    OnOff {
+        interval: Duration,
+        mean_on: f64,
+        mean_off: f64,
+        phase_end: SimTime,
+        on: bool,
+        rng: RngStream,
+    },
 }
 
 fn traffic_packet_id(flow: FlowId, counter: u64) -> PacketId {
@@ -28,23 +50,16 @@ fn traffic_packet_id(flow: FlowId, counter: u64) -> PacketId {
     PacketId((1 << 56) | ((flow.0 as u64) << 32) | counter)
 }
 
-/// Constant bit rate over UDP: one `bytes`-sized packet every `interval`.
-#[derive(Debug, Clone)]
-pub struct CbrSource {
-    flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u32,
-    interval: Duration,
-    stop: SimTime,
-    next: SimTime,
-    count: u64,
+fn cbr_interval(bytes: u32, rate_bps: f64) -> Duration {
+    assert!(rate_bps > 0.0 && bytes > 0);
+    Duration::from_secs_f64(bytes as f64 * 8.0 / rate_bps)
 }
 
-impl CbrSource {
-    /// A CBR flow of `rate_bps` application bits per second in
-    /// `bytes`-sized packets, active on `[start, stop)`.
-    pub fn new(
+impl Source {
+    /// Constant bit rate over UDP: a flow of `rate_bps` application bits
+    /// per second in `bytes`-sized packets, active on `[start, stop)` —
+    /// the paper's workload.
+    pub fn cbr(
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
@@ -53,84 +68,23 @@ impl CbrSource {
         start: SimTime,
         stop: SimTime,
     ) -> Self {
-        assert!(rate_bps > 0.0 && bytes > 0);
-        let interval = Duration::from_secs_f64(bytes as f64 * 8.0 / rate_bps);
-        CbrSource {
+        let interval = cbr_interval(bytes, rate_bps);
+        Source::with(
             flow,
             src,
             dst,
             bytes,
-            interval,
-
+            start,
             stop,
-            next: start,
-            count: 0,
-        }
+            Arrivals::Cbr { interval },
+        )
     }
 
-    /// The emission interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
-    /// Destination of the flow.
-    pub fn dst(&self) -> NodeId {
-        self.dst
-    }
-}
-
-impl Source for CbrSource {
-    fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    fn src(&self) -> NodeId {
-        self.src
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        (self.next < self.stop).then_some(self.next)
-    }
-
-    fn emit(&mut self, now: SimTime) -> Packet {
-        debug_assert_eq!(now, self.next);
-        let p = Packet::data(
-            traffic_packet_id(self.flow, self.count),
-            self.flow,
-            self.src,
-            self.dst,
-            self.bytes,
-            now,
-        );
-        self.count += 1;
-        self.next += self.interval;
-        p
-    }
-
-    fn emitted(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Poisson arrivals: exponential inter-packet gaps with the same mean rate
-/// as the equivalent CBR flow.
-#[derive(Debug, Clone)]
-pub struct PoissonSource {
-    flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u32,
-    mean_interval: f64,
-    stop: SimTime,
-    next: SimTime,
-    count: u64,
-    rng: RngStream,
-}
-
-impl PoissonSource {
-    /// A Poisson flow averaging `rate_bps` in `bytes`-sized packets.
+    /// Poisson arrivals: exponential inter-packet gaps with the mean rate
+    /// of the equivalent CBR flow; the first packet leaves one gap after
+    /// `start`.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn poisson(
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
@@ -142,69 +96,15 @@ impl PoissonSource {
     ) -> Self {
         let mean_interval = bytes as f64 * 8.0 / rate_bps;
         let first = start + Duration::from_secs_f64(rng.exponential(mean_interval));
-        PoissonSource {
-            flow,
-            src,
-            dst,
-            bytes,
-            mean_interval,
-            stop,
-            next: first,
-            count: 0,
-            rng,
-        }
-    }
-}
-
-impl Source for PoissonSource {
-    fn flow(&self) -> FlowId {
-        self.flow
+        let arrivals = Arrivals::Poisson { mean_interval, rng };
+        Source::with(flow, src, dst, bytes, first, stop, arrivals)
     }
 
-    fn src(&self) -> NodeId {
-        self.src
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        (self.next < self.stop).then_some(self.next)
-    }
-
-    fn emit(&mut self, now: SimTime) -> Packet {
-        let p = Packet::data(
-            traffic_packet_id(self.flow, self.count),
-            self.flow,
-            self.src,
-            self.dst,
-            self.bytes,
-            now,
-        );
-        self.count += 1;
-        self.next = now + Duration::from_secs_f64(self.rng.exponential(self.mean_interval));
-        p
-    }
-
-    fn emitted(&self) -> u64 {
-        self.count
-    }
-}
-
-/// On/off bursts: exponentially-distributed on and off periods; CBR at
-/// `peak_rate_bps` during on periods.
-#[derive(Debug, Clone)]
-pub struct OnOffSource {
-    inner: CbrSource,
-    mean_on: f64,
-    mean_off: f64,
-    phase_end: SimTime,
-    on: bool,
-    stop: SimTime,
-    rng: RngStream,
-}
-
-impl OnOffSource {
-    /// Build with mean on/off durations in seconds.
+    /// On/off bursts: CBR at `peak_rate_bps` during exponential on
+    /// phases of mean `mean_on_s` seconds, nothing during exponential off
+    /// phases of mean `mean_off_s`, starting on at `start`.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn on_off(
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
@@ -217,96 +117,206 @@ impl OnOffSource {
         mut rng: RngStream,
     ) -> Self {
         let first_on = Duration::from_secs_f64(rng.exponential(mean_on_s));
-        OnOffSource {
-            inner: CbrSource::new(flow, src, dst, bytes, peak_rate_bps, start, stop),
+        let arrivals = Arrivals::OnOff {
+            interval: cbr_interval(bytes, peak_rate_bps),
             mean_on: mean_on_s,
             mean_off: mean_off_s,
             phase_end: start + first_on,
             on: true,
-            stop,
             rng,
+        };
+        Source::with(flow, src, dst, bytes, start, stop, arrivals)
+    }
+
+    fn with(
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u32,
+        next: SimTime,
+        stop: SimTime,
+        arrivals: Arrivals,
+    ) -> Self {
+        Source {
+            flow,
+            src,
+            dst,
+            bytes,
+            stop,
+            next,
+            count: 0,
+            arrivals,
         }
     }
-}
 
-impl Source for OnOffSource {
-    fn flow(&self) -> FlowId {
-        self.inner.flow()
+    /// The flow this source feeds.
+    pub fn flow(&self) -> FlowId {
+        self.flow
     }
 
-    fn src(&self) -> NodeId {
-        self.inner.src()
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        loop {
-            let next = self.inner.next_time()?;
-            if next >= self.stop {
-                return None;
-            }
-            if next < self.phase_end {
-                if self.on {
-                    return Some(next);
+    /// When the next packet should be emitted, or `None` when the flow has
+    /// finished. Monotone non-decreasing across calls.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        if let Arrivals::OnOff {
+            mean_on,
+            mean_off,
+            phase_end,
+            on,
+            rng,
+            ..
+        } = &mut self.arrivals
+        {
+            while self.next < self.stop {
+                if self.next >= *phase_end {
+                    // Phase rollover.
+                    *on = !*on;
+                    let mean = if *on { *mean_on } else { *mean_off };
+                    *phase_end += Duration::from_secs_f64(rng.exponential(mean));
+                } else if *on {
+                    break;
+                } else {
+                    // Off phase: skip emissions up to the phase end.
+                    self.next = *phase_end;
                 }
-                // Off phase: skip emissions up to the phase end.
-                self.inner.next = self.phase_end;
-                continue;
             }
-            // Phase rollover.
-            self.on = !self.on;
-            let mean = if self.on { self.mean_on } else { self.mean_off };
-            self.phase_end += Duration::from_secs_f64(self.rng.exponential(mean));
         }
+        (self.next < self.stop).then_some(self.next)
     }
 
-    fn emit(&mut self, now: SimTime) -> Packet {
-        self.inner.emit(now)
+    /// Build the packet for the emission at `now`.
+    pub fn emit(&mut self, now: SimTime) -> Packet {
+        let p = Packet::data(
+            traffic_packet_id(self.flow, self.count),
+            self.flow,
+            self.src,
+            self.dst,
+            self.bytes,
+            now,
+        );
+        self.count += 1;
+        self.next = match &mut self.arrivals {
+            Arrivals::Cbr { interval } | Arrivals::OnOff { interval, .. } => {
+                debug_assert_eq!(now, self.next);
+                self.next + *interval
+            }
+            Arrivals::Poisson { mean_interval, rng } => {
+                now + Duration::from_secs_f64(rng.exponential(*mean_interval))
+            }
+        };
+        p
     }
 
-    fn emitted(&self) -> u64 {
-        self.inner.emitted()
+    /// Total packets emitted so far.
+    pub fn emitted(&self) -> u64 {
+        self.count
     }
 }
 
 mod snap {
     //! Checkpoint capture of traffic sources: emission counters, next-emit
-    //! instants and (for the stochastic sources) the RNG position, so the
-    //! post-restore emission schedule continues the original sequence.
+    //! instants and (for the stochastic processes) the RNG position, so
+    //! the post-restore emission schedule continues the original sequence.
+    //!
+    //! The layout predates the single `Source` type: a kind tag, then the
+    //! kind's fields in their old order. An on/off source was a CBR source
+    //! plus its phase state and so writes the stop time twice.
 
-    use super::{CbrSource, OnOffSource, PoissonSource};
+    use super::{Arrivals, Source};
+    use pcmac_engine::{Duration, SimTime};
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    pcmac_snap::snap_struct!(CbrSource {
-        flow,
-        src,
-        dst,
-        bytes,
-        interval,
-        stop,
-        next,
-        count,
-    });
+    impl Snap for Source {
+        fn save(&self, w: &mut SnapWriter) {
+            w.u8(match self.arrivals {
+                Arrivals::Cbr { .. } => 0,
+                Arrivals::Poisson { .. } => 1,
+                Arrivals::OnOff { .. } => 2,
+            });
+            self.flow.save(w);
+            self.src.save(w);
+            self.dst.save(w);
+            self.bytes.save(w);
+            match &self.arrivals {
+                Arrivals::Cbr { interval } | Arrivals::OnOff { interval, .. } => interval.save(w),
+                Arrivals::Poisson { mean_interval, .. } => mean_interval.save(w),
+            }
+            self.stop.save(w);
+            self.next.save(w);
+            self.count.save(w);
+            match &self.arrivals {
+                Arrivals::Cbr { .. } => {}
+                Arrivals::Poisson { rng, .. } => rng.save(w),
+                Arrivals::OnOff {
+                    mean_on,
+                    mean_off,
+                    phase_end,
+                    on,
+                    rng,
+                    ..
+                } => {
+                    mean_on.save(w);
+                    mean_off.save(w);
+                    phase_end.save(w);
+                    on.save(w);
+                    self.stop.save(w);
+                    rng.save(w);
+                }
+            }
+        }
 
-    pcmac_snap::snap_struct!(PoissonSource {
-        flow,
-        src,
-        dst,
-        bytes,
-        mean_interval,
-        stop,
-        next,
-        count,
-        rng,
-    });
-
-    pcmac_snap::snap_struct!(OnOffSource {
-        inner,
-        mean_on,
-        mean_off,
-        phase_end,
-        on,
-        stop,
-        rng,
-    });
+        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let tag = r.u8()?;
+            let (flow, src, dst, bytes) = (
+                Snap::load(r)?,
+                Snap::load(r)?,
+                Snap::load(r)?,
+                Snap::load(r)?,
+            );
+            // The kind's rate: a CBR interval, or a Poisson mean gap (s).
+            let (interval, mean_interval) = match tag {
+                0 | 2 => (Snap::load(r)?, 0.0),
+                1 => (Duration::ZERO, Snap::load(r)?),
+                _ => return Err(SnapError::Corrupt("traffic source tag")),
+            };
+            let (stop, next, count) = (Snap::load(r)?, Snap::load(r)?, Snap::load(r)?);
+            let arrivals = match tag {
+                0 => Arrivals::Cbr { interval },
+                1 => Arrivals::Poisson {
+                    mean_interval,
+                    rng: Snap::load(r)?,
+                },
+                _ => {
+                    let (mean_on, mean_off, phase_end, on) = (
+                        Snap::load(r)?,
+                        Snap::load(r)?,
+                        Snap::load(r)?,
+                        Snap::load(r)?,
+                    );
+                    if stop != SimTime::load(r)? {
+                        return Err(SnapError::Corrupt("on/off source stop times differ"));
+                    }
+                    Arrivals::OnOff {
+                        interval,
+                        mean_on,
+                        mean_off,
+                        phase_end,
+                        on,
+                        rng: Snap::load(r)?,
+                    }
+                }
+            };
+            Ok(Source {
+                flow,
+                src,
+                dst,
+                bytes,
+                stop,
+                next,
+                count,
+                arrivals,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -320,7 +330,7 @@ mod tests {
     #[test]
     fn cbr_interval_matches_rate() {
         // 512 B at 40.96 kbps → exactly 100 ms.
-        let c = CbrSource::new(
+        let mut c = Source::cbr(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -329,12 +339,14 @@ mod tests {
             t(0.0),
             t(10.0),
         );
-        assert_eq!(c.interval(), Duration::from_millis(100));
+        let first = c.next_time().unwrap();
+        c.emit(first);
+        assert_eq!(c.next_time().unwrap() - first, Duration::from_millis(100));
     }
 
     #[test]
     fn cbr_emits_metronomically() {
-        let mut c = CbrSource::new(
+        let mut c = Source::cbr(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -359,7 +371,7 @@ mod tests {
 
     #[test]
     fn cbr_stops_at_stop_time() {
-        let mut c = CbrSource::new(
+        let mut c = Source::cbr(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -378,8 +390,8 @@ mod tests {
 
     #[test]
     fn packet_ids_are_unique_across_flows() {
-        let mut a = CbrSource::new(FlowId(1), NodeId(1), NodeId(2), 512, 1e5, t(0.0), t(1.0));
-        let mut b = CbrSource::new(FlowId(2), NodeId(3), NodeId(4), 512, 1e5, t(0.0), t(1.0));
+        let mut a = Source::cbr(FlowId(1), NodeId(1), NodeId(2), 512, 1e5, t(0.0), t(1.0));
+        let mut b = Source::cbr(FlowId(2), NodeId(3), NodeId(4), 512, 1e5, t(0.0), t(1.0));
         let ta = a.next_time().unwrap();
         let tb = b.next_time().unwrap();
         assert_ne!(a.emit(ta).id, b.emit(tb).id);
@@ -388,7 +400,7 @@ mod tests {
     #[test]
     fn poisson_mean_rate_is_close() {
         let rng = RngStream::derive(5, "poisson-test");
-        let mut p = PoissonSource::new(
+        let mut p = Source::poisson(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -410,7 +422,7 @@ mod tests {
     #[test]
     fn onoff_emits_less_than_pure_cbr() {
         let rng = RngStream::derive(6, "onoff-test");
-        let mut s = OnOffSource::new(
+        let mut s = Source::on_off(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -438,7 +450,7 @@ mod tests {
     #[test]
     fn emission_times_are_monotone() {
         let rng = RngStream::derive(7, "monotone-test");
-        let mut s = PoissonSource::new(
+        let mut s = Source::poisson(
             FlowId(0),
             NodeId(1),
             NodeId(2),
@@ -454,5 +466,90 @@ mod tests {
             last = at;
             s.emit(at);
         }
+    }
+
+    fn saved(s: &Source) -> Vec<u8> {
+        let mut w = pcmac_snap::SnapWriter::new();
+        pcmac_snap::Snap::save(s, &mut w);
+        w.payload().to_vec()
+    }
+
+    fn loaded(bytes: &[u8]) -> Result<Source, pcmac_snap::SnapError> {
+        pcmac_snap::Snap::load(&mut pcmac_snap::SnapReader::over(bytes))
+    }
+
+    fn one_of_each() -> [Source; 3] {
+        let (a, b) = (NodeId(1), NodeId(2));
+        [
+            Source::cbr(FlowId(0), a, b, 512, 1e5, t(0.0), t(20.0)),
+            Source::poisson(
+                FlowId(1),
+                a,
+                b,
+                512,
+                1e5,
+                t(0.0),
+                t(20.0),
+                RngStream::derive(8, "snap-test"),
+            ),
+            Source::on_off(
+                FlowId(2),
+                a,
+                b,
+                512,
+                1e5,
+                0.2,
+                0.5,
+                t(0.0),
+                t(20.0),
+                RngStream::derive(9, "snap-test"),
+            ),
+        ]
+    }
+
+    /// A restored source writes the bytes it was loaded from and carries
+    /// on with the emissions the original makes.
+    #[test]
+    fn every_kind_round_trips_through_its_bytes() {
+        for mut s in one_of_each() {
+            for _ in 0..5 {
+                let at = s.next_time().unwrap();
+                s.emit(at);
+            }
+            let bytes = saved(&s);
+            let mut back = loaded(&bytes).expect("bytes it wrote");
+            assert_eq!(saved(&back), bytes);
+            for _ in 0..50 {
+                let at = s.next_time();
+                assert_eq!(back.next_time(), at);
+                let Some(at) = at else { break };
+                assert_eq!(back.emit(at).id, s.emit(at).id);
+            }
+        }
+    }
+
+    /// Bytes the format can hold but a source cannot: an unknown kind,
+    /// and an on/off source whose two stop times differ.
+    #[test]
+    fn load_refuses_what_a_source_cannot_hold() {
+        let [_, _, on_off] = one_of_each();
+        let mut bytes = saved(&on_off);
+        bytes[0] = 3;
+        let err = loaded(&bytes).err();
+        assert_eq!(
+            err,
+            Some(pcmac_snap::SnapError::Corrupt("traffic source tag"))
+        );
+        let mut bytes = saved(&on_off);
+        // The second stop time sits just before the 32-byte RNG state.
+        let second_stop = bytes.len() - 32 - 8;
+        bytes[second_stop] ^= 1;
+        let err = loaded(&bytes).err();
+        assert_eq!(
+            err,
+            Some(pcmac_snap::SnapError::Corrupt(
+                "on/off source stop times differ"
+            ))
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use pcmac_engine::Milliwatts;
-use pcmac_phy::{PowerLevels, Propagation, TwoRayGround};
+use pcmac_phy::{PowerLevels, TwoRayGround};
 use pcmac_stats::Table;
 
 fn main() {
