@@ -74,7 +74,7 @@
 //! Under mobility the index tolerates a per-node
 //! drift *pad* (a fraction of a grid cell): each node carries a refresh
 //! deadline — the instant its position could first drift past the pad,
-//! from `Mobility::stale_after` — kept in a min-heap, and advancing
+//! from `RandomWaypoint::stale_after` — kept in a min-heap, and advancing
 //! the clock re-samples only nodes whose deadlines have passed, O(moved)
 //! instead of O(N). That deadline chain is the **only** writer of the
 //! index: it moves the node between buckets (stamping the cells it

@@ -44,7 +44,7 @@
 //!                    └ EnergyMeter (pcmac-phy)
 //!                    hot arrays, one entry per node
 //!                    ├ RxRow (data), RxRow (ctrl, PCMAC)  (pcmac-phy)
-//!                    └ Mobility  (pcmac-mobility)
+//!                    └ RandomWaypoint, when nodes move  (pcmac-mobility)
 //! ```
 //!
 //! Every component is a pure state machine; the [`Simulator`] routes

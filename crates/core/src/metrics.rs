@@ -256,7 +256,9 @@ pub struct HotPathProfile {
     pub refresh_pops: u64,
     /// Position-refresh deadlines re-armed. Always 0 since candidate
     /// sampling stopped extending deadlines (only the deadline chain
-    /// schedules them); kept so reports and snapshots keep their shape.
+    /// schedules them); kept so reports keep their shape — the repo
+    /// benchmark's digest hashes the report's keys — but no snapshot
+    /// writes it (version 4 on).
     pub refresh_rearms: u64,
     /// Exact position samples taken for the physics (transmitters,
     /// candidates and deadline refreshes; at most one per node per
@@ -418,7 +420,6 @@ mod snap {
             w.u64(self.grid_queries);
             w.u64(self.grid_candidates);
             w.u64(self.refresh_pops);
-            w.u64(self.refresh_rearms);
             w.u64(self.exact_samples);
             w.u64(self.probes);
         }
@@ -427,7 +428,7 @@ mod snap {
                 grid_queries: r.u64()?,
                 grid_candidates: r.u64()?,
                 refresh_pops: r.u64()?,
-                refresh_rearms: r.u64()?,
+                refresh_rearms: 0,
                 exact_samples: r.u64()?,
                 probes: r.u64()?,
                 sparse_cache: None,
@@ -734,7 +735,6 @@ impl MetricsState {
             base.hot.grid_queries += part.hot.grid_queries;
             base.hot.grid_candidates += part.hot.grid_candidates;
             base.hot.refresh_pops += part.hot.refresh_pops;
-            base.hot.refresh_rearms += part.hot.refresh_rearms;
             base.hot.exact_samples += part.hot.exact_samples;
             base.hot.probes += part.hot.probes;
         }

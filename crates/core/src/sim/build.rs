@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pcmac_engine::{EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
-use pcmac_mobility::{placement, Mobility, RandomWaypoint};
+use pcmac_mobility::{placement, RandomWaypoint};
 use pcmac_phy::RxRow;
 use pcmac_traffic::Source;
 
@@ -101,20 +101,20 @@ impl Simulator {
         let starts = start_positions(&cfg);
         // A movement model per station only when stations move: a static
         // field's positions are `hot.positions` and nothing else.
-        let mobility: Vec<Mobility> = match &cfg.nodes {
+        let mobility: Vec<RandomWaypoint> = match &cfg.nodes {
             NodeSetup::UniformWaypoint { speed, pause, .. }
             | NodeSetup::WaypointFrom { speed, pause, .. } => starts
                 .iter()
                 .enumerate()
                 .map(|(i, start)| {
-                    Mobility::Waypoint(RandomWaypoint::new(
+                    RandomWaypoint::new(
                         *start,
                         cfg.field.0,
                         cfg.field.1,
                         *speed,
                         *pause,
                         RngStream::derive_sub(cfg.seed, "mobility", i as u64),
-                    ))
+                    )
                 })
                 .collect(),
             NodeSetup::Static(_) => Vec::new(),

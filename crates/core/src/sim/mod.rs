@@ -465,11 +465,14 @@ mod tests {
     const ONOFF_RATE_BPS: f64 = 400_000.0;
 
     /// `(cut, (length, FNV-1a) of station 0's blob, the same of station
-    /// 1's)`, recorded before sources and meters became concrete types.
+    /// 1's)`, recorded at snapshot version 4: 58 B under version 3's
+    /// 1 350 (41 of meter padding, the backoff's window bounds, the sent
+    /// table's cap and the queue's capacity), 8 B more for the on/off
+    /// source's second stop time.
     const MIXED_GOLDEN: (u64, (usize, u64), (usize, u64)) = (
         557_162_663,
-        (1350, 0x79da_34fa_a43d_1b2e),
-        (1350, 0x6f44_cba8_a9c8_6ff5),
+        (1292, 0xc7a1_70ee_6328_eb4f),
+        (1284, 0x5815_c593_b85d_7c40),
     );
 
     /// Pins the node blobs no paper-scenario golden reaches: a Poisson

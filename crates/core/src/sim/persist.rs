@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, NodeId, SimTime};
-use pcmac_mobility::Mobility;
+use pcmac_mobility::RandomWaypoint;
 use pcmac_phy::RxRow;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -41,9 +41,9 @@ pub(super) struct SnapContribution {
     tx_key_ctr: Vec<u32>,
     faults: Option<FaultState>,
     metrics: Option<MetricsState>,
-    /// Mobility models advanced to the cut; primary lane only (every
-    /// lane holds the identical full replica).
-    mobility: Option<Vec<Mobility>>,
+    /// Movement models advanced to the cut, none on a static field;
+    /// primary lane only (every lane holds the identical full replica).
+    mobility: Option<Vec<RandomWaypoint>>,
 }
 
 impl Simulator {
@@ -91,18 +91,10 @@ impl Simulator {
         // Advance the mobility clones exactly to the cut: waypoint
         // queries are non-decreasing and idempotent, so this is the
         // state an uninterrupted run carries at `cut` regardless of when
-        // each node was last sampled. A static field holds no models;
-        // its section names each station's fixed position.
+        // each node was last sampled. A static field holds no models,
+        // and its section is empty.
         let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
         let mobility = primary.then(|| {
-            if self.hot.mobility.is_empty() {
-                return self
-                    .hot
-                    .positions
-                    .iter()
-                    .map(|&p| Mobility::Static(p))
-                    .collect();
-            }
             let mut m = self.hot.mobility.clone();
             for mm in &mut m {
                 let _ = mm.position(cut);
@@ -331,7 +323,7 @@ impl Simulator {
             return Err(SnapError::CfgMismatch);
         }
         let n = cfg.nodes.count();
-        if snap.nodes.len() != n || snap.mobility.len() != n || snap.tx_key_ctr.len() != n {
+        if snap.nodes.len() != n || snap.tx_key_ctr.len() != n {
             return Err(SnapError::Corrupt("snapshot node count"));
         }
         let mut sim = Simulator::new(cfg);
@@ -432,20 +424,21 @@ impl Simulator {
             }
         }
 
-        // Hot state: mobility models arrive advanced exactly to the cut,
-        // so sampling them at the cut is exact and free of history. A
-        // static scenario keeps none, and its section must name the
-        // positions the scenario places its stations at.
-        if self.hot.mobility.is_empty() {
-            let mut pairs = snap.mobility.iter().zip(&self.hot.positions);
-            if !pairs.all(|(m, p)| matches!(m, Mobility::Static(q) if q == p)) {
-                return Err(SnapError::Corrupt(
-                    "movement section does not fit a static scenario",
-                ));
-            }
-        } else {
-            self.hot.mobility = snap.mobility.clone();
+        // Hot state: movement models arrive advanced exactly to the cut,
+        // so sampling them at the cut is exact and free of history. The
+        // section holds one model per station the scenario moves (none
+        // on a static field), each walking the scenario's field at its
+        // speed and pause.
+        if snap.mobility.len() != self.hot.mobility.len() {
+            return Err(SnapError::Corrupt(
+                "movement section does not fit the scenario",
+            ));
         }
+        let mut pairs = snap.mobility.iter().zip(&self.hot.mobility);
+        if !pairs.all(|(loaded, built)| loaded.same_walk(built)) {
+            return Err(SnapError::Corrupt("waypoint does not fit the scenario"));
+        }
+        self.hot.mobility.clone_from(&snap.mobility);
         self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
         self.channel.resync(&mut self.hot, cut);
         self.sent_packets = if primary { snap.sent_packets } else { 0 };

@@ -5,8 +5,8 @@
 //! run at a cut instant: the pending *logical* event population (with
 //! its `(time, rank)` order), every station's receive rows and per-node
 //! protocol machines (MAC, AODV, traffic sources, sink, energy meter),
-//! the mobility models with their RNG streams, and the fault/metrics
-//! layers. The hard guarantee
+//! the movement models with their RNG streams (none on a static field),
+//! and the fault/metrics layers. The hard guarantee
 //! — proven by the `channel_equivalence` matrix — is that restoring a
 //! snapshot and running to the end produces a report **bit-identical**
 //! to the uninterrupted run, in both single-threaded and region-sharded
@@ -48,7 +48,7 @@
 //! sorted key order, so a file written on one machine restores with
 //! bit-identical results on any other.
 //!
-//! The envelope is at **version 3**. A node's blob opens with its radio
+//! The envelope is at **version 4**. A node's blob opens with its radio
 //! section — the data-channel receive row (`pcmac_phy::RxRow`: in-air
 //! sum, locked power and key, arrivals on the air, mode, corruption
 //! verdict, last carrier state indicated), the control-channel row when
@@ -77,6 +77,24 @@
 //! so the blob has one layout. Version-2 files are refused as
 //! `BadVersion(2)` and their cells recomputed, as version 1's are.
 //!
+//! Version 4 applies that rule to every section: a checkpoint holds
+//! what a layer holds at run time and cannot rebuild from the scenario.
+//! Version 3 still wrote, per station, an energy meter in the layout of
+//! an electrical model no scenario used (three zero draws, a mode tag
+//! the power implies, the radiated total three times: 65 B for 24 B of
+//! state), an on/off source's stop time twice, and three copies of the
+//! MAC configuration — the contention window's bounds, the PCMAC
+//! retransmission cap and the interface queue's capacity. It wrote one
+//! fixed position per station of a static field, where the movement
+//! section is now empty, and a hot-path counter that is always 0 in the
+//! metrics section. Restore checks what the copies used to carry against
+//! the scenario instead: a contention window outside
+//! `[cw_min, cw_max]`, a queue longer than its capacity, a movement
+//! section with another model count than the scenario moves, or a model
+//! walking another field, speed or pause, is `SnapError::Corrupt`.
+//! Version-3 files are refused as `BadVersion(3)` and their cells
+//! recomputed.
+//!
 //! The fault and metrics sections follow the same rule: each is its
 //! layer's own run-time state, written field by field (`FaultState`,
 //! `MetricsState`), with no copy of the layer's configuration. The
@@ -102,7 +120,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, SimTime};
-use pcmac_mobility::Mobility;
+use pcmac_mobility::RandomWaypoint;
 use pcmac_snap::{checksum64, fnv1a64, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::ScenarioConfig;
@@ -200,8 +218,9 @@ pub struct SimSnapshot {
     /// The pending logical event population (cursor tails expanded) in
     /// canonical `(time, rank, insertion)` order.
     pub(crate) pending: Vec<(SimTime, u128, SimEvent)>,
-    /// Per-node mobility models, advanced exactly to the cut.
-    pub(crate) mobility: Vec<Mobility>,
+    /// Per-node movement models, advanced exactly to the cut; empty on
+    /// a static field.
+    pub(crate) mobility: Vec<RandomWaypoint>,
     /// Per-node transmission-key counters.
     pub(crate) tx_key_ctr: Vec<u32>,
     /// Per-node cold-state blobs ([`Node::save_state`]
@@ -347,8 +366,9 @@ mod tests {
 
     /// Restore refuses a fault or metrics section whose presence or
     /// shape disagrees with the scenario, an open repair naming no
-    /// station, a movement section that does not repeat a static
-    /// scenario's positions, and a pending list with more replicated
+    /// station, a movement section with another model count than the
+    /// scenario moves or a model walking another field, speed or pause,
+    /// and a pending list with more replicated
     /// events than the snapshot says were scheduled, an event naming no
     /// station, burst or source, or one due before the cut, on one
     /// thread and on two shards alike, in the calling thread: a snapshot
@@ -360,7 +380,6 @@ mod tests {
         use crate::{ExecutionMode, NodeSetup, Simulator};
         use pcmac_engine::{Milliwatts, Point};
         use pcmac_mac::Variant;
-        use pcmac_mobility::Mobility;
         use pcmac_phy::PowerLevels;
 
         // `n` stations and `bursts` impairment bursts, each layer on
@@ -476,8 +495,9 @@ mod tests {
             emit,
             "pending emission names no source",
         ));
-        // A static scenario's movement section: a model that moves, or
-        // a station somewhere else.
+        // The movement section: a static scenario's holds a model, a
+        // mobile one's lacks one, or a model walks at another speed or
+        // pauses for another time than the scenario's.
         let fixed = || {
             let mut c = cfg(12, 1, true, true);
             let row = (0..12)
@@ -487,14 +507,32 @@ mod tests {
             c
         };
         let still = snap(fixed());
-        let message = "movement section does not fit a static scenario";
+        assert!(still.mobility.is_empty());
+        let message = "movement section does not fit the scenario";
         let mut s = still.clone();
-        s.mobility[5] = both.mobility[5].clone();
-        assert!(matches!(s.mobility[5], Mobility::Waypoint(_)));
+        s.mobility.push(both.mobility[5].clone());
         cases.push((fixed(), s, message));
-        let mut s = still.clone();
-        s.mobility[5] = Mobility::Static(Point::new(300.0, 301.0));
-        cases.push((fixed(), s, message));
+        let mut s = both.clone();
+        s.mobility.pop();
+        cases.push((cfg(12, 1, true, true), s, message));
+        let foreign = |speed: f64, pause: Duration| {
+            let mut c = cfg(12, 1, true, true);
+            c.nodes = NodeSetup::UniformWaypoint {
+                count: 12,
+                speed,
+                pause,
+            };
+            let mut s = both.clone();
+            s.mobility[5] = snap(c).mobility[5].clone();
+            s
+        };
+        let message = "waypoint does not fit the scenario";
+        for s in [
+            foreign(6.0, Duration::from_secs(3)),
+            foreign(5.0, Duration::from_secs(4)),
+        ] {
+            cases.push((cfg(12, 1, true, true), s, message));
+        }
 
         for (c, s, message) in cases {
             for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {

@@ -30,7 +30,7 @@
 //! [`Node`]: crate::node::Node
 
 use pcmac_engine::{Milliwatts, Point, SimTime};
-use pcmac_mobility::Mobility;
+use pcmac_mobility::RandomWaypoint;
 use pcmac_phy::RxRow;
 
 /// `carrier` bit: the station's MAC is
@@ -56,7 +56,7 @@ pub(crate) struct HotState {
     pub(crate) positions: Vec<Point>,
     /// Movement model per node under mobility (authoritative; moved out
     /// of `Node`); empty when nothing moves.
-    pub(crate) mobility: Vec<Mobility>,
+    pub(crate) mobility: Vec<RandomWaypoint>,
     /// Mirror of `!faults.down[i]` (all-true without a fault plan).
     pub(crate) alive: Vec<bool>,
     /// Last data-channel transmit power (mW); 0 before the first tx.

@@ -160,7 +160,7 @@ fn a_node_costs_what_it_uses() {
     );
     let inline = std::mem::size_of::<Node>();
     println!("one pristine node: {inline} B inline, 0 B in 0 allocations behind it");
-    assert!(inline <= 940, "Node grew to {inline} B inline");
+    assert!(inline <= 924, "Node grew to {inline} B inline");
 
     let at = |ms| SimTime::ZERO + Duration::from_millis(ms);
     let packet = |id| Packet::data(PacketId(id), FlowId(0), NodeId(3), NodeId(7), 512, at(0));

@@ -5,26 +5,23 @@
 //! down while the medium is idle, freeze on busy. Freezing is implemented
 //! by *accounting*, not per-slot events: the engine records when counting
 //! started and, when interrupted, tells the backoff how much wall time was
-//! spent; whole elapsed slots are deducted.
+//! spent; whole elapsed slots are deducted. The window's bounds are the
+//! MAC's configuration (`Dot11Timing::{cw_min, cw_max}`), passed in where
+//! the window moves.
 
 use pcmac_engine::{Duration, RngStream};
 
 /// Contention window and slot counter.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    cw_min: u32,
-    cw_max: u32,
     cw: u32,
     slots: u32,
 }
 
 impl Backoff {
-    /// A fresh backoff at `CW_min` with no pending slots.
-    pub fn new(cw_min: u32, cw_max: u32) -> Self {
-        assert!(cw_min > 0 && cw_max >= cw_min);
+    /// A fresh backoff at `cw_min` with no pending slots.
+    pub fn new(cw_min: u32) -> Self {
         Backoff {
-            cw_min,
-            cw_max,
             cw: cw_min,
             slots: 0,
         }
@@ -46,14 +43,15 @@ impl Backoff {
     }
 
     /// Double the contention window after a failed attempt:
-    /// `CW ← min(2·(CW+1)−1, CW_max)` (31 → 63 → … → 1023).
-    pub fn grow(&mut self) {
-        self.cw = ((self.cw + 1) * 2 - 1).min(self.cw_max);
+    /// `CW ← min(2·(CW+1)−1, cw_max)` (31 → 63 → … → 1023).
+    pub fn grow(&mut self, cw_max: u32) {
+        self.cw = ((self.cw + 1) * 2 - 1).min(cw_max);
     }
 
-    /// Reset the contention window after success or final drop.
-    pub fn reset_cw(&mut self) {
-        self.cw = self.cw_min;
+    /// Reset the contention window to `cw_min` after success or final
+    /// drop.
+    pub fn reset_cw(&mut self, cw_min: u32) {
+        self.cw = cw_min;
     }
 
     /// Draw a fresh uniform count in `[0, CW]` (only if none is pending;
@@ -92,12 +90,7 @@ impl Backoff {
 mod snap {
     use super::Backoff;
 
-    pcmac_snap::snap_struct!(Backoff {
-        cw_min,
-        cw_max,
-        cw,
-        slots,
-    });
+    pcmac_snap::snap_struct!(Backoff { cw, slots });
 }
 
 #[cfg(test)]
@@ -110,10 +103,10 @@ mod tests {
 
     #[test]
     fn grows_along_standard_ladder() {
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         let mut seen = vec![b.cw()];
         for _ in 0..7 {
-            b.grow();
+            b.grow(1023);
             seen.push(b.cw());
         }
         assert_eq!(seen, vec![31, 63, 127, 255, 511, 1023, 1023, 1023]);
@@ -121,10 +114,10 @@ mod tests {
 
     #[test]
     fn reset_returns_to_cw_min() {
-        let mut b = Backoff::new(31, 1023);
-        b.grow();
-        b.grow();
-        b.reset_cw();
+        let mut b = Backoff::new(31);
+        b.grow(1023);
+        b.grow(1023);
+        b.reset_cw(31);
         assert_eq!(b.cw(), 31);
     }
 
@@ -132,7 +125,7 @@ mod tests {
     fn draw_is_within_cw() {
         let mut r = rng();
         for _ in 0..200 {
-            let mut b = Backoff::new(31, 1023);
+            let mut b = Backoff::new(31);
             b.draw(&mut r);
             assert!(b.slots() <= 31);
         }
@@ -141,7 +134,7 @@ mod tests {
     #[test]
     fn draw_if_idle_preserves_residual() {
         let mut r = rng();
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         b.draw(&mut r);
         // force a nonzero residual
         while b.slots() == 0 {
@@ -155,7 +148,7 @@ mod tests {
     #[test]
     fn consume_deducts_whole_slots_only() {
         let mut r = rng();
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         while b.slots() < 5 {
             b.draw(&mut r);
         }
@@ -168,7 +161,7 @@ mod tests {
 
     #[test]
     fn consume_saturates_at_zero() {
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         let slot = Duration::from_micros(20);
         b.consume(Duration::from_secs(1), slot);
         assert_eq!(b.slots(), 0);
@@ -178,7 +171,7 @@ mod tests {
     #[test]
     fn remaining_time_is_slots_times_slot() {
         let mut r = rng();
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         b.draw(&mut r);
         let slot = Duration::from_micros(20);
         assert_eq!(b.remaining_time(slot), slot * b.slots() as u64);
@@ -189,7 +182,7 @@ mod tests {
         // Sanity: over many draws from CW=31 we should see both small and
         // large counts — a stuck RNG or off-by-one would show here.
         let mut r = rng();
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         let mut lo = false;
         let mut hi = false;
         for _ in 0..500 {

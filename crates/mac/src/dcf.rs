@@ -154,11 +154,11 @@ struct Exchange {
 }
 
 impl Exchange {
-    fn new(max_retx: u8) -> Self {
+    fn new() -> Self {
         Exchange {
             retransmit_override: None,
             pending_response: None,
-            sent: SentTable::new(max_retx),
+            sent: SentTable::new(),
             recv: ReceivedTable::new(),
             active_rx: ActiveReceivers::new(),
         }
@@ -222,8 +222,8 @@ impl DcfMac {
     pub fn new(id: NodeId, cfg: impl Into<Arc<MacConfig>>, seed: u64) -> Self {
         let cfg: Arc<MacConfig> = cfg.into();
         let rng = RngStream::derive_sub(seed, "mac.backoff", id.0 as u64);
-        let backoff = Backoff::new(cfg.timing.cw_min, cfg.timing.cw_max);
-        let queue = DropTailQueue::new(cfg.queue_capacity);
+        let (cw_min, cw_max) = (cfg.timing.cw_min, cfg.timing.cw_max);
+        assert!(cw_min > 0 && cw_max >= cw_min, "contention window bounds");
         let power = PowerControl::new(&cfg);
         DcfMac {
             id,
@@ -231,7 +231,7 @@ impl DcfMac {
             rng,
             phys_busy: false,
             nav: Nav::new(),
-            backoff,
+            backoff: Backoff::new(cw_min),
             count_start: None,
             t_defer: TimerSlot::new(),
             t_backoff: TimerSlot::new(),
@@ -240,7 +240,7 @@ impl DcfMac {
             t_resp: TimerSlot::new(),
             t_nav: TimerSlot::new(),
             t_ctrl: TimerSlot::new(),
-            queue,
+            queue: DropTailQueue::default(),
             current: None,
             phase: Phase::Idle,
             exchange: None,
@@ -272,7 +272,7 @@ impl DcfMac {
     /// The exchange state, allocated on first use.
     fn exchange_mut(&mut self) -> &mut Exchange {
         self.exchange
-            .get_or_insert_with(|| Box::new(Exchange::new(self.cfg.pcmac.max_retx)))
+            .get_or_insert_with(|| Box::new(Exchange::new()))
     }
 
     /// `true` while a SIFS-spaced response is waiting to go out.
@@ -372,7 +372,8 @@ impl DcfMac {
             self.start_access(now, out);
             return;
         }
-        if let Some(rejected) = self.queue.push(QueuedPacket { packet, next_hop }) {
+        let queued = QueuedPacket { packet, next_hop };
+        if let Some(rejected) = self.queue.push(queued, self.cfg.queue_capacity) {
             self.counters.queue_drops += 1;
             out.push(MacAction::QueueDrop {
                 packet: rejected.packet,
@@ -511,7 +512,7 @@ impl DcfMac {
                     // We just replayed a stored copy; the fresh packet in
                     // `current` still needs its own exchange.
                     self.ssrc = 0;
-                    self.backoff.reset_cw();
+                    self.backoff.reset_cw(self.cfg.timing.cw_min);
                     self.backoff.draw(&mut self.rng);
                     self.start_access(now, out);
                 }
@@ -687,7 +688,12 @@ impl DcfMac {
 
         // Decide what data to send and whether it needs an ACK.
         let (packet, seq, needs_ack) = if three_way {
-            match self.exchange_mut().sent.judge_echo(next_hop, last_received) {
+            let max_retx = self.cfg.pcmac.max_retx;
+            match self
+                .exchange_mut()
+                .sent
+                .judge_echo(next_hop, last_received, max_retx)
+            {
                 EchoVerdict::Proceed => {
                     let seq = self.allocate_seq_for_current();
                     (self.current.as_ref().unwrap().packet.clone(), seq, false)
@@ -841,7 +847,7 @@ impl DcfMac {
             self.drop_current(now, out);
             return;
         }
-        self.backoff.grow();
+        self.backoff.grow(self.cfg.timing.cw_max);
         self.backoff.draw(&mut self.rng);
         self.start_access(now, out);
     }
@@ -855,7 +861,7 @@ impl DcfMac {
             self.drop_current(now, out);
             return;
         }
-        self.backoff.grow();
+        self.backoff.grow(self.cfg.timing.cw_max);
         self.backoff.draw(&mut self.rng);
         self.start_access(now, out);
     }
@@ -882,7 +888,7 @@ impl DcfMac {
         }
         self.ssrc = 0;
         self.slrc = 0;
-        self.backoff.reset_cw();
+        self.backoff.reset_cw(self.cfg.timing.cw_min);
         // Mandatory post-transmission backoff.
         self.backoff.draw(&mut self.rng);
         self.current = self.queue.pop().map(|qp| TxJob {
@@ -1275,7 +1281,7 @@ mod snap {
             let ex = match &self.exchange {
                 Some(ex) => &**ex,
                 None => {
-                    blank = Exchange::new(self.cfg.pcmac.max_retx);
+                    blank = Exchange::new();
                     &blank
                 }
             };
@@ -1307,12 +1313,19 @@ mod snap {
         }
 
         /// Overwrite the mutable state of a freshly built MAC with captured
-        /// state. `id`/`cfg` keep their built values.
+        /// state. `id`/`cfg` keep their built values. A contention window
+        /// outside `cfg`'s bounds, or more queued packets than its
+        /// capacity, is refused: either would leave the station silent or
+        /// dropping without a word.
         pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
             self.rng = Snap::load(r)?;
             self.phys_busy = Snap::load(r)?;
             self.nav = Snap::load(r)?;
             self.backoff = Snap::load(r)?;
+            let timing = &self.cfg.timing;
+            if !(timing.cw_min..=timing.cw_max).contains(&self.backoff.cw()) {
+                return Err(SnapError::Corrupt("contention window outside its bounds"));
+            }
             self.count_start = Snap::load(r)?;
             self.t_defer = Snap::load(r)?;
             self.t_backoff = Snap::load(r)?;
@@ -1322,6 +1335,9 @@ mod snap {
             self.t_nav = Snap::load(r)?;
             self.t_ctrl = Snap::load(r)?;
             self.queue = Snap::load(r)?;
+            if self.queue.len() > self.cfg.queue_capacity {
+                return Err(SnapError::Corrupt("interface queue over its capacity"));
+            }
             self.current = Snap::load(r)?;
             let retransmit_override = Snap::load(r)?;
             self.phase = Snap::load(r)?;

@@ -162,18 +162,12 @@ pub struct SentTable {
     map: HashMap<NodeId, SentEntry>,
     /// Per-session sequence counters.
     next_seq: HashMap<NodeId, u32>,
-    /// Retransmission cap before a stored copy is abandoned.
-    max_retx: u8,
 }
 
 impl SentTable {
-    /// A table abandoning copies after `max_retx` retransmissions.
-    pub fn new(max_retx: u8) -> Self {
-        SentTable {
-            map: HashMap::new(),
-            next_seq: HashMap::new(),
-            max_retx,
-        }
+    /// Empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Allocate the next sequence number toward `to`.
@@ -201,8 +195,14 @@ impl SentTable {
         );
     }
 
-    /// Judge a CTS echo from `from` against the table.
-    pub fn judge_echo(&mut self, from: NodeId, echo: Option<(SessionId, u32)>) -> EchoVerdict {
+    /// Judge a CTS echo from `from` against the table; a stored copy is
+    /// abandoned after `max_retx` retransmissions.
+    pub fn judge_echo(
+        &mut self,
+        from: NodeId,
+        echo: Option<(SessionId, u32)>,
+        max_retx: u8,
+    ) -> EchoVerdict {
         let Some(entry) = self.map.get_mut(&from) else {
             // Nothing outstanding toward this neighbour.
             return EchoVerdict::Proceed;
@@ -216,7 +216,7 @@ impl SentTable {
             entry.retx = 0;
             return EchoVerdict::Proceed;
         }
-        if entry.retx >= self.max_retx {
+        if entry.retx >= max_retx {
             entry.stored = None;
             entry.retx = 0;
             return EchoVerdict::GiveUp;
@@ -311,11 +311,7 @@ mod snap {
         retx,
     });
 
-    pcmac_snap::snap_struct!(SentTable {
-        map,
-        next_seq,
-        max_retx,
-    });
+    pcmac_snap::snap_struct!(SentTable { map, next_seq });
 
     pcmac_snap::snap_struct!(ReceivedTable { map });
 }
@@ -425,25 +421,25 @@ mod tests {
 
     #[test]
     fn sent_table_confirms_on_matching_echo() {
-        let mut st = SentTable::new(4);
+        let mut st = SentTable::new();
         let s = SessionId::for_pair(NodeId(1), NodeId(2));
         let seq = st.allocate_seq(NodeId(2));
         st.record_sent(NodeId(2), s, seq, pkt(1));
         assert_eq!(
-            st.judge_echo(NodeId(2), Some((s, seq))),
+            st.judge_echo(NodeId(2), Some((s, seq)), 4),
             EchoVerdict::Proceed
         );
         // Confirmed: a later mismatching echo has nothing to retransmit.
-        assert_eq!(st.judge_echo(NodeId(2), None), EchoVerdict::Proceed);
+        assert_eq!(st.judge_echo(NodeId(2), None, 4), EchoVerdict::Proceed);
     }
 
     #[test]
     fn sent_table_retransmits_on_mismatch() {
-        let mut st = SentTable::new(4);
+        let mut st = SentTable::new();
         let s = SessionId::for_pair(NodeId(1), NodeId(2));
         let seq = st.allocate_seq(NodeId(2));
         st.record_sent(NodeId(2), s, seq, pkt(1));
-        match st.judge_echo(NodeId(2), None) {
+        match st.judge_echo(NodeId(2), None, 4) {
             EchoVerdict::Retransmit(p) => assert_eq!(p.id, PacketId(1)),
             v => panic!("expected retransmit, got {v:?}"),
         }
@@ -453,28 +449,28 @@ mod tests {
 
     #[test]
     fn sent_table_gives_up_after_cap() {
-        let mut st = SentTable::new(2);
+        let mut st = SentTable::new();
         let s = SessionId::for_pair(NodeId(1), NodeId(2));
         let seq = st.allocate_seq(NodeId(2));
         st.record_sent(NodeId(2), s, seq, pkt(1));
         assert!(matches!(
-            st.judge_echo(NodeId(2), None),
+            st.judge_echo(NodeId(2), None, 2),
             EchoVerdict::Retransmit(_)
         ));
         st.record_sent(NodeId(2), s, seq, pkt(1)); // retransmitted
         assert!(matches!(
-            st.judge_echo(NodeId(2), None),
+            st.judge_echo(NodeId(2), None, 2),
             EchoVerdict::Retransmit(_)
         ));
         st.record_sent(NodeId(2), s, seq, pkt(1));
-        assert_eq!(st.judge_echo(NodeId(2), None), EchoVerdict::GiveUp);
+        assert_eq!(st.judge_echo(NodeId(2), None, 2), EchoVerdict::GiveUp);
         // After giving up, the sender proceeds.
-        assert_eq!(st.judge_echo(NodeId(2), None), EchoVerdict::Proceed);
+        assert_eq!(st.judge_echo(NodeId(2), None, 2), EchoVerdict::Proceed);
     }
 
     #[test]
     fn sequence_numbers_are_per_neighbour() {
-        let mut st = SentTable::new(4);
+        let mut st = SentTable::new();
         assert_eq!(st.allocate_seq(NodeId(2)), 0);
         assert_eq!(st.allocate_seq(NodeId(2)), 1);
         assert_eq!(st.allocate_seq(NodeId(3)), 0);
@@ -482,12 +478,12 @@ mod tests {
 
     #[test]
     fn reset_peer_clears_sender_state() {
-        let mut st = SentTable::new(4);
+        let mut st = SentTable::new();
         let s = SessionId::for_pair(NodeId(1), NodeId(2));
         let seq = st.allocate_seq(NodeId(2));
         st.record_sent(NodeId(2), s, seq, pkt(1));
         st.reset_peer(NodeId(2));
-        assert_eq!(st.judge_echo(NodeId(2), None), EchoVerdict::Proceed);
+        assert_eq!(st.judge_echo(NodeId(2), None, 4), EchoVerdict::Proceed);
         assert_eq!(
             st.allocate_seq(NodeId(2)),
             1,

@@ -413,3 +413,51 @@ fn reset_peer_state_forgets_the_echo() {
         b => panic!("{b:?}"),
     }
 }
+
+/// The MAC's state written under one configuration and loaded under
+/// another: `Ok`, or the reason the load was refused.
+fn reload(from: &DcfMac, into: MacConfig) -> Result<(), pcmac_snap::SnapError> {
+    let mut w = pcmac_snap::SnapWriter::new();
+    from.save_state(&mut w);
+    let mut restored = DcfMac::new(NodeId(1), into, 42);
+    restored.load_state(&mut pcmac_snap::SnapReader::over(w.payload()))
+}
+
+/// A checkpoint carries no contention-window bounds or queue capacity:
+/// the loading MAC's configuration supplies them, and a window outside
+/// `[cw_min, cw_max]` (a crafted `u32::MAX` would stall every draw) or
+/// more queued packets than the capacity is refused, not taken.
+#[test]
+fn restore_refuses_a_window_or_a_backlog_the_configuration_cannot_hold() {
+    use pcmac_snap::SnapError::Corrupt;
+    let base = MacConfig::paper_default(Variant::Basic);
+    let with = |f: &dyn Fn(&mut MacConfig)| {
+        let mut c = base.clone();
+        f(&mut c);
+        c
+    };
+    let window = Err(Corrupt("contention window outside its bounds"));
+
+    let fresh = mac(1, Variant::Basic);
+    assert_eq!(reload(&fresh, base.clone()), Ok(()));
+    let narrow = with(&|c| (c.timing.cw_min, c.timing.cw_max) = (63, 1023));
+    assert_eq!(reload(&fresh, narrow), window, "31 under cw_min 63");
+    let huge = DcfMac::new(
+        NodeId(1),
+        with(&|c| (c.timing.cw_min, c.timing.cw_max) = (u32::MAX, u32::MAX)),
+        42,
+    );
+    assert_eq!(reload(&huge, base.clone()), window, "u32::MAX");
+
+    let mut busy = mac(1, Variant::Basic);
+    let mut out = Vec::new();
+    for n in 0..4 {
+        busy.enqueue(data_packet(n, 1, 2), NodeId(2), t(0), &mut out);
+    }
+    assert_eq!(busy.queue_len(), 4, "one in hand, three waiting");
+    assert_eq!(reload(&busy, with(&|c| c.queue_capacity = 3)), Ok(()));
+    assert_eq!(
+        reload(&busy, with(&|c| c.queue_capacity = 2)),
+        Err(Corrupt("interface queue over its capacity"))
+    );
+}

@@ -37,14 +37,14 @@ proptest! {
     #[test]
     fn backoff_window_bounded(grows in 0usize..20, seed in any::<u64>()) {
         let mut rng = RngStream::derive(seed, "prop.backoff");
-        let mut b = Backoff::new(31, 1023);
+        let mut b = Backoff::new(31);
         for _ in 0..grows {
-            b.grow();
+            b.grow(1023);
             prop_assert!((31..=1023).contains(&b.cw()));
             b.draw(&mut rng);
             prop_assert!(b.slots() <= b.cw());
         }
-        b.reset_cw();
+        b.reset_cw(31);
         prop_assert_eq!(b.cw(), 31);
     }
 
@@ -54,8 +54,8 @@ proptest! {
     fn backoff_consume_monotone(seed in any::<u64>(), chunks in proptest::collection::vec(0u64..100, 1..20)) {
         let mut rng = RngStream::derive(seed, "prop.consume");
         let slot = Duration::from_micros(20);
-        let mut b = Backoff::new(31, 1023);
-        b.grow(); b.grow();
+        let mut b = Backoff::new(31);
+        b.grow(1023); b.grow(1023);
         b.draw(&mut rng);
         let mut last = b.slots();
         for c in chunks {
@@ -103,7 +103,7 @@ proptest! {
         echoes in proptest::collection::vec(any::<bool>(), 1..30),
         max_retx in 1u8..6,
     ) {
-        let mut st = SentTable::new(max_retx);
+        let mut st = SentTable::new();
         let peer = NodeId(2);
         let session = SessionId::for_pair(NodeId(1), peer);
         let seq = st.allocate_seq(peer);
@@ -119,7 +119,7 @@ proptest! {
         let mut retransmissions = 0;
         for confirm in echoes {
             let echo = confirm.then_some((session, seq));
-            match st.judge_echo(peer, echo) {
+            match st.judge_echo(peer, echo, max_retx) {
                 EchoVerdict::Retransmit(_) => {
                     retransmissions += 1;
                     // The MAC re-records the retransmitted copy.

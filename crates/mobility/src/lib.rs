@@ -5,12 +5,13 @@
 //! reaches its destination, it pauses for 3 seconds, then randomly
 //! chooses another destination point").
 //!
-//! [`Mobility`] answers "where is this node at time t". The random
-//! waypoint model advances its legs lazily: queries must be
-//! non-decreasing in time, which a discrete-event simulation guarantees.
+//! [`RandomWaypoint`] answers "where is this node at time t". It
+//! advances its legs lazily: queries must be non-decreasing in time,
+//! which a discrete-event simulation guarantees.
 //! Lazy legs mean the trajectory is a pure function of the node's RNG
 //! stream — runs with the same seed walk the same paths regardless of how
-//! often positions are sampled.
+//! often positions are sampled. A station that never moves needs no
+//! model: its position is the scenario's.
 //!
 //! [`placement`] builds initial layouts: the paper's uniform scatter plus
 //! deterministic chains/grids/pairs used by tests and the asymmetric-link
@@ -19,34 +20,6 @@
 pub mod placement;
 
 use pcmac_engine::{Duration, Point, RngStream, SimTime};
-
-/// A node's movement over time.
-#[derive(Debug, Clone)]
-pub enum Mobility {
-    /// Never moves.
-    Static(Point),
-    /// Random waypoint over a rectangular field.
-    Waypoint(RandomWaypoint),
-}
-
-impl Mobility {
-    /// Position at `now`. Queries must be non-decreasing in time for
-    /// waypoint nodes.
-    pub fn position(&mut self, now: SimTime) -> Point {
-        match self {
-            Mobility::Static(p) => *p,
-            Mobility::Waypoint(w) => w.position(now),
-        }
-    }
-
-    /// See [`RandomWaypoint::stale_after`]; static nodes never go stale.
-    pub fn stale_after(&self, now: SimTime, pad: f64) -> SimTime {
-        match self {
-            Mobility::Static(_) => SimTime::MAX,
-            Mobility::Waypoint(w) => w.stale_after(now, pad),
-        }
-    }
-}
 
 /// The random waypoint model.
 #[derive(Debug, Clone)]
@@ -142,6 +115,13 @@ impl RandomWaypoint {
         SimTime::from_nanos(base.as_nanos().saturating_add(drift_ns))
     }
 
+    /// `true` when `other` walks the same field at the same speed and
+    /// pause — what a scenario fixes — whatever leg either is on.
+    pub fn same_walk(&self, other: &RandomWaypoint) -> bool {
+        (self.width, self.height, self.speed, self.pause)
+            == (other.width, other.height, other.speed, other.pause)
+    }
+
     fn advance_leg(&mut self) {
         self.from = self.to;
         self.to = Point::new(
@@ -161,8 +141,7 @@ mod snap {
     //! makes the restored trajectory identical for all queries at or
     //! after the cut time.
 
-    use super::{Mobility, RandomWaypoint};
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
+    use super::RandomWaypoint;
 
     pcmac_snap::snap_struct!(RandomWaypoint {
         rng,
@@ -176,28 +155,6 @@ mod snap {
         leg_end,
         pause_end,
     });
-
-    impl Snap for Mobility {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Mobility::Static(p) => {
-                    w.u8(0);
-                    p.save(w);
-                }
-                Mobility::Waypoint(m) => {
-                    w.u8(1);
-                    m.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Mobility::Static(Snap::load(r)?)),
-                1 => Ok(Mobility::Waypoint(Snap::load(r)?)),
-                _ => Err(SnapError::Corrupt("mobility tag")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +167,6 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
-    }
-
-    #[test]
-    fn static_nodes_do_not_move() {
-        let mut m = Mobility::Static(Point::new(10.0, 20.0));
-        assert_eq!(m.position(t(0.0)), Point::new(10.0, 20.0));
-        assert_eq!(m.position(t(400.0)), Point::new(10.0, 20.0));
     }
 
     #[test]
@@ -280,9 +230,23 @@ mod tests {
     }
 
     #[test]
-    fn static_nodes_never_go_stale() {
-        let m = Mobility::Static(Point::new(1.0, 2.0));
-        assert_eq!(m.stale_after(t(5.0), 10.0), SimTime::MAX);
+    fn a_walk_is_its_field_speed_and_pause() {
+        let walk = |speed: f64, pause: u64, i: u64| {
+            RandomWaypoint::new(
+                Point::new(i as f64, 0.0),
+                100.0,
+                100.0,
+                speed,
+                Duration::from_secs(pause),
+                rng(i),
+            )
+        };
+        let mut a = walk(10.0, 3, 1);
+        let _ = a.position(t(30.0));
+        assert!(a.same_walk(&walk(10.0, 3, 2)), "start, seed and leg aside");
+        assert!(!a.same_walk(&walk(11.0, 3, 1)));
+        assert!(!a.same_walk(&walk(10.0, 4, 1)));
+        assert!(!a.same_walk(&RandomWaypoint::paper_default(Point::new(1.0, 0.0), rng(1))));
     }
 
     #[test]

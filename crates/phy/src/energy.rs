@@ -70,79 +70,25 @@ impl EnergyMeter {
 }
 
 mod snap {
-    //! Checkpoint capture of the integrator — the millijoule total is an
-    //! `f64` bit pattern, so a restored meter keeps integrating from
-    //! exactly where the original left off.
-    //!
-    //! The layout predates the radiated-only meter: an electrical model
-    //! (three draws, all zero), a mode tag (0 silent, 2 transmitting), the
-    //! power on the air, the last change, and three totals (all draw,
-    //! transmit draw, radiated) that a zero model keeps equal bit for bit.
-    //! Loading refuses what that layout can hold and this meter cannot.
+    //! Checkpoint capture of the integrator: the power on the air, when
+    //! it last changed, and the radiated total as an `f64` bit pattern,
+    //! so a restored meter keeps integrating from exactly where the
+    //! original left off.
 
     use super::EnergyMeter;
-    use pcmac_engine::Milliwatts;
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    const SILENT: u8 = 0;
-    const RECEIVE: u8 = 1;
-    const TRANSMIT: u8 = 2;
-
-    impl Snap for EnergyMeter {
-        fn save(&self, w: &mut SnapWriter) {
-            for _ in 0..3 {
-                w.f64(0.0);
-            }
-            w.u8(if self.on_air.value() > 0.0 {
-                TRANSMIT
-            } else {
-                SILENT
-            });
-            self.on_air.save(w);
-            self.since.save(w);
-            for _ in 0..3 {
-                w.f64(self.radiated_mj);
-            }
-        }
-
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            for _ in 0..3 {
-                if r.f64()?.to_bits() != 0 {
-                    return Err(SnapError::Corrupt("energy model draws electronics power"));
-                }
-            }
-            let tag = r.u8()?;
-            let on_air = Milliwatts::load(r)?;
-            match tag {
-                SILENT if on_air.value().to_bits() == 0 => {}
-                TRANSMIT if on_air.value() > 0.0 => {}
-                SILENT | TRANSMIT => {
-                    return Err(SnapError::Corrupt("radio mode and power disagree"))
-                }
-                RECEIVE => return Err(SnapError::Corrupt("energy meter in receive mode")),
-                _ => return Err(SnapError::Corrupt("radio mode tag")),
-            }
-            let since = Snap::load(r)?;
-            let radiated_mj = r.f64()?;
-            for _ in 0..2 {
-                if r.f64()?.to_bits() != radiated_mj.to_bits() {
-                    return Err(SnapError::Corrupt("energy totals differ"));
-                }
-            }
-            Ok(EnergyMeter {
-                on_air,
-                since,
-                radiated_mj,
-            })
-        }
-    }
+    pcmac_snap::snap_struct!(EnergyMeter {
+        on_air,
+        since,
+        radiated_mj,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcmac_engine::Duration;
-    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
+    use pcmac_snap::{Snap, SnapReader, SnapWriter};
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + Duration::from_millis(ms)
@@ -195,8 +141,8 @@ mod tests {
         w.payload().to_vec()
     }
 
-    fn loaded(bytes: &[u8]) -> Result<EnergyMeter, SnapError> {
-        EnergyMeter::load(&mut SnapReader::over(bytes))
+    fn loaded(bytes: &[u8]) -> EnergyMeter {
+        EnergyMeter::load(&mut SnapReader::over(bytes)).expect("bytes it wrote")
     }
 
     /// A meter mid-transmission with some energy behind it.
@@ -214,46 +160,13 @@ mod tests {
         silent.end_tx(t(45));
         for m in [EnergyMeter::new(t(0)), busy(), silent] {
             let bytes = saved(&m);
-            assert_eq!(bytes.len(), 65);
-            let mut back = loaded(&bytes).expect("bytes it wrote");
+            assert_eq!(bytes.len(), 24);
+            let mut back = loaded(&bytes);
             assert_eq!(saved(&back), bytes);
             let mut m = m;
             m.finish(t(90));
             back.finish(t(90));
             assert_eq!(back.radiated_mj().to_bits(), m.radiated_mj().to_bits());
-        }
-    }
-
-    /// Bytes the old meter's layout can hold but this meter cannot: a
-    /// non-zero draw, a receive tag, a mode that disagrees with the
-    /// power, an unknown tag, and totals that differ.
-    #[test]
-    fn load_refuses_what_a_radiated_only_meter_cannot_hold() {
-        let good = saved(&busy());
-        let with = |at: usize, v: u8| {
-            let mut b = good.clone();
-            b[at] = v;
-            loaded(&b).err()
-        };
-        let corrupt = |why| Some(SnapError::Corrupt(why));
-        for draw in [0, 8, 16] {
-            assert_eq!(
-                with(draw + 7, 0x40),
-                corrupt("energy model draws electronics power")
-            );
-        }
-        assert_eq!(with(24, 1), corrupt("energy meter in receive mode"));
-        assert_eq!(with(24, 0), corrupt("radio mode and power disagree"));
-        assert_eq!(with(24, 7), corrupt("radio mode tag"));
-        let mut silent = busy();
-        silent.end_tx(t(45));
-        let mut b = saved(&silent);
-        b[24] = 2;
-        assert_eq!(loaded(&b).err(), corrupt("radio mode and power disagree"));
-        for total in [41, 49, 57] {
-            let mut b = saved(&silent);
-            b[total] ^= 1;
-            assert_eq!(loaded(&b).err(), corrupt("energy totals differ"));
         }
     }
 }

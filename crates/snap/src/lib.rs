@@ -42,7 +42,14 @@ pub const MAGIC: [u8; 4] = *b"PCSN";
 /// Version 3: a MAC's power control is its three pieces of state — the
 /// needed-level table, the RTS ladder rung and the measured noise — in
 /// one place; the table's copy of the MAC configuration left the format.
-pub const VERSION: u32 = 3;
+///
+/// Version 4: every section holds run-time state only. The energy meter
+/// is its power on the air, its last change and its radiated total; a
+/// traffic source writes its arrival process's fields once; the backoff,
+/// the PCMAC sent table and the interface queue dropped their copies of
+/// the MAC configuration; a static field's movement section is empty;
+/// and the metrics section dropped a counter that is always 0.
+pub const VERSION: u32 = 4;
 
 /// Everything that can go wrong reading a snapshot. All variants are
 /// recoverable by design: a caller falls back to recomputing from

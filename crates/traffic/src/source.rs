@@ -217,12 +217,10 @@ mod snap {
     //! instants and (for the stochastic processes) the RNG position, so
     //! the post-restore emission schedule continues the original sequence.
     //!
-    //! The layout predates the single `Source` type: a kind tag, then the
-    //! kind's fields in their old order. An on/off source was a CBR source
-    //! plus its phase state and so writes the stop time twice.
+    //! A kind tag and the fields every flow has, then the arrival
+    //! process's own fields.
 
     use super::{Arrivals, Source};
-    use pcmac_engine::{Duration, SimTime};
     use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for Source {
@@ -236,29 +234,28 @@ mod snap {
             self.src.save(w);
             self.dst.save(w);
             self.bytes.save(w);
-            match &self.arrivals {
-                Arrivals::Cbr { interval } | Arrivals::OnOff { interval, .. } => interval.save(w),
-                Arrivals::Poisson { mean_interval, .. } => mean_interval.save(w),
-            }
             self.stop.save(w);
             self.next.save(w);
             self.count.save(w);
             match &self.arrivals {
-                Arrivals::Cbr { .. } => {}
-                Arrivals::Poisson { rng, .. } => rng.save(w),
+                Arrivals::Cbr { interval } => interval.save(w),
+                Arrivals::Poisson { mean_interval, rng } => {
+                    mean_interval.save(w);
+                    rng.save(w);
+                }
                 Arrivals::OnOff {
+                    interval,
                     mean_on,
                     mean_off,
                     phase_end,
                     on,
                     rng,
-                    ..
                 } => {
+                    interval.save(w);
                     mean_on.save(w);
                     mean_off.save(w);
                     phase_end.save(w);
                     on.save(w);
-                    self.stop.save(w);
                     rng.save(w);
                 }
             }
@@ -266,44 +263,32 @@ mod snap {
 
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             let tag = r.u8()?;
+            if tag > 2 {
+                return Err(SnapError::Corrupt("traffic source tag"));
+            }
             let (flow, src, dst, bytes) = (
                 Snap::load(r)?,
                 Snap::load(r)?,
                 Snap::load(r)?,
                 Snap::load(r)?,
             );
-            // The kind's rate: a CBR interval, or a Poisson mean gap (s).
-            let (interval, mean_interval) = match tag {
-                0 | 2 => (Snap::load(r)?, 0.0),
-                1 => (Duration::ZERO, Snap::load(r)?),
-                _ => return Err(SnapError::Corrupt("traffic source tag")),
-            };
             let (stop, next, count) = (Snap::load(r)?, Snap::load(r)?, Snap::load(r)?);
             let arrivals = match tag {
-                0 => Arrivals::Cbr { interval },
+                0 => Arrivals::Cbr {
+                    interval: Snap::load(r)?,
+                },
                 1 => Arrivals::Poisson {
-                    mean_interval,
+                    mean_interval: Snap::load(r)?,
                     rng: Snap::load(r)?,
                 },
-                _ => {
-                    let (mean_on, mean_off, phase_end, on) = (
-                        Snap::load(r)?,
-                        Snap::load(r)?,
-                        Snap::load(r)?,
-                        Snap::load(r)?,
-                    );
-                    if stop != SimTime::load(r)? {
-                        return Err(SnapError::Corrupt("on/off source stop times differ"));
-                    }
-                    Arrivals::OnOff {
-                        interval,
-                        mean_on,
-                        mean_off,
-                        phase_end,
-                        on,
-                        rng: Snap::load(r)?,
-                    }
-                }
+                _ => Arrivals::OnOff {
+                    interval: Snap::load(r)?,
+                    mean_on: Snap::load(r)?,
+                    mean_off: Snap::load(r)?,
+                    phase_end: Snap::load(r)?,
+                    on: Snap::load(r)?,
+                    rng: Snap::load(r)?,
+                },
             };
             Ok(Source {
                 flow,
@@ -528,8 +513,7 @@ mod tests {
         }
     }
 
-    /// Bytes the format can hold but a source cannot: an unknown kind,
-    /// and an on/off source whose two stop times differ.
+    /// Bytes the format can hold but a source cannot: an unknown kind.
     #[test]
     fn load_refuses_what_a_source_cannot_hold() {
         let [_, _, on_off] = one_of_each();
@@ -539,17 +523,6 @@ mod tests {
         assert_eq!(
             err,
             Some(pcmac_snap::SnapError::Corrupt("traffic source tag"))
-        );
-        let mut bytes = saved(&on_off);
-        // The second stop time sits just before the 32-byte RNG state.
-        let second_stop = bytes.len() - 32 - 8;
-        bytes[second_stop] ^= 1;
-        let err = loaded(&bytes).err();
-        assert_eq!(
-            err,
-            Some(pcmac_snap::SnapError::Corrupt(
-                "on/off source stop times differ"
-            ))
         );
     }
 }
