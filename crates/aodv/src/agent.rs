@@ -10,10 +10,10 @@
 //! forward or overhear; theirs stays an empty pointer and checkpoints as
 //! the empty state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pcmac_engine::{NodeId, PacketId, SimTime, TimerSlot, TimerToken};
+use pcmac_engine::{NodeId, PacketId, SimTime, TimerSlot, TimerToken, VecMap};
 use pcmac_net::{Packet, Payload, Rerr, Rrep, Rreq};
 use pcmac_stats::StreamingQuantile;
 
@@ -115,7 +115,7 @@ struct Discovery {
 /// Allocated by the first discovery and kept from then on.
 #[derive(Debug, Clone)]
 struct Origination {
-    discoveries: HashMap<NodeId, Discovery>,
+    discoveries: VecMap<NodeId, Discovery>,
     /// Packets awaiting discovery, with their buffering time.
     buffer: VecDeque<(Packet, SimTime)>,
     /// Discoveries started (observability; pairs with
@@ -130,7 +130,7 @@ struct Origination {
 impl Origination {
     fn new() -> Self {
         Origination {
-            discoveries: HashMap::new(),
+            discoveries: VecMap::new(),
             buffer: VecDeque::new(),
             started: 0,
             latency: StreamingQuantile::new(),
@@ -156,7 +156,7 @@ pub struct AodvAgent {
     own_seq: u32,
     next_rreq_id: u32,
     /// Duplicate-flood suppression: (origin, rreq_id) → insertion time.
-    rreq_cache: HashMap<(NodeId, u32), SimTime>,
+    rreq_cache: VecMap<(NodeId, u32), SimTime>,
     next_ctrl_pkt: u64,
     /// Statistics.
     pub counters: AodvCounters,
@@ -174,7 +174,7 @@ impl AodvAgent {
             table: RouteTable::new(),
             own_seq: 0,
             next_rreq_id: 0,
-            rreq_cache: HashMap::new(),
+            rreq_cache: VecMap::new(),
             next_ctrl_pkt: 0,
             counters: AodvCounters::default(),
             origination: None,
@@ -251,12 +251,15 @@ impl AodvAgent {
         }
         let dst = packet.dst;
         o.buffer.push_back((packet, now));
-        if let std::collections::hash_map::Entry::Vacant(e) = o.discoveries.entry(dst) {
-            e.insert(Discovery {
-                slot: TimerSlot::new(),
-                attempts: 0,
-                started: now,
-            });
+        if !o.discoveries.contains_key(&dst) {
+            o.discoveries.insert(
+                dst,
+                Discovery {
+                    slot: TimerSlot::new(),
+                    attempts: 0,
+                    started: now,
+                },
+            );
             o.started += 1;
             self.emit_rreq(dst, now, out);
         }

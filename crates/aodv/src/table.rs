@@ -5,9 +5,7 @@
 //! Sequence-number rules (only accept fresher, or equal-and-shorter)
 //! give AODV its loop freedom; the table enforces them in one place.
 
-use std::collections::HashMap;
-
-use pcmac_engine::{Duration, NodeId, SimTime};
+use pcmac_engine::{Duration, NodeId, SimTime, VecMap};
 
 use crate::seq::seq_newer;
 
@@ -29,7 +27,7 @@ pub struct Route {
 /// Destination-indexed route table.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    routes: HashMap<NodeId, Route>,
+    routes: VecMap<NodeId, Route>,
 }
 
 impl RouteTable {

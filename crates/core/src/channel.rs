@@ -1174,7 +1174,11 @@ impl Channel {
             }
             Receivers::Reference(_) => self.walk_reference(&tx, hot, &mut rx),
         }
-        rx.retain(|&r| deliver_here(&tx, r, down, shard.as_deref_mut()));
+        // Without a fault plan or a shard every receiver is delivered
+        // here, and the filter would be a pass that keeps everything.
+        if down.is_some() || shard.is_some() {
+            rx.retain(|&r| deliver_here(&tx, r, down, shard.as_deref_mut()));
+        }
         if rx.is_empty() {
             self.rx_pool.put(rx);
             return;

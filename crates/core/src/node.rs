@@ -14,16 +14,15 @@ use pcmac_traffic::{Sink, Source};
 /// `Node` is the *cold* half (protocol machines, tables, counters) that
 /// the simulator builds the first time it must touch a station, and a
 /// region shard only for nodes it owns. Of a reception in progress it
-/// holds the frame being decoded and nothing else.
+/// holds the data frame being decoded and nothing else: the control
+/// broadcast a PCMAC station is locked onto sits in the hot arrays,
+/// beside that channel's receive row.
 #[derive(Debug)]
 pub struct Node {
     /// Station address.
     pub id: NodeId,
     /// The frame the data-channel receive row is locked onto.
     pub locked: Option<Arc<Frame>>,
-    /// The broadcast the control-channel receive row is locked onto
-    /// (PCMAC only).
-    pub ctrl_locked: Option<CtrlFrame>,
     /// The MAC.
     pub mac: DcfMac,
     /// The routing agent.
@@ -51,7 +50,6 @@ impl Node {
         Node {
             id,
             locked: None,
-            ctrl_locked: None,
             mac: DcfMac::new(id, mac_cfg, seed),
             aodv: AodvAgent::new(id, aodv_cfg),
             sources: Vec::new(),
@@ -63,12 +61,19 @@ impl Node {
     /// Serialize the cold per-node state (locked frames, MAC, routing,
     /// sources, sink, meter) into `w`, the MAC from `mac`: this node's
     /// own, or a copy of it that has heard a carrier edge the live one is
-    /// still owed. The node id is implied by the node's index in the
-    /// scenario and is not written.
-    pub(crate) fn save_state(&self, mac: &DcfMac, w: &mut pcmac_snap::SnapWriter) {
+    /// still owed. `ctrl_locked` is the control broadcast the station is
+    /// locked onto, which the simulator keeps; it is written in its place
+    /// after the data frame. The node id is implied by the node's index
+    /// in the scenario and is not written.
+    pub(crate) fn save_state(
+        &self,
+        mac: &DcfMac,
+        ctrl_locked: &Option<CtrlFrame>,
+        w: &mut pcmac_snap::SnapWriter,
+    ) {
         use pcmac_snap::Snap;
         self.locked.save(w);
-        self.ctrl_locked.save(w);
+        ctrl_locked.save(w);
         mac.save_state(w);
         self.aodv.save_state(w);
         self.sources.save(w);
@@ -77,20 +82,21 @@ impl Node {
     }
 
     /// Overwrite this node's state from a blob written by
-    /// [`Node::save_state`]. The node must have been built from the same
-    /// scenario configuration.
+    /// [`Node::save_state`], returning the control broadcast it records
+    /// the station locked onto. The node must have been built from the
+    /// same scenario configuration.
     pub(crate) fn load_state(
         &mut self,
         r: &mut pcmac_snap::SnapReader<'_>,
-    ) -> Result<(), pcmac_snap::SnapError> {
+    ) -> Result<Option<CtrlFrame>, pcmac_snap::SnapError> {
         use pcmac_snap::Snap;
         self.locked = Snap::load(r)?;
-        self.ctrl_locked = Snap::load(r)?;
+        let ctrl_locked = Snap::load(r)?;
         self.mac.load_state(r)?;
         self.aodv.load_state(r)?;
         self.sources = Snap::load(r)?;
         self.sink = Snap::load(r)?;
         self.energy = Snap::load(r)?;
-        Ok(())
+        Ok(ctrl_locked)
     }
 }

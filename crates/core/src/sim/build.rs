@@ -194,6 +194,7 @@ impl Simulator {
             m
         });
 
+        let ctrl_n = if cfg.mac.variant.is_pcmac() { n } else { 0 };
         let mut hot = HotState {
             positions: starts,
             mobility,
@@ -203,7 +204,8 @@ impl Simulator {
             tx_key_ctr: vec![0; n],
             rx: vec![RxRow::default(); n],
             // Only a PCMAC station ever radiates a control frame.
-            ctrl_rx: vec![RxRow::default(); if cfg.mac.variant.is_pcmac() { n } else { 0 }],
+            ctrl_rx: vec![RxRow::default(); ctrl_n],
+            ctrl_locked: vec![None; ctrl_n],
             carrier: vec![0; n],
             held_noise: vec![Milliwatts::ZERO; n],
         };

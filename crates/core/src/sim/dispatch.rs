@@ -366,7 +366,7 @@ impl Simulator {
     fn on_ctrl_arrival_start(&mut self, i: usize, key: u64, power: Milliwatts, frame: &CtrlFrame) {
         let heard = self.hot.ctrl_rx[i].arrival_start(&self.radio, key, power);
         if heard.rx_start() {
-            self.node_mut(i).ctrl_locked = Some(frame.clone());
+            self.hot.ctrl_locked[i] = Some(frame.clone());
         }
     }
 
@@ -376,11 +376,9 @@ impl Simulator {
     fn on_ctrl_arrival_end(&mut self, i: usize, key: u64, power: Milliwatts, now: SimTime) {
         let heard = self.hot.ctrl_rx[i].arrival_end(&self.radio, key, power);
         if let Some(ok) = heard.rx_end() {
-            let frame = self
-                .node_mut(i)
-                .ctrl_locked
+            let frame = self.hot.ctrl_locked[i]
                 .take()
-                .expect("a locked row's frame is held by its node");
+                .expect("a locked row's frame is held beside it");
             if ok {
                 self.with_mac(i, now, |mac| mac.on_ctrl_rx(frame, power, now));
             }
@@ -892,7 +890,7 @@ impl Simulator {
         let end = now + airtime;
 
         self.hot.ctrl_rx[i].start_tx(&self.radio);
-        self.node_mut(i).ctrl_locked = None;
+        self.hot.ctrl_locked[i] = None;
         // The broadcast radiates on the control channel while the data
         // radio may be mid-reception. The energy meter does not see it:
         // `radiated_mj` counts data-channel transmissions only.

@@ -323,9 +323,8 @@ impl Simulator {
             let budget = hooks.cancel.map_or(u64::MAX, |_| 0x100 - (ticks & 0xFF));
             ticks += self.advance(grid.clamp(past(end)), budget, &mut observer);
         }
-        let cfg = self.cfg.clone();
-        let owner = vec![0u32; cfg.nodes.count()];
-        RunOutcome::Completed(Self::merge_report(&cfg, &owner, vec![self], wall_start))
+        let (cfg, lane) = self.into_tally();
+        RunOutcome::Completed(Self::merge_report(&cfg, &[], vec![lane], wall_start))
     }
 }
 

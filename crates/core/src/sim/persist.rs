@@ -21,6 +21,18 @@ use crate::node::Node;
 use crate::report::RunReport;
 use crate::snapshot::{next_grid_point, SimSnapshot};
 
+/// What the report reads of one execution lane whose queue drained
+/// ([`Simulator::into_tally`]).
+pub(super) struct LaneTally {
+    /// Events scheduled on this lane, its probe chain's not counted.
+    events: u64,
+    sent_packets: u64,
+    /// The lane's cold node slots (`None` where untouched or not owned).
+    nodes: Vec<Option<Box<Node>>>,
+    faults: Option<FaultState>,
+    metrics: Option<MetricsState>,
+}
+
 /// What one execution lane (the single-threaded simulator, or one region
 /// shard) contributes to a collective snapshot at a cut. Contributions
 /// are owned clones — merging them needs no further synchronization with
@@ -126,13 +138,14 @@ impl Simulator {
         if let Some(row) = self.hot.ctrl_rx.get(i) {
             row.save(w);
         }
+        let ctrl_locked = self.hot.ctrl_locked.get(i).unwrap_or(&None);
         self.read_node(i, |node| {
             let Some((busy, noise)) = self.hot.held_edge(i) else {
-                return node.save_state(&node.mac, w);
+                return node.save_state(&node.mac, ctrl_locked, w);
             };
             let mut told = node.mac.clone();
             tell_held_edge(&mut told, busy, noise, cut);
-            node.save_state(&told, w);
+            node.save_state(&told, ctrl_locked, w);
         });
     }
 
@@ -150,15 +163,18 @@ impl Simulator {
             *row = Snap::load(&mut r)?;
         }
         let node = self.node_mut(i);
-        node.load_state(&mut r)?;
+        let ctrl_frame = node.load_state(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("node blob trailing bytes"));
         }
-        let locked = (node.locked.is_some(), node.ctrl_locked.is_some());
+        let locked = (node.locked.is_some(), ctrl_frame.is_some());
         let listening = node.mac.listening();
         let ctrl_locked = self.hot.ctrl_rx.get(i).is_some_and(RxRow::is_receiving);
         if (self.hot.rx[i].is_receiving(), ctrl_locked) != locked {
             return Err(SnapError::Corrupt("locked frame does not match its row"));
+        }
+        if let Some(slot) = self.hot.ctrl_locked.get_mut(i) {
+            *slot = ctrl_frame;
         }
         self.hot.mac_heard(i, listening);
         Ok(())
@@ -232,31 +248,42 @@ impl Simulator {
         }
     }
 
+    /// What the report reads of this lane once its queue drained, and
+    /// the scenario it ran, moved out rather than copied; the queue, the
+    /// hot arrays and the channel drop here, before the report allocates.
+    pub(super) fn into_tally(mut self) -> (ScenarioConfig, LaneTally) {
+        let probes = self.metrics.as_ref().map_or(0, |m| m.probes_scheduled);
+        let tally = LaneTally {
+            events: self.queue.scheduled_total() - probes,
+            sent_packets: self.sent_packets,
+            nodes: std::mem::take(&mut self.nodes),
+            faults: self.faults.take(),
+            metrics: self.metrics.take(),
+        };
+        (self.cfg, tally)
+    }
+
     /// Fold the lanes whose queues drained — the whole single-threaded
     /// simulator, or every region shard — into the run's report: the
     /// counterpart of [`Simulator::merge_contributions`] at the end of a
-    /// run. `owner` maps each node to the lane holding its state (all
-    /// zeros for one lane): per-node state is read from its owner, its
-    /// energy ledger closed at the run end; counters are summed and fault
-    /// records replayed in `(time, rank)` order, all in fixed lane order
-    /// with no wall-clock input but `wall_s`.
+    /// run. `owner` maps each node to the lane holding its state (empty
+    /// for one lane, which holds every node): per-node state is read from
+    /// its owner, its energy ledger closed at the run end; counters are
+    /// summed and fault records replayed in `(time, rank)` order, all in
+    /// fixed lane order with no wall-clock input but `wall_s`.
     pub(super) fn merge_report(
         cfg: &ScenarioConfig,
         owner: &[u32],
-        mut lanes: Vec<Simulator>,
+        mut lanes: Vec<LaneTally>,
         wall_start: std::time::Instant,
     ) -> RunReport {
         let end = SimTime::ZERO + cfg.duration;
         // Every lane schedules its own probe chain and a replica of the
         // impairment bursts; every other scheduled event exists on
         // exactly one.
-        let probes = |s: &Simulator| s.metrics.as_ref().map_or(0, |m| m.probes_scheduled);
-        let events = lanes
-            .iter()
-            .map(|s| s.queue.scheduled_total() - probes(s))
-            .sum::<u64>()
+        let events = lanes.iter().map(|l| l.events).sum::<u64>()
             - (lanes.len() as u64 - 1) * 2 * replicated_bursts(cfg);
-        let sent = lanes.iter().map(|s| s.sent_packets).sum::<u64>();
+        let sent = lanes.iter().map(|l| l.sent_packets).sum::<u64>();
 
         // Per-node state: each node's owner holds the authoritative
         // replica. Read where it lies; moving every node out of its box
@@ -265,20 +292,14 @@ impl Simulator {
         // its ledger closed at the run end, as the others' are; nothing
         // the report reads is a node's id, so one such node stands in for
         // every untouched station.
-        let mut pools: Vec<Vec<Option<Box<Node>>>> = lanes
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.nodes))
-            .collect();
-        for node in pools.iter_mut().flatten().flatten() {
+        for node in lanes.iter_mut().flat_map(|l| &mut l.nodes).flatten() {
             node.energy.finish(end);
         }
         // A layer's state exists on every lane exactly when the scenario
-        // configures the layer. Nothing else of a lane is read, so its
-        // queue, hot arrays and channel go before the report allocates.
-        let faults: Vec<FaultState> = lanes.iter_mut().filter_map(|s| s.faults.take()).collect();
+        // configures the layer.
+        let faults: Vec<FaultState> = lanes.iter_mut().filter_map(|l| l.faults.take()).collect();
         let metrics: Vec<MetricsState> =
-            lanes.iter_mut().filter_map(|s| s.metrics.take()).collect();
-        drop(lanes);
+            lanes.iter_mut().filter_map(|l| l.metrics.take()).collect();
         let mut untouched = Node::new(
             NodeId(0),
             Arc::new(cfg.mac.clone()),
@@ -286,10 +307,11 @@ impl Simulator {
             cfg.seed,
         );
         untouched.energy.finish(end);
-        let nodes: Vec<&Node> = owner
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| pools[o as usize][i].as_deref().unwrap_or(&untouched))
+        let nodes: Vec<&Node> = (0..cfg.nodes.count())
+            .map(|i| {
+                let lane = owner.get(i).map_or(0, |&o| o as usize);
+                lanes[lane].nodes[i].as_deref().unwrap_or(&untouched)
+            })
             .collect();
 
         let resilience = cfg

@@ -316,7 +316,8 @@ impl Simulator {
             }
         }
 
-        RunOutcome::Completed(Simulator::merge_report(&cfg, &owner, sims, wall_start))
+        let lanes = sims.into_iter().map(|s| s.into_tally().1).collect();
+        RunOutcome::Completed(Simulator::merge_report(&cfg, &owner, lanes, wall_start))
     }
 
     /// Dispatch every local event strictly before `until`. Cross-region

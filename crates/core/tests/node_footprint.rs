@@ -19,7 +19,6 @@
 //! neighbour that static transmitters now store.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,8 +27,10 @@ use pcmac::{
     ExecutionMode, FlowSpec, MetricsConfig, NodeSetup, ScenarioConfig, Simulator, Variant,
 };
 use pcmac_aodv::AodvConfig;
-use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime};
-use pcmac_mac::MacConfig;
+use pcmac_engine::{
+    Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime, VecMap,
+};
+use pcmac_mac::{CtrlFrame, MacConfig};
 use pcmac_net::Packet;
 use pcmac_stats::Histogram;
 use pcmac_traffic::FlowStats;
@@ -160,26 +161,19 @@ fn a_node_costs_what_it_uses() {
     );
     let inline = std::mem::size_of::<Node>();
     println!("one pristine node: {inline} B inline, 0 B in 0 allocations behind it");
-    assert!(inline <= 924, "Node grew to {inline} B inline");
+    assert!(inline <= 756, "Node grew to {inline} B inline");
 
     let at = |ms| SimTime::ZERO + Duration::from_millis(ms);
     let packet = |id| Packet::data(PacketId(id), FlowId(0), NodeId(3), NodeId(7), 512, at(0));
 
     // Sinking a packet allocates the sink's box, holding the flow table
-    // and the delay histogram, then the table's one entry and the delay
-    // buckets up to the one a 40 ms delay lands in: five of 10 ms, 8 B
-    // each, not the histogram's thousand.
-    let table = || {
-        let (base, _) = live();
-        let mut t = HashMap::new();
-        t.insert(FlowId(0), FlowStats::default());
-        let bytes = live().0 - base;
-        drop(t);
-        bytes
-    };
-    let table_bytes = table();
-    let boxed =
-        std::mem::size_of::<HashMap<FlowId, FlowStats>>() + std::mem::size_of::<Histogram>();
+    // and the delay histogram, then the table's one entry — exactly one
+    // `(FlowId, FlowStats)` pair, 40 B (180 B as a hash map) — and the
+    // delay buckets up to the one a 40 ms delay lands in: five of 10 ms,
+    // 8 B each, not the histogram's thousand.
+    let table_bytes = std::mem::size_of::<(FlowId, FlowStats)>();
+    assert_eq!(table_bytes, 40, "one flow-table entry");
+    let boxed = std::mem::size_of::<VecMap<FlowId, FlowStats>>() + std::mem::size_of::<Histogram>();
     let (bytes, allocs) = live();
     node.sink.deliver(&packet(1), at(40));
     let (bytes_after, allocs_after) = live();
@@ -206,7 +200,8 @@ fn a_node_costs_what_it_uses() {
     // Hearing a transmission allocates nothing, ever: what is on the air
     // at a station is a sum and a count in its 32-byte receive row, and
     // the control channel has rows only where something can radiate on
-    // it — a PCMAC field is a Basic field plus exactly that array.
+    // it, each beside the slot for the broadcast it may lock onto — a
+    // PCMAC field is a Basic field plus exactly those two arrays.
     let built = |cfg| {
         let (base, _) = live();
         let sim = Simulator::new(cfg);
@@ -214,10 +209,13 @@ fn a_node_costs_what_it_uses() {
         drop(sim);
         built - base
     };
+    let ctrl_bytes = 32 + std::mem::size_of::<Option<CtrlFrame>>();
+    assert_eq!(ctrl_bytes, 72);
     assert_eq!(
         built(field(Variant::Pcmac, 11)) - built(field(Variant::Basic, 11)),
-        32 * NODES,
-        "control-channel rows: 32 B per node under PCMAC, none under Basic"
+        ctrl_bytes * NODES,
+        "control-channel rows and locked broadcasts: {ctrl_bytes} B per node under PCMAC, \
+         none under Basic"
     );
 
     // --- an untouched station: its hot arrays and an empty slot ---------
@@ -272,8 +270,10 @@ fn a_node_costs_what_it_uses() {
     // Nothing moves here, so a station that transmits keeps its receiver
     // row: 16 B per stored neighbour. Over that, the peak holds what the
     // build holds plus the cold state of the stations the run touches:
-    // 697 B/node when last measured (792 with 5.92 stored neighbours per
-    // node), held to 770, about 10 % above. The index query of a
+    // 514 B/node when last measured (609 with 5.92 stored neighbours per
+    // node; 768 before the per-station tables became sorted vectors, the
+    // timer slots one word and the locked control broadcast a hot-array
+    // slot), held to 565, about 10 % above. The index query of a
     // row's build is profiled once per transmitter, so a metrics-on run
     // of the same field counts the neighbours stored.
     let mut profiled = field(Variant::Basic, 11);
@@ -284,7 +284,7 @@ fn a_node_costs_what_it_uses() {
         "rows: {} of {NODES} stations transmitted, {stored:.2} stored neighbours per node",
         hot.grid_queries
     );
-    let budget = 770.0 + 16.0 * stored;
+    let budget = 565.0 + 16.0 * stored;
     assert!(
         peak <= budget,
         "peak live heap over build + run + report: {peak:.0} B/node, budget {budget:.0}"

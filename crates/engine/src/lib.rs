@@ -21,6 +21,8 @@
 //! * [`units`] — the RF power quantity ([`Milliwatts`]) and its linear
 //!   arithmetic.
 //! * [`ids`] — strongly-typed identifiers ([`NodeId`], [`FlowId`], …).
+//! * [`vecmap`] — a sorted-vector map ([`VecMap`]) for the small
+//!   per-station tables, sized to its entries.
 //!
 //! The kernel is intentionally generic: the event payload type is a type
 //! parameter, and the main loop lives in the `pcmac` core crate where the
@@ -36,6 +38,7 @@ pub mod snap_impls;
 pub mod time;
 pub mod timer;
 pub mod units;
+pub mod vecmap;
 
 pub use geom::{Point, Vector};
 pub use grid::UniformGrid;
@@ -45,3 +48,4 @@ pub use rng::RngStream;
 pub use time::{Duration, SimTime};
 pub use timer::{TimerSlot, TimerToken};
 pub use units::Milliwatts;
+pub use vecmap::VecMap;

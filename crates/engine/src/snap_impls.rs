@@ -129,6 +129,11 @@ impl Snap for TimerSlot {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let generation = r.u64()?;
         let armed = bool::load(r)?;
+        if generation >= TimerSlot::GENERATION_LIMIT {
+            return Err(SnapError::Corrupt(
+                "timer generation beyond the packed slot",
+            ));
+        }
         Ok(TimerSlot::from_parts(generation, armed))
     }
 }
@@ -169,6 +174,26 @@ mod tests {
         assert_eq!(back.generation(), 2);
         assert!(back.is_armed());
         assert!(back.fire(round_trip(&t)));
+    }
+
+    #[test]
+    fn timer_slot_restore_refuses_a_generation_the_slot_cannot_hold() {
+        let slot = |generation: u64| {
+            let mut w = SnapWriter::new();
+            w.u64(generation);
+            true.save(&mut w);
+            TimerSlot::load(&mut SnapReader::over(w.payload()))
+        };
+        let last = slot(TimerSlot::GENERATION_LIMIT - 1).expect("the largest generation loads");
+        assert_eq!(last.generation(), TimerSlot::GENERATION_LIMIT - 1);
+        assert!(last.is_armed());
+        assert_eq!(
+            slot(TimerSlot::GENERATION_LIMIT).err(),
+            Some(SnapError::Corrupt(
+                "timer generation beyond the packed slot"
+            ))
+        );
+        assert!(slot(u64::MAX).is_err());
     }
 
     #[test]

@@ -26,14 +26,19 @@ impl TimerToken {
     }
 }
 
-/// The per-logical-timer state: a generation counter plus an armed flag.
+/// The per-logical-timer state: a generation counter plus an armed flag,
+/// packed into one word as `generation << 1 | armed` (8 bytes, and a MAC
+/// holds seven). A generation therefore stays below 2⁶³, which a timer
+/// re-armed every nanosecond would reach after 292 years.
 #[derive(Debug, Clone, Default)]
 pub struct TimerSlot {
-    generation: u64,
-    armed: bool,
+    packed: u64,
 }
 
 impl TimerSlot {
+    /// Generations at or above this do not fit the packed word.
+    pub const GENERATION_LIMIT: u64 = 1 << 63;
+
     /// A fresh, disarmed slot.
     pub fn new() -> Self {
         TimerSlot::default()
@@ -42,38 +47,48 @@ impl TimerSlot {
     /// Arm the timer, invalidating any token from a previous arming, and
     /// return the token the caller must embed in the scheduled event.
     pub fn arm(&mut self) -> TimerToken {
-        self.generation += 1;
-        self.armed = true;
-        TimerToken(self.generation)
+        let generation = self.generation() + 1;
+        self.packed = generation << 1 | 1;
+        TimerToken(generation)
     }
 
     /// Cancel the pending timer, if any. The already-scheduled event still
     /// pops from the queue but its token will be stale.
     pub fn cancel(&mut self) {
-        self.armed = false;
+        self.packed &= !1;
     }
 
     /// `true` if a timer is currently pending.
     pub fn is_armed(&self) -> bool {
-        self.armed
+        self.packed & 1 != 0
     }
 
     /// The live generation counter (checkpoint capture).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.packed >> 1
     }
 
     /// Rebuild a slot from captured state (checkpoint restore).
+    ///
+    /// # Panics
+    /// If `generation` is at or above [`TimerSlot::GENERATION_LIMIT`];
+    /// the checkpoint codec refuses such a slot before it gets here.
     pub fn from_parts(generation: u64, armed: bool) -> Self {
-        TimerSlot { generation, armed }
+        assert!(
+            generation < Self::GENERATION_LIMIT,
+            "timer generation {generation} does not fit the packed slot"
+        );
+        TimerSlot {
+            packed: generation << 1 | u64::from(armed),
+        }
     }
 
     /// Called when a timer event pops: returns `true` (and disarms the slot)
     /// iff the token matches the live generation. Stale tokens return
     /// `false` and leave the slot untouched.
     pub fn fire(&mut self, token: TimerToken) -> bool {
-        if self.armed && token.0 == self.generation {
-            self.armed = false;
+        if self.is_armed() && token.0 == self.generation() {
+            self.cancel();
             true
         } else {
             false
@@ -117,6 +132,31 @@ mod tests {
         let t = slot.arm();
         assert!(slot.fire(t));
         assert!(!slot.fire(t), "a token fires at most once");
+    }
+
+    #[test]
+    fn a_slot_is_one_word() {
+        assert_eq!(std::mem::size_of::<TimerSlot>(), 8);
+        let last = TimerSlot::GENERATION_LIMIT - 1;
+        for (generation, armed) in [
+            (0, false),
+            (0, true),
+            (5, true),
+            (last, false),
+            (last, true),
+        ] {
+            let s = TimerSlot::from_parts(generation, armed);
+            assert_eq!((s.generation(), s.is_armed()), (generation, armed));
+        }
+        let mut s = TimerSlot::from_parts(last, true);
+        assert!(s.fire(TimerToken(last)));
+        assert!(!s.fire(TimerToken(last)));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the packed slot")]
+    fn a_generation_past_the_limit_is_refused() {
+        TimerSlot::from_parts(TimerSlot::GENERATION_LIMIT, false);
     }
 
     #[test]

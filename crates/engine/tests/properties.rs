@@ -577,3 +577,62 @@ mod cursor_properties {
         }
     }
 }
+
+mod vecmap_properties {
+    use std::collections::BTreeMap;
+
+    use pcmac_engine::VecMap;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Any sequence of inserts, lookups, removals, in-place updates
+        /// and retains leaves a `VecMap` with a `BTreeMap`'s content, in
+        /// its key order, every answer along the way equal, and no more
+        /// slots allocated than it held at its fullest.
+        #[test]
+        fn vecmap_behaves_as_a_btreemap(
+            ops in proptest::collection::vec((0u8..6, 0u16..40, 0u32..1000), 0..300),
+        ) {
+            let mut got = VecMap::new();
+            let mut want = BTreeMap::new();
+            let mut fullest = 0;
+            for &(op, key, val) in &ops {
+                match op {
+                    0 | 1 => prop_assert_eq!(got.insert(key, val), want.insert(key, val)),
+                    2 => prop_assert_eq!(got.remove(&key), want.remove(&key)),
+                    3 => {
+                        *got.get_or_insert_with(key, || val) += 1;
+                        *want.entry(key).or_insert(val) += 1;
+                    }
+                    4 => {
+                        if let Some(v) = got.get_mut(&key) {
+                            *v ^= val;
+                        }
+                        if let Some(v) = want.get_mut(&key) {
+                            *v ^= val;
+                        }
+                    }
+                    _ => {
+                        got.retain(|k, v| (u32::from(*k) + *v) % 3 != val % 3);
+                        want.retain(|k, v| (u32::from(*k) + *v) % 3 != val % 3);
+                    }
+                }
+                fullest = fullest.max(want.len());
+                prop_assert_eq!(got.get(&key), want.get(&key));
+                prop_assert_eq!(got.contains_key(&key), want.contains_key(&key));
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert_eq!(got.is_empty(), want.is_empty());
+            }
+            let pairs: Vec<(u16, u32)> = got.iter().map(|(k, v)| (*k, *v)).collect();
+            let expect: Vec<(u16, u32)> = want.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(pairs, expect);
+            for (_, v) in got.iter_mut() {
+                *v = v.wrapping_mul(3);
+            }
+            for (k, v) in got.iter() {
+                prop_assert_eq!(*v, want[k].wrapping_mul(3));
+            }
+            prop_assert!(got.capacity() <= fullest, "{} slots for {} entries", got.capacity(), fullest);
+        }
+    }
+}

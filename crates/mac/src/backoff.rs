@@ -7,7 +7,9 @@
 //! started and, when interrupted, tells the backoff how much wall time was
 //! spent; whole elapsed slots are deducted. The window's bounds are the
 //! MAC's configuration (`Dot11Timing::{cw_min, cw_max}`), passed in where
-//! the window moves.
+//! the window moves. A pending count never exceeds the window it was
+//! drawn from or any window after it (debug builds check it after every
+//! operation), which is what lets a restore refuse one that does.
 
 use pcmac_engine::{Duration, RngStream};
 
@@ -42,16 +44,38 @@ impl Backoff {
         self.slots == 0
     }
 
+    /// `true` while the pending count fits the window: the invariant
+    /// every operation keeps and a restore checks.
+    pub(crate) fn is_consistent(&self) -> bool {
+        self.slots <= self.cw
+    }
+
+    /// Debug builds check the invariant after every operation.
+    #[inline]
+    fn checked(&self) {
+        debug_assert!(
+            self.is_consistent(),
+            "backoff count {} above its window {}",
+            self.slots,
+            self.cw
+        );
+    }
+
     /// Double the contention window after a failed attempt:
     /// `CW ← min(2·(CW+1)−1, cw_max)` (31 → 63 → … → 1023).
     pub fn grow(&mut self, cw_max: u32) {
         self.cw = ((self.cw + 1) * 2 - 1).min(cw_max);
+        self.checked();
     }
 
     /// Reset the contention window to `cw_min` after success or final
-    /// drop.
+    /// drop. A count still pending ends with the job it was drawn for
+    /// (the DCF draws a fresh one right after), so it cannot outgrow the
+    /// smaller window.
     pub fn reset_cw(&mut self, cw_min: u32) {
         self.cw = cw_min;
+        self.slots = 0;
+        self.checked();
     }
 
     /// Draw a fresh uniform count in `[0, CW]` (only if none is pending;
@@ -60,12 +84,14 @@ impl Backoff {
         if self.slots == 0 {
             self.slots = rng.range_inclusive(0, self.cw as u64) as u32;
         }
+        self.checked();
     }
 
     /// Force a fresh draw (used for the mandatory post-transmission
     /// backoff, which always re-draws).
     pub fn draw(&mut self, rng: &mut RngStream) {
         self.slots = rng.range_inclusive(0, self.cw as u64) as u32;
+        self.checked();
     }
 
     /// Deduct the slots fully elapsed in `idle_time` (counting was
@@ -73,12 +99,14 @@ impl Backoff {
     pub fn consume(&mut self, idle_time: Duration, slot: Duration) -> u32 {
         let whole = (idle_time.as_nanos() / slot.as_nanos()) as u32;
         self.slots = self.slots.saturating_sub(whole);
+        self.checked();
         self.slots
     }
 
     /// Mark the countdown complete (its timer fired unharassed).
     pub fn complete(&mut self) {
         self.slots = 0;
+        self.checked();
     }
 
     /// Wall time needed to finish the remaining count.

@@ -1314,9 +1314,9 @@ mod snap {
 
         /// Overwrite the mutable state of a freshly built MAC with captured
         /// state. `id`/`cfg` keep their built values. A contention window
-        /// outside `cfg`'s bounds, or more queued packets than its
-        /// capacity, is refused: either would leave the station silent or
-        /// dropping without a word.
+        /// outside `cfg`'s bounds, a backoff count above the window, or
+        /// more queued packets than its capacity, is refused: each would
+        /// leave the station silent or dropping without a word.
         pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
             self.rng = Snap::load(r)?;
             self.phys_busy = Snap::load(r)?;
@@ -1325,6 +1325,9 @@ mod snap {
             let timing = &self.cfg.timing;
             if !(timing.cw_min..=timing.cw_max).contains(&self.backoff.cw()) {
                 return Err(SnapError::Corrupt("contention window outside its bounds"));
+            }
+            if !self.backoff.is_consistent() {
+                return Err(SnapError::Corrupt("backoff count above its window"));
             }
             self.count_start = Snap::load(r)?;
             self.t_defer = Snap::load(r)?;

@@ -15,9 +15,7 @@
 //! * [`noise_tolerance`] — the receiver-side computation
 //!   `S_r / η_cp − N_r` broadcast when a DATA reception starts.
 
-use std::collections::HashMap;
-
-use pcmac_engine::{Milliwatts, NodeId, SessionId, SimTime};
+use pcmac_engine::{Milliwatts, NodeId, SessionId, SimTime, VecMap};
 use pcmac_net::Packet;
 
 /// Compute the noise a receiver can still endure: `S_r / η_cp − N_r`
@@ -42,7 +40,7 @@ pub struct ActiveRx {
 /// The set of currently-protected receivers this node has heard about.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveReceivers {
-    map: HashMap<NodeId, ActiveRx>,
+    map: VecMap<NodeId, ActiveRx>,
 }
 
 impl ActiveReceivers {
@@ -95,7 +93,7 @@ impl ActiveReceivers {
         now: SimTime,
     ) -> Result<(), SimTime> {
         let mut blocked_until: Option<SimTime> = None;
-        for (node, rx) in &self.map {
+        for (node, rx) in self.map.iter() {
             if rx.until <= now || Some(*node) == exempt {
                 continue;
             }
@@ -159,9 +157,9 @@ pub enum EchoVerdict {
 /// The sender-side table of the three-way handshake.
 #[derive(Debug, Clone, Default)]
 pub struct SentTable {
-    map: HashMap<NodeId, SentEntry>,
+    map: VecMap<NodeId, SentEntry>,
     /// Per-session sequence counters.
-    next_seq: HashMap<NodeId, u32>,
+    next_seq: VecMap<NodeId, u32>,
 }
 
 impl SentTable {
@@ -172,7 +170,7 @@ impl SentTable {
 
     /// Allocate the next sequence number toward `to`.
     pub fn allocate_seq(&mut self, to: NodeId) -> u32 {
-        let seq = self.next_seq.entry(to).or_insert(0);
+        let seq = self.next_seq.get_or_insert_with(to, || 0);
         let out = *seq;
         *seq += 1;
         out
@@ -257,7 +255,7 @@ impl SentTable {
 /// Receiver-side table: last accepted (session, seq) per sender.
 #[derive(Debug, Clone, Default)]
 pub struct ReceivedTable {
-    map: HashMap<NodeId, (SessionId, u32)>,
+    map: VecMap<NodeId, (SessionId, u32)>,
 }
 
 impl ReceivedTable {

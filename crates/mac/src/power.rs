@@ -23,9 +23,7 @@
 //! the three pieces above and nothing else. Broadcasts never ask: they
 //! always go at the maximum.
 
-use std::collections::HashMap;
-
-use pcmac_engine::{Milliwatts, NodeId, SimTime};
+use pcmac_engine::{Milliwatts, NodeId, SimTime, VecMap};
 
 use crate::config::{MacConfig, Variant};
 use crate::counters::MacCounters;
@@ -43,7 +41,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct PowerControl {
     /// Needed level toward each neighbour heard, and when it was learned.
-    entries: HashMap<NodeId, Entry>,
+    entries: VecMap<NodeId, Entry>,
     /// PCMAC's RTS level for the current job: the ladder's rung.
     rts: Milliwatts,
     /// Latest noise measured at this station's radio.
@@ -54,7 +52,7 @@ impl PowerControl {
     /// A station that has heard nothing and has no job.
     pub fn new(cfg: &MacConfig) -> Self {
         PowerControl {
-            entries: HashMap::new(),
+            entries: VecMap::new(),
             rts: cfg.max_power(),
             noise: Milliwatts::ZERO,
         }

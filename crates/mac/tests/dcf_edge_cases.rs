@@ -461,3 +461,43 @@ fn restore_refuses_a_window_or_a_backlog_the_configuration_cannot_hold() {
         Err(Corrupt("interface queue over its capacity"))
     );
 }
+
+/// Every backoff operation keeps the pending count within the window
+/// it was drawn from, so a checkpoint whose count exceeds its window was
+/// crafted or damaged: a `u32::MAX` count would arm a backoff of about
+/// 86 000 s and silence the station. Restore refuses it.
+#[test]
+fn restore_refuses_a_backoff_count_above_its_window() {
+    use pcmac_snap::SnapError::Corrupt;
+    // A window no other field of a fresh MAC's state can spell, so its
+    // bytes and the zero count behind them are found by search.
+    const WINDOW: u32 = 0x0BAD_CAFE;
+    let mut cfg = MacConfig::paper_default(Variant::Basic);
+    (cfg.timing.cw_min, cfg.timing.cw_max) = (WINDOW, WINDOW);
+    let mut w = pcmac_snap::SnapWriter::new();
+    DcfMac::new(NodeId(1), cfg.clone(), 42).save_state(&mut w);
+    let saved = w.payload().to_vec();
+    let mut pattern = WINDOW.to_le_bytes().to_vec();
+    pattern.extend(0u32.to_le_bytes());
+    let at: Vec<usize> = (0..saved.len() - pattern.len())
+        .filter(|&i| saved[i..i + pattern.len()] == pattern[..])
+        .collect();
+    assert_eq!(at.len(), 1, "the backoff's window and count appear once");
+    let slots = at[0] + 4;
+
+    let load = |count: u32| {
+        let mut blob = saved.clone();
+        blob[slots..slots + 4].copy_from_slice(&count.to_le_bytes());
+        let mut restored = DcfMac::new(NodeId(1), cfg.clone(), 42);
+        restored.load_state(&mut pcmac_snap::SnapReader::over(&blob))
+    };
+    assert_eq!(load(0), Ok(()));
+    assert_eq!(
+        load(WINDOW),
+        Ok(()),
+        "a count equal to the window is a draw"
+    );
+    let above = Err(Corrupt("backoff count above its window"));
+    assert_eq!(load(WINDOW + 1), above);
+    assert_eq!(load(u32::MAX), above, "u32::MAX");
+}

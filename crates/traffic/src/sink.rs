@@ -9,9 +9,7 @@
 //! behind one box that its first delivery allocates: until then a sink
 //! is one empty pointer, and it reads and checkpoints as an empty one.
 
-use std::collections::HashMap;
-
-use pcmac_engine::{Duration, FlowId, SimTime};
+use pcmac_engine::{Duration, FlowId, SimTime, VecMap};
 use pcmac_net::{Packet, Payload};
 use pcmac_stats::Histogram;
 
@@ -48,14 +46,14 @@ impl FlowStats {
 /// What a sink holds once something was delivered to it.
 #[derive(Debug, Clone)]
 struct Deliveries {
-    flows: HashMap<FlowId, FlowStats>,
+    flows: VecMap<FlowId, FlowStats>,
     delay_hist: Histogram,
 }
 
 impl Deliveries {
     fn new() -> Self {
         Deliveries {
-            flows: HashMap::new(),
+            flows: VecMap::new(),
             delay_hist: Histogram::new(DELAY_BUCKET_MS, DELAY_BUCKETS),
         }
     }
@@ -89,7 +87,7 @@ impl Sink {
         let d = self
             .deliveries
             .get_or_insert_with(|| Box::new(Deliveries::new()));
-        let s = d.flows.entry(flow).or_default();
+        let s = d.flows.get_or_insert_with(flow, FlowStats::default);
         s.received += 1;
         s.bytes += bytes as u64;
         s.delay_sum += delay;
@@ -246,7 +244,7 @@ mod tests {
         // An empty sink writes an empty flow table and the shared
         // geometry's empty histogram.
         let mut w = SnapWriter::new();
-        HashMap::<FlowId, FlowStats>::new().save(&mut w);
+        VecMap::<FlowId, FlowStats>::new().save(&mut w);
         Histogram::new(DELAY_BUCKET_MS, DELAY_BUCKETS).save(&mut w);
         let blank = Sink::new();
         assert_eq!(bytes(&blank), w.finish());
