@@ -253,8 +253,8 @@ fn checkpoint_from_before_the_channel_knobs_left_resumes_as_a_fresh_run() {
     let _ = std::fs::remove_file(&ref_out);
 }
 
-/// Every snapshot version changes the layout (version 4 took the
-/// configuration copies and the padding out of every section), so a
+/// Every snapshot version changes the layout (version 5 took the flow
+/// and walk configuration out of the source and movement sections), so a
 /// checkpoint left behind by the previous release cannot be read. It must
 /// be refused as `BadVersion` at the envelope — never misread — and the
 /// cell holding it must complete as a fresh run with the same artifact.

@@ -59,12 +59,15 @@ impl Node {
     }
 
     /// Serialize the cold per-node state (locked frames, MAC, routing,
-    /// sources, sink, meter) into `w`, the MAC from `mac`: this node's
+    /// sink, meter, sources) into `w`, the MAC from `mac`: this node's
     /// own, or a copy of it that has heard a carrier edge the live one is
     /// still owed. `ctrl_locked` is the control broadcast the station is
     /// locked onto, which the simulator keeps; it is written in its place
     /// after the data frame. The node id is implied by the node's index
-    /// in the scenario and is not written.
+    /// in the scenario and is not written, and neither is the number of
+    /// sources: the scenario fixes which flows a station homes, and their
+    /// states close the blob, so a blob with one too many or too few
+    /// reads as trailing bytes or a truncation.
     pub(crate) fn save_state(
         &self,
         mac: &DcfMac,
@@ -76,15 +79,17 @@ impl Node {
         ctrl_locked.save(w);
         mac.save_state(w);
         self.aodv.save_state(w);
-        self.sources.save(w);
         self.sink.save(w);
         self.energy.save(w);
+        for source in &self.sources {
+            source.save_state(w);
+        }
     }
 
     /// Overwrite this node's state from a blob written by
     /// [`Node::save_state`], returning the control broadcast it records
     /// the station locked onto. The node must have been built from the
-    /// same scenario configuration.
+    /// same scenario configuration, its sources attached.
     pub(crate) fn load_state(
         &mut self,
         r: &mut pcmac_snap::SnapReader<'_>,
@@ -94,9 +99,11 @@ impl Node {
         let ctrl_locked = Snap::load(r)?;
         self.mac.load_state(r)?;
         self.aodv.load_state(r)?;
-        self.sources = Snap::load(r)?;
         self.sink = Snap::load(r)?;
         self.energy = Snap::load(r)?;
+        for source in &mut self.sources {
+            source.load_state(r)?;
+        }
         Ok(ctrl_locked)
     }
 }

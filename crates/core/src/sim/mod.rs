@@ -464,14 +464,14 @@ mod tests {
     const ONOFF_RATE_BPS: f64 = 400_000.0;
 
     /// `(cut, (length, FNV-1a) of station 0's blob, the same of station
-    /// 1's)`, recorded at snapshot version 4: 58 B under version 3's
-    /// 1 350 (41 of meter padding, the backoff's window bounds, the sent
-    /// table's cap and the queue's capacity), 8 B more for the on/off
-    /// source's second stop time.
+    /// 1's)`, recorded at snapshot version 5: 41 B under version 4's
+    /// 1 292 for the Poisson home (its flow's configuration, 33 B, and
+    /// the source count, 8 B) and 57 B under 1 284 for the on/off home
+    /// (49 B of configuration and the count).
     const MIXED_GOLDEN: (u64, (usize, u64), (usize, u64)) = (
         557_162_663,
-        (1292, 0xc7a1_70ee_6328_eb4f),
-        (1284, 0x5815_c593_b85d_7c40),
+        (1251, 0xf086_b766_7e87_ebca),
+        (1227, 0x07fa_41d1_a8cf_677b),
     );
 
     /// Pins the node blobs no paper-scenario golden reaches: a Poisson

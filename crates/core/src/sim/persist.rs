@@ -6,7 +6,6 @@
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, NodeId, SimTime};
-use pcmac_mobility::RandomWaypoint;
 use pcmac_phy::RxRow;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -53,9 +52,10 @@ pub(super) struct SnapContribution {
     tx_key_ctr: Vec<u32>,
     faults: Option<FaultState>,
     metrics: Option<MetricsState>,
-    /// Movement models advanced to the cut, none on a static field;
-    /// primary lane only (every lane holds the identical full replica).
-    mobility: Option<Vec<RandomWaypoint>>,
+    /// The movement section: every model's state advanced to the cut,
+    /// empty on a static field; primary lane only (every lane holds the
+    /// identical full replica).
+    mobility: Option<Vec<u8>>,
 }
 
 impl Simulator {
@@ -100,18 +100,20 @@ impl Simulator {
                 })
             })
             .collect();
-        // Advance the mobility clones exactly to the cut: waypoint
-        // queries are non-decreasing and idempotent, so this is the
-        // state an uninterrupted run carries at `cut` regardless of when
-        // each node was last sampled. A static field holds no models,
-        // and its section is empty.
+        // Each model is written advanced exactly to the cut, from a
+        // copy: waypoint queries are non-decreasing and idempotent, so
+        // this is the state an uninterrupted run carries at `cut`
+        // regardless of when each node was last sampled. A static field
+        // holds no models, and its section is empty.
         let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
         let mobility = primary.then(|| {
-            let mut m = self.hot.mobility.clone();
-            for mm in &mut m {
-                let _ = mm.position(cut);
+            scratch.clear();
+            for model in &self.hot.mobility {
+                let mut at_cut = model.clone();
+                let _ = at_cut.position(cut);
+                at_cut.save_state(&mut scratch);
             }
-            m
+            scratch.payload().to_vec()
         });
         SnapContribution {
             pending,
@@ -436,7 +438,7 @@ impl Simulator {
         if self.on_air_mismatch(&snap.pending).is_some() {
             return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
         }
-        // An emission names one of its home's sources, as loaded.
+        // An emission names one of the sources its home was built with.
         for (_, _, ev) in &snap.pending {
             if let SimEvent::TrafficEmit { node, source } = ev {
                 let i = node.index();
@@ -448,19 +450,16 @@ impl Simulator {
 
         // Hot state: movement models arrive advanced exactly to the cut,
         // so sampling them at the cut is exact and free of history. The
-        // section holds one model per station the scenario moves (none
-        // on a static field), each walking the scenario's field at its
-        // speed and pause.
-        if snap.mobility.len() != self.hot.mobility.len() {
-            return Err(SnapError::Corrupt(
-                "movement section does not fit the scenario",
-            ));
+        // section holds the state of every model the scenario builds
+        // (none on a static field), in station order, and nothing else.
+        let misfit = SnapError::Corrupt("movement section does not fit the scenario");
+        let mut r = SnapReader::over(&snap.mobility);
+        for model in &mut self.hot.mobility {
+            model.load_state(&mut r).map_err(|_| misfit.clone())?;
         }
-        let mut pairs = snap.mobility.iter().zip(&self.hot.mobility);
-        if !pairs.all(|(loaded, built)| loaded.same_walk(built)) {
-            return Err(SnapError::Corrupt("waypoint does not fit the scenario"));
+        if !r.is_exhausted() {
+            return Err(misfit);
         }
-        self.hot.mobility.clone_from(&snap.mobility);
         self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
         self.channel.resync(&mut self.hot, cut);
         self.sent_packets = if primary { snap.sent_packets } else { 0 };

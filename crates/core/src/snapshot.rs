@@ -48,62 +48,42 @@
 //! sorted key order, so a file written on one machine restores with
 //! bit-identical results on any other.
 //!
-//! The envelope is at **version 4**. A node's blob opens with its radio
-//! section — the data-channel receive row (`pcmac_phy::RxRow`: in-air
-//! sum, locked power and key, arrivals on the air, mode, corruption
-//! verdict, last carrier state indicated), the control-channel row when
-//! the scenario runs PCMAC, then the locked data frame and the locked
-//! control frame as options — followed by the MAC, the routing agent,
-//! the sources, the sink and the meter. Version 1 wrote a whole radio
-//! there: its configuration, a lock that serialized a diagnostic
-//! `until`, and the list of arrivals on the air in the order a per-node
-//! `Vec`'s `push` / `swap_remove` history had left it in. A design that
-//! keeps a sum and a count cannot reproduce that order, so the list left
-//! the format and a pending `ArrivalEnd` / `CtrlArrivalEnd` carries the
-//! received power it has to hand back. Version-1 files fail
-//! `SnapReader::open` with `BadVersion`; the campaign runner recomputes
-//! the cell.
+//! The envelope is at **version 5**, and every section holds what its
+//! layer holds at run time and cannot rebuild from the scenario: restore
+//! builds the network from the scenario (the snapshot's config digest
+//! pins it) and overwrites the run-time state of what it built, so
+//! configuration never travels. In wire order:
 //!
-//! Version 3 writes a MAC's power control as the three pieces of state
-//! it has — the needed-level table, the RTS ladder rung and the noise
-//! last measured at the radio — where version 2 wrote the rung and the
-//! table among the exchange fields, the noise after them, and beside the
-//! table a copy of four configuration values: the entry expiry, the
-//! level list, the decode threshold and a threshold margin that was
-//! always 1. The configuration is rebuilt from the scenario on restore
-//! (and the snapshot's config digest pins it), so the copy carried
-//! nothing: it cost 112 B per station per cut. Every variant writes the
-//! same shape — Basic's table is empty and only PCMAC reads the rung —
-//! so the blob has one layout. Version-2 files are refused as
-//! `BadVersion(2)` and their cells recomputed, as version 1's are.
+//! * the cut, the event counters and the pending events;
+//! * the movement section: one blob holding, in station order, the RNG
+//!   and current leg of every waypoint model the scenario builds (empty
+//!   on a static field), read into the built models;
+//! * the per-station transmission-key counters;
+//! * one blob per station: the data-channel receive row
+//!   (`pcmac_phy::RxRow`: in-air sum, locked power and key, arrivals on
+//!   the air, mode, corruption verdict, last carrier state indicated),
+//!   the control-channel row when the scenario runs PCMAC, the locked
+//!   data frame and the locked control frame as options, then the MAC,
+//!   the routing agent, the sink, the energy meter (its power on the
+//!   air, last change and radiated total) and the run-time state of each
+//!   traffic source the station homes (next emission, count, and the
+//!   arrival process's RNG and on/off phase), with no count: the
+//!   scenario fixes the flows a station homes;
+//! * the fault and metrics sections, each its layer's own run-time
+//!   state written field by field (`FaultState`, `MetricsState`); the
+//!   fault plan, the probe interval and the power levels come from the
+//!   scenario.
 //!
-//! Version 4 applies that rule to every section: a checkpoint holds
-//! what a layer holds at run time and cannot rebuild from the scenario.
-//! Version 3 still wrote, per station, an energy meter in the layout of
-//! an electrical model no scenario used (three zero draws, a mode tag
-//! the power implies, the radiated total three times: 65 B for 24 B of
-//! state), an on/off source's stop time twice, and three copies of the
-//! MAC configuration — the contention window's bounds, the PCMAC
-//! retransmission cap and the interface queue's capacity. It wrote one
-//! fixed position per station of a static field, where the movement
-//! section is now empty, and a hot-path counter that is always 0 in the
-//! metrics section. Restore checks what the copies used to carry against
-//! the scenario instead: a contention window outside
-//! `[cw_min, cw_max]`, a queue longer than its capacity, a movement
-//! section with another model count than the scenario moves, or a model
-//! walking another field, speed or pause, is `SnapError::Corrupt`.
-//! Version-3 files are refused as `BadVersion(3)` and their cells
-//! recomputed.
-//!
-//! The fault and metrics sections follow the same rule: each is its
-//! layer's own run-time state, written field by field (`FaultState`,
-//! `MetricsState`), with no copy of the layer's configuration. The
-//! fault plan, the probe interval and the power levels are rebuilt from
-//! the scenario on restore. Restore checks each section against the
-//! state the scenario builds — present exactly when the layer is
-//! configured, with its node, impairment-burst and power-level counts —
-//! and refuses a mismatch as `SnapError::Corrupt`, on one thread and on
-//! region shards alike.
+//! Restore refuses what does not fit the built network: a movement
+//! section or a node blob with state left over or missing (the model
+//! count of the section, the source count of a blob), a contention
+//! window outside `[cw_min, cw_max]`, a backoff count above its window,
+//! a queue longer than its capacity, and a fault or metrics section
+//! whose presence or node, impairment-burst or power-level counts
+//! disagree with the scenario, on one thread and on region shards
+//! alike. Files of versions 1 to 4 fail `SnapReader::open` with
+//! `BadVersion` and the campaign runner recomputes their cells; README's
+//! checkpoint section keeps the history of the format.
 //!
 //! Two things a snapshot does **not** carry, by construction. The MAC is
 //! written *as told*: a carrier edge the simulator is holding back from
@@ -120,7 +100,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, SimTime};
-use pcmac_mobility::RandomWaypoint;
 use pcmac_snap::{checksum64, fnv1a64, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::ScenarioConfig;
@@ -218,9 +197,11 @@ pub struct SimSnapshot {
     /// The pending logical event population (cursor tails expanded) in
     /// canonical `(time, rank, insertion)` order.
     pub(crate) pending: Vec<(SimTime, u128, SimEvent)>,
-    /// Per-node movement models, advanced exactly to the cut; empty on
-    /// a static field.
-    pub(crate) mobility: Vec<RandomWaypoint>,
+    /// The movement section: the state of every station's movement
+    /// model, advanced exactly to the cut, in station order
+    /// (`RandomWaypoint::save_state` wire format); empty on a static
+    /// field.
+    pub(crate) mobility: Vec<u8>,
     /// Per-node transmission-key counters.
     pub(crate) tx_key_ctr: Vec<u32>,
     /// Per-node cold-state blobs ([`Node::save_state`]
@@ -269,7 +250,7 @@ impl SimSnapshot {
             sent_packets: r.u64()?,
             probes_scheduled: r.u64()?,
             pending: Snap::load(&mut r)?,
-            mobility: Snap::load(&mut r)?,
+            mobility: r.blob()?,
             tx_key_ctr: Snap::load(&mut r)?,
             nodes: {
                 let n = r.len_prefix()?;
@@ -311,7 +292,7 @@ impl SimSnapshot {
         w.u64(self.sent_packets);
         w.u64(self.probes_scheduled);
         self.pending.save(w);
-        self.mobility.save(w);
+        w.blob(&self.mobility);
         self.tx_key_ctr.save(w);
         // Node blobs go through the bulk-copy path: the generic
         // `Vec<Vec<u8>>` impl writes the same bytes one `u8` at a time,
@@ -367,8 +348,8 @@ mod tests {
     /// Restore refuses a fault or metrics section whose presence or
     /// shape disagrees with the scenario, an open repair naming no
     /// station, a movement section with another model count than the
-    /// scenario moves or a model walking another field, speed or pause,
-    /// and a pending list with more replicated
+    /// scenario moves, a node blob with another source count than the
+    /// station homes, and a pending list with more replicated
     /// events than the snapshot says were scheduled, an event naming no
     /// station, burst or source, or one due before the cut, on one
     /// thread and on two shards alike, in the calling thread: a snapshot
@@ -496,8 +477,7 @@ mod tests {
             "pending emission names no source",
         ));
         // The movement section: a static scenario's holds a model, a
-        // mobile one's lacks one, or a model walks at another speed or
-        // pauses for another time than the scenario's.
+        // mobile one's lacks one.
         let fixed = || {
             let mut c = cfg(12, 1, true, true);
             let row = (0..12)
@@ -508,40 +488,50 @@ mod tests {
         };
         let still = snap(fixed());
         assert!(still.mobility.is_empty());
+        let model = both.mobility.len() / 12;
         let message = "movement section does not fit the scenario";
         let mut s = still.clone();
-        s.mobility.push(both.mobility[5].clone());
+        s.mobility
+            .extend_from_slice(&both.mobility[5 * model..6 * model]);
         cases.push((fixed(), s, message));
         let mut s = both.clone();
-        s.mobility.pop();
+        s.mobility.truncate(11 * model);
         cases.push((cfg(12, 1, true, true), s, message));
-        let foreign = |speed: f64, pause: Duration| {
-            let mut c = cfg(12, 1, true, true);
-            c.nodes = NodeSetup::UniformWaypoint {
-                count: 12,
-                speed,
-                pause,
-            };
-            let mut s = both.clone();
-            s.mobility[5] = snap(c).mobility[5].clone();
-            s
-        };
-        let message = "waypoint does not fit the scenario";
-        for s in [
-            foreign(6.0, Duration::from_secs(3)),
-            foreign(5.0, Duration::from_secs(4)),
-        ] {
-            cases.push((cfg(12, 1, true, true), s, message));
-        }
+        // A flow's home with one source state more, or one less, than the
+        // scenario attaches to it: the states close its blob.
+        let home = both
+            .pending
+            .iter()
+            .find_map(|(_, _, ev)| match ev {
+                SimEvent::TrafficEmit { node, .. } => Some(node.index()),
+                _ => None,
+            })
+            .expect("a pending first emission");
+        let cbr = 16;
+        let mut s = both.clone();
+        let blob = &mut s.nodes[home];
+        blob.extend_from_within(blob.len() - cbr..);
+        let extra = s;
+        let mut s = both.clone();
+        let blob = &mut s.nodes[home];
+        blob.truncate(blob.len() - cbr);
+        let missing = s;
 
-        for (c, s, message) in cases {
+        let mut cases: Vec<_> = cases
+            .into_iter()
+            .map(|(c, s, message)| (c, s, SnapError::Corrupt(message)))
+            .collect();
+        let trailing = SnapError::Corrupt("node blob trailing bytes");
+        cases.push((cfg(12, 1, true, true), extra, trailing));
+        cases.push((cfg(12, 1, true, true), missing, SnapError::Truncated));
+
+        for (c, s, want) in cases {
             for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
                 let mut c = c.clone();
                 c.execution = Some(execution);
                 match Simulator::restore(c, &s) {
-                    Err(SnapError::Corrupt(m)) => assert_eq!(m, message, "{execution:?}"),
-                    Err(e) => panic!("{message} on {execution:?}: {e:?}"),
-                    Ok(_) => panic!("{message} on {execution:?}: restored"),
+                    Err(e) => assert_eq!(e, want, "{execution:?}"),
+                    Ok(_) => panic!("{want:?} on {execution:?}: restored"),
                 }
             }
         }

@@ -34,22 +34,13 @@ pub const MAGIC: [u8; 4] = *b"PCSN";
 /// versions are rejected with [`SnapError::BadVersion`] rather than
 /// misread.
 ///
-/// Version 2: a pending arrival end carries its received power, and a
-/// node's radio section is its receive rows plus the locked frame — the
-/// per-node list of arrivals on the air, and with it the list's
-/// insertion-history order, left the format.
-///
-/// Version 3: a MAC's power control is its three pieces of state — the
-/// needed-level table, the RTS ladder rung and the measured noise — in
-/// one place; the table's copy of the MAC configuration left the format.
-///
-/// Version 4: every section holds run-time state only. The energy meter
-/// is its power on the air, its last change and its radiated total; a
-/// traffic source writes its arrival process's fields once; the backoff,
-/// the PCMAC sent table and the interface queue dropped their copies of
-/// the MAC configuration; a static field's movement section is empty;
-/// and the metrics section dropped a counter that is always 0.
-pub const VERSION: u32 = 4;
+/// Version 5: every section holds run-time state only, and restore
+/// overwrites that state in the components the scenario builds. A
+/// traffic source is its next emission, its count and its arrival
+/// process's run state, a waypoint model its RNG and current leg; the
+/// configuration of each comes from the scenario. Versions 1 to 4 are
+/// refused; README's checkpoint section keeps their history.
+pub const VERSION: u32 = 5;
 
 /// Everything that can go wrong reading a snapshot. All variants are
 /// recoverable by design: a caller falls back to recomputing from
@@ -641,12 +632,17 @@ mod tests {
         let mut w = SnapWriter::new();
         w.u64(7);
         let mut bytes = w.finish();
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 0xEE;
-        assert!(matches!(
-            SnapReader::open(&wrong_version).err(),
-            Some(SnapError::BadVersion(_))
-        ));
+        // Every earlier version, version 4 among them, and one from the
+        // future.
+        const { assert!(VERSION > 4) };
+        for version in (1..VERSION).chain([0xEE]) {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                SnapReader::open(&wrong_version).err(),
+                Some(SnapError::BadVersion(version))
+            );
+        }
         bytes[0] = b'X';
         assert_eq!(SnapReader::open(&bytes).err(), Some(SnapError::BadMagic));
     }
