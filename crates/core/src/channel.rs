@@ -143,27 +143,34 @@
 //! ([`QueueEntry::Cursor`]).
 //!
 //! When a cursor surfaces, the event loop (`Simulator::advance`) pops it
-//! and *holds* it: it takes the fan-out out of the slab
-//! ([`Channel::hold`]), dispatches the head arrival straight from the
-//! list — node, key, power and the payload **by reference**; no
-//! `SimEvent` exists unless an observer asks to see one — and keeps
-//! going while the list's next `(time, rank)` is still below the heap's
-//! top and inside the caller's bound, firing each key on the queue's
-//! clock without touching the heap. Successive arrivals of one
-//! transmission are ≤ 1 µs apart while everything else is a 20 µs slot
-//! away, so a walk usually runs the whole list. The comparison against
-//! the heap's top is repeated after **every** dispatch: a PCMAC receiver
-//! locking onto a frame schedules a zero-delay control broadcast whose
-//! first arrival can precede the data frame's next one. When something
-//! else comes first the cursor goes back under its next key and the
-//! fan-out back into its slot ([`Channel::release`]).
+//! and *holds* it: it dispatches the head arrival straight from the
+//! list — node, key and power copied out of the fan-out's slot, the
+//! payload **by reference**; no `SimEvent` exists unless an observer
+//! asks to see one — and keeps going while the list's next `(time,
+//! rank)` still precedes the queue's next entry
+//! ([`EventQueue::next_precedes`], which compares instants first and
+//! assembles a 128-bit rank only on a tie) and stays inside the caller's
+//! bound, firing each key on the queue's clock without touching the
+//! queue. Successive arrivals of one transmission are ≤ 1 µs apart while
+//! everything else is a 20 µs slot away, so a walk usually runs the whole
+//! list. The comparison is repeated after **every** dispatch: a PCMAC
+//! receiver locking onto a frame schedules a zero-delay control broadcast
+//! whose first arrival can precede the data frame's next one. When
+//! something else comes first the cursor goes back under its next key.
+//!
+//! The fan-out never leaves its slot: the walk re-reads it by slot
+//! number ([`Channel::fan`]) around each dispatch, since a dispatch may
+//! radiate a new fan-out and grow the slab, and moves the cursor once at
+//! the end ([`Channel::set_cursor`]). A start walk holds one copy of the
+//! payload for its handlers — a reference count for a data frame, the
+//! 32-byte broadcast for a control one; an end walk needs none.
 //!
 //! **No cursor is held across a point where anything else looks at the
 //! queue.** `advance` returns with every pending event in the queue, so
 //! checkpoint cuts, `snapshot()`, a shard window's horizon, a cancel
 //! check and the test-only `step()` all see the complete population
 //! ([`Channel::pending_events`] expands cursors back into the arrivals
-//! they still owe; it would panic on a held slot rather than miss one).
+//! they still owe, from each cursor's position as the last walk left it).
 //!
 //! Two facts make the cursors exact rather than approximately right:
 //! arrival ranks embed `(class, receiver, transmission key)` and are
@@ -584,17 +591,6 @@ pub(crate) struct FanOut {
     next: [u32; 2],
 }
 
-/// One receiver's share of a fan-out, as the arrival handlers take it.
-pub(crate) struct Arrival<'a> {
-    pub(crate) node: usize,
-    /// Transmission key.
-    pub(crate) key: u64,
-    /// Received power — what the start adds to the receiver's
-    /// interference sum and the end takes out again.
-    pub(crate) power: Milliwatts,
-    pub(crate) payload: &'a Payload,
-}
-
 impl FanOut {
     /// Number of receivers.
     #[inline]
@@ -613,29 +609,43 @@ impl FanOut {
         )
     }
 
-    /// Receiver `i`'s arrival, payload by reference.
+    /// Whether this is a control-channel broadcast.
     #[inline]
-    pub(crate) fn arrival(&self, i: usize) -> Arrival<'_> {
+    pub(crate) fn is_ctrl(&self) -> bool {
+        self.payload.is_ctrl()
+    }
+
+    /// What every receiver hears.
+    #[inline]
+    pub(crate) fn payload(&self) -> &Payload {
+        &self.payload
+    }
+
+    /// The next un-fired receiver of the start or `end` cursor.
+    #[inline]
+    pub(crate) fn next(&self, end: bool) -> usize {
+        self.next[end as usize] as usize
+    }
+
+    /// Receiver `i`'s node, the transmission key and the power it hears
+    /// — everything its arrival handlers take besides the payload.
+    #[inline]
+    pub(crate) fn receiver(&self, i: usize) -> (usize, u64, Milliwatts) {
         let r = &self.rx[i];
-        Arrival {
-            node: r.node() as usize,
-            key: self.key,
-            power: r.power,
-            payload: &self.payload,
-        }
+        (r.node() as usize, self.key, r.power)
     }
 
     /// The event receiver `i`'s arrival start or end stands for — built
-    /// for observers and snapshots only; dispatch goes through
-    /// [`FanOut::arrival`].
+    /// for observers and snapshots only; dispatch reads the fan-out in
+    /// place through [`FanOut::receiver`].
     pub(crate) fn event_of(&self, i: usize, end: bool) -> SimEvent {
-        let a = self.arrival(i);
-        let node = NodeId(a.node as u32);
+        let r = &self.rx[i];
+        let node = NodeId(r.node());
         if end {
-            a.payload.arrival_end(node, a.key, a.power)
+            self.payload.arrival_end(node, self.key, r.power)
         } else {
-            let done = self.end + self.rx[i].delay();
-            a.payload.arrival_start(node, a.key, a.power, done)
+            let done = self.end + r.delay();
+            self.payload.arrival_start(node, self.key, r.power, done)
         }
     }
 }
@@ -1213,30 +1223,27 @@ impl Channel {
         }
     }
 
-    /// Take fan-out `fan` out of the slab for the walk of its start or
-    /// `end` cursor, which the caller has just popped: returns the
-    /// fan-out and the cursor's head receiver. Until
-    /// [`Channel::release`] the slot is vacant, so nothing that expands
-    /// cursors ([`Channel::pending_events`]) may run in between.
-    pub(crate) fn hold(&mut self, fan: u32, end: bool) -> (FanOut, usize) {
-        let f = self.fanouts[fan as usize]
-            .take()
-            .expect("cursor into a vacant slot");
-        let head = f.next[end as usize] as usize;
-        (f, head)
+    /// The fan-out in slot `fan`: one a queued cursor names, or the one
+    /// being walked, which stays in its slot while its arrivals dispatch.
+    #[inline]
+    pub(crate) fn fan(&self, fan: u32) -> &FanOut {
+        self.fanouts[fan as usize]
+            .as_ref()
+            .expect("cursor into a vacant slot")
     }
 
-    /// Put a held fan-out back with its start or `end` cursor now at
-    /// receiver `next`. A spent end cursor retires the fan-out: every
-    /// start precedes its own end, so the end cursor is the last one out.
-    pub(crate) fn release(&mut self, fan: u32, end: bool, mut f: FanOut, next: usize) {
+    /// Move fan-out `fan`'s start or `end` cursor to receiver `next` after
+    /// a walk. A spent end cursor retires the fan-out: every start
+    /// precedes its own end, so the end cursor is the last one out.
+    pub(crate) fn set_cursor(&mut self, fan: u32, end: bool, next: usize) {
+        let slot = &mut self.fanouts[fan as usize];
+        let f = slot.as_mut().expect("cursor into a vacant slot");
         f.next[end as usize] = next as u32;
         if end && next == f.rx.len() {
             debug_assert_eq!(f.next[0] as usize, f.rx.len());
+            let f = slot.take().expect("the slot was full");
             self.rx_pool.put(f.rx);
             self.free_slots.push(fan);
-        } else {
-            self.fanouts[fan as usize] = Some(f);
         }
     }
 

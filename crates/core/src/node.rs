@@ -17,7 +17,7 @@ use pcmac_traffic::{Sink, Source};
 /// holds the data frame being decoded and nothing else: the control
 /// broadcast a PCMAC station is locked onto sits in the hot arrays,
 /// beside that channel's receive row.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Station address.
     pub id: NodeId,

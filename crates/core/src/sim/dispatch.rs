@@ -11,7 +11,7 @@ use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacAction};
 use pcmac_snap::SnapWriter;
 
 use super::{sched_into, EventObserver, Simulator};
-use crate::channel::{Arrival, Payload, QueueEntry, Transmission};
+use crate::channel::{Payload, QueueEntry, Transmission};
 use crate::event::SimEvent;
 use crate::fault::FaultRecord;
 use crate::metrics::Drop as PacketDrop;
@@ -69,7 +69,7 @@ impl Simulator {
     ) -> u64 {
         let mut fired = 0;
         while fired < budget {
-            if self.queue.peek().is_none_or(|top| top.at >= until) {
+            if self.queue.peek_time().is_none_or(|at| at >= until) {
                 break;
             }
             let top = self.queue.pop().expect("peeked");
@@ -101,13 +101,14 @@ impl Simulator {
 
     /// Walk the start or `end` cursor of fan-out `fan`, just popped (its
     /// head's key is fired): dispatch the head arrival, then keep firing
-    /// the list's next key and dispatching *in place* while that key
-    /// precedes the queue's top and stays inside `until` and `budget`;
-    /// otherwise push the cursor back under it. The comparison is made
-    /// after every dispatch — a PCMAC receiver locking onto a frame
-    /// schedules a zero-delay control broadcast whose first arrival can
-    /// precede the data frame's next one. Returns the number dispatched
-    /// (at least one).
+    /// the list's next key and dispatching while that key precedes the
+    /// queue's next entry and stays inside `until` and `budget`;
+    /// otherwise push the cursor back under it. The fan-out stays in its
+    /// slot and each arrival copies its receiver out of it. The
+    /// comparison is made after every dispatch — a PCMAC receiver locking
+    /// onto a frame schedules a zero-delay control broadcast whose first
+    /// arrival can precede the data frame's next one. Returns the number
+    /// dispatched (at least one).
     fn walk(
         &mut self,
         fan: u32,
@@ -116,32 +117,44 @@ impl Simulator {
         budget: u64,
         observer: &mut EventObserver<'_>,
     ) -> u64 {
-        let (f, mut i) = self.channel.hold(fan, end);
+        let f = self.channel.fan(fan);
+        let (len, ctrl) = (f.len(), f.is_ctrl());
+        let mut i = f.next(end);
         let mut key = f.key_of(i, end);
         debug_assert_eq!(key.0, self.queue.now(), "cursor keyed with its head");
+        // Starts hand their receivers the payload: one copy per walk — a
+        // reference count for a data frame — lets the handlers borrow it
+        // while they change the simulator. Ends take none.
+        let payload = (!end).then(|| f.payload().clone());
         let mut fired = 0;
         loop {
             self.cur = key;
+            let f = self.channel.fan(fan);
             if let Some(obs) = observer {
                 obs(&f.event_of(i, end), key.0);
             }
-            self.on_arrival(f.arrival(i), end, key.0);
+            let (node, tx, power) = f.receiver(i);
+            // The list does not change under its own walk: read the next
+            // key while the fan-out is at hand.
+            let next = (i + 1 < len).then(|| f.key_of(i + 1, end));
+            match &payload {
+                Some(Payload::Data(frame)) => self.on_arrival_start(node, tx, power, frame, key.0),
+                Some(Payload::Ctrl(frame)) => self.on_ctrl_arrival_start(node, tx, power, frame),
+                None if ctrl => self.on_ctrl_arrival_end(node, tx, power, key.0),
+                None => self.on_arrival_end(node, tx, power, key.0),
+            }
             fired += 1;
             i += 1;
-            if i == f.len() {
-                break;
-            }
-            key = f.key_of(i, end);
-            let top = self.queue.peek();
-            let overtaken = top.is_some_and(|top| (top.at, top.rank) < key);
-            if overtaken || fired == budget || key.0 >= until {
+            let Some(next) = next else { break };
+            key = next;
+            if self.queue.next_precedes(key.0, key.1) || fired == budget || key.0 >= until {
                 self.queue
                     .push_cursor(key.0, key.1, QueueEntry::Cursor { fan, end });
                 break;
             }
             self.queue.fire(key.0);
         }
-        self.channel.release(fan, end, f, i);
+        self.channel.set_cursor(fan, end, i);
         fired
     }
 
@@ -241,21 +254,6 @@ impl Simulator {
         }
     }
 
-    /// One receiver's arrival start or `end`, straight from its fan-out.
-    #[inline]
-    fn on_arrival(&mut self, a: Arrival<'_>, end: bool, now: SimTime) {
-        match (a.payload, end) {
-            (Payload::Data(frame), false) => {
-                self.on_arrival_start(a.node, a.key, a.power, frame, now)
-            }
-            (Payload::Data(_), true) => self.on_arrival_end(a.node, a.key, a.power, now),
-            (Payload::Ctrl(frame), false) => {
-                self.on_ctrl_arrival_start(a.node, a.key, a.power, frame)
-            }
-            (Payload::Ctrl(_), true) => self.on_ctrl_arrival_end(a.node, a.key, a.power, now),
-        }
-    }
-
     /// A frame starts arriving at node `i` on the data channel. Whatever
     /// it does to the interference sum happens on the node's hot row; the
     /// cold node is reached only for a lock-on, or for a carrier edge its
@@ -352,7 +350,7 @@ impl Simulator {
                 .take()
                 .expect("a locked row's frame is held by its node");
             self.indicate(i, now, |mac, _, acts| {
-                mac.on_rx_end((*frame).clone(), power, ok, now, acts)
+                mac.on_rx_end(&*frame, power, ok, now, acts)
             });
         }
         if heard.edge_after() {

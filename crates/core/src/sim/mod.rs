@@ -380,10 +380,11 @@ fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
 mod tests {
     use std::sync::Arc;
 
-    use pcmac_engine::{Duration, FlowId, NodeId, SimTime};
+    use pcmac_engine::{Duration, FlowId, NodeId, Point, RngStream, SimTime};
     use pcmac_mac::Variant;
+    use pcmac_snap::SnapWriter;
 
-    use crate::config::{FlowShape, ScenarioConfig};
+    use crate::config::{FlowShape, NodeSetup, ScenarioConfig};
     use crate::event::SimEvent;
     use crate::Simulator;
 
@@ -420,26 +421,87 @@ mod tests {
     fn a_shard_builds_its_own_stations_only_and_only_when_touched() {
         let cfg = scenario();
         let homes: Vec<usize> = cfg.flows.iter().map(|f| f.src.index()).collect();
-        let (mut shard, owner) = even_shard(cfg.clone());
+        let (shard, owner) = even_shard(cfg.clone());
         for (i, node) in shard.nodes.iter().enumerate() {
             let home = owner[i] == 0 && homes.contains(&i);
             assert_eq!(node.is_some(), home, "station {i} after the shard build");
         }
 
-        // Half a second in, most stations have state a pristine node
-        // lacks; a restore onto the shard builds exactly the ones it owns.
-        let mut full = Simulator::new(cfg);
-        let cut = SimTime::ZERO + Duration::from_millis(500);
+        // A restore onto a fresh shard builds a station iff the shard
+        // owns it and its blob differs from the one the station has as
+        // the shard built it: a station that is still pristine at the
+        // cut stays unbuilt (a flow's home was built with the shard and
+        // stays built). Before the first flow starts at 1 s no station
+        // has acted; half a second later most have.
+        let mut full = Simulator::new(cfg.clone());
+        let (mut kept, mut built) = (0, 0);
+        for ms in [600, 1_500] {
+            let (mut shard, owner) = even_shard(cfg.clone());
+            let cut = SimTime::ZERO + Duration::from_millis(ms);
+            while full.step_before(cut).is_some() {}
+            let snap = full.snapshot_at(cut);
+            let pristine: Vec<Vec<u8>> = (0..snap.nodes.len())
+                .map(|i| {
+                    let mut w = SnapWriter::new();
+                    shard.save_node(i, cut, &mut w);
+                    w.payload().to_vec()
+                })
+                .collect();
+            for (i, blob) in snap.nodes.iter().enumerate() {
+                shard
+                    .load_node(i, blob, cut)
+                    .expect("a blob of the same scenario");
+            }
+            for (i, node) in shard.nodes.iter().enumerate() {
+                let acted = snap.nodes[i] != pristine[i];
+                let home = homes.contains(&i);
+                assert_eq!(
+                    node.is_some(),
+                    owner[i] == 0 && (acted || home),
+                    "station {i} after loading at {ms} ms"
+                );
+                assert_eq!(node.is_some(), owner[i] == 0 && full.nodes[i].is_some());
+                kept += usize::from(owner[i] == 0 && !acted && !home);
+                built += usize::from(owner[i] == 0 && acted && !home);
+            }
+        }
+        assert!(
+            kept > 0 && built > 0,
+            "{kept} owned stations kept pristine, {built} built"
+        );
+    }
+
+    /// A restored static field builds exactly the stations the
+    /// uninterrupted run builds: the ones that acted before the cut come
+    /// from their blobs, the rest on their first touch after it.
+    #[test]
+    fn a_restored_field_builds_as_many_stations_as_the_uninterrupted_run() {
+        // 60 stations strewn over 2 km × 2 km: about three within decode
+        // range of each, so route requests flood fragments of the field.
+        let mut cfg = ScenarioConfig::paper_with(Variant::Basic, 200.0, 3, 60, 5.0)
+            .with_duration(Duration::from_secs(2));
+        let mut rng = RngStream::derive(3, "test.restored_field");
+        cfg.field = (2_000.0, 2_000.0);
+        cfg.nodes = NodeSetup::Static(
+            (0..60)
+                .map(|_| Point::new(rng.uniform(0.0, 2_000.0), rng.uniform(0.0, 2_000.0)))
+                .collect(),
+        );
+        let built = |sim: &Simulator| sim.nodes.iter().filter(|n| n.is_some()).count();
+        let mut full = Simulator::new(cfg.clone());
+        let cut = SimTime::ZERO + Duration::from_millis(1_300);
         while full.step_before(cut).is_some() {}
+        let at_cut = built(&full);
         let snap = full.snapshot_at(cut);
-        for (i, blob) in snap.nodes.iter().enumerate() {
-            shard
-                .load_node(i, blob)
-                .expect("a blob of the same scenario");
-        }
-        for (i, node) in shard.nodes.iter().enumerate() {
-            assert_eq!(node.is_some(), owner[i] == 0, "station {i} after loading");
-        }
+        while full.step().is_some() {}
+        let mut resumed = Simulator::restore(cfg, &snap).expect("the snapshot restores");
+        assert_eq!(built(&resumed), at_cut, "the restore builds what had acted");
+        while resumed.step().is_some() {}
+        assert_eq!(built(&resumed), built(&full));
+        assert!(
+            at_cut < built(&full) && built(&full) < 60,
+            "stations act after the cut, and some never do"
+        );
     }
 
     /// Two stations 100 m apart under PCMAC for 2 s: a Poisson flow

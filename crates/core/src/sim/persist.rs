@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use pcmac_engine::{Duration, NodeId, SimTime};
+use pcmac_engine::{Duration, Milliwatts, NodeId, SimTime};
 use pcmac_phy::RxRow;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -135,7 +135,7 @@ impl Simulator {
     /// eager delivery would have captured, whatever was deferred here.
     /// An untouched station is written as the pristine node it would be
     /// built as, so when a node is built never shows in a checkpoint.
-    fn save_node(&self, i: usize, cut: SimTime, w: &mut SnapWriter) {
+    pub(super) fn save_node(&self, i: usize, cut: SimTime, w: &mut SnapWriter) {
         self.hot.rx[i].save(w);
         if let Some(row) = self.hot.ctrl_rx.get(i) {
             row.save(w);
@@ -151,11 +151,17 @@ impl Simulator {
         });
     }
 
-    /// Overlay a blob written by [`Simulator::save_node`] on node `i`, if
-    /// this simulator owns it, building the node if it is untouched. The
-    /// MAC arrives as told, so nothing is held back and only its
-    /// listening bit needs deriving.
-    pub(super) fn load_node(&mut self, i: usize, blob: &[u8]) -> Result<(), SnapError> {
+    /// Overlay a blob written by [`Simulator::save_node`] at `cut` on node
+    /// `i`, if this simulator owns it. The MAC arrives as told, so only
+    /// its listening bit needs deriving. A station not built here stays
+    /// unbuilt when the blob is what it reads as unbuilt (`unbuilt_as`),
+    /// and is built otherwise.
+    pub(super) fn load_node(
+        &mut self,
+        i: usize,
+        blob: &[u8],
+        cut: SimTime,
+    ) -> Result<(), SnapError> {
         if !self.owns(i) {
             return Ok(());
         }
@@ -164,7 +170,13 @@ impl Simulator {
         if let Some(row) = self.hot.ctrl_rx.get_mut(i) {
             *row = Snap::load(&mut r)?;
         }
-        let node = self.node_mut(i);
+        let cold = r.rest();
+        let pristine = self.nodes[i].is_none().then(|| self.pristine(i));
+        let mut fresh = pristine.clone();
+        let node = match fresh.as_mut() {
+            Some(node) => node,
+            None => self.nodes[i].as_deref_mut().expect("built"),
+        };
         let ctrl_frame = node.load_state(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("node blob trailing bytes"));
@@ -179,6 +191,13 @@ impl Simulator {
             *slot = ctrl_frame;
         }
         self.hot.mac_heard(i, listening);
+        if let (Some(node), Some(pristine)) = (fresh, pristine) {
+            match unbuilt_as(pristine, &node, cold, cut) {
+                Some(Some((busy, noise))) => self.hot.hold_edge(i, busy, noise),
+                Some(None) => {}
+                None => self.nodes[i] = Some(Box::new(node)),
+            }
+        }
         Ok(())
     }
 
@@ -433,7 +452,7 @@ impl Simulator {
         // arrival's end panics on a row with nothing on the air, so a
         // snapshot whose rows and pending arrivals disagree stops here.
         for (i, blob) in snap.nodes.iter().enumerate() {
-            self.load_node(i, blob)?;
+            self.load_node(i, blob, cut)?;
         }
         if self.on_air_mismatch(&snap.pending).is_some() {
             return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
@@ -588,4 +607,30 @@ impl CutGrid {
         self.0
             .map_or(until, |(_, next)| until.min(SimTime::from_nanos(next)))
     }
+}
+
+/// What a station is without being built, if `cold` — the cold part of
+/// its blob, which `loaded` was read from — says it is unbuilt: its
+/// `pristine` node (`Some(None)`), or that node told one carrier edge
+/// (`Some(Some((busy, noise)))`), the edge a run holds back from a MAC
+/// that is not listening. A snapshot of a run writes exactly these for
+/// the stations the run never built ([`Simulator::save_node`]), so a
+/// restored run builds the stations the run had built.
+fn unbuilt_as(
+    mut pristine: Node,
+    loaded: &Node,
+    cold: &[u8],
+    cut: SimTime,
+) -> Option<Option<(bool, Milliwatts)>> {
+    if loaded.mac.listening() {
+        return None;
+    }
+    let edge = loaded.mac.carrier();
+    let held = edge != pristine.mac.carrier();
+    if held {
+        tell_held_edge(&mut pristine.mac, edge.0, edge.1, cut);
+    }
+    let mut w = SnapWriter::new();
+    pristine.save_state(&pristine.mac, &None, &mut w);
+    (w.payload() == cold).then_some(held.then_some(edge))
 }

@@ -1,10 +1,6 @@
 //! Deterministic event queue.
 //!
-//! A binary heap keyed on `(time, rank, sequence)`. The heap itself holds
-//! only 40-byte `Copy` keys — the three ordering fields and a slot
-//! number — and the payloads sit still in a slab beside it, recycled
-//! through a free list: a sift moves keys, never an event, whatever the
-//! payload type's size (the simulator's is 64 bytes). The rank is a
+//! Entries pop in ascending `(time, rank, sequence)` order. The rank is a
 //! caller-supplied content-derived priority ([`EventQueue::schedule_ranked`];
 //! plain [`EventQueue::schedule_at`] uses rank 0), so same-instant ordering
 //! can be made a pure function of event *content* rather than scheduling
@@ -12,30 +8,90 @@
 //! spatial shard) agree on tie order. The sequence number is a monotone
 //! insertion counter breaking any remaining ties in scheduling order. This
 //! is the property that makes whole simulation runs reproducible: with
-//! `(time)` alone, heap internals would decide tie order and results would
-//! vary across std versions.
+//! `(time)` alone, the structure's internals would decide tie order and
+//! results would vary across versions of it.
+//!
+//! # A calendar in front of a heap
+//!
+//! The structure is a calendar queue: a ring of 1 024 buckets, each
+//! 2¹² ns (4.096 µs) wide, that together cover a [`WINDOW`] of about
+//! 4.2 ms from the *front bucket*, the one being consumed. Payloads sit
+//! still in a slab and are recycled through a free list; what moves is a
+//! 40-byte `Copy` key — the three ordering fields and the payload's slab
+//! slot. A key lives in exactly one of three places:
+//!
+//! * **the front** — every key whose bucket is the front bucket or an
+//!   earlier one, in one vector sorted descending, so the next key is its
+//!   last element: [`EventQueue::peek`] reads it, [`EventQueue::pop`]
+//!   takes it. The front bucket is sorted once, when it becomes the
+//!   front. A later push into it — or before it: the clock lags the front
+//!   bucket whenever the last pop emptied its own — is inserted in order,
+//!   by a scan from the end, where the next few keys are;
+//! * **the ring** — keys of the later buckets inside the window. A
+//!   bucket is a singly linked list threaded through the slab (`u32`
+//!   links, no vector per bucket), and one bit per bucket, with one
+//!   summary bit per 64 buckets, finds the next occupied one;
+//! * **the overflow** — keys at or beyond the window's end, in a binary
+//!   heap.
+//!
+//! When the front runs dry, the next occupied bucket — or, with the ring
+//! empty, the overflow's first bucket — becomes the front bucket: the
+//! overflow's keys that the window now covers move into the ring (or
+//! straight into the front), and the new front bucket's list is sorted
+//! into the front. A key pushed a whole window or more before the front
+//! bucket (the clock had a long gap ahead of it, or the queue is being
+//! filled late keys first) makes its own bucket the front bucket instead:
+//! the ring empties into the overflow and the old front is filed afresh,
+//! so the front never collects a window's worth of keys. Each key is thus
+//! sorted among the few sharing its 4 µs, instead of being sifted through
+//! a heap of hundreds on its way in and out.
+//!
+//! **Why the order is exact.** Every key in the front belongs to the
+//! front bucket or an earlier one, every key in the ring to a later
+//! bucket inside the window, every overflow key to a bucket beyond it;
+//! buckets partition time in order. So the front's smallest key is the
+//! smallest key of the queue, and the front is sorted on the full `(time,
+//! rank, sequence)` triple, a total order because sequence numbers are
+//! unique. The buckets only decide *when* a key gets sorted, never
+//! *where*: any structure that pops its minimum pops the one sequence the
+//! order defines, so the calendar pops exactly what a binary heap of the
+//! same keys would, and a run's events, reports and checkpoints do not
+//! depend on the structure.
+//!
+//! The bucket width and count are constants, not options. 4 µs is below
+//! half a SIFS (10 µs), so distinct MAC instants of one station rarely
+//! share a bucket, and the window covers the slot (20 µs), DIFS (50 µs),
+//! EIFS (364 µs), the response timeouts and a 512-byte data frame's
+//! airtime (≈ 2.4 ms at 2 Mbps): nearly everything the MAC and the
+//! channel schedule lands in the front or the ring. What lies further out
+//! — traffic emissions, routing timers, probes — waits in the overflow
+//! heap, which stays small. A queue whose keys are spread a millisecond
+//! apart or more keeps nearly all of them in the overflow and pays the
+//! heap's cost plus a bucket hop; the simulator's are not. The ring's
+//! bucket heads are allocated on the first push that needs them, so an
+//! empty queue costs no more than a few vectors' headers.
 //!
 //! # Logical events and physical entries
 //!
-//! Usually one heap entry *is* one event. A caller that schedules a whole
+//! Usually one queue entry *is* one event. A caller that schedules a whole
 //! batch of events whose pop order it already knows — a sorted list — can
 //! instead park the list on its own side and push one **cursor** entry
 //! keyed with the list head's `(time, rank)` ([`EventQueue::push_cursor`]),
 //! counting the batch with [`EventQueue::count_scheduled`]. When the cursor
 //! surfaces, the caller pops it ([`EventQueue::pop`], which fires the
 //! head's key) and *holds* it: it handles the head event, and while the
-//! list's next key is still below the heap's top ([`EventQueue::peek`])
-//! it fires that key itself ([`EventQueue::fire`] — the clock moves, the
-//! heap is not touched) and handles the next event too. The comparison
-//! must be repeated after every handled event, because handling one may
-//! schedule something that lands before the list's next element. When
-//! the heap's top comes first — or the caller wants to stop for any
-//! other reason — the cursor goes back under its next key
-//! ([`EventQueue::push_cursor`]); a spent list pushes nothing. The
-//! logical events fire in the same `(time, rank)` sequence as one entry
-//! per event would pop, provided no cursor-carried event shares its
-//! `(time, rank)` with any other event — cursors have no per-event
-//! sequence number to break such a tie with.
+//! list's next key is still below the queue's next entry
+//! ([`EventQueue::next_precedes`]) it fires that key itself
+//! ([`EventQueue::fire`] — the clock moves, the queue is not touched) and
+//! handles the next event too. The comparison must be repeated after
+//! every handled event, because handling one may schedule something that
+//! lands before the list's next element. When the queue's next entry comes
+//! first — or the caller wants to stop for any other reason — the cursor
+//! goes back under its next key ([`EventQueue::push_cursor`]); a spent
+//! list pushes nothing. The logical events fire in the same `(time, rank)`
+//! sequence as one entry per event would pop, provided no cursor-carried
+//! event shares its `(time, rank)` with any other event — cursors have no
+//! per-event sequence number to break such a tie with.
 //!
 //! [`EventQueue::scheduled_total`] counts *logical* events,
 //! [`EventQueue::len`] *physical* entries, and
@@ -46,7 +102,28 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{Duration, SimTime};
+
+/// A bucket is `2^BUCKET_SHIFT` ns wide (4.096 µs).
+const BUCKET_SHIFT: u32 = 12;
+
+/// Buckets in the calendar's ring.
+const BUCKETS: usize = 1024;
+
+/// How far past the front bucket's start the ring reaches (≈ 4.19 ms);
+/// keys further out wait in the overflow heap.
+pub const WINDOW: Duration = Duration::from_nanos((BUCKETS as u64) << BUCKET_SHIFT);
+
+const RING_MASK: u64 = BUCKETS as u64 - 1;
+
+/// 64-bit words of the ring's occupancy bitmap; the summary word has a
+/// bit per word, so there are at most 64.
+const WORDS: usize = BUCKETS / 64;
+
+const _: () = assert!(BUCKETS.is_power_of_two() && BUCKETS >= 64 && WORDS <= 64);
+
+/// The end of a bucket's list.
+const NIL: u32 = u32::MAX;
 
 /// An event popped from the queue: a payload tagged with its due time,
 /// rank, and insertion sequence.
@@ -73,12 +150,12 @@ pub struct EventKey {
     pub rank: u128,
 }
 
-/// What the heap sifts: the pop order `(at, rank, seq)` — the derived
-/// lexicographic comparison, the rank as two words so the key aligns to
-/// 8 bytes, not a `u128`'s 16 — and the slab slot of the payload. `seq`
-/// is unique, so `slot` never decides a comparison.
+/// The pop order `(at, rank, seq)` — the derived lexicographic
+/// comparison, the rank as two words so the key aligns to 8 bytes, not a
+/// `u128`'s 16 — and the slab slot of the payload. `seq` is unique, so
+/// `slot` never decides a comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey {
+struct Key {
     at: SimTime,
     rank_hi: u64,
     rank_lo: u64,
@@ -86,13 +163,28 @@ struct HeapKey {
     slot: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<HeapKey>() <= 40);
+const _: () = assert!(std::mem::size_of::<Key>() <= 40);
 
-impl HeapKey {
+impl Key {
     #[inline]
     fn rank(&self) -> u128 {
         (self.rank_hi as u128) << 64 | self.rank_lo as u128
     }
+
+    /// The absolute bucket number of the key's instant.
+    #[inline]
+    fn bucket(&self) -> u64 {
+        self.at.as_nanos() >> BUCKET_SHIFT
+    }
+}
+
+/// One slab slot: a payload, and — while its key sits in a ring bucket —
+/// that key and the link to the bucket's next slot.
+#[derive(Debug)]
+struct Slot<E> {
+    event: Option<E>,
+    key: Key,
+    next: u32,
 }
 
 /// The simulation event queue.
@@ -109,12 +201,27 @@ impl HeapKey {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap of keys (`Reverse` turns std's max-heap around).
-    heap: BinaryHeap<Reverse<HeapKey>>,
-    /// Payloads, addressed by [`HeapKey::slot`]; `None` slots are listed
-    /// in `free`.
-    slab: Vec<Option<E>>,
+    /// Every key of bucket `cur` or earlier (never a window earlier),
+    /// sorted descending: the next key is the last. Empty only when the
+    /// whole queue is.
+    front: Vec<Key>,
+    /// The front bucket's absolute number (`at >> BUCKET_SHIFT`).
+    cur: u64,
+    /// First slot of each ring bucket, indexed by bucket number modulo
+    /// `BUCKETS` and meaningful where `occupied` has the bucket's bit.
+    /// Allocated by the first key the ring takes.
+    heads: Vec<u32>,
+    /// One bit per ring bucket holding keys.
+    occupied: [u64; WORDS],
+    /// One bit per nonzero word of `occupied`.
+    summary: u64,
+    /// Keys of buckets `cur + BUCKETS` and later.
+    overflow: BinaryHeap<Reverse<Key>>,
+    /// Payloads, addressed by [`Key::slot`]; vacant slots are listed in
+    /// `free`.
+    slab: Vec<Slot<E>>,
     free: Vec<u32>,
+    len: usize,
     seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -136,9 +243,15 @@ impl<E> EventQueue<E> {
     /// entries.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            front: Vec::new(),
+            cur: 0,
+            heads: Vec::new(),
+            occupied: [0; WORDS],
+            summary: 0,
+            overflow: BinaryHeap::new(),
             slab: Vec::with_capacity(cap),
             free: Vec::new(),
+            len: 0,
             seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -156,13 +269,13 @@ impl<E> EventQueue<E> {
     /// long its remaining tail).
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` if no events are waiting.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of *logical* events ever scheduled: one per
@@ -221,30 +334,175 @@ impl<E> EventQueue<E> {
             self.now
         );
         let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending entries");
-                self.slab.push(Some(event));
-                slot
-            }
+            Some(slot) => slot,
+            None => u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("under 2^32 - 1 pending entries"),
         };
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(HeapKey {
+        let key = Key {
             at,
             rank_hi: (rank >> 64) as u64,
             rank_lo: rank as u64,
-            seq,
+            seq: self.seq,
             slot,
-        }));
+        };
+        match self.slab.get_mut(slot as usize) {
+            Some(s) => s.event = Some(event),
+            None => self.slab.push(Slot {
+                event: Some(event),
+                key,
+                next: NIL,
+            }),
+        }
+        self.seq += 1;
+        self.len += 1;
+        if self.len == 1 {
+            // An empty queue has no front bucket to keep: this key's is.
+            self.cur = key.bucket();
+            self.front.push(key);
+        } else {
+            self.place(key);
+        }
     }
 
-    /// Fire a key the caller holds outside the heap — the next event of
+    /// File `key` by its bucket: into the front, the ring or the
+    /// overflow.
+    #[inline]
+    fn place(&mut self, key: Key) {
+        let b = key.bucket();
+        if b <= self.cur {
+            if self.cur - b >= BUCKETS as u64 {
+                self.reanchor(key);
+            } else {
+                // Usually among the next few: scan from the front's end.
+                let at = self
+                    .front
+                    .iter()
+                    .rposition(|k| *k > key)
+                    .map_or(0, |p| p + 1);
+                self.front.insert(at, key);
+            }
+        } else if b - self.cur < BUCKETS as u64 {
+            self.link(key, b);
+        } else {
+            self.overflow.push(Reverse(key));
+        }
+    }
+
+    /// Thread `key` onto ring bucket `b`'s list.
+    #[inline]
+    fn link(&mut self, key: Key, b: u64) {
+        if self.heads.is_empty() {
+            self.heads = vec![0; BUCKETS];
+        }
+        let i = (b & RING_MASK) as usize;
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let s = &mut self.slab[key.slot as usize];
+        s.key = key;
+        s.next = if self.occupied[w] & bit != 0 {
+            self.heads[i]
+        } else {
+            NIL
+        };
+        self.heads[i] = key.slot;
+        self.occupied[w] |= bit;
+        self.summary |= 1 << w;
+    }
+
+    /// The absolute number of the first occupied ring bucket, if any.
+    /// The ring holds buckets `cur + 1 .. cur + BUCKETS` and bucket
+    /// `cur`'s own ring position is always vacant, so a circular scan
+    /// from that position meets them in time order.
+    fn next_occupied(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return None;
+        }
+        let start = (self.cur & RING_MASK) as usize;
+        let (w, bit) = (start / 64, start % 64);
+        let here = self.occupied[w] & (!0u64 << bit);
+        let i = if here != 0 {
+            w * 64 + here.trailing_zeros() as usize
+        } else {
+            let later = self.summary & (!1u64 << w);
+            let w = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        Some(self.cur + ((i as u64).wrapping_sub(start as u64) & RING_MASK))
+    }
+
+    /// The front ran dry with keys still pending: make the first
+    /// occupied bucket the front bucket, let the window's new end take
+    /// in what the overflow now covers, and sort that bucket into the
+    /// front.
+    fn refill(&mut self) {
+        debug_assert!(self.front.is_empty() && self.len > 0);
+        let next = match self.next_occupied() {
+            Some(b) => b,
+            None => self.overflow.peek().expect("keys are pending").0.bucket(),
+        };
+        self.cur = next;
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            let b = key.bucket();
+            if b - next >= BUCKETS as u64 {
+                break;
+            }
+            self.overflow.pop();
+            if b == next {
+                self.front.push(key);
+            } else {
+                self.link(key, b);
+            }
+        }
+        let i = (next & RING_MASK) as usize;
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.occupied[w] & bit != 0 {
+            let mut s = self.heads[i];
+            while s != NIL {
+                let slot = &self.slab[s as usize];
+                self.front.push(slot.key);
+                s = slot.next;
+            }
+            self.occupied[w] &= !bit;
+            if self.occupied[w] == 0 {
+                self.summary &= !(1 << w);
+            }
+        }
+        self.front.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// `key` lands a whole window or more before the front bucket: the
+    /// clock had a gap ahead of it (or the queue is being filled late
+    /// keys first). Its bucket becomes the front bucket. Every ring key
+    /// is now beyond the window and moves to the overflow; the old front
+    /// keys are filed afresh. Without this the front would collect every
+    /// key pushed into the gap.
+    #[cold]
+    fn reanchor(&mut self, key: Key) {
+        for w in 0..WORDS {
+            let mut bits = std::mem::take(&mut self.occupied[w]);
+            while bits != 0 {
+                let mut s = self.heads[w * 64 + bits.trailing_zeros() as usize];
+                while s != NIL {
+                    let slot = &self.slab[s as usize];
+                    self.overflow.push(Reverse(slot.key));
+                    s = slot.next;
+                }
+                bits &= bits - 1;
+            }
+        }
+        self.summary = 0;
+        let old = std::mem::take(&mut self.front);
+        self.cur = key.bucket();
+        self.front.push(key);
+        for k in old {
+            self.place(k);
+        }
+    }
+
+    /// Fire a key the caller holds outside the queue — the next event of
     /// a popped cursor's list (see the module docs): the clock advances to
-    /// `at` exactly as [`EventQueue::pop`] would advance it, and the heap
+    /// `at` exactly as [`EventQueue::pop`] would advance it, and the queue
     /// is left alone. The caller has checked that nothing pending comes
     /// before the key.
     ///
@@ -265,13 +523,18 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to its due time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let Reverse(key) = self.heap.pop()?;
+        let key = self.front.pop()?;
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
         let event = self.slab[key.slot as usize]
+            .event
             .take()
-            .expect("a heap key owns a full slot");
+            .expect("a pending key owns a full slot");
         self.free.push(key.slot);
+        self.len -= 1;
+        if self.front.is_empty() && self.len > 0 {
+            self.refill();
+        }
         Some(ScheduledEvent {
             at: key.at,
             rank: key.rank(),
@@ -281,17 +544,28 @@ impl<E> EventQueue<E> {
     }
 
     /// Due time of the next event without popping it.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(k)| k.at)
+        self.front.last().map(|k| k.at)
     }
 
     /// The next entry's key without popping it.
     #[inline]
     pub fn peek(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(k)| EventKey {
+        self.front.last().map(|k| EventKey {
             at: k.at,
             rank: k.rank(),
         })
+    }
+
+    /// Whether the next entry comes strictly before `(at, rank)` — what a
+    /// held cursor asks before firing its list's next key. The rank is
+    /// assembled only when the instants tie.
+    #[inline]
+    pub fn next_precedes(&self, at: SimTime, rank: u128) -> bool {
+        self.front
+            .last()
+            .is_some_and(|k| k.at < at || (k.at == at && k.rank() < rank))
     }
 
     /// Every pending *logical* event in canonical pop order — `(at,
@@ -309,13 +583,28 @@ impl<E> EventQueue<E> {
         &self,
         mut expand: impl FnMut(SimTime, u128, &E, &mut Vec<(SimTime, u128, L)>),
     ) -> Vec<(SimTime, u128, L)> {
-        let mut keys: Vec<HeapKey> = self.heap.iter().map(|&Reverse(k)| k).collect();
+        let mut keys: Vec<Key> = Vec::with_capacity(self.len);
+        keys.extend_from_slice(&self.front);
+        for w in 0..WORDS {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let mut s = self.heads[w * 64 + bits.trailing_zeros() as usize];
+                while s != NIL {
+                    keys.push(self.slab[s as usize].key);
+                    s = self.slab[s as usize].next;
+                }
+                bits &= bits - 1;
+            }
+        }
+        keys.extend(self.overflow.iter().map(|&Reverse(k)| k));
+        debug_assert_eq!(keys.len(), self.len, "every pending key is filed once");
         keys.sort_unstable();
         let mut out = Vec::with_capacity(keys.len());
         for k in keys {
             let event = self.slab[k.slot as usize]
+                .event
                 .as_ref()
-                .expect("a heap key owns a full slot");
+                .expect("a pending key owns a full slot");
             expand(k.at, k.rank(), event, &mut out);
         }
         // Stable: plain events sharing a full `(at, rank)` were appended
@@ -475,7 +764,7 @@ mod tests {
             if e.event != "cursor" {
                 continue;
             }
-            // Hold the cursor while its next key precedes the heap's top.
+            // Hold the cursor while its next key precedes the next entry.
             for next in tail.by_ref() {
                 let next = SimTime::from_nanos(next);
                 if q.peek().is_some_and(|top| top.at < next) {

@@ -636,3 +636,163 @@ mod vecmap_properties {
         }
     }
 }
+
+/// The calendar queue against a reference binary heap of `(at, rank,
+/// seq)`: the same pushes, pops, fired keys and captures, in instants
+/// that stay inside one bucket, cross the window and leave it by seconds.
+mod calendar_properties {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use pcmac_engine::queue::WINDOW;
+    use pcmac_engine::{EventQueue, SimTime};
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Schedule `gap` ns after the clock with a rank drawn from a
+        /// few, so equal `(at, rank)` pairs are common.
+        Push {
+            gap: u64,
+            rank: u8,
+        },
+        /// Schedule at the clock, one rank below the last popped event:
+        /// what a handler does when it reacts at once.
+        PushNowBelow,
+        Pop,
+        /// Move the clock `gap` ns without popping, when nothing pending
+        /// comes first — a held cursor's fired key.
+        Fire {
+            gap: u64,
+        },
+        /// Compare the whole pending population.
+        Capture,
+    }
+
+    /// One operation's draws: `(kind, scale, word, rank)`.
+    type Draw = (u8, u8, u64, u8);
+
+    /// One operation from its draws. Gaps are zero, inside two buckets,
+    /// up to two windows, or from one window to three seconds — past the
+    /// window, into the overflow heap.
+    fn decode((kind, scale, word, rank): Draw) -> Op {
+        let window = WINDOW.as_nanos();
+        let gap = match scale {
+            0 => 0,
+            1 => word % 8_192,
+            2 => word % (2 * window),
+            _ => window + word % 3_000_000_000,
+        };
+        match kind {
+            0..=3 => Op::Push { gap, rank },
+            4 => Op::PushNowBelow,
+            5..=8 => Op::Pop,
+            9 => Op::Fire { gap: word % 20_000 },
+            _ => Op::Capture,
+        }
+    }
+
+    /// The reference: `(at, rank, seq)` in a min-heap, payload `seq`.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<(SimTime, u128, u64)>>,
+        seq: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: SimTime, rank: u128) -> u64 {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Reverse((at, rank, seq)));
+            seq
+        }
+    }
+
+    fn run(start_s: Option<u64>, draws: &[Draw]) -> Result<(), String> {
+        let (mut q, base) = match start_s {
+            Some(s) => (
+                EventQueue::restored(SimTime::from_nanos(s * 1_000_000_000), 7),
+                7,
+            ),
+            None => (EventQueue::new(), 0),
+        };
+        let mut want = Reference::default();
+        let mut now = q.now();
+        let mut last_rank = 0u128;
+        let mut pushed = 0u64;
+        for &draw in draws {
+            match decode(draw) {
+                Op::Push { gap, rank } => {
+                    let at = SimTime::from_nanos(now.as_nanos() + gap);
+                    let seq = want.push(at, rank as u128);
+                    q.schedule_ranked(at, rank as u128, seq);
+                    pushed += 1;
+                }
+                Op::PushNowBelow => {
+                    let rank = last_rank.saturating_sub(1);
+                    let seq = want.push(now, rank);
+                    q.schedule_ranked(now, rank, seq);
+                    pushed += 1;
+                }
+                Op::Pop => {
+                    let got = q.pop().map(|e| (e.at, e.rank, e.event));
+                    let expect = want.heap.pop().map(|Reverse(k)| k);
+                    prop_assert_eq!(got, expect);
+                    if let Some((at, rank, _)) = expect {
+                        now = at;
+                        last_rank = rank;
+                    }
+                }
+                Op::Fire { gap } => {
+                    let at = SimTime::from_nanos(now.as_nanos() + gap);
+                    if want.heap.peek().is_none_or(|Reverse(k)| k.0 >= at) {
+                        q.fire(at);
+                        now = at;
+                    }
+                }
+                Op::Capture => {
+                    let got = q.pending_logical(|at, rank, &seq, out| out.push((at, rank, seq)));
+                    let mut expect: Vec<_> = want.heap.iter().map(|Reverse(k)| *k).collect();
+                    expect.sort_unstable();
+                    prop_assert_eq!(got, expect);
+                }
+            }
+            prop_assert_eq!(q.now(), now);
+            prop_assert_eq!(q.len(), want.heap.len());
+            let top = want.heap.peek().map(|Reverse(k)| *k);
+            prop_assert_eq!(q.peek().map(|k| (k.at, k.rank)), top.map(|k| (k.0, k.1)));
+            for (at, rank) in [(now, 1), (now, 2), (top.map_or(now, |k| k.0), 1)] {
+                let before = top.is_some_and(|k| (k.0, k.1) < (at, rank));
+                prop_assert_eq!(q.next_precedes(at, rank), before);
+            }
+        }
+        while let Some(e) = q.pop() {
+            let Reverse(k) = want.heap.pop().expect("the reference holds as many");
+            prop_assert_eq!((e.at, e.rank, e.event), k);
+        }
+        prop_assert!(want.heap.is_empty());
+        prop_assert_eq!(q.scheduled_total(), base + pushed);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn calendar_pops_what_a_heap_pops(
+            ops in proptest::collection::vec((0u8..11, 0u8..4, any::<u64>(), 0u8..3), 1..300),
+        ) {
+            run(None, &ops)?;
+        }
+
+        /// A restored queue's clock starts seconds in: its first key
+        /// anchors the calendar far from zero.
+        #[test]
+        fn restored_calendar_pops_what_a_heap_pops(
+            start_s in 1u64..500,
+            ops in proptest::collection::vec((0u8..11, 0u8..4, any::<u64>(), 0u8..3), 1..300),
+        ) {
+            run(Some(start_s), &ops)?;
+        }
+    }
+}

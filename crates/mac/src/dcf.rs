@@ -22,6 +22,7 @@
 //! access timer armed changes a bit and nothing else, so its driver may
 //! deliver it late — [`DcfMac::listening`] states the condition and why.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use pcmac_engine::{
@@ -338,6 +339,12 @@ impl DcfMac {
         self.current.is_some() || self.t_defer.is_armed() || self.t_backoff.is_armed()
     }
 
+    /// What the latest carrier edge left here: the physical carrier bit
+    /// and the noise last measured.
+    pub fn carrier(&self) -> (bool, Milliwatts) {
+        (self.phys_busy, self.power.noise())
+    }
+
     /// Current interface-queue occupancy.
     pub fn queue_len(&self) -> usize {
         self.queue.len() + usize::from(self.current.is_some())
@@ -432,14 +439,18 @@ impl DcfMac {
 
     /// A frame finished arriving. `ok == false` means it was corrupted
     /// (collision): the MAC defers EIFS, following ns-2's NAV treatment.
+    /// The frame may be lent: nothing is copied out of it but a
+    /// delivered data frame's packet, so a collided or overheard frame
+    /// costs no copy.
     pub fn on_rx_end(
         &mut self,
-        frame: Frame,
+        frame: impl Borrow<Frame>,
         power: Milliwatts,
         ok: bool,
         now: SimTime,
         out: &mut Vec<MacAction>,
     ) {
+        let frame = frame.borrow();
         if !ok {
             self.counters.rx_errors += 1;
             self.reserve_nav(self.cfg.timing.eifs(), now, out);
@@ -601,7 +612,7 @@ impl DcfMac {
 
     fn handle_rts(
         &mut self,
-        frame: Frame,
+        frame: &Frame,
         power: Milliwatts,
         now: SimTime,
         out: &mut Vec<MacAction>,
@@ -660,7 +671,7 @@ impl DcfMac {
         self.schedule_response(cts, cts_power, out);
     }
 
-    fn handle_cts(&mut self, frame: Frame, now: SimTime, out: &mut Vec<MacAction>) {
+    fn handle_cts(&mut self, frame: &Frame, now: SimTime, out: &mut Vec<MacAction>) {
         if self.phase != Phase::WaitCts {
             return;
         }
@@ -765,21 +776,22 @@ impl DcfMac {
         self.schedule_response(data, data_power, out);
     }
 
-    fn handle_data(&mut self, frame: Frame, now: SimTime, out: &mut Vec<MacAction>) {
+    fn handle_data(&mut self, frame: &Frame, now: SimTime, out: &mut Vec<MacAction>) {
         let FrameBody::Data {
             packet,
             seq,
             session,
             needs_ack,
-        } = frame.body
+        } = &frame.body
         else {
             return;
         };
+        let (seq, session, needs_ack) = (*seq, *session, *needs_ack);
 
         if frame.rx.is_broadcast() {
             self.counters.delivered += 1;
             out.push(MacAction::Deliver {
-                packet,
+                packet: packet.clone(),
                 from: frame.tx,
             });
             return;
@@ -802,7 +814,7 @@ impl DcfMac {
         if fresh {
             self.counters.delivered += 1;
             out.push(MacAction::Deliver {
-                packet,
+                packet: packet.clone(),
                 from: frame.tx,
             });
         } else {
@@ -810,7 +822,7 @@ impl DcfMac {
         }
     }
 
-    fn handle_ack(&mut self, frame: Frame, now: SimTime, out: &mut Vec<MacAction>) {
+    fn handle_ack(&mut self, frame: &Frame, now: SimTime, out: &mut Vec<MacAction>) {
         if self.phase != Phase::WaitAck {
             return;
         }

@@ -322,6 +322,11 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// `true` when the whole payload has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
