@@ -1555,12 +1555,13 @@ mod tests {
 
             // Canonical order, and genuinely mid-walk: the cut transmission
             // still owes some starts and every one of its ends.
-            let keys: Vec<(SimTime, u128)> = snap.pending.iter().map(|p| (p.0, p.1)).collect();
+            let keys: Vec<(SimTime, u128)> =
+                snap.pending.iter().map(|p| (p.0, p.1.rank())).collect();
             assert!(keys.windows(2).all(|w| w[0] <= w[1]), "pending is sorted");
             let of_cut = |end: bool| {
                 snap.pending
                     .iter()
-                    .filter(|(_, _, ev)| {
+                    .filter(|(_, ev)| {
                         arrival_key(ev) == Some(cut_key)
                             && matches!(ev, SimEvent::ArrivalEnd { .. }) == end
                     })
@@ -1574,15 +1575,15 @@ mod tests {
             let in_flight: HashSet<u64> = snap
                 .pending
                 .iter()
-                .filter_map(|(_, _, ev)| arrival_key(ev))
+                .filter_map(|(_, ev)| arrival_key(ev))
                 .collect();
             let describe =
                 |at: SimTime, rank: u128, ev: &SimEvent| format!("{at:?} {rank:#x} {ev:?}");
             let listed: Vec<String> = snap
                 .pending
                 .iter()
-                .filter(|(_, _, ev)| arrival_key(ev).is_some())
-                .map(|(at, rank, ev)| describe(*at, *rank, ev))
+                .filter(|(_, ev)| arrival_key(ev).is_some())
+                .map(|(at, ev)| describe(*at, ev.rank(), ev))
                 .collect();
             let mut fired = Vec::new();
             while fired.len() < listed.len() {
@@ -1671,7 +1672,7 @@ mod tests {
                 let owed = |key: u64, start: bool| {
                     snap.pending
                         .iter()
-                        .filter(|(_, _, ev)| {
+                        .filter(|(_, ev)| {
                             let is_start = matches!(
                                 ev,
                                 SimEvent::ArrivalStart { .. } | SimEvent::CtrlArrivalStart { .. }
@@ -1683,7 +1684,7 @@ mod tests {
                 let in_flight: HashSet<u64> = snap
                     .pending
                     .iter()
-                    .filter_map(|(_, _, ev)| arrival_key(ev))
+                    .filter_map(|(_, ev)| arrival_key(ev))
                     .collect();
                 if in_flight
                     .iter()
@@ -1770,12 +1771,13 @@ mod tests {
     }
 
     /// A cut carries what the hot rows know and no list backs up: the
-    /// carrier edge a bystander's MAC is still owed (written by telling a
-    /// copy of that MAC) and a locked row's interference sum with other
-    /// arrivals in it. Every grid cut of the hooked run equals stepping
-    /// there and capturing; telling every owed edge for real changes no
-    /// byte of the capture; and cuts that held either kind of state
-    /// resume, single-threaded and sharded, to the uninterrupted report.
+    /// carrier edge a bystander's MAC is still owed (written as held) and
+    /// a locked row's interference sum with other arrivals in it. Every
+    /// grid cut of the hooked run equals stepping there and capturing; a
+    /// restore holds the held edges and rows in company the run held and
+    /// captures the same bytes again; and cuts that held either kind of
+    /// state resume, single-threaded and sharded, to the uninterrupted
+    /// report.
     #[test]
     fn cuts_carry_held_carrier_edges_and_locked_rows_in_company() {
         use std::sync::Mutex;
@@ -1814,13 +1816,15 @@ mod tests {
                     "{what}: cut at {cut:?} differs"
                 );
                 let (held, in_company) = sim.receive_census();
-                // The capture wrote every MAC as told: once each owed edge
-                // has really been told, the same capture reads the same.
-                sim.tell_held_edges(cut);
-                assert_eq!(sim.receive_census().0, 0);
+                let restored = Simulator::restore(cfg.clone(), snap).expect("restores");
+                assert_eq!(
+                    restored.receive_census(),
+                    (held, in_company),
+                    "{what}: the restore at {cut:?}"
+                );
                 assert!(
-                    sim.snapshot_at(cut).to_bytes() == bytes,
-                    "{what}: the cut at {cut:?} did not carry its {held} held edges"
+                    restored.snapshot_at(cut).to_bytes() == bytes,
+                    "{what}: the restore at {cut:?} captures other bytes"
                 );
                 if held > 0 {
                     with_held.push(bytes.clone());

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pcmac_aodv::{AodvAgent, AodvConfig};
 use pcmac_engine::{NodeId, SimTime};
-use pcmac_mac::{CtrlFrame, DcfMac, Frame, MacConfig};
+use pcmac_mac::{DcfMac, Frame, MacConfig};
 use pcmac_phy::EnergyMeter;
 use pcmac_traffic::{Sink, Source};
 
@@ -17,7 +17,7 @@ use pcmac_traffic::{Sink, Source};
 /// holds the data frame being decoded and nothing else: the control
 /// broadcast a PCMAC station is locked onto sits in the hot arrays,
 /// beside that channel's receive row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Node {
     /// Station address.
     pub id: NodeId,
@@ -45,7 +45,7 @@ impl Node {
     /// stream derives from the seed and the id), which is what lets the
     /// simulator build a station on its first touch rather than up front:
     /// a node built late is the node that would have been built early,
-    /// and a station never touched reads, and is checkpointed, as this.
+    /// and a station never touched reads as this.
     pub fn new(id: NodeId, mac_cfg: Arc<MacConfig>, aodv_cfg: Arc<AodvConfig>, seed: u64) -> Self {
         Node {
             id,
@@ -58,26 +58,20 @@ impl Node {
         }
     }
 
-    /// Serialize the cold per-node state (locked frames, MAC, routing,
-    /// sink, meter, sources) into `w`, the MAC from `mac`: this node's
-    /// own, or a copy of it that has heard a carrier edge the live one is
-    /// still owed. `ctrl_locked` is the control broadcast the station is
-    /// locked onto, which the simulator keeps; it is written in its place
-    /// after the data frame. The node id is implied by the node's index
-    /// in the scenario and is not written, and neither is the number of
-    /// sources: the scenario fixes which flows a station homes, and their
-    /// states close the blob, so a blob with one too many or too few
-    /// reads as trailing bytes or a truncation.
-    pub(crate) fn save_state(
-        &self,
-        mac: &DcfMac,
-        ctrl_locked: &Option<CtrlFrame>,
-        w: &mut pcmac_snap::SnapWriter,
-    ) {
+    /// Serialize the cold per-node state (the locked data frame, MAC,
+    /// routing, sink, meter, sources) into `w`, the MAC as it is: a
+    /// carrier edge the simulator holds back from it travels beside, as
+    /// the simulator holds it (snapshot version 6; up to version 5 the
+    /// MAC was written from a copy told that edge, and a station never
+    /// built was written as this pristine node). The node id is implied
+    /// by the node's index in the scenario and is not written, and
+    /// neither is the number of sources: the scenario fixes which flows
+    /// a station homes, and their states close the blob, so a blob with
+    /// one too many or too few reads as trailing bytes or a truncation.
+    pub(crate) fn save_state(&self, w: &mut pcmac_snap::SnapWriter) {
         use pcmac_snap::Snap;
         self.locked.save(w);
-        ctrl_locked.save(w);
-        mac.save_state(w);
+        self.mac.save_state(w);
         self.aodv.save_state(w);
         self.sink.save(w);
         self.energy.save(w);
@@ -87,16 +81,14 @@ impl Node {
     }
 
     /// Overwrite this node's state from a blob written by
-    /// [`Node::save_state`], returning the control broadcast it records
-    /// the station locked onto. The node must have been built from the
-    /// same scenario configuration, its sources attached.
+    /// [`Node::save_state`]. The node must have been built from the same
+    /// scenario configuration, its sources attached.
     pub(crate) fn load_state(
         &mut self,
         r: &mut pcmac_snap::SnapReader<'_>,
-    ) -> Result<Option<CtrlFrame>, pcmac_snap::SnapError> {
+    ) -> Result<(), pcmac_snap::SnapError> {
         use pcmac_snap::Snap;
         self.locked = Snap::load(r)?;
-        let ctrl_locked = Snap::load(r)?;
         self.mac.load_state(r)?;
         self.aodv.load_state(r)?;
         self.sink = Snap::load(r)?;
@@ -104,6 +96,6 @@ impl Node {
         for source in &mut self.sources {
             source.load_state(r)?;
         }
-        Ok(ctrl_locked)
+        Ok(())
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use pcmac_engine::{EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime};
+use pcmac_engine::{EventQueue, Milliwatts, NodeId, Point, RngStream, SimTime, VecMap};
 use pcmac_mobility::{placement, RandomWaypoint};
 use pcmac_phy::RxRow;
 use pcmac_traffic::Source;
@@ -205,7 +205,7 @@ impl Simulator {
             rx: vec![RxRow::default(); n],
             // Only a PCMAC station ever radiates a control frame.
             ctrl_rx: vec![RxRow::default(); ctrl_n],
-            ctrl_locked: vec![None; ctrl_n],
+            ctrl_locked: VecMap::new(),
             carrier: vec![0; n],
             held_noise: vec![Milliwatts::ZERO; n],
         };

@@ -364,7 +364,7 @@ impl Simulator {
     fn on_ctrl_arrival_start(&mut self, i: usize, key: u64, power: Milliwatts, frame: &CtrlFrame) {
         let heard = self.hot.ctrl_rx[i].arrival_start(&self.radio, key, power);
         if heard.rx_start() {
-            self.hot.ctrl_locked[i] = Some(frame.clone());
+            self.hot.ctrl_locked.insert(i as u32, frame.clone());
         }
     }
 
@@ -374,8 +374,10 @@ impl Simulator {
     fn on_ctrl_arrival_end(&mut self, i: usize, key: u64, power: Milliwatts, now: SimTime) {
         let heard = self.hot.ctrl_rx[i].arrival_end(&self.radio, key, power);
         if let Some(ok) = heard.rx_end() {
-            let frame = self.hot.ctrl_locked[i]
-                .take()
+            let frame = self
+                .hot
+                .ctrl_locked
+                .remove(&(i as u32))
                 .expect("a locked row's frame is held beside it");
             if ok {
                 self.with_mac(i, now, |mac| mac.on_ctrl_rx(frame, power, now));
@@ -482,7 +484,10 @@ impl Simulator {
             mac.save_state(&mut w);
             w.payload().to_vec()
         };
-        let mac = self.read_node(i, |node| node.mac.clone());
+        let mac = match self.nodes[i].as_deref() {
+            Some(node) => node.mac.clone(),
+            None => self.pristine(i).mac,
+        };
         let mut latest = mac.clone();
         tell_held_edge(&mut latest, busy, noise, now);
         assert!(!latest.listening(), "a carrier edge made node {i} listen");
@@ -502,7 +507,7 @@ impl Simulator {
     fn audit_on_air(&self) {
         let pending = self.channel.pending_events(&self.queue);
         assert_eq!(
-            self.on_air_mismatch(&pending),
+            self.on_air_mismatch(pending.iter().map(|(_, _, ev)| ev)),
             None,
             "a node's receive rows disagree with its pending arrivals"
         );
@@ -888,7 +893,7 @@ impl Simulator {
         let end = now + airtime;
 
         self.hot.ctrl_rx[i].start_tx(&self.radio);
-        self.hot.ctrl_locked[i] = None;
+        self.hot.ctrl_locked.remove(&(i as u32));
         // The broadcast radiates on the control channel while the data
         // radio may be mid-reception. The energy meter does not see it:
         // `radiated_mj` counts data-channel transmissions only.

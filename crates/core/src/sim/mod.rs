@@ -274,15 +274,6 @@ impl Simulator {
         self.nodes[i].insert(node)
     }
 
-    /// Read node `i`'s cold state without building it: an untouched
-    /// station reads as the pristine node it would be built as.
-    fn read_node<R>(&self, i: usize, f: impl FnOnce(&Node) -> R) -> R {
-        match self.nodes[i].as_deref() {
-            Some(node) => f(node),
-            None => f(&self.pristine(i)),
-        }
-    }
-
     /// The single-threaded run. It cuts on the grid every shard lane
     /// cuts on ([`CutGrid`]): whenever the next event's time reaches a
     /// checkpoint grid instant, every grid instant up to it is
@@ -349,14 +340,9 @@ impl Simulator {
         (held, in_company)
     }
 
-    /// Tell every MAC the carrier edge it is owed, as of `now` (which
-    /// builds an untouched station that is owed one).
-    pub(crate) fn tell_held_edges(&mut self, now: SimTime) {
-        for i in 0..self.nodes.len() {
-            if self.owns(i) && self.hot.held_edge(i).is_some() {
-                self.with_mac(i, now, |_| ());
-            }
-        }
+    /// Is node `i`'s MAC listening, as of its last input?
+    pub(crate) fn mac_listening(&self, i: usize) -> bool {
+        self.hot.mac_listening(i)
     }
 
     /// [`Simulator::step`], unless the next event is due at or after
@@ -382,10 +368,10 @@ mod tests {
 
     use pcmac_engine::{Duration, FlowId, NodeId, Point, RngStream, SimTime};
     use pcmac_mac::Variant;
-    use pcmac_snap::SnapWriter;
 
     use crate::config::{FlowShape, NodeSetup, ScenarioConfig};
     use crate::event::SimEvent;
+    use crate::snapshot::tests::NodeBlob;
     use crate::Simulator;
 
     /// 20 waypoint stations, ten flows, 2 s.
@@ -428,11 +414,11 @@ mod tests {
         }
 
         // A restore onto a fresh shard builds a station iff the shard
-        // owns it and its blob differs from the one the station has as
-        // the shard built it: a station that is still pristine at the
-        // cut stays unbuilt (a flow's home was built with the shard and
-        // stays built). Before the first flow starts at 1 s no station
-        // has acted; half a second later most have.
+        // owns it and its blob holds cold state, which it does iff the
+        // run had built the station: a station still unbuilt at the cut
+        // stays unbuilt (a flow's home was built with the shard and stays
+        // built). Before the first flow starts at 1 s no station has
+        // acted; half a second later most have.
         let mut full = Simulator::new(cfg.clone());
         let (mut kept, mut built) = (0, 0);
         for ms in [600, 1_500] {
@@ -440,34 +426,27 @@ mod tests {
             let cut = SimTime::ZERO + Duration::from_millis(ms);
             while full.step_before(cut).is_some() {}
             let snap = full.snapshot_at(cut);
-            let pristine: Vec<Vec<u8>> = (0..snap.nodes.len())
-                .map(|i| {
-                    let mut w = SnapWriter::new();
-                    shard.save_node(i, cut, &mut w);
-                    w.payload().to_vec()
-                })
-                .collect();
             for (i, blob) in snap.nodes.iter().enumerate() {
                 shard
-                    .load_node(i, blob, cut)
+                    .load_node(i, blob)
                     .expect("a blob of the same scenario");
             }
             for (i, node) in shard.nodes.iter().enumerate() {
-                let acted = snap.nodes[i] != pristine[i];
+                let written = NodeBlob::parse(&snap.nodes[i], true).built();
+                assert_eq!(written, full.nodes[i].is_some(), "station {i} at {ms} ms");
                 let home = homes.contains(&i);
                 assert_eq!(
                     node.is_some(),
-                    owner[i] == 0 && (acted || home),
+                    owner[i] == 0 && written,
                     "station {i} after loading at {ms} ms"
                 );
-                assert_eq!(node.is_some(), owner[i] == 0 && full.nodes[i].is_some());
-                kept += usize::from(owner[i] == 0 && !acted && !home);
-                built += usize::from(owner[i] == 0 && acted && !home);
+                kept += usize::from(owner[i] == 0 && !written);
+                built += usize::from(owner[i] == 0 && written && !home);
             }
         }
         assert!(
             kept > 0 && built > 0,
-            "{kept} owned stations kept pristine, {built} built"
+            "{kept} owned stations kept unbuilt, {built} built"
         );
     }
 
@@ -492,10 +471,22 @@ mod tests {
         let cut = SimTime::ZERO + Duration::from_millis(1_300);
         while full.step_before(cut).is_some() {}
         let at_cut = built(&full);
+        let census = full.receive_census();
         let snap = full.snapshot_at(cut);
+        let written = snap
+            .nodes
+            .iter()
+            .filter(|b| NodeBlob::parse(b, false).built());
+        assert_eq!(written.count(), at_cut, "the cut writes what had acted");
         while full.step().is_some() {}
         let mut resumed = Simulator::restore(cfg, &snap).expect("the snapshot restores");
         assert_eq!(built(&resumed), at_cut, "the restore builds what had acted");
+        assert_eq!(
+            resumed.receive_census(),
+            census,
+            "and holds what the cut held"
+        );
+        assert!(census.0 > 0, "the cut held a carrier edge");
         while resumed.step().is_some() {}
         assert_eq!(built(&resumed), built(&full));
         assert!(
@@ -526,14 +517,16 @@ mod tests {
     const ONOFF_RATE_BPS: f64 = 400_000.0;
 
     /// `(cut, (length, FNV-1a) of station 0's blob, the same of station
-    /// 1's)`, recorded at snapshot version 5: 41 B under version 4's
-    /// 1 292 for the Poisson home (its flow's configuration, 33 B, and
-    /// the source count, 8 B) and 57 B under 1 284 for the on/off home
-    /// (49 B of configuration and the count).
+    /// 1's)`, recorded at snapshot version 6. Version 5 wrote 1 251 and
+    /// 1 227 B: 41 B under version 4's 1 292 for the Poisson home (its
+    /// flow's configuration, 33 B, and the source count, 8 B) and 57 B
+    /// under 1 284 for the on/off home (49 B of configuration and the
+    /// count). Version 6 adds the held-edge option and the build tag to
+    /// each: 2 B, and 9 B more where station 1 is cut holding an edge.
     const MIXED_GOLDEN: (u64, (usize, u64), (usize, u64)) = (
         557_162_663,
-        (1251, 0xf086_b766_7e87_ebca),
-        (1227, 0x07fa_41d1_a8cf_677b),
+        (1253, 0xbfe9_88d7_890c_dda5),
+        (1238, 0x295d_eb34_0dda_2a43),
     );
 
     /// Pins the node blobs no paper-scenario golden reaches: a Poisson

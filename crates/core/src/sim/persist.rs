@@ -2,16 +2,20 @@
 //! cut, the fold of every lane's share into one snapshot or one report,
 //! restore, and the absolute grid a hooked run cuts on (see the
 //! `snapshot` module docs).
+//!
+//! Since snapshot version 6 a station is written as the run holds it —
+//! its held carrier edge as itself, no cold state while it is unbuilt —
+//! so capture builds nothing and restore re-derives nothing (version 5
+//! wrote a told copy of each MAC and a pristine node per unbuilt station).
 
 use std::sync::Arc;
 
 use pcmac_engine::{Duration, Milliwatts, NodeId, SimTime};
+use pcmac_mac::CtrlFrame;
 use pcmac_phy::RxRow;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-use super::dispatch::tell_held_edge;
-use super::Simulator;
-use crate::channel::QueueEntry;
+use super::{sched_into, Simulator};
 use crate::config::{ExecutionMode, ScenarioConfig};
 use crate::event::SimEvent;
 use crate::fault::FaultState;
@@ -46,7 +50,7 @@ pub(super) struct SnapContribution {
     /// replica of the probe chain).
     probes_scheduled: u64,
     sent_packets: u64,
-    /// Blobs for owned nodes, untouched ones included (`None` where the
+    /// Blobs for owned nodes, unbuilt ones included (`None` where the
     /// node lives on another shard).
     node_blobs: Vec<Option<Vec<u8>>>,
     tx_key_ctr: Vec<u32>,
@@ -95,7 +99,7 @@ impl Simulator {
             .map(|i| {
                 self.owns(i).then(|| {
                     scratch.clear();
-                    self.save_node(i, cut, &mut scratch);
+                    self.save_node(i, &mut scratch);
                     scratch.payload().to_vec()
                 })
             })
@@ -128,75 +132,76 @@ impl Simulator {
         }
     }
 
-    /// Node `i`'s blob: its receive rows, then the cold state. The MAC
-    /// is written **as told**: a held carrier edge lives only in this
-    /// simulator's hot arrays, which no snapshot carries, so a MAC that
-    /// is owed one is written from a copy that has heard it — the state
-    /// eager delivery would have captured, whatever was deferred here.
-    /// An untouched station is written as the pristine node it would be
-    /// built as, so when a node is built never shows in a checkpoint.
-    pub(super) fn save_node(&self, i: usize, cut: SimTime, w: &mut SnapWriter) {
+    /// Node `i`'s blob, as this simulator holds the station: its data
+    /// row, its control row under PCMAC, the carrier edge held back from
+    /// its MAC, the control broadcast it is locked onto under PCMAC, and
+    /// its cold state, `None` while the station is unbuilt.
+    pub(super) fn save_node(&self, i: usize, w: &mut SnapWriter) {
         self.hot.rx[i].save(w);
-        if let Some(row) = self.hot.ctrl_rx.get(i) {
-            row.save(w);
+        let pcmac = !self.hot.ctrl_rx.is_empty();
+        if pcmac {
+            self.hot.ctrl_rx[i].save(w);
         }
-        let ctrl_locked = self.hot.ctrl_locked.get(i).unwrap_or(&None);
-        self.read_node(i, |node| {
-            let Some((busy, noise)) = self.hot.held_edge(i) else {
-                return node.save_state(&node.mac, ctrl_locked, w);
-            };
-            let mut told = node.mac.clone();
-            tell_held_edge(&mut told, busy, noise, cut);
-            node.save_state(&told, ctrl_locked, w);
-        });
+        self.hot.held_edge(i).save(w);
+        if pcmac {
+            self.hot.ctrl_locked.get(&(i as u32)).cloned().save(w);
+        }
+        match self.nodes[i].as_deref() {
+            None => w.u8(0),
+            Some(node) => {
+                w.u8(1);
+                node.save_state(w);
+            }
+        }
     }
 
-    /// Overlay a blob written by [`Simulator::save_node`] at `cut` on node
-    /// `i`, if this simulator owns it. The MAC arrives as told, so only
-    /// its listening bit needs deriving. A station not built here stays
-    /// unbuilt when the blob is what it reads as unbuilt (`unbuilt_as`),
-    /// and is built otherwise.
-    pub(super) fn load_node(
-        &mut self,
-        i: usize,
-        blob: &[u8],
-        cut: SimTime,
-    ) -> Result<(), SnapError> {
+    /// Overlay a blob written by [`Simulator::save_node`] on node `i` of
+    /// this freshly built simulator, if it owns the station: the rows,
+    /// the held edge and the locked broadcast go back on the hot side,
+    /// and the station is built exactly when the blob holds its cold
+    /// state. Refuses a blob the run that wrote it could not have held: a
+    /// flow's home written unbuilt, a lock whose frame is absent (or a
+    /// frame without its lock), or a held edge at a listening MAC.
+    pub(super) fn load_node(&mut self, i: usize, blob: &[u8]) -> Result<(), SnapError> {
         if !self.owns(i) {
             return Ok(());
         }
         let mut r = SnapReader::over(blob);
         self.hot.rx[i] = Snap::load(&mut r)?;
-        if let Some(row) = self.hot.ctrl_rx.get_mut(i) {
-            *row = Snap::load(&mut r)?;
+        let pcmac = !self.hot.ctrl_rx.is_empty();
+        if pcmac {
+            self.hot.ctrl_rx[i] = Snap::load(&mut r)?;
         }
-        let cold = r.rest();
-        let pristine = self.nodes[i].is_none().then(|| self.pristine(i));
-        let mut fresh = pristine.clone();
-        let node = match fresh.as_mut() {
-            Some(node) => node,
-            None => self.nodes[i].as_deref_mut().expect("built"),
+        let held: Option<(bool, Milliwatts)> = Snap::load(&mut r)?;
+        let ctrl_frame: Option<CtrlFrame> = if pcmac { Snap::load(&mut r)? } else { None };
+        let (data_frame, listening) = match r.u8()? {
+            0 if self.nodes[i].is_some() => {
+                return Err(SnapError::Corrupt("a flow's home written unbuilt"))
+            }
+            0 => (false, false),
+            1 => {
+                let node = self.node_mut(i);
+                node.load_state(&mut r)?;
+                (node.locked.is_some(), node.mac.listening())
+            }
+            _ => return Err(SnapError::Corrupt("station build tag")),
         };
-        let ctrl_frame = node.load_state(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("node blob trailing bytes"));
         }
-        let locked = (node.locked.is_some(), ctrl_frame.is_some());
-        let listening = node.mac.listening();
-        let ctrl_locked = self.hot.ctrl_rx.get(i).is_some_and(RxRow::is_receiving);
-        if (self.hot.rx[i].is_receiving(), ctrl_locked) != locked {
+        let ctrl_receiving = pcmac && self.hot.ctrl_rx[i].is_receiving();
+        if (self.hot.rx[i].is_receiving(), ctrl_receiving) != (data_frame, ctrl_frame.is_some()) {
             return Err(SnapError::Corrupt("locked frame does not match its row"));
         }
-        if let Some(slot) = self.hot.ctrl_locked.get_mut(i) {
-            *slot = ctrl_frame;
+        if let Some(frame) = ctrl_frame {
+            self.hot.ctrl_locked.insert(i as u32, frame);
         }
         self.hot.mac_heard(i, listening);
-        if let (Some(node), Some(pristine)) = (fresh, pristine) {
-            match unbuilt_as(pristine, &node, cold, cut) {
-                Some(Some((busy, noise))) => self.hot.hold_edge(i, busy, noise),
-                Some(None) => {}
-                None => self.nodes[i] = Some(Box::new(node)),
+        if let Some((busy, noise)) = held {
+            if listening {
+                return Err(SnapError::Corrupt("carrier edge held at a listening MAC"));
             }
+            self.hot.hold_edge(i, busy, noise);
         }
         Ok(())
     }
@@ -257,7 +262,7 @@ impl Simulator {
             scheduled_total,
             sent_packets,
             probes_scheduled,
-            pending,
+            pending: pending.into_iter().map(|(at, _, ev)| (at, ev)).collect(),
             mobility,
             tx_key_ctr,
             nodes,
@@ -393,10 +398,11 @@ impl Simulator {
 
         // The event queue: restart the sequence counter at the cut and
         // re-schedule this lane's slice of the canonical pending set in
-        // canonical order, so insertion sequence numbers break same-key
-        // ties exactly as they did in the original run.
+        // canonical order, each event under its content-derived rank, so
+        // insertion sequence numbers break same-key ties exactly as they
+        // did in the original run.
         let (mut pending_bursts, mut pending_probes) = (0u64, 0u64);
-        for (_, _, ev) in &snap.pending {
+        for (_, ev) in &snap.pending {
             match ev {
                 SimEvent::ImpairmentStart { .. } | SimEvent::ImpairmentEnd { .. } => {
                     pending_bursts += 1
@@ -426,7 +432,7 @@ impl Simulator {
         };
         self.queue = pcmac_engine::EventQueue::restored(cut, base);
         let bursts = replicated_bursts(&self.cfg) as usize;
-        for (at, rank, ev) in &snap.pending {
+        for (at, ev) in &snap.pending {
             if *at < cut {
                 return Err(SnapError::Corrupt("pending event before the cut"));
             }
@@ -443,25 +449,29 @@ impl Simulator {
                 None => true, // replicated events live on every lane
             };
             if mine {
-                self.queue
-                    .schedule_ranked(*at, *rank, QueueEntry::Event(ev.clone()));
+                sched_into(&mut self.queue, *at, ev.clone());
             }
         }
 
-        // Receive rows and cold per-node state, owned nodes only. An
-        // arrival's end panics on a row with nothing on the air, so a
-        // snapshot whose rows and pending arrivals disagree stops here.
+        // Receive rows, held edges and cold per-node state, owned nodes
+        // only. An arrival's end panics on a row with nothing on the air,
+        // so a snapshot whose rows and pending arrivals disagree stops
+        // here.
         for (i, blob) in snap.nodes.iter().enumerate() {
-            self.load_node(i, blob, cut)?;
+            self.load_node(i, blob)?;
         }
-        if self.on_air_mismatch(&snap.pending).is_some() {
+        if self
+            .on_air_mismatch(snap.pending.iter().map(|(_, ev)| ev))
+            .is_some()
+        {
             return Err(SnapError::Corrupt("rows disagree with pending arrivals"));
         }
         // An emission names one of the sources its home was built with.
-        for (_, _, ev) in &snap.pending {
+        for (_, ev) in &snap.pending {
             if let SimEvent::TrafficEmit { node, source } = ev {
                 let i = node.index();
-                if self.owns(i) && self.read_node(i, |n| *source >= n.sources.len()) {
+                let homed = self.nodes[i].as_ref().map_or(0, |n| n.sources.len());
+                if self.owns(i) && *source >= homed {
                     return Err(SnapError::Corrupt("pending emission names no source"));
                 }
             }
@@ -529,7 +539,10 @@ impl Simulator {
 
     /// The first node held here whose rows count other arrivals on the
     /// air than `pending` shows started and not ended.
-    pub(super) fn on_air_mismatch(&self, pending: &[(SimTime, u128, SimEvent)]) -> Option<usize> {
+    pub(super) fn on_air_mismatch<'a>(
+        &self,
+        pending: impl IntoIterator<Item = &'a SimEvent>,
+    ) -> Option<usize> {
         let on_air = arrivals_on_air(pending, self.nodes.len());
         (0..self.nodes.len()).find(|&i| {
             let ctrl = self.hot.ctrl_rx.get(i).map_or(0, RxRow::on_air);
@@ -541,9 +554,12 @@ impl Simulator {
 /// Per node, how many `[data, control]` arrivals `pending` shows on the
 /// air: an arrival that has started and not ended is an end event with no
 /// start event before it.
-fn arrivals_on_air(pending: &[(SimTime, u128, SimEvent)], nodes: usize) -> Vec<[i64; 2]> {
+fn arrivals_on_air<'a>(
+    pending: impl IntoIterator<Item = &'a SimEvent>,
+    nodes: usize,
+) -> Vec<[i64; 2]> {
     let mut on_air = vec![[0i64; 2]; nodes];
-    for (_, _, ev) in pending {
+    for ev in pending {
         let (node, channel, delta) = match ev {
             SimEvent::ArrivalStart { node, .. } => (node, 0, -1),
             SimEvent::ArrivalEnd { node, .. } => (node, 0, 1),
@@ -607,30 +623,4 @@ impl CutGrid {
         self.0
             .map_or(until, |(_, next)| until.min(SimTime::from_nanos(next)))
     }
-}
-
-/// What a station is without being built, if `cold` — the cold part of
-/// its blob, which `loaded` was read from — says it is unbuilt: its
-/// `pristine` node (`Some(None)`), or that node told one carrier edge
-/// (`Some(Some((busy, noise)))`), the edge a run holds back from a MAC
-/// that is not listening. A snapshot of a run writes exactly these for
-/// the stations the run never built ([`Simulator::save_node`]), so a
-/// restored run builds the stations the run had built.
-fn unbuilt_as(
-    mut pristine: Node,
-    loaded: &Node,
-    cold: &[u8],
-    cut: SimTime,
-) -> Option<Option<(bool, Milliwatts)>> {
-    if loaded.mac.listening() {
-        return None;
-    }
-    let edge = loaded.mac.carrier();
-    let held = edge != pristine.mac.carrier();
-    if held {
-        tell_held_edge(&mut pristine.mac, edge.0, edge.1, cut);
-    }
-    let mut w = SnapWriter::new();
-    pristine.save_state(&pristine.mac, &None, &mut w);
-    (w.payload() == cold).then_some(held.then_some(edge))
 }

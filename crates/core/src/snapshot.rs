@@ -48,23 +48,29 @@
 //! sorted key order, so a file written on one machine restores with
 //! bit-identical results on any other.
 //!
-//! The envelope is at **version 5**, and every section holds what its
-//! layer holds at run time and cannot rebuild from the scenario: restore
-//! builds the network from the scenario (the snapshot's config digest
-//! pins it) and overwrites the run-time state of what it built, so
-//! configuration never travels. In wire order:
+//! The envelope is at **version 6**, and every section holds what its
+//! layer holds at run time and cannot rebuild from the scenario, as the
+//! run holds it: restore builds the network from the scenario (the
+//! snapshot's config digest pins it) and overwrites the run-time state of
+//! what it built, so configuration never travels. In wire order:
 //!
-//! * the cut, the event counters and the pending events;
+//! * the cut, the event counters and the pending events, each as its
+//!   time and content: restore ranks every event by its content
+//!   (`SimEvent::rank`), as the run that scheduled it did;
 //! * the movement section: one blob holding, in station order, the RNG
 //!   and current leg of every waypoint model the scenario builds (empty
 //!   on a static field), read into the built models;
 //! * the per-station transmission-key counters;
-//! * one blob per station: the data-channel receive row
+//! * one blob per station, in this order: the data-channel receive row
 //!   (`pcmac_phy::RxRow`: in-air sum, locked power and key, arrivals on
-//!   the air, mode, corruption verdict, last carrier state indicated),
-//!   the control-channel row when the scenario runs PCMAC, the locked
-//!   data frame and the locked control frame as options, then the MAC,
-//!   the routing agent, the sink, the energy meter (its power on the
+//!   the air, mode, corruption verdict, last carrier state indicated);
+//!   the control-channel row when the scenario runs PCMAC; the carrier
+//!   edge held back from the station's MAC, as an option of its
+//!   direction and the noise measured at it; the control broadcast the
+//!   station is locked onto, as an option, when the scenario runs PCMAC;
+//!   and the station's cold state as an option — absent for a station
+//!   the run never built, otherwise the locked data frame, the MAC as it
+//!   is, the routing agent, the sink, the energy meter (its power on the
 //!   air, last change and radiated total) and the run-time state of each
 //!   traffic source the station homes (next emission, count, and the
 //!   arrival process's RNG and on/off phase), with no count: the
@@ -81,20 +87,24 @@
 //! a queue longer than its capacity, and a fault or metrics section
 //! whose presence or node, impairment-burst or power-level counts
 //! disagree with the scenario, on one thread and on region shards
-//! alike. Files of versions 1 to 4 fail `SnapReader::open` with
+//! alike. Files of versions 1 to 5 fail `SnapReader::open` with
 //! `BadVersion` and the campaign runner recomputes their cells; README's
 //! checkpoint section keeps the history of the format.
 //!
-//! Two things a snapshot does **not** carry, by construction. The MAC is
-//! written *as told*: a carrier edge the simulator is holding back from
-//! a MAC that is not listening (see the `soa` module) is told to a copy
-//! of that MAC at capture and the copy is what is written, so the held
-//! edge itself never reaches the wire and restore only re-derives each
-//! MAC's listening bit. And the noise floor every row is read against
-//! is rebuilt as `cfg.radio.noise_floor × fault noise multiplier`, the
-//! product `set_impairment` forms. Restore cross-checks each row's
-//! arrival count against the pending arrival events and each lock
-//! against its frame, and refuses a snapshot where they disagree.
+//! Restore infers nothing about a station: it puts the rows, the held
+//! edge and the locked broadcast back on the hot side, builds exactly the
+//! stations written with cold state, and leaves the rest unbuilt. It
+//! refuses what the run that wrote a blob could not have held: a flow's
+//! home written unbuilt (the home is built with the network, and its
+//! sources' state would be missing), a lock whose frame is absent or a
+//! frame without its lock (an unbuilt station has no data frame), and a
+//! held edge at a MAC that is listening (every edge goes straight to
+//! such a MAC, and told late it would make the MAC act). Restore also
+//! cross-checks each row's arrival count against the pending arrival
+//! events. One thing a snapshot does **not** carry, by construction: the
+//! noise floor every row is read against, which is rebuilt as
+//! `cfg.radio.noise_floor × fault noise multiplier`, the product
+//! `set_impairment` forms.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -195,8 +205,9 @@ pub struct SimSnapshot {
     /// accounting continues identically.
     pub(crate) probes_scheduled: u64,
     /// The pending logical event population (cursor tails expanded) in
-    /// canonical `(time, rank, insertion)` order.
-    pub(crate) pending: Vec<(SimTime, u128, SimEvent)>,
+    /// canonical `(time, rank, insertion)` order. The rank is not stored:
+    /// restore ranks each event by its content ([`SimEvent::rank`]).
+    pub(crate) pending: Vec<(SimTime, SimEvent)>,
     /// The movement section: the state of every station's movement
     /// model, advanced exactly to the cut, in station order
     /// (`RandomWaypoint::save_state` wire format); empty on a static
@@ -204,8 +215,9 @@ pub struct SimSnapshot {
     pub(crate) mobility: Vec<u8>,
     /// Per-node transmission-key counters.
     pub(crate) tx_key_ctr: Vec<u32>,
-    /// Per-node cold-state blobs ([`Node::save_state`]
-    /// (crate::node::Node) wire format), indexed by node.
+    /// Per-station blobs, indexed by node: the rows, the held edge, the
+    /// locked broadcast and, for a station the run built, its cold state
+    /// (see the module docs).
     pub(crate) nodes: Vec<Vec<u8>>,
     /// Fault-layer state (`Some` iff the scenario has a fault plan).
     pub(crate) faults: Option<FaultState>,
@@ -330,8 +342,62 @@ pub(crate) fn next_grid_point(after: SimTime, every_ns: u64) -> SimTime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use pcmac_engine::Milliwatts;
+    use pcmac_mac::CtrlFrame;
+    use pcmac_phy::RxRow;
+
+    /// A node blob taken apart into what the simulator writes for a
+    /// station: its data row, its control row under PCMAC, the carrier
+    /// edge held back from its MAC, the control broadcast it is locked
+    /// onto under PCMAC, and the cold part from its build tag on (a lone
+    /// 0 for a station the run never built).
+    pub(crate) struct NodeBlob {
+        pub(crate) rx: RxRow,
+        pub(crate) ctrl: Option<(RxRow, Option<CtrlFrame>)>,
+        pub(crate) held: Option<(bool, Milliwatts)>,
+        pub(crate) cold: Vec<u8>,
+    }
+
+    impl NodeBlob {
+        pub(crate) fn parse(blob: &[u8], pcmac: bool) -> NodeBlob {
+            let mut r = SnapReader::over(blob);
+            let rx = RxRow::load(&mut r).expect("a data row");
+            let ctrl_row = pcmac.then(|| RxRow::load(&mut r).expect("a control row"));
+            let held = Snap::load(&mut r).expect("a held edge");
+            let ctrl = ctrl_row.map(|row| (row, Snap::load(&mut r).expect("a locked broadcast")));
+            let mut parsed = NodeBlob {
+                rx,
+                ctrl,
+                held,
+                cold: Vec::new(),
+            };
+            let hot = parsed.to_bytes().len();
+            parsed.cold = blob[hot..].to_vec();
+            parsed
+        }
+
+        /// Whether the blob holds the station's cold state.
+        pub(crate) fn built(&self) -> bool {
+            self.cold.first() == Some(&1)
+        }
+
+        pub(crate) fn to_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.rx.save(&mut w);
+            if let Some((row, _)) = &self.ctrl {
+                row.save(&mut w);
+            }
+            self.held.save(&mut w);
+            if let Some((_, frame)) = &self.ctrl {
+                frame.save(&mut w);
+            }
+            let mut bytes = w.payload().to_vec();
+            bytes.extend_from_slice(&self.cold);
+            bytes
+        }
+    }
 
     #[test]
     fn grid_points_are_absolute() {
@@ -424,8 +490,8 @@ mod tests {
         let extra = |ev: SimEvent| {
             let mut s = both.clone();
             let at = SimTime::ZERO + Duration::from_millis(1500);
-            s.pending.push((at, ev.rank(), ev));
-            s.pending.sort_by_key(|&(at, rank, _)| (at, rank));
+            s.pending.push((at, ev));
+            s.pending.sort_by_key(|(at, ev)| (*at, ev.rank()));
             s.scheduled_total += 1;
             s
         };
@@ -446,14 +512,12 @@ mod tests {
         // target holds: the plan's one burst, the home's sources.
         let rewrite = |f: &dyn Fn(&SimEvent) -> Option<SimEvent>| {
             let mut s = both.clone();
-            let hit = s.pending.iter_mut().find_map(|(_, rank, ev)| {
-                let new = f(ev)?;
-                *rank = new.rank();
-                *ev = new;
+            let hit = s.pending.iter_mut().find_map(|(_, ev)| {
+                *ev = f(ev)?;
                 Some(())
             });
             assert!(hit.is_some(), "the snapshot holds such an event");
-            s.pending.sort_by_key(|&(at, rank, _)| (at, rank));
+            s.pending.sort_by_key(|(at, ev)| (*at, ev.rank()));
             s
         };
         let message = "pending impairment names no burst";
@@ -502,7 +566,7 @@ mod tests {
         let home = both
             .pending
             .iter()
-            .find_map(|(_, _, ev)| match ev {
+            .find_map(|(_, ev)| match ev {
                 SimEvent::TrafficEmit { node, .. } => Some(node.index()),
                 _ => None,
             })
@@ -544,6 +608,105 @@ mod tests {
             c.execution = Some(execution);
             assert!(Simulator::restore(c, &still).is_ok(), "{execution:?}");
         }
+    }
+
+    /// 12 waypoint stations under PCMAC for 2 s with the paper's ten
+    /// flows, on one thread or two shards.
+    fn twelve_stations(execution: crate::ExecutionMode) -> ScenarioConfig {
+        let mut c = ScenarioConfig::paper_with(pcmac_mac::Variant::Pcmac, 300.0, 1, 12, 5.0)
+            .with_duration(Duration::from_secs(2));
+        c.delay_floor_us = Some(10.0);
+        c.execution = Some(execution);
+        c
+    }
+
+    /// The twelve-station run stepped until `stop` holds, and its snapshot.
+    fn stepped_until(
+        mut stop: impl FnMut(&crate::Simulator) -> bool,
+    ) -> (crate::Simulator, SimSnapshot) {
+        let mut sim = crate::Simulator::new(twelve_stations(crate::ExecutionMode::Single));
+        while !stop(&sim) {
+            sim.step().expect("the run reaches such a state");
+        }
+        let snap = sim.snapshot();
+        (sim, snap)
+    }
+
+    /// `snap` with station `i`'s blob rewritten by `edit` is refused as
+    /// `Corrupt(want)` on one thread and on two shards.
+    fn refused(snap: &SimSnapshot, i: usize, edit: impl FnOnce(&mut NodeBlob), want: &'static str) {
+        use crate::{ExecutionMode, Simulator};
+        let mut s = snap.clone();
+        let mut blob = NodeBlob::parse(&s.nodes[i], true);
+        edit(&mut blob);
+        s.nodes[i] = blob.to_bytes();
+        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
+            match Simulator::restore(twelve_stations(execution), &s) {
+                Err(e) => assert_eq!(e, SnapError::Corrupt(want), "{execution:?}"),
+                Ok(_) => panic!("{want} on {execution:?}: restored"),
+            }
+        }
+        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
+            let restored = Simulator::restore(twelve_stations(execution), snap);
+            assert!(restored.is_ok(), "the unedited snapshot on {execution:?}");
+        }
+    }
+
+    /// A carrier edge is only ever held back from a MAC that is not
+    /// listening; told to one that is, it would make the MAC act.
+    #[test]
+    fn restore_refuses_a_held_edge_at_a_listening_mac() {
+        let listening = |sim: &crate::Simulator| (0..12).find(|&i| sim.mac_listening(i));
+        let (sim, snap) = stepped_until(|sim| listening(sim).is_some());
+        let i = listening(&sim).expect("stepped until one listens");
+        assert!(NodeBlob::parse(&snap.nodes[i], true).held.is_none());
+        refused(
+            &snap,
+            i,
+            |blob| blob.held = Some((true, Milliwatts(1e-9))),
+            "carrier edge held at a listening MAC",
+        );
+    }
+
+    /// A flow's home is built with the network: its sources' state is
+    /// in its cold part, which an unbuilt station does not have.
+    #[test]
+    fn restore_refuses_a_flows_home_written_unbuilt() {
+        let (_, snap) = stepped_until(|_| true);
+        let home = twelve_stations(crate::ExecutionMode::Single).flows[0]
+            .src
+            .index();
+        assert!(NodeBlob::parse(&snap.nodes[home], true).built());
+        refused(
+            &snap,
+            home,
+            |blob| blob.cold = vec![0],
+            "a flow's home written unbuilt",
+        );
+    }
+
+    /// A station the run never built holds no data frame, so a data row
+    /// locked onto one there is a lock whose frame is absent.
+    #[test]
+    fn restore_refuses_a_lock_without_its_frame_at_an_unbuilt_station() {
+        let receiving = |snap: &SimSnapshot| {
+            snap.nodes
+                .iter()
+                .map(|blob| NodeBlob::parse(blob, true).rx)
+                .find(|row| row.is_receiving())
+        };
+        let (_, mid_run) = stepped_until(|sim| receiving(&sim.snapshot()).is_some());
+        let locked = receiving(&mid_run).expect("stepped until one is receiving");
+        let (_, at_start) = stepped_until(|_| true);
+        let unbuilt = (0..12)
+            .find(|&i| !NodeBlob::parse(&at_start.nodes[i], true).built())
+            .expect("a station no flow homes");
+        refused(
+            &at_start,
+            unbuilt,
+            |blob| blob.rx = locked,
+            "locked frame does not match its row",
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! [`Node`]: crate::node::Node
 
-use pcmac_engine::{Milliwatts, Point, SimTime};
+use pcmac_engine::{Milliwatts, Point, SimTime, VecMap};
 use pcmac_mac::CtrlFrame;
 use pcmac_mobility::RandomWaypoint;
 use pcmac_phy::RxRow;
@@ -73,11 +73,12 @@ pub(crate) struct HotState {
     /// empty under every other variant (nothing else radiates a control
     /// frame).
     pub(crate) ctrl_rx: Vec<RxRow>,
-    /// The broadcast each `ctrl_rx` row is locked onto, beside it: as
-    /// long as that array, and `Some` exactly while its row is receiving.
-    /// Kept here rather than in the cold node, so a lock-on builds no
-    /// station and no other variant's node carries the slot.
-    pub(crate) ctrl_locked: Vec<Option<CtrlFrame>>,
+    /// The broadcast each receiving `ctrl_rx` row is locked onto, keyed
+    /// by station: an entry exactly while its row is receiving, so a
+    /// station that is not locked carries nothing. Kept here rather than
+    /// in the cold node, so a lock-on builds no station and no other
+    /// variant's node carries the slot.
+    pub(crate) ctrl_locked: VecMap<u32, CtrlFrame>,
     /// What each node's MAC knows of its carrier: the listening bit, or
     /// that an edge is held and which way it went. One byte per node, so
     /// the test an audible arrival makes stays in the nearest cache.

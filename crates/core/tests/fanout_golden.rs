@@ -31,8 +31,12 @@
 //! 5, when a traffic source came to write only its run-time state (its
 //! flow's configuration and the per-station source count left the
 //! format) and a waypoint model only its RNG and current leg (its field,
-//! speed and pause left). The `events`, observer-stream and report
-//! columns moved with none of them.
+//! speed and pause left). And at version 6, when a station came to be
+//! written as the run holds it: the carrier edge held back from its MAC
+//! as an option beside its rows (no longer told to a copy of the MAC),
+//! its cold state only if the run built it, and every pending event
+//! without its rank. The `events`, observer-stream and report columns
+//! moved with none of them.
 
 use std::cell::RefCell;
 
@@ -112,25 +116,25 @@ const GOLDEN: [(Variant, u64, u64, u64); 4] = [
         Variant::Basic,
         52239,
         0xd47e9241f37c8823,
-        0xbd8d5ed9d7bd8af3,
+        0xa892ed2802dee2cc,
     ),
     (
         Variant::Scheme1,
         56659,
         0xe21ecb660677e39f,
-        0x44eb21eef260fe1d,
+        0x3fd535e03c31c6a3,
     ),
     (
         Variant::Scheme2,
         62880,
         0x483a987d5411a980,
-        0x252fed92befd4e01,
+        0xc2963fa43727d01f,
     ),
     (
         Variant::Pcmac,
         55724,
         0xa855dbfaaee13418,
-        0x4293f9f07456a4f4,
+        0x13835024dac8f22b,
     ),
 ];
 
@@ -249,6 +253,20 @@ fn run_checkpointed(cfg: ScenarioConfig) -> (RunReport, Vec<SimSnapshot>) {
     (report, taken.into_inner().unwrap())
 }
 
+/// Assert that two runs' checkpoints, cut for cut, differ by nothing but
+/// their metrics sections: the same stations built, the same edges held.
+fn same_state(what: &str, taken: &[SimSnapshot], on_two: &[SimSnapshot]) {
+    assert_eq!(taken.len(), on_two.len(), "{what}: checkpoint count");
+    for (one, two) in taken.iter().zip(on_two) {
+        assert_eq!(
+            one.state_fingerprint(),
+            two.state_fingerprint(),
+            "{what}: state at {:?} on two shards",
+            one.time()
+        );
+    }
+}
+
 /// FNV-1a over the checkpoints' wire bytes, each without its config
 /// digest (which covers the execution mode) and envelope checksum.
 fn masked_digest(taken: &[SimSnapshot]) -> u64 {
@@ -262,35 +280,35 @@ fn masked_digest(taken: &[SimSnapshot]) -> u64 {
 
 /// `(variant, mobile, report digest, checkpoint-bytes digest, the same
 /// on two shards)`. The two checkpoint columns differ only because the
-/// metrics section carries the hot-path counters.
+/// metrics section carries the hot-path counters ([`same_state`]).
 const SPARSE_GOLDEN: [(Variant, bool, u64, u64, u64); 4] = [
     (
         Variant::Basic,
         false,
         0x57791553d294c5a6,
-        0xaae037e2796f09a7,
-        0xf5683346d53a8977,
+        0xd083109a9a3e5b9b,
+        0x2be2246234286e53,
     ),
     (
         Variant::Pcmac,
         false,
         0x1e2bb596d73d9009,
-        0xb8c696d2acec0fa1,
-        0x1b498e650d8505f5,
+        0x7ddda0287756d0a3,
+        0x49aef386d4385b0f,
     ),
     (
         Variant::Basic,
         true,
         0x9a03d625e67ab61d,
-        0xd2aa087e56e1115,
-        0x46ea9b249875b1d,
+        0x7c4cc2348d172fe5,
+        0x852e4e591ddf0f19,
     ),
     (
         Variant::Pcmac,
         true,
         0x5913ddde7925739a,
-        0xaaddb7f27a1ca109,
-        0x309d0b8ae4582c63,
+        0x80f346516cec00e7,
+        0xed5bbcc2123bc75f,
     ),
 ];
 
@@ -313,6 +331,7 @@ fn sparse_fields_report_checkpoint_and_resume_as_recorded() {
 
         let (on_two, taken_on_two) = run_checkpointed(sharded(cfg.clone()));
         assert_eq!(report_digest(&on_two), report, "{what}: sharded report");
+        same_state(&what, &taken, &taken_on_two);
         assert_eq!(
             masked_digest(&taken_on_two),
             snaps_on_two,
@@ -381,19 +400,20 @@ const ENERGY_BUDGET_MJ: f64 = 4.0;
 
 /// `(variant, report digest, checkpoint-bytes digest, the same on two
 /// shards)` of the [`faulted`] scenario. The two checkpoint columns
-/// differ only because the metrics section carries the hot-path counters.
+/// differ only because the metrics section carries the hot-path counters
+/// ([`same_state`]).
 const FAULTED_GOLDEN: [(Variant, u64, u64, u64); 2] = [
     (
         Variant::Pcmac,
         0xf8cf421cdb183094,
-        0x9d823813e2183ff2,
-        0xcdab9d01e63e0752,
+        0x8b7c026a8e89c672,
+        0xcf8dee05afe8fab4,
     ),
     (
         Variant::Basic,
         0x8bb5c8a79c352656,
-        0xa6c0c7a0abbc7535,
-        0x294c40e3694f689b,
+        0x7a1e132a3de8fca4,
+        0xb665df30d4a81f66,
     ),
 ];
 
@@ -428,6 +448,7 @@ fn faulted_runs_report_checkpoint_and_resume_as_recorded() {
             snaps_on_two,
             "{variant:?}: checkpoint bytes digest on two shards"
         );
+        same_state(&format!("{variant:?}"), &taken, &taken_on_two);
 
         let first = taken.first().expect("a 3 s run crosses the 250 ms grid");
         let mid = &taken[taken.len() / 2];

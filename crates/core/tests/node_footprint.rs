@@ -30,8 +30,9 @@ use pcmac_aodv::AodvConfig;
 use pcmac_engine::{
     Duration, FlowId, Milliwatts, NodeId, PacketId, Point, RngStream, SimTime, VecMap,
 };
-use pcmac_mac::{CtrlFrame, MacConfig};
+use pcmac_mac::MacConfig;
 use pcmac_net::Packet;
+use pcmac_phy::RxRow;
 use pcmac_stats::Histogram;
 use pcmac_traffic::FlowStats;
 
@@ -200,8 +201,9 @@ fn a_node_costs_what_it_uses() {
     // Hearing a transmission allocates nothing, ever: what is on the air
     // at a station is a sum and a count in its 32-byte receive row, and
     // the control channel has rows only where something can radiate on
-    // it, each beside the slot for the broadcast it may lock onto — a
-    // PCMAC field is a Basic field plus exactly those two arrays.
+    // it — a PCMAC field is a Basic field plus exactly that array. The
+    // broadcast a control row locks onto is kept only while it is locked,
+    // so a field nobody has heard yet carries none.
     let built = |cfg| {
         let (base, _) = live();
         let sim = Simulator::new(cfg);
@@ -209,13 +211,12 @@ fn a_node_costs_what_it_uses() {
         drop(sim);
         built - base
     };
-    let ctrl_bytes = 32 + std::mem::size_of::<Option<CtrlFrame>>();
-    assert_eq!(ctrl_bytes, 72);
+    let ctrl_bytes = std::mem::size_of::<RxRow>();
+    assert_eq!(ctrl_bytes, 32);
     assert_eq!(
         built(field(Variant::Pcmac, 11)) - built(field(Variant::Basic, 11)),
         ctrl_bytes * NODES,
-        "control-channel rows and locked broadcasts: {ctrl_bytes} B per node under PCMAC, \
-         none under Basic"
+        "control-channel rows: {ctrl_bytes} B per node under PCMAC, none under Basic"
     );
 
     // --- an untouched station: its hot arrays and an empty slot ---------

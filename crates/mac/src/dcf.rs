@@ -339,12 +339,6 @@ impl DcfMac {
         self.current.is_some() || self.t_defer.is_armed() || self.t_backoff.is_armed()
     }
 
-    /// What the latest carrier edge left here: the physical carrier bit
-    /// and the noise last measured.
-    pub fn carrier(&self) -> (bool, Milliwatts) {
-        (self.phys_busy, self.power.noise())
-    }
-
     /// Current interface-queue occupancy.
     pub fn queue_len(&self) -> usize {
         self.queue.len() + usize::from(self.current.is_some())

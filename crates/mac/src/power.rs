@@ -184,11 +184,6 @@ impl PowerControl {
         self.noise = noise;
     }
 
-    /// The noise last measured.
-    pub(crate) fn noise(&self) -> Milliwatts {
-        self.noise
-    }
-
     /// The noise an RTS advertises: PCMAC's alone.
     pub(crate) fn advertised_noise(&self, cfg: &MacConfig) -> Option<Milliwatts> {
         cfg.variant.is_pcmac().then_some(self.noise)

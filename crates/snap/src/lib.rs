@@ -34,13 +34,14 @@ pub const MAGIC: [u8; 4] = *b"PCSN";
 /// versions are rejected with [`SnapError::BadVersion`] rather than
 /// misread.
 ///
-/// Version 5: every section holds run-time state only, and restore
-/// overwrites that state in the components the scenario builds. A
-/// traffic source is its next emission, its count and its arrival
-/// process's run state, a waypoint model its RNG and current leg; the
-/// configuration of each comes from the scenario. Versions 1 to 4 are
-/// refused; README's checkpoint section keeps their history.
-pub const VERSION: u32 = 5;
+/// Version 6: every section holds run-time state only, as the run holds
+/// it, and restore overwrites that state in the components the scenario
+/// builds. A station is its receive rows, the carrier edge held back
+/// from its MAC and its locked broadcast, then its cold state only if
+/// the run built it; a pending event is its time and content, ranked on
+/// restore. Versions 1 to 5 are refused; README's checkpoint section
+/// keeps their history.
+pub const VERSION: u32 = 6;
 
 /// Everything that can go wrong reading a snapshot. All variants are
 /// recoverable by design: a caller falls back to recomputing from
@@ -320,11 +321,6 @@ impl<'a> SnapReader<'a> {
     pub fn blob(&mut self) -> Result<Vec<u8>, SnapError> {
         let n = self.len_prefix()?;
         Ok(self.take(n)?.to_vec())
-    }
-
-    /// The bytes not read yet.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
     }
 
     /// `true` when the whole payload has been consumed.
@@ -637,9 +633,9 @@ mod tests {
         let mut w = SnapWriter::new();
         w.u64(7);
         let mut bytes = w.finish();
-        // Every earlier version, version 4 among them, and one from the
+        // Every earlier version, version 5 among them, and one from the
         // future.
-        const { assert!(VERSION > 4) };
+        const { assert!(VERSION > 5) };
         for version in (1..VERSION).chain([0xEE]) {
             let mut wrong_version = bytes.clone();
             wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
