@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use pcmac::{MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
 use pcmac_campaign::{
     bisect_configs, cli, dashboard, figures, run_campaign, run_campaign_with, Axis, CampaignSpec,
-    ExecutionSpec, MetricsArtifact, RunOptions, ScenarioSpec, SpecError,
+    MetricsArtifact, RunOptions, ScenarioSpec, SpecError,
 };
 use pcmac_stats::{ascii_plot, series::to_csv, Series};
 
@@ -24,7 +24,7 @@ usage: pcmac-campaign <command> [args]
 
 commands:
   run <campaign.json> [--threads N] [--out FILE] [--timeout SECS]
-                      [--duration SECS] [--fresh] [--metrics] [--shards N]
+                      [--duration SECS] [--fresh] [--metrics]
                       [--checkpoint-interval SECS]
         expand the campaign, run every point x seed in parallel, print the
         aggregated table, then one row per executed run with its MAC and
@@ -38,12 +38,8 @@ commands:
         without aborting the sweep. --metrics turns on the observability
         layer for every run (behaviour-identical; see the README's
         Observability section) and additionally writes
-        METRICS_<name>.json with the per-run metrics. --shards runs every
-        scenario on the region-sharded parallel engine (bit-identical to
-        single-threaded; supplies a 10 us delay floor when the spec sets
-        none, so only specs already carrying a floor are comparable to
-        their unsharded runs); a sharded run counts as that many of the
-        --threads. --checkpoint-interval additionally
+        METRICS_<name>.json with the per-run metrics. Every run executes
+        on one thread. --checkpoint-interval additionally
         checkpoints every in-progress run's simulator state that often
         (simulated seconds) into a sidecar <out>.ckpt/ directory, so a
         killed campaign resumes mid-run from the newest checkpoint
@@ -68,9 +64,8 @@ commands:
         single ScenarioSpec, and report every file; exit 0 when all are
         clean, 1 with each file's aggregated defect list, one problem
         per line
-  scenario <scenario.json> [--seed S] [--shards N]
-        materialize and run a single ScenarioSpec (default seed 1;
-        --shards as for `run`). A
+  scenario <scenario.json> [--seed S]
+        materialize and run a single ScenarioSpec (default seed 1). A
         spec with a `metrics` section reports its observability metrics;
         one with a `trace` section also writes TRACE_<name>.txt
   bisect <a.json> <b.json> [--seed S] [--interval SECS]
@@ -94,7 +89,9 @@ commands:
         it the metric is printed as unresolved); METRICS events/sec more
         than --band percent (default 20) below the baseline
   example
-        print a starter campaign spec (pipe into a .json file to begin)";
+        print a starter campaign spec (pipe into a .json file to begin)
+
+Any other --flag is an error.";
 
 /// What is invalid, then its defects, one per line.
 fn invalid(what: &str, e: SpecError) -> String {
@@ -103,25 +100,6 @@ fn invalid(what: &str, e: SpecError) -> String {
 
 fn read_spec(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// Apply `--shards N` (N ≥ 1), if present, to a spec: switch it onto
-/// the region-sharded engine, supplying the default 10 µs delay floor
-/// when the spec sets none (the floor is the engine's lookahead and is
-/// mandatory for sharded runs; it must stay below the 20 µs slot time
-/// or the MAC's two-slot timeout grace is exhausted and every handshake
-/// fails).
-fn override_shards(spec: &mut ScenarioSpec, args: &[String]) -> Result<(), String> {
-    let Some(shards) = cli::try_flag::<usize>(args, "--shards")? else {
-        return Ok(());
-    };
-    if shards == 0 {
-        return Err("--shards 0: need at least one region shard".into());
-    }
-    let execution = spec.execution.get_or_insert_with(ExecutionSpec::default);
-    execution.shards = Some(shards);
-    execution.delay_floor_us.get_or_insert(10.0);
-    Ok(())
 }
 
 /// When `flag` is on the command line, write `contents()` to the path
@@ -151,13 +129,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
     let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    // Both overrides apply to the spec before it expands, so an axis
-    // on the same knob still wins and the dispatcher sees every
-    // cell's real width.
     if let Some(d) = cli::try_flag::<f64>(args, "--duration")? {
         spec.duration_s = Some(d);
     }
-    override_shards(&mut spec.base, args)?;
     spec.validate().map_err(|e| invalid(path, e))?;
     let threads = cli::try_flag(args, "--threads")?.unwrap_or(0usize);
     let timeout = cli::try_flag::<f64>(args, "--timeout")?.map(std::time::Duration::from_secs_f64);
@@ -424,8 +398,7 @@ fn validate_file(path: &str) -> Result<String, String> {
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let text = read_spec(path)?;
-    let mut spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    override_shards(&mut spec, args)?;
+    let spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let seed = cli::try_flag(args, "--seed")?.unwrap_or(1u64);
     let cfg = spec.materialize(seed).map_err(|e| invalid(path, e))?;
     eprintln!(
@@ -560,18 +533,50 @@ fn cmd_example() -> Result<(), String> {
     Ok(())
 }
 
+/// A subcommand: what runs it, and the flags it takes.
+type Command = (fn(&[String]) -> Result<(), String>, &'static [&'static str]);
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("figures") => cmd_figures(&args[1..]),
-        Some("expand") => cmd_expand(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("scenario") => cmd_scenario(&args[1..]),
-        Some("bisect") => cmd_bisect(&args[1..]),
-        Some("dashboard") => cmd_dashboard(&args[1..]),
-        Some("example") => cmd_example(),
-        _ => Err(USAGE.to_string()),
+    let command: Option<Command> = match args.first().map(String::as_str) {
+        Some("run") => Some((
+            cmd_run,
+            &[
+                "--threads",
+                "--out",
+                "--timeout",
+                "--duration",
+                "--fresh",
+                "--metrics",
+                "--checkpoint-interval",
+            ],
+        )),
+        Some("figures") => Some((
+            cmd_figures,
+            &[
+                "--full",
+                "--secs",
+                "--seeds",
+                "--loads",
+                "--threads",
+                "--json",
+                "--campaign-json",
+            ],
+        )),
+        Some("expand") => Some((cmd_expand, &[])),
+        Some("validate") => Some((cmd_validate, &[])),
+        Some("scenario") => Some((cmd_scenario, &["--seed"])),
+        Some("bisect") => Some((cmd_bisect, &["--seed", "--interval"])),
+        Some("dashboard") => Some((cmd_dashboard, &["--baseline", "--band", "--out"])),
+        Some("example") => Some((|_| cmd_example(), &[])),
+        _ => None,
+    };
+    let result = match command {
+        Some((run, flags)) => {
+            let rest = &args[1..];
+            cli::check_flags(rest, flags).and_then(|()| run(rest))
+        }
+        None => Err(USAGE.to_string()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

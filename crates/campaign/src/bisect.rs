@@ -175,17 +175,13 @@ fn replay(cfg: &ScenarioConfig, from: Option<&SimSnapshot>) -> Vec<(SimTime, u12
 }
 
 /// Localize the first divergence between two scenarios that should be
-/// bit-identical. Both are forced onto the single-threaded engine (the
-/// replay observer sees the canonical dispatch order there; sharded
-/// runs are bit-identical to it anyway, so nothing is lost).
+/// bit-identical. Both run on one thread, as every hooked or observed
+/// run does, so the replay observer sees the canonical dispatch order.
 pub fn bisect_configs(
-    mut cfg_a: ScenarioConfig,
-    mut cfg_b: ScenarioConfig,
+    cfg_a: ScenarioConfig,
+    cfg_b: ScenarioConfig,
     interval: Duration,
 ) -> BisectReport {
-    cfg_a.execution = None;
-    cfg_b.execution = None;
-
     let snaps_a = grid_snapshots(&cfg_a, interval);
     let snaps_b = grid_snapshots(&cfg_b, interval);
     let cuts = snaps_a.len().min(snaps_b.len());

@@ -2,11 +2,32 @@
 //!
 //! These helpers parse the target type directly (no detour through
 //! `f64`, which truncates fractional input and any seed above 2⁵³) and
-//! treat a present-but-malformed value, or an unparseable list element,
-//! as an error naming the flag; nothing here exits the process.
+//! treat a present-but-malformed value, an unparseable list element or a
+//! flag the subcommand does not take as an error naming the flag;
+//! nothing here exits the process.
 
 use std::fmt::Display;
 use std::str::FromStr;
+
+/// Refuse any `--…` argument that is not one of `known`, the flags a
+/// subcommand takes: a misspelt or retired flag would otherwise run
+/// something other than what was asked for.
+pub fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    else {
+        return Ok(());
+    };
+    Err(if known.is_empty() {
+        format!("unknown flag {flag}: this command takes no flags")
+    } else {
+        format!(
+            "unknown flag {flag}: this command takes {}",
+            known.join(", ")
+        )
+    })
+}
 
 /// The raw value following `--flag`, if the flag is present.
 pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -80,6 +101,22 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_named_with_the_accepted_ones() {
+        let known = ["--seed", "--interval"];
+        assert_eq!(check_flags(&args("a.json --seed 7"), &known), Ok(()));
+        assert_eq!(
+            check_flags(&args("a.json --sed 7"), &known),
+            Err("unknown flag --sed: this command takes --seed, --interval".into())
+        );
+        assert_eq!(
+            check_flags(&args("a.json --fresh"), &[]),
+            Err("unknown flag --fresh: this command takes no flags".into())
+        );
+        // Values and positional arguments are not flags.
+        assert_eq!(check_flags(&args("a.json -5 -"), &[]), Ok(()));
     }
 
     #[test]

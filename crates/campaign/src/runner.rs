@@ -403,9 +403,6 @@ where
 
     struct InFlight {
         id: usize,
-        /// OS threads the run occupies: its shard count, clamped to
-        /// the budget so one wide run still starts (alone).
-        weight: usize,
         deadline: Option<Instant>,
         cancel: CancelToken,
         handle: std::thread::JoinHandle<()>,
@@ -422,17 +419,12 @@ where
     let mut resolved_jobs = 0usize;
 
     while resolved_jobs < jobs.len() {
-        // Keep the thread budget full, in thread units: a sharded run
-        // spawns its shard count of workers inside the run, so it
-        // debits that many. Materialization failures resolve
-        // immediately (no thread) as Invalid.
-        while next_job < jobs.len() {
+        // Keep the thread budget full, one thread per run.
+        // Materialization failures resolve immediately (no thread) as
+        // Invalid.
+        while next_job < jobs.len() && in_flight.len() < threads {
             let id = next_job;
             let job = jobs[id];
-            let weight = grid.cells[job.cell].spec.shards().clamp(1, threads);
-            if in_flight.iter().map(|f| f.weight).sum::<usize>() + weight > threads {
-                break;
-            }
             next_job += 1;
             match grid.cells[job.cell].spec.materialize(job.seed) {
                 Err(e) => {
@@ -459,7 +451,6 @@ where
                     });
                     in_flight.push(InFlight {
                         id,
-                        weight,
                         deadline: opts.timeout.map(|t| Instant::now() + t),
                         cancel,
                         handle,

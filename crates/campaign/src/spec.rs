@@ -53,8 +53,8 @@
 //! problems of both layers.
 
 use pcmac::{
-    ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup, ScenarioConfig,
-    ShadowingConfig, TraceFilter, Variant,
+    FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup, ScenarioConfig, ShadowingConfig,
+    TraceFilter, Variant,
 };
 use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
@@ -343,18 +343,14 @@ impl AodvSpec {
     }
 }
 
-/// Execution-strategy overlay: how the event loop runs, not what it
-/// simulates. `shards: None` keeps the single-threaded reference;
-/// `Some(n)` runs the region-sharded engine on `n` worker threads
-/// (bit-identical results either way). The delay floor applies in both
-/// modes — it is the sharded engine's conservative lookahead, and
-/// setting it on single-threaded runs keeps them comparable.
+/// Execution overlay. Every campaign run executes on one thread (one
+/// scenario per core is the campaign's parallelism); what is left here
+/// is the propagation-delay floor, which is physics: it quantizes
+/// short-range delays, so only runs sharing it are comparable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionSpec {
-    /// Region-shard (worker thread) count; `None` = single-threaded.
-    pub shards: Option<usize>,
     /// Minimum propagation delay in microseconds, applied to every
-    /// arrival. Required whenever `shards` is set.
+    /// arrival.
     pub delay_floor_us: Option<f64>,
 }
 
@@ -478,9 +474,8 @@ pub struct ScenarioSpec {
     /// asks the scenario runner to attach a [`pcmac::TraceWriter`] with
     /// this filter and write the trace next to the report.
     pub trace: Option<TraceFilter>,
-    /// Execution-strategy overlay (region-sharded parallel runs and the
-    /// propagation-delay floor). `None` (or an omitted JSON field) keeps
-    /// the single-threaded reference with exact speed-of-light delays.
+    /// Execution overlay (the propagation-delay floor). `None` (or an
+    /// omitted JSON field) keeps exact speed-of-light delays.
     pub execution: Option<ExecutionSpec>,
 }
 
@@ -531,13 +526,6 @@ impl ScenarioSpec {
             .and_then(|()| from_tree(&tree).map_err(|e| e.0))
             .map(|patched| *self = patched)
             .map_err(|e| SpecError::one(format!("patch `{path}`: {e}")))
-    }
-
-    /// OS threads one run of this spec occupies: its region-shard count
-    /// (1 when single-threaded) — what [`ScenarioConfig::shards`] reads
-    /// once materialized.
-    pub fn shards(&self) -> usize {
-        self.execution.and_then(|e| e.shards).unwrap_or(1).max(1)
     }
 
     /// The node count this spec materializes (resolving density- and
@@ -926,10 +914,7 @@ impl ScenarioSpec {
             shadowing: self.shadowing,
             faults: self.faults.clone(),
             metrics: self.metrics,
-            execution: self
-                .execution
-                .and_then(|e| e.shards)
-                .map(|shards| ExecutionMode::Sharded { shards }),
+            execution: None,
             delay_floor_us: self.execution.and_then(|e| e.delay_floor_us),
         }
     }

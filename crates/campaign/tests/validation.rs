@@ -461,7 +461,6 @@ fn full_spec() -> ScenarioSpec {
         traffic: true,
     });
     s.execution = Some(ExecutionSpec {
-        shards: None,
         delay_floor_us: Some(10.0),
     });
     s
@@ -571,7 +570,6 @@ fn hostile_patches_validate_exactly_when_they_run() {
     ];
     whole.extend(patterns.iter().map(|p| ("traffic.pattern", p.to_value())));
     whole.extend([FlowShape::Cbr, FlowShape::Poisson].map(|s| ("traffic.shape", s.to_value())));
-    whole.push(("execution.shards", Value::U64(2)));
     samples.extend(whole.into_iter().map(|(p, v)| (p.to_string(), v)));
     let wrong_kinds = [
         Value::Null,
@@ -667,50 +665,49 @@ fn inputs_that_validated_then_hung_or_panicked_are_rejected() {
     }
 }
 
+/// Campaign runs execute on one thread: a scenario or campaign file that
+/// still asks for region shards is refused like any other unknown key,
+/// by its path.
 #[test]
-fn execution_overlay_defects_are_rejected() {
+fn execution_shards_is_an_unknown_key() {
+    let fixture = include_str!("../../../benchmark/fixtures/churn_observed.json");
+    let sharded = fixture.replacen(
+        "\"metrics\"",
+        "\"execution\": { \"shards\": 2, \"delay_floor_us\": 10.0 },\n  \"metrics\"",
+        1,
+    );
+    let msg = ScenarioSpec::from_json(&sharded).unwrap_err().to_string();
+    assert!(
+        msg.contains("unknown key `execution.shards`") && msg.contains("`delay_floor_us`"),
+        "{msg}"
+    );
+    let sweep = include_str!("../../../examples/paper_load_sweep.json");
+    let in_base = sweep.replacen(
+        "\"shadowing\"",
+        "\"execution\": { \"shards\": 2 },\n    \"shadowing\"",
+        1,
+    );
+    let msg = CampaignSpec::from_json(&in_base).unwrap_err().to_string();
+    assert!(msg.contains("unknown key `base.execution.shards`"), "{msg}");
+}
+
+/// The execution overlay carries the delay floor alone: it materializes
+/// into the scenario's floor, single-threaded, and a bad floor is a
+/// defect.
+#[test]
+fn execution_overlay_sets_only_the_delay_floor() {
     let mut s = valid_spec();
     s.execution = Some(ExecutionSpec {
-        shards: Some(0),
         delay_floor_us: Some(10.0),
     });
-    assert_problem(&s, "zero shards");
+    let cfg = s.materialize(1).expect("floored spec materializes");
+    assert_eq!(cfg.execution, None);
+    assert_eq!(cfg.delay_floor_us, Some(10.0));
 
-    let mut s = valid_spec();
     s.execution = Some(ExecutionSpec {
-        shards: Some(4),
-        delay_floor_us: None,
-    });
-    assert_problem(&s, "delay_floor_us");
-
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: Some(4),
         delay_floor_us: Some(-1.0),
     });
     assert_problem(&s, "delay floor");
-}
-
-#[test]
-fn execution_overlay_materializes_into_sharded_config() {
-    use pcmac::ExecutionMode;
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: Some(2),
-        delay_floor_us: Some(10.0),
-    });
-    let cfg = s.materialize(1).expect("sharded spec materializes");
-    assert_eq!(cfg.execution, Some(ExecutionMode::Sharded { shards: 2 }));
-    assert_eq!(cfg.delay_floor_us, Some(10.0));
-    // Floor without shards: a comparable single-threaded run.
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: None,
-        delay_floor_us: Some(10.0),
-    });
-    let cfg = s.materialize(1).expect("floored single spec materializes");
-    assert_eq!(cfg.execution, None);
-    assert_eq!(cfg.delay_floor_us, Some(10.0));
 }
 
 #[test]

@@ -282,9 +282,6 @@ pub(crate) struct Transmission {
     pub(crate) start: SimTime,
     pub(crate) end: SimTime,
     pub(crate) payload: Payload,
-    /// Global `(time, rank)` of the transmitting event, for the
-    /// receiver-side down-state cull of shipped arrivals.
-    pub(crate) cause: (SimTime, u128),
 }
 
 impl Transmission {
@@ -309,8 +306,6 @@ pub(crate) struct Shipment {
     pub(crate) power: Milliwatts,
     pub(crate) end: SimTime,
     pub(crate) payload: Payload,
-    /// [`Transmission::cause`].
-    pub(crate) tx: (SimTime, u128),
 }
 
 /// What the simulator's event queue holds: an event, or a cursor over
@@ -1157,12 +1152,11 @@ impl Channel {
     /// Put `tx` on the air: every receiver above the interference floor
     /// hears it after its propagation delay — found by walking the
     /// transmitter's stored row where static rows are kept, by pricing
-    /// its candidates otherwise. An owned receiver that is crashed
-    /// (`down`) hears nothing. Receivers this simulator dispatches join
-    /// one fan-out walked by two queue cursors (`2·K` logical events, two
+    /// its candidates otherwise. A receiver that is crashed (`down`)
+    /// hears nothing. Receivers this simulator dispatches join one
+    /// fan-out walked by two queue cursors (`2·K` logical events, two
     /// entries); receivers another region owns are shipped to it as
-    /// ready-made arrival pairs, which the owner culls against its
-    /// authoritative down-state at our send instant when it drains.
+    /// ready-made arrival pairs (a sharded run carries no fault plan).
     pub(crate) fn radiate(
         &mut self,
         tx: Transmission,
@@ -1314,9 +1308,8 @@ fn sort_receivers(rx: &mut [Receiver]) {
 }
 
 /// Hand audible receiver `r` its arrival pair of `tx`: shipped to the
-/// region that owns it — which culls it against its own authoritative
-/// down-state — or kept for this simulator's fan-out unless it is
-/// crashed (`down`) right now. Returns whether it is kept.
+/// region that owns it, or kept for this simulator's fan-out unless it
+/// is crashed (`down`) right now. Returns whether it is kept.
 #[inline]
 fn deliver_here(
     tx: &Transmission,
@@ -1334,7 +1327,6 @@ fn deliver_here(
                 power: r.power,
                 end: tx.end + r.delay(),
                 payload: tx.payload.clone(),
-                tx: tx.cause,
             });
             false
         }
@@ -1470,15 +1462,14 @@ mod tests {
     use pcmac_engine::{Duration, FlowId, NodeId, Point, SimTime};
     use pcmac_mac::Variant;
 
-    use crate::config::{ExecutionMode, FlowSpec, NodeSetup, ScenarioConfig};
+    use crate::config::{FlowSpec, NodeSetup, ScenarioConfig};
     use crate::fault::{CrashWindow, FaultConfig, ImpairmentBurst};
     use crate::report::RunReport;
     use crate::{SimEvent, SimSnapshot, Simulator};
 
     /// Eight static stations at unequal spacings (so one transmission's
     /// arrivals land at distinct instants), two PCMAC flows — data and
-    /// control-channel fan-outs both occur — and a 50 ns delay floor so
-    /// the scenario also runs sharded.
+    /// control-channel fan-outs both occur — and a 50 ns delay floor.
     fn scenario(faulted: bool) -> ScenarioConfig {
         let mut cfg = ScenarioConfig::two_nodes(Variant::Pcmac, 100.0, 300_000.0, 9)
             .with_duration(Duration::from_secs(2));
@@ -1594,18 +1585,10 @@ mod tests {
             }
             assert_eq!(listed, fired, "faulted = {faulted}");
 
-            // Through the wire format and back, under both executions.
+            // Through the wire format and back.
             let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("round trip");
-            for shards in [None, Some(2)] {
-                let mut cfg = cfg.clone();
-                cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
-                let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
-                assert_eq!(
-                    fingerprint(resumed),
-                    reference,
-                    "faulted = {faulted}, shards = {shards:?}"
-                );
-            }
+            let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
+            assert_eq!(fingerprint(resumed), reference, "faulted = {faulted}");
         }
     }
 
@@ -1699,27 +1682,18 @@ mod tests {
                 mid_walk.len()
             );
 
-            // Each of those cuts resumes to the uninterrupted report; the
-            // last two also sharded (cheapest to finish), whose 50 ns
-            // windows end mid-fan-out as well.
-            for (k, bytes) in mid_walk.iter().enumerate() {
+            // Each of those cuts resumes to the uninterrupted report.
+            for bytes in &mid_walk {
                 let snap = SimSnapshot::from_bytes(bytes).expect("round trip");
-                let modes: &[Option<usize>] = if k + 2 >= mid_walk.len() {
-                    &[None, Some(2)]
-                } else {
-                    &[None]
-                };
-                for &shards in modes {
-                    let mut cfg = cfg.clone();
-                    cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
-                    let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
-                    assert_eq!(
-                        fingerprint(resumed),
-                        reference,
-                        "faulted = {faulted}, shards = {shards:?}, cut = {:?}",
-                        snap.time()
-                    );
-                }
+                let resumed = Simulator::restore(cfg.clone(), &snap)
+                    .expect("restores")
+                    .run();
+                assert_eq!(
+                    fingerprint(resumed),
+                    reference,
+                    "faulted = {faulted}, cut = {:?}",
+                    snap.time()
+                );
             }
         }
     }
@@ -1776,8 +1750,7 @@ mod tests {
     /// grid cut of the hooked run equals stepping there and capturing; a
     /// restore holds the held edges and rows in company the run held and
     /// captures the same bytes again; and cuts that held either kind of
-    /// state resume, single-threaded and sharded, to the uninterrupted
-    /// report.
+    /// state resume to the uninterrupted report.
     #[test]
     fn cuts_carry_held_carrier_edges_and_locked_rows_in_company() {
         use std::sync::Mutex;
@@ -1845,17 +1818,15 @@ mod tests {
             let spread = with_held.iter().step_by(stride);
             for bytes in spread.chain(with_company.iter().take(4)) {
                 let snap = SimSnapshot::from_bytes(bytes).expect("round trip");
-                for shards in [None, Some(2)] {
-                    let mut cfg = cfg.clone();
-                    cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
-                    let resumed = Simulator::restore(cfg, &snap).expect("restores").run();
-                    assert_eq!(
-                        fingerprint(resumed),
-                        reference,
-                        "{what}, shards = {shards:?}, cut = {:?}",
-                        snap.time()
-                    );
-                }
+                let resumed = Simulator::restore(cfg.clone(), &snap)
+                    .expect("restores")
+                    .run();
+                assert_eq!(
+                    fingerprint(resumed),
+                    reference,
+                    "{what}, cut = {:?}",
+                    snap.time()
+                );
             }
         }
     }

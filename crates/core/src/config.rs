@@ -95,7 +95,10 @@ pub enum ExecutionMode {
     /// event queue. Conservative barrier-epoch synchronization with
     /// lookahead equal to the propagation-delay floor
     /// ([`ScenarioConfig::delay_floor_us`], which must be set) makes the
-    /// run bit-identical to [`ExecutionMode::Single`].
+    /// run bit-identical to [`ExecutionMode::Single`]. Only a plain run
+    /// is sharded: [`Simulator::run`](crate::Simulator::run) of a freshly
+    /// built simulator whose scenario carries neither a fault plan nor
+    /// metrics. Every other run executes on one thread.
     Sharded {
         /// Number of region shards (threads). `1` is legal and runs the
         /// sharded machinery degenerately.
@@ -407,14 +410,6 @@ impl ScenarioConfig {
     /// Effective execution strategy (the default when unset).
     pub fn execution_mode(&self) -> ExecutionMode {
         self.execution.unwrap_or_default()
-    }
-
-    /// Number of region shards the run will use (1 in single mode).
-    pub fn shards(&self) -> usize {
-        match self.execution_mode() {
-            ExecutionMode::Single => 1,
-            ExecutionMode::Sharded { shards } => shards.max(1),
-        }
     }
 
     /// The propagation-delay floor as a duration (zero when unset).
@@ -777,7 +772,6 @@ mod tests {
         assert!(err.problems.iter().any(|p| p.contains("delay_floor_us")));
         c.delay_floor_us = Some(10.0);
         c.validate().expect("floor set: valid");
-        assert_eq!(c.shards(), 4);
         assert_eq!(c.delay_floor(), Duration::from_micros(10));
         // A floor at or past the 20 µs slot would eat the CTS/ACK
         // timeouts' two-slot round-trip grace and kill every handshake.

@@ -122,10 +122,8 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
-    /// The node an event addresses, if any. `None` for the replicated
-    /// global events (impairment edges, the metrics probe), which every
-    /// shard dispatches. Used by the dispatcher to sync the addressed
-    /// node's struct-of-arrays mirrors after handling the event.
+    /// The node an event addresses, if any. `None` for the global
+    /// events (impairment edges, the metrics probe).
     pub fn node_index(&self) -> Option<usize> {
         match self {
             SimEvent::ArrivalStart { node, .. }

@@ -5,9 +5,9 @@
 //! transient channel impairment bursts, and per-node energy budgets.
 //! Everything is derived from the master seed and the static schedule,
 //! so the same seed plus the same fault plan produces bit-identical
-//! reports on one thread or on region shards, and against the reference
-//! channel — the fault layer never touches positions or the spatial
-//! index. A `None` field of the plan injects nothing of its kind.
+//! reports on every rerun and against the reference channel — the fault
+//! layer never touches positions or the spatial index. A faulted run
+//! always executes on one thread. A `None` field of the plan injects nothing of its kind.
 //!
 //! The simulator keeps the layer's run-time state in a `FaultState`
 //! built from the plan; the state is also the layer's checkpoint
@@ -214,7 +214,7 @@ impl FaultConfig {
 /// or triggered by deterministic event-stream facts (energy budgets),
 /// and none of them touch positions or the spatial index — which is
 /// what keeps faulted runs bit-identical between the production channel
-/// and the reference scan, single-threaded or sharded.
+/// and the reference scan.
 ///
 /// Crash semantics: a down node schedules no arrivals (nothing it
 /// "sends" radiates), is skipped as a receiver (it hears nothing new),
@@ -255,11 +255,9 @@ pub(crate) struct FaultState {
     pub(crate) repairs_started: u64,
     pub(crate) repair_latency: pcmac_stats::StreamingQuantile,
     /// Phase-classification facts in processing order, each keyed by the
-    /// global `(time, rank)` of the event that produced it. Classifying
-    /// lazily at report time (instead of against a live, mutating fault
-    /// window) is what lets region shards — which each observe only their
-    /// own slice of the event stream — merge their facts into the exact
-    /// single-threaded counters: sort by key and replay.
+    /// `(time, rank)` of the event that produced it, classified lazily at
+    /// report time against the window the energy deaths among them
+    /// extend.
     pub(crate) records: Vec<(SimTime, u128, FaultRecord)>,
 }
 
@@ -284,14 +282,11 @@ pub(crate) enum FaultRecord {
 
 impl FaultState {
     /// Precompute `plan`'s entire crash / recover / impairment schedule
-    /// up front, from the master seed and the static plan alone, so the
-    /// injected events are identical whatever execution mode runs them.
-    /// Each event goes to `schedule`; crash and churn events only for
-    /// the nodes `owned` names, impairment edges always.
+    /// up front, from the master seed and the static plan alone, handing
+    /// each event to `schedule`.
     pub(crate) fn new(
         plan: &FaultConfig,
         cfg: &ScenarioConfig,
-        owned: impl Fn(usize) -> bool,
         mut schedule: impl FnMut(SimTime, SimEvent),
     ) -> FaultState {
         let n = cfg.nodes.count();
@@ -301,19 +296,12 @@ impl FaultState {
         let mut ends: Vec<f64> = Vec::new();
         if let Some(crashes) = &plan.crashes {
             for cw in crashes {
-                // The fault *window* is global — every shard derives
-                // identical phase boundaries — but the events
-                // themselves are owner-only.
                 let node = NodeId(cw.node);
-                if owned(cw.node as usize) {
-                    schedule(at(cw.at_s), SimEvent::NodeDown { node });
-                }
+                schedule(at(cw.at_s), SimEvent::NodeDown { node });
                 starts.push(cw.at_s);
                 match cw.recover_s {
                     Some(r) => {
-                        if owned(cw.node as usize) {
-                            schedule(at(r), SimEvent::NodeUp { node });
-                        }
+                        schedule(at(r), SimEvent::NodeUp { node });
                         ends.push(r.min(dur_s));
                     }
                     None => ends.push(dur_s),
@@ -326,7 +314,7 @@ impl FaultState {
             if w1 > w0 {
                 starts.push(w0);
                 ends.push(w1);
-                for i in (0..n).filter(|&i| owned(i)) {
+                for i in 0..n {
                     let mut rng = RngStream::derive_sub(cfg.seed, "faults.churn", i as u64);
                     let node = NodeId(i as u32);
                     let mut t = w0;
@@ -376,37 +364,15 @@ impl FaultState {
         }
     }
 
-    /// Merge per-shard fault states into the global one: per-node state is
-    /// taken from each node's owner, counters are summed in shard order,
-    /// and the classification records are merged by their global
-    /// `(time, rank)` keys (a stable sort, so same-shard facts from one
-    /// event keep their intra-event order; cross-shard key collisions are
-    /// impossible because a rank pins the event to one node). Open repair
-    /// observations are sorted by `(node, destination, first failure)`,
-    /// so a merged state is the same whichever lanes it came from — and
-    /// so are the checkpoint bytes written from it.
-    pub(crate) fn merge(mut parts: Vec<FaultState>, owner: &[u32]) -> FaultState {
-        let mut base = parts.remove(0);
-        for (k, part) in parts.into_iter().enumerate() {
-            let sid = k as u32 + 1;
-            for (i, &o) in owner.iter().enumerate() {
-                if o == sid {
-                    base.down[i] = part.down[i];
-                    base.committed_mj[i] = part.committed_mj[i];
-                    base.energy_dead[i] = part.energy_dead[i];
-                }
-            }
-            base.crashes += part.crashes;
-            base.recoveries += part.recoveries;
-            base.energy_deaths += part.energy_deaths;
-            base.repairs_started += part.repairs_started;
-            base.repair_latency.merge(&part.repair_latency);
-            base.pending_repairs.extend(part.pending_repairs);
-            base.records.extend(part.records);
-        }
-        base.pending_repairs.sort_unstable();
-        base.records.sort_by_key(|&(t, r, _)| (t, r));
-        base
+    /// This state in canonical order: open repair observations sorted by
+    /// `(node, destination, first failure)`, classification records by
+    /// their `(time, rank)` keys (a stable sort, so one event's facts keep
+    /// their order). A checkpoint writes this form and the report replays
+    /// it.
+    pub(crate) fn canonical(mut self) -> FaultState {
+        self.pending_repairs.sort_unstable();
+        self.records.sort_by_key(|&(t, r, _)| (t, r));
+        self
     }
 
     /// The resilience report of the run `plan` was injected into.
@@ -481,19 +447,8 @@ impl FaultState {
 
     /// Take `loaded`, a checkpoint's fault section, in place of this
     /// freshly built state, refusing it unless its node and burst counts
-    /// are this scenario's and its open repairs name its nodes. Per-node flags and the global impairment
-    /// products replicate everywhere (every lane needs them to
-    /// dispatch); cumulative counters, the latency sketch and the
-    /// classification records stay only on the `primary` lane
-    /// (single-threaded, or region shard 0) so the post-run merge sums
-    /// back to the uninterrupted totals. Open repair observations stay
-    /// on the lane owning their node per `shard` (`None` keeps them all).
-    pub(crate) fn restore(
-        &mut self,
-        loaded: &FaultState,
-        primary: bool,
-        shard: Option<(&[u32], u32)>,
-    ) -> Result<(), &'static str> {
+    /// are this scenario's and its open repairs name its nodes.
+    pub(crate) fn restore(&mut self, loaded: &FaultState) -> Result<(), &'static str> {
         let n = self.down.len();
         if [
             loaded.down.len(),
@@ -514,16 +469,6 @@ impl FaultState {
             return Err("fault repair node");
         }
         *self = loaded.clone();
-        self.pending_repairs
-            .retain(|&(node, _, _)| shard.is_none_or(|(owner, id)| owner[node as usize] == id));
-        if !primary {
-            self.crashes = 0;
-            self.recoveries = 0;
-            self.energy_deaths = 0;
-            self.repairs_started = 0;
-            self.repair_latency = pcmac_stats::StreamingQuantile::new();
-            self.records.clear();
-        }
         Ok(())
     }
 }

@@ -304,10 +304,8 @@ enum Fate {
     InFlight,
     /// Reached its destination sink.
     Delivered,
-    /// Dropped; the first recorded reason wins. The global `(time,
-    /// rank)` of the dropping event is kept so region shards — each of
-    /// which observes only the drops its own nodes perform — can agree
-    /// with the single-threaded run on *which* drop came first.
+    /// Dropped; the first recorded reason wins. The `(time, rank)` of
+    /// the dropping event travels with it in a checkpoint.
     Dropped {
         /// The first recorded reason.
         reason: Drop,
@@ -486,7 +484,7 @@ pub(crate) struct MetricsState {
     /// metrics-off run exactly.
     pub(crate) probes_scheduled: u64,
     /// Raw integer probe samples; the derived fractions are computed at
-    /// [`MetricsState::finish`], so per-shard samples sum exactly.
+    /// [`MetricsState::finish`].
     samples: Vec<RawSample>,
     sent: u64,
     delivered_cum: u64,
@@ -533,9 +531,8 @@ impl MetricsState {
 
     /// The packet reached its destination sink. Delivery is sticky: it
     /// overrides a previously recorded drop (a salvaged copy made it).
-    /// An unseen id is legal on a region shard (the source lives in
-    /// another region, so emission was registered there) and records the
-    /// delivery directly; callers filter routing control packets out.
+    /// An unseen id records the delivery directly; callers filter
+    /// routing control packets out.
     pub(crate) fn note_delivered(&mut self, id: PacketId) {
         match self.fates.entry(id.0) {
             Entry::Occupied(mut o) => {
@@ -555,9 +552,8 @@ impl MetricsState {
 
     /// The packet hit a terminal drop at the event keyed `(t, rank)`.
     /// Only the first reason sticks, and a delivered packet is never
-    /// reclassified. As with deliveries, an unseen id on a region shard
-    /// records the drop directly; [`MetricsState::merge`] keeps the
-    /// globally-first drop when several shards dropped copies.
+    /// reclassified. As with deliveries, an unseen id records the drop
+    /// directly.
     pub(crate) fn note_dropped(&mut self, id: PacketId, reason: Drop, t: SimTime, rank: u128) {
         match self.fates.entry(id.0) {
             Entry::Occupied(mut o) => {
@@ -608,137 +604,16 @@ impl MetricsState {
 
     /// Take `loaded`, a checkpoint's metrics section, in place of this
     /// freshly built state, refusing it unless its node and power-level
-    /// counts are this scenario's. Exactly one execution lane restores
-    /// as `primary` (the single-threaded run, or region shard 0) and
-    /// keeps the cumulative counters and samples; the other shards keep
-    /// zeros so the final [`MetricsState::merge`] sums back to the
-    /// uninterrupted totals. The probe count, per-packet fates and the
-    /// rx-overlap flags replicate everywhere: fate resolution is
-    /// idempotent under merge, and each shard needs the full map to
-    /// classify post-restore duplicate deliveries the same way an
-    /// uninterrupted run would.
-    pub(crate) fn restore(
-        &mut self,
-        loaded: &MetricsState,
-        primary: bool,
-    ) -> Result<(), &'static str> {
+    /// counts are this scenario's.
+    pub(crate) fn restore(&mut self, loaded: &MetricsState) -> Result<(), &'static str> {
         if loaded.rx_overlap.len() != self.rx_overlap.len() {
             return Err("metrics node count");
         }
         if loaded.data_tx_by_level.len() != self.data_tx_by_level.len() {
             return Err("metrics power-level count");
         }
-        *self = if primary {
-            loaded.clone()
-        } else {
-            MetricsState {
-                probes_scheduled: loaded.probes_scheduled,
-                // Zero-valued shadows at the captured instants keep the
-                // pairwise sample merge aligned.
-                samples: loaded
-                    .samples
-                    .iter()
-                    .map(|s| RawSample {
-                        t: s.t,
-                        live: 0,
-                        busy: 0,
-                        queue_sum: 0,
-                        sent_cum: 0,
-                        delivered_cum: 0,
-                    })
-                    .collect(),
-                fates: loaded.fates.clone(),
-                rx_overlap: loaded.rx_overlap.clone(),
-                ..MetricsState::new(self.rx_overlap.len(), self.data_tx_by_level.len())
-            }
-        };
+        *self = loaded.clone();
         Ok(())
-    }
-
-    /// Fold per-region-shard collection states into the global one.
-    /// Every integer is either a sum over shards (counters, raw probe
-    /// samples — each shard sampled only its own nodes at the same
-    /// instants) or a per-packet fate resolution: a delivery anywhere
-    /// wins (duplicates sum), else the globally-earliest drop by its
-    /// `(time, rank)` key — the one the single-threaded run recorded
-    /// first — else the packet is still in flight.
-    pub(crate) fn merge(mut parts: Vec<MetricsState>) -> MetricsState {
-        let mut base = parts.remove(0);
-        for part in parts {
-            debug_assert_eq!(base.samples.len(), part.samples.len());
-            for (a, b) in base.samples.iter_mut().zip(part.samples) {
-                debug_assert_eq!(a.t, b.t);
-                a.live += b.live;
-                a.busy += b.busy;
-                a.queue_sum += b.queue_sum;
-                a.sent_cum += b.sent_cum;
-                a.delivered_cum += b.delivered_cum;
-            }
-            base.sent += part.sent;
-            base.delivered_cum += part.delivered_cum;
-            base.duplicate_deliveries += part.duplicate_deliveries;
-            for (id, fate) in part.fates {
-                match base.fates.entry(id) {
-                    Entry::Vacant(v) => {
-                        v.insert(fate);
-                    }
-                    Entry::Occupied(mut o) => {
-                        let merged = match (*o.get(), fate) {
-                            (Fate::Delivered, _) | (_, Fate::Delivered) => Fate::Delivered,
-                            (
-                                Fate::Dropped {
-                                    reason: r1,
-                                    t: t1,
-                                    rank: k1,
-                                },
-                                Fate::Dropped {
-                                    reason: r2,
-                                    t: t2,
-                                    rank: k2,
-                                },
-                            ) => {
-                                if (t2, k2) < (t1, k1) {
-                                    Fate::Dropped {
-                                        reason: r2,
-                                        t: t2,
-                                        rank: k2,
-                                    }
-                                } else {
-                                    Fate::Dropped {
-                                        reason: r1,
-                                        t: t1,
-                                        rank: k1,
-                                    }
-                                }
-                            }
-                            (d @ Fate::Dropped { .. }, Fate::InFlight) => d,
-                            (Fate::InFlight, d @ Fate::Dropped { .. }) => d,
-                            (Fate::InFlight, Fate::InFlight) => Fate::InFlight,
-                        };
-                        o.insert(merged);
-                    }
-                }
-            }
-            base.phy.arrivals += part.phy.arrivals;
-            base.phy.decoded_ok += part.phy.decoded_ok;
-            base.phy.collided += part.phy.collided;
-            base.phy.capture_wins += part.phy.capture_wins;
-            base.phy.captured_away += part.phy.captured_away;
-            base.phy.below_rx_thresh += part.phy.below_rx_thresh;
-            base.phy.missed_while_tx += part.phy.missed_while_tx;
-            base.phy.impaired_arrivals += part.phy.impaired_arrivals;
-            for (a, b) in base.data_tx_by_level.iter_mut().zip(part.data_tx_by_level) {
-                *a += b;
-            }
-            base.data_tx_unclassified += part.data_tx_unclassified;
-            base.ctrl_tx += part.ctrl_tx;
-            base.hot.grid_queries += part.hot.grid_queries;
-            base.hot.grid_candidates += part.hot.grid_candidates;
-            base.hot.refresh_pops += part.hot.refresh_pops;
-            base.hot.exact_samples += part.hot.exact_samples;
-            base.hot.probes += part.hot.probes;
-        }
-        base
     }
 
     /// Fold the collected state into the serializable report section,
@@ -935,58 +810,6 @@ mod tests {
         assert_eq!(d.ttl_expired, 0);
         assert_eq!(d.in_flight_end, 2);
         assert!(d.conserved());
-    }
-
-    #[test]
-    fn unseen_ids_record_directly_for_shard_merge() {
-        // A sink shard delivers (or drops) packets whose emission was
-        // registered on the source's shard: the fate records without a
-        // prior `note_sent`, and `sent` is untouched.
-        let mut m = fresh();
-        m.note_delivered(PacketId(7));
-        drop_at(&mut m, 8, Drop::NoRoute, 5);
-        assert_eq!(m.sent, 0);
-        assert_eq!(m.delivered_cum, 1);
-        let s = finish(m);
-        assert_eq!(s.drops.delivered_unique, 1);
-        assert_eq!(s.drops.no_route, 1);
-    }
-
-    #[test]
-    fn merge_resolves_fates_and_sums_counters() {
-        // Shard A owns the source: registers emissions.
-        let mut a = fresh();
-        for id in 0..4u64 {
-            a.note_sent(PacketId(id));
-        }
-        drop_at(&mut a, 1, Drop::NoRoute, 100); // later drop of a copy
-        drop_at(&mut a, 2, Drop::TtlExpired, 50);
-        a.note_data_tx(1.0, LEVELS);
-        a.record_probe(SimTime::from_nanos(1_000), 2, 1, 3);
-        // Shard B owns the sink: sees deliveries and earlier drops.
-        let mut b = fresh();
-        b.note_delivered(PacketId(0));
-        b.note_delivered(PacketId(0)); // duplicate
-        drop_at(&mut b, 1, Drop::MacQueueFull, 60); // globally first
-        b.note_delivered(PacketId(2)); // delivery beats A's drop
-        b.note_data_tx(1.0, LEVELS);
-        b.record_probe(SimTime::from_nanos(1_000), 1, 1, 2);
-
-        let s = finish(MetricsState::merge(vec![a, b]));
-        let d = &s.drops;
-        assert_eq!(d.sent, 4);
-        assert_eq!(d.delivered_unique, 2);
-        assert_eq!(d.duplicate_deliveries, 1);
-        assert_eq!(d.mac_queue_full, 1, "earliest (time, rank) drop wins");
-        assert_eq!(d.no_route, 0);
-        assert_eq!(d.ttl_expired, 0);
-        assert_eq!(d.in_flight_end, 1);
-        assert!(d.conserved());
-        assert_eq!(s.tx_power.data_tx_by_level, vec![2]);
-        assert_eq!(s.samples.len(), 1);
-        assert_eq!(s.samples[0].live_nodes, 3);
-        assert_eq!(s.samples[0].busy_nodes, 2);
-        assert!((s.samples[0].mean_queue_len - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

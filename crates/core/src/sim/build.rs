@@ -48,8 +48,7 @@ fn source_for(spec: &FlowSpec, seed: u64) -> Source {
 }
 
 /// Every station's position at t = 0. The column partition of a sharded
-/// run reads these too, so a resumed run splits the field exactly as an
-/// uninterrupted one does.
+/// run reads these too.
 pub(super) fn start_positions(cfg: &ScenarioConfig) -> Vec<Point> {
     match &cfg.nodes {
         NodeSetup::UniformWaypoint { count, .. } => {
@@ -64,12 +63,11 @@ pub(super) fn start_positions(cfg: &ScenarioConfig) -> Vec<Point> {
 impl Simulator {
     /// Build the network of `cfg` — whole, or as shard `id` of a
     /// `shards`-way region run under `shard_plan = (id, shards, owner)`.
-    /// A shard is built directly in owner-only form: cold [`Node`]
-    /// state, traffic sources, and build-time events (first emissions,
-    /// crashes, churn) materialise only for owned nodes, and the spatial
-    /// index is pruned to the tracked set (owned + halo). Replicated
-    /// machinery (impairment bursts, the probe chain) is scheduled
-    /// everywhere.
+    /// A shard is built directly in owner-only form: cold [`Node`] state,
+    /// traffic sources and first emissions materialise only for owned
+    /// nodes, and the spatial index is pruned to the tracked set (owned +
+    /// halo). Only a plain run is sharded, so a shard's scenario carries
+    /// neither a fault plan nor metrics.
     ///
     /// `donor` recycles cold state from an already-built full replica's
     /// `nodes`: owned entries built there are *moved* in instead of
@@ -175,9 +173,14 @@ impl Simulator {
             home_node.sources.push(src);
         }
 
-        let faults = cfg.faults.as_ref().map(|plan| {
-            FaultState::new(plan, &cfg, owned, |at, ev| sched_into(&mut queue, at, ev))
-        });
+        assert!(
+            shard_plan.is_none() || (cfg.faults.is_none() && cfg.metrics.is_none()),
+            "only a plain run is sharded"
+        );
+        let faults = cfg
+            .faults
+            .as_ref()
+            .map(|plan| FaultState::new(plan, &cfg, |at, ev| sched_into(&mut queue, at, ev)));
 
         // Observability: the probe chain rides the ordinary event queue.
         // Probe events are pure reads, and their queue insertions only
@@ -221,7 +224,6 @@ impl Simulator {
                 id,
                 owner,
                 outbox: vec![Vec::new(); shards],
-                transitions: vec![Vec::new(); n],
             }
         });
 
@@ -236,7 +238,7 @@ impl Simulator {
             channel,
             cur: (SimTime::ZERO, 0),
             shard,
-            resume: None,
+            restored: false,
             sent_packets: 0,
             faults,
             metrics,

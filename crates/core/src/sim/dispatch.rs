@@ -246,8 +246,8 @@ impl Simulator {
                 self.node_mut(i).aodv.send(packet, now, &mut acts);
                 self.apply_aodv_actions(i, acts, now);
             }
-            SimEvent::NodeDown { node } => self.on_node_down(node.index(), now),
-            SimEvent::NodeUp { node } => self.on_node_up(node.index(), now),
+            SimEvent::NodeDown { node } => self.on_node_down(node.index()),
+            SimEvent::NodeUp { node } => self.on_node_up(node.index()),
             SimEvent::ImpairmentStart { index } => self.set_impairment(index, true),
             SimEvent::ImpairmentEnd { index } => self.set_impairment(index, false),
             SimEvent::MetricsProbe => self.on_metrics_probe(now),
@@ -522,11 +522,6 @@ impl Simulator {
         let mut busy = 0u64;
         let mut queue_sum = 0u64;
         for i in 0..self.hot.alive.len() {
-            // Each region shard samples its own nodes; the per-shard
-            // integer sums add up to exactly the single-threaded sample.
-            if !self.owns(i) {
-                continue;
-            }
             // The probe is the natural audit point for the liveness
             // mirror: debug builds cross-check it against the fault state.
             debug_assert_eq!(
@@ -571,12 +566,8 @@ impl Simulator {
 
     /// Apply a `NodeDown`: from here on the node schedules no arrivals,
     /// is skipped as a receiver, and accrues no transmit energy. See
-    /// [`FaultState`] for the full crash semantics. In a sharded run the
-    /// transition is also logged under its global `(time, rank)` so
-    /// neighbouring regions' in-flight transmissions can be culled
-    /// against the exact down-state at their send instant.
-    fn on_node_down(&mut self, i: usize, now: SimTime) {
-        let rank = self.cur.1;
+    /// [`FaultState`] for the full crash semantics.
+    fn on_node_down(&mut self, i: usize) {
         let Some(fs) = &mut self.faults else { return };
         if fs.down[i] {
             return; // a scheduled crash overlapping churn: already down
@@ -584,14 +575,11 @@ impl Simulator {
         fs.down[i] = true;
         fs.crashes += 1;
         self.hot.alive[i] = false;
-        if let Some(ctx) = &mut self.shard {
-            ctx.transitions[i].push((now, rank, true));
-        }
     }
 
     /// Apply a `NodeUp`. Exhausted energy budgets are permanent: a
     /// churn recovery scheduled for later cannot resurrect the node.
-    fn on_node_up(&mut self, i: usize, now: SimTime) {
+    fn on_node_up(&mut self, i: usize) {
         let expire = {
             let (Some(fs), Some(plan)) = (&mut self.faults, &self.cfg.faults) else {
                 return;
@@ -604,9 +592,6 @@ impl Simulator {
             plan.expire_routes == Some(true)
         };
         self.hot.alive[i] = true;
-        if let Some(ctx) = &mut self.shard {
-            ctx.transitions[i].push((now, self.cur.1, false));
-        }
         if expire {
             // Reboot semantics: routing state is volatile and is lost
             // with the node; the experimenter's counters survive.
@@ -931,7 +916,6 @@ impl Simulator {
             start: now,
             end,
             payload,
-            cause: self.cur,
         };
         self.channel.radiate(
             tx,

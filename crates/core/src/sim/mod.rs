@@ -20,11 +20,11 @@
 //! - `dispatch` — the event loop (`advance` and its held fan-out walk)
 //!   and every handler: arrivals, MAC and routing actions, faults,
 //!   metrics probes, transmission. The hot path, kept together;
-//! - `persist` — one lane's share of a snapshot, the fold of lanes into
-//!   a snapshot or a report, restore, and the checkpoint grid every
-//!   execution mode cuts on;
-//! - `shard` — the region-sharded engine: the column partition, the
-//!   barrier-epoch lanes and the shipments between them.
+//! - `persist` — a snapshot at a cut, restore, the fold of lanes into a
+//!   report, and the checkpoint grid a hooked run cuts on;
+//! - `shard` — the region-sharded engine a plain run may take: the
+//!   column partition, the barrier-epoch lanes and the shipments between
+//!   them.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ use crate::fault::FaultState;
 use crate::metrics::MetricsState;
 use crate::node::Node;
 use crate::report::RunReport;
-use crate::snapshot::{RunHooks, RunOutcome, SimSnapshot};
+use crate::snapshot::{RunHooks, RunOutcome};
 use crate::soa::HotState;
 use persist::CutGrid;
 pub(crate) use shard::ShardCtx;
@@ -117,17 +117,14 @@ pub struct Simulator {
     channel: Channel,
     /// `(time, rank)` of the event currently being dispatched — the
     /// global position in the event order, used to key fault records and
-    /// packet-drop facts so they merge deterministically across shards.
+    /// packet-drop facts.
     cur: (SimTime, u128),
     /// Region-shard context (`Some` iff this simulator is one shard of a
     /// sharded run).
     shard: Option<ShardCtx>,
-    /// A snapshot waiting to be applied per lane. [`Simulator::restore`]
-    /// applies it to the whole network in every execution mode; a sharded
-    /// config also parks it here, because each lane's build
-    /// re-initialises the cold state it is donated, so the `shard` module
-    /// overlays every lane again after its build.
-    resume: Option<Arc<SimSnapshot>>,
+    /// Built by [`Simulator::restore`]: its run stays on one thread
+    /// whatever the execution mode (see [`Simulator::run`]).
+    restored: bool,
     sent_packets: u64,
     /// Fault-injection runtime state (`Some` iff the scenario has a
     /// fault plan).
@@ -180,23 +177,32 @@ impl Simulator {
 
     /// Run to the configured duration and produce the report.
     ///
-    /// Under [`ExecutionMode::Sharded`] the run executes on that many
-    /// region threads and produces a report bit-identical to the
-    /// single-threaded one (hot-path instrumentation counters aside,
-    /// which reflect the execution strategy itself).
+    /// A plain run — a freshly built simulator whose scenario asks for
+    /// [`ExecutionMode::Sharded`] and carries neither a fault plan nor
+    /// metrics — executes on that many region threads and produces a
+    /// report bit-identical to the single-threaded one. Every other run
+    /// executes on one thread.
     pub fn run(self) -> RunReport {
-        self.execute(None, &RunHooks::default())
-            .report()
-            .expect("no cancel token was supplied")
+        match self.cfg.execution_mode() {
+            ExecutionMode::Sharded { shards }
+                if !self.restored && self.faults.is_none() && self.metrics.is_none() =>
+            {
+                self.run_sharded(shards)
+            }
+            _ => self
+                .run_single(None, &RunHooks::default())
+                .report()
+                .expect("no cancel token was supplied"),
+        }
     }
 
     /// Like [`Simulator::run`], but calls `observer` with every event
     /// just before it is dispatched — the hook for packet traces,
-    /// animations, or custom measurements. The observer sees events in
-    /// exact execution order (sharded runs buffer per-region streams and
-    /// replay the deterministic merge to the observer after the run).
+    /// animations, or custom measurements. Runs on one thread in every
+    /// execution mode, so the observer sees events in exact execution
+    /// order.
     pub fn run_with_observer(self, mut observer: impl FnMut(&SimEvent, SimTime)) -> RunReport {
-        self.execute(Some(&mut observer), &RunHooks::default())
+        self.run_single(Some(&mut observer), &RunHooks::default())
             .report()
             .expect("no cancel token was supplied")
     }
@@ -204,21 +210,11 @@ impl Simulator {
     /// Like [`Simulator::run`], with in-run durability controls: a
     /// cooperative [`CancelToken`](crate::CancelToken) observed at cut
     /// boundaries, and periodic checkpoints on an absolute simulated-time
-    /// grid delivered to a sink. Both work identically under single and
-    /// sharded execution — checkpoints land at the same simulated
-    /// instants with bit-identical state, and a cancelled run returns a
-    /// final snapshot instead of a report.
+    /// grid delivered to a sink. Runs on one thread in every execution
+    /// mode; a cancelled run returns a final snapshot instead of a
+    /// report.
     pub fn run_with_hooks(self, hooks: RunHooks<'_>) -> RunOutcome {
-        self.execute(None, &hooks)
-    }
-
-    /// The one way a run starts: [`Simulator::run`] is this with no
-    /// observer and no hooks.
-    fn execute(self, observer: EventObserver<'_>, hooks: &RunHooks<'_>) -> RunOutcome {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(observer, hooks),
-            ExecutionMode::Sharded { shards } => self.run_sharded(shards, observer, hooks),
-        }
+        self.run_single(None, &hooks)
     }
 
     /// Schedule `ev` at `at` with its content-derived rank.
@@ -274,13 +270,12 @@ impl Simulator {
         self.nodes[i].insert(node)
     }
 
-    /// The single-threaded run. It cuts on the grid every shard lane
-    /// cuts on ([`CutGrid`]): whenever the next event's time reaches a
-    /// checkpoint grid instant, every grid instant up to it is
-    /// snapshotted *before* the event dispatches, so both execution modes
-    /// checkpoint at identical simulated times. Without hooks there is no
-    /// grid and no token, and the loop below is one
-    /// [`Simulator::advance`] call.
+    /// The single-threaded run. It cuts on an absolute grid
+    /// ([`CutGrid`]): whenever the next event's time reaches a checkpoint
+    /// grid instant, every grid instant up to it is snapshotted *before*
+    /// the event dispatches, so a resumed run checkpoints at the instants
+    /// an uninterrupted one does. Without hooks there is no grid and no
+    /// token, and the loop below is one [`Simulator::advance`] call.
     fn run_single(mut self, mut observer: EventObserver<'_>, hooks: &RunHooks<'_>) -> RunOutcome {
         let wall_start = std::time::Instant::now();
         let end = SimTime::ZERO + self.cfg.duration;
@@ -366,10 +361,10 @@ fn sched_into(queue: &mut EventQueue<QueueEntry>, at: SimTime, ev: SimEvent) {
 mod tests {
     use std::sync::Arc;
 
-    use pcmac_engine::{Duration, FlowId, NodeId, Point, RngStream, SimTime};
+    use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
     use pcmac_mac::Variant;
 
-    use crate::config::{FlowShape, NodeSetup, ScenarioConfig};
+    use crate::config::{ExecutionMode, FlowShape, NodeSetup, ScenarioConfig};
     use crate::event::SimEvent;
     use crate::snapshot::tests::NodeBlob;
     use crate::Simulator;
@@ -412,42 +407,46 @@ mod tests {
             let home = owner[i] == 0 && homes.contains(&i);
             assert_eq!(node.is_some(), home, "station {i} after the shard build");
         }
+    }
 
-        // A restore onto a fresh shard builds a station iff the shard
-        // owns it and its blob holds cold state, which it does iff the
-        // run had built the station: a station still unbuilt at the cut
-        // stays unbuilt (a flow's home was built with the shard and stays
-        // built). Before the first flow starts at 1 s no station has
-        // acted; half a second later most have.
-        let mut full = Simulator::new(cfg.clone());
-        let (mut kept, mut built) = (0, 0);
-        for ms in [600, 1_500] {
-            let (mut shard, owner) = even_shard(cfg.clone());
-            let cut = SimTime::ZERO + Duration::from_millis(ms);
-            while full.step_before(cut).is_some() {}
-            let snap = full.snapshot_at(cut);
-            for (i, blob) in snap.nodes.iter().enumerate() {
-                shard
-                    .load_node(i, blob)
-                    .expect("a blob of the same scenario");
-            }
-            for (i, node) in shard.nodes.iter().enumerate() {
-                let written = NodeBlob::parse(&snap.nodes[i], true).built();
-                assert_eq!(written, full.nodes[i].is_some(), "station {i} at {ms} ms");
-                let home = homes.contains(&i);
-                assert_eq!(
-                    node.is_some(),
-                    owner[i] == 0 && written,
-                    "station {i} after loading at {ms} ms"
-                );
-                kept += usize::from(owner[i] == 0 && !written);
-                built += usize::from(owner[i] == 0 && written && !home);
-            }
-        }
-        assert!(
-            kept > 0 && built > 0,
-            "{kept} owned stations kept unbuilt, {built} built"
-        );
+    /// A shard worker that panics mid-window — here an arrival end
+    /// planted on a row with nothing on the air — must come back out of
+    /// the run as that panic, the way a single-threaded run's would (the
+    /// campaign runner's `catch_unwind` turns either into a failed
+    /// point). The worker that panicked never reaches the epoch barrier;
+    /// unless it poisons it the rest of the crew spins there forever,
+    /// hence the watchdog.
+    #[test]
+    fn a_panicking_shard_worker_surfaces_its_panic_instead_of_hanging_the_crew() {
+        // A static row across a field wide enough for two bands.
+        let mut cfg = scenario();
+        cfg.field = (2_000.0, 100.0);
+        let row = (0..20).map(|k| Point::new(100.0 * k as f64, 50.0));
+        cfg.nodes = NodeSetup::Static(row.collect());
+        cfg.delay_floor_us = Some(10.0);
+        cfg.execution = Some(ExecutionMode::Sharded { shards: 2 });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(move || {
+                let (mut lanes, owner, lookahead_ns) = Simulator::new(cfg).split(2);
+                let j = owner
+                    .iter()
+                    .position(|&o| o == 1)
+                    .expect("shard 1 owns a station");
+                let at = SimTime::ZERO + Duration::from_millis(1);
+                let node = NodeId(j as u32);
+                let (key, power) = (7, Milliwatts(1e-6));
+                lanes[1].sched(at, SimEvent::ArrivalEnd { node, key, power });
+                Simulator::run_lanes(lanes, &owner, lookahead_ns, std::time::Instant::now())
+            });
+            let _ = tx.send(caught.map(|_| ()));
+        });
+        let caught = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run must end, not hang, when a shard worker panics");
+        let payload = caught.expect_err("the worker's panic is re-raised by the run");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("nothing on the air"), "{message}");
     }
 
     /// A restored static field builds exactly the stations the

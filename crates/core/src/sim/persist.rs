@@ -1,7 +1,6 @@
-//! Checkpoints and the end of a run: one lane's share of a snapshot at a
-//! cut, the fold of every lane's share into one snapshot or one report,
-//! restore, and the absolute grid a hooked run cuts on (see the
-//! `snapshot` module docs).
+//! Checkpoints and the end of a run: a snapshot at a cut, restore, the
+//! fold of every lane into one report, and the absolute grid a hooked
+//! run cuts on (see the `snapshot` module docs).
 //!
 //! Since snapshot version 6 a station is written as the run holds it —
 //! its held carrier edge as itself, no cold state while it is unbuilt —
@@ -16,7 +15,7 @@ use pcmac_phy::RxRow;
 use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use super::{sched_into, Simulator};
-use crate::config::{ExecutionMode, ScenarioConfig};
+use crate::config::ScenarioConfig;
 use crate::event::SimEvent;
 use crate::fault::FaultState;
 use crate::metrics::MetricsState;
@@ -36,72 +35,38 @@ pub(super) struct LaneTally {
     metrics: Option<MetricsState>,
 }
 
-/// What one execution lane (the single-threaded simulator, or one region
-/// shard) contributes to a collective snapshot at a cut. Contributions
-/// are owned clones — merging them needs no further synchronization with
-/// the lanes that produced them.
-pub(super) struct SnapContribution {
-    /// This lane's full pending population — logical events, cursor
-    /// tails expanded — in `(time, rank, insertion)` order.
-    pending: Vec<(SimTime, u128, SimEvent)>,
-    /// Raw events ever scheduled on this lane's queue.
-    scheduled_total: u64,
-    /// Probe events scheduled on this lane (every lane schedules its own
-    /// replica of the probe chain).
-    probes_scheduled: u64,
-    sent_packets: u64,
-    /// Blobs for owned nodes, unbuilt ones included (`None` where the
-    /// node lives on another shard).
-    node_blobs: Vec<Option<Vec<u8>>>,
-    tx_key_ctr: Vec<u32>,
-    faults: Option<FaultState>,
-    metrics: Option<MetricsState>,
-    /// The movement section: every model's state advanced to the cut,
-    /// empty on a static field; primary lane only (every lane holds the
-    /// identical full replica).
-    mobility: Option<Vec<u8>>,
-}
-
 impl Simulator {
     /// Capture the complete deterministic state at the current instant —
     /// every event dispatched so far is reflected, every pending event is
-    /// recorded. Restoring the snapshot (under this or any equivalent
-    /// execution mode) and running to the end is bit-identical to never
-    /// having stopped.
-    ///
-    /// # Panics
-    /// If called on one shard of a sharded run (shards snapshot
-    /// *collectively* at epoch boundaries; see the `shard` module).
+    /// recorded. Restoring the snapshot and running to the end is
+    /// bit-identical to never having stopped.
     pub fn snapshot(&self) -> SimSnapshot {
-        assert!(
-            self.shard.is_none(),
-            "snapshot() captures the full simulator, not one region shard"
-        );
         self.snapshot_at(self.queue.now())
     }
 
-    /// Single-lane capture at `cut` (every event strictly before `cut`
-    /// has been dispatched; callers guarantee `cut` is at most the next
-    /// pending event's time).
+    /// Capture at `cut` (every event strictly before `cut` has been
+    /// dispatched; callers guarantee `cut` is at most the next pending
+    /// event's time).
+    ///
+    /// # Panics
+    /// If called on one shard of a sharded run, which holds only its
+    /// own region's stations and events.
     pub(crate) fn snapshot_at(&self, cut: SimTime) -> SimSnapshot {
-        let owner = vec![0u32; self.cfg.nodes.count()];
-        let contrib = self.snap_contribution(cut);
-        Self::merge_contributions(&self.cfg, cut, &owner, vec![contrib])
-    }
-
-    /// This lane's share of a snapshot at `cut`.
-    pub(super) fn snap_contribution(&self, cut: SimTime) -> SnapContribution {
+        assert!(
+            self.shard.is_none(),
+            "a snapshot captures the full simulator, not one region shard"
+        );
+        // Canonical `(time, rank, insertion)` order: events sharing a
+        // full key — necessarily same-node — keep their insertion order.
         let pending = self.channel.pending_events(&self.queue);
         // One scratch writer for every node: per-node `SnapWriter`s pay
         // allocator growth 64k times over at scale.
         let mut scratch = SnapWriter::new();
-        let node_blobs: Vec<Option<Vec<u8>>> = (0..self.nodes.len())
+        let nodes = (0..self.nodes.len())
             .map(|i| {
-                self.owns(i).then(|| {
-                    scratch.clear();
-                    self.save_node(i, &mut scratch);
-                    scratch.payload().to_vec()
-                })
+                scratch.clear();
+                self.save_node(i, &mut scratch);
+                scratch.payload().to_vec()
             })
             .collect();
         // Each model is written advanced exactly to the cut, from a
@@ -109,26 +74,24 @@ impl Simulator {
         // this is the state an uninterrupted run carries at `cut`
         // regardless of when each node was last sampled. A static field
         // holds no models, and its section is empty.
-        let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
-        let mobility = primary.then(|| {
-            scratch.clear();
-            for model in &self.hot.mobility {
-                let mut at_cut = model.clone();
-                let _ = at_cut.position(cut);
-                at_cut.save_state(&mut scratch);
-            }
-            scratch.payload().to_vec()
-        });
-        SnapContribution {
-            pending,
+        scratch.clear();
+        for model in &self.hot.mobility {
+            let mut at_cut = model.clone();
+            let _ = at_cut.position(cut);
+            at_cut.save_state(&mut scratch);
+        }
+        SimSnapshot {
+            cfg_digest: crate::snapshot::config_digest(&self.cfg),
+            time: cut,
             scheduled_total: self.queue.scheduled_total(),
-            probes_scheduled: self.metrics.as_ref().map_or(0, |m| m.probes_scheduled),
             sent_packets: self.sent_packets,
-            node_blobs,
+            probes_scheduled: self.metrics.as_ref().map_or(0, |m| m.probes_scheduled),
+            pending: pending.into_iter().map(|(at, _, ev)| (at, ev)).collect(),
+            mobility: scratch.payload().to_vec(),
             tx_key_ctr: self.hot.tx_key_ctr.clone(),
-            faults: self.faults.clone(),
+            nodes,
+            faults: self.faults.clone().map(FaultState::canonical),
             metrics: self.metrics.clone(),
-            mobility,
         }
     }
 
@@ -156,16 +119,13 @@ impl Simulator {
     }
 
     /// Overlay a blob written by [`Simulator::save_node`] on node `i` of
-    /// this freshly built simulator, if it owns the station: the rows,
-    /// the held edge and the locked broadcast go back on the hot side,
-    /// and the station is built exactly when the blob holds its cold
-    /// state. Refuses a blob the run that wrote it could not have held: a
-    /// flow's home written unbuilt, a lock whose frame is absent (or a
-    /// frame without its lock), or a held edge at a listening MAC.
+    /// this freshly built simulator: the rows, the held edge and the
+    /// locked broadcast go back on the hot side, and the station is built
+    /// exactly when the blob holds its cold state. Refuses a blob the run
+    /// that wrote it could not have held: a flow's home written unbuilt,
+    /// a lock whose frame is absent (or a frame without its lock), or a
+    /// held edge at a listening MAC.
     pub(super) fn load_node(&mut self, i: usize, blob: &[u8]) -> Result<(), SnapError> {
-        if !self.owns(i) {
-            return Ok(());
-        }
         let mut r = SnapReader::over(blob);
         self.hot.rx[i] = Snap::load(&mut r)?;
         let pcmac = !self.hot.ctrl_rx.is_empty();
@@ -206,74 +166,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Fold per-lane contributions into the canonical (single-equivalent)
-    /// snapshot. `owner` maps each node to the contributing lane holding
-    /// its state (all zeros for a single-threaded capture).
-    pub(super) fn merge_contributions(
-        cfg: &ScenarioConfig,
-        cut: SimTime,
-        owner: &[u32],
-        mut parts: Vec<SnapContribution>,
-    ) -> SimSnapshot {
-        let s = parts.len() as u64;
-        let n = owner.len();
-        let n_bursts = replicated_bursts(cfg);
-        let probes_scheduled = parts[0].probes_scheduled;
-        debug_assert!(parts.iter().all(|p| p.probes_scheduled == probes_scheduled));
-        // Canonical scheduled total: replicated machinery — the
-        // impairment edges every shard schedules, each shard's own probe
-        // chain — counted once, exactly like the merged event count.
-        let scheduled_total = parts
-            .iter()
-            .map(|p| p.scheduled_total - p.probes_scheduled)
-            .sum::<u64>()
-            - (s - 1) * 2 * n_bursts
-            + probes_scheduled;
-        let sent_packets = parts.iter().map(|p| p.sent_packets).sum();
-        // Canonical pending population: the primary lane contributes
-        // everything (it holds one replica of the impairment/probe
-        // events); other shards contribute their node-addressed events.
-        // The sort is stable, so events sharing a full `(time, rank)`
-        // key — necessarily same-node, hence same-lane — keep their
-        // queue-insertion order.
-        let mut pending = std::mem::take(&mut parts[0].pending);
-        for p in parts.iter_mut().skip(1) {
-            pending.extend(
-                p.pending
-                    .drain(..)
-                    .filter(|(_, _, e)| e.node_index().is_some()),
-            );
-        }
-        pending.sort_by_key(|&(at, rank, _)| (at, rank));
-        let mut nodes = vec![Vec::new(); n];
-        let mut tx_key_ctr = vec![0u32; n];
-        for (i, &o) in owner.iter().enumerate() {
-            let p = &mut parts[o as usize];
-            nodes[i] = p.node_blobs[i].take().expect("owner holds the node");
-            tx_key_ctr[i] = p.tx_key_ctr[i];
-        }
-        let mobility = parts[0].mobility.take().expect("primary carries mobility");
-        let faults: Vec<FaultState> = parts.iter_mut().filter_map(|p| p.faults.take()).collect();
-        let metrics: Vec<MetricsState> =
-            parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-        SimSnapshot {
-            cfg_digest: crate::snapshot::config_digest(cfg),
-            time: cut,
-            scheduled_total,
-            sent_packets,
-            probes_scheduled,
-            pending: pending.into_iter().map(|(at, _, ev)| (at, ev)).collect(),
-            mobility,
-            tx_key_ctr,
-            nodes,
-            faults: cfg
-                .faults
-                .is_some()
-                .then(|| FaultState::merge(faults, owner)),
-            metrics: cfg.metrics.is_some().then(|| MetricsState::merge(metrics)),
-        }
-    }
-
     /// What the report reads of this lane once its queue drained, and
     /// the scenario it ran, moved out rather than copied; the queue, the
     /// hot arrays and the channel drop here, before the report allocates.
@@ -290,13 +182,13 @@ impl Simulator {
     }
 
     /// Fold the lanes whose queues drained — the whole single-threaded
-    /// simulator, or every region shard — into the run's report: the
-    /// counterpart of [`Simulator::merge_contributions`] at the end of a
-    /// run. `owner` maps each node to the lane holding its state (empty
-    /// for one lane, which holds every node): per-node state is read from
-    /// its owner, its energy ledger closed at the run end; counters are
-    /// summed and fault records replayed in `(time, rank)` order, all in
-    /// fixed lane order with no wall-clock input but `wall_s`.
+    /// simulator, or every region shard of a plain run — into the run's
+    /// report. `owner` maps each node to the lane holding its state
+    /// (empty for one lane, which holds every node): per-node state is
+    /// read from its owner, its energy ledger closed at the run end;
+    /// counters are summed in fixed lane order with no wall-clock input
+    /// but `wall_s`. Only a single lane carries the fault and metrics
+    /// layers.
     pub(super) fn merge_report(
         cfg: &ScenarioConfig,
         owner: &[u32],
@@ -304,11 +196,8 @@ impl Simulator {
         wall_start: std::time::Instant,
     ) -> RunReport {
         let end = SimTime::ZERO + cfg.duration;
-        // Every lane schedules its own probe chain and a replica of the
-        // impairment bursts; every other scheduled event exists on
-        // exactly one.
-        let events = lanes.iter().map(|l| l.events).sum::<u64>()
-            - (lanes.len() as u64 - 1) * 2 * replicated_bursts(cfg);
+        // Every scheduled event exists on exactly one lane.
+        let events = lanes.iter().map(|l| l.events).sum::<u64>();
         let sent = lanes.iter().map(|l| l.sent_packets).sum::<u64>();
 
         // Per-node state: each node's owner holds the authoritative
@@ -321,11 +210,8 @@ impl Simulator {
         for node in lanes.iter_mut().flat_map(|l| &mut l.nodes).flatten() {
             node.energy.finish(end);
         }
-        // A layer's state exists on every lane exactly when the scenario
-        // configures the layer.
-        let faults: Vec<FaultState> = lanes.iter_mut().filter_map(|l| l.faults.take()).collect();
-        let metrics: Vec<MetricsState> =
-            lanes.iter_mut().filter_map(|l| l.metrics.take()).collect();
+        let (faults, metrics) = (lanes[0].faults.take(), lanes[0].metrics.take());
+        debug_assert!(lanes.len() == 1 || (faults.is_none() && metrics.is_none()));
         let mut untouched = Node::new(
             NodeId(0),
             Arc::new(cfg.mac.clone()),
@@ -340,13 +226,12 @@ impl Simulator {
             })
             .collect();
 
-        let resilience = cfg
-            .faults
-            .as_ref()
-            .map(|plan| FaultState::merge(faults, owner).into_report(plan));
-        let metrics = cfg.metrics.map(|mc| {
-            MetricsState::merge(metrics).finish(mc.interval(), cfg.mac.levels.all(), &nodes)
-        });
+        let resilience = faults
+            .zip(cfg.faults.as_ref())
+            .map(|(fs, plan)| fs.canonical().into_report(plan));
+        let metrics = metrics
+            .zip(cfg.metrics)
+            .map(|(ms, mc)| ms.finish(mc.interval(), cfg.mac.levels.all(), &nodes));
 
         RunReport::build(
             cfg,
@@ -361,9 +246,8 @@ impl Simulator {
 
     /// Bring a snapshot back to life under `cfg`. The configuration must
     /// describe the same scenario the snapshot was captured from
-    /// ([`SimSnapshot::matches`]); the execution strategy may differ
-    /// freely — a snapshot taken single-threaded restores into a sharded
-    /// run and vice versa.
+    /// ([`SimSnapshot::matches`]); the execution strategy may differ, and
+    /// a restored simulator runs on one thread whatever it asks for.
     /// Running the result to the end is bit-identical to the
     /// uninterrupted run.
     pub fn restore(cfg: ScenarioConfig, snap: &SimSnapshot) -> Result<Simulator, SnapError> {
@@ -376,62 +260,29 @@ impl Simulator {
         }
         let mut sim = Simulator::new(cfg);
         sim.apply_restore(snap)?;
-        if matches!(sim.cfg.execution_mode(), ExecutionMode::Sharded { .. }) {
-            // Each lane's build re-initialises the cold state it is
-            // donated, so every lane overlays the snapshot again after
-            // its own build. The restore above refused whatever a lane
-            // would.
-            sim.resume = Some(Arc::new(snap.clone()));
-        }
+        sim.restored = true;
         Ok(sim)
     }
 
-    /// Overlay `snap` on this freshly-built simulator (the whole network,
-    /// or one owner-only region shard). Exactly one lane — the whole
-    /// network, or shard 0 — restores as primary and receives the
-    /// cumulative counters; see `FaultState::restore` /
-    /// `MetricsState::restore` for the replication roles. Every check a
-    /// lane makes, the whole network makes too, over every station.
-    pub(super) fn apply_restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
+    /// Overlay `snap` on this freshly-built simulator.
+    fn apply_restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
         let cut = snap.time;
-        let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
 
         // The event queue: restart the sequence counter at the cut and
-        // re-schedule this lane's slice of the canonical pending set in
-        // canonical order, each event under its content-derived rank, so
-        // insertion sequence numbers break same-key ties exactly as they
-        // did in the original run.
-        let (mut pending_bursts, mut pending_probes) = (0u64, 0u64);
-        for (_, ev) in &snap.pending {
-            match ev {
-                SimEvent::ImpairmentStart { .. } | SimEvent::ImpairmentEnd { .. } => {
-                    pending_bursts += 1
-                }
-                SimEvent::MetricsProbe => pending_probes += 1,
-                _ => {}
-            }
-        }
-        // A non-primary shard's scheduled total counts only the
-        // replicated machinery it scheduled at build — both edges of
-        // every impairment burst and its own probe-chain replica — minus
-        // whatever is still pending (and re-scheduled below). A valid
-        // snapshot leaves that at zero or more on every lane.
-        let replicated = (2 * replicated_bursts(&self.cfg))
-            .checked_sub(pending_bursts)
-            .zip(snap.probes_scheduled.checked_sub(pending_probes))
-            .map(|(b, p)| b + p)
-            .ok_or(SnapError::Corrupt("replicated pending exceeds schedule"))?;
-        let base = if primary {
-            // The canonical total already counts this lane's replicated
-            // events exactly once.
-            snap.scheduled_total
-                .checked_sub(snap.pending.len() as u64)
-                .ok_or(SnapError::Corrupt("pending exceeds scheduled total"))?
-        } else {
-            replicated
-        };
+        // re-schedule the pending set in canonical order, each event
+        // under its content-derived rank, so insertion sequence numbers
+        // break same-key ties exactly as they did in the original run.
+        let base = snap
+            .scheduled_total
+            .checked_sub(snap.pending.len() as u64)
+            .ok_or(SnapError::Corrupt("pending exceeds scheduled total"))?;
         self.queue = pcmac_engine::EventQueue::restored(cut, base);
-        let bursts = replicated_bursts(&self.cfg) as usize;
+        let bursts = self
+            .cfg
+            .faults
+            .as_ref()
+            .and_then(|f| f.impairments.as_ref());
+        let bursts = bursts.map_or(0, Vec::len);
         for (at, ev) in &snap.pending {
             if *at < cut {
                 return Err(SnapError::Corrupt("pending event before the cut"));
@@ -441,22 +292,15 @@ impl Simulator {
                     return Err(SnapError::Corrupt("pending impairment names no burst"));
                 }
             }
-            let mine = match ev.node_index() {
-                Some(j) if j >= self.nodes.len() => {
-                    return Err(SnapError::Corrupt("pending event names no station"))
-                }
-                Some(j) => self.owns(j),
-                None => true, // replicated events live on every lane
-            };
-            if mine {
-                sched_into(&mut self.queue, *at, ev.clone());
+            if ev.node_index().is_some_and(|j| j >= self.nodes.len()) {
+                return Err(SnapError::Corrupt("pending event names no station"));
             }
+            sched_into(&mut self.queue, *at, ev.clone());
         }
 
-        // Receive rows, held edges and cold per-node state, owned nodes
-        // only. An arrival's end panics on a row with nothing on the air,
-        // so a snapshot whose rows and pending arrivals disagree stops
-        // here.
+        // Receive rows, held edges and cold per-node state. An arrival's
+        // end panics on a row with nothing on the air, so a snapshot
+        // whose rows and pending arrivals disagree stops here.
         for (i, blob) in snap.nodes.iter().enumerate() {
             self.load_node(i, blob)?;
         }
@@ -471,7 +315,7 @@ impl Simulator {
             if let SimEvent::TrafficEmit { node, source } = ev {
                 let i = node.index();
                 let homed = self.nodes[i].as_ref().map_or(0, |n| n.sources.len());
-                if self.owns(i) && *source >= homed {
+                if *source >= homed {
                     return Err(SnapError::Corrupt("pending emission names no source"));
                 }
             }
@@ -491,35 +335,18 @@ impl Simulator {
         }
         self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
         self.channel.resync(&mut self.hot, cut);
-        self.sent_packets = if primary { snap.sent_packets } else { 0 };
+        self.sent_packets = snap.sent_packets;
         self.cur = (cut, 0);
 
         // The fault and metrics sections, refused when their presence or
         // shape disagrees with the scenario.
         match (self.faults.as_mut(), snap.faults.as_ref()) {
             (Some(fs), Some(loaded)) => {
-                let shard = self
-                    .shard
-                    .as_ref()
-                    .map(|ctx| (ctx.owner.as_slice(), ctx.id));
-                fs.restore(loaded, primary, shard)
-                    .map_err(SnapError::Corrupt)?;
+                fs.restore(loaded).map_err(SnapError::Corrupt)?;
                 // The same product `set_impairment` forms.
                 self.radio.noise_floor = self.cfg.radio.noise_floor * fs.noise_mult;
                 for (alive, &d) in self.hot.alive.iter_mut().zip(&fs.down) {
                     *alive = !d;
-                }
-                // Seed the shard transition logs: a node down at the cut
-                // must cull in-window arrivals from transmissions after
-                // it, exactly as the flip event recorded pre-cut would
-                // have.
-                if let Some(ctx) = &mut self.shard {
-                    let seed = SimTime::from_nanos(snap.time.as_nanos().saturating_sub(1));
-                    for (i, t) in ctx.transitions.iter_mut().enumerate() {
-                        if fs.down[i] && ctx.owner[i] == ctx.id {
-                            t.push((seed, u128::MAX, true));
-                        }
-                    }
                 }
             }
             (None, None) => {}
@@ -529,7 +356,7 @@ impl Simulator {
         // The metrics layer.
         match (self.metrics.as_mut(), snap.metrics.as_ref()) {
             (Some(ms), Some(loaded)) => {
-                ms.restore(loaded, primary).map_err(SnapError::Corrupt)?;
+                ms.restore(loaded).map_err(SnapError::Corrupt)?;
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("metrics section presence")),
@@ -574,17 +401,9 @@ fn arrivals_on_air<'a>(
     on_air
 }
 
-/// Impairment bursts in `cfg`'s fault plan: the events every lane
-/// schedules a replica of (two edges each), so a merge counts them once.
-fn replicated_bursts(cfg: &ScenarioConfig) -> u64 {
-    let bursts = cfg.faults.as_ref().and_then(|f| f.impairments.as_ref());
-    bursts.map_or(0, Vec::len) as u64
-}
-
 /// The absolute grid a hooked run checkpoints on (see
-/// [`next_grid_point`]), in every execution mode: the single-threaded
-/// loop and each shard lane cut at every grid instant the next event
-/// reaches, before that event dispatches, and never run a window past
+/// [`next_grid_point`]): the run cuts at every grid instant the next
+/// event reaches, before that event dispatches, and never advances past
 /// the next one. Holds `(interval, next grid instant)` in nanoseconds,
 /// `None` when the run takes no periodic checkpoints.
 pub(super) struct CutGrid(Option<(u64, u64)>);

@@ -9,22 +9,19 @@
 //! and the fault/metrics layers. The hard guarantee
 //! — proven by the `channel_equivalence` matrix — is that restoring a
 //! snapshot and running to the end produces a report **bit-identical**
-//! to the uninterrupted run, in both single-threaded and region-sharded
-//! execution.
+//! to the uninterrupted run.
 //!
 //! # Cut semantics
 //!
-//! A cut is a *globally consistent instant* `g`: every event strictly
-//! before `g` has been dispatched and every event at or after `g` is
-//! still pending. Single-threaded runs cut whenever the next event's
-//! time reaches a checkpoint grid point; sharded runs cut at an epoch
-//! top — after a barrier, when every shard has dispatched its window
-//! and accepted all cross-region shipments — with the window horizon
-//! clamped to the next grid point so the same grid instants are
-//! reachable cuts in every execution mode. Both constructions leave the
-//! run in the exact state a single-threaded replay would have at `g`,
-//! which is why a snapshot taken under one shard count restores under
-//! any other.
+//! A cut is an instant `g` at which every event strictly before `g` has
+//! been dispatched and every event at or after `g` is still pending. A
+//! hooked run cuts whenever the next event's time reaches a checkpoint
+//! grid point — absolute multiples of the interval, so a resumed run
+//! cuts at the instants an uninterrupted one does. Checkpointing,
+//! cancellation and restore all run on one thread: the execution mode a
+//! scenario asks for shards only a plain run (see
+//! [`ExecutionMode`](crate::ExecutionMode)), so a snapshot never depends
+//! on it.
 //!
 //! # Pending events are logical
 //!
@@ -86,8 +83,7 @@
 //! window outside `[cw_min, cw_max]`, a backoff count above its window,
 //! a queue longer than its capacity, and a fault or metrics section
 //! whose presence or node, impairment-burst or power-level counts
-//! disagree with the scenario, on one thread and on region shards
-//! alike. Files of versions 1 to 5 fail `SnapReader::open` with
+//! disagree with the scenario. Files of versions 1 to 5 fail `SnapReader::open` with
 //! `BadVersion` and the campaign runner recomputes their cells; README's
 //! checkpoint section keeps the history of the format.
 //!
@@ -154,9 +150,8 @@ pub struct RunHooks<'a> {
     pub cancel: Option<&'a CancelToken>,
     /// Take a periodic checkpoint every this much *simulated* time.
     pub checkpoint_every: Option<Duration>,
-    /// Receives every periodic checkpoint (called on the driving thread
-    /// in single mode, on shard 0's worker thread in sharded mode).
-    pub checkpoint_sink: Option<&'a (dyn Fn(SimSnapshot) + Sync)>,
+    /// Receives every periodic checkpoint, on the driving thread.
+    pub checkpoint_sink: Option<&'a dyn Fn(SimSnapshot)>,
 }
 
 /// How a hooked run ended.
@@ -194,15 +189,13 @@ pub struct SimSnapshot {
     pub(crate) cfg_digest: u64,
     /// The cut instant.
     pub(crate) time: SimTime,
-    /// Canonical (single-equivalent) count of events ever scheduled by
-    /// the cut: replicated events — impairment edges, the probe chain —
-    /// counted once.
+    /// Events ever scheduled by the cut.
     pub(crate) scheduled_total: u64,
     /// Application packets emitted by the cut.
     pub(crate) sent_packets: u64,
     /// `MetricsProbe` events scheduled by the cut (0 when metrics are
-    /// off) — every restored lane carries this so post-cut probe
-    /// accounting continues identically.
+    /// off). Restore reads the count from the metrics section, which
+    /// holds it too; this copy stays in the wire format.
     pub(crate) probes_scheduled: u64,
     /// The pending logical event population (cursor tails expanded) in
     /// canonical `(time, rank, insertion)` order. The rank is not stored:
@@ -283,8 +276,8 @@ impl SimSnapshot {
 
     /// A digest of the *behavioral* state: everything except the
     /// metrics section (whose diagnostic counters — hot-path work
-    /// counts, per-shard probe tallies — legitimately differ across
-    /// execution strategies). Two runs of the same scenario are at the
+    /// counts — legitimately differ between the production channel and
+    /// the reference scan). Two runs of the same scenario are at the
     /// same behavioral state at a cut iff these match; the divergence
     /// bisector binary-searches over this. The config digest is
     /// excluded — it identifies the *scenario*, not the state — so two
@@ -415,16 +408,14 @@ pub(crate) mod tests {
     /// shape disagrees with the scenario, an open repair naming no
     /// station, a movement section with another model count than the
     /// scenario moves, a node blob with another source count than the
-    /// station homes, and a pending list with more replicated
-    /// events than the snapshot says were scheduled, an event naming no
-    /// station, burst or source, or one due before the cut, on one
-    /// thread and on two shards alike, in the calling thread: a snapshot
-    /// is outside input.
+    /// station homes, and a pending list with an event naming no
+    /// station, burst or source, or one due before the cut, in the
+    /// calling thread: a snapshot is outside input.
     #[test]
     fn restore_refuses_a_snapshot_that_does_not_fit_the_scenario() {
         use crate::fault::{FaultConfig, ImpairmentBurst};
         use crate::metrics::MetricsConfig;
-        use crate::{ExecutionMode, NodeSetup, Simulator};
+        use crate::{NodeSetup, Simulator};
         use pcmac_engine::{Milliwatts, Point};
         use pcmac_mac::Variant;
         use pcmac_phy::PowerLevels;
@@ -487,21 +478,13 @@ pub(crate) mod tests {
         cases.push((cfg(12, 1, false, false), s, "metrics section presence"));
         // One more pending event than the scenario schedules, with the
         // scheduled total raised to match.
-        let extra = |ev: SimEvent| {
-            let mut s = both.clone();
-            let at = SimTime::ZERO + Duration::from_millis(1500);
-            s.pending.push((at, ev));
-            s.pending.sort_by_key(|(at, ev)| (*at, ev.rank()));
-            s.scheduled_total += 1;
-            s
-        };
-        let probe = extra(SimEvent::MetricsProbe);
-        let message = "replicated pending exceeds schedule";
-        cases.push((cfg(12, 1, true, true), probe, message));
-        let emit = extra(SimEvent::TrafficEmit {
-            node: pcmac_engine::NodeId(12),
-            source: 0,
-        });
+        let mut emit = both.clone();
+        let at = SimTime::ZERO + Duration::from_millis(1500);
+        let node = pcmac_engine::NodeId(12);
+        emit.pending
+            .push((at, SimEvent::TrafficEmit { node, source: 0 }));
+        emit.pending.sort_by_key(|(at, ev)| (*at, ev.rank()));
+        emit.scheduled_total += 1;
         let message = "pending event names no station";
         cases.push((cfg(12, 1, true, true), emit, message));
         // The cut moved past the burst's start, still pending.
@@ -590,41 +573,28 @@ pub(crate) mod tests {
         cases.push((cfg(12, 1, true, true), missing, SnapError::Truncated));
 
         for (c, s, want) in cases {
-            for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
-                let mut c = c.clone();
-                c.execution = Some(execution);
-                match Simulator::restore(c, &s) {
-                    Err(e) => assert_eq!(e, want, "{execution:?}"),
-                    Ok(_) => panic!("{want:?} on {execution:?}: restored"),
-                }
+            match Simulator::restore(c, &s) {
+                Err(e) => assert_eq!(e, want),
+                Ok(_) => panic!("{want:?}: restored"),
             }
         }
-        // The unmutated snapshots restore on both.
-        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
-            let mut c = cfg(12, 1, true, true);
-            c.execution = Some(execution);
-            assert!(Simulator::restore(c, &both).is_ok(), "{execution:?}");
-            let mut c = fixed();
-            c.execution = Some(execution);
-            assert!(Simulator::restore(c, &still).is_ok(), "{execution:?}");
-        }
+        // The unmutated snapshots restore.
+        assert!(Simulator::restore(cfg(12, 1, true, true), &both).is_ok());
+        assert!(Simulator::restore(fixed(), &still).is_ok());
     }
 
     /// 12 waypoint stations under PCMAC for 2 s with the paper's ten
-    /// flows, on one thread or two shards.
-    fn twelve_stations(execution: crate::ExecutionMode) -> ScenarioConfig {
-        let mut c = ScenarioConfig::paper_with(pcmac_mac::Variant::Pcmac, 300.0, 1, 12, 5.0)
-            .with_duration(Duration::from_secs(2));
-        c.delay_floor_us = Some(10.0);
-        c.execution = Some(execution);
-        c
+    /// flows.
+    fn twelve_stations() -> ScenarioConfig {
+        ScenarioConfig::paper_with(pcmac_mac::Variant::Pcmac, 300.0, 1, 12, 5.0)
+            .with_duration(Duration::from_secs(2))
     }
 
     /// The twelve-station run stepped until `stop` holds, and its snapshot.
     fn stepped_until(
         mut stop: impl FnMut(&crate::Simulator) -> bool,
     ) -> (crate::Simulator, SimSnapshot) {
-        let mut sim = crate::Simulator::new(twelve_stations(crate::ExecutionMode::Single));
+        let mut sim = crate::Simulator::new(twelve_stations());
         while !stop(&sim) {
             sim.step().expect("the run reaches such a state");
         }
@@ -633,23 +603,19 @@ pub(crate) mod tests {
     }
 
     /// `snap` with station `i`'s blob rewritten by `edit` is refused as
-    /// `Corrupt(want)` on one thread and on two shards.
+    /// `Corrupt(want)`.
     fn refused(snap: &SimSnapshot, i: usize, edit: impl FnOnce(&mut NodeBlob), want: &'static str) {
-        use crate::{ExecutionMode, Simulator};
+        use crate::Simulator;
         let mut s = snap.clone();
         let mut blob = NodeBlob::parse(&s.nodes[i], true);
         edit(&mut blob);
         s.nodes[i] = blob.to_bytes();
-        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
-            match Simulator::restore(twelve_stations(execution), &s) {
-                Err(e) => assert_eq!(e, SnapError::Corrupt(want), "{execution:?}"),
-                Ok(_) => panic!("{want} on {execution:?}: restored"),
-            }
+        match Simulator::restore(twelve_stations(), &s) {
+            Err(e) => assert_eq!(e, SnapError::Corrupt(want)),
+            Ok(_) => panic!("{want}: restored"),
         }
-        for execution in [ExecutionMode::Single, ExecutionMode::Sharded { shards: 2 }] {
-            let restored = Simulator::restore(twelve_stations(execution), snap);
-            assert!(restored.is_ok(), "the unedited snapshot on {execution:?}");
-        }
+        let restored = Simulator::restore(twelve_stations(), snap);
+        assert!(restored.is_ok(), "the unedited snapshot");
     }
 
     /// A carrier edge is only ever held back from a MAC that is not
@@ -673,9 +639,7 @@ pub(crate) mod tests {
     #[test]
     fn restore_refuses_a_flows_home_written_unbuilt() {
         let (_, snap) = stepped_until(|_| true);
-        let home = twelve_stations(crate::ExecutionMode::Single).flows[0]
-            .src
-            .index();
+        let home = twelve_stations().flows[0].src.index();
         assert!(NodeBlob::parse(&snap.nodes[home], true).built());
         refused(
             &snap,

@@ -41,8 +41,8 @@
 use std::cell::RefCell;
 
 use pcmac::{
-    ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowSpec, ImpairmentBurst, MetricsConfig,
-    NodeSetup, RunHooks, RunReport, ScenarioConfig, SimEvent, SimSnapshot, Simulator, Variant,
+    ChurnConfig, CrashWindow, FaultConfig, FlowSpec, ImpairmentBurst, MetricsConfig, NodeSetup,
+    RunHooks, RunReport, ScenarioConfig, SimEvent, SimSnapshot, Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 
@@ -204,12 +204,6 @@ fn sparse_field(variant: Variant, mobile: bool) -> ScenarioConfig {
     cfg
 }
 
-/// `cfg` on two region shards.
-fn sharded(mut cfg: ScenarioConfig) -> ScenarioConfig {
-    cfg.execution = Some(ExecutionMode::Sharded { shards: 2 });
-    cfg
-}
-
 /// FNV-1a over the report's JSON without `wall_s` and without the
 /// metrics section's hot-path counters, which describe how the run was
 /// executed rather than what happened in it.
@@ -253,22 +247,8 @@ fn run_checkpointed(cfg: ScenarioConfig) -> (RunReport, Vec<SimSnapshot>) {
     (report, taken.into_inner().unwrap())
 }
 
-/// Assert that two runs' checkpoints, cut for cut, differ by nothing but
-/// their metrics sections: the same stations built, the same edges held.
-fn same_state(what: &str, taken: &[SimSnapshot], on_two: &[SimSnapshot]) {
-    assert_eq!(taken.len(), on_two.len(), "{what}: checkpoint count");
-    for (one, two) in taken.iter().zip(on_two) {
-        assert_eq!(
-            one.state_fingerprint(),
-            two.state_fingerprint(),
-            "{what}: state at {:?} on two shards",
-            one.time()
-        );
-    }
-}
-
 /// FNV-1a over the checkpoints' wire bytes, each without its config
-/// digest (which covers the execution mode) and envelope checksum.
+/// digest and envelope checksum (see the module docs).
 fn masked_digest(taken: &[SimSnapshot]) -> u64 {
     let mut digest = Fnv::new();
     for snap in taken {
@@ -278,43 +258,27 @@ fn masked_digest(taken: &[SimSnapshot]) -> u64 {
     digest.0
 }
 
-/// `(variant, mobile, report digest, checkpoint-bytes digest, the same
-/// on two shards)`. The two checkpoint columns differ only because the
-/// metrics section carries the hot-path counters ([`same_state`]).
-const SPARSE_GOLDEN: [(Variant, bool, u64, u64, u64); 4] = [
+/// `(variant, mobile, report digest, checkpoint-bytes digest)`.
+const SPARSE_GOLDEN: [(Variant, bool, u64, u64); 4] = [
     (
         Variant::Basic,
         false,
         0x57791553d294c5a6,
         0xd083109a9a3e5b9b,
-        0x2be2246234286e53,
     ),
     (
         Variant::Pcmac,
         false,
         0x1e2bb596d73d9009,
         0x7ddda0287756d0a3,
-        0x49aef386d4385b0f,
     ),
-    (
-        Variant::Basic,
-        true,
-        0x9a03d625e67ab61d,
-        0x7c4cc2348d172fe5,
-        0x852e4e591ddf0f19,
-    ),
-    (
-        Variant::Pcmac,
-        true,
-        0x5913ddde7925739a,
-        0x80f346516cec00e7,
-        0xed5bbcc2123bc75f,
-    ),
+    (Variant::Basic, true, 0x9a03d625e67ab61d, 0x7c4cc2348d172fe5),
+    (Variant::Pcmac, true, 0x5913ddde7925739a, 0x80f346516cec00e7),
 ];
 
 #[test]
 fn sparse_fields_report_checkpoint_and_resume_as_recorded() {
-    for (variant, mobile, report, snaps, snaps_on_two) in SPARSE_GOLDEN {
+    for (variant, mobile, report, snaps) in SPARSE_GOLDEN {
         let what = format!("{variant:?}, mobile = {mobile}");
         let cfg = sparse_field(variant, mobile);
         let (single, taken) = run_checkpointed(cfg.clone());
@@ -329,28 +293,16 @@ fn sparse_fields_report_checkpoint_and_resume_as_recorded() {
             "{what}: checkpoint bytes digest"
         );
 
-        let (on_two, taken_on_two) = run_checkpointed(sharded(cfg.clone()));
-        assert_eq!(report_digest(&on_two), report, "{what}: sharded report");
-        same_state(&what, &taken, &taken_on_two);
-        assert_eq!(
-            masked_digest(&taken_on_two),
-            snaps_on_two,
-            "{what}: checkpoint bytes digest on two shards"
-        );
-
         let first = taken.first().expect("a 2 s run crosses the 250 ms grid");
-        for resumed in [cfg.clone(), sharded(cfg)] {
-            let mode = resumed.execution_mode();
-            let report_after = Simulator::restore(resumed, first)
-                .expect("the checkpoint restores")
-                .run();
-            assert_eq!(
-                report_digest(&report_after),
-                report,
-                "{what}: resumed from {:?} on {mode:?}",
-                first.time()
-            );
-        }
+        let report_after = Simulator::restore(cfg, first)
+            .expect("the checkpoint restores")
+            .run();
+        assert_eq!(
+            report_digest(&report_after),
+            report,
+            "{what}: resumed from {:?}",
+            first.time()
+        );
     }
 }
 
@@ -398,28 +350,16 @@ fn faulted(variant: Variant) -> ScenarioConfig {
 
 const ENERGY_BUDGET_MJ: f64 = 4.0;
 
-/// `(variant, report digest, checkpoint-bytes digest, the same on two
-/// shards)` of the [`faulted`] scenario. The two checkpoint columns
-/// differ only because the metrics section carries the hot-path counters
-/// ([`same_state`]).
-const FAULTED_GOLDEN: [(Variant, u64, u64, u64); 2] = [
-    (
-        Variant::Pcmac,
-        0xf8cf421cdb183094,
-        0x8b7c026a8e89c672,
-        0xcf8dee05afe8fab4,
-    ),
-    (
-        Variant::Basic,
-        0x8bb5c8a79c352656,
-        0x7a1e132a3de8fca4,
-        0xb665df30d4a81f66,
-    ),
+/// `(variant, report digest, checkpoint-bytes digest)` of the
+/// [`faulted`] scenario.
+const FAULTED_GOLDEN: [(Variant, u64, u64); 2] = [
+    (Variant::Pcmac, 0xf8cf421cdb183094, 0x8b7c026a8e89c672),
+    (Variant::Basic, 0x8bb5c8a79c352656, 0x7a1e132a3de8fca4),
 ];
 
 #[test]
 fn faulted_runs_report_checkpoint_and_resume_as_recorded() {
-    for (variant, report, snaps, snaps_on_two) in FAULTED_GOLDEN {
+    for (variant, report, snaps) in FAULTED_GOLDEN {
         let cfg = faulted(variant);
         let (single, taken) = run_checkpointed(cfg.clone());
         let r = single.resilience.as_ref().expect("a fault plan reports");
@@ -431,40 +371,25 @@ fn faulted_runs_report_checkpoint_and_resume_as_recorded() {
         ] {
             assert!(count > 0, "{variant:?}: the plan caused no {what}");
         }
-        let (on_two, taken_on_two) = run_checkpointed(sharded(cfg.clone()));
         assert_eq!(report_digest(&single), report, "{variant:?}: report digest");
         assert_eq!(
             masked_digest(&taken),
             snaps,
             "{variant:?}: checkpoint bytes digest"
         );
-        assert_eq!(
-            report_digest(&on_two),
-            report,
-            "{variant:?}: sharded report"
-        );
-        assert_eq!(
-            masked_digest(&taken_on_two),
-            snaps_on_two,
-            "{variant:?}: checkpoint bytes digest on two shards"
-        );
-        same_state(&format!("{variant:?}"), &taken, &taken_on_two);
 
         let first = taken.first().expect("a 3 s run crosses the 250 ms grid");
         let mid = &taken[taken.len() / 2];
         for cut in [first, mid] {
-            for resumed in [cfg.clone(), sharded(cfg.clone())] {
-                let mode = resumed.execution_mode();
-                let report_after = Simulator::restore(resumed, cut)
-                    .expect("the checkpoint restores")
-                    .run();
-                assert_eq!(
-                    report_digest(&report_after),
-                    report,
-                    "{variant:?}: resumed from {:?} on {mode:?}",
-                    cut.time()
-                );
-            }
+            let report_after = Simulator::restore(cfg.clone(), cut)
+                .expect("the checkpoint restores")
+                .run();
+            assert_eq!(
+                report_digest(&report_after),
+                report,
+                "{variant:?}: resumed from {:?}",
+                cut.time()
+            );
         }
     }
 }
